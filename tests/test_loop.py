@@ -157,3 +157,30 @@ class TestCache:
         second = LoopSolver(2).compute(2, cache_dir=str(tmp_path))
         assert second[1].provenance.get("cache") == "hit"
         assert first[1].body == second[1].body
+
+
+# sha256 of the canonical text of H_4, H_5 and of R_4, R_5, frozen from the
+# solver before its unreachable paths were removed; a kernel rewrite must keep them.
+FROZEN_SHA256 = {
+    "H_4": "e3f13ea5b003edb7aa593f0e5e37579d02d496063f967e71249276d769661321",
+    "R_4": "4d655db7a66ff73ff6ccc4059a149cf7cf479e441ab6b88109ad9d12df7d05f0",
+    "H_5": "dfc56e79a800c9a52c94132c96f89c4716b7815412788432b24a8fa91c606205",
+    "R_5": "72315a03fd9f433b9c05de008091b8542da7e2e3e9c0a25573cb4afc3e43b5a4",
+}
+
+
+def test_frozen_hashes_g4_g5(solver_g4, energies_g5):
+    import hashlib
+
+    from cubichodge.outputs import r_poly
+    from cubichodge.textform import sigma_text
+
+    h4, h5 = solver_g4[1][3], energies_g5[4]
+    texts = {
+        "H_4": h4.body_text(),
+        "R_4": sigma_text(r_poly(h4)),
+        "H_5": h5.body_text(),
+        "R_5": sigma_text(r_poly(h5)),
+    }
+    got = {name: hashlib.sha256(t.encode()).hexdigest() for name, t in texts.items()}
+    assert got == FROZEN_SHA256
