@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from typing import NoReturn
 
 from .jets import JetPoly
 from .loop import LoopSolver
@@ -25,6 +26,16 @@ from .textform import free_energy_text, jet_json, jet_latex, sigma_json, sigma_t
 from .virasoro import RationalParams, commutator_check, monomial_basis
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cubichodge",
                                  description="Exact cubic Hodge free energies from the loop equation")
@@ -34,8 +45,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--cutoff", type=int, default=None, help="jet cutoff override")
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         p.add_argument("--cache-dir", default=os.environ.get("CUBICHODGE_CACHE"))
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; evaluation is deterministic")
 
     p = sub.add_parser("compute", help="solve the loop equation up to a genus")
     p.add_argument("--genus", type=int, required=True)
@@ -48,8 +57,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hodge", help="table of cubic Hodge intersection data")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--tmax", type=int, default=3, help="highest t index")
-    p.add_argument("--dmax", type=int, default=4, help="total degree truncation")
+    p.add_argument("--tmax", type=_nonnegative, default=3, help="highest t index")
+    p.add_argument("--dmax", type=_nonnegative, default=4, help="total degree truncation")
     p.add_argument("--integrals", action="store_true",
                    help="multiply by automorphism factorials (bracket values)")
     common(p)
@@ -65,8 +74,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("virasoro", help="Virasoro commutator matrix for (K1, K2)")
     p.add_argument("--k1", type=int, required=True)
     p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--mmax", type=int, default=3)
-    p.add_argument("--degree", type=int, default=3, help="monomial basis degree")
+    p.add_argument("--mmax", type=_nonnegative, default=3)
+    p.add_argument("--degree", type=_nonnegative, default=3, help="monomial basis degree")
     p.add_argument("--index-bound", type=int, default=None,
                    help="highest s index in the basis (default 2h+2)")
     common(p)
@@ -98,11 +107,23 @@ def _dispatch(args) -> int:
     raise ValueError(f"unknown command {cmd}")
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _require_genus(args, minimum: int = 1) -> int:
     if args.genus < minimum:
-        print(f"error: --genus must be >= {minimum}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"--genus must be >= {minimum}")
+    _require_cutoff(args, args.genus)
     return args.genus
+
+
+def _require_cutoff(args, genus: int) -> None:
+    # H_g reaches z_{3g-2}; a smaller jet cutoff cannot hold it
+    need = 3 * genus - 2
+    if args.cutoff is not None and args.cutoff < need:
+        _usage_error(f"--cutoff must be >= 3g-2 = {need} for genus {genus}")
 
 
 def _solver(args, genus: int) -> LoopSolver:
@@ -184,8 +205,7 @@ def _verify_suites(args):
     try:
         pairs = _parse_pairs(getattr(args, "pairs", "1,2;2,3;3,4"))
     except ValueError as exc:
-        print(f"error: bad --pairs: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"bad --pairs: {exc}")
 
     def loop_residual():
         solver = _solver(args, genus)
@@ -271,13 +291,12 @@ def _verify_suites(args):
 
 
 def cmd_verify(args) -> int:
+    _require_cutoff(args, max(args.genus, 1))
     suites = _verify_suites(args)
     names = args.suite or list(suites)
     bad = [n for n in names if n not in suites]
     if bad:
-        print(f"error: unknown suite(s) {', '.join(bad)}; "
-              f"available: {', '.join(suites)}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"unknown suite(s) {', '.join(bad)}; available: {', '.join(suites)}")
     failures = 0
     for name in names:
         ok, detail = suites[name]()
@@ -293,8 +312,7 @@ def cmd_virasoro(args) -> int:
     try:
         params = RationalParams(args.k1, args.k2)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(str(exc))
     bound = args.index_bound if args.index_bound is not None else 2 * params.h + 2
     k_cut = bound + params.h * 2 * args.mmax
     basis = monomial_basis(params, k_cut, bound, args.degree)

@@ -225,15 +225,6 @@ class JetPoly:
             out[nk] = c * e
         return _raw(self.cutoff, out)
 
-    def integrate_z0(self) -> "JetPoly":
-        """Antiderivative in z0 with zero constant."""
-        out = {}
-        for key, c in self.terms.items():
-            e = key[2]
-            nk = key[:2] + (e + 1,) + key[3:]
-            out[nk] = c / (e + 1)
-        return _raw(self.cutoff, out)
-
     def mul_z(self, k: int, power: int = 1) -> "JetPoly":
         """Fast multiply by z_k^power."""
         if not 0 <= k <= self.cutoff:
@@ -277,9 +268,6 @@ class JetPoly:
             want[k] = e
         want = tuple(want)
         return SigmaPoly({(k[0], k[1]): v for k, v in self.terms.items() if k[2:] == want})
-
-    def jet_monomials(self):
-        return {k[2:] for k in self.terms}
 
     def with_cutoff(self, new: int) -> "JetPoly":
         if new == self.cutoff:
@@ -334,50 +322,21 @@ class JetPoly:
     # -- division ---------------------------------------------------------
 
     def exact_div(self, d: "JetPoly") -> "JetPoly":
-        """Exact quotient self / d; raises ExactDivisionError on remainder."""
+        """Exact quotient self / d by a single-term d; raises ExactDivisionError
+        on a remainder or a multi-term divisor."""
         self._check(d)
         if not d.terms:
             raise ZeroDivisionError("division by the zero JetPoly")
-        if not self.terms:
-            return JetPoly(self.cutoff)
-        if len(d.terms) == 1:
-            (dk, dc), = d.terms.items()
-            out = {}
-            for k, c in self.terms.items():
-                nk = tuple(map(int.__sub__, k, dk))
-                if nk[0] < 0 or nk[1] < 0 or nk[2] < 0 or any(e < 0 for e in nk[4:]):
-                    raise ExactDivisionError("monomial divisor does not divide a term")
-                out[nk] = c / dc
-            return _raw(self.cutoff, out)
-        return self._reduce_div(d)
-
-    def _reduce_div(self, d: "JetPoly") -> "JetPoly":
-        # clear negative z1 exponents so a genuine monomial order applies
-        sflo = min(k[3] for k in self.terms)
-        dflo = min(k[3] for k in d.terms)
-        a = self.mul_z(1, -sflo) if sflo < 0 else self
-        b = d.mul_z(1, -dflo) if dflo < 0 else d
-        rem = dict(a.terms)
-        quo = {}
-        lead_b = max(b.terms, key=_grlex)
-        cb = b.terms[lead_b]
-        while rem:
-            lead_r = max(rem, key=_grlex)
-            qk = tuple(map(int.__sub__, lead_r, lead_b))
-            if any(e < 0 for e in qk):
-                raise ExactDivisionError("leading term not divisible")
-            qc = rem[lead_r] / cb
-            quo[qk] = qc
-            for kb, vb in b.terms.items():
-                k = tuple(map(int.__add__, qk, kb))
-                w = rem.get(k, QZERO) - qc * vb
-                if w:
-                    rem[k] = w
-                else:
-                    rem.pop(k, None)
-        shift = (0 if dflo >= 0 else -dflo) - (0 if sflo >= 0 else -sflo)
-        q = _raw(self.cutoff, quo)
-        return q.mul_z(1, shift) if shift else q
+        if len(d.terms) != 1:
+            raise ExactDivisionError("divisor is not a single monomial")
+        (dk, dc), = d.terms.items()
+        out = {}
+        for k, c in self.terms.items():
+            nk = tuple(map(int.__sub__, k, dk))
+            if nk[0] < 0 or nk[1] < 0 or nk[2] < 0 or any(e < 0 for e in nk[4:]):
+                raise ExactDivisionError("monomial divisor does not divide a term")
+            out[nk] = c / dc
+        return _raw(self.cutoff, out)
 
     def __repr__(self):
         from .textform import jet_text
@@ -390,10 +349,6 @@ def _raw(cutoff: int, terms: dict) -> JetPoly:
     p.cutoff = cutoff
     p.terms = terms
     return p
-
-
-def _grlex(key):
-    return (sum(key), key)
 
 
 def add_scaled(acc: dict, terms: dict, factor) -> None:

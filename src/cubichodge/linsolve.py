@@ -1,11 +1,12 @@
 """Back substitution for the Theta-row systems produced by the loop equation.
 
 Rows are indexed by the Theta power a = 1..n, unknowns by the jet index
-i = 0..n-1.  Entry (a, i) vanishes for a > i + 1 and the diagonal entries
-(i + 1, i) are nonzero, so the system solves top row down.  All divisions
-must be exact in the jet ring; when a division fails the solver can fall
-back to carrying an explicit denominator that is cleared (and checked) at
-the end.
+i = 0..n-1.  Entry (a, i) vanishes for a > i + 1, and each diagonal entry
+(i + 1, i) is a single nonzero monomial (the top Theta coefficient of L_i),
+so the system solves top row down with exact monomial divisions.  A
+non-monomial diagonal is rejected when the system is built; a remainder in
+a division raises ExactDivisionError.  The caller checks the full residual
+over every Theta row.
 """
 from __future__ import annotations
 
@@ -32,25 +33,14 @@ class TriangularSystem:
             for i in range(size):
                 if a > i + 1 and self.rows[a - 1][i]:
                     raise SolveError("entry below the triangular profile is nonzero", a)
-            if not self.rows[a - 1][a - 1]:
+            diag = self.rows[a - 1][a - 1]
+            if not diag:
                 raise SolveError("zero diagonal entry", a)
+            if len(diag.terms) != 1:
+                raise SolveError("diagonal entry is not a single monomial", a)
 
-    def solve(self, fraction_fallback: bool = True):
-        """Back substitution from the highest Theta row; returns the unknowns.
-
-        The solution is verified by multiplying back onto the right-hand side
-        before it is returned.
-        """
-        try:
-            xs = self._solve_direct()
-        except ExactDivisionError:
-            if not fraction_fallback:
-                raise
-            xs = self._solve_fractions()
-        self.verify(xs)
-        return xs
-
-    def _solve_direct(self):
+    def solve(self):
+        """Back substitution from the highest Theta row; returns the unknowns."""
         n = self.size
         xs: list[JetPoly | None] = [None] * n
         for a in range(n, 0, -1):
@@ -64,40 +54,3 @@ class TriangularSystem:
             except ExactDivisionError as exc:
                 raise ExactDivisionError(f"non-exact division at Theta row {a}: {exc}") from exc
         return xs
-
-    def _solve_fractions(self):
-        # num/den pairs; denominators collect diagonal factors and are cleared
-        # at the end, where exactness is asserted.
-        n = self.size
-        num: list[JetPoly | None] = [None] * n
-        den: list[JetPoly | None] = [None] * n
-        one = JetPoly.one(self.rhs[0].cutoff)
-        for a in range(n, 0, -1):
-            rn, rd = self.rhs[a - 1], one
-            for i in range(a, n):
-                entry = self.rows[a - 1][i]
-                if entry:
-                    rn = rn * den[i] - rd * (entry * num[i])
-                    rd = rd * den[i]
-            num[a - 1] = rn
-            den[a - 1] = rd * self.rows[a - 1][a - 1]
-        out = []
-        for a in range(1, n + 1):
-            try:
-                out.append(num[a - 1].exact_div(den[a - 1]))
-            except ExactDivisionError as exc:
-                raise SolveError(f"fraction fallback left a non-polynomial solution: {exc}", a) from exc
-        return out
-
-    def verify(self, xs) -> None:
-        for a in range(1, self.size + 1):
-            acc = None
-            for i in range(self.size):
-                entry = self.rows[a - 1][i]
-                if entry:
-                    term = entry * xs[i]
-                    acc = term if acc is None else acc + term
-            if acc is None:
-                acc = JetPoly.zero(self.rhs[a - 1].cutoff)
-            if acc != self.rhs[a - 1]:
-                raise SolveError("solution does not reproduce the right-hand side", a)

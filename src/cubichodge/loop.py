@@ -14,11 +14,12 @@ with RHS_1 = Theta^2/16 - (1/16 - s1/24) Theta =: T and for g >= 2
 The Theta rows 1..3g-1 form an invertible triangular system for the
 gradient of H_g; all remaining rows must be matched identically, which is
 asserted after every solve.  H_g itself is recovered from the Euler
-identity sum j z_j dH_g/dz_j = (2g-2) H_g, and for g = 1 from the closed
-form (1/24) log z1 + (s1/24) z0.
+identity sum j z_j dH_g/dz_j = (2g-2) H_g, which needs dH_g/dz0 = 0 for
+g >= 2, and for g = 1 from the closed form (1/24) log z1 + (s1/24) z0.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -185,25 +186,17 @@ class LoopSolver:
             body = JetPoly.monomial(Q(1, 24), (1, 0), {0: 1}, M)
             return FreeEnergy(1, list(gradient), body, log_z1_coeff=Q(1, 24))
 
+        if gradient[0]:
+            raise LoopEquationError(f"dH_{g}/dz0 is nonzero")
         euler = JetPoly.zero(M)
         for j in range(1, len(gradient)):
             if gradient[j]:
                 euler = euler + gradient[j].mul_z(j) * Q(j)
         body = euler / Q(2 * g - 2)
-        anomaly = False
-        if gradient[0]:
-            # observed never to happen; integrate the z0 component and recheck
-            anomaly = True
-            body = body + (gradient[0] - body.partial(0)).integrate_z0()
-            if _euler_weight(body) != body * Q(2 * g - 2):
-                raise LoopEquationError("z0 fallback breaks the Euler identity")
         for i in range(len(gradient)):
             if body.partial(i) != gradient[i]:
                 raise LoopEquationError(f"reconstructed body disagrees with gradient at z{i}")
-        fe = FreeEnergy(g, list(gradient), body)
-        if anomaly:
-            fe.provenance["z0_anomaly"] = True
-        return fe
+        return FreeEnergy(g, list(gradient), body)
 
     def _check_homogeneity(self, fe: FreeEnergy) -> None:
         if fe.genus < 2:
@@ -233,15 +226,6 @@ class LoopSolver:
             if progress:
                 progress(fe)
         return energies
-
-
-def _euler_weight(p: JetPoly) -> JetPoly:
-    out = JetPoly.zero(p.cutoff)
-    for j in range(1, p.cutoff + 1):
-        d = p.partial(j)
-        if d:
-            out = out + d.mul_z(j) * Q(j)
-    return out
 
 
 # -- per-genus cache files ------------------------------------------------------
@@ -276,14 +260,23 @@ def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
         "sha256": _payload_hash(payload, fe.provenance.get("ptable", "")),
     }
     path = cache_path(cache_dir, fe.genus)
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    # write beside the target and rename over it, so a torn write is never read back
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return path
 
 
 def load_cached(cache_dir: str, genus: int, fingerprint: str, cutoff: int) -> FreeEnergy | None:
-    """Return the cached FreeEnergy, or None on any mismatch or corruption."""
+    """Return the cached FreeEnergy, or None on a solver-version, fingerprint or
+    hash mismatch, or any corruption."""
     from .textform import jet_from_json
 
     path = cache_path(cache_dir, genus)
@@ -291,6 +284,8 @@ def load_cached(cache_dir: str, genus: int, fingerprint: str, cutoff: int) -> Fr
         with open(path) as fh:
             record = json.load(fh)
         payload = record["payload"]
+        if record["provenance"].get("solver") != SOLVER_VERSION:
+            return None
         if record["provenance"].get("ptable") != fingerprint:
             return None
         if record["sha256"] != _payload_hash(payload, fingerprint):

@@ -171,9 +171,6 @@ class ZInvSeries:
             return NotImplemented
         return self.order == other.order and self.terms == other.terms
 
-    def agrees_with(self, other: "ZInvSeries", upto: int) -> bool:
-        return all(self.coeff(n) == other.coeff(n) for n in range(min(self.valuation(), other.valuation(), 0), upto + 1))
-
     def ddz(self) -> "ZInvSeries":
         """d/dz; the truncation order improves by one."""
         out = {}

@@ -54,7 +54,3 @@ def parse_q(s: str):
         n, _, d = s.partition("/")
         return Q(int(n), int(d))
     return Q(int(s))
-
-
-def to_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))

@@ -145,9 +145,6 @@ class SigmaPoly:
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {(0, 0)}
 
-    def constant_value(self):
-        return self.terms.get((0, 0), QZERO)
-
     def degree(self) -> int:
         """Weighted degree with deg s1 = 1, deg s3 = 3; -1 for zero."""
         if not self.terms:

@@ -10,8 +10,6 @@ where xi = (Theta - 1)/Theta.
 """
 from __future__ import annotations
 
-from math import comb
-
 from .jets import CutoffError, JetPoly, add_scaled, from_raw
 from .ratio import Q, is_rational
 from .sigma import SigmaPoly
@@ -126,12 +124,12 @@ class ThetaPoly:
         out = [dict() for _ in range(n + 1)]
         for d, c in enumerate(self.coeffs):
             if c:
-                add_scaled_poly_terms(out[d], c.derive().terms, 1)
+                add_scaled(out[d], c.derive().terms, 1)
             if d and c:
                 # d * z1 * c * (Theta^{d+1} - Theta^d)
                 shifted = c.mul_z(1).terms
-                add_scaled_poly_terms(out[d + 1], shifted, Q(d))
-                add_scaled_poly_terms(out[d], shifted, Q(-d))
+                add_scaled(out[d + 1], shifted, Q(d))
+                add_scaled(out[d], shifted, Q(-d))
         return ThetaPoly(self.cutoff, [from_raw(self.cutoff, t) for t in out])
 
     def xi_euler(self) -> "ThetaPoly":
@@ -143,31 +141,9 @@ class ThetaPoly:
         for d, c in enumerate(self.coeffs):
             if d == 0 or not c:
                 continue
-            add_scaled_poly_terms(out[d + 1], c.terms, Q(d))
-            add_scaled_poly_terms(out[d], c.terms, Q(-d))
+            add_scaled(out[d + 1], c.terms, Q(d))
+            add_scaled(out[d], c.terms, Q(-d))
         return ThetaPoly(self.cutoff, [from_raw(self.cutoff, t) for t in out])
-
-    # -- expansions -----------------------------------------------------------
-
-    def xi_expansion(self, order: int):
-        """Coefficients of the xi-series of this polynomial, xi = (Theta-1)/Theta.
-
-        Uses Theta^k = sum_m C(k+m-1, m) xi^m.  Returns a list of JetPoly of
-        length order + 1.
-        """
-        out = [dict() for _ in range(order + 1)]
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                add_scaled_poly_terms(out[0], c.terms, 1)
-                continue
-            for m in range(order + 1):
-                add_scaled_poly_terms(out[m], c.terms, Q(comb(k + m - 1, m)))
-        return [from_raw(self.cutoff, t) for t in out]
-
-    def map_coeffs(self, fn) -> "ThetaPoly":
-        return ThetaPoly(self.cutoff, [fn(c) for c in self.coeffs])
 
     def max_jet_index(self) -> int:
         return max((c.max_index() for c in self.coeffs), default=-1)
@@ -198,7 +174,3 @@ def add_scaled_poly(acc: dict, a: JetPoly, b: JetPoly) -> None:
                     acc[k] = w
                 else:
                     del acc[k]
-
-
-def add_scaled_poly_terms(acc: dict, terms: dict, factor) -> None:
-    add_scaled(acc, terms, factor)

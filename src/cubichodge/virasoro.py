@@ -17,188 +17,11 @@ import math
 from dataclasses import dataclass, field
 from math import comb, gcd
 
-from .ratio import Q, QONE, QZERO, is_rational
+from .ratio import Q, QONE, QZERO
 
 
 class TruncationViolation(ValueError):
     """An operator or monomial would step outside the declared truncation."""
-
-
-# -- exact univariate polynomials over Q ---------------------------------------
-
-
-class QPoly:
-    """Dense univariate polynomial over exact rationals; index = degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-
-    @classmethod
-    def const(cls, c) -> "QPoly":
-        return cls([c])
-
-    @classmethod
-    def from_roots(cls, roots) -> "QPoly":
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-Q(r), 1])
-        return p
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [QZERO] * (n - len(self.coeffs))
-        b = other.coeffs + [QZERO] * (n - len(other.coeffs))
-        return QPoly([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [QZERO] * (n - len(self.coeffs))
-        b = other.coeffs + [QZERO] * (n - len(other.coeffs))
-        return QPoly([x - y for x, y in zip(a, b)])
-
-    def __mul__(self, other):
-        if is_rational(other):
-            return QPoly([c * Q(other) for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return QPoly()
-        out = [QZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        x = Q(x)
-        acc = QZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def deriv(self) -> "QPoly":
-        return QPoly([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def shift(self, a) -> "QPoly":
-        """p(z + a) via the binomial expansion."""
-        a = Q(a)
-        n = self.degree
-        out = [QZERO] * (n + 1)
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            pw = QONE
-            for i in range(k, -1, -1):
-                out[i] += c * comb(k, i) * pw
-                pw = pw * a
-        return QPoly(out)
-
-    def divmod(self, other):
-        if not other.coeffs:
-            raise ZeroDivisionError
-        rem = list(self.coeffs)
-        dq = other.degree
-        lead = other.coeffs[-1]
-        quo = [QZERO] * max(0, len(rem) - dq)
-        while len(rem) - 1 >= dq and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dq:
-                break
-            k = len(rem) - 1 - dq
-            f = rem[-1] / lead
-            quo[k] = f
-            for i in range(dq + 1):
-                rem[k + i] -= f * other.coeffs[i]
-            rem.pop()
-        return QPoly(quo), QPoly(rem)
-
-    def monic(self) -> "QPoly":
-        if not self.coeffs:
-            return self
-        lead = self.coeffs[-1]
-        return QPoly([c / lead for c in self.coeffs])
-
-    @staticmethod
-    def gcd(a: "QPoly", b: "QPoly") -> "QPoly":
-        while b.coeffs:
-            _, r = a.divmod(b)
-            a, b = b, r
-        return a.monic() if a.coeffs else a
-
-
-class RationalFunction:
-    """num/den over Q, stored reduced with a monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QPoly, den: QPoly):
-        if not den.coeffs:
-            raise ZeroDivisionError("zero denominator")
-        g = QPoly.gcd(num, den)
-        if g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        lead = den.coeffs[-1]
-        self.num = num * (QONE / lead)
-        self.den = den.monic()
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __call__(self, x):
-        x = Q(x)
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num(x) / d
-
-    def shift(self, a) -> "RationalFunction":
-        return RationalFunction(self.num.shift(a), self.den.shift(a))
-
-    def residue_at(self, r):
-        """Residue at a simple pole r."""
-        r = Q(r)
-        if self.den(r) != 0:
-            return QZERO
-        dp = self.den.deriv()(r)
-        if dp == 0:
-            raise ArithmeticError(f"pole at {r} is not simple")
-        return self.num(r) / dp
-
-    def zinv_expansion(self, order: int):
-        """Coefficients of z^0..z^-order of the expansion at z = infinity.
-
-        Requires deg num <= deg den (true for every V_m)."""
-        d = self.den.degree
-        if self.num.degree > d:
-            raise ValueError("expansion at infinity needs deg num <= deg den")
-        a = [self.num.coeffs[d - i] if 0 <= d - i <= self.num.degree else QZERO
-             for i in range(order + 1)]
-        b = [self.den.coeffs[d - i] if d - i >= 0 else QZERO for i in range(order + 1)]
-        out = []
-        for n in range(order + 1):
-            s = a[n]
-            for k in range(n):
-                s -= out[k] * b[n - k]
-            out.append(s / b[0])
-        return out
 
 
 # -- rational-case parameters -----------------------------------------------------
@@ -273,8 +96,9 @@ class RationalParams:
 
 class FactoredRational:
     """prod_i (z - a_i) / prod_j (z - b_j) with exact roots and common factors
-    cancelled as multisets.  Evaluation and residues come straight from the
-    factors, which keeps V_m arithmetic cheap at large m."""
+    cancelled as multisets.  Evaluation, residues and the expansion at
+    infinity come straight from the factors, which keeps V_m arithmetic cheap
+    at large m."""
 
     __slots__ = ("num_roots", "den_roots")
 
@@ -321,13 +145,25 @@ class FactoredRational:
                 out = out / (r - b) ** e
         return out
 
-    def to_rational_function(self) -> RationalFunction:
-        num = QPoly.from_roots([r for r, e in self.num_roots.items() for _ in range(e)])
-        den = QPoly.from_roots([r for r, e in self.den_roots.items() for _ in range(e)])
-        return RationalFunction(num, den)
-
     def zinv_expansion(self, order: int):
-        return self.to_rational_function().zinv_expansion(order)
+        """Coefficients of z^0..z^-order of the expansion at z = infinity,
+
+            z^(deg num - deg den) prod (1 - a/z)^e / prod (1 - b/z)^e,
+
+        taken factor by factor from the roots; needs deg num <= deg den."""
+        shift = sum(self.den_roots.values()) - sum(self.num_roots.values())
+        if shift < 0:
+            raise ValueError("expansion at infinity needs deg num <= deg den")
+        out = [QONE] + [QZERO] * order
+        for a, e in self.num_roots.items():
+            for _ in range(e):
+                for n in range(order, 0, -1):
+                    out[n] -= a * out[n - 1]
+        for b, e in self.den_roots.items():
+            for _ in range(e):
+                for n in range(1, order + 1):
+                    out[n] += b * out[n - 1]
+        return ([QZERO] * shift + out)[: order + 1]
 
 
 def v_rational(params: RationalParams, m: int) -> FactoredRational:

@@ -26,16 +26,36 @@ def test_compute_genus2(capsys):
     assert out.strip() == H2_TEXT
 
 
-def test_compute_genus0_usage_error(capsys):
+@pytest.mark.parametrize("argv", [
+    ["compute", "--genus", "0"],
+    ["frobnicate"],
+    ["rg", "--genus", "1"],
+    ["verify", "--suite", "nope"],
+    ["virasoro", "--k1", "2", "--k2", "4"],
+    ["hodge", "--genus", "1", "--tmax", "-1"],
+    ["hodge", "--genus", "1", "--dmax", "-3"],
+    ["compute", "--genus", "1", "--cutoff", "0"],
+    ["compute", "--genus", "3", "--cutoff", "5"],
+    ["verify", "--suite", "bell", "--cutoff", "0"],
+    ["virasoro", "--k1", "1", "--k2", "2", "--mmax", "-1"],
+    ["virasoro", "--k1", "1", "--k2", "2", "--degree", "-1"],
+    ["compute", "--genus", "1", "--threads", "1"],
+], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["compute", "--genus", "0"])
+        main(argv)
     assert exc.value.code == 2
 
 
-def test_unknown_command_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_cutoff_error_names_minimum(capsys):
+    with pytest.raises(SystemExit):
+        main(["compute", "--genus", "3", "--cutoff", "5"])
+    assert "3g-2 = 7" in capsys.readouterr().err
+
+
+def test_smallest_cutoff_solves(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--genus", "2", "--cutoff", "4")
+    assert code == 0 and out.strip() == H2_TEXT
 
 
 def test_determinism(capsys):
@@ -49,12 +69,6 @@ def test_rg_outputs(capsys):
     assert code == 0 and out.strip() == f"R_2 = {R2_TEXT}"
     code, out, _ = run_cli(capsys, "rg", "--genus", "3")
     assert code == 0 and out.strip() == f"R_3 = {R3_TEXT}"
-
-
-def test_rg_genus1_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["rg", "--genus", "1"])
-    assert exc.value.code == 2
 
 
 def test_cache_roundtrip_and_corruption(tmp_path, capsys):
@@ -89,12 +103,6 @@ def test_verify_selected_suites(capsys):
     assert out.splitlines() == ["PASS bell", "PASS power-sum"]
 
 
-def test_verify_unknown_suite(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "nope"])
-    assert exc.value.code == 2
-
-
 def test_verify_loop_residual(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "loop-residual", "--genus", "2")
     assert code == 0 and out.strip() == "PASS loop-residual"
@@ -105,12 +113,6 @@ def test_virasoro_cmd(capsys):
                            "--mmax", "2", "--degree", "2", "--index-bound", "7")
     assert code == 0
     assert "all commutators pass" in out
-
-
-def test_virasoro_bad_params(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["virasoro", "--k1", "2", "--k2", "4"])
-    assert exc.value.code == 2
 
 
 def test_hodge_json(capsys):

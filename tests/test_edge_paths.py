@@ -1,26 +1,25 @@
-"""Edge paths: the z0 reconstruction fallback, cutoff embedding, cross-cutoff
-cache reuse, and the univariate helpers behind V_m."""
+"""Edge paths: a z0 gradient component at genus >= 2, cutoff embedding,
+cross-cutoff cache reuse, and the factored rational functions behind V_m."""
 import pytest
 
 from cubichodge.jets import CutoffError, JetPoly
-from cubichodge.loop import LoopSolver, load_cached, store_cached
+from cubichodge.loop import LoopEquationError, LoopSolver, load_cached, store_cached
 from cubichodge.phiseries import ZInvSeries
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
-from cubichodge.virasoro import QPoly, RationalFunction
+from cubichodge.virasoro import FactoredRational
 
 
-class TestZ0Fallback:
-    def test_consistent_z0_gradient_reconstructs(self):
-        # body z0*z2 satisfies the genus-2 Euler identity with a z0 component;
-        # the fallback integrates it and flags the anomaly
+class TestZ0Gradient:
+    def test_z0_component_rejected(self):
+        # body z0*z2 is closed and satisfies the genus-2 Euler identity, but
+        # H_g for g >= 2 cannot depend on z0
         solver = LoopSolver(2)
         M = solver.cutoff
         body = JetPoly.z(0, M) * JetPoly.z(2, M)
         grad = [body.partial(i) for i in range(5)]
-        fe = solver.reconstruct(2, grad)
-        assert fe.body == body
-        assert fe.provenance.get("z0_anomaly") is True
+        with pytest.raises(LoopEquationError):
+            solver.reconstruct(2, grad)
 
 
 class TestCutoffViews:
@@ -59,31 +58,14 @@ class TestCrossCutoffCache:
         assert path.endswith("free_energy_g3.json")
 
 
-class TestQPoly:
-    def test_shift(self):
-        p = QPoly([1, 0, 1])  # 1 + z^2
-        q = p.shift(Q(1, 2))  # 1 + (z + 1/2)^2
-        assert q.coeffs == [Q(5, 4), Q(1), Q(1)]
-
-    def test_divmod_and_gcd(self):
-        a = QPoly.from_roots([Q(1), Q(2), Q(3)])
-        b = QPoly.from_roots([Q(2), Q(5)])
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert QPoly.gcd(a, b) == QPoly.from_roots([Q(2)])
-
-    def test_rational_function_reduction(self):
-        f = RationalFunction(QPoly.from_roots([Q(1), Q(2)]), QPoly.from_roots([Q(2), Q(3)]))
-        assert f.den == QPoly.from_roots([Q(3)])
-        assert f(Q(4)) == Q(3)
-
+class TestFactoredRational:
     def test_zinv_expansion_geometric(self):
         # z / (z - 1) = sum z^-n
-        f = RationalFunction(QPoly([0, 1]), QPoly([-1, 1]))
+        f = FactoredRational([0], [1])
         assert f.zinv_expansion(5) == [Q(1)] * 6
 
     def test_residue(self):
-        f = RationalFunction(QPoly([1]), QPoly.from_roots([Q(2), Q(3)]))
+        f = FactoredRational([], [2, 3])
         assert f.residue_at(Q(2)) == Q(-1)
         assert f.residue_at(Q(7)) == Q(0)
 

@@ -1,7 +1,8 @@
 import pytest
 
 from cubichodge.jets import JetPoly
-from cubichodge.loop import LoopEquationError, LoopSolver, load_cached, store_cached
+from cubichodge.loop import (SOLVER_VERSION, FreeEnergy, LoopEquationError, LoopSolver,
+                             load_cached, store_cached)
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
 from cubichodge.textform import parse_jet
@@ -91,7 +92,6 @@ class TestSolve:
     def test_z0_absent(self, h123, g):
         fe = h123[g - 1]
         assert not fe.gradient[0]
-        assert "z0_anomaly" not in fe.provenance
 
     def test_cross_partials(self, h123):
         for fe in h123[1:]:
@@ -150,6 +150,37 @@ class TestCache:
         h2.provenance["ptable"] = "stale"
         store_cached(str(tmp_path), h2)
         assert load_cached(str(tmp_path), 2, "current", h2.body.cutoff) is None
+
+    def test_other_solver_version_misses(self, tmp_path, h123):
+        h2 = h123[1]
+        fe = FreeEnergy(2, h2.gradient, h2.body, provenance={"ptable": "fp", "solver": "loop-solver-v0"})
+        store_cached(str(tmp_path), fe)
+        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is None
+        fe.provenance["solver"] = SOLVER_VERSION
+        store_cached(str(tmp_path), fe)
+        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is not None
+
+    def test_torn_write_keeps_previous_record(self, tmp_path, h123, monkeypatch):
+        import json
+
+        import cubichodge.loop as loop
+
+        h2 = h123[1]
+        fe = FreeEnergy(2, h2.gradient, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
+        path = store_cached(str(tmp_path), fe)
+        before = open(path).read()
+
+        def torn_dump(obj, fh, **kw):
+            fh.write(json.dumps(obj)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(loop.json, "dump", torn_dump)
+        with pytest.raises(OSError):
+            store_cached(str(tmp_path), fe)
+        monkeypatch.undo()
+        assert open(path).read() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["free_energy_g2.json"]
+        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is not None
 
     def test_compute_resumes(self, tmp_path, h123):
         solver = LoopSolver(2)
