@@ -15,6 +15,7 @@ from math import comb
 
 from .jets import JetPoly
 from .ratio import Q, QONE
+from .sparse import mul_into, nonzero
 
 
 class BellTable:
@@ -34,16 +35,13 @@ class BellTable:
                 self._table[(n, k)] = self._build(n, k)
 
     def _build(self, n: int, k: int) -> dict:
-        # B_{n,k} = sum_i C(n-1, i-1) X_i B_{n-i, k-1}
+        # B_{n,k} = sum_i C(n-1, i-1) X_i B_{n-i, k-1}, slot tuples padded to length n
         out = {}
         for i in range(1, n - k + 2):
-            c = Q(comb(n - 1, i - 1))
-            for mono, v in self._table[(n - i, k - 1)].items():
-                key = list(mono) + [0] * (n - (n - i))
-                key[i - 1] += 1
-                key = tuple(key)
-                out[key] = out.get(key, 0) + c * v
-        return {k2: v for k2, v in out.items() if v}
+            x_i = tuple(int(j == i - 1) for j in range(n))
+            lower = {mono + (0,) * i: v for mono, v in self._table[(n - i, k - 1)].items()}
+            mul_into(out, lower, {x_i: Q(comb(n - 1, i - 1))})
+        return nonzero(out)
 
     def bell_partial(self, n: int, k: int) -> dict:
         if not (0 <= k <= n <= self.n_max):

@@ -9,6 +9,7 @@ happens when neither is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -207,17 +208,20 @@ def _verify_suites(args):
     except ValueError as exc:
         _usage_error(f"bad --pairs: {exc}")
 
-    def loop_residual():
+    @functools.cache
+    def solved():
         solver = _solver(args, genus)
-        energies = solver.compute(genus, cache_dir=args.cache_dir)
+        return solver, solver.compute(genus, cache_dir=args.cache_dir)
+
+    def loop_residual():
+        solver, energies = solved()
         for g in range(1, genus + 1):
             if solver.residual(g, energies):
                 return False, f"nonzero residual at genus {g}"
         return True, None
 
     def gradient():
-        solver = _solver(args, genus)
-        energies = solver.compute(genus, cache_dir=args.cache_dir)
+        _, energies = solved()
         for fe in energies[1:]:
             if fe.gradient[0]:
                 return False, f"dH_{fe.genus}/dz0 != 0"
@@ -314,6 +318,11 @@ def cmd_virasoro(args) -> int:
     except ValueError as exc:
         _usage_error(str(exc))
     bound = args.index_bound if args.index_bound is not None else 2 * params.h + 2
+    # the grid applies L_{m+n} for m != n <= mmax, so the operator index reaches
+    # h(2 mmax - 1) (0 when mmax = 0) and must fit under k_cut = bound + 2h mmax
+    minimum = -params.h if args.mmax else 0
+    if bound < minimum:
+        _usage_error(f"--index-bound must be >= {minimum} for h = {params.h}, --mmax {args.mmax}")
     k_cut = bound + params.h * 2 * args.mmax
     basis = monomial_basis(params, k_cut, bound, args.degree)
     print(f"# (K1,K2)=({params.k1},{params.k2}), basis size {len(basis)}, "

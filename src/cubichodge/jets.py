@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .ratio import Q, QONE, QZERO, is_rational
 from .sigma import SigmaPoly
+from .sparse import add_into, mul_into, nonzero, power
 
 
 class CutoffError(ValueError):
@@ -101,35 +102,13 @@ class JetPoly:
         if not isinstance(other, JetPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                w = w + v
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-        return _raw(self.cutoff, out)
+        return _raw(self.cutoff, add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, JetPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            if w is None:
-                out[k] = -v
-            else:
-                w = w - v
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-        return _raw(self.cutoff, out)
+        return _raw(self.cutoff, add_into(dict(self.terms), other.terms, -1))
 
     def __neg__(self):
         return _raw(self.cutoff, {k: -v for k, v in self.terms.items()})
@@ -137,17 +116,7 @@ class JetPoly:
     def __mul__(self, other):
         if isinstance(other, JetPoly):
             self._check(other)
-            a, b = self.terms, other.terms
-            if len(a) < len(b):
-                a, b = b, a
-            out = {}
-            get = out.get
-            for kb, vb in b.items():
-                for ka, va in a.items():
-                    k = tuple(map(int.__add__, ka, kb))
-                    w = get(k)
-                    out[k] = va * vb if w is None else w + va * vb
-            return _raw(self.cutoff, {k: v for k, v in out.items() if v})
+            return _raw(self.cutoff, nonzero(mul_into({}, self.terms, other.terms)))
         if is_rational(other):
             if other == 0:
                 return JetPoly(self.cutoff)
@@ -166,16 +135,7 @@ class JetPoly:
         return _raw(self.cutoff, {k: v / q for k, v in self.terms.items()})
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a JetPoly")
-        result = JetPoly.one(self.cutoff)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, JetPoly.one(self.cutoff))
 
     def __eq__(self, other):
         if not isinstance(other, JetPoly):
@@ -193,23 +153,12 @@ class JetPoly:
     def derive(self) -> "JetPoly":
         """The derivation sum_k z_{k+1} d/dz_k on the jet variables."""
         M = self.cutoff
+        if any(key[2 + M] for key in self.terms):
+            raise CutoffError(f"derive needs z{M + 1} beyond cutoff {M}")
         out = {}
-        get = out.get
-        for key, c in self.terms.items():
-            for k in range(M + 1):
-                e = key[2 + k]
-                if e == 0:
-                    continue
-                if k == M:
-                    raise CutoffError(f"derive needs z{M + 1} beyond cutoff {M}")
-                nk = list(key)
-                nk[2 + k] = e - 1
-                nk[3 + k] += 1
-                nk = tuple(nk)
-                v = c * e
-                w = get(nk)
-                out[nk] = v if w is None else w + v
-        return _raw(M, {k: v for k, v in out.items() if v})
+        for k in range(M):
+            add_into(out, self.partial(k).mul_z(k + 1).terms)
+        return _raw(M, out)
 
     def partial(self, k: int) -> "JetPoly":
         """d/dz_k."""
@@ -285,7 +234,7 @@ class JetPoly:
 
     def subs_jets(self, values) -> SigmaPoly:
         """Evaluate the jet variables at exact rationals; z1 may be inverted."""
-        out = SigmaPoly.zero()
+        out = {}
         for key, c in self.terms.items():
             q = c
             for k in range(self.cutoff + 1):
@@ -300,8 +249,8 @@ class JetPoly:
                     break
                 q = q * v**e
             if q:
-                out = out + SigmaPoly.monomial(key[0], key[1], q)
-        return out
+                add_into(out, {key[:2]: q})
+        return SigmaPoly(out)
 
     def weighted_degrees(self, jet_weight, s1_weight: int = 0, s3_weight: int = 0):
         """Set of term degrees under deg z_k = jet_weight(k)."""
@@ -349,38 +298,3 @@ def _raw(cutoff: int, terms: dict) -> JetPoly:
     p.cutoff = cutoff
     p.terms = terms
     return p
-
-
-def add_scaled(acc: dict, terms: dict, factor) -> None:
-    """acc += factor * terms, in place over flat term dicts."""
-    if factor == 0:
-        return
-    get = acc.get
-    if factor == 1:
-        for k, v in terms.items():
-            w = get(k)
-            if w is None:
-                acc[k] = v
-            else:
-                w = w + v
-                if w:
-                    acc[k] = w
-                else:
-                    del acc[k]
-        return
-    for k, v in terms.items():
-        v = v * factor
-        w = get(k)
-        if w is None:
-            acc[k] = v
-        else:
-            w = w + v
-            if w:
-                acc[k] = w
-            else:
-                del acc[k]
-
-
-def from_raw(cutoff: int, terms: dict) -> JetPoly:
-    """Wrap an accumulator dict; drops zeros."""
-    return _raw(cutoff, {k: v for k, v in terms.items() if v})

@@ -32,6 +32,7 @@ from .linsolve import TriangularSystem
 from .ptensors import PTensorTable
 from .ratio import Q, parse_q, qjson
 from .sigma import SigmaPoly
+from .sparse import add_into
 from .theta import ThetaPoly
 
 SOLVER_VERSION = "loop-solver-v1"
@@ -188,11 +189,10 @@ class LoopSolver:
 
         if gradient[0]:
             raise LoopEquationError(f"dH_{g}/dz0 is nonzero")
-        euler = JetPoly.zero(M)
+        euler = {}
         for j in range(1, len(gradient)):
-            if gradient[j]:
-                euler = euler + gradient[j].mul_z(j) * Q(j)
-        body = euler / Q(2 * g - 2)
+            add_into(euler, gradient[j].mul_z(j).terms, Q(j))
+        body = JetPoly(M, euler) / Q(2 * g - 2)
         for i in range(len(gradient)):
             if body.partial(i) != gradient[i]:
                 raise LoopEquationError(f"reconstructed body disagrees with gradient at z{i}")

@@ -13,13 +13,12 @@ from .bell import FJetTable
 from .phiseries import ZInvSeries, binomial_zinv, log_phi, log_phi_shifted, q_number
 from .ptensors import PTensorTable
 from .ratio import Q, QZERO
-from .sigma import SigmaPoly
 from .theta import ThetaPoly
 from .virasoro import BtildeTable, RationalParams, c_float, c_pair, v_rational
 
 
 def theta_xi_coeffs(sigma_coeffs, order: int):
-    """xi-series of sum_k c_k Theta^k with scalar coefficients c_k."""
+    """xi-series of sum_k c_k Theta^k; the c_k are rationals or SigmaPolys."""
     out = [QZERO] * (order + 1)
     for k, c in enumerate(sigma_coeffs):
         if not c:
@@ -60,25 +59,12 @@ def row0_shift_oracle(table: PTensorTable, n_max: int, xi_order: int):
     for n in range(n_max + 1):
         tp = table.row0(n)
         coeffs = [c.as_sigma() for c in tp.coeffs]
-        series = _sigma_theta_xi(coeffs, xi_order)
+        series = theta_xi_coeffs(coeffs, xi_order)
         for j in range(xi_order + 1):
             want = shifts[j].coeff(n)
             if series[j] != want:
                 return False, f"P~(0,{n}) at xi^{j}: {series[j]!r} != {want!r}"
     return True, None
-
-
-def _sigma_theta_xi(coeffs, order: int):
-    out = [SigmaPoly.zero()] * (order + 1)
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k == 0:
-            out[0] = out[0] + c
-            continue
-        for m in range(order + 1):
-            out[m] = out[m] + c * Q(comb(k + m - 1, m))
-    return out
 
 
 def specialization_bridge(params: RationalParams, table: PTensorTable,

@@ -2,7 +2,7 @@
 Hodge intersection tables and the first-flow consistency check.
 
 TSeries is a total-degree truncated power series in t_0..t_{n_max} with
-SigmaPoly coefficients.  v(t) solves v = sum_i t_i v^i / i!; its jets
+coefficients in Q[s1, s3].  v(t) solves v = sum_i t_i v^i / i!; its jets
 substitute into a free energy to expand H_g back into intersection-number
 data (coefficients are reported raw; the factorial-normalized view is a
 formatting concern).
@@ -16,18 +16,28 @@ from .loop import FreeEnergy
 from .phiseries import bernoulli
 from .ratio import Q, QZERO, is_rational
 from .sigma import SigmaPoly
+from .sparse import add_graded, mul_graded, power
 
 
 class TSeries:
-    __slots__ = ("n_max", "d_max", "terms")
+    """Total-degree truncated power series in t_0..t_{n_max} over Q[s1, s3].
+
+    `grades` maps a total t-degree d <= d_max to a term dict keyed
+    (a, b, e_0, ..., e_{n_max}) for s1^a s3^b t_0^e_0 ... t_{n_max}^e_{n_max};
+    `coefficient` returns the SigmaPoly coefficient of one t-monomial.
+    """
+
+    __slots__ = ("n_max", "d_max", "grades")
 
     def __init__(self, n_max: int, d_max: int, terms=None):
+        """`terms` maps a t-exponent tuple to its SigmaPoly coefficient."""
         self.n_max = n_max
         self.d_max = d_max
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {k: v for k, v in terms.items() if v and sum(k) <= d_max}
+        self.grades = {}
+        for k, sp in (terms or {}).items():
+            if sp and sum(k) <= d_max:
+                self.grades.setdefault(sum(k), {}).update(
+                    {ab + tuple(k): c for ab, c in sp.terms.items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -38,7 +48,7 @@ class TSeries:
     @classmethod
     def const(cls, c, n_max: int, d_max: int) -> "TSeries":
         sp = c if isinstance(c, SigmaPoly) else SigmaPoly.const(c)
-        return cls(n_max, d_max, {(0,) * (n_max + 1): sp} if sp else {})
+        return cls(n_max, d_max, {(0,) * (n_max + 1): sp})
 
     @classmethod
     def t(cls, i: int, n_max: int, d_max: int) -> "TSeries":
@@ -55,81 +65,58 @@ class TSeries:
 
     def __add__(self, other):
         d = self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return TSeries(self.n_max, d, out)
+        return _tseries(self.n_max, d, add_graded(self.grades, other.grades))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        r = TSeries(self.n_max, self.d_max)
-        r.terms = {k: -v for k, v in self.terms.items()}
-        return r
+        return _tseries(self.n_max, self.d_max,
+                        {d: {k: -v for k, v in t.items()} for d, t in self.grades.items()})
 
     def __mul__(self, other):
         if is_rational(other) or isinstance(other, SigmaPoly):
-            sp = other if isinstance(other, SigmaPoly) else SigmaPoly.const(other)
-            if not sp:
-                return TSeries(self.n_max, self.d_max)
-            r = TSeries(self.n_max, self.d_max)
-            r.terms = {k: v * sp for k, v in self.terms.items()}
-            return r
+            other = TSeries.const(other, self.n_max, self.d_max)
         d = self._check(other)
-        out = {}
-        for k1, v1 in self.terms.items():
-            d1 = sum(k1)
-            for k2, v2 in other.terms.items():
-                if d1 + sum(k2) > d:
-                    continue
-                k = tuple(map(int.__add__, k1, k2))
-                s = out.get(k)
-                prod = v1 * v2
-                out[k] = prod if s is None else s + prod
-        return TSeries(self.n_max, d, out)
+        return _tseries(self.n_max, d, mul_graded(self.grades, other.grades, d))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative TSeries power; use recip first")
-        result = TSeries.const(1, self.n_max, self.d_max)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, TSeries.const(1, self.n_max, self.d_max))
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
-        return (self.n_max, self.d_max, self.terms) == (other.n_max, other.d_max, other.terms)
+        return (self.n_max, self.d_max, self.grades) == (other.n_max, other.d_max, other.grades)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.grades)
 
     # -- calculus and series inverses -------------------------------------------
 
     def diff(self, i: int) -> "TSeries":
+        j = 2 + i
+        out = {d - 1: {k[:j] + (k[j] - 1,) + k[j + 1:]: v * k[j] for k, v in t.items() if k[j]}
+               for d, t in self.grades.items()}
+        return _tseries(self.n_max, self.d_max, {d: t for d, t in out.items() if t})
+
+    def coefficients(self) -> dict:
+        """{t-exponent tuple: SigmaPoly} over every nonzero coefficient."""
         out = {}
-        for k, v in self.terms.items():
-            e = k[i]
-            if e:
-                out[k[:i] + (e - 1,) + k[i + 1:]] = v * Q(e)
-        return TSeries(self.n_max, self.d_max, out)
+        for t in self.grades.values():
+            for k, v in t.items():
+                out.setdefault(k[2:], {})[k[:2]] = v
+        return {k: SigmaPoly(sig) for k, sig in out.items()}
 
     def constant_term(self) -> SigmaPoly:
-        return self.terms.get((0,) * (self.n_max + 1), SigmaPoly.zero())
+        return self.coefficient((0,) * (self.n_max + 1))
 
     def coefficient(self, exponents) -> SigmaPoly:
         key = tuple(exponents)
         if sum(key) > self.d_max:
             raise ValueError("monomial beyond the degree truncation")
-        return self.terms.get(key, SigmaPoly.zero())
+        return SigmaPoly({k[:2]: v for k, v in self.grades.get(sum(key), {}).items() if k[2:] == key})
 
     def recip(self) -> "TSeries":
         """1/self for a series with constant term 1."""
@@ -165,7 +152,16 @@ class TSeries:
     def truncate(self, d_max: int) -> "TSeries":
         if d_max > self.d_max:
             raise ValueError("cannot extend a degree truncation")
-        return TSeries(self.n_max, d_max, self.terms)
+        return _tseries(self.n_max, d_max, self.grades)
+
+
+def _tseries(n_max: int, d_max: int, grades: dict) -> TSeries:
+    """Wrap a graded map of nonzero term dicts, dropping degrees beyond d_max."""
+    s = TSeries.__new__(TSeries)
+    s.n_max = n_max
+    s.d_max = d_max
+    s.grades = {d: t for d, t in grades.items() if d <= d_max}
+    return s
 
 
 # -- genus zero -----------------------------------------------------------------
@@ -222,9 +218,8 @@ def _check_v_explicit(v: TSeries, deg: int) -> None:
     for key, val in expect.items():
         if v.coefficient(key) != SigmaPoly.const(val):
             raise AssertionError(f"v(t) fixed point disagrees with the explicit sum at {key}")
-    for key, sp in v.terms.items():
-        if sum(key) <= deg and not sp.is_constant:
-            raise AssertionError("v(t) picked up sigma dependence")
+    if any(k[0] or k[1] for d, t in v.grades.items() if d <= deg for k in t):
+        raise AssertionError("v(t) picked up sigma dependence")
 
 
 def t0_jets(v: TSeries, count: int) -> list:
@@ -240,11 +235,7 @@ def riemann_check(i: int, order: int, n_max: int | None = None) -> bool:
     v = v_series(n_max, order + 1, cross_check=False)
     lhs = v.diff(i)
     rhs = v**i * v.diff(0) * Q(1, factorial(i))
-    cut = order
-    for key in set(lhs.terms) | set(rhs.terms):
-        if sum(key) <= cut and lhs.terms.get(key) != rhs.terms.get(key):
-            return False
-    return True
+    return all(lhs.grades.get(d) == rhs.grades.get(d) for d in range(order + 1))
 
 
 # -- gap polynomials and the Faber term --------------------------------------------
@@ -334,22 +325,21 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int, v: TSeries | None = Non
 def dimension_check(g: int, series: TSeries):
     """Every sigma part of every stored coefficient must sit on the dimension
     constraint sum(i_a) + a + 3b = 3g - 3 + n.  Returns (ok, first_violation)."""
-    for key, sp in series.terms.items():
-        n = sum(key)
-        weight = sum(i * e for i, e in enumerate(key))
-        for (a, b), c in sp.terms.items():
-            if weight + a + 3 * b != 3 * g - 3 + n:
-                return False, (key, (a, b), c)
+    for n, t in series.grades.items():
+        for key, c in t.items():
+            weight = sum(i * e for i, e in enumerate(key[2:]))
+            if weight + key[0] + 3 * key[1] != 3 * g - 3 + n:
+                return False, (key[2:], key[:2], c)
     return True, None
 
 
 def intersection_table(fe: FreeEnergy, n_max: int, d_max: int, normalized: bool = False):
     """Rows ((i_1..i_n), SigmaPoly) sorted canonically; normalized multiplies by
     the automorphism factors prod m_i! to give the bracket values."""
-    series = hodge_expand(fe, n_max, d_max)
+    coefficients = hodge_expand(fe, n_max, d_max).coefficients()
     rows = []
-    for key in sorted(series.terms, key=lambda k: (sum(k), k)):
-        sp = series.terms[key]
+    for key in sorted(coefficients, key=lambda k: (sum(k), k)):
+        sp = coefficients[key]
         if normalized:
             for e in key:
                 sp = sp * Q(factorial(e))
@@ -378,4 +368,4 @@ def first_flow_check(h1: FreeEnergy, order: int = 3) -> bool:
     rhs = (delta * v.diff(0) + v * delta.diff(0)
            + (v.diff(0).diff(0).diff(0) + SigmaPoly.s1() * v.diff(0) * v.diff(0).diff(0)) * Q(1, 12))
     diff = lhs - rhs
-    return all(sum(key) > order for key in diff.terms)
+    return all(d > order for d in diff.grades)

@@ -13,6 +13,7 @@ from math import comb, factorial
 from .bell import bell_complete_all
 from .ratio import Q, QONE, QZERO, is_rational
 from .sigma import SigmaPoly
+from .sparse import add_graded, mul_graded, power
 
 _INF = 1 << 60
 
@@ -74,21 +75,21 @@ def power_sum(k: int) -> SigmaPoly:
 
 
 class ZInvSeries:
-    """Truncated series sum_n a_n z^{-n} with SigmaPoly coefficients.
+    """Truncated series sum_n a_n z^{-n} with coefficients in Q[s1, s3].
 
+    `grades` maps n to the coefficient of z^{-n} as a term dict
+    {(a, b): rational} for s1^a s3^b; `coeff` returns it as a SigmaPoly.
     `order` is the last reliable exponent: coefficients of z^{-n} are exact
     for all n <= order and must not be read beyond it.  Negative n (positive
     z powers) are allowed for shifted products.
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "grades")
 
     def __init__(self, order: int, terms=None):
+        """`terms` maps n to the SigmaPoly coefficient of z^{-n}."""
         self.order = order
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {n: c for n, c in terms.items() if c and n <= order}
+        self.grades = {n: c.terms for n, c in (terms or {}).items() if c and n <= order}
 
     @classmethod
     def zero(cls, order: int = _INF) -> "ZInvSeries":
@@ -106,19 +107,14 @@ class ZInvSeries:
     def coeff(self, n: int) -> SigmaPoly:
         if n > self.order:
             raise TruncationError(f"coefficient z^-{n} beyond order {self.order}")
-        return self.terms.get(n, SigmaPoly.zero())
+        return SigmaPoly(self.grades.get(n))
 
     def valuation(self) -> int:
-        return min(self.terms) if self.terms else _INF
+        return min(self.grades) if self.grades else _INF
 
     def __add__(self, other):
         other = self._coerce(other)
-        order = min(self.order, other.order)
-        out = dict(self.terms)
-        for n, c in other.terms.items():
-            s = out.get(n)
-            out[n] = c if s is None else s + c
-        return ZInvSeries(order, out)
+        return _zseries(min(self.order, other.order), add_graded(self.grades, other.grades))
 
     __radd__ = __add__
 
@@ -126,75 +122,46 @@ class ZInvSeries:
         return self + (-self._coerce(other))
 
     def __neg__(self):
-        r = ZInvSeries(self.order)
-        r.terms = {n: -c for n, c in self.terms.items()}
-        return r
+        return _zseries(self.order, {n: {k: -v for k, v in t.items()} for n, t in self.grades.items()})
 
     def __mul__(self, other):
         if is_rational(other) or isinstance(other, SigmaPoly):
-            sp = other if isinstance(other, SigmaPoly) else SigmaPoly.const(other)
-            if not sp:
-                return ZInvSeries(self.order)
-            r = ZInvSeries(self.order)
-            r.terms = {n: c * sp for n, c in self.terms.items()}
-            return r
+            return _zseries(self.order, mul_graded(self.grades, ZInvSeries.const(other).grades))
         if not isinstance(other, ZInvSeries):
             return NotImplemented
         order = min(self.order + other.valuation(), other.order + self.valuation(), _INF)
-        out = {}
-        for n1, c1 in self.terms.items():
-            for n2, c2 in other.terms.items():
-                n = n1 + n2
-                if n > order:
-                    continue
-                s = out.get(n)
-                prod = c1 * c2
-                out[n] = prod if s is None else s + prod
-        return ZInvSeries(order, out)
+        return _zseries(order, mul_graded(self.grades, other.grades, order))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative series power")
-        result = ZInvSeries.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, ZInvSeries.one())
 
     def __eq__(self, other):
         if not isinstance(other, ZInvSeries):
             return NotImplemented
-        return self.order == other.order and self.terms == other.terms
+        return self.order == other.order and self.grades == other.grades
 
     def ddz(self) -> "ZInvSeries":
         """d/dz; the truncation order improves by one."""
-        out = {}
-        for n, c in self.terms.items():
-            if n != 0:
-                out[n + 1] = c * Q(-n)
-        order = self.order + 1 if self.order < _INF else _INF
-        return ZInvSeries(order, out)
+        out = {n + 1: {k: v * -n for k, v in t.items()} for n, t in self.grades.items() if n}
+        return _zseries(self.order + 1 if self.order < _INF else _INF, out)
 
     def mul_zpow(self, s: int) -> "ZInvSeries":
         """Multiply by z^s (shifts exponents down by s)."""
         order = self.order - s if self.order < _INF else _INF
-        return ZInvSeries(order, {n - s: c for n, c in self.terms.items()})
+        return _zseries(order, {n - s: t for n, t in self.grades.items()})
 
     def truncate(self, order: int) -> "ZInvSeries":
         if order > self.order:
             raise TruncationError(f"cannot extend order {self.order} to {order}")
-        return ZInvSeries(order, {n: c for n, c in self.terms.items() if n <= order})
+        return _zseries(order, self.grades)
 
     def exp(self) -> "ZInvSeries":
         """exp of a series with positive valuation."""
-        if self.terms and self.valuation() < 1:
+        if self.grades and self.valuation() < 1:
             raise ValueError("exp needs a series vanishing at z = infinity")
-        if self.terms and self.order >= _INF:
+        if self.grades and self.order >= _INF:
             raise ValueError("exp of an untruncated series is not representable")
         order = self.order
         result = ZInvSeries.one(order)
@@ -208,7 +175,7 @@ class ZInvSeries:
         return result
 
     def __repr__(self):
-        bits = [f"z^-{n}*({c!r})" for n, c in sorted(self.terms.items())]
+        bits = [f"z^-{n}*({SigmaPoly(t)!r})" for n, t in sorted(self.grades.items())]
         return f"ZInvSeries(order={self.order}: " + " + ".join(bits) + ")"
 
     @staticmethod
@@ -218,6 +185,14 @@ class ZInvSeries:
         if isinstance(x, SigmaPoly) or is_rational(x):
             return ZInvSeries.const(x)
         raise TypeError(f"cannot coerce {type(x)} to ZInvSeries")
+
+
+def _zseries(order: int, grades: dict) -> ZInvSeries:
+    """Wrap a graded map of nonzero term dicts, dropping grades beyond order."""
+    s = ZInvSeries.__new__(ZInvSeries)
+    s.order = order
+    s.grades = {n: t for n, t in grades.items() if n <= order}
+    return s
 
 
 def binom_q(e, m: int):
@@ -269,16 +244,18 @@ def phi_d_inv(m: int, order: int) -> ZInvSeries:
     """Phi * d^m/dz^m (1/Phi) as the complete Bell polynomial of -log Phi derivatives."""
     if m < 0:
         raise ValueError("negative derivative order")
-    if m == 0:
-        return ZInvSeries.one(order)
-    lp = log_phi(order)
+    return phi_d_inv_all(m, order)[m]
+
+
+def phi_d_inv_all(m_max: int, order: int) -> list:
+    """phi_d_inv(m, order) for m = 0..m_max, from one complete-Bell pass."""
     xs = []
-    d = lp
-    for _ in range(m):
-        d = d.ddz()
-        xs.append(-d)
-    value = bell_complete_all(m, xs, ZInvSeries.one())[m]
-    return value.truncate(order)
+    if m_max:
+        d = log_phi(order)
+        for _ in range(m_max):
+            d = d.ddz()
+            xs.append(-d)
+    return [v.truncate(order) for v in bell_complete_all(m_max, xs, ZInvSeries.one())]
 
 
 def q_number(n: int, k: int):

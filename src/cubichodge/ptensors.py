@@ -21,9 +21,10 @@ from math import factorial
 
 from .bell import FJetTable
 from .jets import JetPoly
-from .phiseries import double_factorial_odd, phi_d_inv, q_number
+from .phiseries import double_factorial_odd, phi_d_inv_all, q_number
 from .ratio import Q
 from .sigma import SigmaPoly
+from .sparse import add_into
 from .theta import ThetaPoly
 
 CONSTRUCTION_VERSION = "ptensor-v1:binomial-lhs,row0-eq43,dfact(-1)=1"
@@ -112,9 +113,9 @@ class PTensorTable:
 
 
 def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
-    pdi = [phi_d_inv(m, n_max) for m in range(n_max + 1)]
-    # acc[n][k] accumulates the SigmaPoly coefficient of z^-n Theta^k
-    acc: list[dict[int, SigmaPoly]] = [dict() for _ in range(n_max + 1)]
+    pdi = phi_d_inv_all(n_max, n_max)
+    # acc[n][k] accumulates the sigma term dict of the z^-n Theta^k coefficient
+    acc: list[dict[int, dict]] = [dict() for _ in range(n_max + 1)]
     for np_ in range(n_max + 1):
         qrow = {k: q_number(np_, k) for k in range(1, np_ + 2)}
         for m in range(np_ + 1):
@@ -122,22 +123,17 @@ def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
             cm = double_factorial_odd(d) / (Q(2) ** d * factorial(m) * factorial(d))
             if d % 2 == 1:
                 cm = -cm
-            for r, sig in pdi[m].terms.items():
+            for r, sig in pdi[m].grades.items():
                 n = np_ - m + r
                 if n > n_max:
                     continue
-                contrib = sig * cm
-                slot = acc[n]
                 for k, qv in qrow.items():
-                    got = slot.get(k)
-                    slot[k] = contrib * qv if got is None else got + contrib * qv
+                    add_into(acc[n].setdefault(k, {}), sig, cm * qv)
     out = []
     for n in range(n_max + 1):
-        top = max(acc[n], default=0)
-        coeffs = [JetPoly.zero(cutoff)] * (top + 1)
-        for k, sp in acc[n].items():
-            if sp:
-                coeffs[k] = JetPoly.from_sigma(sp, cutoff)
+        coeffs = [JetPoly.zero(cutoff)] * (max(acc[n], default=0) + 1)
+        for k, sig in acc[n].items():
+            coeffs[k] = JetPoly.from_sigma(SigmaPoly(sig), cutoff)
         out.append(ThetaPoly(cutoff, coeffs))
     return out
 

@@ -7,6 +7,7 @@ degree bookkeeping is deg s1 = 1, deg s3 = 3.
 from __future__ import annotations
 
 from .ratio import Q, QONE, QZERO, is_rational, qstr
+from .sparse import add_into, mul_into, nonzero, power
 
 
 class SigmaPoly:
@@ -54,20 +55,7 @@ class SigmaPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                w = w + v
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
-        r = SigmaPoly.__new__(SigmaPoly)
-        r.terms = out
-        return r
+        return _raw(add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -75,35 +63,23 @@ class SigmaPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _raw(add_into(dict(self.terms), other.terms, -1))
 
     def __rsub__(self, other):
         return _coerce(other) + (-self)
 
     def __neg__(self):
-        r = SigmaPoly.__new__(SigmaPoly)
-        r.terms = {k: -v for k, v in self.terms.items()}
-        return r
+        return _raw({k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if is_rational(other):
             if other == 0:
                 return SigmaPoly()
             q = Q(other)
-            r = SigmaPoly.__new__(SigmaPoly)
-            r.terms = {k: v * q for k, v in self.terms.items()}
-            return r
+            return _raw({k: v * q for k, v in self.terms.items()})
         if not isinstance(other, SigmaPoly):
             return NotImplemented
-        out = {}
-        for (a1, b1), v1 in self.terms.items():
-            for (a2, b2), v2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                w = out.get(k)
-                out[k] = v1 * v2 if w is None else w + v1 * v2
-        r = SigmaPoly.__new__(SigmaPoly)
-        r.terms = {k: v for k, v in out.items() if v}
-        return r
+        return _raw(nonzero(mul_into({}, self.terms, other.terms)))
 
     __rmul__ = __mul__
 
@@ -111,21 +87,10 @@ class SigmaPoly:
         if not is_rational(q):
             return NotImplemented
         q = Q(q)
-        r = SigmaPoly.__new__(SigmaPoly)
-        r.terms = {k: v / q for k, v in self.terms.items()}
-        return r
+        return _raw({k: v / q for k, v in self.terms.items()})
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a SigmaPoly")
-        result = SigmaPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, SigmaPoly.one())
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -185,6 +150,12 @@ class SigmaPoly:
                  f"*s3^{b}" if b > 1 else "*s3" if b == 1 else ""))
             bits.append(f"({qstr(c)}){mono}")
         return "SigmaPoly(" + " + ".join(bits) + ")"
+
+
+def _raw(terms: dict) -> SigmaPoly:
+    p = SigmaPoly.__new__(SigmaPoly)
+    p.terms = terms
+    return p
 
 
 def _coerce(x):

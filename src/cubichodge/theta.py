@@ -10,9 +10,10 @@ where xi = (Theta - 1)/Theta.
 """
 from __future__ import annotations
 
-from .jets import CutoffError, JetPoly, add_scaled, from_raw
+from .jets import CutoffError, JetPoly
 from .ratio import Q, is_rational
 from .sigma import SigmaPoly
+from .sparse import add_into, mul_graded
 
 
 class ThetaPoly:
@@ -92,17 +93,10 @@ class ThetaPoly:
     def __mul__(self, other):
         if isinstance(other, ThetaPoly):
             self._check(other)
-            if not self.coeffs or not other.coeffs:
-                return ThetaPoly.zero(self.cutoff)
-            out = [dict() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b:
-                        continue
-                    add_scaled_poly(out[i + j], a, b)
-            return ThetaPoly(self.cutoff, [from_raw(self.cutoff, d) for d in out])
+            out = mul_graded(dict(enumerate(c.terms for c in self.coeffs)),
+                             dict(enumerate(c.terms for c in other.coeffs)))
+            return ThetaPoly(self.cutoff, [JetPoly(self.cutoff, out.get(d, {}))
+                                           for d in range(max(out, default=-1) + 1)])
         if isinstance(other, (JetPoly, SigmaPoly)) or is_rational(other):
             return ThetaPoly(self.cutoff, [c * other for c in self.coeffs])
         return NotImplemented
@@ -124,13 +118,13 @@ class ThetaPoly:
         out = [dict() for _ in range(n + 1)]
         for d, c in enumerate(self.coeffs):
             if c:
-                add_scaled(out[d], c.derive().terms, 1)
+                add_into(out[d], c.derive().terms)
             if d and c:
                 # d * z1 * c * (Theta^{d+1} - Theta^d)
                 shifted = c.mul_z(1).terms
-                add_scaled(out[d + 1], shifted, Q(d))
-                add_scaled(out[d], shifted, Q(-d))
-        return ThetaPoly(self.cutoff, [from_raw(self.cutoff, t) for t in out])
+                add_into(out[d + 1], shifted, Q(d))
+                add_into(out[d], shifted, Q(-d))
+        return ThetaPoly(self.cutoff, [JetPoly(self.cutoff, t) for t in out])
 
     def xi_euler(self) -> "ThetaPoly":
         """Theta (Theta - 1) d/dTheta, treating JetPoly coefficients as constants."""
@@ -141,9 +135,9 @@ class ThetaPoly:
         for d, c in enumerate(self.coeffs):
             if d == 0 or not c:
                 continue
-            add_scaled(out[d + 1], c.terms, Q(d))
-            add_scaled(out[d], c.terms, Q(-d))
-        return ThetaPoly(self.cutoff, [from_raw(self.cutoff, t) for t in out])
+            add_into(out[d + 1], c.terms, Q(d))
+            add_into(out[d], c.terms, Q(-d))
+        return ThetaPoly(self.cutoff, [JetPoly(self.cutoff, t) for t in out])
 
     def max_jet_index(self) -> int:
         return max((c.max_index() for c in self.coeffs), default=-1)
@@ -153,24 +147,3 @@ class ThetaPoly:
 
         bits = [f"T^{d}*({jet_text(c)})" for d, c in enumerate(self.coeffs) if c]
         return "ThetaPoly(" + (" + ".join(bits) if bits else "0") + ")"
-
-
-def add_scaled_poly(acc: dict, a: JetPoly, b: JetPoly) -> None:
-    """acc += a * b over flat term dicts."""
-    ta, tb = a.terms, b.terms
-    if len(ta) < len(tb):
-        ta, tb = tb, ta
-    get = acc.get
-    for kb, vb in tb.items():
-        for ka, va in ta.items():
-            k = tuple(map(int.__add__, ka, kb))
-            v = va * vb
-            w = get(k)
-            if w is None:
-                acc[k] = v
-            else:
-                w = w + v
-                if w:
-                    acc[k] = w
-                else:
-                    del acc[k]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .ratio import Q, QONE, QZERO
+from .sparse import add_into, nonzero
 
 
 class TruncationViolation(ValueError):
@@ -326,19 +327,8 @@ class FockPoly:
         return cls(params, k_cut, {(x, eps2, smono): Q(coef)}, d_cut=d_cut)
 
     def __add__(self, other: "FockPoly") -> "FockPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                w = w + v
-                if w:
-                    out[k] = w
-                else:
-                    del out[k]
         r = FockPoly(self.params, self.k_cut, d_cut=self.d_cut)
-        r.terms = out
+        r.terms = add_into(dict(self.terms), other.terms)
         return r
 
     def __sub__(self, other: "FockPoly") -> "FockPoly":
@@ -385,19 +375,11 @@ def virasoro_apply(params: RationalParams, m: int, f: FockPoly) -> FockPoly:
     if params.h * m > f.k_cut:
         raise TruncationViolation(f"operator index h*m = {params.h * m} beyond k_cut")
     out: dict = {}
+    get = out.get
 
     def add(key, val):
-        if val == 0:
-            return
-        w = out.get(key)
-        if w is None:
-            out[key] = val
-        else:
-            w = w + val
-            if w:
-                out[key] = w
-            else:
-                del out[key]
+        w = get(key)
+        out[key] = val if w is None else w + val
 
     half = Q(1, 2)
     for (xe, ee, smono), c in f.terms.items():
@@ -433,7 +415,7 @@ def virasoro_apply(params: RationalParams, m: int, f: FockPoly) -> FockPoly:
                 add_second(add, params, smono, xe, ee, c * half * gv,
                            alpha + params.h * ell, beta + params.h * (m - 1 - ell))
     r = FockPoly(params, f.k_cut, d_cut=f.d_cut)
-    r.terms = out
+    r.terms = nonzero(out)
     return r
 
 

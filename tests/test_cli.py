@@ -40,6 +40,8 @@ def test_compute_genus2(capsys):
     ["virasoro", "--k1", "1", "--k2", "2", "--mmax", "-1"],
     ["virasoro", "--k1", "1", "--k2", "2", "--degree", "-1"],
     ["compute", "--genus", "1", "--threads", "1"],
+    ["virasoro", "--k1", "1", "--k2", "2", "--mmax", "1", "--index-bound", "-4"],
+    ["virasoro", "--k1", "1", "--k2", "2", "--mmax", "0", "--index-bound", "-1"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -56,6 +58,19 @@ def test_cutoff_error_names_minimum(capsys):
 def test_smallest_cutoff_solves(capsys):
     code, out, _ = run_cli(capsys, "compute", "--genus", "2", "--cutoff", "4")
     assert code == 0 and out.strip() == H2_TEXT
+
+
+def test_index_bound_error_names_minimum(capsys):
+    with pytest.raises(SystemExit):
+        main(["virasoro", "--k1", "1", "--k2", "2", "--mmax", "1", "--index-bound", "-4"])
+    assert "--index-bound must be >= -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mmax, bound", [("1", "-3"), ("0", "0")])
+def test_smallest_index_bound_passes(capsys, mmax, bound):
+    code, out, _ = run_cli(capsys, "virasoro", "--k1", "1", "--k2", "2", "--mmax", mmax,
+                           "--degree", "2", "--index-bound", bound)
+    assert code == 0 and "all commutators pass" in out
 
 
 def test_determinism(capsys):
@@ -106,6 +121,25 @@ def test_verify_selected_suites(capsys):
 def test_verify_loop_residual(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "loop-residual", "--genus", "2")
     assert code == 0 and out.strip() == "PASS loop-residual"
+
+
+def test_verify_solves_each_genus_once(capsys, monkeypatch):
+    import cubichodge.cli as cli
+
+    monkeypatch.delenv("CUBICHODGE_CACHE", raising=False)
+    solved = []
+    solve_genus = cli.LoopSolver.solve_genus
+
+    def counting(self, g, lower):
+        solved.append(g)
+        return solve_genus(self, g, lower)
+
+    monkeypatch.setattr(cli.LoopSolver, "solve_genus", counting)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "loop-residual", "--suite", "gradient",
+                           "--genus", "2")
+    assert code == 0
+    assert out.splitlines() == ["PASS loop-residual", "PASS gradient"]
+    assert solved == [1, 2]
 
 
 def test_virasoro_cmd(capsys):
