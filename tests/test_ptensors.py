@@ -100,3 +100,21 @@ class TestXiOracle:
 
         ok, detail = row0_shift_oracle(table, 5, 6)
         assert ok, detail
+
+
+# sha256 of PTensorTable.dump_json() after a genus-4 solve, frozen before the
+# sparse kernel's key and coefficient layout changed; P~ entries above genus 3
+# are checked by nothing else.
+FROZEN_PTILDE_G4_SHA256 = "3b8295d56ae4c90380ee2611c1ff86ae0e0c4e8f67f50b3de9ae1b7ecb898f02"
+
+
+def test_frozen_ptilde_g4():
+    import hashlib
+    import json
+
+    from cubichodge.loop import LoopSolver
+
+    solver = LoopSolver(4)
+    solver.compute(4)
+    blob = json.dumps(solver.table.dump_json(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_PTILDE_G4_SHA256
