@@ -15,38 +15,37 @@ from math import comb
 
 from .jets import JetPoly
 from .ratio import Q, QONE
-from .sparse import mul_into, nonzero
+from .sparse import mul_into, nonzero, pack, unit, unpack
 
 
 class BellTable:
     """Cache of partial Bell polynomials up to n_max.
 
-    bell_partial(n, k) returns a dict mapping slot-exponent tuples of
-    length n (slot i holds the exponent of X_{i+1}) to rational
-    coefficients.
+    The table stores each B_{n,k} on packed keys, slot i holding the
+    exponent of X_{i+1}; bell_partial(n, k) returns it as a dict mapping
+    slot-exponent tuples of length n to rational coefficients.
     """
 
     def __init__(self, n_max: int):
+        pack((n_max,))  # no exponent exceeds n_max: OverflowError unless it fits a slot
         self.n_max = n_max
-        self._table = {(0, 0): {(): QONE}}
+        self._table = {(0, 0): {0: QONE}}
         for n in range(1, n_max + 1):
             self._table[(n, 0)] = {}
             for k in range(1, n + 1):
                 self._table[(n, k)] = self._build(n, k)
 
     def _build(self, n: int, k: int) -> dict:
-        # B_{n,k} = sum_i C(n-1, i-1) X_i B_{n-i, k-1}, slot tuples padded to length n
+        # B_{n,k} = sum_i C(n-1, i-1) X_i B_{n-i, k-1}
         out = {}
         for i in range(1, n - k + 2):
-            x_i = tuple(int(j == i - 1) for j in range(n))
-            lower = {mono + (0,) * i: v for mono, v in self._table[(n - i, k - 1)].items()}
-            mul_into(out, lower, {x_i: Q(comb(n - 1, i - 1))})
+            mul_into(out, self._table[(n - i, k - 1)], {unit(i - 1): Q(comb(n - 1, i - 1))})
         return nonzero(out)
 
     def bell_partial(self, n: int, k: int) -> dict:
         if not (0 <= k <= n <= self.n_max):
             raise ValueError(f"bell_partial indices out of range: ({n}, {k})")
-        return self._table[(n, k)]
+        return {unpack(mono, n): c for mono, c in self._table[(n, k)].items()}
 
     def substitute(self, poly: dict, xs, one):
         """Evaluate an abstract Bell polynomial at ring elements xs[0] = X_1, ..."""

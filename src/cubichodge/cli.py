@@ -232,6 +232,7 @@ def _verify_suites(args):
 
     def ptable():
         table = PTensorTable(12)
+        table.ensure_row0(10)
         for i in range(11):
             for j in range(11 - i):
                 tp = table.ptilde(i, j)

@@ -1,23 +1,29 @@
 """Sparse Laurent polynomials in the jet variables z0, z1, z2, ... over Q[s1, s3].
 
 A JetPoly lives in Q[s1, s3][z0][z1^(+-1)][z2, ..., zM] for a declared jet
-cutoff M.  Internally each term is keyed by a flat exponent tuple
+cutoff M.  Each term is keyed by one packed int (see sparse.py) whose slots
+hold the exponents
 
     (sa, sb, e0, e1, ..., eM)
 
-with the rational coefficient as the value; sa, sb are the s1, s3
-exponents.  Only e1 (the z1 slot) may be negative.  The flat layout keeps
-the hot ring operations to one dict merge per product, which matters at
-genus 4 and above.
+of s1, s3, z0, ..., zM; only e1 (the z1 slot) may be negative.  Multiplying
+two monomials is one integer addition.  Coefficients are int numerators in
+`terms` over one positive denominator `den`, in lowest terms (the gcd of den
+and every numerator is 1), so equal polynomials compare and hash equal.
+`bound` is at least every |exponent| and guards the packed slots.  `items`
+and the constructor speak exponent tuples and rationals.
 
 Operands of ring operations must share the cutoff; `derive` raises
 CutoffError instead of silently dropping a z index that would exceed it.
 """
 from __future__ import annotations
 
-from .ratio import Q, QONE, QZERO, is_rational
+from math import gcd, lcm
+
+from .ratio import Q, QZERO, is_rational
 from .sigma import SigmaPoly
-from .sparse import add_into, mul_into, nonzero, power
+from .sparse import (add_into, exponent, mul_into, nonzero, pack, power, product_bound, split,
+                     unit, unpack)
 
 
 class CutoffError(ValueError):
@@ -29,20 +35,22 @@ class ExactDivisionError(ArithmeticError):
 
 
 class JetPoly:
-    __slots__ = ("cutoff", "terms")
+    __slots__ = ("cutoff", "terms", "den", "bound")
 
     def __init__(self, cutoff: int, terms=None):
+        """`terms` maps exponent tuples (sa, sb, e0, ..., eM) to rationals."""
         if cutoff < 1:
             raise ValueError("cutoff must allow at least z0, z1")
-        self.cutoff = cutoff
-        if terms is None:
-            self.terms = {}
-        else:
-            n = cutoff + 3
-            for k in terms:
-                if len(k) != n:
-                    raise CutoffError("term key does not match cutoff")
-            self.terms = {k: v for k, v in terms.items() if v != 0}
+        fracs = {}
+        bound = 0
+        for k, v in (terms or {}).items():
+            if len(k) != cutoff + 3:
+                raise CutoffError("term key does not match cutoff")
+            _check_signs(k[:2], dict(enumerate(k[2:])))
+            if v != 0:
+                fracs[pack(k)] = Q(v)
+                bound = max(bound, *map(abs, k))
+        _set_fractions(self, cutoff, fracs, bound)
 
     # -- constructors -------------------------------------------------
 
@@ -52,10 +60,7 @@ class JetPoly:
 
     @classmethod
     def const(cls, c, cutoff: int) -> "JetPoly":
-        c = Q(c)
-        if c == 0:
-            return cls(cutoff)
-        return cls(cutoff, {(0,) * (cutoff + 3): c})
+        return cls.monomial(c, (0, 0), {}, cutoff)
 
     @classmethod
     def one(cls, cutoff: int) -> "JetPoly":
@@ -63,34 +68,43 @@ class JetPoly:
 
     @classmethod
     def from_sigma(cls, sp: SigmaPoly, cutoff: int) -> "JetPoly":
-        zeros = (0,) * (cutoff + 1)
-        return cls(cutoff, {(a, b) + zeros: c for (a, b), c in sp.terms.items()})
+        # s1, s3 fill slots 0 and 1 of both key layouts
+        p = JetPoly.__new__(JetPoly)
+        _set_fractions(p, cutoff, sp.terms, sp.bound)
+        return p
 
     @classmethod
     def z(cls, k: int, cutoff: int, power: int = 1) -> "JetPoly":
-        if not 0 <= k <= cutoff:
-            raise CutoffError(f"z{k} outside cutoff {cutoff}")
-        if power < 0 and k != 1:
-            raise ValueError("only z1 may carry a negative exponent")
-        key = [0] * (cutoff + 3)
-        key[2 + k] = power
-        return cls(cutoff, {tuple(key): QONE})
+        return cls.monomial(1, (0, 0), {k: power}, cutoff)
 
     @classmethod
     def monomial(cls, c, sigma, jets, cutoff: int) -> "JetPoly":
         """Single term c * s1^sigma[0] * s3^sigma[1] * prod zk^jets[k]."""
+        for k in jets:
+            if not 0 <= k <= cutoff:
+                raise CutoffError(f"z{k} outside cutoff {cutoff}")
+        _check_signs(sigma, jets)
         c = Q(c)
         if c == 0:
             return cls(cutoff)
-        key = [0] * (cutoff + 3)
-        key[0], key[1] = sigma
-        for k, e in jets.items():
-            if not 0 <= k <= cutoff:
-                raise CutoffError(f"z{k} outside cutoff {cutoff}")
-            if e < 0 and k != 1:
-                raise ValueError("only z1 may carry a negative exponent")
-            key[2 + k] = e
-        return cls(cutoff, {tuple(key): c})
+        key = pack(sigma) + sum(pack((e,), 2 + k) for k, e in jets.items())
+        bound = max(0, *map(abs, sigma), *map(abs, jets.values()))
+        return _raw(cutoff, {key: c.numerator}, c.denominator, bound)
+
+    @classmethod
+    def sum(cls, cutoff: int, polys) -> "JetPoly":
+        """The sum of the polys, accumulated once over their common denominator."""
+        polys = [p for p in polys if p.terms]
+        for p in polys:
+            if p.cutoff != cutoff:
+                raise CutoffError(f"cutoff mismatch: {p.cutoff} vs {cutoff}")
+        if len(polys) < 2:
+            return polys[0] if polys else cls(cutoff)
+        den = lcm(*(p.den for p in polys))
+        acc = {}
+        for p in polys:
+            add_into(acc, p.terms, den // p.den)
+        return _make(cutoff, acc, den, max(p.bound for p in polys))
 
     # -- ring operations ----------------------------------------------
 
@@ -102,26 +116,25 @@ class JetPoly:
         if not isinstance(other, JetPoly):
             return NotImplemented
         self._check(other)
-        return _raw(self.cutoff, add_into(dict(self.terms), other.terms))
+        return JetPoly.sum(self.cutoff, (self, other))
 
     def __sub__(self, other):
         if not isinstance(other, JetPoly):
             return NotImplemented
         self._check(other)
-        return _raw(self.cutoff, add_into(dict(self.terms), other.terms, -1))
+        return JetPoly.sum(self.cutoff, (self, -other))
 
     def __neg__(self):
-        return _raw(self.cutoff, {k: -v for k, v in self.terms.items()})
+        return _raw(self.cutoff, {k: -v for k, v in self.terms.items()}, self.den, self.bound)
 
     def __mul__(self, other):
         if isinstance(other, JetPoly):
             self._check(other)
-            return _raw(self.cutoff, nonzero(mul_into({}, self.terms, other.terms)))
+            bound = product_bound((self.bound, (self.terms,)), (other.bound, (other.terms,)))
+            return _make(self.cutoff, nonzero(mul_into({}, self.terms, other.terms)),
+                         self.den * other.den, bound)
         if is_rational(other):
-            if other == 0:
-                return JetPoly(self.cutoff)
-            q = Q(other)
-            return _raw(self.cutoff, {k: v * q for k, v in self.terms.items()})
+            return self._scaled(other.numerator, other.denominator)
         if isinstance(other, SigmaPoly):
             return self * JetPoly.from_sigma(other, self.cutoff)
         return NotImplemented
@@ -131,8 +144,16 @@ class JetPoly:
     def __truediv__(self, q):
         if not is_rational(q):
             return NotImplemented
-        q = Q(q)
-        return _raw(self.cutoff, {k: v / q for k, v in self.terms.items()})
+        if q == 0:
+            raise ZeroDivisionError("JetPoly division by zero")
+        n, d = q.denominator, q.numerator
+        return self._scaled(-n, -d) if d < 0 else self._scaled(n, d)
+
+    def _scaled(self, n: int, d: int) -> "JetPoly":
+        """self * n / d for d > 0."""
+        if n == 0:
+            return JetPoly(self.cutoff)
+        return _make(self.cutoff, {k: v * n for k, v in self.terms.items()}, self.den * d, self.bound)
 
     def __pow__(self, n: int):
         return power(self, n, JetPoly.one(self.cutoff))
@@ -140,102 +161,108 @@ class JetPoly:
     def __eq__(self, other):
         if not isinstance(other, JetPoly):
             return NotImplemented
-        return self.cutoff == other.cutoff and self.terms == other.terms
+        return self.cutoff == other.cutoff and self.den == other.den and self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
 
     def __hash__(self):
-        return hash((self.cutoff, frozenset(self.terms.items())))
+        return hash((self.cutoff, self.den, frozenset(self.terms.items())))
 
     # -- calculus -------------------------------------------------------
 
     def derive(self) -> "JetPoly":
         """The derivation sum_k z_{k+1} d/dz_k on the jet variables."""
         M = self.cutoff
-        if any(key[2 + M] for key in self.terms):
-            raise CutoffError(f"derive needs z{M + 1} beyond cutoff {M}")
+        steps = [unit(3 + k) - unit(2 + k) for k in range(M)]
         out = {}
-        for k in range(M):
-            add_into(out, self.partial(k).mul_z(k + 1).terms)
-        return _raw(M, out)
+        get = out.get
+        for key, c in self.terms.items():
+            es = unpack(key, M + 3)
+            if es[2 + M]:
+                raise CutoffError(f"derive needs z{M + 1} beyond cutoff {M}")
+            for k, step in enumerate(steps):
+                e = es[2 + k]
+                if e:
+                    nk = key + step
+                    w = get(nk)
+                    out[nk] = c * e if w is None else w + c * e
+        bound = product_bound((self.bound, (self.terms,)), extra=1)
+        return _make(M, nonzero(out), self.den, bound)
 
     def partial(self, k: int) -> "JetPoly":
         """d/dz_k."""
         if not 0 <= k <= self.cutoff:
             raise CutoffError(f"z{k} outside cutoff {self.cutoff}")
-        out = {}
         i = 2 + k
+        u = unit(i)
+        out = {}
         for key, c in self.terms.items():
-            e = key[i]
-            if e == 0:
-                continue
-            nk = key[:i] + (e - 1,) + key[i + 1:]
-            out[nk] = c * e
-        return _raw(self.cutoff, out)
+            e = exponent(key, i)
+            if e:
+                out[key - u] = c * e
+        bound = product_bound((self.bound, (self.terms,)), extra=1)
+        return _make(self.cutoff, out, self.den, bound)
 
     def mul_z(self, k: int, power: int = 1) -> "JetPoly":
         """Fast multiply by z_k^power."""
         if not 0 <= k <= self.cutoff:
             raise CutoffError(f"z{k} outside cutoff {self.cutoff}")
         i = 2 + k
-        out = {}
-        for key, c in self.terms.items():
-            e = key[i] + power
-            if e < 0 and k != 1:
-                raise ValueError("only z1 may carry a negative exponent")
-            out[key[:i] + (e,) + key[i + 1:]] = c
-        return _raw(self.cutoff, out)
+        if power < 0 and k != 1 and any(exponent(key, i) < -power for key in self.terms):
+            raise ValueError("only z1 may carry a negative exponent")
+        bound = product_bound((self.bound, (self.terms,)), extra=abs(power))
+        shift = power * unit(i)
+        return _raw(self.cutoff, {key + shift: c for key, c in self.terms.items()}, self.den, bound)
 
     # -- views and queries -----------------------------------------------
 
     def items(self):
-        return self.terms.items()
+        """(exponent tuple (sa, sb, e0, ..., eM), rational coefficient) per term."""
+        n, den = self.cutoff + 3, self.den
+        return [(unpack(k, n), Q(v, den)) for k, v in self.terms.items()]
 
     def max_index(self) -> int:
         """Highest k with z_k actually present; -1 when jet-free."""
         top = -1
         for key in self.terms:
+            jets = unpack(split(key, 2)[1], self.cutoff + 1)
             for k in range(self.cutoff, top, -1):
-                if key[2 + k]:
+                if jets[k]:
                     top = k
                     break
         return top
 
     def is_jet_free(self) -> bool:
-        return self.max_index() < 0
+        return all(split(key, 2)[1] == 0 for key in self.terms)
 
     def as_sigma(self) -> SigmaPoly:
         if not self.is_jet_free():
             raise ValueError("polynomial still carries jet variables")
-        return SigmaPoly({(k[0], k[1]): v for k, v in self.terms.items()})
+        return SigmaPoly.packed({k: Q(v, self.den) for k, v in self.terms.items()}, self.bound)
 
     def sigma_coefficient(self, jets) -> SigmaPoly:
         """Coefficient of the jet monomial given as {k: exponent}."""
-        want = [0] * (self.cutoff + 1)
-        for k, e in jets.items():
-            want[k] = e
-        want = tuple(want)
-        return SigmaPoly({(k[0], k[1]): v for k, v in self.terms.items() if k[2:] == want})
+        want = pack([jets.get(k, 0) for k in range(self.cutoff + 1)])
+        out = {}
+        for key, v in self.terms.items():
+            sig, rest = split(key, 2)
+            if rest == want:
+                out[sig] = Q(v, self.den)
+        return SigmaPoly.packed(out, self.bound)
 
     def with_cutoff(self, new: int) -> "JetPoly":
         if new == self.cutoff:
             return self
-        if new > self.cutoff:
-            pad = (0,) * (new - self.cutoff)
-            return _raw(new, {k + pad: v for k, v in self.terms.items()})
-        drop = self.cutoff - new
-        out = {}
-        for k, v in self.terms.items():
-            if any(k[-drop:]):
-                raise CutoffError(f"term uses jets above z{new}")
-            out[k[:-drop]] = v
-        return _raw(new, out)
+        if new < self.cutoff and any(split(key, 3 + new)[1] for key in self.terms):
+            raise CutoffError(f"term uses jets above z{new}")
+        # slots past the cutoff are zero, so the keys carry over unchanged
+        return _raw(new, self.terms, self.den, self.bound)
 
     def subs_jets(self, values) -> SigmaPoly:
         """Evaluate the jet variables at exact rationals; z1 may be inverted."""
         out = {}
-        for key, c in self.terms.items():
+        for key, c in self.items():
             q = c
             for k in range(self.cutoff + 1):
                 e = key[2 + k]
@@ -254,15 +281,9 @@ class JetPoly:
 
     def weighted_degrees(self, jet_weight, s1_weight: int = 0, s3_weight: int = 0):
         """Set of term degrees under deg z_k = jet_weight(k)."""
-        degs = set()
-        for key in self.terms:
-            d = key[0] * s1_weight + key[1] * s3_weight
-            for k in range(self.cutoff + 1):
-                e = key[2 + k]
-                if e:
-                    d += e * jet_weight(k)
-            degs.add(d)
-        return degs
+        weights = [s1_weight, s3_weight] + [jet_weight(k) for k in range(self.cutoff + 1)]
+        n = self.cutoff + 3
+        return {sum(w * e for w, e in zip(weights, unpack(key, n))) for key in self.terms}
 
     def is_homogeneous(self, degree: int, jet_weight, s1_weight: int = 0, s3_weight: int = 0) -> bool:
         degs = self.weighted_degrees(jet_weight, s1_weight, s3_weight)
@@ -278,14 +299,19 @@ class JetPoly:
             raise ZeroDivisionError("division by the zero JetPoly")
         if len(d.terms) != 1:
             raise ExactDivisionError("divisor is not a single monomial")
-        (dk, dc), = d.terms.items()
+        (dk, dn), = d.terms.items()
+        bound = product_bound((self.bound, (self.terms,)), (d.bound, (d.terms,)))
+        n = self.cutoff + 3
+        # self / d = sum (v / den) / (dn / d.den) * z^(key - dk)
+        scale = -d.den if dn < 0 else d.den
         out = {}
-        for k, c in self.terms.items():
-            nk = tuple(map(int.__sub__, k, dk))
-            if nk[0] < 0 or nk[1] < 0 or nk[2] < 0 or any(e < 0 for e in nk[4:]):
+        for k, v in self.terms.items():
+            nk = k - dk
+            es = unpack(nk, n)
+            if es[0] < 0 or es[1] < 0 or es[2] < 0 or any(e < 0 for e in es[4:]):
                 raise ExactDivisionError("monomial divisor does not divide a term")
-            out[nk] = c / dc
-        return _raw(self.cutoff, out)
+            out[nk] = v * scale
+        return _make(self.cutoff, out, self.den * abs(dn), bound)
 
     def __repr__(self):
         from .textform import jet_text
@@ -293,8 +319,40 @@ class JetPoly:
         return f"JetPoly[{self.cutoff}]({jet_text(self)})"
 
 
-def _raw(cutoff: int, terms: dict) -> JetPoly:
+def _check_signs(sigma, jets) -> None:
+    """Sigma exponents are nonnegative; a jet other than z1 is nonnegative."""
+    if any(e < 0 for e in sigma):
+        raise ValueError("sigma exponents must be nonnegative")
+    if any(e < 0 and k != 1 for k, e in jets.items()):
+        raise ValueError("only z1 may carry a negative exponent")
+
+
+def _raw(cutoff: int, terms: dict, den: int, bound: int) -> JetPoly:
     p = JetPoly.__new__(JetPoly)
     p.cutoff = cutoff
     p.terms = terms
+    p.den = den
+    p.bound = bound
     return p
+
+
+def _make(cutoff: int, nums: dict, den: int, bound: int) -> JetPoly:
+    """A JetPoly from nonzero int numerators over den > 0, put in lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: v // g for k, v in nums.items()}
+            den //= g
+    return _raw(cutoff, nums, den, bound)
+
+
+def _set_fractions(p: JetPoly, cutoff: int, fracs: dict, bound: int) -> None:
+    """Fill p from nonzero rationals in lowest terms over packed keys; over
+    their lcm denominator the numerators are already coprime to it."""
+    if cutoff < 1:
+        raise ValueError("cutoff must allow at least z0, z1")
+    den = lcm(*(q.denominator for q in fracs.values()))
+    p.cutoff = cutoff
+    p.terms = {k: q.numerator * (den // q.denominator) for k, q in fracs.items()}
+    p.den = den
+    p.bound = bound

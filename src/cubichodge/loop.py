@@ -32,7 +32,6 @@ from .linsolve import TriangularSystem
 from .ptensors import PTensorTable
 from .ratio import Q, parse_q, qjson
 from .sigma import SigmaPoly
-from .sparse import add_into
 from .theta import ThetaPoly
 
 SOLVER_VERSION = "loop-solver-v1"
@@ -94,9 +93,8 @@ class LoopSolver:
         got = self._lhs.get(i)
         if got is not None:
             return got
-        acc = self.dtheta(i)
-        for j in range(1, i + 1):
-            acc = acc + self.table.p(j - 1, i - j + 1) * Q(comb(i, j))
+        acc = ThetaPoly.sum(self.cutoff, [self.dtheta(i)] + [
+            self.table.p(j - 1, i - j + 1) * comb(i, j) for j in range(1, i + 1)])
         if acc.degree != i + 1:
             raise LoopEquationError(f"L_{i} has Theta degree {acc.degree}, expected {i + 1}")
         top = acc.coeff(i + 1)
@@ -112,32 +110,32 @@ class LoopSolver:
             return self.rhs_base()
         if len(lower) < g - 1:
             raise ValueError(f"rhs_genus({g}) needs H_1..H_{g - 1}")
+        M = self.cutoff
         grads = [None] + [fe.gradient for fe in lower[: g - 1]]
         top_prev = 3 * (g - 1) - 2
-        acc = ThetaPoly.zero(self.cutoff)
+        parts = []
         for i in range(top_prev + 1):
             gi = grads[g - 1][i]
             if gi:
-                acc = acc + self.derived_base(i + 2) * gi
+                parts.append(self.derived_base(i + 2) * gi)
         half = Q(1, 2)
         for i in range(top_prev + 1):
             for j in range(i, top_prev + 1):
-                w = grads[g - 1][i].partial(j)
-                for k in range(1, g):
-                    a, b = grads[k], grads[g - k]
-                    if i < len(a) and j < len(b):
-                        w = w + a[i] * b[j]
+                w = JetPoly.sum(M, [grads[g - 1][i].partial(j)] + [
+                    grads[k][i] * grads[g - k][j] for k in range(1, g)
+                    if i < len(grads[k]) and j < len(grads[g - k])])
                 if not w:
                     continue
-                scale = half if i == j else Q(1)
-                acc = acc + self.table.p(i + 1, j + 1) * (w * scale)
-        return acc
+                parts.append(self.table.p(i + 1, j + 1) * (w * half if i == j else w))
+        return ThetaPoly.sum(M, parts)
 
     # -- the solve -----------------------------------------------------------
 
     def solve_genus(self, g: int, lower) -> FreeEnergy:
         t0 = time.monotonic()
         n = 3 * g - 1
+        # L_i for i <= 3g-2 reads row 0 up to z^-(3g-2): build it once for this genus
+        self.table.ensure_row0(n - 1)
         ell = [self.lhs_coefficient(i) for i in range(n)]
         rhs = self.rhs_genus(g, lower)
         if rhs.coeff(0):
@@ -158,11 +156,8 @@ class LoopSolver:
         return fe
 
     def _apply_lhs(self, gradient) -> ThetaPoly:
-        acc = ThetaPoly.zero(self.cutoff)
-        for i, gi in enumerate(gradient):
-            if gi:
-                acc = acc + self.lhs_coefficient(i) * gi
-        return acc
+        return ThetaPoly.sum(self.cutoff, [self.lhs_coefficient(i) * gi
+                                           for i, gi in enumerate(gradient) if gi])
 
     def residual(self, g: int, energies) -> ThetaPoly:
         """LHS - RHS of the epsilon^(2g-2) slice with computed energies plugged in."""
@@ -189,10 +184,8 @@ class LoopSolver:
 
         if gradient[0]:
             raise LoopEquationError(f"dH_{g}/dz0 is nonzero")
-        euler = {}
-        for j in range(1, len(gradient)):
-            add_into(euler, gradient[j].mul_z(j).terms, Q(j))
-        body = JetPoly(M, euler) / Q(2 * g - 2)
+        euler = JetPoly.sum(M, [gradient[j].mul_z(j) * j for j in range(1, len(gradient))])
+        body = euler / (2 * g - 2)
         for i in range(len(gradient)):
             if body.partial(i) != gradient[i]:
                 raise LoopEquationError(f"reconstructed body disagrees with gradient at z{i}")
@@ -252,11 +245,14 @@ def cache_path(cache_dir: str, genus: int) -> str:
 
 
 def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
+    from .textform import TEXT_FORM_VERSION
+
     os.makedirs(cache_dir, exist_ok=True)
     payload = _payload(fe)
+    provenance = dict(fe.provenance, textform=TEXT_FORM_VERSION)
     record = {
         "payload": payload,
-        "provenance": {k: fe.provenance[k] for k in sorted(fe.provenance)},
+        "provenance": {k: provenance[k] for k in sorted(provenance)},
         "sha256": _payload_hash(payload, fe.provenance.get("ptable", "")),
     }
     path = cache_path(cache_dir, fe.genus)
@@ -275,9 +271,9 @@ def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
 
 
 def load_cached(cache_dir: str, genus: int, fingerprint: str, cutoff: int) -> FreeEnergy | None:
-    """Return the cached FreeEnergy, or None on a solver-version, fingerprint or
-    hash mismatch, or any corruption."""
-    from .textform import jet_from_json
+    """Return the cached FreeEnergy, or None on a solver-version, text-form
+    version, fingerprint or hash mismatch, or any corruption."""
+    from .textform import TEXT_FORM_VERSION, jet_from_json
 
     path = cache_path(cache_dir, genus)
     try:
@@ -285,6 +281,8 @@ def load_cached(cache_dir: str, genus: int, fingerprint: str, cutoff: int) -> Fr
             record = json.load(fh)
         payload = record["payload"]
         if record["provenance"].get("solver") != SOLVER_VERSION:
+            return None
+        if record["provenance"].get("textform") != TEXT_FORM_VERSION:
             return None
         if record["provenance"].get("ptable") != fingerprint:
             return None
@@ -298,5 +296,5 @@ def load_cached(cache_dir: str, genus: int, fingerprint: str, cutoff: int) -> Fr
         prov = dict(record["provenance"])
         prov["cache"] = "hit"
         return FreeEnergy(genus, gradient, body, log_c, prov)
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, OverflowError):
         return None

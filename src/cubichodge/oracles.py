@@ -56,6 +56,7 @@ def shift_expansion_term(j: int, order: int) -> ZInvSeries:
 def row0_shift_oracle(table: PTensorTable, n_max: int, xi_order: int):
     """P~_0,n from the explicit sum vs the operator-shift expansion."""
     shifts = [shift_expansion_term(j, n_max) for j in range(xi_order + 1)]
+    table.ensure_row0(n_max)
     for n in range(n_max + 1):
         tp = table.row0(n)
         coeffs = [c.as_sigma() for c in tp.coeffs]
@@ -72,6 +73,7 @@ def specialization_bridge(params: RationalParams, table: PTensorTable,
     """ptilde with sigma specialized must match the A_{k,n} route term by term."""
     s1, s3 = params.sigma_values()
     bt = BtildeTable(params, xi_order)
+    table.ensure_row0(ij_max)
     for i in range(ij_max + 1):
         for j in range(ij_max + 1 - i):
             tp = table.ptilde(i, j)

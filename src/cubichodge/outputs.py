@@ -16,28 +16,34 @@ from .loop import FreeEnergy
 from .phiseries import bernoulli
 from .ratio import Q, QZERO, is_rational
 from .sigma import SigmaPoly
-from .sparse import add_graded, mul_graded, power
+from .sparse import add_graded, exponent, mul_graded, pack, power, product_bound, split, unit, unpack
 
 
 class TSeries:
     """Total-degree truncated power series in t_0..t_{n_max} over Q[s1, s3].
 
-    `grades` maps a total t-degree d <= d_max to a term dict keyed
-    (a, b, e_0, ..., e_{n_max}) for s1^a s3^b t_0^e_0 ... t_{n_max}^e_{n_max};
-    `coefficient` returns the SigmaPoly coefficient of one t-monomial.
+    `grades` maps a total t-degree d <= d_max to a term dict on packed keys
+    with slots (a, b, e_0, ..., e_{n_max}) for s1^a s3^b t_0^e_0 ...
+    t_{n_max}^e_{n_max}, and `bound` bounds every exponent; `coefficient`
+    returns the SigmaPoly coefficient of one t-monomial.
     """
 
-    __slots__ = ("n_max", "d_max", "grades")
+    __slots__ = ("n_max", "d_max", "grades", "bound")
 
     def __init__(self, n_max: int, d_max: int, terms=None):
         """`terms` maps a t-exponent tuple to its SigmaPoly coefficient."""
         self.n_max = n_max
         self.d_max = d_max
         self.grades = {}
+        self.bound = 0
         for k, sp in (terms or {}).items():
             if sp and sum(k) <= d_max:
-                self.grades.setdefault(sum(k), {}).update(
-                    {ab + tuple(k): c for ab, c in sp.terms.items()})
+                if len(k) != n_max + 1 or min(k) < 0:
+                    raise ValueError("t-exponents must be n_max + 1 nonnegative ints")
+                # the sigma part of a key fills slots 0 and 1, the t-exponents the rest
+                tk = pack(k, 2)
+                self.grades.setdefault(sum(k), {}).update({ab + tk: c for ab, c in sp.terms.items()})
+                self.bound = max(self.bound, sp.bound, *k)
 
     # -- constructors ------------------------------------------------------
 
@@ -65,20 +71,21 @@ class TSeries:
 
     def __add__(self, other):
         d = self._check(other)
-        return _tseries(self.n_max, d, add_graded(self.grades, other.grades))
+        return _tseries(self.n_max, d, add_graded(self.grades, other.grades), max(self.bound, other.bound))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         return _tseries(self.n_max, self.d_max,
-                        {d: {k: -v for k, v in t.items()} for d, t in self.grades.items()})
+                        {d: {k: -v for k, v in t.items()} for d, t in self.grades.items()}, self.bound)
 
     def __mul__(self, other):
         if is_rational(other) or isinstance(other, SigmaPoly):
             other = TSeries.const(other, self.n_max, self.d_max)
         d = self._check(other)
-        return _tseries(self.n_max, d, mul_graded(self.grades, other.grades, d))
+        bound = product_bound((self.bound, self.grades.values()), (other.bound, other.grades.values()))
+        return _tseries(self.n_max, d, mul_graded(self.grades, other.grades, d), bound)
 
     __rmul__ = __mul__
 
@@ -97,26 +104,41 @@ class TSeries:
 
     def diff(self, i: int) -> "TSeries":
         j = 2 + i
-        out = {d - 1: {k[:j] + (k[j] - 1,) + k[j + 1:]: v * k[j] for k, v in t.items() if k[j]}
-               for d, t in self.grades.items()}
-        return _tseries(self.n_max, self.d_max, {d: t for d, t in out.items() if t})
+        u = unit(j)
+        out = {}
+        for d, t in self.grades.items():
+            td = {}
+            for k, v in t.items():
+                e = exponent(k, j)
+                if e:
+                    td[k - u] = v * e
+            if td:
+                out[d - 1] = td
+        return _tseries(self.n_max, self.d_max, out, self.bound)
 
     def coefficients(self) -> dict:
         """{t-exponent tuple: SigmaPoly} over every nonzero coefficient."""
         out = {}
         for t in self.grades.values():
             for k, v in t.items():
-                out.setdefault(k[2:], {})[k[:2]] = v
-        return {k: SigmaPoly(sig) for k, sig in out.items()}
+                sig, tk = split(k, 2)
+                out.setdefault(tk, {})[sig] = v
+        return {unpack(tk, self.n_max + 1): SigmaPoly.packed(sig, self.bound) for tk, sig in out.items()}
 
     def constant_term(self) -> SigmaPoly:
         return self.coefficient((0,) * (self.n_max + 1))
 
     def coefficient(self, exponents) -> SigmaPoly:
-        key = tuple(exponents)
-        if sum(key) > self.d_max:
+        d = sum(exponents)
+        if d > self.d_max:
             raise ValueError("monomial beyond the degree truncation")
-        return SigmaPoly({k[:2]: v for k, v in self.grades.get(sum(key), {}).items() if k[2:] == key})
+        want = pack(exponents)
+        out = {}
+        for k, v in self.grades.get(d, {}).items():
+            sig, tk = split(k, 2)
+            if tk == want:
+                out[sig] = v
+        return SigmaPoly.packed(out, self.bound)
 
     def recip(self) -> "TSeries":
         """1/self for a series with constant term 1."""
@@ -152,15 +174,16 @@ class TSeries:
     def truncate(self, d_max: int) -> "TSeries":
         if d_max > self.d_max:
             raise ValueError("cannot extend a degree truncation")
-        return _tseries(self.n_max, d_max, self.grades)
+        return _tseries(self.n_max, d_max, self.grades, self.bound)
 
 
-def _tseries(n_max: int, d_max: int, grades: dict) -> TSeries:
+def _tseries(n_max: int, d_max: int, grades: dict, bound: int) -> TSeries:
     """Wrap a graded map of nonzero term dicts, dropping degrees beyond d_max."""
     s = TSeries.__new__(TSeries)
     s.n_max = n_max
     s.d_max = d_max
     s.grades = {d: t for d, t in grades.items() if d <= d_max}
+    s.bound = bound
     return s
 
 
@@ -218,7 +241,7 @@ def _check_v_explicit(v: TSeries, deg: int) -> None:
     for key, val in expect.items():
         if v.coefficient(key) != SigmaPoly.const(val):
             raise AssertionError(f"v(t) fixed point disagrees with the explicit sum at {key}")
-    if any(k[0] or k[1] for d, t in v.grades.items() if d <= deg for k in t):
+    if any(split(k, 2)[0] for d, t in v.grades.items() if d <= deg for k in t):
         raise AssertionError("v(t) picked up sigma dependence")
 
 
@@ -312,7 +335,7 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int, v: TSeries | None = Non
         return got
 
     acc = TSeries.zero(n_max, d_max)
-    for key, c in fe.body.terms.items():
+    for key, c in fe.body.items():
         term = TSeries.const(SigmaPoly.monomial(key[0], key[1], c), n_max, d_max)
         for k in range(fe.body.cutoff + 1):
             e = key[2 + k]
@@ -326,7 +349,8 @@ def dimension_check(g: int, series: TSeries):
     """Every sigma part of every stored coefficient must sit on the dimension
     constraint sum(i_a) + a + 3b = 3g - 3 + n.  Returns (ok, first_violation)."""
     for n, t in series.grades.items():
-        for key, c in t.items():
+        for k, c in t.items():
+            key = unpack(k, series.n_max + 3)
             weight = sum(i * e for i, e in enumerate(key[2:]))
             if weight + key[0] + 3 * key[1] != 3 * g - 3 + n:
                 return False, (key[2:], key[:2], c)

@@ -13,7 +13,7 @@ from math import comb, factorial
 from .bell import bell_complete_all
 from .ratio import Q, QONE, QZERO, is_rational
 from .sigma import SigmaPoly
-from .sparse import add_graded, mul_graded, power
+from .sparse import add_graded, mul_graded, power, product_bound
 
 _INF = 1 << 60
 
@@ -77,19 +77,22 @@ def power_sum(k: int) -> SigmaPoly:
 class ZInvSeries:
     """Truncated series sum_n a_n z^{-n} with coefficients in Q[s1, s3].
 
-    `grades` maps n to the coefficient of z^{-n} as a term dict
-    {(a, b): rational} for s1^a s3^b; `coeff` returns it as a SigmaPoly.
+    `grades` maps n to the coefficient of z^{-n} as a SigmaPoly term dict
+    (packed keys of s1^a s3^b, rational values), with one exponent `bound`
+    for all grades; `coeff` returns it as a SigmaPoly.
     `order` is the last reliable exponent: coefficients of z^{-n} are exact
     for all n <= order and must not be read beyond it.  Negative n (positive
     z powers) are allowed for shifted products.
     """
 
-    __slots__ = ("order", "grades")
+    __slots__ = ("order", "grades", "bound")
 
     def __init__(self, order: int, terms=None):
         """`terms` maps n to the SigmaPoly coefficient of z^{-n}."""
+        kept = {n: c for n, c in (terms or {}).items() if c and n <= order}
         self.order = order
-        self.grades = {n: c.terms for n, c in (terms or {}).items() if c and n <= order}
+        self.grades = {n: c.terms for n, c in kept.items()}
+        self.bound = max((c.bound for c in kept.values()), default=0)
 
     @classmethod
     def zero(cls, order: int = _INF) -> "ZInvSeries":
@@ -107,14 +110,15 @@ class ZInvSeries:
     def coeff(self, n: int) -> SigmaPoly:
         if n > self.order:
             raise TruncationError(f"coefficient z^-{n} beyond order {self.order}")
-        return SigmaPoly(self.grades.get(n))
+        return SigmaPoly.packed(dict(self.grades.get(n, {})), self.bound)
 
     def valuation(self) -> int:
         return min(self.grades) if self.grades else _INF
 
     def __add__(self, other):
         other = self._coerce(other)
-        return _zseries(min(self.order, other.order), add_graded(self.grades, other.grades))
+        return _zseries(min(self.order, other.order), add_graded(self.grades, other.grades),
+                        max(self.bound, other.bound))
 
     __radd__ = __add__
 
@@ -122,15 +126,19 @@ class ZInvSeries:
         return self + (-self._coerce(other))
 
     def __neg__(self):
-        return _zseries(self.order, {n: {k: -v for k, v in t.items()} for n, t in self.grades.items()})
+        return _zseries(self.order, {n: {k: -v for k, v in t.items()} for n, t in self.grades.items()},
+                        self.bound)
 
     def __mul__(self, other):
         if is_rational(other) or isinstance(other, SigmaPoly):
-            return _zseries(self.order, mul_graded(self.grades, ZInvSeries.const(other).grades))
-        if not isinstance(other, ZInvSeries):
+            other = ZInvSeries.const(other)
+            order = self.order
+        elif isinstance(other, ZInvSeries):
+            order = min(self.order + other.valuation(), other.order + self.valuation(), _INF)
+        else:
             return NotImplemented
-        order = min(self.order + other.valuation(), other.order + self.valuation(), _INF)
-        return _zseries(order, mul_graded(self.grades, other.grades, order))
+        bound = product_bound((self.bound, self.grades.values()), (other.bound, other.grades.values()))
+        return _zseries(order, mul_graded(self.grades, other.grades, order), bound)
 
     __rmul__ = __mul__
 
@@ -145,17 +153,17 @@ class ZInvSeries:
     def ddz(self) -> "ZInvSeries":
         """d/dz; the truncation order improves by one."""
         out = {n + 1: {k: v * -n for k, v in t.items()} for n, t in self.grades.items() if n}
-        return _zseries(self.order + 1 if self.order < _INF else _INF, out)
+        return _zseries(self.order + 1 if self.order < _INF else _INF, out, self.bound)
 
     def mul_zpow(self, s: int) -> "ZInvSeries":
         """Multiply by z^s (shifts exponents down by s)."""
         order = self.order - s if self.order < _INF else _INF
-        return _zseries(order, {n - s: t for n, t in self.grades.items()})
+        return _zseries(order, {n - s: t for n, t in self.grades.items()}, self.bound)
 
     def truncate(self, order: int) -> "ZInvSeries":
         if order > self.order:
             raise TruncationError(f"cannot extend order {self.order} to {order}")
-        return _zseries(order, self.grades)
+        return _zseries(order, self.grades, self.bound)
 
     def exp(self) -> "ZInvSeries":
         """exp of a series with positive valuation."""
@@ -175,7 +183,7 @@ class ZInvSeries:
         return result
 
     def __repr__(self):
-        bits = [f"z^-{n}*({SigmaPoly(t)!r})" for n, t in sorted(self.grades.items())]
+        bits = [f"z^-{n}*({self.coeff(n)!r})" for n in sorted(self.grades)]
         return f"ZInvSeries(order={self.order}: " + " + ".join(bits) + ")"
 
     @staticmethod
@@ -187,11 +195,12 @@ class ZInvSeries:
         raise TypeError(f"cannot coerce {type(x)} to ZInvSeries")
 
 
-def _zseries(order: int, grades: dict) -> ZInvSeries:
+def _zseries(order: int, grades: dict, bound: int) -> ZInvSeries:
     """Wrap a graded map of nonzero term dicts, dropping grades beyond order."""
     s = ZInvSeries.__new__(ZInvSeries)
     s.order = order
     s.grades = {n: t for n, t in grades.items() if n <= order}
+    s.bound = bound
     return s
 
 

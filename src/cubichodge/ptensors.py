@@ -77,10 +77,9 @@ class PTensorTable:
         got = self._gcache.get((k, j))
         if got is not None:
             return got
-        acc = ThetaPoly.zero(self.cutoff)
         lo = 0 if j == 0 else 1
-        for l in range(lo, j + 1):
-            acc = acc + self.ptilde(k, l) * self.fjets.f(j, l)
+        acc = ThetaPoly.sum(self.cutoff, [self.ptilde(k, l) * self.fjets.f(j, l)
+                                          for l in range(lo, j + 1)])
         self._gcache[(k, j)] = acc
         return acc
 
@@ -89,10 +88,9 @@ class PTensorTable:
         got = self._p.get((i, j))
         if got is not None:
             return got
-        acc = ThetaPoly.zero(self.cutoff)
         lo = 0 if i == 0 else 1
-        for k in range(lo, i + 1):
-            acc = acc + self._g(k, j) * self.fjets.f(i, k)
+        acc = ThetaPoly.sum(self.cutoff, [self._g(k, j) * self.fjets.f(i, k)
+                                          for k in range(lo, i + 1)])
         self._p[(i, j)] = acc
         return acc
 
@@ -133,7 +131,7 @@ def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
     for n in range(n_max + 1):
         coeffs = [JetPoly.zero(cutoff)] * (max(acc[n], default=0) + 1)
         for k, sig in acc[n].items():
-            coeffs[k] = JetPoly.from_sigma(SigmaPoly(sig), cutoff)
+            coeffs[k] = JetPoly.from_sigma(SigmaPoly.packed(sig), cutoff)
         out.append(ThetaPoly(cutoff, coeffs))
     return out
 

@@ -1,23 +1,35 @@
 """Polynomials in the two symmetric invariants s1, s3 over exact rationals.
 
-A SigmaPoly is a sparse map (a, b) -> coefficient for the monomial
-s1^a * s3^b.  Zero coefficients are never stored.  The grading used for
-degree bookkeeping is deg s1 = 1, deg s3 = 3.
+A SigmaPoly is a sparse map from the packed key of s1^a * s3^b (slots 0
+and 1, see sparse.py) to its rational coefficient, with `bound` >= a, b
+over every term.  Zero coefficients are never stored.  The grading used
+for degree bookkeeping is deg s1 = 1, deg s3 = 3.
 """
 from __future__ import annotations
 
 from .ratio import Q, QONE, QZERO, is_rational, qstr
-from .sparse import add_into, mul_into, nonzero, power
+from .sparse import add_into, exponent_bound, mul_into, nonzero, pack, power, product_bound, unpack
 
 
 class SigmaPoly:
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "bound")
 
     def __init__(self, terms=None):
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {k: v for k, v in terms.items() if v != 0}
+        """`terms` maps exponent pairs (a, b) of s1^a s3^b to rationals."""
+        self.terms = {}
+        self.bound = 0
+        for (a, b), v in (terms or {}).items():
+            if a < 0 or b < 0:
+                raise ValueError("sigma exponents must be nonnegative")
+            if v != 0:
+                self.terms[pack((a, b))] = v
+                self.bound = max(self.bound, a, b)
+
+    @classmethod
+    def packed(cls, terms: dict, bound: int | None = None) -> "SigmaPoly":
+        """Wrap a dict of nonzero terms on packed keys; `bound` is read from
+        the keys when not given."""
+        return _raw(terms, exponent_bound((terms,)) if bound is None else bound)
 
     # -- constructors -------------------------------------------------
 
@@ -28,7 +40,7 @@ class SigmaPoly:
     @classmethod
     def const(cls, c) -> "SigmaPoly":
         c = Q(c)
-        return cls({(0, 0): c}) if c != 0 else cls()
+        return _raw({0: c} if c != 0 else {}, 0)
 
     @classmethod
     def one(cls) -> "SigmaPoly":
@@ -55,7 +67,7 @@ class SigmaPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _raw(add_into(dict(self.terms), other.terms))
+        return _raw(add_into(dict(self.terms), other.terms), max(self.bound, other.bound))
 
     __radd__ = __add__
 
@@ -63,23 +75,24 @@ class SigmaPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _raw(add_into(dict(self.terms), other.terms, -1))
+        return _raw(add_into(dict(self.terms), other.terms, -1), max(self.bound, other.bound))
 
     def __rsub__(self, other):
         return _coerce(other) + (-self)
 
     def __neg__(self):
-        return _raw({k: -v for k, v in self.terms.items()})
+        return _raw({k: -v for k, v in self.terms.items()}, self.bound)
 
     def __mul__(self, other):
         if is_rational(other):
             if other == 0:
                 return SigmaPoly()
             q = Q(other)
-            return _raw({k: v * q for k, v in self.terms.items()})
+            return _raw({k: v * q for k, v in self.terms.items()}, self.bound)
         if not isinstance(other, SigmaPoly):
             return NotImplemented
-        return _raw(nonzero(mul_into({}, self.terms, other.terms)))
+        bound = product_bound((self.bound, (self.terms,)), (other.bound, (other.terms,)))
+        return _raw(nonzero(mul_into({}, self.terms, other.terms)), bound)
 
     __rmul__ = __mul__
 
@@ -87,7 +100,7 @@ class SigmaPoly:
         if not is_rational(q):
             return NotImplemented
         q = Q(q)
-        return _raw({k: v / q for k, v in self.terms.items()})
+        return _raw({k: v / q for k, v in self.terms.items()}, self.bound)
 
     def __pow__(self, n: int):
         return power(self, n, SigmaPoly.one())
@@ -106,39 +119,43 @@ class SigmaPoly:
 
     # -- queries -------------------------------------------------------
 
+    def items(self):
+        """(exponent pair (a, b), coefficient) for every term."""
+        return [(unpack(k, 2), v) for k, v in self.terms.items()]
+
     @property
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0)}
+        return not self.terms or set(self.terms) == {0}
 
     def degree(self) -> int:
         """Weighted degree with deg s1 = 1, deg s3 = 3; -1 for zero."""
         if not self.terms:
             return -1
-        return max(a + 3 * b for a, b in self.terms)
+        return max(a + 3 * b for (a, b), _ in self.items())
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(a + 3 * b == d for a, b in self.terms)
+        return all(a + 3 * b == d for (a, b), _ in self.items())
 
     def homogeneous_part(self, d: int) -> "SigmaPoly":
-        return SigmaPoly({k: v for k, v in self.terms.items() if k[0] + 3 * k[1] == d})
+        return SigmaPoly({k: v for k, v in self.items() if k[0] + 3 * k[1] == d})
 
     def evaluate(self, v1, v3):
         """Exact value at numeric (s1, s3)."""
         v1, v3 = Q(v1), Q(v3)
         total = QZERO
-        for (a, b), c in self.terms.items():
+        for (a, b), c in self.items():
             total += c * v1**a * v3**b
         return total
 
     def evaluate_float(self, v1: float, v3: float) -> float:
         total = 0.0
-        for (a, b), c in self.terms.items():
+        for (a, b), c in self.items():
             total += float(c) * v1**a * v3**b
         return total
 
     def sorted_terms(self):
         """Terms in canonical order: weighted degree, then s3 exponent."""
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0] + 3 * kv[0][1], kv[0][1]))
+        return sorted(self.items(), key=lambda kv: (kv[0][0] + 3 * kv[0][1], kv[0][1]))
 
     def __repr__(self):
         if not self.terms:
@@ -152,9 +169,10 @@ class SigmaPoly:
         return "SigmaPoly(" + " + ".join(bits) + ")"
 
 
-def _raw(terms: dict) -> SigmaPoly:
+def _raw(terms: dict, bound: int) -> SigmaPoly:
     p = SigmaPoly.__new__(SigmaPoly)
     p.terms = terms
+    p.bound = bound
     return p
 
 

@@ -1,12 +1,126 @@
-"""Sparse-term arithmetic shared by every polynomial type.
+"""Sparse-term arithmetic shared by every polynomial type, on packed keys.
 
-A term dict maps an exponent tuple of ints to an exact rational coefficient;
-the key of a product term is the entrywise sum of its factors' keys.  A
-graded map {grade: term dict} holds a truncated series, one term dict per
-grade.  SigmaPoly, JetPoly, ThetaPoly, ZInvSeries, TSeries and FockPoly
-add, multiply and raise to powers through these free functions.
+A term dict maps a monomial key to its coefficient.  A key is one Python int
+built by signed Kronecker packing: slot i holds the exponent e_i times
+2^(SLOT_BITS * i),
+
+    key = sum_i e_i << (SLOT_BITS * i),    -SLOT_HALF < e_i < SLOT_HALF.
+
+Packing is linear, so the key of a product term is the sum of its factors'
+keys, and a negative exponent (z1 in a JetPoly) needs no offset.  For every
+polynomial over Q[s1, s3], slots 0 and 1 hold the s1 and s3 exponents; the
+slots after them hold the jets z0..zM (JetPoly) or t0..tn (TSeries).  `pack`,
+`unpack` and `exponent` are the only code that knows this layout.
+
+A key is right only while every slot stays inside the slot.  Each polynomial
+therefore carries a bound on |e_i| over all its terms and slots: products
+add the bounds, sums take the largest, and `product_bound` raises
+OverflowError before a bound can leave the slot.
+
+Coefficients are any exact ring values.  SigmaPoly, ZInvSeries, TSeries and
+the Bell tables store Fractions; JetPoly stores int numerators over one
+common denominator.  A graded map {grade: term dict} holds a truncated
+series, one term dict per grade.  Every type adds, multiplies and raises to
+powers through these free functions.
 """
 from __future__ import annotations
+
+from functools import cache
+
+SLOT_BITS = 16
+SLOT_HALF = 1 << (SLOT_BITS - 1)
+_MASK = (1 << SLOT_BITS) - 1
+
+
+# -- the key layout -----------------------------------------------------------
+
+
+def pack(exponents, start: int = 0) -> int:
+    """The key of the exponents placed in slots start, start + 1, ...;
+    OverflowError if one does not fit its slot."""
+    key = 0
+    for i, e in enumerate(exponents, start):
+        if not -SLOT_HALF < e < SLOT_HALF:
+            raise OverflowError(f"exponent {e} does not fit a {SLOT_BITS}-bit slot")
+        key += e << (SLOT_BITS * i)
+    return key
+
+
+def unpack(key: int, n: int) -> tuple:
+    """The exponents in slots 0..n-1 of key; ValueError if a later slot is used."""
+    out = []
+    for _ in range(n):
+        e = ((key + SLOT_HALF) & _MASK) - SLOT_HALF
+        out.append(e)
+        key = (key - e) >> SLOT_BITS
+    if key:
+        raise ValueError(f"key uses slots beyond the first {n}")
+    return tuple(out)
+
+
+def unit(i: int) -> int:
+    """The key of the single exponent 1 in slot i."""
+    return 1 << (SLOT_BITS * i)
+
+
+@cache
+def _bias(i: int) -> int:
+    # SLOT_HALF in each of slots 0..i: every lower slot turns nonnegative, so
+    # no borrow reaches slot i
+    return SLOT_HALF * ((unit(i + 1) - 1) // _MASK)
+
+
+def exponent(key: int, i: int) -> int:
+    """The exponent in slot i of key."""
+    return (((key + _bias(i)) >> (SLOT_BITS * i)) & _MASK) - SLOT_HALF
+
+
+def split(key: int, n: int) -> tuple[int, int]:
+    """(low, high): the key of slots 0..n-1 of key, and the key of its slots
+    n, n+1, ... moved down to slots 0, 1, ...; key == low + (high << n slots)."""
+    b = _bias(n - 1)
+    low = ((key + b) & (unit(n) - 1)) - b
+    return low, (key - low) >> (SLOT_BITS * n)
+
+
+# -- the exponent bound -----------------------------------------------------------
+
+
+def exponent_bound(term_dicts) -> int:
+    """max |e_i| over every key of the term dicts, read from the keys."""
+    top = 0
+    for terms in term_dicts:
+        for key in terms:
+            while key:
+                e = ((key + SLOT_HALF) & _MASK) - SLOT_HALF
+                if e > top:
+                    top = e
+                elif -e > top:
+                    top = -e
+                key = (key - e) >> SLOT_BITS
+    return top
+
+
+def product_bound(*parts, extra: int = 0) -> int:
+    """A bound on the exponents of a product of parts (bound, term dicts) times
+    a monomial whose exponents are at most `extra`.
+
+    The parts' bounds add.  Only when that sum would leave the slot is each
+    part's bound read again from its keys; OverflowError if the exact sum
+    still does not fit.
+    """
+    total = extra
+    for b, _ in parts:
+        total += b
+    if total < SLOT_HALF:
+        return total
+    total = extra + sum(exponent_bound(dicts) for _, dicts in parts)
+    if total >= SLOT_HALF:
+        raise OverflowError(f"exponents up to {total} do not fit a {SLOT_BITS}-bit slot")
+    return total
+
+
+# -- arithmetic on term dicts -------------------------------------------------------
 
 
 def add_into(acc: dict, terms: dict, factor=1) -> dict:
@@ -41,7 +155,7 @@ def mul_into(acc: dict, a: dict, b: dict) -> dict:
     get = acc.get
     for kb, vb in b.items():
         for ka, va in a.items():
-            k = tuple(map(int.__add__, ka, kb))
+            k = ka + kb
             w = get(k)
             acc[k] = va * vb if w is None else w + va * vb
     return acc

@@ -14,6 +14,9 @@ reproduces the familiar ordering of the printed genus-2 free energy.
 JSON form: a list of term objects {"coef": "num/den", "sigma": [a, b],
 "jets": {"z1": -2, ...}} in the same canonical order, rationals always
 carrying an explicit denominator.
+
+TEXT_FORM_VERSION names these canonical forms; the per-genus cache stores
+it and ignores a record written under another version.
 """
 from __future__ import annotations
 
@@ -23,15 +26,19 @@ from .jets import JetPoly
 from .ratio import parse_q, qjson, qstr
 from .sigma import SigmaPoly
 
+TEXT_FORM_VERSION = "textform-v1"
+
 
 def term_sort_key(key: tuple):
+    """Canonical order of exponent tuples (sa, sb, e0, ..., eM)."""
     sdeg = key[0] + 3 * key[1]
     jets_desc = tuple(-e for e in key[:3:-1])
     return (sdeg, key[1], jets_desc, -key[3], -key[2])
 
 
-def sorted_keys(p: JetPoly):
-    return sorted(p.terms, key=term_sort_key)
+def sorted_items(p: JetPoly):
+    """p.items() in canonical term order."""
+    return sorted(p.items(), key=lambda kv: term_sort_key(kv[0]))
 
 
 def _factors(key: tuple) -> str:
@@ -50,8 +57,7 @@ def jet_text(p: JetPoly) -> str:
     if not p.terms:
         return "0"
     pieces = []
-    for key in sorted_keys(p):
-        c = p.terms[key]
+    for key, c in sorted_items(p):
         neg = c < 0
         mono = _factors(key)
         body = f"({qstr(-c if neg else c)})" + (f"*{mono}" if mono else "")
@@ -75,7 +81,7 @@ def parse_jet(text: str, cutoff: int) -> JetPoly:
     text = text.strip()
     if text == "0" or not text:
         return JetPoly.zero(cutoff)
-    out = JetPoly.zero(cutoff)
+    terms = []
     for sign, term in _split_terms(text):
         m = _TERM_RE.match(term)
         if not m:
@@ -99,8 +105,8 @@ def parse_jet(text: str, cutoff: int) -> JetPoly:
                 else:
                     k = int(name[1:])
                     jets[k] = jets.get(k, 0) + exp
-        out = out + JetPoly.monomial(coef, tuple(sigma), jets, cutoff)
-    return out
+        terms.append(JetPoly.monomial(coef, tuple(sigma), jets, cutoff))
+    return JetPoly.sum(cutoff, terms)
 
 
 def parse_sigma(text: str) -> SigmaPoly:
@@ -140,18 +146,18 @@ def _split_terms(text: str):
 
 def jet_json(p: JetPoly) -> list:
     out = []
-    for key in sorted_keys(p):
+    for key, c in sorted_items(p):
         jets = {f"z{k}": e for k, e in enumerate(key[2:]) if e}
-        out.append({"coef": qjson(p.terms[key]), "sigma": [key[0], key[1]], "jets": jets})
+        out.append({"coef": qjson(c), "sigma": [key[0], key[1]], "jets": jets})
     return out
 
 
 def jet_from_json(data: list, cutoff: int) -> JetPoly:
-    out = JetPoly.zero(cutoff)
+    terms = []
     for term in data:
         jets = {int(name[1:]): e for name, e in term["jets"].items()}
-        out = out + JetPoly.monomial(parse_q(term["coef"]), tuple(term["sigma"]), jets, cutoff)
-    return out
+        terms.append(JetPoly.monomial(parse_q(term["coef"]), tuple(term["sigma"]), jets, cutoff))
+    return JetPoly.sum(cutoff, terms)
 
 
 def sigma_json(sp: SigmaPoly) -> list:
@@ -176,8 +182,7 @@ def jet_latex(p: JetPoly) -> str:
     if not p.terms:
         return "0"
     pieces = []
-    for key in sorted_keys(p):
-        c = p.terms[key]
+    for key, c in sorted_items(p):
         neg = c < 0
         if neg:
             c = -c

@@ -11,9 +11,8 @@ where xi = (Theta - 1)/Theta.
 from __future__ import annotations
 
 from .jets import CutoffError, JetPoly
-from .ratio import Q, is_rational
+from .ratio import is_rational
 from .sigma import SigmaPoly
-from .sparse import add_into, mul_graded
 
 
 class ThetaPoly:
@@ -76,16 +75,12 @@ class ThetaPoly:
     def __add__(self, other):
         if not isinstance(other, ThetaPoly):
             return NotImplemented
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ThetaPoly(self.cutoff, [self.coeff(d) + other.coeff(d) for d in range(n)])
+        return ThetaPoly.sum(self.cutoff, (self, other))
 
     def __sub__(self, other):
         if not isinstance(other, ThetaPoly):
             return NotImplemented
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ThetaPoly(self.cutoff, [self.coeff(d) - other.coeff(d) for d in range(n)])
+        return ThetaPoly.sum(self.cutoff, (self, -other))
 
     def __neg__(self):
         return ThetaPoly(self.cutoff, [-c for c in self.coeffs])
@@ -93,10 +88,14 @@ class ThetaPoly:
     def __mul__(self, other):
         if isinstance(other, ThetaPoly):
             self._check(other)
-            out = mul_graded(dict(enumerate(c.terms for c in self.coeffs)),
-                             dict(enumerate(c.terms for c in other.coeffs)))
-            return ThetaPoly(self.cutoff, [JetPoly(self.cutoff, out.get(d, {}))
-                                           for d in range(max(out, default=-1) + 1)])
+            if not self or not other:
+                return ThetaPoly(self.cutoff)
+            parts = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    if a and b:
+                        parts[i + j].append(a * b)
+            return ThetaPoly(self.cutoff, [JetPoly.sum(self.cutoff, ps) for ps in parts])
         if isinstance(other, (JetPoly, SigmaPoly)) or is_rational(other):
             return ThetaPoly(self.cutoff, [c * other for c in self.coeffs])
         return NotImplemented
@@ -108,6 +107,18 @@ class ThetaPoly:
             return NotImplemented
         return ThetaPoly(self.cutoff, [c / q for c in self.coeffs])
 
+    @classmethod
+    def sum(cls, cutoff: int, polys) -> "ThetaPoly":
+        """The sum of the polys: each Theta coefficient is accumulated once."""
+        parts: list[list[JetPoly]] = []
+        for tp in polys:
+            if tp.cutoff != cutoff:
+                raise CutoffError("cutoff mismatch")
+            parts.extend([] for _ in range(len(tp.coeffs) - len(parts)))
+            for d, c in enumerate(tp.coeffs):
+                parts[d].append(c)
+        return cls(cutoff, [JetPoly.sum(cutoff, ps) for ps in parts])
+
     # -- derivations --------------------------------------------------------
 
     def derive(self) -> "ThetaPoly":
@@ -115,29 +126,30 @@ class ThetaPoly:
         n = len(self.coeffs)
         if n == 0:
             return self
-        out = [dict() for _ in range(n + 1)]
+        parts: list[list[JetPoly]] = [[] for _ in range(n + 1)]
         for d, c in enumerate(self.coeffs):
-            if c:
-                add_into(out[d], c.derive().terms)
-            if d and c:
+            if not c:
+                continue
+            parts[d].append(c.derive())
+            if d:
                 # d * z1 * c * (Theta^{d+1} - Theta^d)
-                shifted = c.mul_z(1).terms
-                add_into(out[d + 1], shifted, Q(d))
-                add_into(out[d], shifted, Q(-d))
-        return ThetaPoly(self.cutoff, [JetPoly(self.cutoff, t) for t in out])
+                shifted = c.mul_z(1)
+                parts[d + 1].append(shifted * d)
+                parts[d].append(shifted * -d)
+        return ThetaPoly(self.cutoff, [JetPoly.sum(self.cutoff, ps) for ps in parts])
 
     def xi_euler(self) -> "ThetaPoly":
         """Theta (Theta - 1) d/dTheta, treating JetPoly coefficients as constants."""
         n = len(self.coeffs)
         if n == 0:
             return self
-        out = [dict() for _ in range(n + 1)]
+        parts: list[list[JetPoly]] = [[] for _ in range(n + 1)]
         for d, c in enumerate(self.coeffs):
             if d == 0 or not c:
                 continue
-            add_into(out[d + 1], c.terms, Q(d))
-            add_into(out[d], c.terms, Q(-d))
-        return ThetaPoly(self.cutoff, [JetPoly(self.cutoff, t) for t in out])
+            parts[d + 1].append(c * d)
+            parts[d].append(c * -d)
+        return ThetaPoly(self.cutoff, [JetPoly.sum(self.cutoff, ps) for ps in parts])
 
     def max_jet_index(self) -> int:
         return max((c.max_index() for c in self.coeffs), default=-1)

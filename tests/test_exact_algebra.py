@@ -95,7 +95,7 @@ def _random_theta(rng, deg=4, jet_top=6):
             jets = {k: rng.randint(0, 2) for k in rng.sample(range(jet_top), 2)}
             jets[1] = rng.randint(-2, 2)
             p = JetPoly.monomial(Q(rng.randint(-5, 5)), (rng.randint(0, 1), rng.randint(0, 1)), jets, M)
-            for key, v in p.terms.items():
+            for key, v in p.items():
                 terms[key] = terms.get(key, Q(0)) + v
         coeffs.append(JetPoly(M, terms))
     return ThetaPoly(M, coeffs)

@@ -36,7 +36,7 @@ class TestLhs:
         top = li.coeff(i + 1)
         # a single sigma-free monomial in z1^i
         assert len(top.terms) == 1
-        key, val = next(iter(top.terms.items()))
+        key, val = top.items()[0]
         assert key[0] == key[1] == 0 and key[3] == i
         assert all(e == 0 for t, e in enumerate(key[2:]) if t != 1)
 
@@ -108,6 +108,20 @@ class TestSolve:
                 acc = acc + body.partial(j).mul_z(j) * Q(j)
             assert acc == body * Q(2 * g - 2)
 
+    def test_row0_built_once_per_genus(self, monkeypatch):
+        import cubichodge.ptensors as ptensors
+
+        sizes = []
+        build = ptensors._build_row0
+
+        def counted(n_max, cutoff):
+            sizes.append(n_max)
+            return build(n_max, cutoff)
+
+        monkeypatch.setattr(ptensors, "_build_row0", counted)
+        LoopSolver(3).compute(3)
+        assert sizes == [1, 4, 7]
+
     def test_reconstruct_from_gradient(self, h123):
         solver = LoopSolver(2, cutoff=h123[1].body.cutoff)
         h1 = solver.reconstruct(1, h123[0].gradient)
@@ -159,6 +173,25 @@ class TestCache:
         fe.provenance["solver"] = SOLVER_VERSION
         store_cached(str(tmp_path), fe)
         assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is not None
+
+    @pytest.mark.parametrize("version", ["textform-v0", None])
+    def test_other_text_form_version_misses(self, tmp_path, h123, version):
+        import json
+
+        from cubichodge.textform import TEXT_FORM_VERSION
+
+        h2 = h123[1]
+        fe = FreeEnergy(2, h2.gradient, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
+        path = store_cached(str(tmp_path), fe)
+        record = json.load(open(path))
+        assert record["provenance"]["textform"] == TEXT_FORM_VERSION
+        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is not None
+        if version is None:
+            del record["provenance"]["textform"]
+        else:
+            record["provenance"]["textform"] = version
+        json.dump(record, open(path, "w"))
+        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is None
 
     def test_torn_write_keeps_previous_record(self, tmp_path, h123, monkeypatch):
         import json

@@ -1,22 +1,41 @@
 """The sparse-term core against a naive Fraction reference kept here.
 
-Keys are short int tuples over a small range, so random operands share
-monomials often and sums and products cancel; a scale factor may be zero.
+The reference works on exponent tuples; the kernel runs on packed keys made
+and read back through `pack`/`unpack`.  Exponents come from a small range,
+so random operands share monomials often and sums and products cancel, and
+from values near the slot bound (two of them still add up inside a slot);
+the middle slot, like z1 in a JetPoly, goes negative.  A scale factor may be
+zero.
 """
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubichodge.jets import JetPoly
 from cubichodge.sigma import SigmaPoly
-from cubichodge.sparse import add_graded, add_into, mul_graded, mul_into, nonzero, power
+from cubichodge.sparse import (SLOT_HALF, add_graded, add_into, exponent, mul_graded, mul_into,
+                               nonzero, pack, power, product_bound, split, unpack)
 
-keys = st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(-1, 1))
+EDGE = SLOT_HALF // 2 - 1
+small = st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(-1, 1))
+edge = st.tuples(*[st.sampled_from([-EDGE, -1, 0, 1, EDGE])] * 3)
+keys = small | edge
 coefs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 nonzero_coefs = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1), st.integers(1, 3))
 terms = st.dictionaries(keys, nonzero_coefs, max_size=6)
 graded = st.dictionaries(st.integers(-2, 4), st.dictionaries(keys, nonzero_coefs, min_size=1, max_size=6),
                          max_size=4)
+
+
+def packed(t: dict) -> dict:
+    return {pack(k): v for k, v in t.items()}
+
+
+def unpacked(t: dict, n: int = 3) -> dict:
+    return {unpack(k, n): v for k, v in t.items()}
 
 
 def ref_add(a: dict, b: dict, factor=1) -> dict:
@@ -48,47 +67,140 @@ def regroup(flat: dict, top=None) -> dict:
     return out
 
 
+def packed_graded(g: dict) -> dict:
+    return {d: packed(t) for d, t in g.items()}
+
+
+def unpacked_graded(g: dict) -> dict:
+    return {d: unpacked(t) for d, t in g.items()}
+
+
+# -- the key layout -------------------------------------------------------------
+
+
+@given(keys, keys)
+def test_pack_roundtrip_and_linear(a, b):
+    assert unpack(pack(a), 3) == a
+    assert pack(a) + pack(b) == pack(tuple(x + y for x, y in zip(a, b)))
+    for i, e in enumerate(a):
+        assert exponent(pack(a), i) == e
+    low, high = split(pack(a), 1)
+    assert unpack(low, 1) == a[:1] and unpack(high, 2) == a[1:]
+
+
+def test_pack_rejects_overflow():
+    assert unpack(pack((SLOT_HALF - 1, 1 - SLOT_HALF)), 2) == (SLOT_HALF - 1, 1 - SLOT_HALF)
+    for e in (SLOT_HALF, -SLOT_HALF):
+        with pytest.raises(OverflowError):
+            pack((0, e))
+    with pytest.raises(ValueError):
+        unpack(pack((1, 2, 3)), 2)
+
+
+def test_product_bound():
+    near = {pack((EDGE, -EDGE)): 1}
+    assert product_bound((EDGE, [near]), (EDGE, [near])) == 2 * EDGE
+    # a coarse running bound is read again from the keys instead of failing
+    assert product_bound((SLOT_HALF, [near]), (0, [{pack((1,)): 1}])) == EDGE + 1
+    with pytest.raises(OverflowError):
+        product_bound((EDGE, [near]), (EDGE, [near]), extra=2)
+
+
+# -- term-dict arithmetic ----------------------------------------------------------
+
+
 @given(terms, terms, coefs)
 def test_add_into(a, b, factor):
-    acc = dict(a)
-    assert add_into(acc, b, factor) is acc
-    assert acc == ref_add(a, b, factor)
+    acc = packed(a)
+    assert add_into(acc, packed(b), factor) is acc
+    assert unpacked(acc) == ref_add(a, b, factor)
 
 
 @given(terms, terms, terms)
 def test_mul_into(acc, a, b):
-    got = nonzero(mul_into(dict(acc), a, b))
-    assert got == ref_add(acc, ref_mul(a, b))
+    got = nonzero(mul_into(packed(acc), packed(a), packed(b)))
+    assert unpacked(got) == ref_add(acc, ref_mul(a, b))
 
 
 @given(terms, terms)
 def test_cancellation(a, b):
-    assert add_into(dict(a), a, -1) == {}
+    assert add_into(packed(a), packed(a), -1) == {}
     neg_b = {k: -v for k, v in b.items()}
-    assert nonzero(mul_into(mul_into({}, a, b), a, neg_b)) == {}
+    assert nonzero(mul_into(mul_into({}, packed(a), packed(b)), packed(a), packed(neg_b))) == {}
 
 
 def test_cross_terms_cancel():
     x, y = (1, 0), (0, 1)
-    plus = {x: Fraction(1), y: Fraction(1)}
-    minus = {x: Fraction(1), y: Fraction(-1)}
-    assert nonzero(mul_into({}, plus, minus)) == {(2, 0): 1, (0, 2): -1}
+    plus = packed({x: Fraction(1), y: Fraction(1)})
+    minus = packed({x: Fraction(1), y: Fraction(-1)})
+    assert unpacked(nonzero(mul_into({}, plus, minus)), 2) == {(2, 0): 1, (0, 2): -1}
 
 
 @given(graded, graded)
 def test_add_graded(a, b):
-    assert add_graded(a, b) == regroup(ref_add(flatten(a), flatten(b)))
+    got = add_graded(packed_graded(a), packed_graded(b))
+    assert unpacked_graded(got) == regroup(ref_add(flatten(a), flatten(b)))
 
 
 @given(graded, graded, st.one_of(st.none(), st.integers(-4, 8)))
 def test_mul_graded(a, b, top):
     full = ref_mul(flatten(a), flatten(b))
-    assert mul_graded(a, b, top) == regroup(full, top)
+    assert unpacked_graded(mul_graded(packed_graded(a), packed_graded(b), top)) == regroup(full, top)
 
 
-@given(terms.map(lambda t: {k[:2]: v for k, v in t.items() if k[0] >= 0}), st.integers(0, 5))
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), nonzero_coefs, max_size=6),
+       st.integers(0, 5))
 def test_power(t, n):
     expect = {(0, 0): Fraction(1)}
     for _ in range(n):
         expect = ref_mul(expect, t)
-    assert power(SigmaPoly(t), n, SigmaPoly.one()).terms == expect
+    assert dict(power(SigmaPoly(t), n, SigmaPoly.one()).items()) == expect
+
+
+# -- JetPoly: int numerators over one denominator ------------------------------------
+
+M = 2  # keys (s1, s3, z0, z1, z2); only z1 may be negative
+jet_keys = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.integers(-2, 2),
+                     st.integers(0, 1)) | st.tuples(*[st.sampled_from([0, 1, EDGE])] * 3,
+                                                    st.sampled_from([-EDGE, -1, 1, EDGE]),
+                                                    st.sampled_from([0, EDGE]))
+jet_terms = st.dictionaries(jet_keys, nonzero_coefs, max_size=6)
+
+
+@given(jet_terms)
+def test_jet_roundtrip(t):
+    p = JetPoly(M, t)
+    assert dict(p.items()) == t
+    assert all(isinstance(v, int) for v in p.terms.values())
+    assert {unpack(k, M + 3): Fraction(v, p.den) for k, v in p.terms.items()} == t
+
+
+@given(jet_terms, jet_terms)
+def test_jet_canonical(a, b):
+    p, q = JetPoly(M, a), JetPoly(M, b)
+    for r in (p, q, p + q, p - q, p * Fraction(3, 4)):
+        assert r.den > 0 and gcd(r.den, *r.terms.values()) == 1
+    # equal values reached along different routes compare and hash equal
+    for same in ((p + q) - q, (p * Fraction(6, 5)) / Fraction(6, 5), JetPoly.sum(M, [q, p, -q])):
+        assert same == p and hash(same) == hash(p)
+
+
+@given(st.dictionaries(jet_keys.filter(lambda k: max(map(abs, k)) < EDGE), nonzero_coefs, max_size=5),
+       jet_terms)
+def test_jet_mul(a, b):
+    got = JetPoly(M, a) * JetPoly(M, b)
+    assert dict(got.items()) == ref_mul(a, b)
+
+
+def test_jet_overflow_raises():
+    with pytest.raises(OverflowError):
+        JetPoly.z(2, M, SLOT_HALF)
+    with pytest.raises(OverflowError):
+        JetPoly(M, {(0, 0, 0, -SLOT_HALF, 0): 1})
+    big = JetPoly.z(1, M, -EDGE - 1)
+    with pytest.raises(OverflowError):
+        big * big
+    with pytest.raises(OverflowError):
+        big.mul_z(1, -EDGE - 1)
+    with pytest.raises(OverflowError):
+        JetPoly.z(2, M, SLOT_HALF - 1).mul_z(2)
