@@ -39,8 +39,6 @@ class JetPoly:
 
     def __init__(self, cutoff: int, terms=None):
         """`terms` maps exponent tuples (sa, sb, e0, ..., eM) to rationals."""
-        if cutoff < 1:
-            raise ValueError("cutoff must allow at least z0, z1")
         fracs = {}
         bound = 0
         for k, v in (terms or {}).items():
@@ -225,10 +223,10 @@ class JetPoly:
     def max_index(self) -> int:
         """Highest k with z_k actually present; -1 when jet-free."""
         top = -1
-        for key in self.terms:
-            jets = unpack(split(key, 2)[1], self.cutoff + 1)
+        for packed in self.terms:
+            key = unpack(packed, self.cutoff + 3)
             for k in range(self.cutoff, top, -1):
-                if jets[k]:
+                if key[2 + k]:
                     top = k
                     break
         return top

@@ -112,6 +112,7 @@ class PTensorTable:
 
 def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
     pdi = phi_d_inv_all(n_max, n_max)
+    bound = max(s.bound for s in pdi)
     # acc[n][k] accumulates the sigma term dict of the z^-n Theta^k coefficient
     acc: list[dict[int, dict]] = [dict() for _ in range(n_max + 1)]
     for np_ in range(n_max + 1):
@@ -131,7 +132,7 @@ def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
     for n in range(n_max + 1):
         coeffs = [JetPoly.zero(cutoff)] * (max(acc[n], default=0) + 1)
         for k, sig in acc[n].items():
-            coeffs[k] = JetPoly.from_sigma(SigmaPoly.packed(sig), cutoff)
+            coeffs[k] = JetPoly.from_sigma(SigmaPoly.packed(sig, bound), cutoff)
         out.append(ThetaPoly(cutoff, coeffs))
     return out
 

@@ -8,7 +8,7 @@ for degree bookkeeping is deg s1 = 1, deg s3 = 3.
 from __future__ import annotations
 
 from .ratio import Q, QONE, QZERO, is_rational, qstr
-from .sparse import add_into, exponent_bound, mul_into, nonzero, pack, power, product_bound, unpack
+from .sparse import add_into, mul_into, nonzero, pack, power, product_bound, unpack
 
 
 class SigmaPoly:
@@ -26,10 +26,10 @@ class SigmaPoly:
                 self.bound = max(self.bound, a, b)
 
     @classmethod
-    def packed(cls, terms: dict, bound: int | None = None) -> "SigmaPoly":
-        """Wrap a dict of nonzero terms on packed keys; `bound` is read from
-        the keys when not given."""
-        return _raw(terms, exponent_bound((terms,)) if bound is None else bound)
+    def packed(cls, terms: dict, bound: int) -> "SigmaPoly":
+        """Wrap a dict of nonzero terms on packed keys whose exponents are at
+        most `bound`."""
+        return _raw(terms, bound)
 
     # -- constructors -------------------------------------------------
 

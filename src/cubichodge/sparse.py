@@ -9,8 +9,9 @@ built by signed Kronecker packing: slot i holds the exponent e_i times
 Packing is linear, so the key of a product term is the sum of its factors'
 keys, and a negative exponent (z1 in a JetPoly) needs no offset.  For every
 polynomial over Q[s1, s3], slots 0 and 1 hold the s1 and s3 exponents; the
-slots after them hold the jets z0..zM (JetPoly) or t0..tn (TSeries).  `pack`,
-`unpack` and `exponent` are the only code that knows this layout.
+slots after them hold the jets z0..zM (JetPoly) or t0..tn (TSeries).  The
+functions `pack`, `unpack`, `unit`, `exponent` and `split` below are the only
+code that knows this layout.
 
 A key is right only while every slot stays inside the slot.  Each polynomial
 therefore carries a bound on |e_i| over all its terms and slots: products
