@@ -22,7 +22,8 @@ Coefficients are any exact ring values.  SigmaPoly, ZInvSeries, TSeries and
 the Bell tables store Fractions; JetPoly stores int numerators over one
 common denominator.  A graded map {grade: term dict} holds a truncated
 series, one term dict per grade.  Every type adds, multiplies and raises to
-powers through these free functions.
+powers through these free functions; FockPoly (virasoro.py) keeps its own
+tuple keys and uses only `add_into` and `nonzero`, which take any key.
 """
 from __future__ import annotations
 
