@@ -6,7 +6,7 @@ exact coefficients; their commutators close exactly.  The same B~ tensors
 arise once from residue sums A_{k,n} and once from the sigma-specialized
 P~ table, and the two series agree term by term.
 """
-from cubichodge import RationalParams, a_kn, commutator_check, monomial_basis, v_rational
+from cubichodge import RationalParams, a_kn, commutator_grid, monomial_basis, v_rational
 from cubichodge.oracles import specialization_bridge
 from cubichodge.ptensors import PTensorTable
 
@@ -18,8 +18,7 @@ print()
 
 bound = 2 * params.h + 2
 basis = monomial_basis(params, bound + 6 * params.h, bound, 3)
-bad = [(m, n) for m in range(4) for n in range(4)
-       if not all(commutator_check(params, m, n, f)[0] for f in basis)]
+bad = [cell for cell, term in commutator_grid(params, basis, 3).items() if term is not None]
 print(f"commutators [L_m, L_n] = (m - n) L_(m+n) on {len(basis)} basis monomials:",
       "all pass" if not bad else f"failures at {bad}")
 

@@ -6,6 +6,7 @@ and extracts gap polynomials, Faber-type leading terms and tables of cubic
 Hodge intersection numbers.
 """
 from .bell import BellTable, FJetTable, bell_complete, bell_partial
+from .commutators import commutator_grid
 from .jets import CutoffError, ExactDivisionError, JetPoly
 from .linsolve import SolveError, TriangularSystem
 from .loop import FreeEnergy, LoopEquationError, LoopSolver

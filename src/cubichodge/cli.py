@@ -15,6 +15,7 @@ import os
 import sys
 from typing import NoReturn
 
+from .commutators import commutator_grid
 from .jets import JetPoly
 from .loop import LoopSolver
 from .oracles import (btilde11_closed_form_check, c_pair_float_check, chain_rule_check,
@@ -24,7 +25,10 @@ from .outputs import intersection_table, r_poly
 from .ptensors import PTensorTable, top_coefficient_value
 from .ratio import qstr
 from .textform import free_energy_text, jet_json, jet_latex, sigma_json, sigma_text
-from .virasoro import RationalParams, commutator_check, monomial_basis
+# commutator_check is not called here; it stays importable as cli.commutator_check,
+# the name perfbench/tracing.py wraps
+from .virasoro import (BtildeTable, RationalParams, commutator_check,  # noqa: F401
+                       monomial_basis)
 
 
 def _nonnegative(text: str) -> int:
@@ -270,16 +274,18 @@ def _verify_suites(args):
     def bridge():
         table = PTensorTable(3)
         for params in pairs:
-            ok, detail = specialization_bridge(params, table, 4, 8)
+            # one B~ table per pair: each c-pairing is computed once for all four checks
+            btilde = BtildeTable(params, 10)
+            ok, detail = specialization_bridge(params, table, 4, 8, btilde)
             if not ok:
                 return False, detail
-            ok, detail = btilde11_closed_form_check(params)
+            ok, detail = btilde11_closed_form_check(params, btilde=btilde)
             if not ok:
                 return False, f"B~_11 closed form: {detail}"
-            ok, detail = btilde11_integral_check(params)
+            ok, detail = btilde11_integral_check(params, btilde=btilde)
             if not ok:
                 return False, f"integral identity: {detail}"
-            ok, detail = c_pair_float_check(params)
+            ok, detail = c_pair_float_check(params, pairs=btilde.pairs)
             if not ok:
                 return False, f"c-pair floats: {detail}"
         return True, None
@@ -328,21 +334,10 @@ def cmd_virasoro(args) -> int:
     basis = monomial_basis(params, k_cut, bound, args.degree)
     print(f"# (K1,K2)=({params.k1},{params.k2}), basis size {len(basis)}, "
           f"degree <= {args.degree}, s-indices <= {bound}")
-    failures = []
+    grid = commutator_grid(params, basis, args.mmax)
+    failures = [(m, n, term) for (m, n), term in grid.items() if term is not None]
     for m in range(args.mmax + 1):
-        cells = []
-        for n in range(args.mmax + 1):
-            bad = None
-            for f in basis:
-                ok, term = commutator_check(params, m, n, f)
-                if not ok:
-                    bad = (m, n, term)
-                    break
-            if bad:
-                failures.append(bad)
-                cells.append("FAIL")
-            else:
-                cells.append("pass")
+        cells = ["pass" if grid[m, n] is None else "FAIL" for n in range(args.mmax + 1)]
         print(f"[L_{m}, L_n] n=0..{args.mmax}: " + " ".join(cells))
     if failures:
         m, n, term = failures[0]

@@ -14,7 +14,7 @@ from .phiseries import ZInvSeries, binomial_zinv, log_phi, log_phi_shifted, q_nu
 from .ptensors import PTensorTable
 from .ratio import Q, QZERO
 from .theta import ThetaPoly
-from .virasoro import BtildeTable, RationalParams, c_float, c_pair, v_rational
+from .virasoro import BtildeTable, RationalParams, c_float, c_pair_memo, v_rational
 
 
 def theta_xi_coeffs(sigma_coeffs, order: int):
@@ -68,38 +68,49 @@ def row0_shift_oracle(table: PTensorTable, n_max: int, xi_order: int):
     return True, None
 
 
+def _btilde(params: RationalParams, order: int, table: BtildeTable | None) -> BtildeTable:
+    """`table` when a caller shares one (its rows are read to `order`), else a new one."""
+    if table is None:
+        return BtildeTable(params, order)
+    if table.params != params or table.order < order:
+        raise ValueError(f"shared B~ table of order {table.order} cannot serve order {order}")
+    return table
+
+
 def specialization_bridge(params: RationalParams, table: PTensorTable,
-                          ij_max: int, xi_order: int):
+                          ij_max: int, xi_order: int, btilde: BtildeTable | None = None):
     """ptilde with sigma specialized must match the A_{k,n} route term by term."""
     s1, s3 = params.sigma_values()
-    bt = BtildeTable(params, xi_order)
+    bt = _btilde(params, xi_order, btilde)
     table.ensure_row0(ij_max)
     for i in range(ij_max + 1):
         for j in range(ij_max + 1 - i):
             tp = table.ptilde(i, j)
             coeffs = [c.as_sigma().evaluate(s1, s3) for c in tp.coeffs]
             mine = theta_xi_coeffs(coeffs, xi_order)
-            other = bt.row(i, j)
+            other = bt.row(i, j)[: xi_order + 1]
             if mine != other:
                 return False, f"(i,j)=({i},{j}) for K=({params.k1},{params.k2})"
     return True, None
 
 
-def btilde11_closed_form_check(params: RationalParams, order: int = 10):
+def btilde11_closed_form_check(params: RationalParams, order: int = 10,
+                               btilde: BtildeTable | None = None):
     """B~_1,1 against 1/4 Theta^3 - (3/8 - s1/12) Theta^2 + (1/8 - s1/12) Theta."""
     s1, _ = params.sigma_values()
     closed = [QZERO, Q(1, 8) - s1 / 12, -(Q(3, 8) - s1 / 12), Q(1, 4)]
     expect = theta_xi_coeffs(closed, order)
-    got = BtildeTable(params, order).row(1, 1)
+    got = _btilde(params, order, btilde).row(1, 1)[: order + 1]
     if got != expect:
         return False, f"K=({params.k1},{params.k2})"
     return True, None
 
 
-def btilde11_integral_check(params: RationalParams, order: int = 10):
+def btilde11_integral_check(params: RationalParams, order: int = 10,
+                            btilde: BtildeTable | None = None):
     """Term-by-term integral of B~_1,1 / xi against the closed antiderivative."""
     s1, _ = params.sigma_values()
-    series = BtildeTable(params, order).row(1, 1)
+    series = _btilde(params, order, btilde).row(1, 1)
     if series[0]:
         return False, "B~_1,1 has a xi^0 term"
     for n in range(1, order + 1):
@@ -122,19 +133,22 @@ def v1_asymptotic_check(params: RationalParams, order: int = 8):
     return True, None
 
 
-def c_pair_float_check(params: RationalParams, mn_max: int = 3, tol: float = 1e-10):
-    """Every exact pairing against the log-Gamma floats."""
+def c_pair_float_check(params: RationalParams, mn_max: int = 3, tol: float = 1e-10,
+                       pairs: dict | None = None):
+    """Every exact pairing against the log-Gamma floats; `pairs` may hold
+    products computed before (see c_pair_memo)."""
     h = params.h
+    pairs = {} if pairs is None else pairs
     for m in range(mn_max + 1):
         for n in range(mn_max + 1 - m):
             cases = [(alpha, params.k1 - alpha) for alpha in range(1, params.k1)]
             cases += [(alpha, -alpha - params.k2) for alpha in range(-(params.k2 - 1), 0)]
             for alpha, beta in cases:
-                exact = float(c_pair(params, alpha, m, beta, n))
+                exact = float(c_pair_memo(params, pairs, alpha, m, beta, n))
                 approx = c_float(params, alpha + h * m) * c_float(params, beta + h * n)
                 if abs(exact - approx) > tol * max(1.0, abs(approx)):
                     return False, f"(alpha,m,beta,n)=({alpha},{m},{beta},{n})"
-            exact = float(c_pair(params, 0, m, 0, n))
+            exact = float(c_pair_memo(params, pairs, 0, m, 0, n))
             approx = c_float(params, h * (m + 1)) * c_float(params, h * (n + 1))
             if abs(exact - approx) > tol * max(1.0, abs(approx)):
                 return False, f"aligned (m,n)=({m},{n})"

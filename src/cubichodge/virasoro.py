@@ -9,7 +9,12 @@ through the pairing and ratio identities
     c_{k+h l} / c_k = K^l V_l(-b_k),        c_{h l} = K^l V_l(0),
     c_{a+hm} c_{K1-a+hn} = (h/K2) K^{m+n+1} / b_{a+hm} Res_{z=b_{a+hm}} V_{m+n+1},
 
-with a floating log-Gamma oracle available as the independent check.
+with a floating log-Gamma oracle available as the independent check.  A
+BtildeTable keeps each pairing it computes, so checks that share a table
+evaluate every residue once.
+
+virasoro_apply and commutator_check act on one sample at a time; they are
+the reference for the memoised commutator grid in commutators.py.
 """
 from __future__ import annotations
 
@@ -218,6 +223,16 @@ def c_pair(params: RationalParams, alpha: int, m: int, beta: int, n: int):
     raise ValueError(f"alpha = {alpha} outside the pairing identities' range")
 
 
+def c_pair_memo(params: RationalParams, pairs: dict, alpha: int, m: int, beta: int, n: int):
+    """c_pair through `pairs`, a dict keyed by (alpha, m, beta, n) that keeps
+    each product for later calls."""
+    key = (alpha, m, beta, n)
+    got = pairs.get(key)
+    if got is None:
+        got = pairs[key] = c_pair(params, alpha, m, beta, n)
+    return got
+
+
 def c_float(params: RationalParams, k: int) -> float:
     """Floating c_k via log-Gamma; the independent oracle for the pairings."""
     b = float(params.b(k))
@@ -228,14 +243,17 @@ def c_float(params: RationalParams, k: int) -> float:
 # -- A_{k,n} and B~ -------------------------------------------------------------------
 
 
-def a_kn(params: RationalParams, k: int, n: int):
+def a_kn(params: RationalParams, k: int, n: int, pairs: dict | None = None):
     """zeta^n coefficient of B~_{0,k}, assembled from exact c products.
 
     The alpha = beta = 0 block contributes both boundary terms l = 0 and
     l = n (the printed formula in the source drops the l = n one); the
-    identity A_{0,n} = K^n pins the convention."""
+    identity A_{0,n} = K^n pins the convention.  The c products do not
+    depend on k: `pairs` (see c_pair_memo) keeps them across calls."""
     if n == 0:
         return QONE if k == 0 else QZERO
+    if pairs is None:
+        pairs = {}
     h = params.h
     total = QZERO
     for ell in range(1, n):
@@ -243,36 +261,38 @@ def a_kn(params: RationalParams, k: int, n: int):
     total += Q(n) ** k * params.c_int(n)
     if k == 0:
         total += params.c_int(n)
-    for alpha in range(1, params.k1):
+    for alpha in params.index_set_star():
+        beta, weight = (params.k1 - alpha, Q(params.k2, h)) if alpha > 0 else \
+            (-alpha - params.k2, Q(params.k1, h))
         for ell in range(n):
-            pair = c_pair(params, alpha, ell, params.k1 - alpha, n - 1 - ell)
-            total += Q(params.k2, h) * params.b(alpha + h * ell) ** k * pair
-    for alpha in range(-(params.k2 - 1), 0):
-        for ell in range(n):
-            pair = c_pair(params, alpha, ell, -alpha - params.k2, n - 1 - ell)
-            total += Q(params.k1, h) * params.b(alpha + h * ell) ** k * pair
+            pair = c_pair_memo(params, pairs, alpha, ell, beta, n - 1 - ell)
+            total += weight * params.b(alpha + h * ell) ** k * pair
     return total
 
 
-def btilde_row0(params: RationalParams, k: int, order: int):
+def btilde_row0(params: RationalParams, k: int, order: int, pairs: dict | None = None):
     """B~_{0,k} as a xi-series (xi = K zeta): coefficients A_{k,n} / K^n."""
-    return [a_kn(params, k, n) / params.kconst**n for n in range(order + 1)]
+    return [a_kn(params, k, n, pairs) / params.kconst**n for n in range(order + 1)]
 
 
 class BtildeTable:
-    """B~_{i,j} xi-series via the xi d/dxi recursion from row 0."""
+    """B~_{i,j} xi-series via the xi d/dxi recursion from row 0.
+
+    A table keeps its rows and the c products of every row-0 entry, so one
+    table shared by several checks computes each pairing once."""
 
     def __init__(self, params: RationalParams, order: int):
         self.params = params
         self.order = order
         self._cache: dict = {}
+        self.pairs: dict = {}
 
     def row(self, i: int, j: int):
         got = self._cache.get((i, j))
         if got is not None:
             return got
         if i == 0:
-            out = btilde_row0(self.params, j, self.order)
+            out = btilde_row0(self.params, j, self.order, self.pairs)
         else:
             lower = self.row(i - 1, j)
             euler = [Q(n) * c for n, c in enumerate(lower)]

@@ -1,5 +1,8 @@
 import pytest
 
+from cubichodge import virasoro
+from cubichodge.cli import main
+from cubichodge.commutators import OperatorImages, commutator_grid
 from cubichodge.ratio import Q
 from cubichodge.virasoro import (BtildeTable, FockPoly, RationalParams, TruncationViolation,
                                  a_kn, btilde_row0, c_float, c_pair, c_ratio,
@@ -218,13 +221,101 @@ class TestCommutators:
         params = RationalParams(2, 3)
         bound = params.h + 2
         basis = monomial_basis(params, bound + 6 * params.h, bound, 3)
-        for m in range(4):
-            for n in range(4):
-                for f in basis:
-                    ok, term = commutator_check(params, m, n, f)
-                    assert ok, (m, n, term)
+        grid = commutator_grid(params, basis, 3)
+        assert sorted(grid) == [(m, n) for m in range(4) for n in range(4)]
+        for (m, n), term in grid.items():
+            assert term is None, (m, n, term)
 
     def test_basis_size(self):
         basis = monomial_basis(P21, 40, 4, 2)
         # variables: x, s1, s3, s4 -> C(4+2, 2) monomials of degree <= 2
         assert len(basis) == 15
+
+
+def per_sample_grid(params, basis, mmax):
+    """The grid the slow way: commutator_check on each sample until one fails."""
+    out = {}
+    for m in range(mmax + 1):
+        for n in range(mmax + 1):
+            out[m, n] = next((term for ok, term in
+                              (commutator_check(params, m, n, f) for f in basis) if not ok), None)
+    return out
+
+
+class TestCommutatorGrid:
+    def test_agrees_with_per_sample_check(self, monkeypatch):
+        basis = monomial_basis(P12, 8 + 6 * P12.h, 8, 3)
+        grid = commutator_grid(P12, basis, 3)
+        assert grid == per_sample_grid(P12, basis, 3)
+        assert list(grid.values()) == [None] * 16
+        # a wrong operator: doubling every b_k breaks each off-diagonal cell
+        b = RationalParams.b
+        monkeypatch.setattr(RationalParams, "b", lambda self, k: 2 * b(self, k))
+        grid = commutator_grid(P12, basis, 3)
+        assert grid == per_sample_grid(P12, basis, 3)
+        assert sorted(cell for cell, term in grid.items() if term) == \
+            [(m, n) for m in range(4) for n in range(4) if m != n]
+
+    def test_images_match_virasoro_apply(self):
+        k_cut = 8 + 6 * P12.h
+        ops = OperatorImages(P12, k_cut, 5)
+        for f in monomial_basis(P12, k_cut, 8, 3):
+            (key, _), = f.terms.items()
+            i = ops.number(key)
+            for m in range(6):
+                it = iter(ops.image(m, i))
+                image = {ops.keys[t]: Q(c, ops.den) for t, c in zip(it, it)}
+                assert image == virasoro_apply(P12, m, f).terms, (m, key)
+
+    def test_truncation_like_per_sample_check(self):
+        # h = 3: the first index past k_cut = 5 is L_2, past k_cut = 7 it is L_3
+        for k_cut in (5, 7):
+            basis = monomial_basis(P21, k_cut, 4, 2)
+            for mmax in (2, 3):
+                with pytest.raises(TruncationViolation) as slow:
+                    per_sample_grid(P21, basis, mmax)
+                with pytest.raises(TruncationViolation) as fast:
+                    commutator_grid(P21, basis, mmax)
+                assert str(fast.value) == str(slow.value)
+            assert commutator_grid(P21, basis, 1) == per_sample_grid(P21, basis, 1)
+
+    @pytest.mark.parametrize("mmax, degree", [(5, 3), (3, 4)])
+    def test_larger_grid_12(self, mmax, degree):
+        bound = 3 * P12.h + 2
+        basis = monomial_basis(P12, bound + 2 * mmax * P12.h, bound, degree)
+        grid = commutator_grid(P12, basis, mmax)
+        assert len(grid) == (mmax + 1) ** 2
+        assert all(term is None for term in grid.values()), grid
+
+    def test_memos_last_one_call(self, monkeypatch):
+        built, pairs = [], []
+        build, c_pair_ = OperatorImages._build, virasoro.c_pair
+        monkeypatch.setattr(OperatorImages, "_build",
+                            lambda self, *a: built.append(a) or build(self, *a))
+        monkeypatch.setattr(virasoro, "c_pair", lambda *a: pairs.append(a) or c_pair_(*a))
+        argv = ["virasoro", "--k1", "1", "--k2", "2", "--mmax", "3", "--index-bound", "11"]
+        counts = []
+        for _ in range(2):
+            built.clear()
+            assert main(argv) == 0
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
+        counts = []
+        for _ in range(2):
+            pairs.clear()
+            assert main(["verify", "--suite", "bridge", "--pairs", "1,2;2,3"]) == 0
+            counts.append(len(pairs))
+        # each distinct pairing is computed once per call
+        assert counts[0] == counts[1] == len(set(pairs)) > 0
+
+    def test_shared_btilde_table(self):
+        from cubichodge.oracles import (btilde11_closed_form_check, btilde11_integral_check,
+                                        specialization_bridge)
+        from cubichodge.ptensors import PTensorTable
+
+        table = BtildeTable(P12, 10)
+        assert specialization_bridge(P12, PTensorTable(3), 2, 6, table) == (True, None)
+        assert btilde11_closed_form_check(P12, btilde=table) == (True, None)
+        assert btilde11_integral_check(P12, 8, btilde=table) == (True, None)
+        with pytest.raises(ValueError):
+            btilde11_closed_form_check(P12, 12, btilde=table)
