@@ -26,6 +26,12 @@ def energies_g5(solver_g4):
 
 
 @pytest.fixture(scope="session")
+def energies_g6():
+    """H_1..H_6 from one genus-6 solver."""
+    return LoopSolver(6).compute(6)
+
+
+@pytest.fixture(scope="session")
 def h123(solver_g4):
     _, energies, _ = solver_g4
     return energies[:3]

@@ -248,3 +248,23 @@ def test_frozen_hashes_g4_g5(solver_g4, energies_g5):
     }
     got = {name: hashlib.sha256(t.encode()).hexdigest() for name, t in texts.items()}
     assert got == FROZEN_SHA256
+
+
+# sha256 of the canonical text of H_6 and R_6, frozen before L_i and the RHS
+# were built by contracting P~ against jet-only weights.
+FROZEN_SHA256_G6 = {
+    "H_6": "e2f1bb4d7ac9dddcb57354525293f0a5e9fbe81c58d49d7aa3b7cc2b6cc2ffbf",
+    "R_6": "07e0405be557ebed07494d6f3790446d7ad9e60eac57424db37231264f09fee5",
+}
+
+
+def test_frozen_hashes_g6(energies_g6):
+    import hashlib
+
+    from cubichodge.outputs import r_poly
+    from cubichodge.textform import sigma_text
+
+    h6 = energies_g6[5]
+    texts = {"H_6": h6.body_text(), "R_6": sigma_text(r_poly(h6))}
+    got = {name: hashlib.sha256(t.encode()).hexdigest() for name, t in texts.items()}
+    assert got == FROZEN_SHA256_G6
