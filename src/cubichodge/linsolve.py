@@ -44,11 +44,9 @@ class TriangularSystem:
         n = self.size
         xs: list[JetPoly | None] = [None] * n
         for a in range(n, 0, -1):
-            resid = self.rhs[a - 1]
-            for i in range(a, n):
-                entry = self.rows[a - 1][i]
-                if entry:
-                    resid = resid - entry * xs[i]
+            row = self.rows[a - 1]
+            rhs = self.rhs[a - 1]
+            resid = JetPoly.sum(rhs.cutoff, [rhs] + [-row[i] * xs[i] for i in range(a, n) if row[i]])
             try:
                 xs[a - 1] = resid.exact_div(self.rows[a - 1][a - 1])
             except ExactDivisionError as exc:

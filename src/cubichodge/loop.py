@@ -11,6 +11,16 @@ with RHS_1 = Theta^2/16 - (1/16 - s1/24) Theta =: T and for g >= 2
           + 1/2 sum_{i,j} P_{i+1,j+1} (d2 H_{g-1}/dz_i dz_j
                 + sum_{k=1}^{g-1} dH_k/dz_i dH_{g-k}/dz_j).
 
+Neither side forms a dressed P_{a,b} = sum_{k,l} f_{a,k} f_{b,l} P~_{k,l};
+both contract P~ against jet-only weights (PTensorTable.contract):
+
+    L_i = derive^i(Theta) + sum_{k,l} P~_{k,l} Omega^(i)_{k,l},
+    Omega^(i)_{k,l} = sum_{j=1}^i C(i, j) f_{j-1,k} f_{i-j+1,l},
+
+and the quadratic part of RHS_g is sum_{k,l} P~_{k,l} (F^T W F)_{k,l}, with
+W_{i+1,j+1} the bracket above for i <= j, halved on the diagonal (P is
+symmetric, so the upper triangle carries the whole sum).
+
 The Theta rows 1..3g-1 form an invertible triangular system for the
 gradient of H_g; all remaining rows must be matched identically, which is
 asserted after every solve.  H_g itself is recovered from the Euler
@@ -32,6 +42,7 @@ from .linsolve import TriangularSystem
 from .ptensors import PTensorTable
 from .ratio import Q, parse_q, qjson
 from .sigma import SigmaPoly
+from .sparse import exponent_bound
 from .theta import ThetaPoly
 
 SOLVER_VERSION = "loop-solver-v1"
@@ -93,8 +104,8 @@ class LoopSolver:
         got = self._lhs.get(i)
         if got is not None:
             return got
-        acc = ThetaPoly.sum(self.cutoff, [self.dtheta(i)] + [
-            self.table.p(j - 1, i - j + 1) * comb(i, j) for j in range(1, i + 1)])
+        dressed = self.table.contract({(j - 1, i - j + 1): comb(i, j) for j in range(1, i + 1)})
+        acc = self.dtheta(i) + dressed
         if acc.degree != i + 1:
             raise LoopEquationError(f"L_{i} has Theta degree {acc.degree}, expected {i + 1}")
         top = acc.coeff(i + 1)
@@ -118,15 +129,17 @@ class LoopSolver:
             gi = grads[g - 1][i]
             if gi:
                 parts.append(self.derived_base(i + 2) * gi)
+        # W_{i+1,j+1} = w_ij for i <= j, halved on the diagonal; P is symmetric
+        weights = {}
         half = Q(1, 2)
         for i in range(top_prev + 1):
             for j in range(i, top_prev + 1):
                 w = JetPoly.sum(M, [grads[g - 1][i].partial(j)] + [
                     grads[k][i] * grads[g - k][j] for k in range(1, g)
                     if i < len(grads[k]) and j < len(grads[g - k])])
-                if not w:
-                    continue
-                parts.append(self.table.p(i + 1, j + 1) * (w * half if i == j else w))
+                if w:
+                    weights[i + 1, j + 1] = w * half if i == j else w
+        parts.append(self.table.contract(weights))
         return ThetaPoly.sum(M, parts)
 
     # -- the solve -----------------------------------------------------------
@@ -134,7 +147,7 @@ class LoopSolver:
     def solve_genus(self, g: int, lower) -> FreeEnergy:
         t0 = time.monotonic()
         n = 3 * g - 1
-        # L_i for i <= 3g-2 reads row 0 up to z^-(3g-2): build it once for this genus
+        # L_i for i <= 3g-2 reads row 0 up to z^-(3g-2); a no-op after compute sized it
         self.table.ensure_row0(n - 1)
         ell = [self.lhs_coefficient(i) for i in range(n)]
         rhs = self.rhs_genus(g, lower)
@@ -142,7 +155,8 @@ class LoopSolver:
             raise LoopEquationError("RHS carries a Theta^0 component")
         rows = [[ell[i].coeff(a) for i in range(n)] for a in range(1, n + 1)]
         vec = [rhs.coeff(a) for a in range(1, n + 1)]
-        gradient = TriangularSystem(n, rows, vec).solve()
+        # products only add exponent bounds: read the solved entries' bounds from their keys
+        gradient = [_exact_bound(x) for x in TriangularSystem(n, rows, vec).solve()]
         residual = self._apply_lhs(gradient) - rhs
         if residual:
             raise LoopEquationError(f"loop residual nonzero at genus {g}")
@@ -185,7 +199,7 @@ class LoopSolver:
         if gradient[0]:
             raise LoopEquationError(f"dH_{g}/dz0 is nonzero")
         euler = JetPoly.sum(M, [gradient[j].mul_z(j) * j for j in range(1, len(gradient))])
-        body = euler / (2 * g - 2)
+        body = _exact_bound(euler / (2 * g - 2))
         for i in range(len(gradient)):
             if body.partial(i) != gradient[i]:
                 raise LoopEquationError(f"reconstructed body disagrees with gradient at z{i}")
@@ -212,6 +226,9 @@ class LoopSolver:
             if cache_dir:
                 fe = load_cached(cache_dir, g, self.table.fingerprint(), self.cutoff)
             if fe is None:
+                # L_i for i <= 3*genus - 2 reads row 0 up to that power of 1/z:
+                # build it once, at the first genus that is solved
+                self.table.ensure_row0(3 * genus - 2)
                 fe = self.solve_genus(g, energies)
                 if cache_dir:
                     store_cached(cache_dir, fe)
@@ -219,6 +236,13 @@ class LoopSolver:
             if progress:
                 progress(fe)
         return energies
+
+
+def _exact_bound(p: JetPoly) -> JetPoly:
+    """p, its exponent bound set to the largest |exponent| in its keys; p must
+    be fresh, since the bound is set in place."""
+    p.bound = exponent_bound((p.terms,))
+    return p
 
 
 # -- per-genus cache files ------------------------------------------------------

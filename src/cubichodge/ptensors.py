@@ -9,10 +9,20 @@ Row zero comes from the explicit double sum
 assembled as a joint truncated object in (1/z, Theta) and read off at each
 z^-n.  Higher rows follow the recursion P~_{i+1,j} = xi_euler(P~_{i,j}) -
 P~_{i,j+1}; the index symmetry P~_{i,j} = P~_{j,i} is NOT used by the
-construction, so it stays available as a genuine consistency check.  The
-dressed tensors are P_{i,j} = sum_{k,l} f_{i,k} f_{j,l} P~_{k,l}.
+construction, so it stays available as a genuine consistency check.
 
-All entries are cached; the table only ever grows.
+The loop equation reads P~ only through the dressed tensors
+P_{a,b} = sum_{k,l} f_{a,k} f_{b,l} P~_{k,l}, and only in sums
+sum_{a,b} w_{a,b} P_{a,b} with jet weights w.  `contract` evaluates such a
+sum by linearity, without forming any P_{a,b}:
+
+  sum_{a,b} w_{a,b} P_{a,b} = sum_{k,l} P~_{k,l} (F^T w F)_{k,l},
+  (F^T w F)_{k,l} = sum_a f_{a,k} G_{a,l},   G_{a,l} = sum_b w_{a,b} f_{b,l}.
+
+Both passes multiply jet polynomials only, and P~ has sigma-only
+coefficients, so the last step is a sigma x jet product per Theta power.
+
+The P~ entries are cached; the table only ever grows.
 """
 from __future__ import annotations
 
@@ -36,8 +46,6 @@ class PTensorTable:
         self.fjets = FJetTable(cutoff)
         self._row0: list[ThetaPoly] = []
         self._ptilde: dict[tuple[int, int], ThetaPoly] = {}
-        self._gcache: dict[tuple[int, int], ThetaPoly] = {}
-        self._p: dict[tuple[int, int], ThetaPoly] = {}
 
     # -- row zero -------------------------------------------------------
 
@@ -72,27 +80,22 @@ class PTensorTable:
 
     # -- dressing -----------------------------------------------------------
 
-    def _g(self, k: int, j: int) -> ThetaPoly:
-        """sum_l f_{j,l} P~_{k,l}, the inner factor of the dressing."""
-        got = self._gcache.get((k, j))
-        if got is not None:
-            return got
-        lo = 0 if j == 0 else 1
-        acc = ThetaPoly.sum(self.cutoff, [self.ptilde(k, l) * self.fjets.f(j, l)
-                                          for l in range(lo, j + 1)])
-        self._gcache[(k, j)] = acc
-        return acc
-
-    def p(self, i: int, j: int) -> ThetaPoly:
-        """Dressed P_{i,j} = sum_{k<=i, l<=j} f_{i,k} f_{j,l} P~_{k,l}."""
-        got = self._p.get((i, j))
-        if got is not None:
-            return got
-        lo = 0 if i == 0 else 1
-        acc = ThetaPoly.sum(self.cutoff, [self._g(k, j) * self.fjets.f(i, k)
-                                          for k in range(lo, i + 1)])
-        self._p[(i, j)] = acc
-        return acc
+    def contract(self, weights) -> ThetaPoly:
+        """sum_{a,b} w_{a,b} P_{a,b} for weights {(a, b): JetPoly or rational},
+        as sum_{k,l} P~_{k,l} (F^T w F)_{k,l}; no P_{a,b} is formed."""
+        M, f = self.cutoff, self.fjets.f
+        outer: dict[tuple[int, int], list] = {}
+        for (a, b), w in weights.items():
+            for l in range(0 if b == 0 else 1, b + 1):
+                outer.setdefault((a, l), []).append(f(b, l) * w)
+        inner: dict[tuple[int, int], list] = {}
+        for (a, l), parts in outer.items():
+            g = JetPoly.sum(M, parts)
+            if g:
+                for k in range(0 if a == 0 else 1, a + 1):
+                    inner.setdefault((k, l), []).append(f(a, k) * g)
+        return ThetaPoly.sum(M, [self.ptilde(k, l) * JetPoly.sum(M, parts)
+                                 for (k, l), parts in inner.items()])
 
     # -- provenance and diagnostics ----------------------------------------
 

@@ -108,7 +108,7 @@ class TestSolve:
                 acc = acc + body.partial(j).mul_z(j) * Q(j)
             assert acc == body * Q(2 * g - 2)
 
-    def test_row0_built_once_per_genus(self, monkeypatch):
+    def test_row0_built_once_per_compute(self, monkeypatch, tmp_path):
         import cubichodge.ptensors as ptensors
 
         sizes = []
@@ -119,8 +119,18 @@ class TestSolve:
             return build(n_max, cutoff)
 
         monkeypatch.setattr(ptensors, "_build_row0", counted)
-        LoopSolver(3).compute(3)
-        assert sizes == [1, 4, 7]
+        LoopSolver(3).compute(3, cache_dir=str(tmp_path))
+        assert sizes == [7]
+        # a fully cached run solves nothing and builds no row 0
+        LoopSolver(3).compute(3, cache_dir=str(tmp_path))
+        assert sizes == [7]
+
+    def test_exponent_bounds_are_exact(self, energies_g5):
+        from cubichodge.sparse import exponent_bound
+
+        for fe in energies_g5:
+            for p in [fe.body] + fe.gradient:
+                assert p.bound == exponent_bound((p.terms,)), fe.genus
 
     def test_reconstruct_from_gradient(self, h123):
         solver = LoopSolver(2, cutoff=h123[1].body.cutoff)

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from cubichodge.jets import JetPoly
@@ -74,24 +76,79 @@ class TestPtilde:
                 assert not table.ptilde(i, j).coeff(0)
 
 
+def dressed(table, a, b, memo=None):
+    """The dressed P_{a,b} = sum_{k,l} f_{a,k} f_{b,l} P~_{k,l}, formed term by term:
+    the reference for PTensorTable.contract, which never forms it."""
+    if memo is not None and (a, b) in memo:
+        return memo[a, b]
+    f = table.fjets.f
+    out = ThetaPoly.sum(table.cutoff, [table.ptilde(k, l) * (f(a, k) * f(b, l))
+                                       for k in range(a + 1) for l in range(b + 1)
+                                       if f(a, k) and f(b, l)])
+    if memo is not None:
+        memo[a, b] = out
+    return out
+
+
 class TestDressed:
     def test_p00(self, table):
-        assert table.p(0, 0) == ThetaPoly.theta(M)
+        assert dressed(table, 0, 0) == ThetaPoly.theta(M)
 
     def test_p01(self, table):
         z1 = JetPoly.z(1, M)
         expect = table.row0(1) * z1
-        assert table.p(0, 1) == expect
-        assert table.p(0, 1).coeff(2) == z1 * Q(1, 2)
+        assert dressed(table, 0, 1) == expect
+        assert dressed(table, 0, 1).coeff(2) == z1 * Q(1, 2)
 
     def test_p11_single_dressing_term(self, table):
         z1 = JetPoly.z(1, M)
-        assert table.p(1, 1) == table.ptilde(1, 1) * (z1 * z1)
+        assert dressed(table, 1, 1) == table.ptilde(1, 1) * (z1 * z1)
 
     def test_jet_bound(self, table):
         for i in range(4):
             for j in range(4):
-                assert table.p(i, j).max_jet_index() <= max(i, j, -1)
+                assert dressed(table, i, j).max_jet_index() <= max(i, j, -1)
+
+    def test_contract_matches_dressed_sum(self, table):
+        z2 = JetPoly.z(2, M)
+        weights = {(0, 2): Q(3), (1, 0): z2, (2, 1): z2, (3, 3): z2 * Q(-1, 2)}
+        expect = ThetaPoly.sum(M, [dressed(table, a, b) * w for (a, b), w in weights.items()])
+        assert table.contract(weights) == expect
+
+
+def dressed_lhs(solver, i, memo):
+    """L_i = derive^i(Theta) + sum_{j=1}^i C(i, j) P_{j-1, i-j+1} over dressed P."""
+    return ThetaPoly.sum(solver.cutoff, [solver.dtheta(i)] + [
+        dressed(solver.table, j - 1, i - j + 1, memo) * comb(i, j) for j in range(1, i + 1)])
+
+
+def dressed_rhs(solver, g, lower, memo):
+    """RHS_g for g >= 2 over dressed P, summed over i <= j by the symmetry of P."""
+    M = solver.cutoff
+    grads = [None] + [fe.gradient for fe in lower[: g - 1]]
+    top_prev = 3 * (g - 1) - 2
+    parts = [solver.derived_base(i + 2) * grads[g - 1][i]
+             for i in range(top_prev + 1) if grads[g - 1][i]]
+    for i in range(top_prev + 1):
+        for j in range(i, top_prev + 1):
+            w = JetPoly.sum(M, [grads[g - 1][i].partial(j)] + [
+                grads[k][i] * grads[g - k][j] for k in range(1, g)
+                if i < len(grads[k]) and j < len(grads[g - k])])
+            if w:
+                parts.append(dressed(solver.table, i + 1, j + 1, memo) * (w * Q(1, 2) if i == j else w))
+    return ThetaPoly.sum(M, parts)
+
+
+def test_contracted_loop_terms_match_dressed_route(energies_g5):
+    from cubichodge.loop import LoopSolver
+
+    solver = LoopSolver(5)
+    assert solver.cutoff == energies_g5[0].body.cutoff
+    memo = {}
+    for i in range(3 * 5 - 1):
+        assert solver.lhs_coefficient(i) == dressed_lhs(solver, i, memo), i
+    for g in range(2, 6):
+        assert solver.rhs_genus(g, energies_g5) == dressed_rhs(solver, g, energies_g5, memo), g
 
 
 class TestXiOracle:
