@@ -48,7 +48,7 @@ class TriangularSystem:
             rhs = self.rhs[a - 1]
             resid = JetPoly.sum(rhs.cutoff, [rhs] + [-row[i] * xs[i] for i in range(a, n) if row[i]])
             try:
-                xs[a - 1] = resid.exact_div(self.rows[a - 1][a - 1])
+                xs[a - 1] = resid.exact_div(row[a - 1])
             except ExactDivisionError as exc:
                 raise ExactDivisionError(f"non-exact division at Theta row {a}: {exc}") from exc
         return xs

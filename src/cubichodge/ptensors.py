@@ -84,18 +84,19 @@ class PTensorTable:
         """sum_{a,b} w_{a,b} P_{a,b} for weights {(a, b): JetPoly or rational},
         as sum_{k,l} P~_{k,l} (F^T w F)_{k,l}; no P_{a,b} is formed."""
         M, f = self.cutoff, self.fjets.f
-        outer: dict[tuple[int, int], list] = {}
+        # f_{b,l} vanishes for l > b, and for l = 0 unless b = 0
+        g_parts: dict[tuple[int, int], list] = {}
         for (a, b), w in weights.items():
             for l in range(0 if b == 0 else 1, b + 1):
-                outer.setdefault((a, l), []).append(f(b, l) * w)
-        inner: dict[tuple[int, int], list] = {}
-        for (a, l), parts in outer.items():
+                g_parts.setdefault((a, l), []).append(f(b, l) * w)
+        fwf_parts: dict[tuple[int, int], list] = {}
+        for (a, l), parts in g_parts.items():
             g = JetPoly.sum(M, parts)
             if g:
                 for k in range(0 if a == 0 else 1, a + 1):
-                    inner.setdefault((k, l), []).append(f(a, k) * g)
+                    fwf_parts.setdefault((k, l), []).append(f(a, k) * g)
         return ThetaPoly.sum(M, [self.ptilde(k, l) * JetPoly.sum(M, parts)
-                                 for (k, l), parts in inner.items()])
+                                 for (k, l), parts in fwf_parts.items()])
 
     # -- provenance and diagnostics ----------------------------------------
 
