@@ -142,3 +142,27 @@ class TestFirstFlow:
         h1 = h123[0]
         fake = FreeEnergy(1, h1.gradient, h1.body, log_z1_coeff=Q(1, 23))
         assert not first_flow_check(fake, 3)
+
+
+# sha256 of the exact `hodge --integrals --format json` stdout for three
+# tables above genus 3, frozen before v(t) was built from its closed form.
+FROZEN_HODGE_SHA256 = {
+    (4, 4, 6): "5c130aea41220f83a6d9f2ca424a9d3aba927b015212c489a00eeec87ad1e621",
+    (5, 3, 5): "2f761e14c3d1caa1c084525efbacc697be7afd03baa05bae148654603973d64a",
+    (6, 3, 5): "961209924722305f9caa2b94fd958e5cc6a1232f6766ab7f06c5de92fbb1a56e",
+}
+
+
+def test_frozen_hodge_tables(energies_g6):
+    import hashlib
+    import json
+
+    from cubichodge.textform import sigma_json
+
+    got = {}
+    for g, tmax, dmax in FROZEN_HODGE_SHA256:
+        rows = intersection_table(energies_g6[g - 1], tmax, dmax, normalized=True)
+        data = [{"indices": list(idx), "coefficient": sigma_json(sp)} for idx, sp in rows]
+        text = json.dumps({"genus": g, "table": data}, indent=1) + "\n"
+        got[(g, tmax, dmax)] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == FROZEN_HODGE_SHA256
