@@ -5,7 +5,7 @@ exact rational arithmetic, verifies the rational-case Virasoro structure,
 and extracts gap polynomials, Faber-type leading terms and tables of cubic
 Hodge intersection numbers.
 """
-from .bell import BellTable, FJetTable, bell_complete, bell_partial
+from .bell import BellTable, FJetTable, bell_complete
 from .commutators import commutator_grid
 from .jets import CutoffError, ExactDivisionError, JetPoly
 from .linsolve import SolveError, TriangularSystem
@@ -23,8 +23,3 @@ from .virasoro import (BtildeTable, FockPoly, RationalParams, a_kn, btilde_row0,
                        v_rational, virasoro_apply)
 
 __version__ = "0.1.0"
-
-
-def compute_free_energies(genus: int, cache_dir: str | None = None):
-    """Convenience wrapper: H_1..H_genus with a fresh solver."""
-    return LoopSolver(genus).compute(genus, cache_dir=cache_dir)

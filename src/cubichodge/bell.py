@@ -17,6 +17,9 @@ from .jets import JetPoly
 from .ratio import Q, QONE
 from .sparse import mul_into, nonzero, pack, unit, unpack
 
+# FJetTable checks its rows f_{i,j} for i <= SELFCHECK_TO against the Bell table
+SELFCHECK_TO = 8
+
 
 class BellTable:
     """Cache of partial Bell polynomials up to n_max.
@@ -67,12 +70,6 @@ class BellTable:
         return total
 
 
-def bell_partial(n: int, k: int, table: BellTable | None = None) -> dict:
-    if table is None:
-        table = BellTable(n)
-    return table.bell_partial(n, k)
-
-
 def bell_complete_all(n: int, xs, one):
     """Complete Bell values B_0..B_n at xs[0] = X_1, ... via the recurrence
     B_{m+1} = sum_i C(m, i) B_{m-i} X_{i+1}; equals the sum over k of the
@@ -94,11 +91,10 @@ def bell_complete(n: int, xs, one):
 class FJetTable:
     """f_{i,j} jet polynomials at a fixed cutoff, with the Bell cross-check."""
 
-    def __init__(self, cutoff: int, selfcheck_to: int = 8):
+    def __init__(self, cutoff: int):
         self.cutoff = cutoff
         self._zero = JetPoly.zero(cutoff)
         self._rows = [[JetPoly.one(cutoff)]]
-        self._selfcheck_to = selfcheck_to
         self._verified_to = 0
 
     def f(self, i: int, j: int) -> JetPoly:
@@ -119,7 +115,7 @@ class FJetTable:
                 row.append(up + z1 * prev[j])
             self._rows.append(row)
         if grew:
-            top = min(len(self._rows) - 1, self._selfcheck_to)
+            top = min(len(self._rows) - 1, SELFCHECK_TO)
             if top > self._verified_to:
                 self._verify_against_bell(self._verified_to + 1, top)
                 self._verified_to = top

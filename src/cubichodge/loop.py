@@ -216,7 +216,7 @@ class LoopSolver:
 
     # -- driving --------------------------------------------------------------
 
-    def compute(self, genus: int, cache_dir: str | None = None, progress=None):
+    def compute(self, genus: int, cache_dir: str | None = None):
         """H_1..H_genus, resuming from the cache when directory and hash match."""
         if genus > self.genus_max:
             raise ValueError("genus exceeds the solver's configured bound")
@@ -233,8 +233,6 @@ class LoopSolver:
                 if cache_dir:
                     store_cached(cache_dir, fe)
             energies.append(fe)
-            if progress:
-                progress(fe)
         return energies
 
 

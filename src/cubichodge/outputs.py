@@ -2,7 +2,8 @@
 Hodge intersection tables and the first-flow consistency check.
 
 TSeries is a total-degree truncated power series in t_0..t_{n_max} with
-coefficients in Q[s1, s3].  v(t) solves v = sum_i t_i v^i / i!; its jets
+coefficients in Q[s1, s3].  v(t) solves v = sum_i t_i v^i / i! and is
+built term by term from its Lagrange-inversion closed form; its t0-jets
 substitute into a free energy to expand H_g back into intersection-number
 data (coefficients are reported raw; the factorial-normalized view is a
 formatting concern).
@@ -190,59 +191,31 @@ def _tseries(n_max: int, d_max: int, grades: dict, bound: int) -> TSeries:
 # -- genus zero -----------------------------------------------------------------
 
 
-def v_series(n_max: int, d_max: int, cross_check: bool = True) -> TSeries:
-    """v(t) = d^2 H_0 / dt_0^2 by fixed-point iteration of v = sum t_i v^i / i!."""
-    ts = [TSeries.t(i, n_max, d_max) for i in range(n_max + 1)]
-    v = TSeries.zero(n_max, d_max)
-    for _ in range(d_max):
-        acc = ts[0]
-        p = v
-        for i in range(1, n_max + 1):
-            if not p:
-                break
-            acc = acc + ts[i] * p * Q(1, factorial(i))
-            p = p * v
-        v = acc
-    if cross_check:
-        _check_v_explicit(v, min(4, d_max))
-    return v
+def v_series(n_max: int, d_max: int) -> TSeries:
+    """v(t) = d^2 H_0 / dt_0^2, the solution of v = sum_i t_i v^i / i!, from
+    its Lagrange-inversion closed form.
 
+    The coefficient of prod t_i^m_i is (n-1)! / prod(m_i! (i!)^m_i) with
+    n = sum m_i, and only monomials with sum i m_i = n - 1 occur; so
+    m_0 = 1 + sum_{i>=2} (i-1) m_i and n = 1 + sum_{i>=1} i m_i <= d_max.
+    """
+    terms = {}
 
-def _check_v_explicit(v: TSeries, deg: int) -> None:
-    """Compare against the explicit sum over index tuples with i_1+..+i_n = n-1."""
-    expect = {}
-    for n in range(1, deg + 1):
-        # sum over multisets {i_1..i_n} with sum = n - 1; each multiset of
-        # multiplicities m_i contributes (1/n) n!/(prod m_i!) / prod (i_j!)
-        def gen(slots_left, remaining, start, counts):
-            if slots_left == 0:
-                if remaining == 0:
-                    mult = factorial(n)
-                    w = Q(1, n)
-                    for i, m in counts.items():
-                        mult //= factorial(m)
-                        w /= Q(factorial(i)) ** m
-                    key = [0] * (v.n_max + 1)
-                    for i, m in counts.items():
-                        key[i] = m
-                    k = tuple(key)
-                    expect[k] = expect.get(k, QZERO) + w * mult
-                return
-            for i in range(start, remaining + 1):
-                if i > v.n_max:
-                    break
-                counts[i] = counts.get(i, 0) + 1
-                gen(slots_left - 1, remaining - i, i, counts)
-                counts[i] -= 1
-                if not counts[i]:
-                    del counts[i]
+    def place(i: int, ms: tuple, room: int) -> None:
+        # ms = (m_1, .., m_{i-1}); room bounds sum_{j>=i} j m_j
+        if i <= n_max:
+            for m in range(room // i + 1):
+                place(i + 1, ms + (m,), room - i * m)
+            return
+        key = (1 + sum((j - 1) * m for j, m in enumerate(ms, 1)),) + ms
+        c = Q(factorial(sum(key) - 1))
+        for j, m in enumerate(key):
+            c /= factorial(m) * factorial(j) ** m
+        terms[key] = SigmaPoly.const(c)
 
-        gen(n, n - 1, 0, {})
-    for key, val in expect.items():
-        if v.coefficient(key) != SigmaPoly.const(val):
-            raise AssertionError(f"v(t) fixed point disagrees with the explicit sum at {key}")
-    if any(split(k, 2)[0] for d, t in v.grades.items() if d <= deg for k in t):
-        raise AssertionError("v(t) picked up sigma dependence")
+    if d_max >= 1:
+        place(1, (), d_max - 1)
+    return TSeries(n_max, d_max, terms)
 
 
 def t0_jets(v: TSeries, count: int) -> list:
@@ -252,10 +225,9 @@ def t0_jets(v: TSeries, count: int) -> list:
     return jets
 
 
-def riemann_check(i: int, order: int, n_max: int | None = None) -> bool:
+def riemann_check(i: int, order: int) -> bool:
     """dv/dt_i = (v^i / i!) dv/dt_0 on TSeries, exact to the given degree."""
-    n_max = max(i, 1) if n_max is None else n_max
-    v = v_series(n_max, order + 1, cross_check=False)
+    v = v_series(max(i, 1), order + 1)
     lhs = v.diff(i)
     rhs = v**i * v.diff(0) * Q(1, factorial(i))
     return all(lhs.grades.get(d) == rhs.grades.get(d) for d in range(order + 1))
@@ -310,18 +282,15 @@ def h1_gap_check(fe: FreeEnergy) -> bool:
 # -- Hodge tables --------------------------------------------------------------------
 
 
-def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int, v: TSeries | None = None) -> TSeries:
+def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
     """H_g(v, v', ...) as a t-series; raw monomial coefficients.
 
-    The genus-g expansion differentiates v up to 3g-2 times, so the working
-    v is built (or must be supplied) with that much degree headroom before
-    truncating back to d_max.
+    The genus-g expansion differentiates v up to 3g-2 times, so v is built
+    from its closed form with that much degree headroom and its t0-jets are
+    truncated back to d_max.
     """
     pad = fe.max_jet_index()
-    if v is None:
-        v = v_series(n_max, d_max + pad, cross_check=False)
-    elif v.d_max < d_max + pad:
-        raise ValueError(f"supplied v needs degree >= {d_max + pad}")
+    v = v_series(n_max, d_max + pad)
     jets = [j.truncate(d_max) for j in t0_jets(v, pad)]
     if fe.genus == 1:
         return jets[1].log() * fe.log_z1_coeff + jets[0] * fe.body.sigma_coefficient({0: 1})
@@ -382,7 +351,7 @@ def first_flow_check(h1: FreeEnergy, order: int = 3) -> bool:
     if h1.genus != 1:
         raise ValueError("first_flow_check takes the genus-1 free energy")
     n_max, d_max = max(order, 2), order + 4
-    v = v_series(n_max, d_max, cross_check=False)
+    v = v_series(n_max, d_max)
     v1 = v.diff(0)
     sig1 = h1.body.sigma_coefficient({0: 1})
     # Delta = d^2/dt0^2 of H_1(v, v')

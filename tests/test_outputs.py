@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from cubichodge.jets import JetPoly
@@ -25,8 +27,21 @@ class TestVSeries:
         v = v_series(2, 4)
         assert v.coefficient((2, 0, 1)) == SigmaPoly.const(Q(1, 2))
 
-    def test_explicit_cross_check_runs(self):
-        v_series(3, 4, cross_check=True)
+    @pytest.mark.parametrize("n_max,d_max", [(4, 10), (6, 12)])
+    def test_defining_equation(self, n_max, d_max):
+        # v = t_0 + sum_{i>=1} t_i v^i / i!, checked with TSeries arithmetic
+        v = v_series(n_max, d_max)
+        rhs = TSeries.t(0, n_max, d_max)
+        p = TSeries.const(1, n_max, d_max)
+        for i in range(1, n_max + 1):
+            p = p * v
+            rhs = rhs + TSeries.t(i, n_max, d_max) * p * Q(1, factorial(i))
+        assert v == rhs
+
+    @pytest.mark.parametrize("n_max,d_max", [(0, 5), (1, 6), (2, 4), (4, 16), (3, 18), (6, 12)])
+    def test_bound_is_exact(self, n_max, d_max):
+        v = v_series(n_max, d_max)
+        assert v.bound == max(max(k) for k in v.coefficients())
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
     def test_riemann(self, i):
