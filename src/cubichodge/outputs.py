@@ -213,8 +213,7 @@ def v_series(n_max: int, d_max: int) -> TSeries:
             c /= factorial(m) * factorial(j) ** m
         terms[key] = SigmaPoly.const(c)
 
-    if d_max >= 1:
-        place(1, (), d_max - 1)
+    place(1, (), d_max - 1)
     return TSeries(n_max, d_max, terms)
 
 
