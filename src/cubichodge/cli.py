@@ -150,8 +150,7 @@ def _emit_body(fe, fmt: str) -> str:
 def cmd_compute(args) -> int:
     genus = _require_genus(args)
     solver = _solver(args, genus)
-    energies = solver.compute(genus, cache_dir=args.cache_dir)
-    print(_emit_body(energies[-1], args.format))
+    print(_emit_body(solver.free_energy(genus, args.cache_dir), args.format))
     if args.dump_ptable:
         with open(args.dump_ptable, "w") as fh:
             json.dump(solver.table.dump_json(), fh, indent=1, sort_keys=True)
@@ -162,8 +161,7 @@ def cmd_compute(args) -> int:
 def cmd_rg(args) -> int:
     genus = _require_genus(args, minimum=2)
     solver = _solver(args, genus)
-    energies = solver.compute(genus, cache_dir=args.cache_dir)
-    rg = r_poly(energies[-1])
+    rg = r_poly(solver.free_energy(genus, args.cache_dir))
     if args.format == "text":
         print(f"R_{genus} = {sigma_text(rg)}")
     elif args.format == "latex":
@@ -176,7 +174,7 @@ def cmd_rg(args) -> int:
 def cmd_hodge(args) -> int:
     genus = _require_genus(args)
     solver = _solver(args, genus)
-    fe = solver.compute(genus, cache_dir=args.cache_dir)[-1]
+    fe = solver.free_energy(genus, args.cache_dir)
     rows = intersection_table(fe, args.tmax, args.dmax, normalized=args.integrals)
     if args.format == "json":
         data = [{"indices": list(idx), "coefficient": sigma_json(sp)} for idx, sp in rows]

@@ -235,6 +235,17 @@ class LoopSolver:
             energies.append(fe)
         return energies
 
+    def free_energy(self, genus: int, cache_dir: str | None = None) -> FreeEnergy:
+        """H_genus alone: its cache record when that is valid, else the last
+        of `compute(genus, cache_dir)`; lower genera are read only then."""
+        if genus > self.genus_max:
+            raise ValueError("genus exceeds the solver's configured bound")
+        if cache_dir:
+            fe = load_cached(cache_dir, genus, self.table.fingerprint(), self.cutoff)
+            if fe is not None:
+                return fe
+        return self.compute(genus, cache_dir)[-1]
+
 
 def _exact_bound(p: JetPoly) -> JetPoly:
     """p, its exponent bound set to the largest |exponent| in its keys; p must

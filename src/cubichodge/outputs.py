@@ -17,7 +17,8 @@ from .loop import FreeEnergy
 from .phiseries import bernoulli
 from .ratio import Q, QZERO, is_rational
 from .sigma import SigmaPoly
-from .sparse import add_graded, exponent, mul_graded, pack, power, product_bound, split, unit, unpack
+from .sparse import (add_graded, exponent, mul_graded, mul_into, nonzero, pack, power, product_bound,
+                     split, unit, unpack)
 
 
 class TSeries:
@@ -169,9 +170,6 @@ class TSeries:
             acc = acc + p * Q((-1) ** (k + 1), k)
         return acc
 
-    def zpow(self, e: int) -> "TSeries":
-        return self**e if e >= 0 else self.recip() ** (-e)
-
     def truncate(self, d_max: int) -> "TSeries":
         if d_max > self.d_max:
             raise ValueError("cannot extend a degree truncation")
@@ -287,6 +285,14 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
     The genus-g expansion differentiates v up to 3g-2 times, so v is built
     from its closed form with that much degree headroom and its t0-jets are
     truncated back to d_max.
+
+    For g >= 2 the jets v^(k) are sigma-free, so the body is grouped by its
+    jet part and each distinct product prod_k (v^(k))^e_k is formed once,
+    then scattered over its group's sigma terms.  The jet parts are walked in
+    sorted order as factor tuples ((k, e_k), ...), k descending, keeping one
+    chain of partial products for the current prefix: a prefix shared by
+    neighbouring tuples is multiplied once.  Each power is one factor times
+    the power next to it, with one `recip` per jet.
     """
     pad = fe.max_jet_index()
     v = v_series(n_max, d_max + pad)
@@ -298,19 +304,43 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
     def jet_power(k, e):
         got = powers.get((k, e))
         if got is None:
-            got = jets[k].zpow(e)
+            if e == 1:
+                got = jets[k]
+            elif e == -1:
+                got = jets[k].recip()
+            else:
+                step = 1 if e > 0 else -1
+                got = jet_power(k, e - step) * jet_power(k, step)
             powers[(k, e)] = got
         return got
 
-    acc = TSeries.zero(n_max, d_max)
+    # jet part (factor tuple) -> {packed (a, b): coefficient}
+    groups: dict[tuple, dict] = {}
     for key, c in fe.body.items():
-        term = TSeries.const(SigmaPoly.monomial(key[0], key[1], c), n_max, d_max)
-        for k in range(fe.body.cutoff + 1):
-            e = key[2 + k]
-            if e:
-                term = term * jet_power(k, e)
-        acc = acc + term
-    return acc
+        factors = tuple((k, e) for k, e in reversed(tuple(enumerate(key[2:]))) if e)
+        groups.setdefault(factors, {})[pack(key[:2])] = c
+    one = TSeries.const(1, n_max, d_max)
+    chain: list[tuple[tuple[int, int], TSeries]] = []  # (factor, product of the prefix through it)
+    out: dict[int, dict] = {}
+    bound = fe.body.bound  # bounds the sigma slots; each product bounds its t-slots
+    for factors in sorted(groups):
+        shared = 0
+        while shared < min(len(chain), len(factors)) and chain[shared][0] == factors[shared]:
+            shared += 1
+        del chain[shared:]
+        for f in factors[shared:]:
+            if not chain:
+                chain.append((f, jet_power(*f)))
+            else:
+                # a prefix with no terms up to d_max stays zero: skip its products
+                prefix = chain[-1][1]
+                chain.append((f, prefix * jet_power(*f) if prefix else prefix))
+        product = chain[-1][1] if chain else one
+        bound = max(bound, product.bound)
+        for d, terms in product.grades.items():
+            mul_into(out.setdefault(d, {}), groups[factors], terms)
+    grades = {d: nonzero(t) for d, t in out.items()}
+    return _tseries(n_max, d_max, {d: t for d, t in grades.items() if t}, bound)
 
 
 def dimension_check(g: int, series: TSeries):
@@ -327,7 +357,12 @@ def dimension_check(g: int, series: TSeries):
 
 def intersection_table(fe: FreeEnergy, n_max: int, d_max: int, normalized: bool = False):
     """Rows ((i_1..i_n), SigmaPoly) sorted canonically; normalized multiplies by
-    the automorphism factors prod m_i! to give the bracket values."""
+    the automorphism factors prod m_i! to give the bracket values.
+
+    By the dimension constraint sum(i_a) + a + 3b = 3g - 3 + n with n <= d_max,
+    no t_i with i > 3g - 3 + d_max occurs, so the expansion stops there.
+    """
+    n_max = min(n_max, 3 * fe.genus - 3 + d_max)
     coefficients = hodge_expand(fe, n_max, d_max).coefficients()
     rows = []
     for key in sorted(coefficients, key=lambda k: (sum(k), k)):

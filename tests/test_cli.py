@@ -112,6 +112,38 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert os.path.exists(os.path.join(cache, "free_energy_g1.json"))
 
 
+def test_warm_commands_read_only_the_requested_genus(tmp_path, capsys, monkeypatch):
+    import cubichodge.cli as cli
+
+    cache = str(tmp_path / "cache")
+    assert run_cli(capsys, "compute", "--genus", "3", "--cache-dir", cache)[0] == 0
+    commands = [("hodge", "--genus", "3", "--tmax", "3", "--dmax", "4", "--format", "json"),
+                ("rg", "--genus", "3"),
+                ("compute", "--genus", "3")]
+    before = [run_cli(capsys, *argv, "--cache-dir", cache) for argv in commands]
+    for g in (1, 2):
+        os.unlink(os.path.join(cache, f"free_energy_g{g}.json"))
+
+    def no_solving(self, g, lower):
+        raise AssertionError(f"genus {g} solved from a warm cache")
+
+    monkeypatch.setattr(cli.LoopSolver, "solve_genus", no_solving)
+    after = [run_cli(capsys, *argv, "--cache-dir", cache) for argv in commands]
+    assert after == before
+    assert all(code == 0 for code, _, _ in after)
+
+
+@pytest.mark.parametrize("genus,dmax", [(2, 2), (2, 4), (3, 2)])
+def test_hodge_large_tmax(capsys, genus, dmax):
+    # no t_i with i > 3g-3+dmax can occur, so a larger --tmax changes nothing
+    common = ("hodge", "--genus", str(genus), "--dmax", str(dmax), "--integrals", "--format", "json")
+    code, top, _ = run_cli(capsys, *common, "--tmax", str(3 * genus - 3 + dmax))
+    assert code == 0
+    code, huge, err = run_cli(capsys, *common, "--tmax", "2000")
+    assert code == 0 and not err
+    assert huge == top
+
+
 def test_verify_selected_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "bell", "--suite", "power-sum")
     assert code == 0
@@ -168,6 +200,8 @@ def test_internal_assertion_exit_code(capsys, monkeypatch):
 
         def compute(self, *a, **k):
             raise LoopEquationError("loop residual nonzero at genus 2")
+
+        free_energy = compute
 
     monkeypatch.setattr(cli, "LoopSolver", Broken)
     code, out, err = run_cli(capsys, "compute", "--genus", "2")

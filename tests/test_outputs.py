@@ -6,7 +6,7 @@ from cubichodge.jets import JetPoly
 from cubichodge.loop import FreeEnergy
 from cubichodge.outputs import (TSeries, dimension_check, faber_leading, first_flow_check,
                                 h1_gap_check, hodge_expand, intersection_table, r_poly,
-                                riemann_check, v_series)
+                                riemann_check, t0_jets, v_series)
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
 from cubichodge.textform import parse_sigma
@@ -141,6 +141,49 @@ class TestHodgeTables:
         key = (1, 1)  # t1^2 monomial
         assert raw[key] == SigmaPoly.const(Q(1, 48))
         assert normed[key] == raw[key] * Q(2)
+
+
+def naive_hodge_expand(fe, n_max, d_max):
+    """Reference expansion: every body monomial multiplied out on its own,
+    one full TSeries product per jet factor, no products shared."""
+    pad = fe.max_jet_index()
+    jets = [j.truncate(d_max) for j in t0_jets(v_series(n_max, d_max + pad), pad)]
+    if fe.genus == 1:
+        return jets[1].log() * fe.log_z1_coeff + jets[0] * fe.body.sigma_coefficient({0: 1})
+    acc = TSeries.zero(n_max, d_max)
+    for key, c in fe.body.items():
+        term = TSeries.const(SigmaPoly.monomial(key[0], key[1], c), n_max, d_max)
+        for k, e in enumerate(key[2:]):
+            if e:
+                term = term * (jets[k] ** e if e > 0 else jets[k].recip() ** -e)
+        acc = acc + term
+    return acc
+
+
+class TestSharedProducts:
+    @pytest.mark.parametrize("g,n_max,d_max", [(1, 3, 5), (2, 4, 6), (3, 4, 6), (3, 2, 5)])
+    def test_low_genus(self, h123, g, n_max, d_max):
+        fe = h123[g - 1]
+        assert hodge_expand(fe, n_max, d_max) == naive_hodge_expand(fe, n_max, d_max)
+
+    @pytest.mark.parametrize("g,n_max,d_max", [(4, 4, 6), (5, 3, 5)])
+    def test_above_genus3(self, energies_g6, g, n_max, d_max):
+        fe = energies_g6[g - 1]
+        assert hodge_expand(fe, n_max, d_max) == naive_hodge_expand(fe, n_max, d_max)
+
+    @pytest.mark.parametrize("g,n_max,d_max", [(2, 4, 6), (3, 4, 6)])
+    def test_bound_covers_every_slot(self, h123, g, n_max, d_max):
+        series = hodge_expand(h123[g - 1], n_max, d_max)
+        coefficients = series.coefficients()
+        sigma_top = max(max(ab) for sp in coefficients.values() for ab, _ in sp.items())
+        t_top = max(max(k) for k in coefficients)
+        assert series.bound >= max(sigma_top, t_top)
+
+    @pytest.mark.parametrize("g,d_max", [(2, 2), (2, 4), (3, 2), (3, 4)])
+    def test_no_t_index_beyond_dimension_bound(self, h123, g, d_max):
+        top = 3 * g - 3 + d_max
+        series = hodge_expand(h123[g - 1], top + 3, d_max)
+        assert all(not any(k[top + 1:]) for k in series.coefficients())
 
 
 class TestFirstFlow:
