@@ -3,7 +3,7 @@ import pytest
 from cubichodge import virasoro
 from cubichodge.cli import main
 from cubichodge.commutators import OperatorImages, commutator_grid
-from cubichodge.ratio import Q
+from cubichodge.ratio import Q, qstr
 from cubichodge.virasoro import (BtildeTable, FockPoly, RationalParams, TruncationViolation,
                                  a_kn, btilde_row0, c_float, c_pair, c_ratio,
                                  commutator_check, monomial_basis, v_rational, virasoro_apply)
@@ -116,6 +116,25 @@ class TestCConstants:
             c_pair(P21, 1, 0, 2, 0)
         with pytest.raises(ValueError):
             c_pair(P21, 5, 0, -3, 0)
+
+    def test_frozen_pairings(self):
+        # sha256 of every c_pair value in qstr text, one sorted line per
+        # (K1,K2 alpha m beta n), for every alpha the identities allow and
+        # m + n <= 9; frozen before the residues were computed from integers.
+        import hashlib
+
+        lines = []
+        for params in (P12, RationalParams(2, 3), RationalParams(3, 4)):
+            cases = [(0, 0)] + [(a, params.k1 - a if a > 0 else -a - params.k2)
+                                for a in params.index_set_star()]
+            for alpha, beta in cases:
+                for m in range(10):
+                    for n in range(10 - m):
+                        value = qstr(c_pair(params, alpha, m, beta, n))
+                        lines.append(f"{params.k1},{params.k2} {alpha} {m} {beta} {n} {value}")
+        assert len(lines) == 660
+        digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+        assert digest == "cc0c4d4a252ed51da4c4d9121050d821fead29d4a337f662ae84fc806bd93a95"
 
 
 class TestAkn:
