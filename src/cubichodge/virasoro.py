@@ -9,9 +9,11 @@ through the pairing and ratio identities
     c_{k+h l} / c_k = K^l V_l(-b_k),        c_{h l} = K^l V_l(0),
     c_{a+hm} c_{K1-a+hn} = (h/K2) K^{m+n+1} / b_{a+hm} Res_{z=b_{a+hm}} V_{m+n+1},
 
-with a floating log-Gamma oracle available as the independent check.  A
-BtildeTable keeps each pairing it computes, so checks that share a table
-evaluate every residue once.
+with a floating log-Gamma oracle available as the independent check.  The
+roots of V_m are three integer progressions, so v_residue takes each residue
+as one quotient of integer products, without building V_m.  No V_m or
+residue is cached at module level; a BtildeTable keeps each pairing it
+computes, so checks that share a table evaluate every residue once.
 
 virasoro_apply and commutator_check act on one sample at a time; they are
 the reference for the memoised commutator grid in commutators.py.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from .ratio import Q, QONE, QZERO
 from .sparse import add_into, nonzero
@@ -102,9 +104,8 @@ class RationalParams:
 
 class FactoredRational:
     """prod_i (z - a_i) / prod_j (z - b_j) with exact roots and common factors
-    cancelled as multisets.  Evaluation, residues and the expansion at
-    infinity come straight from the factors, which keeps V_m arithmetic cheap
-    at large m."""
+    cancelled as multisets.  Evaluation and the expansion at infinity come
+    straight from the factors, which keeps V_m arithmetic cheap at large m."""
 
     __slots__ = ("num_roots", "den_roots")
 
@@ -136,21 +137,6 @@ class FactoredRational:
             out = out / (x - r) ** e
         return out
 
-    def residue_at(self, r):
-        r = Q(r)
-        mult = self.den_roots.get(r, 0)
-        if mult == 0:
-            return QZERO
-        if mult > 1:
-            raise ArithmeticError(f"pole at {r} is not simple")
-        out = QONE
-        for a, e in self.num_roots.items():
-            out = out * (r - a) ** e
-        for b, e in self.den_roots.items():
-            if b != r:
-                out = out / (r - b) ** e
-        return out
-
     def zinv_expansion(self, order: int):
         """Coefficients of z^0..z^-order of the expansion at z = infinity,
 
@@ -176,19 +162,45 @@ def v_rational(params: RationalParams, m: int) -> FactoredRational:
     """V_m(z) = prod_{j=0}^{m-1} V_1(z - j) in factored form."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    key = (params.k1, params.k2, m)
-    got = _vcache.get(key)
-    if got is None:
-        h, k1, k2 = params.h, params.k1, params.k2
-        num = [Q(i, h) + j for j in range(m) for i in range(1, h + 1)]
-        den = [Q(i, k1) + j for j in range(m) for i in range(1, k1 + 1)]
-        den += [Q(i, k2) + j for j in range(m) for i in range(1, k2 + 1)]
-        got = FactoredRational(num, den)
-        _vcache[key] = got
-    return got
+    h, k1, k2 = params.h, params.k1, params.k2
+    num = [Q(i, h) + j for j in range(m) for i in range(1, h + 1)]
+    den = [Q(i, k1) + j for j in range(m) for i in range(1, k1 + 1)]
+    den += [Q(i, k2) + j for j in range(m) for i in range(1, k2 + 1)]
+    return FactoredRational(num, den)
 
 
-_vcache: dict = {}
+def v_residue(params: RationalParams, m: int, r):
+    """Res_{z=r} V_m(z), exactly, in integer arithmetic.
+
+    The roots of V_m are three progressions: n/h (n = 1..h m) on top, n/K1
+    (n = 1..K1 m) and n/K2 (n = 1..K2 m) below.  At r = p/q each factor is
+    r - n/d = (d p - n q)/(d q): the nonzero d p - n q of a progression are
+    multiplied together, their (d q) scales go to the other side, and one
+    rational is formed at the end.  With order = (vanishing factors on top)
+    - (vanishing factors below), order >= 0 (a regular point or a zero of
+    V_m) gives 0 and order = -1 gives the quotient.  order <= -2 cannot
+    happen: it needs r = n/K1 = n'/K2, and then h r = n + n' lies in 1..h m,
+    so a top factor vanishes too (for coprime K1, K2 such an r is an
+    integer).  It raises ArithmeticError all the same."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    r = Q(r)
+    p, q = r.numerator, r.denominator
+    num = den = 1
+    order = 0
+    for d, on_top in ((params.h, True), (params.k1, False), (params.k2, False)):
+        factors = [d * p - n * q for n in range(1, d * m + 1)]
+        kept = [f for f in factors if f]
+        top, scale, zeros = prod(kept), (d * q) ** len(kept), len(factors) - len(kept)
+        if on_top:
+            num, den, order = num * top, den * scale, order + zeros
+        else:
+            num, den, order = num * scale, den * top, order - zeros
+    if order >= 0:
+        return QZERO
+    if order < -1:
+        raise ArithmeticError(f"pole of V_{m} at {r} is not simple")
+    return Q(num, den)
 
 
 def c_ratio(params: RationalParams, k: int, ell: int):
@@ -207,19 +219,18 @@ def c_pair(params: RationalParams, alpha: int, m: int, beta: int, n: int):
     beta = -alpha - K2; alpha = beta = 0 (indices h(m+1), h(n+1))."""
     h, k1, k2, K = params.h, params.k1, params.k2, params.kconst
     if alpha == 0 and beta == 0:
-        vm = v_rational(params, m + n + 2)
         b = Q(m + 1)
-        return K ** (m + n + 2) / b * vm.residue_at(b)
+        return K ** (m + n + 2) / b * v_residue(params, m + n + 2, b)
     if 1 <= alpha <= k1 - 1:
         if beta != k1 - alpha:
             raise ValueError("positive case needs beta = K1 - alpha")
         b = params.b(alpha + h * m)
-        return Q(h, k2) * K ** (m + n + 1) / b * v_rational(params, m + n + 1).residue_at(b)
+        return Q(h, k2) * K ** (m + n + 1) / b * v_residue(params, m + n + 1, b)
     if -(k2 - 1) <= alpha <= -1:
         if beta != -alpha - k2:
             raise ValueError("negative case needs beta = -alpha - K2")
         b = params.b(alpha + h * m)
-        return Q(h, k1) * K ** (m + n + 1) / b * v_rational(params, m + n + 1).residue_at(b)
+        return Q(h, k1) * K ** (m + n + 1) / b * v_residue(params, m + n + 1, b)
     raise ValueError(f"alpha = {alpha} outside the pairing identities' range")
 
 

@@ -6,7 +6,8 @@ from cubichodge.commutators import OperatorImages, commutator_grid
 from cubichodge.ratio import Q, qstr
 from cubichodge.virasoro import (BtildeTable, FockPoly, RationalParams, TruncationViolation,
                                  a_kn, btilde_row0, c_float, c_pair, c_ratio,
-                                 commutator_check, monomial_basis, v_rational, virasoro_apply)
+                                 commutator_check, monomial_basis, v_rational, v_residue,
+                                 virasoro_apply)
 
 P21 = RationalParams(2, 1)
 P12 = RationalParams(1, 2)
@@ -74,6 +75,41 @@ class TestVRational:
         for params in (P12, RationalParams(2, 3), RationalParams(3, 4)):
             ok, detail = v1_asymptotic_check(params, 8)
             assert ok, detail
+
+
+def naive_residue(f, r):
+    """Reference Res_{z=r} f for a FactoredRational: one Fraction power per
+    root, no integer shortcut."""
+    r = Q(r)
+    mult = f.den_roots.get(r, 0)
+    if mult == 0:
+        return Q(0)
+    if mult > 1:
+        raise ArithmeticError(f"pole at {r} is not simple")
+    out = Q(1)
+    for a, e in f.num_roots.items():
+        out = out * (r - a) ** e
+    for b, e in f.den_roots.items():
+        if b != r:
+            out = out / (r - b) ** e
+    return out
+
+
+class TestVResidue:
+    @pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 4), (2, 5)])
+    def test_equals_reference(self, pair):
+        params = RationalParams(*pair)
+        for m in range(11):
+            f = v_rational(params, m)
+            for r in f.num_roots:
+                assert v_residue(params, m, r) == naive_residue(f, r) == 0
+            for r in list(f.den_roots) + [Q(1, 7), Q(-5, 3)]:
+                assert v_residue(params, m, r) == naive_residue(f, r)
+            assert all(v_residue(params, m, r) for r in f.den_roots)
+
+    def test_negative_m(self):
+        with pytest.raises(ValueError):
+            v_residue(P21, -1, Q(1, 2))
 
 
 class TestCConstants:
@@ -326,6 +362,21 @@ class TestCommutatorGrid:
             counts.append(len(pairs))
         # each distinct pairing is computed once per call
         assert counts[0] == counts[1] == len(set(pairs)) > 0
+
+    def test_no_v_state_outlives_a_call(self, monkeypatch):
+        from cubichodge.virasoro import FactoredRational
+
+        built = []
+        init = FactoredRational.__init__
+        monkeypatch.setattr(FactoredRational, "__init__",
+                            lambda self, *a: built.append(a) or init(self, *a))
+        argv = ["verify", "--suite", "bridge", "--suite", "series-oracles", "--pairs", "1,2;2,3"]
+        counts = []
+        for _ in range(2):
+            built.clear()
+            assert main(argv) == 0
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
 
     def test_shared_btilde_table(self):
         from cubichodge.oracles import (btilde11_closed_form_check, btilde11_integral_check,
