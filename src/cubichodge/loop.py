@@ -26,10 +26,13 @@ gradient of H_g; all remaining rows must be matched identically, which is
 asserted after every solve.  H_g itself is recovered from the Euler
 identity sum j z_j dH_g/dz_j = (2g-2) H_g, which needs dH_g/dz0 = 0 for
 g >= 2, and for g = 1 from the closed form (1/24) log z1 + (s1/24) z0.
+A FreeEnergy and its cache record keep only that body; the gradient the
+next genus reads is derived from it again.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -45,7 +48,7 @@ from .sigma import SigmaPoly
 from .sparse import exponent_bound
 from .theta import ThetaPoly
 
-SOLVER_VERSION = "loop-solver-v1"
+SOLVER_VERSION = "loop-solver-v2"
 
 
 class LoopEquationError(ArithmeticError):
@@ -54,11 +57,20 @@ class LoopEquationError(ArithmeticError):
 
 @dataclass
 class FreeEnergy:
+    """H_g = body (+ log_z1_coeff * log z1 at genus 1)."""
     genus: int
-    gradient: list
     body: JetPoly
     log_z1_coeff: object | None = None
     provenance: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def gradient(self) -> list:
+        """dH_g/dz_i for i = 0..3g-2, derived from the body on first read,
+        each with its exact exponent bound."""
+        grad = [self.body.partial(i) for i in range(3 * self.genus - 1)]
+        if self.log_z1_coeff is not None:
+            grad[1] += JetPoly.z(1, self.body.cutoff, -1) * self.log_z1_coeff
+        return [_exact_bound(p) for p in grad]
 
     def max_jet_index(self) -> int:
         return 3 * self.genus - 2 if self.genus >= 1 else 0
@@ -182,7 +194,7 @@ class LoopSolver:
 
     def reconstruct(self, g: int, gradient) -> FreeEnergy:
         """Rebuild H_g from its gradient: the genus-1 closed form, or the
-        Euler identity for g >= 2; gradients must be closed."""
+        Euler identity for g >= 2; gradients must be closed and equal the body's."""
         M = self.cutoff
         for i in range(len(gradient)):
             for j in range(i + 1, len(gradient)):
@@ -194,16 +206,16 @@ class LoopSolver:
             if gradient[0] != expect0 or gradient[1] != expect1:
                 raise LoopEquationError("genus-1 gradient does not match the closed form")
             body = JetPoly.monomial(Q(1, 24), (1, 0), {0: 1}, M)
-            return FreeEnergy(1, list(gradient), body, log_z1_coeff=Q(1, 24))
+            return FreeEnergy(1, body, log_z1_coeff=Q(1, 24))
 
         if gradient[0]:
             raise LoopEquationError(f"dH_{g}/dz0 is nonzero")
         euler = JetPoly.sum(M, [gradient[j].mul_z(j) * j for j in range(1, len(gradient))])
-        body = _exact_bound(euler / (2 * g - 2))
+        fe = FreeEnergy(g, _exact_bound(euler / (2 * g - 2)))
         for i in range(len(gradient)):
-            if body.partial(i) != gradient[i]:
+            if fe.gradient[i] != gradient[i]:
                 raise LoopEquationError(f"reconstructed body disagrees with gradient at z{i}")
-        return FreeEnergy(g, list(gradient), body)
+        return fe
 
     def _check_homogeneity(self, fe: FreeEnergy) -> None:
         if fe.genus < 2:
@@ -262,7 +274,6 @@ def _payload(fe: FreeEnergy) -> dict:
 
     return {
         "genus": fe.genus,
-        "gradient": [jet_json(c) for c in fe.gradient],
         "body": jet_json(fe.body),
         "log_z1_coeff": qjson(fe.log_z1_coeff) if fe.log_z1_coeff is not None else None,
     }
@@ -323,11 +334,10 @@ def load_cached(cache_dir: str, genus: int, fingerprint: str, cutoff: int) -> Fr
             return None
         if payload["genus"] != genus:
             return None
-        gradient = [jet_from_json(c, cutoff) for c in payload["gradient"]]
         body = jet_from_json(payload["body"], cutoff)
         log_c = parse_q(payload["log_z1_coeff"]) if payload["log_z1_coeff"] else None
         prov = dict(record["provenance"])
         prov["cache"] = "hit"
-        return FreeEnergy(genus, gradient, body, log_c, prov)
+        return FreeEnergy(genus, body, log_c, prov)
     except (OSError, ValueError, KeyError, TypeError, OverflowError):
         return None

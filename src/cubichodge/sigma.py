@@ -123,10 +123,6 @@ class SigmaPoly:
         """(exponent pair (a, b), coefficient) for every term."""
         return [(unpack(k, 2), v) for k, v in self.terms.items()]
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {0}
-
     def degree(self) -> int:
         """Weighted degree with deg s1 = 1, deg s3 = 3; -1 for zero."""
         if not self.terms:

@@ -39,11 +39,6 @@ class ThetaPoly:
         cs = [JetPoly.zero(cutoff)] * power + [JetPoly.one(cutoff)]
         return cls(cutoff, cs)
 
-    @classmethod
-    def from_jet(cls, p: JetPoly, power: int = 0) -> "ThetaPoly":
-        cs = [JetPoly.zero(p.cutoff)] * power + [p]
-        return cls(p.cutoff, cs)
-
     # -- basic structure ------------------------------------------------
 
     @property

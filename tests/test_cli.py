@@ -4,6 +4,7 @@ import os
 import pytest
 
 from cubichodge.cli import main
+from cubichodge.jets import JetPoly
 
 from golden import H1_TEXT, H2_TEXT, R2_TEXT, R3_TEXT
 
@@ -172,6 +173,27 @@ def test_verify_solves_each_genus_once(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines() == ["PASS loop-residual", "PASS gradient"]
     assert solved == [1, 2]
+
+
+@pytest.mark.parametrize("case", ["z0-term", "not-euler-homogeneous"])
+def test_verify_gradient_rejects_bad_body(capsys, monkeypatch, h123, case):
+    import cubichodge.cli as cli
+    from cubichodge.loop import FreeEnergy
+    from cubichodge.ratio import Q
+
+    h1, h2 = h123[:2]
+    M = h2.body.cutoff
+    # z0 z1^2 has Euler weight 2 = 2g-2, so only the z0 check can catch it;
+    # z3 has weight 3 and breaks the Euler identity
+    extra, detail = {
+        "z0-term": (JetPoly.monomial(Q(1, 7), (0, 0), {0: 1, 1: 2}, M), "dH_2/dz0 != 0"),
+        "not-euler-homogeneous": (JetPoly.z(3, M), "Euler identity fails at genus 2"),
+    }[case]
+    broken = FreeEnergy(2, h2.body + extra)
+    monkeypatch.setattr(cli.LoopSolver, "compute", lambda self, genus, cache_dir=None: [h1, broken])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "gradient", "--genus", "2")
+    assert code == 1
+    assert out.splitlines() == [f"FAIL gradient: {detail}"]
 
 
 def test_virasoro_cmd(capsys):

@@ -80,7 +80,7 @@ class TestXiEuler:
         assert t.coeff(2) == const(1) and t.coeff(1) == const(-1)
 
     def test_constant(self):
-        assert not ThetaPoly.from_jet(const(1)).xi_euler()
+        assert not ThetaPoly(M, [const(1)]).xi_euler()
 
     def test_theta_squared(self):
         t = ThetaPoly.theta(M, 2).xi_euler()

@@ -177,7 +177,7 @@ class TestCache:
 
     def test_other_solver_version_misses(self, tmp_path, h123):
         h2 = h123[1]
-        fe = FreeEnergy(2, h2.gradient, h2.body, provenance={"ptable": "fp", "solver": "loop-solver-v0"})
+        fe = FreeEnergy(2, h2.body, provenance={"ptable": "fp", "solver": "loop-solver-v0"})
         store_cached(str(tmp_path), fe)
         assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is None
         fe.provenance["solver"] = SOLVER_VERSION
@@ -191,7 +191,7 @@ class TestCache:
         from cubichodge.textform import TEXT_FORM_VERSION
 
         h2 = h123[1]
-        fe = FreeEnergy(2, h2.gradient, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
+        fe = FreeEnergy(2, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
         path = store_cached(str(tmp_path), fe)
         record = json.load(open(path))
         assert record["provenance"]["textform"] == TEXT_FORM_VERSION
@@ -209,7 +209,7 @@ class TestCache:
         import cubichodge.loop as loop
 
         h2 = h123[1]
-        fe = FreeEnergy(2, h2.gradient, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
+        fe = FreeEnergy(2, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
         path = store_cached(str(tmp_path), fe)
         before = open(path).read()
 
@@ -258,6 +258,35 @@ def test_frozen_hashes_g4_g5(solver_g4, energies_g5):
     }
     got = {name: hashlib.sha256(t.encode()).hexdigest() for name, t in texts.items()}
     assert got == FROZEN_SHA256
+
+
+def test_genus4_solved_from_cached_bodies(tmp_path, monkeypatch):
+    """Records hold H_g alone; the next genus reads gradients derived from them."""
+    import hashlib
+    import json
+
+    from cubichodge.loop import cache_path
+
+    cache = str(tmp_path)
+    LoopSolver(3).compute(3, cache)
+    solved = []
+    solve_genus = LoopSolver.solve_genus
+
+    def counting(self, g, lower):
+        solved.append(g)
+        return solve_genus(self, g, lower)
+
+    monkeypatch.setattr(LoopSolver, "solve_genus", counting)
+    energies = LoopSolver(4).compute(4, cache)
+    assert solved == [4]
+    assert [fe.provenance.get("cache") for fe in energies] == ["hit", "hit", "hit", None]
+    h4 = hashlib.sha256(energies[3].body_text().encode()).hexdigest()
+    assert h4 == FROZEN_SHA256["H_4"]
+    for g in range(1, 5):
+        with open(cache_path(cache, g)) as fh:
+            payload = json.load(fh)["payload"]
+        assert "gradient" not in payload
+        assert sorted(payload) == ["body", "genus", "log_z1_coeff"]
 
 
 # sha256 of the canonical text of H_6 and R_6, frozen before L_i and the RHS

@@ -96,13 +96,13 @@ class TestH1Gap:
 
     def test_log_coeff_mutation(self, h123):
         h1 = h123[0]
-        fake = FreeEnergy(1, h1.gradient, h1.body, log_z1_coeff=Q(1, 23))
+        fake = FreeEnergy(1, h1.body, log_z1_coeff=Q(1, 23))
         assert not h1_gap_check(fake)
 
     def test_sigma_mutation(self, h123):
         h1 = h123[0]
         body = JetPoly.monomial(Q(1, 25), (1, 0), {0: 1}, h1.body.cutoff)
-        fake = FreeEnergy(1, h1.gradient, body, log_z1_coeff=Q(1, 24))
+        fake = FreeEnergy(1, body, log_z1_coeff=Q(1, 24))
         assert not h1_gap_check(fake)
 
 
@@ -126,7 +126,7 @@ class TestHodgeTables:
     def test_dimension_check_mutation(self, h123):
         h2 = h123[1]
         bumped = h2.body.mul_z(2)  # shifts every term's z2 exponent
-        fake = FreeEnergy(2, h2.gradient, bumped)
+        fake = FreeEnergy(2, bumped)
         series = hodge_expand(fake, 2, 3)
         ok, _ = dimension_check(2, series)
         assert not ok
@@ -193,12 +193,12 @@ class TestFirstFlow:
     def test_sigma_mutation_fails(self, h123):
         h1 = h123[0]
         body = JetPoly.monomial(Q(1, 25), (1, 0), {0: 1}, h1.body.cutoff)
-        fake = FreeEnergy(1, h1.gradient, body, log_z1_coeff=Q(1, 24))
+        fake = FreeEnergy(1, body, log_z1_coeff=Q(1, 24))
         assert not first_flow_check(fake, 3)
 
     def test_log_mutation_fails(self, h123):
         h1 = h123[0]
-        fake = FreeEnergy(1, h1.gradient, h1.body, log_z1_coeff=Q(1, 23))
+        fake = FreeEnergy(1, h1.body, log_z1_coeff=Q(1, 23))
         assert not first_flow_check(fake, 3)
 
 
