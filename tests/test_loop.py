@@ -2,7 +2,7 @@ import pytest
 
 from cubichodge.jets import JetPoly
 from cubichodge.loop import (SOLVER_VERSION, FreeEnergy, LoopEquationError, LoopSolver,
-                             load_cached, store_cached)
+                             cache_path, load_cached, store_cached)
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
 from cubichodge.textform import parse_jet
@@ -264,8 +264,6 @@ def test_genus4_solved_from_cached_bodies(tmp_path, monkeypatch):
     """Records hold H_g alone; the next genus reads gradients derived from them."""
     import hashlib
     import json
-
-    from cubichodge.loop import cache_path
 
     cache = str(tmp_path)
     LoopSolver(3).compute(3, cache)
