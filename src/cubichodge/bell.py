@@ -50,25 +50,6 @@ class BellTable:
             raise ValueError(f"bell_partial indices out of range: ({n}, {k})")
         return {unpack(mono, n): c for mono, c in self._table[(n, k)].items()}
 
-    def substitute(self, poly: dict, xs, one):
-        """Evaluate an abstract Bell polynomial at ring elements xs[0] = X_1, ..."""
-        total = None
-        powers = {}
-        for mono, c in poly.items():
-            term = one * c
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                p = powers.get((i, e))
-                if p is None:
-                    p = xs[i] ** e
-                    powers[(i, e)] = p
-                term = term * p
-            total = term if total is None else total + term
-        if total is None:
-            return one * Q(0)
-        return total
-
 
 def bell_complete_all(n: int, xs, one):
     """Complete Bell values B_0..B_n at xs[0] = X_1, ... via the recurrence
@@ -82,10 +63,6 @@ def bell_complete_all(n: int, xs, one):
             acc = term if acc is None else acc + term
         values.append(acc)
     return values
-
-
-def bell_complete(n: int, xs, one):
-    return bell_complete_all(n, xs, one)[n]
 
 
 class FJetTable:

@@ -201,9 +201,9 @@ def _parse_pairs(text: str):
 
 
 def _verify_suites(args):
-    genus = max(args.genus, 1)
+    genus = _require_genus(args)
     try:
-        pairs = _parse_pairs(getattr(args, "pairs", "1,2;2,3;3,4"))
+        pairs = _parse_pairs(args.pairs)
     except ValueError as exc:
         _usage_error(f"bad --pairs: {exc}")
 
@@ -298,7 +298,6 @@ def _verify_suites(args):
 
 
 def cmd_verify(args) -> int:
-    _require_cutoff(args, max(args.genus, 1))
     suites = _verify_suites(args)
     names = args.suite or list(suites)
     bad = [n for n in names if n not in suites]

@@ -5,9 +5,10 @@ Within one grid call, OperatorImages builds one coefficient table per m and
 memoises the image of each monomial it meets, numbered as met, as integer
 coefficients over one common denominator.  The memo lives in that object
 and is dropped with it; nothing is cached at module level.
-virasoro.commutator_check on one sample is the reference the tests compare
-the grid with.  The grid has its own module because the package compiles
-every module at import, and the largest one sets the import's peak memory.
+The per-sample commutator_check in tests/test_virasoro.py is the reference
+the tests compare the grid with.  The grid has its own module because the
+package compiles every module at import, and the largest one sets the
+import's peak memory.
 """
 from __future__ import annotations
 
@@ -113,7 +114,8 @@ class OperatorImages:
 
 
 def commutator_grid(params: RationalParams, basis, mmax: int) -> dict:
-    """commutator_check over a monomial basis for every m, n = 0..mmax.
+    """[L_m, L_n] - (m - n) L_{m+n} on every monomial of a basis, for every
+    m, n = 0..mmax; tests/test_virasoro.py holds the per-sample reference.
 
     Returns {(m, n): None | first_term}: None where every basis monomial
     passes, else the first_term of the first one that fails.  The operators
@@ -127,8 +129,8 @@ def commutator_grid(params: RationalParams, basis, mmax: int) -> dict:
     k_cut, h = basis[0].k_cut, params.h
     top = 2 * mmax - 1 if mmax else 0
     if h * top > k_cut:
-        # commutator_check meets the indices in rising order: it trips on the
-        # first one past the cut
+        # report the first operator index past the cut, as applying the
+        # operators in rising order would (the tests' per-sample reference)
         raise TruncationViolation(f"operator index h*m = {h * (k_cut // h + 1)} beyond k_cut")
     ops = OperatorImages(params, k_cut, top)
     samples = [(ops.number(key), c) for f in basis for key, c in f.terms.items()]

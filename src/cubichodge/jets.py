@@ -249,14 +249,6 @@ class JetPoly:
                 out[sig] = Q(v, self.den)
         return SigmaPoly.packed(out, self.bound)
 
-    def with_cutoff(self, new: int) -> "JetPoly":
-        if new == self.cutoff:
-            return self
-        if new < self.cutoff and any(split(key, 3 + new)[1] for key in self.terms):
-            raise CutoffError(f"term uses jets above z{new}")
-        # slots past the cutoff are zero, so the keys carry over unchanged
-        return _raw(new, self.terms, self.den, self.bound)
-
     def subs_jets(self, values) -> SigmaPoly:
         """Evaluate the jet variables at exact rationals; z1 may be inverted."""
         out = {}

@@ -222,14 +222,6 @@ def t0_jets(v: TSeries, count: int) -> list:
     return jets
 
 
-def riemann_check(i: int, order: int) -> bool:
-    """dv/dt_i = (v^i / i!) dv/dt_0 on TSeries, exact to the given degree."""
-    v = v_series(max(i, 1), order + 1)
-    lhs = v.diff(i)
-    rhs = v**i * v.diff(0) * Q(1, factorial(i))
-    return all(lhs.grades.get(d) == rhs.grades.get(d) for d in range(order + 1))
-
-
 # -- gap polynomials and the Faber term --------------------------------------------
 
 

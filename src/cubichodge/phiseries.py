@@ -249,15 +249,9 @@ def log_phi_shifted(order: int, shift) -> ZInvSeries:
     return out.truncate(order)
 
 
-def phi_d_inv(m: int, order: int) -> ZInvSeries:
-    """Phi * d^m/dz^m (1/Phi) as the complete Bell polynomial of -log Phi derivatives."""
-    if m < 0:
-        raise ValueError("negative derivative order")
-    return phi_d_inv_all(m, order)[m]
-
-
 def phi_d_inv_all(m_max: int, order: int) -> list:
-    """phi_d_inv(m, order) for m = 0..m_max, from one complete-Bell pass."""
+    """Phi * d^m/dz^m (1/Phi) for m = 0..m_max, the complete Bell polynomials
+    of the -log Phi derivatives, from one pass."""
     xs = []
     if m_max:
         d = log_phi(order)

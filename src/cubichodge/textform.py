@@ -109,10 +109,6 @@ def parse_jet(text: str, cutoff: int) -> JetPoly:
     return JetPoly.sum(cutoff, terms)
 
 
-def parse_sigma(text: str) -> SigmaPoly:
-    return parse_jet(text, 1).as_sigma()
-
-
 def _split_terms(text: str):
     """Yield (sign, chunk) splitting on top-level + and - between terms."""
     terms = []

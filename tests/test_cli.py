@@ -38,6 +38,8 @@ def test_compute_genus2(capsys):
     ["compute", "--genus", "1", "--cutoff", "0"],
     ["compute", "--genus", "3", "--cutoff", "5"],
     ["verify", "--suite", "bell", "--cutoff", "0"],
+    ["verify", "--genus", "0"],
+    ["verify", "--genus", "-3", "--suite", "ptable"],
     ["virasoro", "--k1", "1", "--k2", "2", "--mmax", "-1"],
     ["virasoro", "--k1", "1", "--k2", "2", "--degree", "-1"],
     ["compute", "--genus", "1", "--threads", "1"],

@@ -6,12 +6,19 @@ from cubichodge.jets import JetPoly
 from cubichodge.loop import FreeEnergy
 from cubichodge.outputs import (TSeries, dimension_check, faber_leading, first_flow_check,
                                 h1_gap_check, hodge_expand, intersection_table, r_poly,
-                                riemann_check, t0_jets, v_series)
+                                t0_jets, v_series)
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
-from cubichodge.textform import parse_sigma
 
-from golden import FABER2_TEXT, FABER3_TEXT, R2_TEXT, R3_TEXT
+from golden import FABER2_TEXT, FABER3_TEXT, R2_TEXT, R3_TEXT, parse_sigma
+
+
+def riemann_check(i: int, order: int) -> bool:
+    """dv/dt_i = (v^i / i!) dv/dt_0 on TSeries, exact to the given degree."""
+    v = v_series(max(i, 1), order + 1)
+    lhs = v.diff(i)
+    rhs = v**i * v.diff(0) * Q(1, factorial(i))
+    return all(lhs.grades.get(d) == rhs.grades.get(d) for d in range(order + 1))
 
 
 class TestVSeries:

@@ -1,7 +1,7 @@
 import pytest
 
 from cubichodge.phiseries import (TruncationError, ZInvSeries, bernoulli, binom_q,
-                                  binomial_zinv, log_phi, phi_d_inv, power_sum, q_number)
+                                  binomial_zinv, log_phi, phi_d_inv_all, power_sum, q_number)
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
 
@@ -59,6 +59,13 @@ class TestLogPhi:
     def test_truncation_enforced(self):
         with pytest.raises(TruncationError):
             log_phi(4).coeff(5)
+
+
+def phi_d_inv(m: int, order: int) -> ZInvSeries:
+    """Phi * d^m/dz^m (1/Phi) alone, read off the all-m pass."""
+    if m < 0:
+        raise ValueError("negative derivative order")
+    return phi_d_inv_all(m, order)[m]
 
 
 class TestPhiDInv:

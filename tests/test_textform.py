@@ -7,9 +7,9 @@ from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
 from cubichodge.textform import (free_energy_text, jet_from_json, jet_json, jet_latex,
-                                 jet_text, parse_jet, parse_sigma, sigma_text)
+                                 jet_text, parse_jet, sigma_text)
 
-from golden import H1_TEXT, H2_TEXT, H3_TEXT
+from golden import H1_TEXT, H2_TEXT, H3_TEXT, parse_sigma
 
 M = 8
 

@@ -3,11 +3,11 @@ import pytest
 from cubichodge import virasoro
 from cubichodge.cli import main
 from cubichodge.commutators import OperatorImages, commutator_grid
-from cubichodge.ratio import Q, qstr
-from cubichodge.virasoro import (BtildeTable, FockPoly, RationalParams, TruncationViolation,
-                                 a_kn, btilde_row0, c_float, c_pair, c_ratio,
-                                 commutator_check, monomial_basis, v_rational, v_residue,
-                                 virasoro_apply)
+from cubichodge.ratio import Q, QONE, qstr
+from cubichodge.sparse import add_into, nonzero
+from cubichodge.virasoro import (BtildeTable, RationalParams, TruncationViolation, _smono_set,
+                                 a_kn, btilde_row0, c_float, c_pair, monomial_basis, v_rational,
+                                 v_residue)
 
 P21 = RationalParams(2, 1)
 P12 = RationalParams(1, 2)
@@ -112,6 +112,15 @@ class TestVResidue:
             v_residue(P21, -1, Q(1, 2))
 
 
+def c_ratio(params: RationalParams, k: int, ell: int):
+    """Reference c_{k + h*ell} / c_k = K^ell V_ell(-b_k), exactly."""
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    if ell == 0:
+        return QONE
+    return params.kconst**ell * v_rational(params, ell)(-params.b(k))
+
+
 class TestCConstants:
     def test_c_int(self):
         assert P21.c_int(1) == 3  # C(3, 2)
@@ -214,6 +223,116 @@ class TestAkn:
         for i in range(3):
             for j in range(3):
                 assert table.row(i, j) == table.row(j, i)
+
+
+# -- the per-sample reference for the commutator grid -----------------------------
+
+
+class FockPoly(virasoro.FockPoly):
+    """virasoro.FockPoly with the ring operations the reference needs."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "FockPoly") -> "FockPoly":
+        r = FockPoly(self.params, self.k_cut, d_cut=self.d_cut)
+        r.terms = add_into(dict(self.terms), other.terms)
+        return r
+
+    def __sub__(self, other: "FockPoly") -> "FockPoly":
+        return self + (other * Q(-1))
+
+    def __mul__(self, q) -> "FockPoly":
+        r = FockPoly(self.params, self.k_cut, d_cut=self.d_cut)
+        if q != 0:
+            r.terms = {k: v * q for k, v in self.terms.items()}
+        return r
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return isinstance(other, virasoro.FockPoly) and self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+def virasoro_apply(params: RationalParams, m: int, f: virasoro.FockPoly) -> FockPoly:
+    """Exact image L_m(f) on the truncated Fock space, one term at a time."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if params.h * m > f.k_cut:
+        raise TruncationViolation(f"operator index h*m = {params.h * m} beyond k_cut")
+    out: dict = {}
+    get = out.get
+
+    def add(key, val):
+        w = get(key)
+        out[key] = val if w is None else w + val
+
+    half = Q(1, 2)
+    for (xe, ee, smono), c in f.terms.items():
+        if m == 0:
+            for k, e in smono:
+                add((xe, ee, smono), c * e * params.b(k))
+            add((xe + 2, ee - 1, smono), c * half)
+            s1, _ = params.sigma_values()
+            add((xe, ee, smono), c * s1 / 24)
+            continue
+        # sum_k b_k s_k d/ds_{k+hm}
+        for j, e in smono:
+            k = j - params.h * m
+            if not params.in_nstar(k):
+                continue
+            base = _smono_set(smono, j, -1)
+            add((xe, ee, _smono_set(base, k, +1)), c * e * params.b(k))
+        # x d/ds_{hm}
+        for j, e in smono:
+            if j == params.h * m:
+                add((xe + 1, ee, _smono_set(smono, j, -1)), c * e)
+        # eps^2/2 sum_{l=1}^{m-1} d2/ds_{hl} ds_{h(m-l)}
+        for ell in range(1, m):
+            add_second(add, params, smono, xe, ee, c * half,
+                       params.h * ell, params.h * (m - ell))
+        # eps^2/2 G-pairing over I_* and l = 0..m-1
+        for alpha in params.index_set_star():
+            beta = params.k1 - alpha if alpha > 0 else -alpha - params.k2
+            gv = params.gpair(alpha, beta)
+            if not gv or beta == 0:
+                continue
+            for ell in range(m):
+                add_second(add, params, smono, xe, ee, c * half * gv,
+                           alpha + params.h * ell, beta + params.h * (m - 1 - ell))
+    r = FockPoly(params, f.k_cut, d_cut=f.d_cut)
+    r.terms = nonzero(out)
+    return r
+
+
+def add_second(add, params, smono, xe, ee, factor, a, b):
+    """factor * eps^2 * d2/ds_a ds_b applied to the monomial."""
+    d = dict(smono)
+    ea = d.get(a, 0)
+    if not ea:
+        return
+    db = dict(d)
+    db[a] = ea - 1
+    eb = db.get(b, 0)
+    if not eb:
+        return
+    coeff = factor * ea * eb
+    base = _smono_set(_smono_set(smono, a, -1), b, -1)
+    add((xe, ee + 1, base), coeff)
+
+
+def commutator_check(params: RationalParams, m: int, n: int, sample: virasoro.FockPoly):
+    """([L_m, L_n] - (m - n) L_{m+n}) sample == 0; returns (ok, first_term)."""
+    lm_ln = virasoro_apply(params, m, virasoro_apply(params, n, sample))
+    ln_lm = virasoro_apply(params, n, virasoro_apply(params, m, sample))
+    diff = lm_ln - ln_lm
+    if m != n:
+        diff = diff - virasoro_apply(params, m + n, sample) * Q(m - n)
+    if diff:
+        return False, diff.first_term()
+    return True, None
 
 
 class TestOperators:
