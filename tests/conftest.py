@@ -32,6 +32,12 @@ def energies_g6():
 
 
 @pytest.fixture(scope="session")
+def energies_g7():
+    """H_1..H_7 from one genus-7 solver."""
+    return LoopSolver(7).compute(7)
+
+
+@pytest.fixture(scope="session")
 def h123(solver_g4):
     _, energies, _ = solver_g4
     return energies[:3]

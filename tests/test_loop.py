@@ -305,3 +305,23 @@ def test_frozen_hashes_g6(energies_g6):
     texts = {"H_6": h6.body_text(), "R_6": sigma_text(r_poly(h6))}
     got = {name: hashlib.sha256(t.encode()).hexdigest() for name, t in texts.items()}
     assert got == FROZEN_SHA256_G6
+
+
+# sha256 of the canonical text of H_7 and R_7, frozen before the solver summed
+# its products over one common denominator.
+FROZEN_SHA256_G7 = {
+    "H_7": "c26bac7bc89a07c77e3b8ea4511500f704e434a7c68c4db9d450e68ce1074c37",
+    "R_7": "480e34b18140912a55a3368ba67046529a8b072e929de8ec4be5697a5860b2f5",
+}
+
+
+def test_frozen_hashes_g7(energies_g7):
+    import hashlib
+
+    from cubichodge.outputs import r_poly
+    from cubichodge.textform import sigma_text
+
+    h7 = energies_g7[6]
+    texts = {"H_7": h7.body_text(), "R_7": sigma_text(r_poly(h7))}
+    got = {name: hashlib.sha256(t.encode()).hexdigest() for name, t in texts.items()}
+    assert got == FROZEN_SHA256_G7
