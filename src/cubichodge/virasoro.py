@@ -312,15 +312,14 @@ class FockPoly:
 
     Terms are keyed by (x exponent, eps^2 exponent, ((k, e), ...) sorted).
     Indices are validated against N_* and the truncation k_cut at
-    construction; the optional degree cut is validated likewise.
+    construction.
     """
 
-    __slots__ = ("params", "k_cut", "d_cut", "terms")
+    __slots__ = ("params", "k_cut", "terms")
 
-    def __init__(self, params: RationalParams, k_cut: int, terms=None, d_cut: int | None = None):
+    def __init__(self, params: RationalParams, k_cut: int, terms=None):
         self.params = params
         self.k_cut = k_cut
-        self.d_cut = d_cut
         self.terms = {}
         if terms:
             for key, c in terms.items():
@@ -330,23 +329,17 @@ class FockPoly:
                 self.terms[key] = c
 
     def _validate(self, key):
-        xe, _, smono = key
-        deg = xe
-        for k, e in smono:
+        for k, e in key[2]:
             if not self.params.in_nstar(k):
                 raise TruncationViolation(f"s_{k} index not in N_*")
             if k > self.k_cut:
                 raise TruncationViolation(f"s_{k} beyond k_cut = {self.k_cut}")
             if e < 1:
                 raise ValueError("monomial exponents must be positive")
-            deg += e
-        if self.d_cut is not None and deg > self.d_cut:
-            raise TruncationViolation(f"degree {deg} beyond d_cut = {self.d_cut}")
 
     @classmethod
-    def monomial(cls, params, k_cut, coef=1, x: int = 0, eps2: int = 0, s=(), d_cut=None):
-        smono = tuple(sorted(s))
-        return cls(params, k_cut, {(x, eps2, smono): Q(coef)}, d_cut=d_cut)
+    def monomial(cls, params, k_cut, coef=1, x: int = 0, s=()):
+        return cls(params, k_cut, {(x, 0, tuple(sorted(s))): Q(coef)})
 
     def first_term(self):
         if not self.terms:

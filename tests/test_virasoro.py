@@ -229,9 +229,25 @@ class TestAkn:
 
 
 class FockPoly(virasoro.FockPoly):
-    """virasoro.FockPoly with the ring operations the reference needs."""
+    """virasoro.FockPoly with an optional degree cut, any eps^2 exponent in
+    `monomial`, and the ring operations the reference needs."""
 
-    __slots__ = ()
+    __slots__ = ("d_cut",)
+
+    def __init__(self, params: RationalParams, k_cut: int, terms=None, d_cut: int | None = None):
+        self.d_cut = d_cut
+        super().__init__(params, k_cut, terms)
+
+    def _validate(self, key):
+        super()._validate(key)
+        xe, _, smono = key
+        deg = xe + sum(e for _, e in smono)
+        if self.d_cut is not None and deg > self.d_cut:
+            raise TruncationViolation(f"degree {deg} beyond d_cut = {self.d_cut}")
+
+    @classmethod
+    def monomial(cls, params, k_cut, coef=1, x: int = 0, eps2: int = 0, s=(), d_cut=None):
+        return cls(params, k_cut, {(x, eps2, tuple(sorted(s))): Q(coef)}, d_cut=d_cut)
 
     def __add__(self, other: "FockPoly") -> "FockPoly":
         r = FockPoly(self.params, self.k_cut, d_cut=self.d_cut)
@@ -302,7 +318,7 @@ def virasoro_apply(params: RationalParams, m: int, f: virasoro.FockPoly) -> Fock
             for ell in range(m):
                 add_second(add, params, smono, xe, ee, c * half * gv,
                            alpha + params.h * ell, beta + params.h * (m - 1 - ell))
-    r = FockPoly(params, f.k_cut, d_cut=f.d_cut)
+    r = FockPoly(params, f.k_cut)
     r.terms = nonzero(out)
     return r
 
