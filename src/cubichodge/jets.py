@@ -13,6 +13,11 @@ and every numerator is 1), so equal polynomials compare and hash equal.
 `bound` is at least every |exponent| and guards the packed slots.  `items`
 and the constructor speak exponent tuples and rationals.
 
+Products are summed, not formed one by one: `JetPoly.dot` takes a sum of
+products a * b over the common denominator of every a.den * b.den, runs each
+pair into one accumulator, and drops zeros and reduces once.  `a * b` is its
+one-pair case; `JetPoly.sum` adds polynomials that are already formed.
+
 Operands of ring operations must share the cutoff; `derive` raises
 CutoffError instead of silently dropping a z index that would exceed it.
 """
@@ -104,6 +109,34 @@ class JetPoly:
             add_into(acc, p.terms, den // p.den)
         return _make(cutoff, acc, den, max(p.bound for p in polys))
 
+    @classmethod
+    def dot(cls, cutoff: int, pairs) -> "JetPoly":
+        """sum a * b over the (a, b) pairs, accumulated once over their common
+        denominator; no product is formed on its own."""
+        live = []
+        for a, b in pairs:
+            if a.cutoff != cutoff or b.cutoff != cutoff:
+                raise CutoffError(f"cutoff mismatch: {a.cutoff}, {b.cutoff} vs {cutoff}")
+            if a.terms and b.terms:
+                live.append((a, b))
+        if not live:
+            return cls(cutoff)
+        den = lcm(*(a.den * b.den for a, b in live))
+        acc = {}
+        bound = 0
+        for a, b in live:
+            at, bt = a.terms, b.terms
+            scale = den // (a.den * b.den)
+            if scale != 1:
+                # the smaller side takes the scale
+                if len(at) <= len(bt):
+                    at = {k: v * scale for k, v in at.items()}
+                else:
+                    bt = {k: v * scale for k, v in bt.items()}
+            mul_into(acc, at, bt)
+            bound = max(bound, product_bound((a.bound, (a.terms,)), (b.bound, (b.terms,))))
+        return _make(cutoff, nonzero(acc), den, bound)
+
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "JetPoly"):
@@ -127,10 +160,7 @@ class JetPoly:
 
     def __mul__(self, other):
         if isinstance(other, JetPoly):
-            self._check(other)
-            bound = product_bound((self.bound, (self.terms,)), (other.bound, (other.terms,)))
-            return _make(self.cutoff, nonzero(mul_into({}, self.terms, other.terms)),
-                         self.den * other.den, bound)
+            return JetPoly.dot(self.cutoff, ((self, other),))
         if is_rational(other):
             return self._scaled(other.numerator, other.denominator)
         if isinstance(other, SigmaPoly):

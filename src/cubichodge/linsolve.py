@@ -46,7 +46,7 @@ class TriangularSystem:
         for a in range(n, 0, -1):
             row = self.rows[a - 1]
             rhs = self.rhs[a - 1]
-            resid = JetPoly.sum(rhs.cutoff, [rhs] + [-row[i] * xs[i] for i in range(a, n) if row[i]])
+            resid = rhs - JetPoly.dot(rhs.cutoff, [(row[i], xs[i]) for i in range(a, n) if row[i]])
             try:
                 xs[a - 1] = resid.exact_div(row[a - 1])
             except ExactDivisionError as exc:

@@ -136,23 +136,19 @@ class LoopSolver:
         M = self.cutoff
         grads = [None] + [fe.gradient for fe in lower[: g - 1]]
         top_prev = 3 * (g - 1) - 2
-        parts = []
-        for i in range(top_prev + 1):
-            gi = grads[g - 1][i]
-            if gi:
-                parts.append(self.derived_base(i + 2) * gi)
+        linear = ThetaPoly.dot(M, [(self.derived_base(i + 2), grads[g - 1][i])
+                                   for i in range(top_prev + 1) if grads[g - 1][i]])
         # W_{i+1,j+1} = w_ij for i <= j, halved on the diagonal; P is symmetric
         weights = {}
         half = Q(1, 2)
         for i in range(top_prev + 1):
             for j in range(i, top_prev + 1):
-                w = JetPoly.sum(M, [grads[g - 1][i].partial(j)] + [
-                    grads[k][i] * grads[g - k][j] for k in range(1, g)
+                w = grads[g - 1][i].partial(j) + JetPoly.dot(M, [
+                    (grads[k][i], grads[g - k][j]) for k in range(1, g)
                     if i < len(grads[k]) and j < len(grads[g - k])])
                 if w:
                     weights[i + 1, j + 1] = w * half if i == j else w
-        parts.append(self.table.contract(weights))
-        return ThetaPoly.sum(M, parts)
+        return linear + self.table.contract(weights)
 
     # -- the solve -----------------------------------------------------------
 
@@ -182,7 +178,7 @@ class LoopSolver:
         return fe
 
     def _apply_lhs(self, gradient) -> ThetaPoly:
-        return ThetaPoly.sum(self.cutoff, [self.lhs_coefficient(i) * gi
+        return ThetaPoly.dot(self.cutoff, [(self.lhs_coefficient(i), gi)
                                            for i, gi in enumerate(gradient) if gi])
 
     def residual(self, g: int, energies) -> ThetaPoly:

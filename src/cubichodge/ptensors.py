@@ -19,8 +19,10 @@ sum by linearity, without forming any P_{a,b}:
   sum_{a,b} w_{a,b} P_{a,b} = sum_{k,l} P~_{k,l} (F^T w F)_{k,l},
   (F^T w F)_{k,l} = sum_a f_{a,k} G_{a,l},   G_{a,l} = sum_b w_{a,b} f_{b,l}.
 
-Both passes multiply jet polynomials only, and P~ has sigma-only
-coefficients, so the last step is a sigma x jet product per Theta power.
+Each pass is a sum of jet x jet products, and each is summed by JetPoly.dot
+over one common denominator without forming the products.  P~ has
+sigma-only coefficients, so the last step is one ThetaPoly.dot: per Theta
+power, a sum of sigma x jet products.
 
 The P~ entries are cached; the table only ever grows.
 """
@@ -32,7 +34,7 @@ from math import factorial
 from .bell import FJetTable
 from .jets import JetPoly
 from .phiseries import double_factorial_odd, phi_d_inv_all, q_number
-from .ratio import Q
+from .ratio import Q, is_rational
 from .sigma import SigmaPoly
 from .sparse import add_into
 from .theta import ThetaPoly
@@ -82,21 +84,27 @@ class PTensorTable:
 
     def contract(self, weights) -> ThetaPoly:
         """sum_{a,b} w_{a,b} P_{a,b} for weights {(a, b): JetPoly or rational},
-        as sum_{k,l} P~_{k,l} (F^T w F)_{k,l}; no P_{a,b} is formed."""
+        as sum_{k,l} P~_{k,l} (F^T w F)_{k,l}; no P_{a,b} is formed.
+
+        G, F^T w F and the last step are each summed by one `dot` call per
+        entry (per Theta power in the last step); a rational weight enters
+        as a constant JetPoly."""
         M, f = self.cutoff, self.fjets.f
         # f_{b,l} vanishes for l > b, and for l = 0 unless b = 0
-        g_parts: dict[tuple[int, int], list] = {}
+        g_pairs: dict[tuple[int, int], list] = {}
         for (a, b), w in weights.items():
+            if is_rational(w):
+                w = JetPoly.const(w, M)
             for l in range(0 if b == 0 else 1, b + 1):
-                g_parts.setdefault((a, l), []).append(f(b, l) * w)
-        fwf_parts: dict[tuple[int, int], list] = {}
-        for (a, l), parts in g_parts.items():
-            g = JetPoly.sum(M, parts)
+                g_pairs.setdefault((a, l), []).append((f(b, l), w))
+        fwf_pairs: dict[tuple[int, int], list] = {}
+        for (a, l), pairs in g_pairs.items():
+            g = JetPoly.dot(M, pairs)
             if g:
                 for k in range(0 if a == 0 else 1, a + 1):
-                    fwf_parts.setdefault((k, l), []).append(f(a, k) * g)
-        return ThetaPoly.sum(M, [self.ptilde(k, l) * JetPoly.sum(M, parts)
-                                 for (k, l), parts in fwf_parts.items()])
+                    fwf_pairs.setdefault((k, l), []).append((f(a, k), g))
+        return ThetaPoly.dot(M, [(self.ptilde(k, l), JetPoly.dot(M, pairs))
+                                 for (k, l), pairs in fwf_pairs.items()])
 
     # -- provenance and diagnostics ----------------------------------------
 

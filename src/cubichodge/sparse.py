@@ -148,6 +148,8 @@ def add_into(acc: dict, terms: dict, factor=1) -> dict:
 def mul_into(acc: dict, a: dict, b: dict) -> dict:
     """acc += a * b in place, one term pair at a time; returns acc.
 
+    Callers run many products into one acc: `JetPoly.dot` every pair of a
+    sum of products, `mul_graded` every pair of grades that meet.
     Coefficients that cancel stay behind as zeros: `nonzero` drops them
     once, after the last product into acc.
     """

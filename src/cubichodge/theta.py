@@ -83,14 +83,11 @@ class ThetaPoly:
     def __mul__(self, other):
         if isinstance(other, ThetaPoly):
             self._check(other)
-            if not self or not other:
-                return ThetaPoly(self.cutoff)
-            parts = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+            pairs = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
-                    if a and b:
-                        parts[i + j].append(a * b)
-            return ThetaPoly(self.cutoff, [JetPoly.sum(self.cutoff, ps) for ps in parts])
+                    pairs[i + j].append((a, b))
+            return ThetaPoly(self.cutoff, [JetPoly.dot(self.cutoff, ps) for ps in pairs])
         if isinstance(other, (JetPoly, SigmaPoly)) or is_rational(other):
             return ThetaPoly(self.cutoff, [c * other for c in self.coeffs])
         return NotImplemented
@@ -113,6 +110,19 @@ class ThetaPoly:
             for d, c in enumerate(tp.coeffs):
                 parts[d].append(c)
         return cls(cutoff, [JetPoly.sum(cutoff, ps) for ps in parts])
+
+    @classmethod
+    def dot(cls, cutoff: int, pairs) -> "ThetaPoly":
+        """sum tp * w over the (ThetaPoly tp, JetPoly w) pairs: one JetPoly.dot
+        per Theta power."""
+        pairs = list(pairs)
+        for tp, w in pairs:
+            if tp.cutoff != cutoff or w.cutoff != cutoff:
+                raise CutoffError("cutoff mismatch")
+        top = max((len(tp.coeffs) for tp, _ in pairs), default=0)
+        return cls(cutoff, [JetPoly.dot(cutoff, [(tp.coeffs[d], w) for tp, w in pairs
+                                                 if d < len(tp.coeffs)])
+                            for d in range(top)])
 
     # -- derivations --------------------------------------------------------
 

@@ -1,11 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubichodge.jets import CutoffError, ExactDivisionError, JetPoly
 from cubichodge.linsolve import SolveError, TriangularSystem
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
+from cubichodge.sparse import exponent_bound
 from cubichodge.theta import ThetaPoly
 
 M = 6
@@ -153,3 +157,89 @@ class TestExactDiv:
             (z(2) + const(1)).exact_div(z(3))
         with pytest.raises(ExactDivisionError):
             (z(2) * z(3)).exact_div(z(2) + z(3))
+
+
+# -- fused sums of products ------------------------------------------------------
+
+# keys (sa, sb, e0, e1, e2) at cutoff 2 from a small range, so products of
+# different pairs land on the same monomial and cancel; the denominators
+# differ between operands, so each pair's scale to the common one is not 1
+DOT_M = 2
+dot_keys = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+                     st.integers(-1, 1), st.integers(0, 1))
+dot_coefs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([1, 2, 3, 4, 6]))
+dot_jets = st.dictionaries(dot_keys, dot_coefs, max_size=4).map(lambda t: JetPoly(DOT_M, t))
+dot_pairs = st.lists(st.tuples(dot_jets, dot_jets), max_size=4)
+dot_thetas = st.lists(dot_jets, max_size=3).map(lambda cs: ThetaPoly(DOT_M, cs))
+
+
+def ref_dot(pairs) -> dict:
+    """sum a * b as {exponent tuple: Fraction}, every term pair expanded from items()."""
+    out = {}
+    for a, b in pairs:
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                k = tuple(x + y for x, y in zip(ka, kb))
+                out[k] = out.get(k, Fraction(0)) + Fraction(va) * Fraction(vb)
+    return {k: v for k, v in out.items() if v}
+
+
+def assert_matches(got: JetPoly, ref: dict):
+    assert dict(got.items()) == ref
+    # lowest terms: the constructor's canonical form of the same rationals
+    assert got == JetPoly(DOT_M, ref)
+    assert got.bound >= exponent_bound((got.terms,))
+
+
+class TestDot:
+    @given(dot_pairs)
+    def test_matches_reference(self, pairs):
+        assert_matches(JetPoly.dot(DOT_M, pairs), ref_dot(pairs))
+
+    def test_each_side_scaled(self):
+        # common denominator 12: the one-term left side takes the scale 4 in the
+        # first pair, the one-term right side takes the scale 3 in the second
+        a = JetPoly(DOT_M, {(0, 0, 1, 0, 0): Fraction(1, 3)})
+        b = JetPoly(DOT_M, {(0, 0, 0, 1, 0): Fraction(1), (0, 0, 0, 0, 1): Fraction(2)})
+        c = JetPoly(DOT_M, {(1, 0, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0, 0): Fraction(1, 2)})
+        d = JetPoly(DOT_M, {(0, 0, 0, -1, 0): Fraction(1, 2)})
+        pairs = [(a, b), (c, d)]
+        got = JetPoly.dot(DOT_M, pairs)
+        assert got.den == 12
+        assert_matches(got, ref_dot(pairs))
+
+    @given(dot_jets, dot_jets)
+    def test_full_cancellation(self, a, b):
+        got = JetPoly.dot(DOT_M, ((a, b), (-a, b)))
+        assert got == JetPoly.zero(DOT_M)
+        assert not got.terms and got.den == 1
+
+    @given(dot_jets, dot_pairs)
+    def test_empty_and_zero_operands(self, a, pairs):
+        zero = JetPoly.zero(DOT_M)
+        assert JetPoly.dot(DOT_M, []) == zero and JetPoly.dot(DOT_M, []).den == 1
+        padded = [(zero, a)] + pairs + [(a, zero)]
+        assert_matches(JetPoly.dot(DOT_M, padded), ref_dot(pairs))
+
+    def test_cutoff_mismatch_raises(self):
+        a = JetPoly.z(1, DOT_M)
+        for other in (JetPoly.z(1, DOT_M + 1), JetPoly.zero(DOT_M + 1)):
+            for pair in ((a, other), (other, a), (JetPoly.zero(DOT_M), other)):
+                with pytest.raises(CutoffError):
+                    JetPoly.dot(DOT_M, [(a, a), pair])
+        with pytest.raises(CutoffError):
+            JetPoly.dot(DOT_M + 1, [(a, a)])
+
+    @given(st.lists(st.tuples(dot_thetas, dot_jets), max_size=4))
+    def test_theta_dot_matches_per_pair_sum(self, pairs):
+        got = ThetaPoly.dot(DOT_M, pairs)
+        top = max((tp.degree for tp, _ in pairs), default=-1)
+        assert got.degree <= top
+        for d in range(top + 1):
+            assert_matches(got.coeff(d), ref_dot([(tp.coeff(d), w) for tp, w in pairs]))
+
+    def test_theta_dot_cutoff_mismatch_raises(self):
+        w = JetPoly.z(1, DOT_M)
+        for pair in ((ThetaPoly.zero(DOT_M + 1), w), (ThetaPoly.theta(DOT_M), JetPoly.zero(DOT_M + 1))):
+            with pytest.raises(CutoffError):
+                ThetaPoly.dot(DOT_M, [pair])
