@@ -175,3 +175,21 @@ def test_frozen_ptilde_g4():
     solver.compute(4)
     blob = json.dumps(solver.table.dump_json(), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_PTILDE_G4_SHA256
+
+
+# sha256 of row 0 of P~ for n = 0..25, frozen before row 0 was rebuilt from the
+# one-step recurrence for Phi d_z^m (1/Phi); the genus-7 anchors reach only n = 19.
+FROZEN_ROW0_N25_SHA256 = "70727c369330b845fa4804255ba559cc53a5fc3a7e6808a5dc4c0919f8f212f7"
+
+
+def test_frozen_row0_n25():
+    import hashlib
+    import json
+
+    from cubichodge.textform import jet_json
+
+    table = PTensorTable(29)
+    table.ensure_row0(25)
+    blob = json.dumps([[jet_json(c) for c in table.row0(n).coeffs] for n in range(26)],
+                      sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_ROW0_N25_SHA256
