@@ -1,4 +1,4 @@
-"""Exponential and complete Bell polynomials, and the jet polynomials f_{i,j}.
+"""Partial Bell polynomials and the jet polynomials f_{i,j}.
 
 The abstract partial Bell polynomials B_{n,k}(X_1, ..., X_{n-k+1}) are
 cached as sparse exponent maps over the slot variables.  The jet
@@ -49,20 +49,6 @@ class BellTable:
         if not (0 <= k <= n <= self.n_max):
             raise ValueError(f"bell_partial indices out of range: ({n}, {k})")
         return {unpack(mono, n): c for mono, c in self._table[(n, k)].items()}
-
-
-def bell_complete_all(n: int, xs, one):
-    """Complete Bell values B_0..B_n at xs[0] = X_1, ... via the recurrence
-    B_{m+1} = sum_i C(m, i) B_{m-i} X_{i+1}; equals the sum over k of the
-    partial Bell polynomials evaluated at the same arguments."""
-    values = [one]
-    for m in range(n):
-        acc = None
-        for i in range(m + 1):
-            term = values[m - i] * xs[i] * Q(comb(m, i))
-            acc = term if acc is None else acc + term
-        values.append(acc)
-    return values
 
 
 class FJetTable:

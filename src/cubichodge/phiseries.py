@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .bell import bell_complete_all
 from .ratio import Q, QONE, QZERO, is_rational
 from .sigma import SigmaPoly
 from .sparse import add_graded, mul_graded, power, product_bound
@@ -250,15 +249,18 @@ def log_phi_shifted(order: int, shift) -> ZInvSeries:
 
 
 def phi_d_inv_all(m_max: int, order: int) -> list:
-    """Phi * d^m/dz^m (1/Phi) for m = 0..m_max, the complete Bell polynomials
-    of the -log Phi derivatives, from one pass."""
-    xs = []
+    """u_m = Phi * d^m/dz^m (1/Phi) for m = 0..m_max, truncated at z^-order.
+
+    By the chain rule u_{m+1} = u_m' + X_1 u_m with X_1 = -(log Phi)';
+    X_1 has valuation 2, so each truncated u_m gives u_{m+1} exactly to the
+    same order."""
+    out = [ZInvSeries.one(order)]
     if m_max:
-        d = log_phi(order)
+        x1 = -log_phi(order).ddz()
         for _ in range(m_max):
-            d = d.ddz()
-            xs.append(-d)
-    return [v.truncate(order) for v in bell_complete_all(m_max, xs, ZInvSeries.one())]
+            u = out[-1]
+            out.append((u.ddz() + x1 * u).truncate(order))
+    return out
 
 
 def q_number(n: int, k: int):

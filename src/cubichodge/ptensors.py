@@ -128,18 +128,21 @@ def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
     # acc[n][k] accumulates the sigma term dict of the z^-n Theta^k coefficient
     acc: list[dict[int, dict]] = [dict() for _ in range(n_max + 1)]
     for np_ in range(n_max + 1):
-        qrow = {k: q_number(np_, k) for k in range(1, np_ + 2)}
+        # zs[n]: sigma term dict of the z^-n coefficient of
+        # sum_m c_{n',m} z^{m-n'} u_m, scaled below by each Q(n', k)
+        zs: dict[int, dict] = {}
         for m in range(np_ + 1):
             d = np_ - m
             cm = double_factorial_odd(d) / (Q(2) ** d * factorial(m) * factorial(d))
             if d % 2 == 1:
                 cm = -cm
             for r, sig in pdi[m].grades.items():
-                n = np_ - m + r
-                if n > n_max:
-                    continue
-                for k, qv in qrow.items():
-                    add_into(acc[n].setdefault(k, {}), sig, cm * qv)
+                if d + r <= n_max:
+                    add_into(zs.setdefault(d + r, {}), sig, cm)
+        for k in range(1, np_ + 2):
+            qv = q_number(np_, k)
+            for n, sig in zs.items():
+                add_into(acc[n].setdefault(k, {}), sig, qv)
     out = []
     for n in range(n_max + 1):
         coeffs = [JetPoly.zero(cutoff)] * (max(acc[n], default=0) + 1)

@@ -1,8 +1,8 @@
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
-from cubichodge.bell import BellTable, FJetTable, bell_complete_all, bell_jet
+from cubichodge.bell import BellTable, FJetTable, bell_jet
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
@@ -75,6 +75,20 @@ class TestPartial:
             TABLE.bell_partial(2, 3)
         with pytest.raises(ValueError):
             TABLE.bell_partial(N + 1, 0)
+
+
+def bell_complete_all(n: int, xs, one):
+    """Complete Bell values B_0..B_n at xs[0] = X_1, ... via the recurrence
+    B_{m+1} = sum_i C(m, i) B_{m-i} X_{i+1}; equals the sum over k of the
+    partial Bell polynomials evaluated at the same arguments."""
+    values = [one]
+    for m in range(n):
+        acc = None
+        for i in range(m + 1):
+            term = values[m - i] * xs[i] * Q(comb(m, i))
+            acc = term if acc is None else acc + term
+        values.append(acc)
+    return values
 
 
 def bell_complete(n: int, xs, one):

@@ -4,6 +4,7 @@ from cubichodge.phiseries import (TruncationError, ZInvSeries, bernoulli, binom_
                                   binomial_zinv, log_phi, phi_d_inv_all, power_sum, q_number)
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
+from test_bell import bell_complete_all
 
 
 class TestBernoulli:
@@ -82,7 +83,7 @@ class TestPhiDInv:
     def test_m2_leading(self):
         assert phi_d_inv(2, 6).coeff(3) == SigmaPoly.s1() * Q(-1, 6)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
     def test_series_oracle(self, m):
         # expand Phi = exp(log Phi), differentiate 1/Phi directly, multiply back
         order = 8
@@ -96,6 +97,22 @@ class TestPhiDInv:
         mine = phi_d_inv(m, order)
         for n in range(order - 1):
             assert mine.coeff(n) == direct.coeff(n), (m, n)
+
+
+    def test_matches_complete_bell(self):
+        # u_m is the complete Bell value at X_i = -(log Phi)^(i)
+        m_max = order = 13
+        xs = []
+        d = log_phi(order)
+        for _ in range(m_max):
+            d = d.ddz()
+            xs.append(-d)
+        expect = [v.truncate(order) for v in bell_complete_all(m_max, xs, ZInvSeries.one())]
+        got = phi_d_inv_all(m_max, order)
+        assert len(got) == len(expect)
+        for m, (u, v) in enumerate(zip(got, expect)):
+            assert u.order == v.order == order, m
+            assert u == v, m
 
 
 class TestQNumbers:
