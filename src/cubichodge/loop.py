@@ -335,5 +335,5 @@ def load_cached(cache_dir: str, genus: int, fingerprint: str, cutoff: int) -> Fr
         prov = dict(record["provenance"])
         prov["cache"] = "hit"
         return FreeEnergy(genus, body, log_c, prov)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError):
         return None

@@ -203,6 +203,32 @@ class TestCache:
         json.dump(record, open(path, "w"))
         assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is None
 
+    @pytest.mark.parametrize("provenance", [[], "x", None])
+    def test_provenance_of_wrong_shape_misses(self, tmp_path, h123, provenance):
+        import json
+
+        h2 = h123[1]
+        fe = FreeEnergy(2, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
+        path = store_cached(str(tmp_path), fe)
+        record = json.load(open(path))
+        record["provenance"] = provenance
+        json.dump(record, open(path, "w"))
+        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is None
+
+    def test_jets_of_wrong_shape_misses(self, tmp_path, h123):
+        import json
+
+        from cubichodge.loop import _payload_hash
+
+        h2 = h123[1]
+        fe = FreeEnergy(2, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
+        path = store_cached(str(tmp_path), fe)
+        record = json.load(open(path))
+        record["payload"]["body"][0]["jets"] = []
+        record["sha256"] = _payload_hash(record["payload"], "fp")
+        json.dump(record, open(path, "w"))
+        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is None
+
     def test_torn_write_keeps_previous_record(self, tmp_path, h123, monkeypatch):
         import json
 
