@@ -43,9 +43,10 @@ def _parser() -> argparse.ArgumentParser:
                                  description="Exact cubic Hodge free energies from the loop equation")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=True):
         p.add_argument("--cutoff", type=int, default=None, help="jet cutoff override")
-        p.add_argument("--format", choices=("text", "json", "latex"), default="text")
+        if formats:
+            p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         p.add_argument("--cache-dir", default=os.environ.get("CUBICHODGE_CACHE"))
 
     p = sub.add_parser("compute", help="solve the loop equation up to a genus")
@@ -71,7 +72,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, default=3)
     p.add_argument("--pairs", default="1,2;2,3;3,4",
                    help="rational-case pairs for the bridge suite, e.g. '1,2;2,3'")
-    common(p)
+    common(p, formats=False)
 
     p = sub.add_parser("virasoro", help="Virasoro commutator matrix for (K1, K2)")
     p.add_argument("--k1", type=int, required=True)
@@ -80,7 +81,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=_nonnegative, default=3, help="monomial basis degree")
     p.add_argument("--index-bound", type=int, default=None,
                    help="highest s index in the basis (default 2h+2)")
-    common(p)
     return ap
 
 

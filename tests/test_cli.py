@@ -45,6 +45,10 @@ def test_compute_genus2(capsys):
     ["compute", "--genus", "1", "--threads", "1"],
     ["virasoro", "--k1", "1", "--k2", "2", "--mmax", "1", "--index-bound", "-4"],
     ["virasoro", "--k1", "1", "--k2", "2", "--mmax", "0", "--index-bound", "-1"],
+    ["virasoro", "--k1", "1", "--k2", "2", "--format", "json"],
+    ["virasoro", "--k1", "1", "--k2", "2", "--cutoff", "5"],
+    ["virasoro", "--k1", "1", "--k2", "2", "--cache-dir", "cache"],
+    ["verify", "--suite", "bell", "--format", "json"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -105,6 +109,20 @@ def test_cache_roundtrip_and_corruption(tmp_path, capsys):
     json.dump(record, open(path, "w"))
     code, healed, _ = run_cli(capsys, "compute", "--genus", "2", "--cache-dir", cache)
     assert code == 0 and healed == first
+
+
+@pytest.mark.parametrize("provenance", [[], "x", None])
+def test_cache_record_of_wrong_shape_recomputes(tmp_path, capsys, provenance):
+    cache = str(tmp_path / "cache")
+    code, first, _ = run_cli(capsys, "compute", "--genus", "2", "--cache-dir", cache)
+    assert code == 0
+    path = os.path.join(cache, "free_energy_g2.json")
+    record = json.load(open(path))
+    record["provenance"] = provenance
+    json.dump(record, open(path, "w"))
+    code, again, _ = run_cli(capsys, "compute", "--genus", "2", "--cache-dir", cache)
+    assert code == 0 and again == first
+    assert isinstance(json.load(open(path))["provenance"], dict)
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
