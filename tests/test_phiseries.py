@@ -98,7 +98,6 @@ class TestPhiDInv:
         for n in range(order - 1):
             assert mine.coeff(n) == direct.coeff(n), (m, n)
 
-
     def test_matches_complete_bell(self):
         # u_m is the complete Bell value at X_i = -(log Phi)^(i)
         m_max = order = 13
