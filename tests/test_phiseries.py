@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 from cubichodge.phiseries import (TruncationError, ZInvSeries, bernoulli, binom_q,
                                   binomial_zinv, log_phi, phi_d_inv_all, power_sum, q_number)
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
+from cubichodge.textform import sigma_json
 from test_bell import bell_complete_all
 
 
@@ -159,3 +163,23 @@ class TestSeriesArithmetic:
     def test_binom_q(self):
         assert binom_q(Q(-1, 2), 2) == Q(3, 8)
         assert binom_q(Q(5), 2) == Q(10)
+
+
+# sha256 of the z^0..z^-12 coefficients of the shift series for j = 0..8,
+# frozen while the 1/z series were a valuation-tracked class of their own
+SHIFT_ANCHORS = {
+    "shift_expansion_term": "139d7422368190d85e908da3eecc3a9fceafd39a86b7a2c321e173cdf8cdffcc",
+    "log_phi_shifted": "09e975b76b3c2857984744b7c5a9608cd26827f98a7533a81403646be058bbd0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_ANCHORS))
+def test_frozen_shift_series(name):
+    from cubichodge.oracles import shift_expansion_term
+    from cubichodge.phiseries import log_phi_shifted
+
+    series = {"shift_expansion_term": lambda j: shift_expansion_term(j, 12),
+              "log_phi_shifted": lambda j: log_phi_shifted(12, j)}[name]
+    data = [[sigma_json(series(j).coeff(n)) for n in range(13)] for j in range(9)]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == SHIFT_ANCHORS[name]
