@@ -10,9 +10,9 @@ from .commutators import commutator_grid
 from .jets import CutoffError, ExactDivisionError, JetPoly
 from .linsolve import SolveError, TriangularSystem
 from .loop import FreeEnergy, LoopEquationError, LoopSolver
-from .outputs import (TSeries, dimension_check, faber_leading, first_flow_check,
-                      h1_gap_check, hodge_expand, intersection_table, r_poly, v_series)
-from .phiseries import ZInvSeries, bernoulli, log_phi, power_sum, q_number
+from .outputs import (dimension_check, faber_leading, first_flow_check, h1_gap_check,
+                      hodge_expand, intersection_table, r_poly, v_series)
+from .phiseries import TSeries, bernoulli, log_phi, power_sum, q_number
 from .ptensors import PTensorTable
 from .ratio import Q
 from .sigma import SigmaPoly

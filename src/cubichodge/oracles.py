@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import comb
 
 from .bell import FJetTable
-from .phiseries import ZInvSeries, binomial_zinv, log_phi, log_phi_shifted, q_number
+from .phiseries import TSeries, binomial_zinv, log_phi, log_phi_shifted, q_number
 from .ptensors import PTensorTable
 from .ratio import Q, QZERO
 from .theta import ThetaPoly
@@ -45,10 +45,10 @@ def q_geometric_check(n_max: int, order: int = 12):
     return True, None
 
 
-def shift_expansion_term(j: int, order: int) -> ZInvSeries:
-    """sqrt(z) Phi(z) / (sqrt(z - j) Phi(z - j)) as a 1/z series."""
+def shift_expansion_term(j: int, order: int) -> TSeries:
+    """sqrt(z) Phi(z) / (sqrt(z - j) Phi(z - j)) as a series in t = 1/z."""
     if j == 0:
-        return ZInvSeries.one(order)
+        return TSeries.const(1, 0, order)
     expo = log_phi(order) - log_phi_shifted(order, j)
     return expo.exp() * binomial_zinv(Q(-1, 2), -j, order)
 
@@ -62,7 +62,7 @@ def row0_shift_oracle(table: PTensorTable, n_max: int, xi_order: int):
         coeffs = [c.as_sigma() for c in tp.coeffs]
         series = theta_xi_coeffs(coeffs, xi_order)
         for j in range(xi_order + 1):
-            want = shifts[j].coeff(n)
+            want = shifts[j].coefficient((n,))
             if series[j] != want:
                 return False, f"P~(0,{n}) at xi^{j}: {series[j]!r} != {want!r}"
     return True, None
@@ -127,7 +127,7 @@ def v1_asymptotic_check(params: RationalParams, order: int = 8):
     series = shift_expansion_term(1, order)
     s1, s3 = params.sigma_values()
     for n in range(order + 1):
-        want = series.coeff(n).evaluate(s1, s3)
+        want = series.coefficient((n,)).evaluate(s1, s3)
         if got[n] != want:
             return False, f"z^-{n}: {got[n]} != {want}"
     return True, None

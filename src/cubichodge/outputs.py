@@ -1,12 +1,11 @@
 """Downstream quantities: v(t), gap polynomials R_g, Faber leading terms,
 Hodge intersection tables and the first-flow consistency check.
 
-TSeries is a total-degree truncated power series in t_0..t_{n_max} with
-coefficients in Q[s1, s3].  v(t) solves v = sum_i t_i v^i / i! and is
-built term by term from its Lagrange-inversion closed form; its t0-jets
-substitute into a free energy to expand H_g back into intersection-number
-data (coefficients are reported raw; the factorial-normalized view is a
-formatting concern).
+The series are TSeries (defined in phiseries) in t_0..t_{n_max}.  v(t)
+solves v = sum_i t_i v^i / i! and is built term by term from its
+Lagrange-inversion closed form; its t0-jets substitute into a free energy to
+expand H_g back into intersection-number data (coefficients are reported
+raw; the factorial-normalized view is a formatting concern).
 """
 from __future__ import annotations
 
@@ -14,176 +13,10 @@ from math import factorial
 
 from .jets import JetPoly
 from .loop import FreeEnergy
-from .phiseries import bernoulli
-from .ratio import Q, QZERO, is_rational
+from .phiseries import TSeries, _tseries, bernoulli
+from .ratio import Q, QZERO
 from .sigma import SigmaPoly
-from .sparse import (add_graded, exponent, mul_graded, mul_into, nonzero, pack, power, product_bound,
-                     split, unit, unpack)
-
-
-class TSeries:
-    """Total-degree truncated power series in t_0..t_{n_max} over Q[s1, s3].
-
-    `grades` maps a total t-degree d <= d_max to a term dict on packed keys
-    with slots (a, b, e_0, ..., e_{n_max}) for s1^a s3^b t_0^e_0 ...
-    t_{n_max}^e_{n_max}, and `bound` bounds every exponent; `coefficient`
-    returns the SigmaPoly coefficient of one t-monomial.
-    """
-
-    __slots__ = ("n_max", "d_max", "grades", "bound")
-
-    def __init__(self, n_max: int, d_max: int, terms=None):
-        """`terms` maps a t-exponent tuple to its SigmaPoly coefficient."""
-        self.n_max = n_max
-        self.d_max = d_max
-        self.grades = {}
-        self.bound = 0
-        for k, sp in (terms or {}).items():
-            if sp and sum(k) <= d_max:
-                if len(k) != n_max + 1 or min(k) < 0:
-                    raise ValueError("t-exponents must be n_max + 1 nonnegative ints")
-                # the sigma part of a key fills slots 0 and 1, the t-exponents the rest
-                tk = pack(k, 2)
-                self.grades.setdefault(sum(k), {}).update({ab + tk: c for ab, c in sp.terms.items()})
-                self.bound = max(self.bound, sp.bound, *k)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n_max: int, d_max: int) -> "TSeries":
-        return cls(n_max, d_max)
-
-    @classmethod
-    def const(cls, c, n_max: int, d_max: int) -> "TSeries":
-        sp = c if isinstance(c, SigmaPoly) else SigmaPoly.const(c)
-        return cls(n_max, d_max, {(0,) * (n_max + 1): sp})
-
-    @classmethod
-    def t(cls, i: int, n_max: int, d_max: int) -> "TSeries":
-        key = [0] * (n_max + 1)
-        key[i] = 1
-        return cls(n_max, d_max, {tuple(key): SigmaPoly.one()})
-
-    # -- ring ops ------------------------------------------------------------
-
-    def _check(self, other: "TSeries") -> int:
-        if self.n_max != other.n_max:
-            raise ValueError("t-variable count mismatch")
-        return min(self.d_max, other.d_max)
-
-    def __add__(self, other):
-        d = self._check(other)
-        return _tseries(self.n_max, d, add_graded(self.grades, other.grades), max(self.bound, other.bound))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _tseries(self.n_max, self.d_max,
-                        {d: {k: -v for k, v in t.items()} for d, t in self.grades.items()}, self.bound)
-
-    def __mul__(self, other):
-        if is_rational(other) or isinstance(other, SigmaPoly):
-            other = TSeries.const(other, self.n_max, self.d_max)
-        d = self._check(other)
-        bound = product_bound((self.bound, self.grades.values()), (other.bound, other.grades.values()))
-        return _tseries(self.n_max, d, mul_graded(self.grades, other.grades, d), bound)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return power(self, n, TSeries.const(1, self.n_max, self.d_max))
-
-    def __eq__(self, other):
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return (self.n_max, self.d_max, self.grades) == (other.n_max, other.d_max, other.grades)
-
-    def __bool__(self):
-        return bool(self.grades)
-
-    # -- calculus and series inverses -------------------------------------------
-
-    def diff(self, i: int) -> "TSeries":
-        j = 2 + i
-        u = unit(j)
-        out = {}
-        for d, t in self.grades.items():
-            td = {}
-            for k, v in t.items():
-                e = exponent(k, j)
-                if e:
-                    td[k - u] = v * e
-            if td:
-                out[d - 1] = td
-        return _tseries(self.n_max, self.d_max, out, self.bound)
-
-    def coefficients(self) -> dict:
-        """{t-exponent tuple: SigmaPoly} over every nonzero coefficient."""
-        out = {}
-        for t in self.grades.values():
-            for k, v in t.items():
-                sig, tk = split(k, 2)
-                out.setdefault(tk, {})[sig] = v
-        return {unpack(tk, self.n_max + 1): SigmaPoly.packed(sig, self.bound) for tk, sig in out.items()}
-
-    def constant_term(self) -> SigmaPoly:
-        return self.coefficient((0,) * (self.n_max + 1))
-
-    def coefficient(self, exponents) -> SigmaPoly:
-        d = sum(exponents)
-        if d > self.d_max:
-            raise ValueError("monomial beyond the degree truncation")
-        want = pack(exponents)
-        out = {}
-        for k, v in self.grades.get(d, {}).items():
-            sig, tk = split(k, 2)
-            if tk == want:
-                out[sig] = v
-        return SigmaPoly.packed(out, self.bound)
-
-    def recip(self) -> "TSeries":
-        """1/self for a series with constant term 1."""
-        if self.constant_term() != SigmaPoly.one():
-            raise ValueError("recip needs constant term 1")
-        u = TSeries.const(1, self.n_max, self.d_max) - self
-        acc = TSeries.const(1, self.n_max, self.d_max)
-        p = TSeries.const(1, self.n_max, self.d_max)
-        for _ in range(self.d_max):
-            p = p * u
-            if not p:
-                break
-            acc = acc + p
-        return acc
-
-    def log(self) -> "TSeries":
-        """log(self) for a series with constant term 1."""
-        if self.constant_term() != SigmaPoly.one():
-            raise ValueError("log needs constant term 1")
-        u = self - TSeries.const(1, self.n_max, self.d_max)
-        acc = TSeries.zero(self.n_max, self.d_max)
-        p = TSeries.const(1, self.n_max, self.d_max)
-        for k in range(1, self.d_max + 1):
-            p = p * u
-            if not p:
-                break
-            acc = acc + p * Q((-1) ** (k + 1), k)
-        return acc
-
-    def truncate(self, d_max: int) -> "TSeries":
-        if d_max > self.d_max:
-            raise ValueError("cannot extend a degree truncation")
-        return _tseries(self.n_max, d_max, self.grades, self.bound)
-
-
-def _tseries(n_max: int, d_max: int, grades: dict, bound: int) -> TSeries:
-    """Wrap a graded map of nonzero term dicts, dropping degrees beyond d_max."""
-    s = TSeries.__new__(TSeries)
-    s.n_max = n_max
-    s.d_max = d_max
-    s.grades = {d: t for d, t in grades.items() if d <= d_max}
-    s.bound = bound
-    return s
+from .sparse import mul_into, nonzero, pack, unpack
 
 
 # -- genus zero -----------------------------------------------------------------

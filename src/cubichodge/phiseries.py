@@ -1,10 +1,15 @@
-"""Bernoulli numbers, CY-reduced power sums, the log Phi series and Q(n,k).
+"""Bernoulli numbers, CY-reduced power sums, truncated power series, the
+log Phi series and Q(n,k).
 
 log Phi(z) = - sum_{i>=1} B_{2i}/(2i(2i-1)) (p^{2i-1}+q^{2i-1}+r^{2i-1}) z^{1-2i}
 
 with the odd power sums rewritten in (s1, s3) through Newton's identities
 under the local Calabi-Yau constraint pq + qr + rp = 0, i.e. with
 elementary symmetric values e1 = -s1, e2 = 0, e3 = s1^3/3 - s3/6.
+
+TSeries is the one truncated power series type over Q[s1, s3].  An
+expansion at z = infinity is a TSeries in the single variable t = 1/z,
+where `ddz` applies d/dz = -t^2 d/dt.
 """
 from __future__ import annotations
 
@@ -12,9 +17,7 @@ from math import comb, factorial
 
 from .ratio import Q, QONE, QZERO, is_rational
 from .sigma import SigmaPoly
-from .sparse import add_graded, mul_graded, power, product_bound
-
-_INF = 1 << 60
+from .sparse import add_graded, exponent, mul_graded, pack, power, product_bound, split, unit, unpack
 
 
 class TruncationError(ValueError):
@@ -70,137 +73,195 @@ def power_sum(k: int) -> SigmaPoly:
     return _power_sum_any(k)
 
 
-# -- truncated series in 1/z ---------------------------------------------------
+# -- truncated power series ---------------------------------------------------
 
 
-class ZInvSeries:
-    """Truncated series sum_n a_n z^{-n} with coefficients in Q[s1, s3].
+class TSeries:
+    """Total-degree truncated power series in t_0..t_{n_max} over Q[s1, s3].
 
-    `grades` maps n to the coefficient of z^{-n} as a SigmaPoly term dict
-    (packed keys of s1^a s3^b, rational values), with one exponent `bound`
-    for all grades; `coeff` returns it as a SigmaPoly.
-    `order` is the last reliable exponent: coefficients of z^{-n} are exact
-    for all n <= order and must not be read beyond it.  Negative n (positive
-    z powers) are allowed for shifted products.
+    `grades` maps a total t-degree d <= d_max to a term dict on packed keys
+    with slots (a, b, e_0, ..., e_{n_max}) for s1^a s3^b t_0^e_0 ...
+    t_{n_max}^e_{n_max}, and `bound` bounds every exponent; `coefficient`
+    returns the SigmaPoly coefficient of one t-monomial.
     """
 
-    __slots__ = ("order", "grades", "bound")
+    __slots__ = ("n_max", "d_max", "grades", "bound")
 
-    def __init__(self, order: int, terms=None):
-        """`terms` maps n to the SigmaPoly coefficient of z^{-n}."""
-        kept = {n: c for n, c in (terms or {}).items() if c and n <= order}
-        self.order = order
-        self.grades = {n: c.terms for n, c in kept.items()}
-        self.bound = max((c.bound for c in kept.values()), default=0)
+    def __init__(self, n_max: int, d_max: int, terms=None):
+        """`terms` maps a t-exponent tuple to its SigmaPoly coefficient."""
+        self.n_max = n_max
+        self.d_max = d_max
+        self.grades = {}
+        self.bound = 0
+        for k, sp in (terms or {}).items():
+            if sp and sum(k) <= d_max:
+                if len(k) != n_max + 1 or min(k) < 0:
+                    raise ValueError("t-exponents must be n_max + 1 nonnegative ints")
+                # the sigma part of a key fills slots 0 and 1, the t-exponents the rest
+                tk = pack(k, 2)
+                self.grades.setdefault(sum(k), {}).update({ab + tk: c for ab, c in sp.terms.items()})
+                self.bound = max(self.bound, sp.bound, *k)
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int = _INF) -> "ZInvSeries":
-        return cls(order)
+    def zero(cls, n_max: int, d_max: int) -> "TSeries":
+        return cls(n_max, d_max)
 
     @classmethod
-    def const(cls, c, order: int = _INF) -> "ZInvSeries":
+    def const(cls, c, n_max: int, d_max: int) -> "TSeries":
         sp = c if isinstance(c, SigmaPoly) else SigmaPoly.const(c)
-        return cls(order, {0: sp})
+        return cls(n_max, d_max, {(0,) * (n_max + 1): sp})
 
     @classmethod
-    def one(cls, order: int = _INF) -> "ZInvSeries":
-        return cls.const(1, order)
+    def t(cls, i: int, n_max: int, d_max: int) -> "TSeries":
+        key = [0] * (n_max + 1)
+        key[i] = 1
+        return cls(n_max, d_max, {tuple(key): SigmaPoly.one()})
 
-    def coeff(self, n: int) -> SigmaPoly:
-        if n > self.order:
-            raise TruncationError(f"coefficient z^-{n} beyond order {self.order}")
-        return SigmaPoly.packed(dict(self.grades.get(n, {})), self.bound)
+    # -- ring ops ------------------------------------------------------------
 
-    def valuation(self) -> int:
-        return min(self.grades) if self.grades else _INF
+    def _check(self, other: "TSeries") -> int:
+        if self.n_max != other.n_max:
+            raise ValueError("t-variable count mismatch")
+        return min(self.d_max, other.d_max)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return _zseries(min(self.order, other.order), add_graded(self.grades, other.grades),
-                        max(self.bound, other.bound))
-
-    __radd__ = __add__
+        d = self._check(other)
+        return _tseries(self.n_max, d, add_graded(self.grades, other.grades), max(self.bound, other.bound))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __neg__(self):
-        return _zseries(self.order, {n: {k: -v for k, v in t.items()} for n, t in self.grades.items()},
-                        self.bound)
+        return _tseries(self.n_max, self.d_max,
+                        {d: {k: -v for k, v in t.items()} for d, t in self.grades.items()}, self.bound)
 
     def __mul__(self, other):
         if is_rational(other) or isinstance(other, SigmaPoly):
-            other = ZInvSeries.const(other)
-            order = self.order
-        elif isinstance(other, ZInvSeries):
-            order = min(self.order + other.valuation(), other.order + self.valuation(), _INF)
-        else:
-            return NotImplemented
+            other = TSeries.const(other, self.n_max, self.d_max)
+        d = self._check(other)
         bound = product_bound((self.bound, self.grades.values()), (other.bound, other.grades.values()))
-        return _zseries(order, mul_graded(self.grades, other.grades, order), bound)
+        return _tseries(self.n_max, d, mul_graded(self.grades, other.grades, d), bound)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        return power(self, k, ZInvSeries.one())
+    def __pow__(self, n: int):
+        return power(self, n, TSeries.const(1, self.n_max, self.d_max))
 
     def __eq__(self, other):
-        if not isinstance(other, ZInvSeries):
+        if not isinstance(other, TSeries):
             return NotImplemented
-        return self.order == other.order and self.grades == other.grades
+        return (self.n_max, self.d_max, self.grades) == (other.n_max, other.d_max, other.grades)
 
-    def ddz(self) -> "ZInvSeries":
-        """d/dz; the truncation order improves by one."""
-        out = {n + 1: {k: v * -n for k, v in t.items()} for n, t in self.grades.items() if n}
-        return _zseries(self.order + 1 if self.order < _INF else _INF, out, self.bound)
+    def __bool__(self):
+        return bool(self.grades)
 
-    def mul_zpow(self, s: int) -> "ZInvSeries":
-        """Multiply by z^s (shifts exponents down by s)."""
-        order = self.order - s if self.order < _INF else _INF
-        return _zseries(order, {n - s: t for n, t in self.grades.items()}, self.bound)
+    # -- calculus and series inverses -------------------------------------------
 
-    def truncate(self, order: int) -> "ZInvSeries":
-        if order > self.order:
-            raise TruncationError(f"cannot extend order {self.order} to {order}")
-        return _zseries(order, self.grades, self.bound)
+    def diff(self, i: int) -> "TSeries":
+        j = 2 + i
+        u = unit(j)
+        out = {}
+        for d, t in self.grades.items():
+            td = {}
+            for k, v in t.items():
+                e = exponent(k, j)
+                if e:
+                    td[k - u] = v * e
+            if td:
+                out[d - 1] = td
+        return _tseries(self.n_max, self.d_max, out, self.bound)
 
-    def exp(self) -> "ZInvSeries":
-        """exp of a series with positive valuation."""
-        if self.grades and self.valuation() < 1:
-            raise ValueError("exp needs a series vanishing at z = infinity")
-        if self.grades and self.order >= _INF:
-            raise ValueError("exp of an untruncated series is not representable")
-        order = self.order
-        result = ZInvSeries.one(order)
-        term = ZInvSeries.one()
-        k = 0
-        v = self.valuation()
-        while (k + 1) * v <= order:
-            k += 1
-            term = term * self * Q(1, k)
-            result = result + term
-        return result
+    def coefficients(self) -> dict:
+        """{t-exponent tuple: SigmaPoly} over every nonzero coefficient."""
+        out = {}
+        for t in self.grades.values():
+            for k, v in t.items():
+                sig, tk = split(k, 2)
+                out.setdefault(tk, {})[sig] = v
+        return {unpack(tk, self.n_max + 1): SigmaPoly.packed(sig, self.bound) for tk, sig in out.items()}
 
-    def __repr__(self):
-        bits = [f"z^-{n}*({self.coeff(n)!r})" for n in sorted(self.grades)]
-        return f"ZInvSeries(order={self.order}: " + " + ".join(bits) + ")"
+    def constant_term(self) -> SigmaPoly:
+        return self.coefficient((0,) * (self.n_max + 1))
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, ZInvSeries):
-            return x
-        if isinstance(x, SigmaPoly) or is_rational(x):
-            return ZInvSeries.const(x)
-        raise TypeError(f"cannot coerce {type(x)} to ZInvSeries")
+    def coefficient(self, exponents) -> SigmaPoly:
+        d = sum(exponents)
+        if d > self.d_max:
+            raise TruncationError(f"monomial of degree {d} beyond the degree truncation {self.d_max}")
+        want = pack(exponents)
+        out = {}
+        for k, v in self.grades.get(d, {}).items():
+            sig, tk = split(k, 2)
+            if tk == want:
+                out[sig] = v
+        return SigmaPoly.packed(out, self.bound)
+
+    def recip(self) -> "TSeries":
+        """1/self for a series with constant term 1."""
+        if self.constant_term() != SigmaPoly.one():
+            raise ValueError("recip needs constant term 1")
+        u = TSeries.const(1, self.n_max, self.d_max) - self
+        acc = TSeries.const(1, self.n_max, self.d_max)
+        p = TSeries.const(1, self.n_max, self.d_max)
+        for _ in range(self.d_max):
+            p = p * u
+            if not p:
+                break
+            acc = acc + p
+        return acc
+
+    def log(self) -> "TSeries":
+        """log(self) for a series with constant term 1."""
+        if self.constant_term() != SigmaPoly.one():
+            raise ValueError("log needs constant term 1")
+        u = self - TSeries.const(1, self.n_max, self.d_max)
+        acc = TSeries.zero(self.n_max, self.d_max)
+        p = TSeries.const(1, self.n_max, self.d_max)
+        for k in range(1, self.d_max + 1):
+            p = p * u
+            if not p:
+                break
+            acc = acc + p * Q((-1) ** (k + 1), k)
+        return acc
+
+    def exp(self) -> "TSeries":
+        """exp(self) for a series with constant term 0."""
+        if self.constant_term():
+            raise ValueError("exp needs constant term 0")
+        acc = TSeries.const(1, self.n_max, self.d_max)
+        p = TSeries.const(1, self.n_max, self.d_max)
+        for k in range(1, self.d_max + 1):
+            p = p * self * Q(1, k)
+            if not p:
+                break
+            acc = acc + p
+        return acc
+
+    def truncate(self, d_max: int) -> "TSeries":
+        if d_max > self.d_max:
+            raise ValueError("cannot extend a degree truncation")
+        return _tseries(self.n_max, d_max, self.grades, self.bound)
 
 
-def _zseries(order: int, grades: dict, bound: int) -> ZInvSeries:
-    """Wrap a graded map of nonzero term dicts, dropping grades beyond order."""
-    s = ZInvSeries.__new__(ZInvSeries)
-    s.order = order
-    s.grades = {n: t for n, t in grades.items() if n <= order}
+def _tseries(n_max: int, d_max: int, grades: dict, bound: int) -> TSeries:
+    """Wrap a graded map of nonzero term dicts, dropping degrees beyond d_max."""
+    s = TSeries.__new__(TSeries)
+    s.n_max = n_max
+    s.d_max = d_max
+    s.grades = {d: t for d, t in grades.items() if d <= d_max}
     s.bound = bound
     return s
+
+
+def ddz(s: TSeries) -> TSeries:
+    """d/dz = -t^2 d/dt of a series in t = 1/z: the t^n coefficient moves to
+    t^(n+1), times -n; the result is exact one degree further."""
+    if s.n_max:
+        raise ValueError("ddz takes a series in the one variable t = 1/z")
+    u = unit(2)
+    out = {n + 1: {k + u: v * -n for k, v in t.items()} for n, t in s.grades.items() if n}
+    return _tseries(0, s.d_max + 1, out, s.bound + 1)
 
 
 def binom_q(e, m: int):
@@ -212,54 +273,55 @@ def binom_q(e, m: int):
     return out / factorial(m)
 
 
-def binomial_zinv(e, c, order: int) -> ZInvSeries:
-    """(1 + c/z)^e expanded to the given order, e rational."""
-    terms = {m: SigmaPoly.const(binom_q(e, m) * Q(c) ** m) for m in range(order + 1)}
-    return ZInvSeries(order, terms)
+def binomial_zinv(e, c, order: int) -> TSeries:
+    """(1 + c/z)^e expanded to the given order in t = 1/z, e rational."""
+    terms = {(m,): SigmaPoly.const(binom_q(e, m) * Q(c) ** m) for m in range(order + 1)}
+    return TSeries(0, order, terms)
 
 
 # -- the log Phi series and friends -------------------------------------------
 
 
-def log_phi(order: int) -> ZInvSeries:
-    """log Phi(z; s1, s3) truncated at z^-order."""
+def log_phi(order: int) -> TSeries:
+    """log Phi(z; s1, s3) in t = 1/z, truncated at t^order."""
     if order < 1:
         raise ValueError("order must be >= 1")
     terms = {}
     i = 1
     while 2 * i - 1 <= order:
         coeff = -bernoulli(2 * i) / (2 * i * (2 * i - 1))
-        terms[2 * i - 1] = _power_sum_any(2 * i - 1) * coeff
+        terms[(2 * i - 1,)] = _power_sum_any(2 * i - 1) * coeff
         i += 1
-    return ZInvSeries(order, terms)
+    return TSeries(0, order, terms)
 
 
-def log_phi_shifted(order: int, shift) -> ZInvSeries:
-    """log Phi(z - shift) expanded around z = infinity, truncated at z^-order."""
+def log_phi_shifted(order: int, shift) -> TSeries:
+    """log Phi(z - shift) expanded around z = infinity, truncated at t^order."""
     shift = Q(shift)
-    out = ZInvSeries(order)
+    out = TSeries.zero(0, order)
     i = 1
     while 2 * i - 1 <= order:
         coeff = -bernoulli(2 * i) / (2 * i * (2 * i - 1))
-        # (z - shift)^{1-2i} = z^{1-2i} (1 - shift/z)^{1-2i}
-        expo = binomial_zinv(1 - 2 * i, -shift, order + 2 * i - 1).mul_zpow(1 - 2 * i)
-        out = out + expo * (_power_sum_any(2 * i - 1) * coeff)
+        # (z - shift)^{1-2i} = t^{2i-1} (1 - shift t)^{1-2i}
+        mono = TSeries(0, order, {(2 * i - 1,): _power_sum_any(2 * i - 1) * coeff})
+        out = out + mono * binomial_zinv(1 - 2 * i, -shift, order)
         i += 1
-    return out.truncate(order)
+    return out
 
 
 def phi_d_inv_all(m_max: int, order: int) -> list:
-    """u_m = Phi * d^m/dz^m (1/Phi) for m = 0..m_max, truncated at z^-order.
+    """u_m = Phi * d^m/dz^m (1/Phi) for m = 0..m_max as series in t = 1/z,
+    truncated at t^order.
 
     By the chain rule u_{m+1} = u_m' + X_1 u_m with X_1 = -(log Phi)';
-    X_1 has valuation 2, so each truncated u_m gives u_{m+1} exactly to the
-    same order."""
-    out = [ZInvSeries.one(order)]
+    X_1 starts at t^2 and the derivative is exact one degree further, so
+    each truncated u_m gives u_{m+1} exactly to the same order."""
+    out = [TSeries.const(1, 0, order)]
     if m_max:
-        x1 = -log_phi(order).ddz()
+        x1 = -ddz(log_phi(order))
         for _ in range(m_max):
             u = out[-1]
-            out.append((u.ddz() + x1 * u).truncate(order))
+            out.append(ddz(u) + x1 * u)
     return out
 
 

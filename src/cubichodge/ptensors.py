@@ -123,8 +123,9 @@ class PTensorTable:
 
 
 def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
-    pdi = phi_d_inv_all(n_max, n_max)
-    bound = max(s.bound for s in pdi)
+    series = phi_d_inv_all(n_max, n_max)
+    bound = max(s.bound for s in series)
+    pdi = [s.coefficients() for s in series]
     # acc[n][k] accumulates the sigma term dict of the z^-n Theta^k coefficient
     acc: list[dict[int, dict]] = [dict() for _ in range(n_max + 1)]
     for np_ in range(n_max + 1):
@@ -136,9 +137,9 @@ def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
             cm = double_factorial_odd(d) / (Q(2) ** d * factorial(m) * factorial(d))
             if d % 2 == 1:
                 cm = -cm
-            for r, sig in pdi[m].grades.items():
+            for (r,), sig in pdi[m].items():
                 if d + r <= n_max:
-                    add_into(zs.setdefault(d + r, {}), sig, cm)
+                    add_into(zs.setdefault(d + r, {}), sig.terms, cm)
         for k in range(1, np_ + 2):
             qv = q_number(np_, k)
             for n, sig in zs.items():

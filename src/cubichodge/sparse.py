@@ -18,8 +18,8 @@ therefore carries a bound on |e_i| over all its terms and slots: products
 add the bounds, sums take the largest, and `product_bound` raises
 OverflowError before a bound can leave the slot.
 
-Coefficients are any exact ring values.  SigmaPoly, ZInvSeries, TSeries and
-the partial Bell table store Fractions; JetPoly stores int numerators over
+Coefficients are any exact ring values.  SigmaPoly, TSeries and the partial
+Bell table store Fractions; JetPoly stores int numerators over
 one common denominator.  A graded map {grade: term dict} holds a truncated
 series, one term dict per grade.  Every type adds, multiplies and raises to
 powers through these free functions; `add_into` and `nonzero` take any key.

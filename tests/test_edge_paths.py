@@ -4,7 +4,7 @@ import pytest
 
 from cubichodge.jets import CutoffError, JetPoly, _raw
 from cubichodge.loop import LoopEquationError, LoopSolver, load_cached, store_cached
-from cubichodge.phiseries import ZInvSeries
+from cubichodge.phiseries import TSeries
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
 from cubichodge.sparse import split
@@ -85,16 +85,11 @@ class TestFactoredRational:
 
 class TestSeriesEdges:
     def test_pow(self):
-        s = ZInvSeries(6, {1: SigmaPoly.one(), 2: SigmaPoly.one()})
+        s = TSeries(0, 6, {(1,): SigmaPoly.one(), (2,): SigmaPoly.one()})
         cube = s**3
-        assert cube.coeff(3) == SigmaPoly.one()
-        assert cube.coeff(4) == SigmaPoly.const(3)
-
-    def test_mul_zpow_tracks_order(self):
-        s = ZInvSeries(4, {2: SigmaPoly.one()})
-        up = s.mul_zpow(2)
-        assert up.coeff(0) == SigmaPoly.one() and up.order == 2
+        assert cube.coefficient((3,)) == SigmaPoly.one()
+        assert cube.coefficient((4,)) == SigmaPoly.const(3)
 
     def test_exp_rejects_nonvanishing(self):
         with pytest.raises(ValueError):
-            ZInvSeries(4, {0: SigmaPoly.one()}).exp()
+            TSeries(0, 4, {(0,): SigmaPoly.one()}).exp()
