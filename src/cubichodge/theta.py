@@ -127,20 +127,11 @@ class ThetaPoly:
     # -- derivations --------------------------------------------------------
 
     def derive(self) -> "ThetaPoly":
-        """Full derivation: jets via d(z_k) = z_{k+1}, Theta via the chain rule."""
-        n = len(self.coeffs)
-        if n == 0:
-            return self
-        parts: list[list[JetPoly]] = [[] for _ in range(n + 1)]
-        for d, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            parts[d].append(c.derive())
-            if d:
-                # d * z1 * c * (Theta^{d+1} - Theta^d)
-                shifted = c.mul_z(1)
-                parts[d + 1].append(shifted * d)
-                parts[d].append(shifted * -d)
+        """Full derivation: jets via d(z_k) = z_{k+1}, Theta via the chain rule;
+        since d(Theta) = z1 Theta (Theta - 1), the Theta part is z1 xi_euler."""
+        parts = [[c.derive()] for c in self.coeffs] + [[]]
+        for d, c in enumerate(self.xi_euler().coeffs):
+            parts[d].append(c.mul_z(1))
         return ThetaPoly(self.cutoff, [JetPoly.sum(self.cutoff, ps) for ps in parts])
 
     def xi_euler(self) -> "ThetaPoly":
