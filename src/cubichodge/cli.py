@@ -1,7 +1,9 @@
 """Command-line interface: compute, rg, hodge, verify, virasoro.
 
 Exit codes: 0 success, 1 internal assertion failure (with a machine-readable
-JSON report on stderr), 2 usage error.  Outputs are deterministic for a
+JSON report on stderr), 2 usage error (checked before any solving, also for
+a cache directory that is not a directory and a --dump-ptable path whose
+parent directory does not exist).  Outputs are deterministic for a
 given configuration and cache state.  The cache directory comes from
 --cache-dir or the CUBICHODGE_CACHE environment variable; no caching
 happens when neither is set.
@@ -118,6 +120,9 @@ def _require_genus(args, minimum: int = 1) -> int:
     if args.genus < minimum:
         _usage_error(f"--genus must be >= {minimum}")
     _require_cutoff(args, args.genus)
+    # a bad cache path would otherwise fail only when the first result is stored
+    if args.cache_dir and os.path.exists(args.cache_dir) and not os.path.isdir(args.cache_dir):
+        _usage_error(f"cache directory {args.cache_dir!r} exists and is not a directory")
     return args.genus
 
 
@@ -146,6 +151,8 @@ def _emit_body(fe, fmt: str) -> str:
 
 def cmd_compute(args) -> int:
     genus = _require_genus(args)
+    if args.dump_ptable and not os.path.isdir(os.path.dirname(args.dump_ptable) or "."):
+        _usage_error(f"--dump-ptable {args.dump_ptable!r}: its parent is not an existing directory")
     solver = _solver(args, genus)
     print(_emit_body(solver.free_energy(genus, args.cache_dir), args.format))
     if args.dump_ptable:

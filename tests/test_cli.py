@@ -56,6 +56,33 @@ def test_usage_error_exits_2(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("case", ["cache-dir-is-file", "cache-env-is-file", "dump-parent-missing",
+                                  "dump-parent-is-file"])
+def test_bad_paths_exit_2_before_solving(tmp_path, capsys, monkeypatch, case):
+    import cubichodge.cli as cli
+
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    monkeypatch.delenv("CUBICHODGE_CACHE", raising=False)
+    argv = ["compute", "--genus", "2"]
+    if case == "cache-dir-is-file":
+        argv += ["--cache-dir", str(afile)]
+    elif case == "cache-env-is-file":
+        monkeypatch.setenv("CUBICHODGE_CACHE", str(afile))
+    elif case == "dump-parent-missing":
+        argv += ["--dump-ptable", str(tmp_path / "missing" / "x.json")]
+    else:
+        argv += ["--dump-ptable", str(afile / "x.json")]
+
+    def no_solving(self, g, lower):
+        raise AssertionError(f"genus {g} solved despite a bad path")
+
+    monkeypatch.setattr(cli.LoopSolver, "solve_genus", no_solving)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_cutoff_error_names_minimum(capsys):
     with pytest.raises(SystemExit):
         main(["compute", "--genus", "3", "--cutoff", "5"])
