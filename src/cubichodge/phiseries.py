@@ -255,10 +255,9 @@ def _tseries(n_max: int, d_max: int, grades: dict, bound: int) -> TSeries:
 
 
 def ddz(s: TSeries) -> TSeries:
-    """d/dz = -t^2 d/dt of a series in t = 1/z: the t^n coefficient moves to
-    t^(n+1), times -n; the result is exact one degree further."""
-    if s.n_max:
-        raise ValueError("ddz takes a series in the one variable t = 1/z")
+    """d/dz = -t^2 d/dt of a series in the one variable t = 1/z: the t^n
+    coefficient moves to t^(n+1), times -n; the result is exact one degree
+    further."""
     u = unit(2)
     out = {n + 1: {k + u: v * -n for k, v in t.items()} for n, t in s.grades.items() if n}
     return _tseries(0, s.d_max + 1, out, s.bound + 1)
