@@ -217,17 +217,41 @@ FROZEN_HODGE_SHA256 = {
     (6, 3, 5): "961209924722305f9caa2b94fd958e5cc6a1232f6766ab7f06c5de92fbb1a56e",
 }
 
+# sha256 of the raw (not normalised) `hodge --format json` stdout of genus 7
+# at (tmax, dmax) = (3, 4), and of the coefficients of v_series(6, 12); both
+# frozen while TSeries held one Fraction per term.
+FROZEN_RAW_G7_SHA256 = "b35390023410078fa1fd5db7b9c81a301c9dd06fcdcf8b3be3fab7533874944e"
+FROZEN_V_SERIES_SHA256 = "0c552b168cabd8201a0757a295f7073cc5278cd79f7980e22f4d5a84e16c1736"
 
-def test_frozen_hodge_tables(energies_g6):
+
+def _table_sha256(g, rows):
     import hashlib
     import json
 
     from cubichodge.textform import sigma_json
 
-    got = {}
-    for g, tmax, dmax in FROZEN_HODGE_SHA256:
-        rows = intersection_table(energies_g6[g - 1], tmax, dmax, normalized=True)
-        data = [{"indices": list(idx), "coefficient": sigma_json(sp)} for idx, sp in rows]
-        text = json.dumps({"genus": g, "table": data}, indent=1) + "\n"
-        got[(g, tmax, dmax)] = hashlib.sha256(text.encode()).hexdigest()
+    data = [{"indices": list(idx), "coefficient": sigma_json(sp)} for idx, sp in rows]
+    text = json.dumps({"genus": g, "table": data}, indent=1) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_frozen_hodge_tables(energies_g6):
+    got = {(g, tmax, dmax): _table_sha256(g, intersection_table(energies_g6[g - 1], tmax, dmax,
+                                                                normalized=True))
+           for g, tmax, dmax in FROZEN_HODGE_SHA256}
     assert got == FROZEN_HODGE_SHA256
+
+
+def test_frozen_raw_table_g7(energies_g7):
+    assert _table_sha256(7, intersection_table(energies_g7[6], 3, 4)) == FROZEN_RAW_G7_SHA256
+
+
+def test_frozen_v_series():
+    import hashlib
+    import json
+
+    from cubichodge.textform import sigma_json
+
+    data = sorted([list(k), sigma_json(sp)] for k, sp in v_series(6, 12).coefficients().items())
+    digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+    assert digest == FROZEN_V_SERIES_SHA256
