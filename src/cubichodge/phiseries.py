@@ -13,7 +13,7 @@ where `ddz` applies d/dz = -t^2 d/dt.
 """
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .ratio import Q, QONE, QZERO, is_rational
 from .sigma import SigmaPoly
@@ -81,26 +81,33 @@ class TSeries:
 
     `grades` maps a total t-degree d <= d_max to a term dict on packed keys
     with slots (a, b, e_0, ..., e_{n_max}) for s1^a s3^b t_0^e_0 ...
-    t_{n_max}^e_{n_max}, and `bound` bounds every exponent; `coefficient`
-    returns the SigmaPoly coefficient of one t-monomial.
+    t_{n_max}^e_{n_max}.  As in JetPoly, its values are int numerators over
+    one positive denominator `den`, in lowest terms (the gcd of den and every
+    numerator is 1), so equal series compare equal.  `bound` bounds every
+    exponent.  The constructor and `const` take SigmaPoly or rational
+    coefficients; `coefficient` and `coefficients` are the only methods that
+    build rationals again.
     """
 
-    __slots__ = ("n_max", "d_max", "grades", "bound")
+    __slots__ = ("n_max", "d_max", "grades", "den", "bound")
 
     def __init__(self, n_max: int, d_max: int, terms=None):
         """`terms` maps a t-exponent tuple to its SigmaPoly coefficient."""
-        self.n_max = n_max
-        self.d_max = d_max
-        self.grades = {}
-        self.bound = 0
+        fracs = {}
+        bound = 0
         for k, sp in (terms or {}).items():
             if sp and sum(k) <= d_max:
                 if len(k) != n_max + 1 or min(k) < 0:
                     raise ValueError("t-exponents must be n_max + 1 nonnegative ints")
                 # the sigma part of a key fills slots 0 and 1, the t-exponents the rest
                 tk = pack(k, 2)
-                self.grades.setdefault(sum(k), {}).update({ab + tk: c for ab, c in sp.terms.items()})
-                self.bound = max(self.bound, sp.bound, *k)
+                fracs.setdefault(sum(k), {}).update({ab + tk: c for ab, c in sp.terms.items()})
+                bound = max(bound, sp.bound, *k)
+        # over the lcm of lowest-terms denominators the numerators are coprime to it
+        den = lcm(*(c.denominator for t in fracs.values() for c in t.values()))
+        grades = {d: {k: c.numerator * (den // c.denominator) for k, c in t.items()}
+                  for d, t in fracs.items()}
+        _fill(self, n_max, d_max, grades, den, bound)
 
     # -- constructors ------------------------------------------------------
 
@@ -126,23 +133,38 @@ class TSeries:
             raise ValueError("t-variable count mismatch")
         return min(self.d_max, other.d_max)
 
-    def __add__(self, other):
+    def _add(self, other: "TSeries", sign: int) -> "TSeries":
         d = self._check(other)
-        return _tseries(self.n_max, d, add_graded(self.grades, other.grades), max(self.bound, other.bound))
+        den = lcm(self.den, other.den)
+        grades = add_graded(self.grades, other.grades, den // self.den, sign * (den // other.den))
+        return _tseries(self.n_max, d, grades, den, max(self.bound, other.bound))
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._add(other, -1)
 
     def __neg__(self):
-        return _tseries(self.n_max, self.d_max,
-                        {d: {k: -v for k, v in t.items()} for d, t in self.grades.items()}, self.bound)
+        return _raw(self.n_max, self.d_max,
+                    {d: {k: -v for k, v in t.items()} for d, t in self.grades.items()},
+                    self.den, self.bound)
 
     def __mul__(self, other):
-        if is_rational(other) or isinstance(other, SigmaPoly):
+        if is_rational(other):
+            if not other:
+                return TSeries.zero(self.n_max, self.d_max)
+            n, den = other.numerator, self.den * other.denominator
+            grades = {d: {k: v * n for k, v in t.items()} for d, t in self.grades.items()}
+            return _tseries(self.n_max, self.d_max, grades, den, self.bound)
+        if isinstance(other, SigmaPoly):
             other = TSeries.const(other, self.n_max, self.d_max)
+        elif not isinstance(other, TSeries):
+            return NotImplemented
         d = self._check(other)
         bound = product_bound((self.bound, self.grades.values()), (other.bound, other.grades.values()))
-        return _tseries(self.n_max, d, mul_graded(self.grades, other.grades, d), bound)
+        return _tseries(self.n_max, d, mul_graded(self.grades, other.grades, d),
+                        self.den * other.den, bound)
 
     __rmul__ = __mul__
 
@@ -152,7 +174,8 @@ class TSeries:
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
-        return (self.n_max, self.d_max, self.grades) == (other.n_max, other.d_max, other.grades)
+        return ((self.n_max, self.d_max, self.den, self.grades)
+                == (other.n_max, other.d_max, other.den, other.grades))
 
     def __bool__(self):
         return bool(self.grades)
@@ -171,15 +194,16 @@ class TSeries:
                     td[k - u] = v * e
             if td:
                 out[d - 1] = td
-        return _tseries(self.n_max, self.d_max, out, self.bound)
+        return _tseries(self.n_max, self.d_max, out, self.den, self.bound)
 
     def coefficients(self) -> dict:
         """{t-exponent tuple: SigmaPoly} over every nonzero coefficient."""
         out = {}
+        den = self.den
         for t in self.grades.values():
             for k, v in t.items():
                 sig, tk = split(k, 2)
-                out.setdefault(tk, {})[sig] = v
+                out.setdefault(tk, {})[sig] = Q(v, den)
         return {unpack(tk, self.n_max + 1): SigmaPoly.packed(sig, self.bound) for tk, sig in out.items()}
 
     def constant_term(self) -> SigmaPoly:
@@ -194,7 +218,7 @@ class TSeries:
         for k, v in self.grades.get(d, {}).items():
             sig, tk = split(k, 2)
             if tk == want:
-                out[sig] = v
+                out[sig] = Q(v, self.den)
         return SigmaPoly.packed(out, self.bound)
 
     def recip(self) -> "TSeries":
@@ -241,17 +265,38 @@ class TSeries:
     def truncate(self, d_max: int) -> "TSeries":
         if d_max > self.d_max:
             raise ValueError("cannot extend a degree truncation")
-        return _tseries(self.n_max, d_max, self.grades, self.bound)
+        return _tseries(self.n_max, d_max, self.grades, self.den, self.bound)
 
 
-def _tseries(n_max: int, d_max: int, grades: dict, bound: int) -> TSeries:
-    """Wrap a graded map of nonzero term dicts, dropping degrees beyond d_max."""
-    s = TSeries.__new__(TSeries)
+def _fill(s: TSeries, n_max: int, d_max: int, grades: dict, den: int, bound: int) -> TSeries:
     s.n_max = n_max
     s.d_max = d_max
-    s.grades = {d: t for d, t in grades.items() if d <= d_max}
+    s.grades = grades
+    s.den = den
     s.bound = bound
     return s
+
+
+def _raw(n_max: int, d_max: int, grades: dict, den: int, bound: int) -> TSeries:
+    """Wrap a graded map already in lowest terms and within d_max."""
+    return _fill(TSeries.__new__(TSeries), n_max, d_max, grades, den, bound)
+
+
+def _tseries(n_max: int, d_max: int, grades: dict, den: int, bound: int) -> TSeries:
+    """A TSeries from a graded map of nonzero int numerators over den > 0:
+    drops degrees beyond d_max and empty grades, then puts what is left in
+    lowest terms."""
+    grades = {d: t for d, t in grades.items() if d <= d_max and t}
+    if den != 1:
+        g = den
+        for t in grades.values():
+            g = gcd(g, *t.values())
+            if g == 1:
+                break
+        if g != 1:
+            grades = {d: {k: v // g for k, v in t.items()} for d, t in grades.items()}
+            den //= g
+    return _raw(n_max, d_max, grades, den, bound)
 
 
 def ddz(s: TSeries) -> TSeries:
@@ -260,7 +305,7 @@ def ddz(s: TSeries) -> TSeries:
     further."""
     u = unit(2)
     out = {n + 1: {k + u: v * -n for k, v in t.items()} for n, t in s.grades.items() if n}
-    return _tseries(0, s.d_max + 1, out, s.bound + 1)
+    return _tseries(0, s.d_max + 1, out, s.den, s.bound + 1)
 
 
 def binom_q(e, m: int):

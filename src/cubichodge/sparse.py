@@ -18,10 +18,10 @@ therefore carries a bound on |e_i| over all its terms and slots: products
 add the bounds, sums take the largest, and `product_bound` raises
 OverflowError before a bound can leave the slot.
 
-Coefficients are any exact ring values.  SigmaPoly, TSeries and the partial
-Bell table store Fractions; JetPoly stores int numerators over
-one common denominator.  A graded map {grade: term dict} holds a truncated
-series, one term dict per grade.  Every type adds, multiplies and raises to
+Coefficients are any exact ring values.  SigmaPoly and the partial Bell
+table store Fractions; JetPoly and TSeries store int numerators over one
+common denominator per polynomial or series.  A graded map {grade: term
+dict} holds a truncated series, one term dict per grade.  Every type adds, multiplies and raises to
 powers through these free functions; `add_into` and `nonzero` take any key.
 """
 from __future__ import annotations
@@ -169,11 +169,11 @@ def nonzero(terms: dict) -> dict:
     return {k: v for k, v in terms.items() if v}
 
 
-def add_graded(a: dict, b: dict) -> dict:
-    """a + b over graded maps; grades that cancel are dropped."""
-    out = {g: dict(t) for g, t in a.items()}
+def add_graded(a: dict, b: dict, fa=1, fb=1) -> dict:
+    """fa * a + fb * b over graded maps; grades that cancel are dropped."""
+    out = {g: dict(t) if fa == 1 else {k: v * fa for k, v in t.items()} for g, t in a.items()}
     for g, t in b.items():
-        if not add_into(out.setdefault(g, {}), t):
+        if not add_into(out.setdefault(g, {}), t, fb):
             del out[g]
     return out
 

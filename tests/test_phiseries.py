@@ -1,7 +1,10 @@
 import hashlib
 import json
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubichodge.phiseries import (TruncationError, TSeries, bernoulli, binom_q, binomial_zinv,
                                   ddz, log_phi, phi_d_inv_all, power_sum, q_number)
@@ -163,6 +166,93 @@ class TestSeriesArithmetic:
     def test_binom_q(self):
         assert binom_q(Q(-1, 2), 2) == Q(3, 8)
         assert binom_q(Q(5), 2) == Q(10)
+
+
+def in_lowest_terms(s: TSeries) -> bool:
+    """den > 0 and its gcd with every numerator is 1; int numerators only."""
+    nums = [v for t in s.grades.values() for v in t.values()]
+    return (s.den > 0 and all(type(v) is int and v for v in nums)
+            and gcd(s.den, *nums) == 1 and all(t for t in s.grades.values()))
+
+
+def tser(d_max, coeffs, n_max=0):
+    """A series from {t-exponent tuple: rational}."""
+    return TSeries(n_max, d_max, {k: SigmaPoly.const(c) for k, c in coeffs.items()})
+
+
+class TestIntNumerators:
+    def test_truncate_reduces(self):
+        s = tser(4, {(0,): 2, (3,): Q(1, 3)})
+        assert s.den == 3 and in_lowest_terms(s)
+        cut = s.truncate(2)
+        assert cut.den == 1 and in_lowest_terms(cut)
+        assert cut == tser(2, {(0,): 2})
+
+    def test_product_whose_terms_cancel(self):
+        # (1 + t/3)(1 - t/3) = 1 - t^2/9; truncated at t^1 only 1 is left
+        a, b = tser(1, {(0,): 1, (1,): Q(1, 3)}), tser(1, {(0,): 1, (1,): Q(-1, 3)})
+        prod = a * b
+        assert prod.den == 1 and in_lowest_terms(prod)
+        assert prod == TSeries.const(1, 0, 1)
+        assert not a * b - TSeries.const(1, 0, 1)
+
+    def test_recip(self):
+        # 1 / (1 + t/2) = sum (-t/2)^n
+        got = tser(4, {(0,): 1, (1,): Q(1, 2)}).recip()
+        assert in_lowest_terms(got) and got.den == 16
+        assert got == tser(4, {(n,): Q(-1, 2) ** n for n in range(5)})
+
+    def test_equal_by_different_routes(self):
+        t = TSeries.t(0, 0, 4)
+        a = tser(4, {(1,): Q(1, 6), (2,): Q(1, 4)})
+        b = t * Q(1, 6) + (t * Q(1, 2)) ** 2
+        c = (t * Q(2, 3) + t * t) * Q(1, 4)
+        d = ((t + TSeries.const(1, 0, 4)) * Q(1, 2)) ** 2 - t * Q(1, 3) - TSeries.const(Q(1, 4), 0, 4)
+        for other in (b, c, d):
+            assert in_lowest_terms(other)
+            assert other == a and (other.den, other.grades) == (a.den, a.grades)
+
+    def test_coefficients_are_rationals(self):
+        s = tser(3, {(1,): Q(3, 4), (2,): Q(-5, 6)})
+        assert s.den == 12
+        assert s.coefficients() == {(1,): SigmaPoly.const(Q(3, 4)), (2,): SigmaPoly.const(Q(-5, 6))}
+        assert s.coefficient((2,)) == SigmaPoly.const(Q(-5, 6))
+
+    def test_zero_has_den_one(self):
+        s = tser(3, {(1,): Q(3, 4)})
+        assert (s - s).den == 1 and not s - s and s * 0 == TSeries.zero(0, 3)
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_series = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _rationals, max_size=5)
+
+
+def coefficient_dict(s: TSeries) -> dict:
+    """{t-exponents: rational} of a sigma-free series."""
+    return {k: dict(sp.items())[(0, 0)] for k, sp in s.coefficients().items()}
+
+
+@given(_series, _series, _rationals)
+def test_ops_match_rational_reference(ca, cb, q):
+    d_max = 3
+    a, b = tser(d_max, ca, n_max=1), tser(d_max, cb, n_max=1)
+    ra, rb = coefficient_dict(a), coefficient_dict(b)
+    prod = {}
+    for ka, va in ra.items():
+        for kb, vb in rb.items():
+            k = (ka[0] + kb[0], ka[1] + kb[1])
+            if sum(k) <= d_max:
+                prod[k] = prod.get(k, 0) + va * vb
+    total = {k: ra.get(k, 0) + rb.get(k, 0) for k in set(ra) | set(rb)}
+    diff = {k: ra.get(k, 0) - rb.get(k, 0) for k in set(ra) | set(rb)}
+    cases = [(a * b, prod), (a + b, total), (a - b, diff),
+             (a * q, {k: v * q for k, v in ra.items()}),
+             (a.diff(1), {(k[0], k[1] - 1): v * k[1] for k, v in ra.items() if k[1]}),
+             (a.truncate(1), {k: v for k, v in ra.items() if sum(k) <= 1})]
+    for got, want in cases:
+        assert in_lowest_terms(got)
+        assert got == tser(got.d_max, want, n_max=1)
+        assert coefficient_dict(got) == {k: v for k, v in want.items() if v}
 
 
 # sha256 of the z^0..z^-12 coefficients of the shift series for j = 0..8,
