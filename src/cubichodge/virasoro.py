@@ -245,56 +245,85 @@ def c_float(params: RationalParams, k: int) -> float:
 # -- A_{k,n} and B~ -------------------------------------------------------------------
 
 
-def a_kn(params: RationalParams, k: int, n: int, pairs: dict | None = None):
-    """zeta^n coefficient of B~_{0,k}, assembled from exact c products.
+def a_kn_terms(params: RationalParams, n: int, pairs: dict | None = None) -> list:
+    """The k-free parts of A_{k,n} for n >= 1: (x, w) pairs, one per distinct
+    base x, with
 
+        A_{k,n} = sum_(x, w) w x^k        (plus c_{hn} when k = 0).
+
+    The bases are l (weight c_{hl} c_{h(n-l)}, with the boundary l = n of
+    weight c_{hn}) and b_{alpha+hl} (weight K2/h or K1/h times the c pair).
     The alpha = beta = 0 block contributes both boundary terms l = 0 and
     l = n (the printed formula in the source drops the l = n one); the
-    identity A_{0,n} = K^n pins the convention.  The c products do not
-    depend on k: `pairs` (see c_pair_memo) keeps them across calls."""
-    if n == 0:
-        return QONE if k == 0 else QZERO
+    identity A_{0,n} = K^n pins the convention.  `pairs` (see c_pair_memo)
+    keeps the c products across calls."""
     if pairs is None:
         pairs = {}
     h = params.h
-    total = QZERO
+    terms = {}
     for ell in range(1, n):
-        total += Q(ell) ** k * params.c_int(ell) * params.c_int(n - ell)
-    total += Q(n) ** k * params.c_int(n)
-    if k == 0:
-        total += params.c_int(n)
+        terms[ell] = terms.get(ell, 0) + params.c_int(ell) * params.c_int(n - ell)
+    terms[n] = terms.get(n, 0) + params.c_int(n)
     for alpha in params.index_set_star():
         beta, weight = (params.k1 - alpha, Q(params.k2, h)) if alpha > 0 else \
             (-alpha - params.k2, Q(params.k1, h))
         for ell in range(n):
-            pair = c_pair_memo(params, pairs, alpha, ell, beta, n - 1 - ell)
-            total += weight * params.b(alpha + h * ell) ** k * pair
-    return total
+            x = params.b(alpha + h * ell)
+            terms[x] = terms.get(x, 0) + weight * c_pair_memo(params, pairs, alpha, ell, beta, n - 1 - ell)
+    return [(x, w) for x, w in terms.items() if w]
 
 
-def btilde_row0(params: RationalParams, k: int, order: int, pairs: dict | None = None):
-    """B~_{0,k} as a xi-series (xi = K zeta): coefficients A_{k,n} / K^n."""
-    return [a_kn(params, k, n, pairs) / params.kconst**n for n in range(order + 1)]
+def a_kn(params: RationalParams, k: int, n: int, pairs: dict | None = None, terms=None):
+    """zeta^n coefficient of B~_{0,k}, assembled from exact c products.
+
+    `terms` is a_kn_terms(params, n): callers that need A_{k,n} for many k
+    build it once per n; `pairs` is passed on when it is built here."""
+    if n == 0:
+        return QONE if k == 0 else QZERO
+    if terms is None:
+        terms = a_kn_terms(params, n, pairs)
+    total = sum(w * x**k for x, w in terms)
+    if k == 0:
+        total += params.c_int(n)
+    return Q(total)
+
+
+def btilde_row0(params: RationalParams, k: int, order: int, pairs: dict | None = None,
+                terms: dict | None = None):
+    """B~_{0,k} as a xi-series (xi = K zeta): coefficients A_{k,n} / K^n.
+    `terms` maps n to its a_kn_terms and keeps those it builds, as `pairs`
+    keeps the c products."""
+    if terms is None:
+        terms = {}
+    out = [QONE if k == 0 else QZERO]
+    for n in range(1, order + 1):
+        got = terms.get(n)
+        if got is None:
+            got = terms[n] = a_kn_terms(params, n, pairs)
+        out.append(a_kn(params, k, n, terms=got) / params.kconst**n)
+    return out
 
 
 class BtildeTable:
     """B~_{i,j} xi-series via the xi d/dxi recursion from row 0.
 
-    A table keeps its rows and the c products of every row-0 entry, so one
-    table shared by several checks computes each pairing once."""
+    A table keeps its rows, the c products and the k-free terms of every
+    A_{k,n} (see a_kn_terms), so one table shared by several checks computes
+    each pairing once and each n's terms once for all its rows."""
 
     def __init__(self, params: RationalParams, order: int):
         self.params = params
         self.order = order
         self._cache: dict = {}
         self.pairs: dict = {}
+        self.a_terms: dict = {}
 
     def row(self, i: int, j: int):
         got = self._cache.get((i, j))
         if got is not None:
             return got
         if i == 0:
-            out = btilde_row0(self.params, j, self.order, self.pairs)
+            out = btilde_row0(self.params, j, self.order, self.pairs, self.a_terms)
         else:
             lower = self.row(i - 1, j)
             euler = [Q(n) * c for n, c in enumerate(lower)]

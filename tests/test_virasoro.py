@@ -13,6 +13,26 @@ P21 = RationalParams(2, 1)
 P12 = RationalParams(1, 2)
 
 
+def ref_a_kn(params: RationalParams, k: int, n: int):
+    """Reference A_{k,n}: every base, c product and weight rebuilt for each
+    (k, n) and summed term by term."""
+    if n == 0:
+        return QONE if k == 0 else Q(0)
+    h = params.h
+    total = Q(0)
+    for ell in range(1, n):
+        total += Q(ell) ** k * params.c_int(ell) * params.c_int(n - ell)
+    total += Q(n) ** k * params.c_int(n)
+    if k == 0:
+        total += params.c_int(n)
+    for alpha in params.index_set_star():
+        beta, weight = (params.k1 - alpha, Q(params.k2, h)) if alpha > 0 else \
+            (-alpha - params.k2, Q(params.k1, h))
+        for ell in range(n):
+            total += weight * params.b(alpha + h * ell) ** k * c_pair(params, alpha, ell, beta, n - 1 - ell)
+    return total
+
+
 class TestParams:
     def test_k_constant(self):
         assert P21.kconst == Q(27, 4)
@@ -188,6 +208,18 @@ class TestAkn:
         params = RationalParams(*pair)
         for n in range(13):
             assert a_kn(params, 0, n) == params.kconst**n
+
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
+    def test_a_kn_matches_reference(self, pair):
+        # every (k, n) of the bridge suite's B~ rows: k <= 4, n <= 10
+        params = RationalParams(*pair)
+        table = BtildeTable(params, 10)
+        for k in range(5):
+            row = table.row(0, k)
+            for n in range(11):
+                want = ref_a_kn(params, k, n)
+                assert a_kn(params, k, n) == want, (k, n)
+                assert row[n] == want / params.kconst**n, (k, n)
 
     def test_btilde00_is_theta(self):
         assert btilde_row0(P21, 0, 10) == [Q(1)] * 11
