@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 internal assertion failure (with a machine-readable
 JSON report on stderr), 2 usage error (checked before any solving, also for
-a cache directory that is not a directory and a --dump-ptable path whose
-parent directory does not exist).  Outputs are deterministic for a
+a cache directory that is, or lies below, something other than a
+directory, and a --dump-ptable path whose parent directory does not
+exist).  Outputs are deterministic for a
 given configuration and cache state.  The cache directory comes from
 --cache-dir or the CUBICHODGE_CACHE environment variable; no caching
 happens when neither is set.
@@ -121,9 +122,19 @@ def _require_genus(args, minimum: int = 1) -> int:
         _usage_error(f"--genus must be >= {minimum}")
     _require_cutoff(args, args.genus)
     # a bad cache path would otherwise fail only when the first result is stored
-    if args.cache_dir and os.path.exists(args.cache_dir) and not os.path.isdir(args.cache_dir):
-        _usage_error(f"cache directory {args.cache_dir!r} exists and is not a directory")
+    if args.cache_dir:
+        blocker = _nearest_existing(args.cache_dir)
+        if not os.path.isdir(blocker):
+            _usage_error(f"cache directory {args.cache_dir!r}: {blocker!r} is not a directory")
     return args.genus
+
+
+def _nearest_existing(path: str) -> str:
+    """path itself if it exists, else its nearest existing ancestor."""
+    path = os.path.abspath(path)
+    while not os.path.exists(path) and os.path.dirname(path) != path:
+        path = os.path.dirname(path)
+    return path
 
 
 def _require_cutoff(args, genus: int) -> None:

@@ -56,7 +56,8 @@ def test_usage_error_exits_2(capsys, argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("case", ["cache-dir-is-file", "cache-env-is-file", "dump-parent-missing",
+@pytest.mark.parametrize("case", ["cache-dir-is-file", "cache-env-is-file", "cache-dir-under-file",
+                                  "cache-env-under-file", "dump-parent-missing",
                                   "dump-parent-is-file"])
 def test_bad_paths_exit_2_before_solving(tmp_path, capsys, monkeypatch, case):
     import cubichodge.cli as cli
@@ -69,6 +70,10 @@ def test_bad_paths_exit_2_before_solving(tmp_path, capsys, monkeypatch, case):
         argv += ["--cache-dir", str(afile)]
     elif case == "cache-env-is-file":
         monkeypatch.setenv("CUBICHODGE_CACHE", str(afile))
+    elif case == "cache-dir-under-file":
+        argv += ["--cache-dir", str(afile / "sub" / "deeper")]
+    elif case == "cache-env-under-file":
+        monkeypatch.setenv("CUBICHODGE_CACHE", str(afile / "sub"))
     elif case == "dump-parent-missing":
         argv += ["--dump-ptable", str(tmp_path / "missing" / "x.json")]
     else:
@@ -81,6 +86,13 @@ def test_bad_paths_exit_2_before_solving(tmp_path, capsys, monkeypatch, case):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert "directory" in capsys.readouterr().err
+
+
+def test_new_nested_cache_dir_is_made(tmp_path, capsys):
+    cache = tmp_path / "new" / "nested"
+    code, out, _ = run_cli(capsys, "compute", "--genus", "1", "--cache-dir", str(cache))
+    assert code == 0 and os.listdir(cache) == ["free_energy_g1.json"]
 
 
 def test_cutoff_error_names_minimum(capsys):
