@@ -178,8 +178,6 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
                 prefix = chain[-1][1]
                 chain.append((f, prefix * jet_power(*f) if prefix else prefix))
         product = chain[-1][1] if chain else one
-        if not product:
-            continue
         bound = max(bound, product.bound)
         group_den = fe.body.den * product.den
         if den % group_den:

@@ -273,35 +273,24 @@ def a_kn_terms(params: RationalParams, n: int, pairs: dict | None = None) -> lis
     return [(x, w) for x, w in terms.items() if w]
 
 
-def a_kn(params: RationalParams, k: int, n: int, pairs: dict | None = None, terms=None):
+def a_kn(params: RationalParams, k: int, n: int, terms=None):
     """zeta^n coefficient of B~_{0,k}, assembled from exact c products.
 
     `terms` is a_kn_terms(params, n): callers that need A_{k,n} for many k
-    build it once per n; `pairs` is passed on when it is built here."""
+    build it once per n."""
     if n == 0:
         return QONE if k == 0 else QZERO
     if terms is None:
-        terms = a_kn_terms(params, n, pairs)
+        terms = a_kn_terms(params, n)
     total = sum(w * x**k for x, w in terms)
     if k == 0:
         total += params.c_int(n)
     return Q(total)
 
 
-def btilde_row0(params: RationalParams, k: int, order: int, pairs: dict | None = None,
-                terms: dict | None = None):
-    """B~_{0,k} as a xi-series (xi = K zeta): coefficients A_{k,n} / K^n.
-    `terms` maps n to its a_kn_terms and keeps those it builds, as `pairs`
-    keeps the c products."""
-    if terms is None:
-        terms = {}
-    out = [QONE if k == 0 else QZERO]
-    for n in range(1, order + 1):
-        got = terms.get(n)
-        if got is None:
-            got = terms[n] = a_kn_terms(params, n, pairs)
-        out.append(a_kn(params, k, n, terms=got) / params.kconst**n)
-    return out
+def btilde_row0(params: RationalParams, k: int, order: int):
+    """B~_{0,k} as a xi-series (xi = K zeta): coefficients A_{k,n} / K^n."""
+    return BtildeTable(params, order).row(0, k)
 
 
 class BtildeTable:
@@ -309,7 +298,7 @@ class BtildeTable:
 
     A table keeps its rows, the c products and the k-free terms of every
     A_{k,n} (see a_kn_terms), so one table shared by several checks computes
-    each pairing once and each n's terms once for all its rows."""
+    each pairing once, and its row-0 entries build each n's terms once."""
 
     def __init__(self, params: RationalParams, order: int):
         self.params = params
@@ -323,7 +312,12 @@ class BtildeTable:
         if got is not None:
             return got
         if i == 0:
-            out = btilde_row0(self.params, j, self.order, self.pairs, self.a_terms)
+            out = [a_kn(self.params, j, 0)]
+            for n in range(1, self.order + 1):
+                terms = self.a_terms.get(n)
+                if terms is None:
+                    terms = self.a_terms[n] = a_kn_terms(self.params, n, self.pairs)
+                out.append(a_kn(self.params, j, n, terms) / self.params.kconst**n)
         else:
             lower = self.row(i - 1, j)
             euler = [Q(n) * c for n, c in enumerate(lower)]
