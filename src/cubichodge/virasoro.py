@@ -246,8 +246,7 @@ def c_float(params: RationalParams, k: int) -> float:
 
 
 def a_kn_terms(params: RationalParams, n: int, pairs: dict | None = None) -> list:
-    """The k-free parts of A_{k,n} for n >= 1: (x, w) pairs, one per distinct
-    base x, with
+    """The k-free parts of A_{k,n} for n >= 1: (base x, weight w) pairs with
 
         A_{k,n} = sum_(x, w) w x^k        (plus c_{hn} when k = 0).
 
@@ -260,17 +259,15 @@ def a_kn_terms(params: RationalParams, n: int, pairs: dict | None = None) -> lis
     if pairs is None:
         pairs = {}
     h = params.h
-    terms = {}
-    for ell in range(1, n):
-        terms[ell] = terms.get(ell, 0) + params.c_int(ell) * params.c_int(n - ell)
-    terms[n] = terms.get(n, 0) + params.c_int(n)
+    terms = [(ell, params.c_int(ell) * params.c_int(n - ell)) for ell in range(1, n)]
+    terms.append((n, params.c_int(n)))
     for alpha in params.index_set_star():
         beta, weight = (params.k1 - alpha, Q(params.k2, h)) if alpha > 0 else \
             (-alpha - params.k2, Q(params.k1, h))
         for ell in range(n):
-            x = params.b(alpha + h * ell)
-            terms[x] = terms.get(x, 0) + weight * c_pair_memo(params, pairs, alpha, ell, beta, n - 1 - ell)
-    return [(x, w) for x, w in terms.items() if w]
+            pair = c_pair_memo(params, pairs, alpha, ell, beta, n - 1 - ell)
+            terms.append((params.b(alpha + h * ell), weight * pair))
+    return terms
 
 
 def a_kn(params: RationalParams, k: int, n: int, terms=None):
