@@ -169,10 +169,10 @@ class TestSeriesArithmetic:
 
 
 def in_lowest_terms(s: TSeries) -> bool:
-    """den > 0 and its gcd with every numerator is 1; int numerators only."""
+    """den > 0, its gcd with every (nonzero, integer) numerator is 1 and no
+    grade is empty."""
     nums = [v for t in s.grades.values() for v in t.values()]
-    return (s.den > 0 and all(type(v) is int and v for v in nums)
-            and gcd(s.den, *nums) == 1 and all(t for t in s.grades.values()))
+    return s.den > 0 and all(nums) and gcd(s.den, *nums) == 1 and all(s.grades.values())
 
 
 def tser(d_max, coeffs, n_max=0):
