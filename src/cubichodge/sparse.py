@@ -21,8 +21,9 @@ OverflowError before a bound can leave the slot.
 Coefficients are any exact ring values.  SigmaPoly and the partial Bell
 table store Fractions; JetPoly and TSeries store int numerators over one
 common denominator per polynomial or series.  A graded map {grade: term
-dict} holds a truncated series, one term dict per grade.  Every type adds, multiplies and raises to
-powers through these free functions; `add_into` and `nonzero` take any key.
+dict} holds a truncated series, one term dict per grade.  Every type adds,
+multiplies and raises to powers through these free functions; `add_into`
+and `nonzero` take any key.
 """
 from __future__ import annotations
 
