@@ -45,6 +45,10 @@ class ThetaPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    def powers(self) -> list[JetPoly]:
+        """The Theta^a coefficients, a = 0..degree."""
+        return list(self.coeffs)
+
     def coeff(self, d: int) -> JetPoly:
         if 0 <= d < len(self.coeffs):
             return self.coeffs[d]

@@ -12,6 +12,8 @@ from cubichodge.sigma import SigmaPoly
 from cubichodge.sparse import exponent_bound
 from cubichodge.theta import ThetaPoly
 
+from powertheta import PowerTheta
+
 M = 6
 
 
@@ -31,7 +33,7 @@ class TestRingOps:
         assert z(1, -1) * z(1) == const(1)
 
     def test_theta_square(self):
-        t = ThetaPoly.theta(M)
+        t = PowerTheta.theta(M)
         sq = t * t
         assert sq.degree == 2
         assert sq.coeff(2) == const(1) and not sq.coeff(1) and not sq.coeff(0)
@@ -50,10 +52,10 @@ class TestDerive:
         assert z(0).derive() == z(1)
 
     def test_dtheta(self):
-        t = ThetaPoly.theta(M)
-        d = t.derive()
+        d = ThetaPoly.theta(M).derive()
         # z1 (Theta^2 - Theta): chain rule through Theta = 1/(1 - e^{z0}/mu)
-        assert d.coeff(2) == z(1) and d.coeff(1) == -z(1) and not d.coeff(0)
+        assert d.powers() == [const(0), -z(1), z(1)]
+        assert PowerTheta.theta(M).derive() == PowerTheta(M, d.powers())
 
     def test_laurent_derivative(self):
         assert z(1, -1).derive() == -(z(2) * z(1, -2))
@@ -65,8 +67,8 @@ class TestDerive:
     def test_leibniz_random(self):
         rng = random.Random(7)
         for _ in range(200):
-            f = _random_theta(rng)
-            g = _random_theta(rng)
+            f = _random_theta(rng, PowerTheta)
+            g = _random_theta(rng, PowerTheta)
             lhs = (f * g).derive()
             rhs = f.derive() * g + f * g.derive()
             assert lhs == rhs
@@ -80,18 +82,18 @@ class TestDerive:
 
 class TestXiEuler:
     def test_theta(self):
-        t = ThetaPoly.theta(M).xi_euler()
+        t = PowerTheta.theta(M).xi_euler()
         assert t.coeff(2) == const(1) and t.coeff(1) == const(-1)
 
     def test_constant(self):
-        assert not ThetaPoly(M, [const(1)]).xi_euler()
+        assert not PowerTheta(M, [const(1)]).xi_euler()
 
     def test_theta_squared(self):
-        t = ThetaPoly.theta(M, 2).xi_euler()
+        t = PowerTheta.theta(M, 2).xi_euler()
         assert t.coeff(3) == const(2) and t.coeff(2) == const(-2)
 
 
-def _random_theta(rng, deg=4, jet_top=6):
+def _random_theta(rng, cls=ThetaPoly, deg=4, jet_top=6):
     coeffs = []
     for _ in range(rng.randint(1, deg + 1)):
         terms = {}
@@ -102,7 +104,7 @@ def _random_theta(rng, deg=4, jet_top=6):
             for key, v in p.items():
                 terms[key] = terms.get(key, Q(0)) + v
         coeffs.append(JetPoly(M, terms))
-    return ThetaPoly(M, coeffs)
+    return cls(M, coeffs)
 
 
 class TestSolve:

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given
@@ -126,6 +126,17 @@ class TestQNumbers:
                                            (1, 1, 1), (2, 1, 1), (2, 2, -3)])
     def test_values(self, n, k, val):
         assert q_number(n, k) == Q(val)
+
+    def test_stirling_form(self):
+        # Q(n, k) = (-1)^(k-1) (k-1)! S(n+1, k), with S(n, k) from its recurrence:
+        # the Theta^k weight of pi_(n+1) = (Theta (1 - Theta) d/dTheta)^n Theta
+        stirling = [[1]]
+        for n in range(1, 26):
+            prev = stirling[-1] + [0]
+            stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+        for n in range(25):
+            for k in range(1, n + 2):
+                assert q_number(n, k) == (-1) ** (k - 1) * factorial(k - 1) * stirling[n + 1][k]
 
     def test_range_errors(self):
         with pytest.raises(ValueError):

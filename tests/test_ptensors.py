@@ -1,12 +1,13 @@
-from math import comb
-
 import pytest
 
 from cubichodge.jets import JetPoly
+from cubichodge.linsolve import TriangularSystem
 from cubichodge.ptensors import PTensorTable, top_coefficient_value
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
 from cubichodge.theta import ThetaPoly
+
+from powertheta import PowerRoute, PowerTheta
 
 M = 12
 
@@ -14,6 +15,11 @@ M = 12
 @pytest.fixture(scope="module")
 def table():
     return PTensorTable(M)
+
+
+@pytest.fixture(scope="module")
+def route(table):
+    return PowerRoute(table)
 
 
 def sconst(c):
@@ -27,7 +33,7 @@ class TestRow0:
     def test_p01(self, table):
         tp = table.row0(1)
         assert tp.degree == 2
-        assert tp.coeff(2) == sconst(Q(1, 2)) and tp.coeff(1) == sconst(Q(-1, 2))
+        assert tp.powers() == [JetPoly.zero(M), sconst(Q(-1, 2)), sconst(Q(1, 2))]
 
     def test_append_only(self, table):
         before = table.row0(2)
@@ -38,13 +44,13 @@ class TestRow0:
 class TestPtilde:
     def test_p11_closed_form(self, table):
         s1 = SigmaPoly.s1()
-        expect = ThetaPoly(M, [
+        expect = [
             JetPoly.zero(M),
             JetPoly.from_sigma(SigmaPoly.const(Q(1, 8)) - s1 * Q(1, 12), M),
             JetPoly.from_sigma(SigmaPoly.const(Q(-3, 8)) + s1 * Q(1, 12), M),
             sconst(Q(1, 4)),
-        ])
-        assert table.ptilde(1, 1) == expect
+        ]
+        assert table.ptilde(1, 1).powers() == expect
 
     def test_p10_equals_p01(self, table):
         assert table.ptilde(1, 0) == table.row0(1)
@@ -67,88 +73,77 @@ class TestPtilde:
     def test_top_coefficients(self, table):
         for i in range(6):
             for j in range(6 - i):
-                top = table.ptilde(i, j).coeff(i + j + 1).as_sigma()
+                top = table.ptilde(i, j).powers()[i + j + 1].as_sigma()
                 assert top == SigmaPoly.const(top_coefficient_value(i, j))
 
     def test_no_constant_row(self, table):
         for i in range(5):
             for j in range(5):
-                assert not table.ptilde(i, j).coeff(0)
+                assert not table.ptilde(i, j).powers()[0]
 
-
-def dressed(table, a, b, memo=None):
-    """The dressed P_{a,b} = sum_{k,l} f_{a,k} f_{b,l} P~_{k,l}, formed term by term:
-    the reference for PTensorTable.contract, which never forms it."""
-    if memo is not None and (a, b) in memo:
-        return memo[a, b]
-    f = table.fjets.f
-    out = ThetaPoly.sum(table.cutoff, [table.ptilde(k, l) * (f(a, k) * f(b, l))
-                                       for k in range(a + 1) for l in range(b + 1)
-                                       if f(a, k) and f(b, l)])
-    if memo is not None:
-        memo[a, b] = out
-    return out
+    def test_ptilde_matches_power_recursion(self, table, route):
+        # every entry with i + j <= 10, recursed in powers of Theta from row 0
+        for i in range(11):
+            for j in range(11 - i):
+                assert PowerTheta.of(table.ptilde(i, j)) == route.ptilde(i, j), (i, j)
 
 
 class TestDressed:
-    def test_p00(self, table):
-        assert dressed(table, 0, 0) == ThetaPoly.theta(M)
+    def test_p00(self, route):
+        assert route.dressed(0, 0) == PowerTheta.theta(M)
 
-    def test_p01(self, table):
+    def test_p01(self, table, route):
         z1 = JetPoly.z(1, M)
-        expect = table.row0(1) * z1
-        assert dressed(table, 0, 1) == expect
-        assert dressed(table, 0, 1).coeff(2) == z1 * Q(1, 2)
+        expect = PowerTheta.of(table.row0(1)) * z1
+        assert route.dressed(0, 1) == expect
+        assert route.dressed(0, 1).coeff(2) == z1 * Q(1, 2)
 
-    def test_p11_single_dressing_term(self, table):
+    def test_p11_single_dressing_term(self, table, route):
         z1 = JetPoly.z(1, M)
-        assert dressed(table, 1, 1) == table.ptilde(1, 1) * (z1 * z1)
+        assert route.dressed(1, 1) == PowerTheta.of(table.ptilde(1, 1)) * (z1 * z1)
 
-    def test_jet_bound(self, table):
+    def test_jet_bound(self, route):
         for i in range(4):
             for j in range(4):
-                assert dressed(table, i, j).max_jet_index() <= max(i, j, -1)
+                assert max((c.max_index() for c in route.dressed(i, j).coeffs),
+                           default=-1) <= max(i, j, -1)
 
-    def test_contract_matches_dressed_sum(self, table):
+    def test_contract_matches_dressed_sum(self, table, route):
         z2 = JetPoly.z(2, M)
         weights = {(0, 2): Q(3), (1, 0): z2, (2, 1): z2, (3, 3): z2 * Q(-1, 2)}
-        expect = ThetaPoly.sum(M, [dressed(table, a, b) * w for (a, b), w in weights.items()])
-        assert table.contract(weights) == expect
+        expect = PowerTheta.sum(M, [route.dressed(a, b) * w for (a, b), w in weights.items()])
+        assert PowerTheta.of(table.contract(weights)) == expect
 
 
-def dressed_lhs(solver, i, memo):
-    """L_i = derive^i(Theta) + sum_{j=1}^i C(i, j) P_{j-1, i-j+1} over dressed P."""
-    return ThetaPoly.sum(solver.cutoff, [solver.dtheta(i)] + [
-        dressed(solver.table, j - 1, i - j + 1, memo) * comb(i, j) for j in range(1, i + 1)])
-
-
-def dressed_rhs(solver, g, lower, memo):
-    """RHS_g for g >= 2 over dressed P, summed over i <= j by the symmetry of P."""
-    M = solver.cutoff
-    grads = [None] + [fe.gradient for fe in lower[: g - 1]]
-    top_prev = 3 * (g - 1) - 2
-    parts = [solver.derived_base(i + 2) * grads[g - 1][i]
-             for i in range(top_prev + 1) if grads[g - 1][i]]
-    for i in range(top_prev + 1):
-        for j in range(i, top_prev + 1):
-            w = JetPoly.sum(M, [grads[g - 1][i].partial(j)] + [
-                grads[k][i] * grads[g - k][j] for k in range(1, g)
-                if i < len(grads[k]) and j < len(grads[g - k])])
-            if w:
-                parts.append(dressed(solver.table, i + 1, j + 1, memo) * (w * Q(1, 2) if i == j else w))
-    return ThetaPoly.sum(M, parts)
-
-
-def test_contracted_loop_terms_match_dressed_route(energies_g5):
+@pytest.fixture(scope="module")
+def route_g5():
+    """A genus-5 solver, unsolved, and the power route over its P-table."""
     from cubichodge.loop import LoopSolver
 
     solver = LoopSolver(5)
+    return solver, PowerRoute(solver.table)
+
+
+def test_contracted_loop_terms_match_dressed_route(route_g5, energies_g5):
+    solver, route = route_g5
     assert solver.cutoff == energies_g5[0].body.cutoff
-    memo = {}
     for i in range(3 * 5 - 1):
-        assert solver.lhs_coefficient(i) == dressed_lhs(solver, i, memo), i
-    for g in range(2, 6):
-        assert solver.rhs_genus(g, energies_g5) == dressed_rhs(solver, g, energies_g5, memo), g
+        assert PowerTheta.of(solver.lhs_coefficient(i)) == route.lhs(i), i
+    for g in range(1, 6):
+        assert PowerTheta.of(solver.rhs_genus(g, energies_g5)) == route.rhs(g, energies_g5), g
+
+
+def test_power_rows_solve_to_the_gradients(route_g5, energies_g5):
+    # the Theta^a rows a = 1..3g-1 of the power route, solved by the same back
+    # substitution, give the gradient of each solved H_g
+    _, route = route_g5
+    for g in range(1, 6):
+        n = 3 * g - 1
+        ell = [route.lhs(i) for i in range(n)]
+        rhs = route.rhs(g, energies_g5)
+        rows = [[ell[i].coeff(a) for i in range(n)] for a in range(1, n + 1)]
+        vec = [rhs.coeff(a) for a in range(1, n + 1)]
+        assert TriangularSystem(n, rows, vec).solve() == energies_g5[g - 1].gradient, g
 
 
 class TestXiOracle:
@@ -190,6 +185,6 @@ def test_frozen_row0_n25():
 
     table = PTensorTable(29)
     table.ensure_row0(25)
-    blob = json.dumps([[jet_json(c) for c in table.row0(n).coeffs] for n in range(26)],
+    blob = json.dumps([[jet_json(c) for c in table.row0(n).powers()] for n in range(26)],
                       sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_ROW0_N25_SHA256
