@@ -256,12 +256,11 @@ def _verify_suites(args):
                 tp = table.ptilde(i, j)
                 if tp != table.ptilde(j, i):
                     return False, f"P~({i},{j}) asymmetric"
-                if tp.degree > i + j + 1:
+                if tp.degree != i + j + 1:
                     return False, f"P~({i},{j}) degree {tp.degree}"
                 if tp.max_jet_index() >= 0:
                     return False, f"P~({i},{j}) carries jets"
-                top = tp.coeff(i + j + 1).as_sigma()
-                if top != top_coefficient_value(i, j):
+                if tp.powers()[-1].as_sigma() != top_coefficient_value(i, j):
                     return False, f"P~({i},{j}) top coefficient"
         return True, None
 

@@ -21,9 +21,12 @@ and the quadratic part of RHS_g is sum_{k,l} P~_{k,l} (F^T W F)_{k,l}, with
 W_{i+1,j+1} the bracket above for i <= j, halved on the diagonal (P is
 symmetric, so the upper triangle carries the whole sum).
 
-The Theta rows 1..3g-1 form an invertible triangular system for the
-gradient of H_g; all remaining rows must be matched identically, which is
-asserted after every solve.  H_g itself is recovered from the Euler
+Every Theta polynomial is held in the Stirling basis pi_m of theta.py, in
+which T = (s1/24) pi_1 - pi_2/16.  pi_m has Theta degree m and no constant
+term, and L_i, P~ and RHS_g have none, so the identity holds iff it holds
+for each pi_m coefficient.  The pi_m rows m = 1..3g-1 form an invertible
+triangular system for the gradient of H_g; all remaining rows must be
+matched identically, which is asserted after every solve.  H_g itself is recovered from the Euler
 identity sum j z_j dH_g/dz_j = (2g-2) H_g, which needs dH_g/dz0 = 0 for
 g >= 2, and for g = 1 from the closed form (1/24) log z1 + (s1/24) z0.
 A FreeEnergy and its cache record keep only that body; the gradient the
@@ -100,10 +103,10 @@ class LoopSolver:
         return self._dtheta[i]
 
     def rhs_base(self) -> ThetaPoly:
-        """T = Theta^2/16 - (1/16 - s1/24) Theta."""
+        """T = (s1/24) pi_1 - pi_2/16."""
         M = self.cutoff
-        lin = JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24) + SigmaPoly.const(Q(-1, 16)), M)
-        return ThetaPoly(M, [JetPoly.zero(M), lin, JetPoly.const(Q(1, 16), M)])
+        return ThetaPoly(M, [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), M),
+                             JetPoly.const(Q(-1, 16), M)])
 
     def derived_base(self, m: int) -> ThetaPoly:
         if not self._dT:
@@ -159,10 +162,8 @@ class LoopSolver:
         self.table.ensure_row0(n - 1)
         ell = [self.lhs_coefficient(i) for i in range(n)]
         rhs = self.rhs_genus(g, lower)
-        if rhs.coeff(0):
-            raise LoopEquationError("RHS carries a Theta^0 component")
-        rows = [[ell[i].coeff(a) for i in range(n)] for a in range(1, n + 1)]
-        vec = [rhs.coeff(a) for a in range(1, n + 1)]
+        rows = [[ell[i].coeff(m) for i in range(n)] for m in range(1, n + 1)]
+        vec = [rhs.coeff(m) for m in range(1, n + 1)]
         # products only add exponent bounds: read the solved entries' bounds from their keys
         gradient = [_exact_bound(x) for x in TriangularSystem(n, rows, vec).solve()]
         residual = self._apply_lhs(gradient) - rhs

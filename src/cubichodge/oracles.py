@@ -10,6 +10,7 @@ from __future__ import annotations
 from math import comb
 
 from .bell import FJetTable
+from .jets import JetPoly
 from .phiseries import TSeries, binomial_zinv, log_phi, log_phi_shifted, q_number
 from .ptensors import PTensorTable
 from .ratio import Q, QZERO
@@ -58,8 +59,7 @@ def row0_shift_oracle(table: PTensorTable, n_max: int, xi_order: int):
     shifts = [shift_expansion_term(j, n_max) for j in range(xi_order + 1)]
     table.ensure_row0(n_max)
     for n in range(n_max + 1):
-        tp = table.row0(n)
-        coeffs = [c.as_sigma() for c in tp.coeffs]
+        coeffs = [c.as_sigma() for c in table.row0(n).powers()]
         series = theta_xi_coeffs(coeffs, xi_order)
         for j in range(xi_order + 1):
             want = shifts[j].coefficient((n,))
@@ -85,8 +85,7 @@ def specialization_bridge(params: RationalParams, table: PTensorTable,
     table.ensure_row0(ij_max)
     for i in range(ij_max + 1):
         for j in range(ij_max + 1 - i):
-            tp = table.ptilde(i, j)
-            coeffs = [c.as_sigma().evaluate(s1, s3) for c in tp.coeffs]
+            coeffs = [c.as_sigma().evaluate(s1, s3) for c in table.ptilde(i, j).powers()]
             mine = theta_xi_coeffs(coeffs, xi_order)
             other = bt.row(i, j)[: xi_order + 1]
             if mine != other:
@@ -176,8 +175,10 @@ def cy_power_sum_check(k_max: int = 11, tol: float = 1e-12):
 def chain_rule_check(cutoff: int, i_max: int = 6):
     """derive^i h = sum_j f_{i,j} xi_euler^j h for h = Theta and Theta^3."""
     fj = FJetTable(cutoff)
-    for power in (1, 3):
-        h = ThetaPoly.theta(cutoff, power)
+    one = JetPoly.one(cutoff)
+    # Theta = pi_1 and Theta^3 = pi_1 - (3/2) pi_2 + (1/2) pi_3
+    for power, h in ((1, ThetaPoly.theta(cutoff)),
+                     (3, ThetaPoly(cutoff, [one, one * Q(-3, 2), one * Q(1, 2)]))):
         xi_pow = [h]
         for _ in range(i_max):
             xi_pow.append(xi_pow[-1].xi_euler())

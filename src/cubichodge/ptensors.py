@@ -1,15 +1,17 @@
 """The loop-equation coefficient tensors P~_{i,j}(Theta; s1, s3) and P_{i,j}.
 
+Every Theta polynomial here is held in the Stirling basis pi_m of theta.py.
 Row zero comes from the explicit double sum
 
-  sum_n z^-n P~_{0,n} = sum_n sum_{k=1}^{n+1} Q(n,k) Theta^k
+  sum_n z^-n P~_{0,n} = sum_n pi_(n+1)
       sum_{m=0}^n (-1)^{n-m} (2n-2m-1)!! / (2^{n-m} m! (n-m)!) z^{m-n}
       * Phi d_z^m (1/Phi),
 
-assembled as a joint truncated object in (1/z, Theta) and read off at each
-z^-n.  Higher rows follow the recursion P~_{i+1,j} = xi_euler(P~_{i,j}) -
-P~_{i,j+1}; the index symmetry P~_{i,j} = P~_{j,i} is NOT used by the
-construction, so it stays available as a genuine consistency check.
+where pi_(n+1) = sum_{k=1}^{n+1} Q(n,k) Theta^k, read off at each z^-n.
+Higher rows follow the recursion P~_{i+1,j} = xi_euler(P~_{i,j}) -
+P~_{i,j+1}, in which xi_euler shifts pi_m to -pi_(m+1); the index symmetry
+P~_{i,j} = P~_{j,i} is NOT used by the construction, so it stays available
+as a genuine consistency check.
 
 The loop equation reads P~ only through the dressed tensors
 P_{a,b} = sum_{k,l} f_{a,k} f_{b,l} P~_{k,l}, and only in sums
@@ -21,10 +23,11 @@ sum by linearity, without forming any P_{a,b}:
 
 Each pass is a sum of jet x jet products, and each is summed by JetPoly.dot
 over one common denominator without forming the products.  P~ has
-sigma-only coefficients, so the last step is one ThetaPoly.dot: per Theta
-power, a sum of sigma x jet products.
+sigma-only coefficients, so the last step is one ThetaPoly.dot: per pi_m,
+a sum of sigma x jet products.
 
-The P~ entries are cached; the table only ever grows.
+The P~ entries are cached; the table only ever grows.  `dump_json` writes
+them in powers of Theta.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from math import factorial
 
 from .bell import FJetTable
 from .jets import JetPoly
-from .phiseries import double_factorial_odd, phi_d_inv_all, q_number
+from .phiseries import double_factorial_odd, phi_d_inv_all
 from .ratio import Q, is_rational
 from .sigma import SigmaPoly
 from .sparse import add_into
@@ -87,7 +90,7 @@ class PTensorTable:
         as sum_{k,l} P~_{k,l} (F^T w F)_{k,l}; no P_{a,b} is formed.
 
         G, F^T w F and the last step are each summed by one `dot` call per
-        entry (per Theta power in the last step); a rational weight enters
+        entry (per pi_m in the last step); a rational weight enters
         as a constant JetPoly."""
         M, f = self.cutoff, self.fjets.f
         # f_{b,l} vanishes for l > b, and for l = 0 unless b = 0
@@ -118,7 +121,7 @@ class PTensorTable:
         built.update(self._ptilde)
         entries = {}
         for (i, j), tp in sorted(built.items()):
-            entries[f"{i},{j}"] = [jet_json(c) for c in tp.coeffs]
+            entries[f"{i},{j}"] = [jet_json(c) for c in tp.powers()]
         return {"version": CONSTRUCTION_VERSION, "cutoff": self.cutoff, "ptilde": entries}
 
 
@@ -126,11 +129,11 @@ def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
     series = phi_d_inv_all(n_max, n_max)
     bound = max(s.bound for s in series)
     pdi = [s.coefficients() for s in series]
-    # acc[n][k] accumulates the sigma term dict of the z^-n Theta^k coefficient
+    # acc[n][m] is the sigma term dict of the z^-n pi_m coefficient
     acc: list[dict[int, dict]] = [dict() for _ in range(n_max + 1)]
     for np_ in range(n_max + 1):
         # zs[n]: sigma term dict of the z^-n coefficient of
-        # sum_m c_{n',m} z^{m-n'} u_m, scaled below by each Q(n', k)
+        # sum_m c_{n',m} z^{m-n'} u_m, which multiplies pi_(n'+1)
         zs: dict[int, dict] = {}
         for m in range(np_ + 1):
             d = np_ - m
@@ -140,15 +143,13 @@ def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
             for (r,), sig in pdi[m].items():
                 if d + r <= n_max:
                     add_into(zs.setdefault(d + r, {}), sig.terms, cm)
-        for k in range(1, np_ + 2):
-            qv = q_number(np_, k)
-            for n, sig in zs.items():
-                add_into(acc[n].setdefault(k, {}), sig, qv)
+        for n, sig in zs.items():
+            acc[n][np_ + 1] = sig
     out = []
     for n in range(n_max + 1):
-        coeffs = [JetPoly.zero(cutoff)] * (max(acc[n], default=0) + 1)
-        for k, sig in acc[n].items():
-            coeffs[k] = JetPoly.from_sigma(SigmaPoly.packed(sig, bound), cutoff)
+        coeffs = [JetPoly.zero(cutoff)] * max(acc[n], default=0)
+        for m, sig in acc[n].items():
+            coeffs[m - 1] = JetPoly.from_sigma(SigmaPoly.packed(sig, bound), cutoff)
         out.append(ThetaPoly(cutoff, coeffs))
     return out
 

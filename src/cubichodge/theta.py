@@ -1,16 +1,26 @@
 """Polynomials in the formal loop-equation variable Theta with JetPoly coefficients.
 
 Theta stands for 1/(1 - e^{z0}/mu) with mu never assigned a value; every
-identity downstream holds coefficient-wise in Theta.  The two derivations:
+identity downstream holds coefficient-wise in Theta.  A ThetaPoly holds the
+coefficients of the Stirling basis
 
-  derive:   d = sum z_{k+1} d/dz_k, with d(Theta) = z1 (Theta^2 - Theta)
-  xi_euler: xi d/dxi = Theta (Theta - 1) d/dTheta, jets held constant
+  pi_m = (Theta (1 - Theta) d/dTheta)^(m-1) Theta,   m >= 1,
+
+(Comtet, Advanced Combinatorics, ch. 5).  pi_m has Theta degree m and no
+constant term, and its Theta^a coefficient is (-1)^(a-1) (a-1)! S(m, a) =
+q_number(m-1, a); `powers` converts to powers of Theta.  The two derivations:
+
+  xi_euler: xi d/dxi = Theta (Theta - 1) d/dTheta, jets held constant,
+            so pi_m -> -pi_(m+1)
+  derive:   d = sum z_{k+1} d/dz_k, with d(Theta) = z1 (Theta^2 - Theta),
+            so d = (jets entry by entry) + z1 xi_euler
 
 where xi = (Theta - 1)/Theta.
 """
 from __future__ import annotations
 
 from .jets import CutoffError, JetPoly
+from .phiseries import q_number
 from .ratio import is_rational
 from .sigma import SigmaPoly
 
@@ -19,6 +29,7 @@ class ThetaPoly:
     __slots__ = ("cutoff", "coeffs")
 
     def __init__(self, cutoff: int, coeffs=()):
+        """coeffs[m-1] is the coefficient of pi_m."""
         self.cutoff = cutoff
         cs = list(coeffs)
         while cs and not cs[-1]:
@@ -35,24 +46,29 @@ class ThetaPoly:
         return cls(cutoff)
 
     @classmethod
-    def theta(cls, cutoff: int, power: int = 1) -> "ThetaPoly":
-        cs = [JetPoly.zero(cutoff)] * power + [JetPoly.one(cutoff)]
-        return cls(cutoff, cs)
+    def theta(cls, cutoff: int) -> "ThetaPoly":
+        """Theta = pi_1."""
+        return cls(cutoff, [JetPoly.one(cutoff)])
 
     # -- basic structure ------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        """The Theta degree, which is the largest m with a pi_m term."""
+        return len(self.coeffs)
+
+    def coeff(self, m: int) -> JetPoly:
+        """The coefficient of pi_m."""
+        if 1 <= m <= len(self.coeffs):
+            return self.coeffs[m - 1]
+        return JetPoly.zero(self.cutoff)
 
     def powers(self) -> list[JetPoly]:
         """The Theta^a coefficients, a = 0..degree."""
-        return list(self.coeffs)
-
-    def coeff(self, d: int) -> JetPoly:
-        if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
-        return JetPoly.zero(self.cutoff)
+        M = self.cutoff
+        return [JetPoly.zero(M)] + [
+            JetPoly.sum(M, [c * q_number(k, a) for k, c in enumerate(self.coeffs[a - 1:], a - 1)])
+            for a in range(1, len(self.coeffs) + 1)]
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -62,14 +78,7 @@ class ThetaPoly:
             return NotImplemented
         return self.cutoff == other.cutoff and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.cutoff, self.coeffs))
-
-    # -- ring operations --------------------------------------------------
-
-    def _check(self, other: "ThetaPoly"):
-        if self.cutoff != other.cutoff:
-            raise CutoffError("cutoff mismatch")
+    # -- linear operations ------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, ThetaPoly):
@@ -85,48 +94,36 @@ class ThetaPoly:
         return ThetaPoly(self.cutoff, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, ThetaPoly):
-            self._check(other)
-            pairs = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    pairs[i + j].append((a, b))
-            return ThetaPoly(self.cutoff, [JetPoly.dot(self.cutoff, ps) for ps in pairs])
         if isinstance(other, (JetPoly, SigmaPoly)) or is_rational(other):
             return ThetaPoly(self.cutoff, [c * other for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def __truediv__(self, q):
-        if not is_rational(q):
-            return NotImplemented
-        return ThetaPoly(self.cutoff, [c / q for c in self.coeffs])
-
     @classmethod
     def sum(cls, cutoff: int, polys) -> "ThetaPoly":
-        """The sum of the polys: each Theta coefficient is accumulated once."""
+        """The sum of the polys: each pi_m coefficient is accumulated once."""
         parts: list[list[JetPoly]] = []
         for tp in polys:
             if tp.cutoff != cutoff:
                 raise CutoffError("cutoff mismatch")
             parts.extend([] for _ in range(len(tp.coeffs) - len(parts)))
-            for d, c in enumerate(tp.coeffs):
-                parts[d].append(c)
+            for k, c in enumerate(tp.coeffs):
+                parts[k].append(c)
         return cls(cutoff, [JetPoly.sum(cutoff, ps) for ps in parts])
 
     @classmethod
     def dot(cls, cutoff: int, pairs) -> "ThetaPoly":
         """sum tp * w over the (ThetaPoly tp, JetPoly w) pairs: one JetPoly.dot
-        per Theta power."""
+        per pi_m."""
         pairs = list(pairs)
         for tp, w in pairs:
             if tp.cutoff != cutoff or w.cutoff != cutoff:
                 raise CutoffError("cutoff mismatch")
         top = max((len(tp.coeffs) for tp, _ in pairs), default=0)
-        return cls(cutoff, [JetPoly.dot(cutoff, [(tp.coeffs[d], w) for tp, w in pairs
-                                                 if d < len(tp.coeffs)])
-                            for d in range(top)])
+        return cls(cutoff, [JetPoly.dot(cutoff, [(tp.coeffs[k], w) for tp, w in pairs
+                                                 if k < len(tp.coeffs)])
+                            for k in range(top)])
 
     # -- derivations --------------------------------------------------------
 
@@ -134,22 +131,16 @@ class ThetaPoly:
         """Full derivation: jets via d(z_k) = z_{k+1}, Theta via the chain rule;
         since d(Theta) = z1 Theta (Theta - 1), the Theta part is z1 xi_euler."""
         parts = [[c.derive()] for c in self.coeffs] + [[]]
-        for d, c in enumerate(self.xi_euler().coeffs):
-            parts[d].append(c.mul_z(1))
+        for k, c in enumerate(self.xi_euler().coeffs):
+            parts[k].append(c.mul_z(1))
         return ThetaPoly(self.cutoff, [JetPoly.sum(self.cutoff, ps) for ps in parts])
 
     def xi_euler(self) -> "ThetaPoly":
-        """Theta (Theta - 1) d/dTheta, treating JetPoly coefficients as constants."""
-        n = len(self.coeffs)
-        if n == 0:
+        """Theta (Theta - 1) d/dTheta, treating JetPoly coefficients as
+        constants: pi_m -> -pi_(m+1)."""
+        if not self.coeffs:
             return self
-        parts: list[list[JetPoly]] = [[] for _ in range(n + 1)]
-        for d, c in enumerate(self.coeffs):
-            if d == 0 or not c:
-                continue
-            parts[d + 1].append(c * d)
-            parts[d].append(c * -d)
-        return ThetaPoly(self.cutoff, [JetPoly.sum(self.cutoff, ps) for ps in parts])
+        return ThetaPoly(self.cutoff, [JetPoly.zero(self.cutoff)] + [-c for c in self.coeffs])
 
     def max_jet_index(self) -> int:
         return max((c.max_index() for c in self.coeffs), default=-1)
@@ -157,5 +148,5 @@ class ThetaPoly:
     def __repr__(self):
         from .textform import jet_text
 
-        bits = [f"T^{d}*({jet_text(c)})" for d, c in enumerate(self.coeffs) if c]
+        bits = [f"pi_{m}*({jet_text(c)})" for m, c in enumerate(self.coeffs, 1) if c]
         return "ThetaPoly(" + (" + ".join(bits) if bits else "0") + ")"

@@ -93,6 +93,40 @@ class TestXiEuler:
         assert t.coeff(3) == const(2) and t.coeff(2) == const(-2)
 
 
+def pi(m, c=None):
+    """c pi_m as a ThetaPoly; c defaults to 1."""
+    return ThetaPoly(M, [const(0)] * (m - 1) + [const(1) if c is None else c])
+
+
+class TestStirlingBasis:
+    def test_xi_euler_shifts(self):
+        for m in range(1, 8):
+            assert pi(m).xi_euler() == -pi(m + 1), m
+        c = z(2) * z(1, -1) + const(Q(3, 5))
+        assert pi(3, c).xi_euler() == pi(4, -c)
+
+    def test_derive_theta(self):
+        assert pi(1).derive() == pi(2, -z(1))
+
+    def test_theta_cubed_powers(self):
+        cubed = ThetaPoly(M, [const(1), const(Q(-3, 2)), const(Q(1, 2))])
+        assert cubed.powers() == [const(0), const(0), const(0), const(1)]
+
+    def test_powers_of_pi(self):
+        # pi_(m+1) = Theta (1 - Theta) d/dTheta pi_m, in powers
+        p = PowerTheta.theta(M)
+        for m in range(1, 8):
+            assert PowerTheta.of(pi(m)) == p, m
+            p = -p.xi_euler()
+
+    def test_derivations_commute_with_powers(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            f = _random_theta(rng)
+            assert PowerTheta.of(f.xi_euler()) == PowerTheta.of(f).xi_euler()
+            assert PowerTheta.of(f.derive()) == PowerTheta.of(f).derive()
+
+
 def _random_theta(rng, cls=ThetaPoly, deg=4, jet_top=6):
     coeffs = []
     for _ in range(rng.randint(1, deg + 1)):
@@ -235,10 +269,10 @@ class TestDot:
     @given(st.lists(st.tuples(dot_thetas, dot_jets), max_size=4))
     def test_theta_dot_matches_per_pair_sum(self, pairs):
         got = ThetaPoly.dot(DOT_M, pairs)
-        top = max((tp.degree for tp, _ in pairs), default=-1)
+        top = max((tp.degree for tp, _ in pairs), default=0)
         assert got.degree <= top
-        for d in range(top + 1):
-            assert_matches(got.coeff(d), ref_dot([(tp.coeff(d), w) for tp, w in pairs]))
+        for m in range(1, top + 1):
+            assert_matches(got.coeff(m), ref_dot([(tp.coeff(m), w) for tp, w in pairs]))
 
     def test_theta_dot_cutoff_mismatch_raises(self):
         w = JetPoly.z(1, DOT_M)
