@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .ratio import Q, QZERO, is_rational
+from .ratio import Q, QONE, is_rational
 from .sigma import SigmaPoly
 from .sparse import (add_into, exponent, mul_into, nonzero, pack, power, product_bound, split,
                      unit, unpack)
@@ -280,24 +280,22 @@ class JetPoly:
         return SigmaPoly.packed(out, self.bound)
 
     def subs_jets(self, values) -> SigmaPoly:
-        """Evaluate the jet variables at exact rationals; z1 may be inverted."""
-        out = {}
-        for key, c in self.items():
-            q = c
-            for k in range(self.cutoff + 1):
-                e = key[2 + k]
-                if e == 0:
-                    continue
-                v = Q(values[k])
-                if v == 0:
-                    if e < 0:
-                        raise ZeroDivisionError("negative power of zero jet value")
-                    q = QZERO
-                    break
-                q = q * v**e
-            if q:
-                add_into(out, {key[:2]: q})
-        return SigmaPoly(out)
+        """Evaluate the jet variables at exact rationals; z1 may be inverted.
+        Each distinct jet part is evaluated once."""
+        jet_values, factors, out = {}, {}, {}
+        for key, c in self.terms.items():
+            sig, jets = split(key, 2)
+            w = jet_values.get(jets)
+            if w is None:
+                w = QONE
+                for k, e in enumerate(unpack(jets, self.cutoff + 1)):
+                    if e:
+                        if (k, e) not in factors:
+                            factors[k, e] = Q(values[k]) ** e
+                        w *= factors[k, e]
+                jet_values[jets] = w
+            out[sig] = out.get(sig, 0) + c * w
+        return SigmaPoly.packed({k: v / self.den for k, v in out.items() if v}, self.bound)
 
     def weighted_degrees(self, jet_weight, s1_weight: int = 0, s3_weight: int = 0):
         """Set of term degrees under deg z_k = jet_weight(k)."""
