@@ -144,10 +144,6 @@ def _require_cutoff(args, genus: int) -> None:
         _usage_error(f"--cutoff must be >= 3g-2 = {need} for genus {genus}")
 
 
-def _solver(args, genus: int) -> LoopSolver:
-    return LoopSolver(genus, cutoff=args.cutoff)
-
-
 def _emit_body(fe, fmt: str) -> str:
     if fmt == "text":
         return free_energy_text(fe.genus, fe.body, fe.log_z1_coeff)
@@ -164,7 +160,7 @@ def cmd_compute(args) -> int:
     genus = _require_genus(args)
     if args.dump_ptable and not os.path.isdir(os.path.dirname(args.dump_ptable) or "."):
         _usage_error(f"--dump-ptable {args.dump_ptable!r}: its parent is not an existing directory")
-    solver = _solver(args, genus)
+    solver = LoopSolver(genus, cutoff=args.cutoff)
     print(_emit_body(solver.free_energy(genus, args.cache_dir), args.format))
     if args.dump_ptable:
         with open(args.dump_ptable, "w") as fh:
@@ -175,7 +171,7 @@ def cmd_compute(args) -> int:
 
 def cmd_rg(args) -> int:
     genus = _require_genus(args, minimum=2)
-    solver = _solver(args, genus)
+    solver = LoopSolver(genus, cutoff=args.cutoff)
     rg = r_poly(solver.free_energy(genus, args.cache_dir))
     if args.format == "text":
         print(f"R_{genus} = {sigma_text(rg)}")
@@ -188,7 +184,7 @@ def cmd_rg(args) -> int:
 
 def cmd_hodge(args) -> int:
     genus = _require_genus(args)
-    solver = _solver(args, genus)
+    solver = LoopSolver(genus, cutoff=args.cutoff)
     fe = solver.free_energy(genus, args.cache_dir)
     rows = intersection_table(fe, args.tmax, args.dmax, normalized=args.integrals)
     if args.format == "json":
@@ -227,7 +223,7 @@ def _verify_suites(args):
 
     @functools.cache
     def solved():
-        solver = _solver(args, genus)
+        solver = LoopSolver(genus, cutoff=args.cutoff)
         return solver, solver.compute(genus, cache_dir=args.cache_dir)
 
     def loop_residual():
