@@ -26,9 +26,10 @@ which T = (s1/24) pi_1 - pi_2/16.  pi_m has Theta degree m and no constant
 term, and L_i, P~ and RHS_g have none, so the identity holds iff it holds
 for each pi_m coefficient.  The pi_m rows m = 1..3g-1 form an invertible
 triangular system for the gradient of H_g; all remaining rows must be
-matched identically, which is asserted after every solve.  H_g itself is recovered from the Euler
-identity sum j z_j dH_g/dz_j = (2g-2) H_g, which needs dH_g/dz0 = 0 for
-g >= 2, and for g = 1 from the closed form (1/24) log z1 + (s1/24) z0.
+matched identically, which is asserted after every solve.  H_g itself is
+recovered from the Euler identity sum j z_j dH_g/dz_j = (2g-2) H_g, which
+needs dH_g/dz0 = 0 for g >= 2, and for g = 1 from the closed form
+(1/24) log z1 + (s1/24) z0.
 A FreeEnergy and its cache record keep only that body; the gradient the
 next genus reads is derived from it again.
 """

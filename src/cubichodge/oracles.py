@@ -175,10 +175,9 @@ def cy_power_sum_check(k_max: int = 11, tol: float = 1e-12):
 def chain_rule_check(cutoff: int, i_max: int = 6):
     """derive^i h = sum_j f_{i,j} xi_euler^j h for h = Theta and Theta^3."""
     fj = FJetTable(cutoff)
-    one = JetPoly.one(cutoff)
     # Theta = pi_1 and Theta^3 = pi_1 - (3/2) pi_2 + (1/2) pi_3
-    for power, h in ((1, ThetaPoly.theta(cutoff)),
-                     (3, ThetaPoly(cutoff, [one, one * Q(-3, 2), one * Q(1, 2)]))):
+    cubed = ThetaPoly(cutoff, [JetPoly.const(c, cutoff) for c in (1, Q(-3, 2), Q(1, 2))])
+    for power, h in ((1, ThetaPoly.theta(cutoff)), (3, cubed)):
         xi_pow = [h]
         for _ in range(i_max):
             xi_pow.append(xi_pow[-1].xi_euler())

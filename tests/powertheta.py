@@ -60,8 +60,6 @@ class PowerTheta:
             return NotImplemented
         return self.cutoff == other.cutoff and self.coeffs == other.coeffs
 
-    __hash__ = None
-
     def __add__(self, other):
         return PowerTheta.sum(self.cutoff, (self, other))
 

@@ -112,13 +112,6 @@ class TestStirlingBasis:
         cubed = ThetaPoly(M, [const(1), const(Q(-3, 2)), const(Q(1, 2))])
         assert cubed.powers() == [const(0), const(0), const(0), const(1)]
 
-    def test_powers_of_pi(self):
-        # pi_(m+1) = Theta (1 - Theta) d/dTheta pi_m, in powers
-        p = PowerTheta.theta(M)
-        for m in range(1, 8):
-            assert PowerTheta.of(pi(m)) == p, m
-            p = -p.xi_euler()
-
     def test_derivations_commute_with_powers(self):
         rng = random.Random(11)
         for _ in range(100):
