@@ -108,8 +108,8 @@ class ThetaPoly:
             if tp.cutoff != cutoff:
                 raise CutoffError("cutoff mismatch")
             parts.extend([] for _ in range(len(tp.coeffs) - len(parts)))
-            for k, c in enumerate(tp.coeffs):
-                parts[k].append(c)
+            for d, c in enumerate(tp.coeffs):
+                parts[d].append(c)
         return cls(cutoff, [JetPoly.sum(cutoff, ps) for ps in parts])
 
     @classmethod
@@ -121,9 +121,9 @@ class ThetaPoly:
             if tp.cutoff != cutoff or w.cutoff != cutoff:
                 raise CutoffError("cutoff mismatch")
         top = max((len(tp.coeffs) for tp, _ in pairs), default=0)
-        return cls(cutoff, [JetPoly.dot(cutoff, [(tp.coeffs[k], w) for tp, w in pairs
-                                                 if k < len(tp.coeffs)])
-                            for k in range(top)])
+        return cls(cutoff, [JetPoly.dot(cutoff, [(tp.coeffs[d], w) for tp, w in pairs
+                                                 if d < len(tp.coeffs)])
+                            for d in range(top)])
 
     # -- derivations --------------------------------------------------------
 
@@ -131,8 +131,8 @@ class ThetaPoly:
         """Full derivation: jets via d(z_k) = z_{k+1}, Theta via the chain rule;
         since d(Theta) = z1 Theta (Theta - 1), the Theta part is z1 xi_euler."""
         parts = [[c.derive()] for c in self.coeffs] + [[]]
-        for k, c in enumerate(self.xi_euler().coeffs):
-            parts[k].append(c.mul_z(1))
+        for d, c in enumerate(self.xi_euler().coeffs):
+            parts[d].append(c.mul_z(1))
         return ThetaPoly(self.cutoff, [JetPoly.sum(self.cutoff, ps) for ps in parts])
 
     def xi_euler(self) -> "ThetaPoly":
