@@ -14,6 +14,7 @@ from .jets import JetPoly
 from .phiseries import TSeries, binomial_zinv, log_phi, log_phi_shifted, q_number
 from .ptensors import PTensorTable
 from .ratio import Q, QZERO
+from .sigma import SigmaPoly
 from .theta import ThetaPoly
 from .virasoro import BtildeTable, RationalParams, c_float, c_pair_memo, v_rational
 
@@ -173,11 +174,14 @@ def cy_power_sum_check(k_max: int = 11, tol: float = 1e-12):
 
 
 def chain_rule_check(cutoff: int, i_max: int = 6):
-    """derive^i h = sum_j f_{i,j} xi_euler^j h for h = Theta and Theta^3."""
+    """derive^i h = sum_j f_{i,j} xi_euler^j h for h = Theta, Theta^3 and the
+    genus-1 right-hand side T = Theta^2/16 - (1/16 - s1/24) Theta."""
     fj = FJetTable(cutoff)
-    # Theta = pi_1 and Theta^3 = pi_1 - (3/2) pi_2 + (1/2) pi_3
+    # Theta = pi_1, Theta^3 = pi_1 - (3/2) pi_2 + (1/2) pi_3, T = (s1/24) pi_1 - pi_2/16
     cubed = ThetaPoly(cutoff, [JetPoly.const(c, cutoff) for c in (1, Q(-3, 2), Q(1, 2))])
-    for power, h in ((1, ThetaPoly.theta(cutoff)), (3, cubed)):
+    t = ThetaPoly(cutoff, [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), cutoff),
+                           JetPoly.const(Q(-1, 16), cutoff)])
+    for name, h in (("Theta", ThetaPoly.theta(cutoff)), ("Theta^3", cubed), ("T", t)):
         xi_pow = [h]
         for _ in range(i_max):
             xi_pow.append(xi_pow[-1].xi_euler())
@@ -189,7 +193,7 @@ def chain_rule_check(cutoff: int, i_max: int = 6):
                 if f:
                     rhs = rhs + xi_pow[j] * f
             if d != rhs:
-                return False, f"i={i}, h=Theta^{power}"
+                return False, f"i={i}, h={name}"
             if i < i_max:
                 d = d.derive()
     return True, None

@@ -1,5 +1,6 @@
 import pytest
 
+from cubichodge.bell import FJetTable
 from cubichodge.jets import JetPoly
 from cubichodge.loop import (SOLVER_VERSION, FreeEnergy, LoopEquationError, LoopSolver,
                              cache_path, load_cached, store_cached)
@@ -9,6 +10,11 @@ from cubichodge.textform import parse_jet
 from cubichodge.theta import ThetaPoly
 
 from golden import H2_TEXT, H3_TEXT
+
+# row-0 builds of the residuals of an all-hit genus-5 cache, and of solve_genus
+# for g = 1..4 on one solver: row 0 grows with each P~ entry read past its end
+ROW0_BUILDS_RESIDUALS_G5 = 13
+ROW0_BUILDS_SOLVE_G4 = 4
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +131,36 @@ class TestSolve:
         LoopSolver(3).compute(3, cache_dir=str(tmp_path))
         assert sizes == [7]
 
+    def test_row0_builds_per_solver(self, monkeypatch, tmp_path):
+        import cubichodge.ptensors as ptensors
+
+        sizes = []
+        build = ptensors._build_row0
+
+        def counted(n_max, cutoff):
+            sizes.append(n_max)
+            return build(n_max, cutoff)
+
+        monkeypatch.setattr(ptensors, "_build_row0", counted)
+        cache = str(tmp_path)
+        LoopSolver(5).compute(5, cache)
+        assert sizes == [13]
+        # the residuals of an all-hit cache read P~ only through L_i and RHS_g
+        del sizes[:]
+        solver = LoopSolver(5)
+        energies = solver.compute(5, cache)
+        assert sizes == []
+        for g in range(1, 6):
+            assert not solver.residual(g, energies)
+        assert len(sizes) == ROW0_BUILDS_RESIDUALS_G5
+        del sizes[:]
+        assert LoopSolver(5).free_energy(5, cache).provenance.get("cache") == "hit"
+        assert sizes == []
+        solver, energies = LoopSolver(4), []
+        for g in range(1, 5):
+            energies.append(solver.solve_genus(g, energies))
+        assert len(sizes) == ROW0_BUILDS_SOLVE_G4
+
     def test_exponent_bounds_are_exact(self, energies_g5):
         from cubichodge.sparse import exponent_bound
 
@@ -145,6 +181,51 @@ class TestSolve:
         bad = [JetPoly.z(1, M)] + [JetPoly.zero(M)] * 4
         with pytest.raises(LoopEquationError):
             solver.reconstruct(2, bad)
+        # not closed (d/dz2 of entry 1 is 1, d/dz1 of entry 2 is 0), with dz0 = 0
+        bad = [JetPoly.zero(M), JetPoly.z(2, M)] + [JetPoly.zero(M)] * 3
+        with pytest.raises(LoopEquationError):
+            solver.reconstruct(2, bad)
+
+
+def f_table_image(fj, n: int, h: ThetaPoly) -> ThetaPoly:
+    """sum_j f_{n,j} xi_euler^j h, which is derive^n h when h has jet-free coefficients."""
+    pairs, xi = [], h
+    for j in range(n + 1):
+        pairs.append((xi, fj.f(n, j)))
+        xi = xi.xi_euler()
+    return ThetaPoly.dot(h.cutoff, [(tp, f) for tp, f in pairs if f])
+
+
+CHAIN_N = 20
+
+
+class TestChainRule:
+    """derive^n of pi_1 and of T against their f-table images, n <= CHAIN_N."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        M = CHAIN_N + 2
+        t = ThetaPoly(M, [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), M),
+                          JetPoly.const(Q(-1, 16), M)])
+        derived = {}
+        for name, h in (("pi_1", ThetaPoly.theta(M)), ("T", t)):
+            derived[name] = [h]
+            for _ in range(CHAIN_N):
+                derived[name].append(derived[name][-1].derive())
+        return FJetTable(M), derived
+
+    @pytest.mark.parametrize("name", ["pi_1", "T"])
+    def test_derive_equals_f_table_image(self, chain, name):
+        fj, derived = chain
+        for n, d in enumerate(derived[name]):
+            assert d == f_table_image(fj, n, derived[name][0]), n
+
+    def test_derive_pi1_in_closed_form(self, chain):
+        # xi_euler^j pi_1 = (-1)^j pi_(j+1)
+        fj, derived = chain
+        M = fj.cutoff
+        for n, d in enumerate(derived["pi_1"]):
+            assert d == ThetaPoly(M, [fj.f(n, j) * (-1) ** j for j in range(n + 1)]), n
 
 
 class TestCache:
