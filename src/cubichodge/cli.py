@@ -47,7 +47,6 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, formats=True):
-        p.add_argument("--cutoff", type=int, default=None, help="jet cutoff override")
         if formats:
             p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         p.add_argument("--cache-dir", default=os.environ.get("CUBICHODGE_CACHE"))
@@ -120,7 +119,6 @@ def _usage_error(message: str) -> NoReturn:
 def _require_genus(args, minimum: int = 1) -> int:
     if args.genus < minimum:
         _usage_error(f"--genus must be >= {minimum}")
-    _require_cutoff(args, args.genus)
     # a bad cache path would otherwise fail only when the first result is stored
     if args.cache_dir:
         blocker = _nearest_existing(args.cache_dir)
@@ -135,13 +133,6 @@ def _nearest_existing(path: str) -> str:
     while not os.path.exists(path) and os.path.dirname(path) != path:
         path = os.path.dirname(path)
     return path
-
-
-def _require_cutoff(args, genus: int) -> None:
-    # H_g reaches z_{3g-2}; a smaller jet cutoff cannot hold it
-    need = 3 * genus - 2
-    if args.cutoff is not None and args.cutoff < need:
-        _usage_error(f"--cutoff must be >= 3g-2 = {need} for genus {genus}")
 
 
 def _emit_body(fe, fmt: str) -> str:
@@ -160,8 +151,10 @@ def cmd_compute(args) -> int:
     genus = _require_genus(args)
     if args.dump_ptable and not os.path.isdir(os.path.dirname(args.dump_ptable) or "."):
         _usage_error(f"--dump-ptable {args.dump_ptable!r}: its parent is not an existing directory")
-    solver = LoopSolver(genus, cutoff=args.cutoff)
-    print(_emit_body(solver.free_energy(genus, args.cache_dir), args.format))
+    solver = LoopSolver(genus)
+    # a cache hit reads no P~ entry: solve without the cache, so the dump is always whole
+    cache_dir = None if args.dump_ptable else args.cache_dir
+    print(_emit_body(solver.free_energy(genus, cache_dir), args.format))
     if args.dump_ptable:
         with open(args.dump_ptable, "w") as fh:
             json.dump(solver.table.dump_json(), fh, indent=1, sort_keys=True)
@@ -171,7 +164,7 @@ def cmd_compute(args) -> int:
 
 def cmd_rg(args) -> int:
     genus = _require_genus(args, minimum=2)
-    solver = LoopSolver(genus, cutoff=args.cutoff)
+    solver = LoopSolver(genus)
     rg = r_poly(solver.free_energy(genus, args.cache_dir))
     if args.format == "text":
         print(f"R_{genus} = {sigma_text(rg)}")
@@ -184,7 +177,7 @@ def cmd_rg(args) -> int:
 
 def cmd_hodge(args) -> int:
     genus = _require_genus(args)
-    solver = LoopSolver(genus, cutoff=args.cutoff)
+    solver = LoopSolver(genus)
     fe = solver.free_energy(genus, args.cache_dir)
     rows = intersection_table(fe, args.tmax, args.dmax, normalized=args.integrals)
     if args.format == "json":
@@ -223,7 +216,7 @@ def _verify_suites(args):
 
     @functools.cache
     def solved():
-        solver = LoopSolver(genus, cutoff=args.cutoff)
+        solver = LoopSolver(genus)
         return solver, solver.compute(genus, cache_dir=args.cache_dir)
 
     def loop_residual():

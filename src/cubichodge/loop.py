@@ -24,14 +24,21 @@ symmetric, so the upper triangle carries the whole sum).
 Every Theta polynomial is held in the Stirling basis pi_m of theta.py, in
 which T = (s1/24) pi_1 - pi_2/16.  pi_m has Theta degree m and no constant
 term, and L_i, P~ and RHS_g have none, so the identity holds iff it holds
-for each pi_m coefficient.  The pi_m rows m = 1..3g-1 form an invertible
-triangular system for the gradient of H_g; all remaining rows must be
-matched identically, which is asserted after every solve.  H_g itself is
-recovered from the Euler identity sum j z_j dH_g/dz_j = (2g-2) H_g, which
-needs dH_g/dz0 = 0 for g >= 2, and for g = 1 from the closed form
-(1/24) log z1 + (s1/24) z0.
-A FreeEnergy and its cache record keep only that body; the gradient the
-next genus reads is derived from it again.
+for each pi_m coefficient.  Theta and T have jet-free coefficients, so no
+derivative is formed: by the chain rule (Faa di Bruno; Comtet, ch. 3)
+
+    derive^n h = sum_j f_{n,j} xi_euler^j h,   xi_euler^j pi_m = (-1)^j pi_(m+j),
+
+derive^i(Theta) = sum_j (-1)^j f_{i,j} pi_(j+1), and the linear part of
+RHS_g is sum_j xi_euler^j(T) w_j with w_j = sum_i f_{i+2,j} dH_{g-1}/dz_i.
+The pi_m rows m = 1..3g-1 form an invertible triangular system for the
+gradient of H_g; all remaining rows must be matched identically, which is
+asserted after every solve.  H_g itself is recovered from the Euler
+identity sum j z_j dH_g/dz_j = (2g-2) H_g, which needs dH_g/dz0 = 0 for
+g >= 2, and for g = 1 from the closed form (1/24) log z1 + (s1/24) z0;
+every partial of that body must equal the solved gradient, so the
+gradient is closed.  A FreeEnergy and its cache record keep only that
+body; the gradient the next genus reads is derived from it again.
 """
 from __future__ import annotations
 
@@ -86,42 +93,38 @@ class FreeEnergy:
 
 
 class LoopSolver:
-    def __init__(self, genus_max: int, cutoff: int | None = None):
+    def __init__(self, genus_max: int):
         if genus_max < 1:
             raise ValueError("genus bound must be >= 1")
         self.genus_max = genus_max
-        self.cutoff = cutoff if cutoff is not None else 3 * genus_max + 2
+        self.cutoff = 3 * genus_max + 2
         self.table = PTensorTable(self.cutoff)
-        self._dtheta = [ThetaPoly.theta(self.cutoff)]
         self._lhs: dict[int, ThetaPoly] = {}
-        self._dT: list[ThetaPoly] = []
 
     # -- coefficient assembly ---------------------------------------------
 
-    def dtheta(self, i: int) -> ThetaPoly:
-        while len(self._dtheta) <= i:
-            self._dtheta.append(self._dtheta[-1].derive())
-        return self._dtheta[i]
+    def _contract(self, weights) -> ThetaPoly:
+        # L_i for i <= 3g-2 and RHS_g read row 0 up to z^-(3g-2): build it once, for genus_max
+        self.table.ensure_row0(3 * self.genus_max - 2)
+        return self.table.contract(weights)
 
-    def rhs_base(self) -> ThetaPoly:
-        """T = (s1/24) pi_1 - pi_2/16."""
+    def xi_t(self, w) -> ThetaPoly:
+        """sum_j xi_euler^j(T) w_j for jet weights w, where
+        xi_euler^j T = (-1)^j ((s1/24) pi_(j+1) - pi_(j+2)/16)."""
         M = self.cutoff
-        return ThetaPoly(M, [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), M),
-                             JetPoly.const(Q(-1, 16), M)])
-
-    def derived_base(self, m: int) -> ThetaPoly:
-        if not self._dT:
-            self._dT.append(self.rhs_base())
-        while len(self._dT) <= m:
-            self._dT.append(self._dT[-1].derive())
-        return self._dT[m]
+        t = [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), M), JetPoly.const(Q(-1, 16), M)]
+        signed = (t, [-c for c in t])
+        return ThetaPoly.dot(M, [(ThetaPoly(M, [JetPoly.zero(M)] * j + signed[j % 2]), wj)
+                                 for j, wj in enumerate(w) if wj])
 
     def lhs_coefficient(self, i: int) -> ThetaPoly:
         got = self._lhs.get(i)
         if got is not None:
             return got
-        dressed = self.table.contract({(j - 1, i - j + 1): comb(i, j) for j in range(1, i + 1)})
-        acc = self.dtheta(i) + dressed
+        f = self.table.fjets.f
+        theta_part = ThetaPoly(self.cutoff, [-f(i, j) if j % 2 else f(i, j) for j in range(i + 1)])
+        acc = theta_part + self._contract(
+            {(j - 1, i - j + 1): comb(i, j) for j in range(1, i + 1)})
         if acc.degree != i + 1:
             raise LoopEquationError(f"L_{i} has Theta degree {acc.degree}, expected {i + 1}")
         top = acc.coeff(i + 1)
@@ -133,15 +136,17 @@ class LoopSolver:
     def rhs_genus(self, g: int, lower) -> ThetaPoly:
         if g < 1:
             raise ValueError("genus must be >= 1")
+        M = self.cutoff
         if g == 1:
-            return self.rhs_base()
+            return self.xi_t([JetPoly.one(M)])
         if len(lower) < g - 1:
             raise ValueError(f"rhs_genus({g}) needs H_1..H_{g - 1}")
-        M = self.cutoff
         grads = [None] + [fe.gradient for fe in lower[: g - 1]]
         top_prev = 3 * (g - 1) - 2
-        linear = ThetaPoly.dot(M, [(self.derived_base(i + 2), grads[g - 1][i])
-                                   for i in range(top_prev + 1) if grads[g - 1][i]])
+        f = self.table.fjets.f
+        linear = self.xi_t([JetPoly.dot(M, [(f(i + 2, j), grads[g - 1][i])
+                                            for i in range(top_prev + 1)])
+                            for j in range(top_prev + 3)])
         # W_{i+1,j+1} = w_ij for i <= j, halved on the diagonal; P is symmetric
         weights = {}
         half = Q(1, 2)
@@ -152,15 +157,13 @@ class LoopSolver:
                     if i < len(grads[k]) and j < len(grads[g - k])])
                 if w:
                     weights[i + 1, j + 1] = w * half if i == j else w
-        return linear + self.table.contract(weights)
+        return linear + self._contract(weights)
 
     # -- the solve -----------------------------------------------------------
 
     def solve_genus(self, g: int, lower) -> FreeEnergy:
         t0 = time.monotonic()
         n = 3 * g - 1
-        # L_i for i <= 3g-2 reads row 0 up to z^-(3g-2); a no-op after compute sized it
-        self.table.ensure_row0(n - 1)
         ell = [self.lhs_coefficient(i) for i in range(n)]
         rhs = self.rhs_genus(g, lower)
         rows = [[ell[i].coeff(m) for i in range(n)] for m in range(1, n + 1)]
@@ -191,13 +194,9 @@ class LoopSolver:
     # -- reconstruction -------------------------------------------------------
 
     def reconstruct(self, g: int, gradient) -> FreeEnergy:
-        """Rebuild H_g from its gradient: the genus-1 closed form, or the
-        Euler identity for g >= 2; gradients must be closed and equal the body's."""
+        """Rebuild H_g from its gradient: the genus-1 closed form, or the Euler
+        identity for g >= 2, whose body's partials must equal the gradient."""
         M = self.cutoff
-        for i in range(len(gradient)):
-            for j in range(i + 1, len(gradient)):
-                if gradient[i].partial(j) != gradient[j].partial(i):
-                    raise LoopEquationError(f"gradient not closed at ({i}, {j})")
         if g == 1:
             expect0 = JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), M)
             expect1 = JetPoly.z(1, M, -1) * Q(1, 24)
@@ -236,9 +235,6 @@ class LoopSolver:
             if cache_dir:
                 fe = load_cached(cache_dir, g, self.table.fingerprint(), self.cutoff)
             if fe is None:
-                # L_i for i <= 3*genus - 2 reads row 0 up to that power of 1/z:
-                # build it once, at the first genus that is solved
-                self.table.ensure_row0(3 * genus - 2)
                 fe = self.solve_genus(g, energies)
                 if cache_dir:
                     store_cached(cache_dir, fe)

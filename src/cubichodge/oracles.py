@@ -174,10 +174,10 @@ def cy_power_sum_check(k_max: int = 11, tol: float = 1e-12):
 
 
 def chain_rule_check(cutoff: int, i_max: int = 6):
-    """derive^i h = sum_j f_{i,j} xi_euler^j h for h = Theta, Theta^3 and the
-    genus-1 right-hand side T = Theta^2/16 - (1/16 - s1/24) Theta."""
+    """ThetaPoly.derive^i h = sum_j f_{i,j} xi_euler^j h, the solver's route, for
+    h = Theta, Theta^3 and the genus-1 right-hand side T = (s1/24) pi_1 - pi_2/16."""
     fj = FJetTable(cutoff)
-    # Theta = pi_1, Theta^3 = pi_1 - (3/2) pi_2 + (1/2) pi_3, T = (s1/24) pi_1 - pi_2/16
+    # Theta = pi_1 and Theta^3 = pi_1 - (3/2) pi_2 + (1/2) pi_3
     cubed = ThetaPoly(cutoff, [JetPoly.const(c, cutoff) for c in (1, Q(-3, 2), Q(1, 2))])
     t = ThetaPoly(cutoff, [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), cutoff),
                            JetPoly.const(Q(-1, 16), cutoff)])

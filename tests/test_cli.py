@@ -95,17 +95,6 @@ def test_new_nested_cache_dir_is_made(tmp_path, capsys):
     assert code == 0 and os.listdir(cache) == ["free_energy_g1.json"]
 
 
-def test_cutoff_error_names_minimum(capsys):
-    with pytest.raises(SystemExit):
-        main(["compute", "--genus", "3", "--cutoff", "5"])
-    assert "3g-2 = 7" in capsys.readouterr().err
-
-
-def test_smallest_cutoff_solves(capsys):
-    code, out, _ = run_cli(capsys, "compute", "--genus", "2", "--cutoff", "4")
-    assert code == 0 and out.strip() == H2_TEXT
-
-
 def test_index_bound_error_names_minimum(capsys):
     with pytest.raises(SystemExit):
         main(["virasoro", "--k1", "1", "--k2", "2", "--mmax", "1", "--index-bound", "-4"])
@@ -298,3 +287,18 @@ def test_dump_ptable(tmp_path, capsys):
     assert code == 0
     data = json.load(open(path))
     assert "0,0" in data["ptilde"]
+
+
+def test_dump_ptable_ignores_cache_state(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    assert run_cli(capsys, "compute", "--genus", "2", "--cache-dir", cache)[0] == 0
+    dumps = []
+    for name, extra in (("bare", []), ("first", ["--cache-dir", cache]),
+                        ("second", ["--cache-dir", cache])):
+        path = str(tmp_path / f"{name}.json")
+        code, out, _ = run_cli(capsys, "compute", "--genus", "2", "--dump-ptable", path, *extra)
+        assert code == 0 and out.strip() == H2_TEXT
+        with open(path) as fh:
+            dumps.append(fh.read())
+    assert len(json.loads(dumps[0])["ptilde"]) == 11
+    assert dumps[1] == dumps[0] and dumps[2] == dumps[0]

@@ -11,11 +11,6 @@ from cubichodge.theta import ThetaPoly
 
 from golden import H2_TEXT, H3_TEXT
 
-# row-0 builds of the residuals of an all-hit genus-5 cache, and of solve_genus
-# for g = 1..4 on one solver: row 0 grows with each P~ entry read past its end
-ROW0_BUILDS_RESIDUALS_G5 = 13
-ROW0_BUILDS_SOLVE_G4 = 4
-
 
 @pytest.fixture(scope="module")
 def solver(h123):
@@ -145,21 +140,21 @@ class TestSolve:
         cache = str(tmp_path)
         LoopSolver(5).compute(5, cache)
         assert sizes == [13]
-        # the residuals of an all-hit cache read P~ only through L_i and RHS_g
+        # the residuals of an all-hit cache build row 0 once, at the first P~ read
         del sizes[:]
         solver = LoopSolver(5)
         energies = solver.compute(5, cache)
         assert sizes == []
         for g in range(1, 6):
             assert not solver.residual(g, energies)
-        assert len(sizes) == ROW0_BUILDS_RESIDUALS_G5
+        assert sizes == [13]
         del sizes[:]
         assert LoopSolver(5).free_energy(5, cache).provenance.get("cache") == "hit"
         assert sizes == []
         solver, energies = LoopSolver(4), []
         for g in range(1, 5):
             energies.append(solver.solve_genus(g, energies))
-        assert len(sizes) == ROW0_BUILDS_SOLVE_G4
+        assert sizes == [10]
 
     def test_exponent_bounds_are_exact(self, energies_g5):
         from cubichodge.sparse import exponent_bound
@@ -169,7 +164,7 @@ class TestSolve:
                 assert p.bound == exponent_bound((p.terms,)), fe.genus
 
     def test_reconstruct_from_gradient(self, h123):
-        solver = LoopSolver(2, cutoff=h123[1].body.cutoff)
+        solver = LoopSolver(4)
         h1 = solver.reconstruct(1, h123[0].gradient)
         assert h1.log_z1_coeff == Q(1, 24) and h1.body == h123[0].body
         h2 = solver.reconstruct(2, h123[1].gradient)
@@ -204,7 +199,7 @@ class TestChainRule:
 
     @pytest.fixture(scope="class")
     def chain(self):
-        M = CHAIN_N + 2
+        M = LoopSolver(7).cutoff  # 23: derive^20 reaches z_20
         t = ThetaPoly(M, [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), M),
                           JetPoly.const(Q(-1, 16), M)])
         derived = {}
@@ -226,6 +221,12 @@ class TestChainRule:
         M = fj.cutoff
         for n, d in enumerate(derived["pi_1"]):
             assert d == ThetaPoly(M, [fj.f(n, j) * (-1) ** j for j in range(n + 1)]), n
+
+    def test_xi_t_is_derived_t(self, chain):
+        fj, derived = chain
+        solver = LoopSolver(7)
+        for n, d in enumerate(derived["T"]):
+            assert solver.xi_t([fj.f(n, j) for j in range(n + 1)]) == d, n
 
 
 class TestCache:
