@@ -302,3 +302,17 @@ def test_dump_ptable_ignores_cache_state(tmp_path, capsys):
             dumps.append(fh.read())
     assert len(json.loads(dumps[0])["ptilde"]) == 11
     assert dumps[1] == dumps[0] and dumps[2] == dumps[0]
+
+
+# sha256 of the `compute --genus 3 --dump-ptable` file, frozen before JetPoly
+# dropped its jet cutoff; the file keeps its "cutoff" key at 3g + 2.
+FROZEN_DUMP_PTABLE_G3_SHA256 = "507da39e52e13b300671c19947a03b9b7ff4fae4770312392c05c30ca733f438"
+
+
+def test_frozen_dump_ptable_g3(tmp_path, capsys):
+    import hashlib
+
+    path = str(tmp_path / "ptable.json")
+    assert run_cli(capsys, "compute", "--genus", "3", "--dump-ptable", path)[0] == 0
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == FROZEN_DUMP_PTABLE_G3_SHA256

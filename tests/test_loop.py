@@ -368,6 +368,21 @@ def test_frozen_hashes_g4_g5(solver_g4, energies_g5):
     assert got == FROZEN_SHA256
 
 
+# sha256 of the genus-3 cache record file, with a fixed wall time, frozen
+# before JetPoly dropped its jet cutoff; a record written by either side must
+# read back on the other.
+FROZEN_RECORD_G3_SHA256 = "e778d2cf35e2f1db642b2e983edb3b5d239acd490d11e710a9aee953250fb837"
+
+
+def test_frozen_cache_record_g3(tmp_path, h123):
+    import hashlib
+
+    fp = LoopSolver(3).table.fingerprint()
+    fe = FreeEnergy(3, h123[2].body,
+                    provenance={"solver": SOLVER_VERSION, "ptable": fp, "wall_time": 1.0})
+    with open(store_cached(str(tmp_path), fe), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == FROZEN_RECORD_G3_SHA256
+
 def test_genus4_solved_from_cached_bodies(tmp_path, monkeypatch):
     """Records hold H_g alone; the next genus reads gradients derived from them."""
     import hashlib
