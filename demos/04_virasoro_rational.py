@@ -22,7 +22,7 @@ bad = [cell for cell, term in commutator_grid(params, basis, 3).items() if term 
 print(f"commutators [L_m, L_n] = (m - n) L_(m+n) on {len(basis)} basis monomials:",
       "all pass" if not bad else f"failures at {bad}")
 
-table = PTensorTable(3)
+table = PTensorTable()
 for pair in ((1, 2), (2, 3), (3, 4)):
     ok, detail = specialization_bridge(RationalParams(*pair), table, 4, 8)
     print(f"B~ vs sigma-specialized P~ for (K1,K2)={pair}:", "match" if ok else detail)

@@ -52,12 +52,12 @@ class BellTable:
 
 
 class FJetTable:
-    """f_{i,j} jet polynomials at a fixed cutoff, with the Bell cross-check."""
+    """f_{i,j} jet polynomials, with the Bell cross-check; f_{i,j} carries
+    the jets z1..z_{i-j+1}."""
 
-    def __init__(self, cutoff: int):
-        self.cutoff = cutoff
-        self._zero = JetPoly.zero(cutoff)
-        self._rows = [[JetPoly.one(cutoff)]]
+    def __init__(self):
+        self._zero = JetPoly.zero()
+        self._rows = [[JetPoly.one()]]
         self._verified_to = 0
 
     def f(self, i: int, j: int) -> JetPoly:
@@ -71,7 +71,7 @@ class FJetTable:
         while len(self._rows) <= imax:
             i = len(self._rows) - 1
             prev = self._rows[i]
-            z1 = JetPoly.z(1, self.cutoff)
+            z1 = JetPoly.z(1)
             row = [self._zero]
             for j in range(i + 1):
                 up = prev[j + 1].derive() if j + 1 <= i else self._zero
@@ -87,14 +87,14 @@ class FJetTable:
         table = BellTable(hi)
         for i in range(lo, hi + 1):
             for j in range(i + 1):
-                if self._rows[i][j] != bell_jet(table, i, j, self.cutoff):
+                if self._rows[i][j] != bell_jet(table, i, j):
                     raise AssertionError(f"f_({i},{j}) disagrees with its Bell closed form")
 
 
-def bell_jet(table: BellTable, n: int, k: int, cutoff: int) -> JetPoly:
+def bell_jet(table: BellTable, n: int, k: int) -> JetPoly:
     """B_{n,k}(z1, ..., z_{n-k+1}) as a JetPoly."""
-    out = JetPoly.zero(cutoff)
+    out = JetPoly.zero()
     for mono, c in table.bell_partial(n, k).items():
         jets = {m + 1: e for m, e in enumerate(mono) if e}
-        out = out + JetPoly.monomial(c, (0, 0), jets, cutoff)
+        out = out + JetPoly.monomial(c, (0, 0), jets)
     return out

@@ -169,7 +169,7 @@ def cmd_rg(args) -> int:
     if args.format == "text":
         print(f"R_{genus} = {sigma_text(rg)}")
     elif args.format == "latex":
-        print(jet_latex(JetPoly.from_sigma(rg, 1)))
+        print(jet_latex(JetPoly.from_sigma(rg)))
     else:
         print(json.dumps({"genus": genus, "rg": sigma_json(rg)}, indent=1))
     return 0
@@ -189,7 +189,7 @@ def cmd_hodge(args) -> int:
     print(f"# genus {genus}: t-monomial -> {label}")
     for idx, sp in rows:
         if args.format == "latex":
-            print(f"{_indices_text(idx):<{width}}  {jet_latex(JetPoly.from_sigma(sp, 1))}")
+            print(f"{_indices_text(idx):<{width}}  {jet_latex(JetPoly.from_sigma(sp))}")
         else:
             print(f"{_indices_text(idx):<{width}}  {sigma_text(sp)}")
     return 0
@@ -232,13 +232,13 @@ def _verify_suites(args):
             grad = fe.gradient
             if grad[0]:
                 return False, f"dH_{fe.genus}/dz0 != 0"
-            euler = JetPoly.sum(fe.body.cutoff, [grad[j].mul_z(j) * j for j in range(1, len(grad))])
+            euler = JetPoly.sum([grad[j].mul_z(j) * j for j in range(1, len(grad))])
             if euler != fe.body * (2 * fe.genus - 2):
                 return False, f"Euler identity fails at genus {fe.genus}"
         return True, None
 
     def ptable():
-        table = PTensorTable(12)
+        table = PTensorTable()
         table.ensure_row0(10)
         for i in range(11):
             for j in range(11 - i):
@@ -257,7 +257,7 @@ def _verify_suites(args):
         ok, detail = q_geometric_check(8)
         if not ok:
             return False, f"Q oracle: {detail}"
-        table = PTensorTable(3)
+        table = PTensorTable()
         ok, detail = row0_shift_oracle(table, 8, 8)
         if not ok:
             return False, f"xi oracle: {detail}"
@@ -268,13 +268,13 @@ def _verify_suites(args):
         return True, None
 
     def bell_suite():
-        return chain_rule_check(8)
+        return chain_rule_check()
 
     def power_sum_suite():
         return cy_power_sum_check()
 
     def bridge():
-        table = PTensorTable(3)
+        table = PTensorTable()
         for params in pairs:
             # one B~ table per pair: each c-pairing is computed once for all four checks
             btilde = BtildeTable(params, 10)

@@ -1,25 +1,24 @@
 """Sparse Laurent polynomials in the jet variables z0, z1, z2, ... over Q[s1, s3].
 
-A JetPoly lives in Q[s1, s3][z0][z1^(+-1)][z2, ..., zM] for a declared jet
-cutoff M.  Each term is keyed by one packed int (see sparse.py) whose slots
+A JetPoly lives in Q[s1, s3][z0][z1^(+-1)][z2, z3, ...], the infinite jet
+ring: a polynomial is its terms alone, and each term uses only the jets it
+carries.  Each term is keyed by one packed int (see sparse.py) whose slots
 hold the exponents
 
-    (sa, sb, e0, e1, ..., eM)
+    (sa, sb, e0, e1, ..., ek)
 
-of s1, s3, z0, ..., zM; only e1 (the z1 slot) may be negative.  Multiplying
+of s1, s3, z0, ..., zk; only e1 (the z1 slot) may be negative.  Multiplying
 two monomials is one integer addition.  Coefficients are int numerators in
 `terms` over one positive denominator `den`, in lowest terms (the gcd of den
 and every numerator is 1), so equal polynomials compare and hash equal.
 `bound` is at least every |exponent| and guards the packed slots.  `items`
-and the constructor speak exponent tuples and rationals.
+and the constructor speak exponent tuples and rationals; `items` names each
+term by (sa, sb, e0, e1) and the jets up to its own highest one.
 
 Products are summed, not formed one by one: `JetPoly.dot` takes a sum of
 products a * b over the common denominator of every a.den * b.den, runs each
 pair into one accumulator, and drops zeros and reduces once.  `a * b` is its
 one-pair case; `JetPoly.sum` adds polynomials that are already formed.
-
-Operands of ring operations must share the cutoff; `derive` raises
-CutoffError instead of silently dropping a z index that would exceed it.
 """
 from __future__ import annotations
 
@@ -28,11 +27,7 @@ from math import gcd, lcm
 from .ratio import Q, QONE, is_rational
 from .sigma import SigmaPoly
 from .sparse import (add_into, exponent, mul_into, nonzero, pack, power, product_bound, split,
-                     unit, unpack)
-
-
-class CutoffError(ValueError):
-    """A jet index would exceed the declared cutoff, or cutoffs disagree."""
+                     unit, unpack, width)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -40,87 +35,76 @@ class ExactDivisionError(ArithmeticError):
 
 
 class JetPoly:
-    __slots__ = ("cutoff", "terms", "den", "bound")
+    __slots__ = ("terms", "den", "bound")
 
-    def __init__(self, cutoff: int, terms=None):
-        """`terms` maps exponent tuples (sa, sb, e0, ..., eM) to rationals."""
+    def __init__(self, terms=None):
+        """`terms` maps exponent tuples (sa, sb, e0, e1, ...) to rationals."""
         fracs = {}
         bound = 0
         for k, v in (terms or {}).items():
-            if len(k) != cutoff + 3:
-                raise CutoffError("term key does not match cutoff")
             _check_signs(k[:2], dict(enumerate(k[2:])))
             if v != 0:
                 fracs[pack(k)] = Q(v)
                 bound = max(bound, *map(abs, k))
-        _set_fractions(self, cutoff, fracs, bound)
+        _set_fractions(self, fracs, bound)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, cutoff: int) -> "JetPoly":
-        return cls(cutoff)
+    def zero(cls) -> "JetPoly":
+        return cls()
 
     @classmethod
-    def const(cls, c, cutoff: int) -> "JetPoly":
-        return cls.monomial(c, (0, 0), {}, cutoff)
+    def const(cls, c) -> "JetPoly":
+        return cls.monomial(c, (0, 0), {})
 
     @classmethod
-    def one(cls, cutoff: int) -> "JetPoly":
-        return cls.const(1, cutoff)
+    def one(cls) -> "JetPoly":
+        return cls.const(1)
 
     @classmethod
-    def from_sigma(cls, sp: SigmaPoly, cutoff: int) -> "JetPoly":
+    def from_sigma(cls, sp: SigmaPoly) -> "JetPoly":
         # s1, s3 fill slots 0 and 1 of both key layouts
         p = JetPoly.__new__(JetPoly)
-        _set_fractions(p, cutoff, sp.terms, sp.bound)
+        _set_fractions(p, sp.terms, sp.bound)
         return p
 
     @classmethod
-    def z(cls, k: int, cutoff: int, power: int = 1) -> "JetPoly":
-        return cls.monomial(1, (0, 0), {k: power}, cutoff)
+    def z(cls, k: int, power: int = 1) -> "JetPoly":
+        return cls.monomial(1, (0, 0), {k: power})
 
     @classmethod
-    def monomial(cls, c, sigma, jets, cutoff: int) -> "JetPoly":
+    def monomial(cls, c, sigma, jets) -> "JetPoly":
         """Single term c * s1^sigma[0] * s3^sigma[1] * prod zk^jets[k]."""
         for k in jets:
-            if not 0 <= k <= cutoff:
-                raise CutoffError(f"z{k} outside cutoff {cutoff}")
+            _check_index(k)
         _check_signs(sigma, jets)
         c = Q(c)
         if c == 0:
-            return cls(cutoff)
+            return cls()
         key = pack(sigma) + sum(pack((e,), 2 + k) for k, e in jets.items())
         bound = max(0, *map(abs, sigma), *map(abs, jets.values()))
-        return _raw(cutoff, {key: c.numerator}, c.denominator, bound)
+        return _raw({key: c.numerator}, c.denominator, bound)
 
     @classmethod
-    def sum(cls, cutoff: int, polys) -> "JetPoly":
+    def sum(cls, polys) -> "JetPoly":
         """The sum of the polys, accumulated once over their common denominator."""
         polys = [p for p in polys if p.terms]
-        for p in polys:
-            if p.cutoff != cutoff:
-                raise CutoffError(f"cutoff mismatch: {p.cutoff} vs {cutoff}")
         if len(polys) < 2:
-            return polys[0] if polys else cls(cutoff)
+            return polys[0] if polys else cls()
         den = lcm(*(p.den for p in polys))
         acc = {}
         for p in polys:
             add_into(acc, p.terms, den // p.den)
-        return _make(cutoff, acc, den, max(p.bound for p in polys))
+        return _make(acc, den, max(p.bound for p in polys))
 
     @classmethod
-    def dot(cls, cutoff: int, pairs) -> "JetPoly":
+    def dot(cls, pairs) -> "JetPoly":
         """sum a * b over the (a, b) pairs, accumulated once over their common
         denominator; no product is formed on its own."""
-        live = []
-        for a, b in pairs:
-            if a.cutoff != cutoff or b.cutoff != cutoff:
-                raise CutoffError(f"cutoff mismatch: {a.cutoff}, {b.cutoff} vs {cutoff}")
-            if a.terms and b.terms:
-                live.append((a, b))
+        live = [(a, b) for a, b in pairs if a.terms and b.terms]
         if not live:
-            return cls(cutoff)
+            return cls()
         den = lcm(*(a.den * b.den for a, b in live))
         acc = {}
         bound = 0
@@ -135,36 +119,30 @@ class JetPoly:
                     bt = {k: v * scale for k, v in bt.items()}
             mul_into(acc, at, bt)
             bound = max(bound, product_bound((a.bound, (a.terms,)), (b.bound, (b.terms,))))
-        return _make(cutoff, nonzero(acc), den, bound)
+        return _make(nonzero(acc), den, bound)
 
     # -- ring operations ----------------------------------------------
-
-    def _check(self, other: "JetPoly"):
-        if self.cutoff != other.cutoff:
-            raise CutoffError(f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
 
     def __add__(self, other):
         if not isinstance(other, JetPoly):
             return NotImplemented
-        self._check(other)
-        return JetPoly.sum(self.cutoff, (self, other))
+        return JetPoly.sum((self, other))
 
     def __sub__(self, other):
         if not isinstance(other, JetPoly):
             return NotImplemented
-        self._check(other)
-        return JetPoly.sum(self.cutoff, (self, -other))
+        return JetPoly.sum((self, -other))
 
     def __neg__(self):
-        return _raw(self.cutoff, {k: -v for k, v in self.terms.items()}, self.den, self.bound)
+        return _raw({k: -v for k, v in self.terms.items()}, self.den, self.bound)
 
     def __mul__(self, other):
         if isinstance(other, JetPoly):
-            return JetPoly.dot(self.cutoff, ((self, other),))
+            return JetPoly.dot(((self, other),))
         if is_rational(other):
             return self._scaled(other.numerator, other.denominator)
         if isinstance(other, SigmaPoly):
-            return self * JetPoly.from_sigma(other, self.cutoff)
+            return self * JetPoly.from_sigma(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -180,35 +158,33 @@ class JetPoly:
     def _scaled(self, n: int, d: int) -> "JetPoly":
         """self * n / d for d > 0."""
         if n == 0:
-            return JetPoly(self.cutoff)
-        return _make(self.cutoff, {k: v * n for k, v in self.terms.items()}, self.den * d, self.bound)
+            return JetPoly()
+        return _make({k: v * n for k, v in self.terms.items()}, self.den * d, self.bound)
 
     def __pow__(self, n: int):
-        return power(self, n, JetPoly.one(self.cutoff))
+        return power(self, n, JetPoly.one())
 
     def __eq__(self, other):
         if not isinstance(other, JetPoly):
             return NotImplemented
-        return self.cutoff == other.cutoff and self.den == other.den and self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
 
     def __hash__(self):
-        return hash((self.cutoff, self.den, frozenset(self.terms.items())))
+        return hash((self.den, frozenset(self.terms.items())))
 
     # -- calculus -------------------------------------------------------
 
     def derive(self) -> "JetPoly":
         """The derivation sum_k z_{k+1} d/dz_k on the jet variables."""
-        M = self.cutoff
-        steps = [unit(3 + k) - unit(2 + k) for k in range(M)]
+        n = width(self.terms)
+        steps = [unit(3 + k) - unit(2 + k) for k in range(n - 2)]
         out = {}
         get = out.get
         for key, c in self.terms.items():
-            es = unpack(key, M + 3)
-            if es[2 + M]:
-                raise CutoffError(f"derive needs z{M + 1} beyond cutoff {M}")
+            es = unpack(key, n)
             for k, step in enumerate(steps):
                 e = es[2 + k]
                 if e:
@@ -216,12 +192,11 @@ class JetPoly:
                     w = get(nk)
                     out[nk] = c * e if w is None else w + c * e
         bound = product_bound((self.bound, (self.terms,)), extra=1)
-        return _make(M, nonzero(out), self.den, bound)
+        return _make(nonzero(out), self.den, bound)
 
     def partial(self, k: int) -> "JetPoly":
         """d/dz_k."""
-        if not 0 <= k <= self.cutoff:
-            raise CutoffError(f"z{k} outside cutoff {self.cutoff}")
+        _check_index(k)
         i = 2 + k
         u = unit(i)
         out = {}
@@ -230,39 +205,33 @@ class JetPoly:
             if e:
                 out[key - u] = c * e
         bound = product_bound((self.bound, (self.terms,)), extra=1)
-        return _make(self.cutoff, out, self.den, bound)
+        return _make(out, self.den, bound)
 
     def mul_z(self, k: int, power: int = 1) -> "JetPoly":
         """Fast multiply by z_k^power."""
-        if not 0 <= k <= self.cutoff:
-            raise CutoffError(f"z{k} outside cutoff {self.cutoff}")
+        _check_index(k)
         i = 2 + k
         if power < 0 and k != 1 and any(exponent(key, i) < -power for key in self.terms):
             raise ValueError("only z1 may carry a negative exponent")
         bound = product_bound((self.bound, (self.terms,)), extra=abs(power))
         shift = power * unit(i)
-        return _raw(self.cutoff, {key + shift: c for key, c in self.terms.items()}, self.den, bound)
+        return _raw({key + shift: c for key, c in self.terms.items()}, self.den, bound)
 
     # -- views and queries -----------------------------------------------
 
     def items(self):
-        """(exponent tuple (sa, sb, e0, ..., eM), rational coefficient) per term."""
-        n, den = self.cutoff + 3, self.den
-        return [(unpack(k, n), Q(v, den)) for k, v in self.terms.items()]
+        """(exponent tuple, rational coefficient) per term; the tuple is
+        (sa, sb, e0, e1, ..., ek) with zk the term's highest jet, or
+        (sa, sb, e0, e1) when it has none above z1."""
+        den = self.den
+        return [(unpack(k, max(4, width((k,)))), Q(v, den)) for k, v in self.terms.items()]
 
     def max_index(self) -> int:
         """Highest k with z_k actually present; -1 when jet-free."""
-        top = -1
-        for packed in self.terms:
-            key = unpack(packed, self.cutoff + 3)
-            for k in range(self.cutoff, top, -1):
-                if key[2 + k]:
-                    top = k
-                    break
-        return top
+        return max(width(self.terms), 2) - 3
 
     def is_jet_free(self) -> bool:
-        return all(split(key, 2)[1] == 0 for key in self.terms)
+        return width(self.terms) <= 2
 
     def as_sigma(self) -> SigmaPoly:
         if not self.is_jet_free():
@@ -271,7 +240,7 @@ class JetPoly:
 
     def sigma_coefficient(self, jets) -> SigmaPoly:
         """Coefficient of the jet monomial given as {k: exponent}."""
-        want = pack([jets.get(k, 0) for k in range(self.cutoff + 1)])
+        want = pack([jets.get(k, 0) for k in range(max(jets, default=-1) + 1)])
         out = {}
         for key, v in self.terms.items():
             sig, rest = split(key, 2)
@@ -283,12 +252,13 @@ class JetPoly:
         """Evaluate the jet variables at exact rationals; z1 may be inverted.
         Each distinct jet part is evaluated once."""
         jet_values, factors, out = {}, {}, {}
+        n = width(self.terms) - 2
         for key, c in self.terms.items():
             sig, jets = split(key, 2)
             w = jet_values.get(jets)
             if w is None:
                 w = QONE
-                for k, e in enumerate(unpack(jets, self.cutoff + 1)):
+                for k, e in enumerate(unpack(jets, n)):
                     if e:
                         if (k, e) not in factors:
                             factors[k, e] = Q(values[k]) ** e
@@ -299,8 +269,8 @@ class JetPoly:
 
     def weighted_degrees(self, jet_weight, s1_weight: int = 0, s3_weight: int = 0):
         """Set of term degrees under deg z_k = jet_weight(k)."""
-        weights = [s1_weight, s3_weight] + [jet_weight(k) for k in range(self.cutoff + 1)]
-        n = self.cutoff + 3
+        n = width(self.terms)
+        weights = [s1_weight, s3_weight] + [jet_weight(k) for k in range(n - 2)]
         return {sum(w * e for w, e in zip(weights, unpack(key, n))) for key in self.terms}
 
     def is_homogeneous(self, degree: int, jet_weight, s1_weight: int = 0, s3_weight: int = 0) -> bool:
@@ -312,14 +282,14 @@ class JetPoly:
     def exact_div(self, d: "JetPoly") -> "JetPoly":
         """Exact quotient self / d by a single-term d; raises ExactDivisionError
         on a remainder or a multi-term divisor."""
-        self._check(d)
         if not d.terms:
             raise ZeroDivisionError("division by the zero JetPoly")
         if len(d.terms) != 1:
             raise ExactDivisionError("divisor is not a single monomial")
         (dk, dn), = d.terms.items()
         bound = product_bound((self.bound, (self.terms,)), (d.bound, (d.terms,)))
-        n = self.cutoff + 3
+        # a quotient key has no slot above those of self's keys and dk
+        n = max(width(self.terms), width((dk,)), 4)
         # self / d = sum (v / den) / (dn / d.den) * z^(key - dk)
         scale = -d.den if dn < 0 else d.den
         out = {}
@@ -329,12 +299,17 @@ class JetPoly:
             if es[0] < 0 or es[1] < 0 or es[2] < 0 or any(e < 0 for e in es[4:]):
                 raise ExactDivisionError("monomial divisor does not divide a term")
             out[nk] = v * scale
-        return _make(self.cutoff, out, self.den * abs(dn), bound)
+        return _make(out, self.den * abs(dn), bound)
 
     def __repr__(self):
         from .textform import jet_text
 
-        return f"JetPoly[{self.cutoff}]({jet_text(self)})"
+        return f"JetPoly({jet_text(self)})"
+
+
+def _check_index(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"z{k}: jet indices are nonnegative")
 
 
 def _check_signs(sigma, jets) -> None:
@@ -345,32 +320,28 @@ def _check_signs(sigma, jets) -> None:
         raise ValueError("only z1 may carry a negative exponent")
 
 
-def _raw(cutoff: int, terms: dict, den: int, bound: int) -> JetPoly:
+def _raw(terms: dict, den: int, bound: int) -> JetPoly:
     p = JetPoly.__new__(JetPoly)
-    p.cutoff = cutoff
     p.terms = terms
     p.den = den
     p.bound = bound
     return p
 
 
-def _make(cutoff: int, nums: dict, den: int, bound: int) -> JetPoly:
+def _make(nums: dict, den: int, bound: int) -> JetPoly:
     """A JetPoly from nonzero int numerators over den > 0, put in lowest terms."""
     if den != 1:
         g = gcd(den, *nums.values())
         if g != 1:
             nums = {k: v // g for k, v in nums.items()}
             den //= g
-    return _raw(cutoff, nums, den, bound)
+    return _raw(nums, den, bound)
 
 
-def _set_fractions(p: JetPoly, cutoff: int, fracs: dict, bound: int) -> None:
+def _set_fractions(p: JetPoly, fracs: dict, bound: int) -> None:
     """Fill p from nonzero rationals in lowest terms over packed keys; over
     their lcm denominator the numerators are already coprime to it."""
-    if cutoff < 1:
-        raise ValueError("cutoff must allow at least z0, z1")
     den = lcm(*(q.denominator for q in fracs.values()))
-    p.cutoff = cutoff
     p.terms = {k: q.numerator * (den // q.denominator) for k, q in fracs.items()}
     p.den = den
     p.bound = bound

@@ -47,7 +47,7 @@ class TriangularSystem:
         for m in range(n, 0, -1):
             row = self.rows[m - 1]
             rhs = self.rhs[m - 1]
-            resid = rhs - JetPoly.dot(rhs.cutoff, [(row[i], xs[i]) for i in range(m, n) if row[i]])
+            resid = rhs - JetPoly.dot([(row[i], xs[i]) for i in range(m, n) if row[i]])
             try:
                 xs[m - 1] = resid.exact_div(row[m - 1])
             except ExactDivisionError as exc:

@@ -37,7 +37,8 @@ asserted after every solve.  H_g itself is recovered from the Euler
 identity sum j z_j dH_g/dz_j = (2g-2) H_g, which needs dH_g/dz0 = 0 for
 g >= 2, and for g = 1 from the closed form (1/24) log z1 + (s1/24) z0;
 every partial of that body must equal the solved gradient, so the
-gradient is closed.  A FreeEnergy and its cache record keep only that
+gradient is closed.  No jet bound is declared: H_g carries z0..z_{3g-2}
+by its own degree, and a cache record whose jets go past z_{3g-2} misses.  A FreeEnergy and its cache record keep only that
 body; the gradient the next genus reads is derived from it again.
 """
 from __future__ import annotations
@@ -80,7 +81,7 @@ class FreeEnergy:
         each with its exact exponent bound."""
         grad = [self.body.partial(i) for i in range(3 * self.genus - 1)]
         if self.log_z1_coeff is not None:
-            grad[1] += JetPoly.z(1, self.body.cutoff, -1) * self.log_z1_coeff
+            grad[1] += JetPoly.z(1, -1) * self.log_z1_coeff
         return [_exact_bound(p) for p in grad]
 
     def max_jet_index(self) -> int:
@@ -97,8 +98,7 @@ class LoopSolver:
         if genus_max < 1:
             raise ValueError("genus bound must be >= 1")
         self.genus_max = genus_max
-        self.cutoff = 3 * genus_max + 2
-        self.table = PTensorTable(self.cutoff)
+        self.table = PTensorTable()
         self._lhs: dict[int, ThetaPoly] = {}
 
     # -- coefficient assembly ---------------------------------------------
@@ -111,18 +111,17 @@ class LoopSolver:
     def xi_t(self, w) -> ThetaPoly:
         """sum_j xi_euler^j(T) w_j for jet weights w, where
         xi_euler^j T = (-1)^j ((s1/24) pi_(j+1) - pi_(j+2)/16)."""
-        M = self.cutoff
-        t = [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), M), JetPoly.const(Q(-1, 16), M)]
+        t = [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24)), JetPoly.const(Q(-1, 16))]
         signed = (t, [-c for c in t])
-        return ThetaPoly.dot(M, [(ThetaPoly(M, [JetPoly.zero(M)] * j + signed[j % 2]), wj)
-                                 for j, wj in enumerate(w) if wj])
+        return ThetaPoly.dot([(ThetaPoly([JetPoly.zero()] * j + signed[j % 2]), wj)
+                              for j, wj in enumerate(w) if wj])
 
     def lhs_coefficient(self, i: int) -> ThetaPoly:
         got = self._lhs.get(i)
         if got is not None:
             return got
         f = self.table.fjets.f
-        theta_part = ThetaPoly(self.cutoff, [-f(i, j) if j % 2 else f(i, j) for j in range(i + 1)])
+        theta_part = ThetaPoly([-f(i, j) if j % 2 else f(i, j) for j in range(i + 1)])
         acc = theta_part + self._contract(
             {(j - 1, i - j + 1): comb(i, j) for j in range(1, i + 1)})
         if acc.degree != i + 1:
@@ -136,23 +135,22 @@ class LoopSolver:
     def rhs_genus(self, g: int, lower) -> ThetaPoly:
         if g < 1:
             raise ValueError("genus must be >= 1")
-        M = self.cutoff
         if g == 1:
-            return self.xi_t([JetPoly.one(M)])
+            return self.xi_t([JetPoly.one()])
         if len(lower) < g - 1:
             raise ValueError(f"rhs_genus({g}) needs H_1..H_{g - 1}")
         grads = [None] + [fe.gradient for fe in lower[: g - 1]]
         top_prev = 3 * (g - 1) - 2
         f = self.table.fjets.f
-        linear = self.xi_t([JetPoly.dot(M, [(f(i + 2, j), grads[g - 1][i])
-                                            for i in range(top_prev + 1)])
+        linear = self.xi_t([JetPoly.dot([(f(i + 2, j), grads[g - 1][i])
+                                         for i in range(top_prev + 1)])
                             for j in range(top_prev + 3)])
         # W_{i+1,j+1} = w_ij for i <= j, halved on the diagonal; P is symmetric
         weights = {}
         half = Q(1, 2)
         for i in range(top_prev + 1):
             for j in range(i, top_prev + 1):
-                w = grads[g - 1][i].partial(j) + JetPoly.dot(M, [
+                w = grads[g - 1][i].partial(j) + JetPoly.dot([
                     (grads[k][i], grads[g - k][j]) for k in range(1, g)
                     if i < len(grads[k]) and j < len(grads[g - k])])
                 if w:
@@ -183,8 +181,7 @@ class LoopSolver:
         return fe
 
     def _apply_lhs(self, gradient) -> ThetaPoly:
-        return ThetaPoly.dot(self.cutoff, [(self.lhs_coefficient(i), gi)
-                                           for i, gi in enumerate(gradient) if gi])
+        return ThetaPoly.dot([(self.lhs_coefficient(i), gi) for i, gi in enumerate(gradient) if gi])
 
     def residual(self, g: int, energies) -> ThetaPoly:
         """LHS - RHS of the epsilon^(2g-2) slice with computed energies plugged in."""
@@ -196,18 +193,17 @@ class LoopSolver:
     def reconstruct(self, g: int, gradient) -> FreeEnergy:
         """Rebuild H_g from its gradient: the genus-1 closed form, or the Euler
         identity for g >= 2, whose body's partials must equal the gradient."""
-        M = self.cutoff
         if g == 1:
-            expect0 = JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), M)
-            expect1 = JetPoly.z(1, M, -1) * Q(1, 24)
+            expect0 = JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24))
+            expect1 = JetPoly.z(1, -1) * Q(1, 24)
             if gradient[0] != expect0 or gradient[1] != expect1:
                 raise LoopEquationError("genus-1 gradient does not match the closed form")
-            body = JetPoly.monomial(Q(1, 24), (1, 0), {0: 1}, M)
+            body = JetPoly.monomial(Q(1, 24), (1, 0), {0: 1})
             return FreeEnergy(1, body, log_z1_coeff=Q(1, 24))
 
         if gradient[0]:
             raise LoopEquationError(f"dH_{g}/dz0 is nonzero")
-        euler = JetPoly.sum(M, [gradient[j].mul_z(j) * j for j in range(1, len(gradient))])
+        euler = JetPoly.sum([gradient[j].mul_z(j) * j for j in range(1, len(gradient))])
         fe = FreeEnergy(g, _exact_bound(euler / (2 * g - 2)))
         for i in range(len(gradient)):
             if fe.gradient[i] != gradient[i]:
@@ -233,7 +229,7 @@ class LoopSolver:
         for g in range(1, genus + 1):
             fe = None
             if cache_dir:
-                fe = load_cached(cache_dir, g, self.table.fingerprint(), self.cutoff)
+                fe = load_cached(cache_dir, g, self.table.fingerprint())
             if fe is None:
                 fe = self.solve_genus(g, energies)
                 if cache_dir:
@@ -247,7 +243,7 @@ class LoopSolver:
         if genus > self.genus_max:
             raise ValueError("genus exceeds the solver's configured bound")
         if cache_dir:
-            fe = load_cached(cache_dir, genus, self.table.fingerprint(), self.cutoff)
+            fe = load_cached(cache_dir, genus, self.table.fingerprint())
             if fe is not None:
                 return fe
         return self.compute(genus, cache_dir)[-1]
@@ -308,9 +304,10 @@ def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
     return path
 
 
-def load_cached(cache_dir: str, genus: int, fingerprint: str, cutoff: int) -> FreeEnergy | None:
+def load_cached(cache_dir: str, genus: int, fingerprint: str) -> FreeEnergy | None:
     """Return the cached FreeEnergy, or None on a solver-version, text-form
-    version, fingerprint or hash mismatch, or any corruption."""
+    version, fingerprint or hash mismatch, or any corruption, such as a jet
+    above z_(3g-2) or a zero denominator."""
     from .textform import TEXT_FORM_VERSION, jet_from_json
 
     path = cache_path(cache_dir, genus)
@@ -328,10 +325,11 @@ def load_cached(cache_dir: str, genus: int, fingerprint: str, cutoff: int) -> Fr
             return None
         if payload["genus"] != genus:
             return None
-        body = jet_from_json(payload["body"], cutoff)
+        body = jet_from_json(payload["body"], 3 * genus - 2)
         log_c = parse_q(payload["log_z1_coeff"]) if payload["log_z1_coeff"] else None
         prov = dict(record["provenance"])
         prov["cache"] = "hit"
         return FreeEnergy(genus, body, log_c, prov)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            ZeroDivisionError):
         return None

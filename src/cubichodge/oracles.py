@@ -173,21 +173,20 @@ def cy_power_sum_check(k_max: int = 11, tol: float = 1e-12):
     return True, None
 
 
-def chain_rule_check(cutoff: int, i_max: int = 6):
+def chain_rule_check(i_max: int = 6):
     """ThetaPoly.derive^i h = sum_j f_{i,j} xi_euler^j h, the solver's route, for
     h = Theta, Theta^3 and the genus-1 right-hand side T = (s1/24) pi_1 - pi_2/16."""
-    fj = FJetTable(cutoff)
+    fj = FJetTable()
     # Theta = pi_1 and Theta^3 = pi_1 - (3/2) pi_2 + (1/2) pi_3
-    cubed = ThetaPoly(cutoff, [JetPoly.const(c, cutoff) for c in (1, Q(-3, 2), Q(1, 2))])
-    t = ThetaPoly(cutoff, [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), cutoff),
-                           JetPoly.const(Q(-1, 16), cutoff)])
-    for name, h in (("Theta", ThetaPoly.theta(cutoff)), ("Theta^3", cubed), ("T", t)):
+    cubed = ThetaPoly([JetPoly.const(c) for c in (1, Q(-3, 2), Q(1, 2))])
+    t = ThetaPoly([JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24)), JetPoly.const(Q(-1, 16))])
+    for name, h in (("Theta", ThetaPoly.theta()), ("Theta^3", cubed), ("T", t)):
         xi_pow = [h]
         for _ in range(i_max):
             xi_pow.append(xi_pow[-1].xi_euler())
         d = h
         for i in range(i_max + 1):
-            rhs = ThetaPoly.zero(cutoff)
+            rhs = ThetaPoly.zero()
             for j in range(i + 1):
                 f = fj.f(i, j)
                 if f:

@@ -16,7 +16,7 @@ from .loop import FreeEnergy
 from .phiseries import TSeries, _tseries, bernoulli
 from .ratio import Q, QZERO
 from .sigma import SigmaPoly
-from .sparse import mul_into, nonzero, pack, split, unpack
+from .sparse import mul_into, nonzero, pack, split, unpack, width
 
 
 # -- genus zero -----------------------------------------------------------------
@@ -77,7 +77,7 @@ def r_poly(fe: FreeEnergy) -> SigmaPoly:
     """R_g: the x^(2-2g) content of H_g on the jets of log x."""
     if fe.genus < 2:
         raise ValueError("gap polynomials start at genus 2")
-    out = fe.body.subs_jets(log_jet_values(fe.body.cutoff))
+    out = fe.body.subs_jets(log_jet_values(fe.body.max_index()))
     if out.degree() > 3 * fe.genus - 3:
         raise AssertionError(f"R_{fe.genus} exceeds the degree bound")
     return out
@@ -100,7 +100,7 @@ def h1_gap_check(fe: FreeEnergy) -> bool:
         raise ValueError("h1_gap_check takes the genus-1 free energy")
     # log(1/x) contributes -log_z1_coeff; the z0-linear part contributes its coefficient
     z0_lin = fe.body.sigma_coefficient({0: 1})
-    rest = fe.body - JetPoly.from_sigma(z0_lin, fe.body.cutoff).mul_z(0)
+    rest = fe.body - JetPoly.from_sigma(z0_lin).mul_z(0)
     if rest:
         return False
     logx_coeff = z0_lin - SigmaPoly.const(fe.log_z1_coeff)
@@ -149,15 +149,16 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
             powers[(k, e)] = got
         return got
 
-    # jet part (packed key of z0..zM) -> {packed (a, b): int numerator over body.den}
+    # jet part (packed key of z0, z1, ...) -> {packed (a, b): int numerator over body.den}
     by_jets: dict[int, dict] = {}
     for key, c in fe.body.terms.items():
         sig, jet_key = split(key, 2)
         by_jets.setdefault(jet_key, {})[sig] = c
     # factor tuple ((k, e_k), ..., k descending) -> its group's sigma terms
     groups = {}
+    n = width(by_jets)
     for jet_key, sigma_terms in by_jets.items():
-        es = unpack(jet_key, fe.body.cutoff + 1)
+        es = unpack(jet_key, n)
         groups[tuple((k, es[k]) for k in range(len(es) - 1, -1, -1) if es[k])] = sigma_terms
     one = TSeries.const(1, n_max, d_max)
     chain: list[tuple[tuple[int, int], TSeries]] = []  # (factor, product of the prefix through it)

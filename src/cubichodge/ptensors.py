@@ -26,8 +26,9 @@ over one common denominator without forming the products.  P~ has
 sigma-only coefficients, so the last step is one ThetaPoly.dot: per pi_m,
 a sum of sigma x jet products.
 
-The P~ entries are cached; the table only ever grows.  `dump_json` writes
-them in powers of Theta.
+The P~ entries are cached; the table only ever grows.  P~ carries no jet,
+and the table no jet bound: its f-table and the weights bring in only the
+jets they carry.  `dump_json` writes the entries in powers of Theta.
 """
 from __future__ import annotations
 
@@ -46,9 +47,8 @@ CONSTRUCTION_VERSION = "ptensor-v1:binomial-lhs,row0-eq43,dfact(-1)=1"
 
 
 class PTensorTable:
-    def __init__(self, cutoff: int):
-        self.cutoff = cutoff
-        self.fjets = FJetTable(cutoff)
+    def __init__(self):
+        self.fjets = FJetTable()
         self._row0: list[ThetaPoly] = []
         self._ptilde: dict[tuple[int, int], ThetaPoly] = {}
 
@@ -57,7 +57,7 @@ class PTensorTable:
     def ensure_row0(self, n_max: int) -> None:
         if n_max < len(self._row0):
             return
-        row = _build_row0(n_max, self.cutoff)
+        row = _build_row0(n_max)
         for n, old in enumerate(self._row0):
             if row[n] != old:
                 raise AssertionError("row-0 rebuild changed a cached entry")
@@ -92,22 +92,22 @@ class PTensorTable:
         G, F^T w F and the last step are each summed by one `dot` call per
         entry (per pi_m in the last step); a rational weight enters
         as a constant JetPoly."""
-        M, f = self.cutoff, self.fjets.f
+        f = self.fjets.f
         # f_{b,l} vanishes for l > b, and for l = 0 unless b = 0
         g_pairs: dict[tuple[int, int], list] = {}
         for (a, b), w in weights.items():
             if is_rational(w):
-                w = JetPoly.const(w, M)
+                w = JetPoly.const(w)
             for l in range(0 if b == 0 else 1, b + 1):
                 g_pairs.setdefault((a, l), []).append((f(b, l), w))
         fwf_pairs: dict[tuple[int, int], list] = {}
         for (a, l), pairs in g_pairs.items():
-            g = JetPoly.dot(M, pairs)
+            g = JetPoly.dot(pairs)
             if g:
                 for k in range(0 if a == 0 else 1, a + 1):
                     fwf_pairs.setdefault((k, l), []).append((f(a, k), g))
-        return ThetaPoly.dot(M, [(self.ptilde(k, l), JetPoly.dot(M, pairs))
-                                 for (k, l), pairs in fwf_pairs.items()])
+        return ThetaPoly.dot([(self.ptilde(k, l), JetPoly.dot(pairs))
+                              for (k, l), pairs in fwf_pairs.items()])
 
     # -- provenance and diagnostics ----------------------------------------
 
@@ -122,10 +122,11 @@ class PTensorTable:
         entries = {}
         for (i, j), tp in sorted(built.items()):
             entries[f"{i},{j}"] = [jet_json(c) for c in tp.powers()]
-        return {"version": CONSTRUCTION_VERSION, "cutoff": self.cutoff, "ptilde": entries}
+        # the format's jet width is 3g + 2 for a genus-g solve, whose row 0 ends at n = 3g - 2
+        return {"version": CONSTRUCTION_VERSION, "cutoff": len(self._row0) + 3, "ptilde": entries}
 
 
-def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
+def _build_row0(n_max: int) -> list[ThetaPoly]:
     series = phi_d_inv_all(n_max, n_max)
     bound = max(s.bound for s in series)
     pdi = [s.coefficients() for s in series]
@@ -147,10 +148,10 @@ def _build_row0(n_max: int, cutoff: int) -> list[ThetaPoly]:
             acc[n][np_ + 1] = sig
     out = []
     for n in range(n_max + 1):
-        coeffs = [JetPoly.zero(cutoff)] * max(acc[n], default=0)
+        coeffs = [JetPoly.zero()] * max(acc[n], default=0)
         for m, sig in acc[n].items():
-            coeffs[m - 1] = JetPoly.from_sigma(SigmaPoly.packed(sig, bound), cutoff)
-        out.append(ThetaPoly(cutoff, coeffs))
+            coeffs[m - 1] = JetPoly.from_sigma(SigmaPoly.packed(sig, bound))
+        out.append(ThetaPoly(coeffs))
     return out
 
 

@@ -1,9 +1,9 @@
 """Exact rational backend.
 
-gmpy2's mpq is used when available (noticeably faster once genus 4 and 5
-coefficient counts kick in); fractions.Fraction is a drop-in fallback.
-Both store lowest terms with a positive denominator, which the canonical
-forms elsewhere rely on.
+gmpy2's mpq is used when available; fractions.Fraction is a drop-in
+fallback.  Both store lowest terms with a positive denominator, which the
+canonical forms elsewhere rely on.  JetPoly and TSeries keep int numerators
+over one denominator and make rationals only when they take or give them.
 """
 from __future__ import annotations
 

@@ -9,9 +9,10 @@ built by signed Kronecker packing: slot i holds the exponent e_i times
 Packing is linear, so the key of a product term is the sum of its factors'
 keys, and a negative exponent (z1 in a JetPoly) needs no offset.  For every
 polynomial over Q[s1, s3], slots 0 and 1 hold the s1 and s3 exponents; the
-slots after them hold the jets z0..zM (JetPoly) or t0..tn (TSeries).  The
-functions `pack`, `unpack`, `unit`, `exponent` and `split` below are the only
-code that knows this layout.
+slots after them hold the jets z0, z1, ... (JetPoly) or t0..tn (TSeries).
+A key has as many slots as it needs: `width` reads from the keys how many
+are in use.  The functions `pack`, `unpack`, `width`, `unit`, `exponent` and
+`split` below are the only code that knows this layout.
 
 A key is right only while every slot stays inside the slot.  Each polynomial
 therefore carries a bound on |e_i| over all its terms and slots: products
@@ -58,6 +59,15 @@ def unpack(key: int, n: int) -> tuple:
     if key:
         raise ValueError(f"key uses slots beyond the first {n}")
     return tuple(out)
+
+
+def width(keys) -> int:
+    """The number of slots up to the highest one that any of the keys uses."""
+    if not keys:
+        return 0
+    # with top nonzero slot i, 2^(SLOT_BITS*i - 1) < |key| < 2^(SLOT_BITS*i + SLOT_BITS - 1)
+    top = max(max(keys), -min(keys))
+    return top.bit_length() // SLOT_BITS + 1 if top else 0
 
 
 def unit(i: int) -> int:

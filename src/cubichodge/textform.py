@@ -7,13 +7,15 @@ Grammar of the text form (round-trips byte-for-byte through parse_jet):
     factor := name ('^' int)?          name in {s1, s3, z0, z1, z2, ...}
 
 Canonical term order: sigma weighted degree (deg s1 = 1, deg s3 = 3)
-ascending, s3 exponent ascending, then jet exponents (z_max .. z2)
-descending lexicographically, then z1 and z0 exponents descending.  This
+ascending, s3 exponent ascending, then jet exponents (from the highest jet
+of the polynomial down to z2) descending lexicographically, then z1 and z0
+exponents descending.  This
 reproduces the familiar ordering of the printed genus-2 free energy.
 
 JSON form: a list of term objects {"coef": "num/den", "sigma": [a, b],
 "jets": {"z1": -2, ...}} in the same canonical order, rationals always
-carrying an explicit denominator.
+carrying an explicit denominator.  `jet_from_json` reads outside input, so
+it checks every sigma and jet name before it packs a key.
 
 TEXT_FORM_VERSION names these canonical forms; the per-genus cache stores
 it and ignores a record written under another version.
@@ -23,22 +25,26 @@ from __future__ import annotations
 import re
 
 from .jets import JetPoly
-from .ratio import parse_q, qjson, qstr
+from .ratio import Q, parse_q, qjson, qstr
 from .sigma import SigmaPoly
+from .sparse import unpack, width
 
 TEXT_FORM_VERSION = "textform-v1"
 
 
 def term_sort_key(key: tuple):
-    """Canonical order of exponent tuples (sa, sb, e0, ..., eM)."""
+    """Canonical order of exponent tuples (sa, sb, e0, ..., ek) of one width."""
     sdeg = key[0] + 3 * key[1]
     jets_desc = tuple(-e for e in key[:3:-1])
     return (sdeg, key[1], jets_desc, -key[3], -key[2])
 
 
 def sorted_items(p: JetPoly):
-    """p.items() in canonical term order."""
-    return sorted(p.items(), key=lambda kv: term_sort_key(kv[0]))
+    """p.items() in canonical term order, every exponent tuple padded to the
+    widest one, so that term_sort_key compares them from one top jet down."""
+    n, den = max(4, width(p.terms)), p.den
+    return sorted([(unpack(k, n), Q(v, den)) for k, v in p.terms.items()],
+                  key=lambda kv: term_sort_key(kv[0]))
 
 
 def _factors(key: tuple) -> str:
@@ -68,19 +74,19 @@ def jet_text(p: JetPoly) -> str:
     return "".join(pieces)
 
 
-def sigma_text(sp: SigmaPoly, cutoff: int = 1) -> str:
-    return jet_text(JetPoly.from_sigma(sp, cutoff))
+def sigma_text(sp: SigmaPoly) -> str:
+    return jet_text(JetPoly.from_sigma(sp))
 
 
 _TERM_RE = re.compile(r"\(\s*(-?\d+(?:\s*/\s*\d+)?)\s*\)")
 _FACTOR_RE = re.compile(r"(s1|s3|z\d+)(?:\^(-?\d+))?$")
 
 
-def parse_jet(text: str, cutoff: int) -> JetPoly:
+def parse_jet(text: str) -> JetPoly:
     """Parse the canonical text form (tolerant about spacing and sign placement)."""
     text = text.strip()
     if text == "0" or not text:
-        return JetPoly.zero(cutoff)
+        return JetPoly.zero()
     terms = []
     for sign, term in _split_terms(text):
         m = _TERM_RE.match(term)
@@ -105,8 +111,8 @@ def parse_jet(text: str, cutoff: int) -> JetPoly:
                 else:
                     k = int(name[1:])
                     jets[k] = jets.get(k, 0) + exp
-        terms.append(JetPoly.monomial(coef, tuple(sigma), jets, cutoff))
-    return JetPoly.sum(cutoff, terms)
+        terms.append(JetPoly.monomial(coef, tuple(sigma), jets))
+    return JetPoly.sum(terms)
 
 
 def _split_terms(text: str):
@@ -148,16 +154,23 @@ def jet_json(p: JetPoly) -> list:
     return out
 
 
-def jet_from_json(data: list, cutoff: int) -> JetPoly:
+def jet_from_json(data: list, top: int) -> JetPoly:
+    """The JetPoly of jet_json's list.  Every term is checked before any key
+    is packed: ValueError for a sigma other than two nonnegative ints,
+    KeyError for a jet name other than z0..z{top}."""
+    index = {f"z{k}": k for k in range(top + 1)}
     terms = []
     for term in data:
-        jets = {int(name[1:]): e for name, e in term["jets"].items()}
-        terms.append(JetPoly.monomial(parse_q(term["coef"]), tuple(term["sigma"]), jets, cutoff))
-    return JetPoly.sum(cutoff, terms)
+        sa, sb = sigma = term["sigma"]
+        if type(sa) is not int or type(sb) is not int or sa < 0 or sb < 0:
+            raise ValueError(f"sigma {sigma!r} is not two nonnegative ints")
+        jets = {index[name]: e for name, e in term["jets"].items()}
+        terms.append((parse_q(term["coef"]), (sa, sb), jets))
+    return JetPoly.sum([JetPoly.monomial(*t) for t in terms])
 
 
 def sigma_json(sp: SigmaPoly) -> list:
-    return jet_json(JetPoly.from_sigma(sp, 1))
+    return jet_json(JetPoly.from_sigma(sp))
 
 
 # -- LaTeX ----------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Polynomials in the formal loop-equation variable Theta with JetPoly coefficients.
 
+A ThetaPoly is its coefficients alone; like a JetPoly it declares no jet
+bound, so derive may reach any z_k.
+
 Theta stands for 1/(1 - e^{z0}/mu) with mu never assigned a value; every
 identity downstream holds coefficient-wise in Theta.  A ThetaPoly holds the
 coefficients of the Stirling basis
@@ -19,36 +22,32 @@ where xi = (Theta - 1)/Theta.
 """
 from __future__ import annotations
 
-from .jets import CutoffError, JetPoly
+from .jets import JetPoly
 from .phiseries import q_number
 from .ratio import is_rational
 from .sigma import SigmaPoly
 
 
 class ThetaPoly:
-    __slots__ = ("cutoff", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, cutoff: int, coeffs=()):
+    def __init__(self, coeffs=()):
         """coeffs[m-1] is the coefficient of pi_m."""
-        self.cutoff = cutoff
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
-        for c in cs:
-            if c.cutoff != cutoff:
-                raise CutoffError("coefficient cutoff mismatch")
         self.coeffs = tuple(cs)
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls, cutoff: int) -> "ThetaPoly":
-        return cls(cutoff)
+    def zero(cls) -> "ThetaPoly":
+        return cls()
 
     @classmethod
-    def theta(cls, cutoff: int) -> "ThetaPoly":
+    def theta(cls) -> "ThetaPoly":
         """Theta = pi_1."""
-        return cls(cutoff, [JetPoly.one(cutoff)])
+        return cls([JetPoly.one()])
 
     # -- basic structure ------------------------------------------------
 
@@ -61,13 +60,12 @@ class ThetaPoly:
         """The coefficient of pi_m."""
         if 1 <= m <= len(self.coeffs):
             return self.coeffs[m - 1]
-        return JetPoly.zero(self.cutoff)
+        return JetPoly.zero()
 
     def powers(self) -> list[JetPoly]:
         """The Theta^a coefficients, a = 0..degree."""
-        M = self.cutoff
-        return [JetPoly.zero(M)] + [
-            JetPoly.sum(M, [c * q_number(k, a) for k, c in enumerate(self.coeffs[a - 1:], a - 1)])
+        return [JetPoly.zero()] + [
+            JetPoly.sum([c * q_number(k, a) for k, c in enumerate(self.coeffs[a - 1:], a - 1)])
             for a in range(1, len(self.coeffs) + 1)]
 
     def __bool__(self):
@@ -76,54 +74,48 @@ class ThetaPoly:
     def __eq__(self, other):
         if not isinstance(other, ThetaPoly):
             return NotImplemented
-        return self.cutoff == other.cutoff and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     # -- linear operations ------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, ThetaPoly):
             return NotImplemented
-        return ThetaPoly.sum(self.cutoff, (self, other))
+        return ThetaPoly.sum((self, other))
 
     def __sub__(self, other):
         if not isinstance(other, ThetaPoly):
             return NotImplemented
-        return ThetaPoly.sum(self.cutoff, (self, -other))
+        return ThetaPoly.sum((self, -other))
 
     def __neg__(self):
-        return ThetaPoly(self.cutoff, [-c for c in self.coeffs])
+        return ThetaPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (JetPoly, SigmaPoly)) or is_rational(other):
-            return ThetaPoly(self.cutoff, [c * other for c in self.coeffs])
+            return ThetaPoly([c * other for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
 
     @classmethod
-    def sum(cls, cutoff: int, polys) -> "ThetaPoly":
+    def sum(cls, polys) -> "ThetaPoly":
         """The sum of the polys: each pi_m coefficient is accumulated once."""
         parts: list[list[JetPoly]] = []
         for tp in polys:
-            if tp.cutoff != cutoff:
-                raise CutoffError("cutoff mismatch")
             parts.extend([] for _ in range(len(tp.coeffs) - len(parts)))
             for d, c in enumerate(tp.coeffs):
                 parts[d].append(c)
-        return cls(cutoff, [JetPoly.sum(cutoff, ps) for ps in parts])
+        return cls([JetPoly.sum(ps) for ps in parts])
 
     @classmethod
-    def dot(cls, cutoff: int, pairs) -> "ThetaPoly":
+    def dot(cls, pairs) -> "ThetaPoly":
         """sum tp * w over the (ThetaPoly tp, JetPoly w) pairs: one JetPoly.dot
         per pi_m."""
         pairs = list(pairs)
-        for tp, w in pairs:
-            if tp.cutoff != cutoff or w.cutoff != cutoff:
-                raise CutoffError("cutoff mismatch")
         top = max((len(tp.coeffs) for tp, _ in pairs), default=0)
-        return cls(cutoff, [JetPoly.dot(cutoff, [(tp.coeffs[d], w) for tp, w in pairs
-                                                 if d < len(tp.coeffs)])
-                            for d in range(top)])
+        return cls([JetPoly.dot([(tp.coeffs[d], w) for tp, w in pairs if d < len(tp.coeffs)])
+                    for d in range(top)])
 
     # -- derivations --------------------------------------------------------
 
@@ -135,14 +127,14 @@ class ThetaPoly:
         parts = [[c.derive()] for c in self.coeffs] + [[]]
         for d, c in enumerate(self.xi_euler().coeffs):
             parts[d].append(c.mul_z(1))
-        return ThetaPoly(self.cutoff, [JetPoly.sum(self.cutoff, ps) for ps in parts])
+        return ThetaPoly([JetPoly.sum(ps) for ps in parts])
 
     def xi_euler(self) -> "ThetaPoly":
         """Theta (Theta - 1) d/dTheta, treating JetPoly coefficients as
         constants: pi_m -> -pi_(m+1)."""
         if not self.coeffs:
             return self
-        return ThetaPoly(self.cutoff, [JetPoly.zero(self.cutoff)] + [-c for c in self.coeffs])
+        return ThetaPoly([JetPoly.zero()] + [-c for c in self.coeffs])
 
     def max_jet_index(self) -> int:
         return max((c.max_index() for c in self.coeffs), default=-1)

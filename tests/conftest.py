@@ -20,7 +20,7 @@ def solver_g4():
 
 @pytest.fixture(scope="session")
 def energies_g5(solver_g4):
-    """Genus 5 on its own solver (bigger cutoff)."""
+    """H_1..H_5 from one genus-5 solver, apart from the genus-4 one."""
     solver = LoopSolver(5)
     return solver.compute(5)
 

@@ -16,32 +16,28 @@ from __future__ import annotations
 
 from math import comb
 
-from cubichodge.jets import CutoffError, JetPoly
+from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q, is_rational
 from cubichodge.sigma import SigmaPoly
 
 
 class PowerTheta:
-    __slots__ = ("cutoff", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, cutoff: int, coeffs=()):
-        self.cutoff = cutoff
+    def __init__(self, coeffs=()):
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
-        for c in cs:
-            if c.cutoff != cutoff:
-                raise CutoffError("coefficient cutoff mismatch")
         self.coeffs = tuple(cs)
 
     @classmethod
     def of(cls, tp) -> "PowerTheta":
         """A ThetaPoly in the power basis."""
-        return cls(tp.cutoff, tp.powers())
+        return cls(tp.powers())
 
     @classmethod
-    def theta(cls, cutoff: int, power: int = 1) -> "PowerTheta":
-        return cls(cutoff, [JetPoly.zero(cutoff)] * power + [JetPoly.one(cutoff)])
+    def theta(cls, power: int = 1) -> "PowerTheta":
+        return cls([JetPoly.zero()] * power + [JetPoly.one()])
 
     @property
     def degree(self) -> int:
@@ -50,7 +46,7 @@ class PowerTheta:
     def coeff(self, d: int) -> JetPoly:
         if 0 <= d < len(self.coeffs):
             return self.coeffs[d]
-        return JetPoly.zero(self.cutoff)
+        return JetPoly.zero()
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -58,49 +54,45 @@ class PowerTheta:
     def __eq__(self, other):
         if not isinstance(other, PowerTheta):
             return NotImplemented
-        return self.cutoff == other.cutoff and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __add__(self, other):
-        return PowerTheta.sum(self.cutoff, (self, other))
+        return PowerTheta.sum((self, other))
 
     def __sub__(self, other):
-        return PowerTheta.sum(self.cutoff, (self, -other))
+        return PowerTheta.sum((self, -other))
 
     def __neg__(self):
-        return PowerTheta(self.cutoff, [-c for c in self.coeffs])
+        return PowerTheta([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, PowerTheta):
-            if self.cutoff != other.cutoff:
-                raise CutoffError("cutoff mismatch")
             pairs = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
                     pairs[i + j].append((a, b))
-            return PowerTheta(self.cutoff, [JetPoly.dot(self.cutoff, ps) for ps in pairs])
+            return PowerTheta([JetPoly.dot(ps) for ps in pairs])
         if isinstance(other, (JetPoly, SigmaPoly)) or is_rational(other):
-            return PowerTheta(self.cutoff, [c * other for c in self.coeffs])
+            return PowerTheta([c * other for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
 
     @classmethod
-    def sum(cls, cutoff: int, polys) -> "PowerTheta":
+    def sum(cls, polys) -> "PowerTheta":
         parts: list[list[JetPoly]] = []
         for tp in polys:
-            if tp.cutoff != cutoff:
-                raise CutoffError("cutoff mismatch")
             parts.extend([] for _ in range(len(tp.coeffs) - len(parts)))
             for d, c in enumerate(tp.coeffs):
                 parts[d].append(c)
-        return cls(cutoff, [JetPoly.sum(cutoff, ps) for ps in parts])
+        return cls([JetPoly.sum(ps) for ps in parts])
 
     def derive(self) -> "PowerTheta":
         """Jets via d(z_k) = z_{k+1}; Theta via d(Theta) = z1 Theta (Theta - 1)."""
         parts = [[c.derive()] for c in self.coeffs] + [[]]
         for d, c in enumerate(self.xi_euler().coeffs):
             parts[d].append(c.mul_z(1))
-        return PowerTheta(self.cutoff, [JetPoly.sum(self.cutoff, ps) for ps in parts])
+        return PowerTheta([JetPoly.sum(ps) for ps in parts])
 
     def xi_euler(self) -> "PowerTheta":
         """Theta (Theta - 1) d/dTheta: Theta^d -> d Theta^(d+1) - d Theta^d."""
@@ -109,7 +101,7 @@ class PowerTheta:
             if d and c:
                 parts[d + 1].append(c * d)
                 parts[d].append(c * -d)
-        return PowerTheta(self.cutoff, [JetPoly.sum(self.cutoff, ps) for ps in parts])
+        return PowerTheta([JetPoly.sum(ps) for ps in parts])
 
 
 class PowerRoute:
@@ -119,13 +111,12 @@ class PowerRoute:
 
     def __init__(self, table):
         self.table = table
-        self.cutoff = M = table.cutoff
         self._ptilde: dict[tuple[int, int], PowerTheta] = {}
         self._dressed: dict[tuple[int, int], PowerTheta] = {}
-        self._dtheta = [PowerTheta.theta(M)]
-        lin = JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24) + SigmaPoly.const(Q(-1, 16)), M)
+        self._dtheta = [PowerTheta.theta()]
+        lin = JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24) + SigmaPoly.const(Q(-1, 16)))
         # T = Theta^2/16 - (1/16 - s1/24) Theta
-        self._dT = [PowerTheta(M, [JetPoly.zero(M), lin, JetPoly.const(Q(1, 16), M)])]
+        self._dT = [PowerTheta([JetPoly.zero(), lin, JetPoly.const(Q(1, 16))])]
 
     def ptilde(self, i: int, j: int) -> PowerTheta:
         """P~_{i,j} = xi_euler(P~_{i-1,j}) - P~_{i-1,j+1}, from row 0."""
@@ -143,9 +134,9 @@ class PowerRoute:
         got = self._dressed.get((a, b))
         if got is None:
             f = self.table.fjets.f
-            got = PowerTheta.sum(self.cutoff, [self.ptilde(k, l) * (f(a, k) * f(b, l))
-                                               for k in range(a + 1) for l in range(b + 1)
-                                               if f(a, k) and f(b, l)])
+            got = PowerTheta.sum([self.ptilde(k, l) * (f(a, k) * f(b, l))
+                                  for k in range(a + 1) for l in range(b + 1)
+                                  if f(a, k) and f(b, l)])
             self._dressed[a, b] = got
         return got
 
@@ -161,23 +152,22 @@ class PowerRoute:
 
     def lhs(self, i: int) -> PowerTheta:
         """L_i = derive^i(Theta) + sum_{j=1}^i C(i, j) P_{j-1, i-j+1}."""
-        return PowerTheta.sum(self.cutoff, [self.dtheta(i)] + [
+        return PowerTheta.sum([self.dtheta(i)] + [
             self.dressed(j - 1, i - j + 1) * comb(i, j) for j in range(1, i + 1)])
 
     def rhs(self, g: int, lower) -> PowerTheta:
         """RHS_g; for g >= 2 over dressed P, summed over i <= j by the symmetry of P."""
         if g == 1:
             return self.derived_base(0)
-        M = self.cutoff
         grads = [None] + [fe.gradient for fe in lower[: g - 1]]
         top_prev = 3 * (g - 1) - 2
         parts = [self.derived_base(i + 2) * grads[g - 1][i]
                  for i in range(top_prev + 1) if grads[g - 1][i]]
         for i in range(top_prev + 1):
             for j in range(i, top_prev + 1):
-                w = JetPoly.sum(M, [grads[g - 1][i].partial(j)] + [
+                w = JetPoly.sum([grads[g - 1][i].partial(j)] + [
                     grads[k][i] * grads[g - k][j] for k in range(1, g)
                     if i < len(grads[k]) and j < len(grads[g - k])])
                 if w:
                     parts.append(self.dressed(i + 1, j + 1) * (w * Q(1, 2) if i == j else w))
-        return PowerTheta.sum(M, parts)
+        return PowerTheta.sum(parts)

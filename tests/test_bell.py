@@ -139,22 +139,21 @@ class TestComplete:
 
 
 class TestFJet:
-    CUT = 9
-    FJ = FJetTable(CUT)
+    FJ = FJetTable()
 
     def test_f00(self):
-        assert self.FJ.f(0, 0) == JetPoly.one(self.CUT)
+        assert self.FJ.f(0, 0) == JetPoly.one()
 
     def test_delta_row(self):
         for i in range(1, 6):
             assert not self.FJ.f(i, 0)
 
     def test_f21_f22(self):
-        assert self.FJ.f(2, 1) == JetPoly.z(2, self.CUT)
-        assert self.FJ.f(2, 2) == JetPoly.z(1, self.CUT) ** 2
+        assert self.FJ.f(2, 1) == JetPoly.z(2)
+        assert self.FJ.f(2, 2) == JetPoly.z(1) ** 2
 
     def test_f32(self):
-        expect = JetPoly.z(1, self.CUT) * JetPoly.z(2, self.CUT) * Q(3)
+        expect = JetPoly.z(1) * JetPoly.z(2) * Q(3)
         assert self.FJ.f(3, 2) == expect
 
     def test_vanishing_above_diagonal(self):
@@ -164,10 +163,10 @@ class TestFJet:
     @pytest.mark.parametrize("i", range(N + 1))
     def test_closed_form_agreement(self, i):
         for j in range(i + 1):
-            assert self.FJ.f(i, j) == bell_jet(TABLE, i, j, self.CUT)
+            assert self.FJ.f(i, j) == bell_jet(TABLE, i, j)
 
     def test_chain_rule_identity(self):
         from cubichodge.oracles import chain_rule_check
 
-        ok, detail = chain_rule_check(8, i_max=6)
+        ok, detail = chain_rule_check(i_max=6)
         assert ok, detail

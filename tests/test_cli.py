@@ -230,12 +230,11 @@ def test_verify_gradient_rejects_bad_body(capsys, monkeypatch, h123, case):
     from cubichodge.ratio import Q
 
     h1, h2 = h123[:2]
-    M = h2.body.cutoff
     # z0 z1^2 has Euler weight 2 = 2g-2, so only the z0 check can catch it;
     # z3 has weight 3 and breaks the Euler identity
     extra, detail = {
-        "z0-term": (JetPoly.monomial(Q(1, 7), (0, 0), {0: 1, 1: 2}, M), "dH_2/dz0 != 0"),
-        "not-euler-homogeneous": (JetPoly.z(3, M), "Euler identity fails at genus 2"),
+        "z0-term": (JetPoly.monomial(Q(1, 7), (0, 0), {0: 1, 1: 2}), "dH_2/dz0 != 0"),
+        "not-euler-homogeneous": (JetPoly.z(3), "Euler identity fails at genus 2"),
     }[case]
     broken = FreeEnergy(2, h2.body + extra)
     monkeypatch.setattr(cli.LoopSolver, "compute", lambda self, genus, cache_dir=None: [h1, broken])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubichodge.jets import CutoffError, ExactDivisionError, JetPoly
+from cubichodge.jets import ExactDivisionError, JetPoly
 from cubichodge.linsolve import SolveError, TriangularSystem
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
@@ -14,15 +14,13 @@ from cubichodge.theta import ThetaPoly
 
 from powertheta import PowerTheta
 
-M = 6
-
 
 def z(k, power=1):
-    return JetPoly.z(k, M, power)
+    return JetPoly.z(k, power)
 
 
 def const(c):
-    return JetPoly.const(c, M)
+    return JetPoly.const(c)
 
 
 class TestRingOps:
@@ -33,18 +31,14 @@ class TestRingOps:
         assert z(1, -1) * z(1) == const(1)
 
     def test_theta_square(self):
-        t = PowerTheta.theta(M)
+        t = PowerTheta.theta()
         sq = t * t
         assert sq.degree == 2
         assert sq.coeff(2) == const(1) and not sq.coeff(1) and not sq.coeff(0)
 
-    def test_cutoff_mismatch_raises(self):
-        with pytest.raises(CutoffError):
-            JetPoly.z(1, 4) + JetPoly.z(1, 5)
-
     def test_sigma_scalar(self):
         s = SigmaPoly.s1() * Q(2, 3)
-        assert z(2) * s == JetPoly.monomial(Q(2, 3), (1, 0), {2: 1}, M)
+        assert z(2) * s == JetPoly.monomial(Q(2, 3), (1, 0), {2: 1})
 
 
 class TestDerive:
@@ -52,17 +46,16 @@ class TestDerive:
         assert z(0).derive() == z(1)
 
     def test_dtheta(self):
-        d = ThetaPoly.theta(M).derive()
+        d = ThetaPoly.theta().derive()
         # z1 (Theta^2 - Theta): chain rule through Theta = 1/(1 - e^{z0}/mu)
         assert d.powers() == [const(0), -z(1), z(1)]
-        assert PowerTheta.theta(M).derive() == PowerTheta(M, d.powers())
+        assert PowerTheta.theta().derive() == PowerTheta(d.powers())
 
     def test_laurent_derivative(self):
         assert z(1, -1).derive() == -(z(2) * z(1, -2))
 
-    def test_cutoff_overflow(self):
-        with pytest.raises(CutoffError):
-            z(M).derive()
+    def test_derive_has_no_jet_bound(self):
+        assert z(40).derive() == z(41)
 
     def test_leibniz_random(self):
         rng = random.Random(7)
@@ -82,20 +75,20 @@ class TestDerive:
 
 class TestXiEuler:
     def test_theta(self):
-        t = PowerTheta.theta(M).xi_euler()
+        t = PowerTheta.theta().xi_euler()
         assert t.coeff(2) == const(1) and t.coeff(1) == const(-1)
 
     def test_constant(self):
-        assert not PowerTheta(M, [const(1)]).xi_euler()
+        assert not PowerTheta([const(1)]).xi_euler()
 
     def test_theta_squared(self):
-        t = PowerTheta.theta(M, 2).xi_euler()
+        t = PowerTheta.theta(2).xi_euler()
         assert t.coeff(3) == const(2) and t.coeff(2) == const(-2)
 
 
 def pi(m, c=None):
     """c pi_m as a ThetaPoly; c defaults to 1."""
-    return ThetaPoly(M, [const(0)] * (m - 1) + [const(1) if c is None else c])
+    return ThetaPoly([const(0)] * (m - 1) + [const(1) if c is None else c])
 
 
 class TestStirlingBasis:
@@ -109,7 +102,7 @@ class TestStirlingBasis:
         assert pi(1).derive() == pi(2, -z(1))
 
     def test_theta_cubed_powers(self):
-        cubed = ThetaPoly(M, [const(1), const(Q(-3, 2)), const(Q(1, 2))])
+        cubed = ThetaPoly([const(1), const(Q(-3, 2)), const(Q(1, 2))])
         assert cubed.powers() == [const(0), const(0), const(0), const(1)]
 
     def test_derivations_commute_with_powers(self):
@@ -127,41 +120,41 @@ def _random_theta(rng, cls=ThetaPoly, deg=4, jet_top=6):
         for _ in range(rng.randint(0, 3)):
             jets = {k: rng.randint(0, 2) for k in rng.sample(range(jet_top), 2)}
             jets[1] = rng.randint(-2, 2)
-            p = JetPoly.monomial(Q(rng.randint(-5, 5)), (rng.randint(0, 1), rng.randint(0, 1)), jets, M)
+            p = JetPoly.monomial(Q(rng.randint(-5, 5)), (rng.randint(0, 1), rng.randint(0, 1)), jets)
             for key, v in p.items():
                 terms[key] = terms.get(key, Q(0)) + v
-        coeffs.append(JetPoly(M, terms))
-    return cls(M, coeffs)
+        coeffs.append(JetPoly(terms))
+    return cls(coeffs)
 
 
 class TestSolve:
     def test_identity(self):
-        sys_ = TriangularSystem(2, [[const(1), JetPoly.zero(M)],
-                                    [JetPoly.zero(M), const(1)]], [z(2), z(3)])
+        sys_ = TriangularSystem(2, [[const(1), JetPoly.zero()],
+                                    [JetPoly.zero(), const(1)]], [z(2), z(3)])
         assert sys_.solve() == [z(2), z(3)]
 
     def test_monomial_back_substitution(self):
         # rows: Theta^1: z1 x0 + z1^2 x1, Theta^2: z1^3 x1; solution (z2, 1)
-        rows = [[z(1), z(1) ** 2], [JetPoly.zero(M), z(1) ** 3]]
+        rows = [[z(1), z(1) ** 2], [JetPoly.zero(), z(1) ** 3]]
         rhs = [z(1) * z(2) + z(1) ** 2, z(1) ** 3]
         assert TriangularSystem(2, rows, rhs).solve() == [z(2), const(1)]
 
     def test_genus_one_system(self):
         # the 3 z1 / 2 diagonal produces the 1/(24 z1) gradient component
-        rows = [[const(1), z(1) * Q(-3, 2)], [JetPoly.zero(M), z(1) * Q(3, 2)]]
+        rows = [[const(1), z(1) * Q(-3, 2)], [JetPoly.zero(), z(1) * Q(3, 2)]]
         s1 = SigmaPoly.s1()
-        rhs = [JetPoly.from_sigma(s1 * Q(1, 24) + SigmaPoly.const(Q(-1, 16)), M), const(Q(1, 16))]
+        rhs = [JetPoly.from_sigma(s1 * Q(1, 24) + SigmaPoly.const(Q(-1, 16))), const(Q(1, 16))]
         sol = TriangularSystem(2, rows, rhs).solve()
-        assert sol[0] == JetPoly.from_sigma(s1 * Q(1, 24), M)
+        assert sol[0] == JetPoly.from_sigma(s1 * Q(1, 24))
         assert sol[1] == z(1, -1) * Q(1, 24)
 
     def test_zero_diagonal_rejected(self):
         with pytest.raises(SolveError):
-            TriangularSystem(1, [[JetPoly.zero(M)]], [z(1)])
+            TriangularSystem(1, [[JetPoly.zero()]], [z(1)])
 
     def test_profile_violation_rejected(self):
         with pytest.raises(SolveError):
-            TriangularSystem(2, [[const(1), JetPoly.zero(M)], [const(1), const(1)]],
+            TriangularSystem(2, [[const(1), JetPoly.zero()], [const(1), const(1)]],
                              [z(1), z(1)])
 
     def test_non_exact_division_raises(self):
@@ -190,25 +183,29 @@ class TestExactDiv:
 
 # -- fused sums of products ------------------------------------------------------
 
-# keys (sa, sb, e0, e1, e2) at cutoff 2 from a small range, so products of
+# keys (sa, sb, e0, e1, e2) from a small range, so products of
 # different pairs land on the same monomial and cancel; the denominators
 # differ between operands, so each pair's scale to the common one is not 1
-DOT_M = 2
 dot_keys = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
                      st.integers(-1, 1), st.integers(0, 1))
 dot_coefs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([1, 2, 3, 4, 6]))
-dot_jets = st.dictionaries(dot_keys, dot_coefs, max_size=4).map(lambda t: JetPoly(DOT_M, t))
+dot_jets = st.dictionaries(dot_keys, dot_coefs, max_size=4).map(JetPoly)
 dot_pairs = st.lists(st.tuples(dot_jets, dot_jets), max_size=4)
-dot_thetas = st.lists(dot_jets, max_size=3).map(lambda cs: ThetaPoly(DOT_M, cs))
+dot_thetas = st.lists(dot_jets, max_size=3).map(ThetaPoly)
 
 
 def ref_dot(pairs) -> dict:
-    """sum a * b as {exponent tuple: Fraction}, every term pair expanded from items()."""
+    """sum a * b as {exponent tuple: Fraction}, every term pair expanded from
+    items() and each key named as items() names it."""
     out = {}
     for a, b in pairs:
         for ka, va in a.items():
             for kb, vb in b.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
+                n = max(len(ka), len(kb))
+                k = [x + y for x, y in zip(ka + (0,) * (n - len(ka)), kb + (0,) * (n - len(kb)))]
+                while len(k) > 4 and not k[-1]:
+                    k.pop()
+                k = tuple(k)
                 out[k] = out.get(k, Fraction(0)) + Fraction(va) * Fraction(vb)
     return {k: v for k, v in out.items() if v}
 
@@ -216,59 +213,44 @@ def ref_dot(pairs) -> dict:
 def assert_matches(got: JetPoly, ref: dict):
     assert dict(got.items()) == ref
     # lowest terms: the constructor's canonical form of the same rationals
-    assert got == JetPoly(DOT_M, ref)
+    assert got == JetPoly(ref)
     assert got.bound >= exponent_bound((got.terms,))
 
 
 class TestDot:
     @given(dot_pairs)
     def test_matches_reference(self, pairs):
-        assert_matches(JetPoly.dot(DOT_M, pairs), ref_dot(pairs))
+        assert_matches(JetPoly.dot(pairs), ref_dot(pairs))
 
     def test_each_side_scaled(self):
         # common denominator 12: the one-term left side takes the scale 4 in the
         # first pair, the one-term right side takes the scale 3 in the second
-        a = JetPoly(DOT_M, {(0, 0, 1, 0, 0): Fraction(1, 3)})
-        b = JetPoly(DOT_M, {(0, 0, 0, 1, 0): Fraction(1), (0, 0, 0, 0, 1): Fraction(2)})
-        c = JetPoly(DOT_M, {(1, 0, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0, 0): Fraction(1, 2)})
-        d = JetPoly(DOT_M, {(0, 0, 0, -1, 0): Fraction(1, 2)})
+        a = JetPoly({(0, 0, 1, 0, 0): Fraction(1, 3)})
+        b = JetPoly({(0, 0, 0, 1, 0): Fraction(1), (0, 0, 0, 0, 1): Fraction(2)})
+        c = JetPoly({(1, 0, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0, 0): Fraction(1, 2)})
+        d = JetPoly({(0, 0, 0, -1, 0): Fraction(1, 2)})
         pairs = [(a, b), (c, d)]
-        got = JetPoly.dot(DOT_M, pairs)
+        got = JetPoly.dot(pairs)
         assert got.den == 12
         assert_matches(got, ref_dot(pairs))
 
     @given(dot_jets, dot_jets)
     def test_full_cancellation(self, a, b):
-        got = JetPoly.dot(DOT_M, ((a, b), (-a, b)))
-        assert got == JetPoly.zero(DOT_M)
+        got = JetPoly.dot(((a, b), (-a, b)))
+        assert got == JetPoly.zero()
         assert not got.terms and got.den == 1
 
     @given(dot_jets, dot_pairs)
     def test_empty_and_zero_operands(self, a, pairs):
-        zero = JetPoly.zero(DOT_M)
-        assert JetPoly.dot(DOT_M, []) == zero and JetPoly.dot(DOT_M, []).den == 1
+        zero = JetPoly.zero()
+        assert JetPoly.dot([]) == zero and JetPoly.dot([]).den == 1
         padded = [(zero, a)] + pairs + [(a, zero)]
-        assert_matches(JetPoly.dot(DOT_M, padded), ref_dot(pairs))
-
-    def test_cutoff_mismatch_raises(self):
-        a = JetPoly.z(1, DOT_M)
-        for other in (JetPoly.z(1, DOT_M + 1), JetPoly.zero(DOT_M + 1)):
-            for pair in ((a, other), (other, a), (JetPoly.zero(DOT_M), other)):
-                with pytest.raises(CutoffError):
-                    JetPoly.dot(DOT_M, [(a, a), pair])
-        with pytest.raises(CutoffError):
-            JetPoly.dot(DOT_M + 1, [(a, a)])
+        assert_matches(JetPoly.dot(padded), ref_dot(pairs))
 
     @given(st.lists(st.tuples(dot_thetas, dot_jets), max_size=4))
     def test_theta_dot_matches_per_pair_sum(self, pairs):
-        got = ThetaPoly.dot(DOT_M, pairs)
+        got = ThetaPoly.dot(pairs)
         top = max((tp.degree for tp, _ in pairs), default=0)
         assert got.degree <= top
         for m in range(1, top + 1):
             assert_matches(got.coeff(m), ref_dot([(tp.coeff(m), w) for tp, w in pairs]))
-
-    def test_theta_dot_cutoff_mismatch_raises(self):
-        w = JetPoly.z(1, DOT_M)
-        for pair in ((ThetaPoly.zero(DOT_M + 1), w), (ThetaPoly.theta(DOT_M), JetPoly.zero(DOT_M + 1))):
-            with pytest.raises(CutoffError):
-                ThetaPoly.dot(DOT_M, [pair])

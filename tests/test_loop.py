@@ -21,13 +21,12 @@ def solver(h123):
 
 class TestLhs:
     def test_l0_is_theta(self, solver):
-        assert solver.lhs_coefficient(0) == ThetaPoly.theta(solver.cutoff)
+        assert solver.lhs_coefficient(0) == ThetaPoly.theta()
 
     def test_l1(self, solver):
-        M = solver.cutoff
-        z1 = JetPoly.z(1, M)
+        z1 = JetPoly.z(1)
         l1 = solver.lhs_coefficient(1)
-        assert l1.powers() == [JetPoly.zero(M), z1 * Q(-3, 2), z1 * Q(3, 2)]
+        assert l1.powers() == [JetPoly.zero(), z1 * Q(-3, 2), z1 * Q(3, 2)]
         assert l1.degree == 2
 
     @pytest.mark.parametrize("i", range(6))
@@ -44,11 +43,10 @@ class TestLhs:
 
 class TestRhs:
     def test_genus1(self, solver):
-        M = solver.cutoff
         rhs = solver.rhs_genus(1, [])
         lin = SigmaPoly.s1() * Q(1, 24) + SigmaPoly.const(Q(-1, 16))
-        assert rhs.powers() == [JetPoly.zero(M), JetPoly.from_sigma(lin, M),
-                                JetPoly.const(Q(1, 16), M)]
+        assert rhs.powers() == [JetPoly.zero(), JetPoly.from_sigma(lin),
+                                JetPoly.const(Q(1, 16))]
         assert rhs.degree == 2
 
     def test_genus2_degree_bound(self, solver_g4, h123):
@@ -63,18 +61,17 @@ class TestRhs:
 class TestSolve:
     def test_genus1_gradient(self, h123):
         h1 = h123[0]
-        M = h1.body.cutoff
-        assert h1.gradient[0] == JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), M)
-        assert h1.gradient[1] == JetPoly.z(1, M, -1) * Q(1, 24)
+        assert h1.gradient[0] == JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24))
+        assert h1.gradient[1] == JetPoly.z(1, -1) * Q(1, 24)
         assert h1.log_z1_coeff == Q(1, 24)
 
     def test_golden_h2(self, h123):
         h2 = h123[1]
-        assert h2.body == parse_jet(H2_TEXT, h2.body.cutoff)
+        assert h2.body == parse_jet(H2_TEXT)
 
     def test_golden_h3(self, h123):
         h3 = h123[2]
-        expect = parse_jet(H3_TEXT, h3.body.cutoff)
+        expect = parse_jet(H3_TEXT)
         assert len(h3.body.terms) == 36
         assert h3.body == expect
 
@@ -104,7 +101,7 @@ class TestSolve:
     def test_euler_identity(self, h123):
         for fe in h123[1:]:
             g, body = fe.genus, fe.body
-            acc = JetPoly.zero(body.cutoff)
+            acc = JetPoly.zero()
             for j in range(1, 3 * g - 1):
                 acc = acc + body.partial(j).mul_z(j) * Q(j)
             assert acc == body * Q(2 * g - 2)
@@ -115,9 +112,9 @@ class TestSolve:
         sizes = []
         build = ptensors._build_row0
 
-        def counted(n_max, cutoff):
+        def counted(n_max):
             sizes.append(n_max)
-            return build(n_max, cutoff)
+            return build(n_max)
 
         monkeypatch.setattr(ptensors, "_build_row0", counted)
         LoopSolver(3).compute(3, cache_dir=str(tmp_path))
@@ -132,9 +129,9 @@ class TestSolve:
         sizes = []
         build = ptensors._build_row0
 
-        def counted(n_max, cutoff):
+        def counted(n_max):
             sizes.append(n_max)
-            return build(n_max, cutoff)
+            return build(n_max)
 
         monkeypatch.setattr(ptensors, "_build_row0", counted)
         cache = str(tmp_path)
@@ -172,15 +169,33 @@ class TestSolve:
 
     def test_reconstruct_rejects_open_gradient(self):
         solver = LoopSolver(2)
-        M = solver.cutoff
-        bad = [JetPoly.z(1, M)] + [JetPoly.zero(M)] * 4
+        bad = [JetPoly.z(1)] + [JetPoly.zero()] * 4
         with pytest.raises(LoopEquationError):
             solver.reconstruct(2, bad)
         # not closed (d/dz2 of entry 1 is 1, d/dz1 of entry 2 is 0), with dz0 = 0
-        bad = [JetPoly.zero(M), JetPoly.z(2, M)] + [JetPoly.zero(M)] * 3
+        bad = [JetPoly.zero(), JetPoly.z(2)] + [JetPoly.zero()] * 3
         with pytest.raises(LoopEquationError):
             solver.reconstruct(2, bad)
 
+
+def _store_tampered(tmp_path, fe, change) -> str:
+    """Store fe's record under the current fingerprint, apply change to its
+    payload and sign it again, as if written so; returns the fingerprint."""
+    import json
+
+    from cubichodge.loop import _payload_hash
+
+    fp = LoopSolver(fe.genus).table.fingerprint()
+    fe = FreeEnergy(fe.genus, fe.body, fe.log_z1_coeff,
+                    provenance={"ptable": fp, "solver": SOLVER_VERSION})
+    path = store_cached(str(tmp_path), fe)
+    with open(path) as fh:
+        record = json.load(fh)
+    change(record["payload"])
+    record["sha256"] = _payload_hash(record["payload"], fp)
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+    return fp
 
 def f_table_image(fj, n: int, h: ThetaPoly) -> ThetaPoly:
     """sum_j f_{n,j} xi_euler^j h, which is derive^n h when h has jet-free coefficients."""
@@ -188,7 +203,7 @@ def f_table_image(fj, n: int, h: ThetaPoly) -> ThetaPoly:
     for j in range(n + 1):
         pairs.append((xi, fj.f(n, j)))
         xi = xi.xi_euler()
-    return ThetaPoly.dot(h.cutoff, [(tp, f) for tp, f in pairs if f])
+    return ThetaPoly.dot([(tp, f) for tp, f in pairs if f])
 
 
 CHAIN_N = 20
@@ -199,15 +214,13 @@ class TestChainRule:
 
     @pytest.fixture(scope="class")
     def chain(self):
-        M = LoopSolver(7).cutoff  # 23: derive^20 reaches z_20
-        t = ThetaPoly(M, [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24), M),
-                          JetPoly.const(Q(-1, 16), M)])
+        t = ThetaPoly([JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24)), JetPoly.const(Q(-1, 16))])
         derived = {}
-        for name, h in (("pi_1", ThetaPoly.theta(M)), ("T", t)):
+        for name, h in (("pi_1", ThetaPoly.theta()), ("T", t)):
             derived[name] = [h]
             for _ in range(CHAIN_N):
                 derived[name].append(derived[name][-1].derive())
-        return FJetTable(M), derived
+        return FJetTable(), derived
 
     @pytest.mark.parametrize("name", ["pi_1", "T"])
     def test_derive_equals_f_table_image(self, chain, name):
@@ -218,9 +231,8 @@ class TestChainRule:
     def test_derive_pi1_in_closed_form(self, chain):
         # xi_euler^j pi_1 = (-1)^j pi_(j+1)
         fj, derived = chain
-        M = fj.cutoff
         for n, d in enumerate(derived["pi_1"]):
-            assert d == ThetaPoly(M, [fj.f(n, j) * (-1) ** j for j in range(n + 1)]), n
+            assert d == ThetaPoly([fj.f(n, j) * (-1) ** j for j in range(n + 1)]), n
 
     def test_xi_t_is_derived_t(self, chain):
         fj, derived = chain
@@ -235,7 +247,7 @@ class TestCache:
         solver = LoopSolver(3)
         h2.provenance.setdefault("ptable", solver.table.fingerprint())
         store_cached(str(tmp_path), h2)
-        again = load_cached(str(tmp_path), 2, solver.table.fingerprint(), h2.body.cutoff)
+        again = load_cached(str(tmp_path), 2, solver.table.fingerprint())
         assert again is not None
         assert again.body == h2.body and again.gradient == h2.gradient
 
@@ -249,22 +261,22 @@ class TestCache:
         record = json.load(open(path))
         record["payload"]["body"][0]["coef"] = "1/2"
         json.dump(record, open(path, "w"))
-        assert load_cached(str(tmp_path), 2, solver.table.fingerprint(), h2.body.cutoff) is None
+        assert load_cached(str(tmp_path), 2, solver.table.fingerprint()) is None
 
     def test_fingerprint_mismatch(self, tmp_path, h123):
         h2 = h123[1]
         h2.provenance["ptable"] = "stale"
         store_cached(str(tmp_path), h2)
-        assert load_cached(str(tmp_path), 2, "current", h2.body.cutoff) is None
+        assert load_cached(str(tmp_path), 2, "current") is None
 
     def test_other_solver_version_misses(self, tmp_path, h123):
         h2 = h123[1]
         fe = FreeEnergy(2, h2.body, provenance={"ptable": "fp", "solver": "loop-solver-v0"})
         store_cached(str(tmp_path), fe)
-        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is None
+        assert load_cached(str(tmp_path), 2, "fp") is None
         fe.provenance["solver"] = SOLVER_VERSION
         store_cached(str(tmp_path), fe)
-        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is not None
+        assert load_cached(str(tmp_path), 2, "fp") is not None
 
     @pytest.mark.parametrize("version", ["textform-v0", None])
     def test_other_text_form_version_misses(self, tmp_path, h123, version):
@@ -277,13 +289,13 @@ class TestCache:
         path = store_cached(str(tmp_path), fe)
         record = json.load(open(path))
         assert record["provenance"]["textform"] == TEXT_FORM_VERSION
-        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is not None
+        assert load_cached(str(tmp_path), 2, "fp") is not None
         if version is None:
             del record["provenance"]["textform"]
         else:
             record["provenance"]["textform"] = version
         json.dump(record, open(path, "w"))
-        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is None
+        assert load_cached(str(tmp_path), 2, "fp") is None
 
     @pytest.mark.parametrize("provenance", [[], "x", None])
     def test_provenance_of_wrong_shape_misses(self, tmp_path, h123, provenance):
@@ -295,7 +307,47 @@ class TestCache:
         record = json.load(open(path))
         record["provenance"] = provenance
         json.dump(record, open(path, "w"))
-        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is None
+        assert load_cached(str(tmp_path), 2, "fp") is None
+
+    @pytest.mark.parametrize("field", ["coef", "log_z1_coeff"])
+    def test_zero_denominator_misses(self, tmp_path, h123, capsys, field):
+        from cubichodge.cli import main
+
+        def zero_den(payload):
+            if field == "coef":
+                payload["body"][0]["coef"] = "1/0"
+            else:
+                payload["log_z1_coeff"] = "1/0"
+
+        fp = _store_tampered(tmp_path, h123[1], zero_den)
+        assert load_cached(str(tmp_path), 2, fp) is None
+        # the CLI solves again instead of failing on the record
+        assert main(["compute", "--genus", "2", "--cache-dir", str(tmp_path)]) == 0
+        assert load_cached(str(tmp_path), 2, fp) is not None
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("sigma", [[0, 0, 5], [1], [-1, 0], [0.5, 0], ["1", 0], 3])
+    def test_sigma_of_wrong_shape_misses(self, tmp_path, h123, sigma):
+        def bad_sigma(payload):
+            payload["body"][0]["sigma"] = sigma
+
+        assert load_cached(str(tmp_path), 2, _store_tampered(tmp_path, h123[1], bad_sigma)) is None
+
+    @pytest.mark.parametrize("name", ["z-1", "z5", "z100000000"])
+    def test_jet_index_out_of_range_misses(self, tmp_path, h123, monkeypatch, name):
+        import cubichodge.jets as jets
+
+        # H_2's jets end at z4; the last term takes the bad jet
+        def bad_jet(payload):
+            payload["body"][-1]["jets"][name] = 1
+
+        fp = _store_tampered(tmp_path, h123[1], bad_jet)
+
+        def no_pack(*args):
+            raise AssertionError("a key was packed before the jets were checked")
+
+        monkeypatch.setattr(jets, "pack", no_pack)
+        assert load_cached(str(tmp_path), 2, fp) is None
 
     def test_jets_of_wrong_shape_misses(self, tmp_path, h123):
         import json
@@ -309,7 +361,7 @@ class TestCache:
         record["payload"]["body"][0]["jets"] = []
         record["sha256"] = _payload_hash(record["payload"], "fp")
         json.dump(record, open(path, "w"))
-        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is None
+        assert load_cached(str(tmp_path), 2, "fp") is None
 
     def test_torn_write_keeps_previous_record(self, tmp_path, h123, monkeypatch):
         import json
@@ -331,7 +383,7 @@ class TestCache:
         monkeypatch.undo()
         assert open(path).read() == before
         assert [p.name for p in tmp_path.iterdir()] == ["free_energy_g2.json"]
-        assert load_cached(str(tmp_path), 2, "fp", h2.body.cutoff) is not None
+        assert load_cached(str(tmp_path), 2, "fp") is not None
 
     def test_compute_resumes(self, tmp_path, h123):
         solver = LoopSolver(2)

@@ -108,7 +108,7 @@ class TestH1Gap:
 
     def test_sigma_mutation(self, h123):
         h1 = h123[0]
-        body = JetPoly.monomial(Q(1, 25), (1, 0), {0: 1}, h1.body.cutoff)
+        body = JetPoly.monomial(Q(1, 25), (1, 0), {0: 1})
         fake = FreeEnergy(1, body, log_z1_coeff=Q(1, 24))
         assert not h1_gap_check(fake)
 
@@ -202,7 +202,7 @@ class TestFirstFlow:
 
     def test_sigma_mutation_fails(self, h123):
         h1 = h123[0]
-        body = JetPoly.monomial(Q(1, 25), (1, 0), {0: 1}, h1.body.cutoff)
+        body = JetPoly.monomial(Q(1, 25), (1, 0), {0: 1})
         fake = FreeEnergy(1, body, log_z1_coeff=Q(1, 24))
         assert not first_flow_check(fake, 3)
 

@@ -9,12 +9,10 @@ from cubichodge.theta import ThetaPoly
 
 from powertheta import PowerRoute, PowerTheta
 
-M = 12
-
 
 @pytest.fixture(scope="module")
 def table():
-    return PTensorTable(M)
+    return PTensorTable()
 
 
 @pytest.fixture(scope="module")
@@ -23,17 +21,17 @@ def route(table):
 
 
 def sconst(c):
-    return JetPoly.const(c, M)
+    return JetPoly.const(c)
 
 
 class TestRow0:
     def test_p00_is_theta(self, table):
-        assert table.row0(0) == ThetaPoly.theta(M)
+        assert table.row0(0) == ThetaPoly.theta()
 
     def test_p01(self, table):
         tp = table.row0(1)
         assert tp.degree == 2
-        assert tp.powers() == [JetPoly.zero(M), sconst(Q(-1, 2)), sconst(Q(1, 2))]
+        assert tp.powers() == [JetPoly.zero(), sconst(Q(-1, 2)), sconst(Q(1, 2))]
 
     def test_append_only(self, table):
         before = table.row0(2)
@@ -45,9 +43,9 @@ class TestPtilde:
     def test_p11_closed_form(self, table):
         s1 = SigmaPoly.s1()
         expect = [
-            JetPoly.zero(M),
-            JetPoly.from_sigma(SigmaPoly.const(Q(1, 8)) - s1 * Q(1, 12), M),
-            JetPoly.from_sigma(SigmaPoly.const(Q(-3, 8)) + s1 * Q(1, 12), M),
+            JetPoly.zero(),
+            JetPoly.from_sigma(SigmaPoly.const(Q(1, 8)) - s1 * Q(1, 12)),
+            JetPoly.from_sigma(SigmaPoly.const(Q(-3, 8)) + s1 * Q(1, 12)),
             sconst(Q(1, 4)),
         ]
         assert table.ptilde(1, 1).powers() == expect
@@ -90,16 +88,16 @@ class TestPtilde:
 
 class TestDressed:
     def test_p00(self, route):
-        assert route.dressed(0, 0) == PowerTheta.theta(M)
+        assert route.dressed(0, 0) == PowerTheta.theta()
 
     def test_p01(self, table, route):
-        z1 = JetPoly.z(1, M)
+        z1 = JetPoly.z(1)
         expect = PowerTheta.of(table.row0(1)) * z1
         assert route.dressed(0, 1) == expect
         assert route.dressed(0, 1).coeff(2) == z1 * Q(1, 2)
 
     def test_p11_single_dressing_term(self, table, route):
-        z1 = JetPoly.z(1, M)
+        z1 = JetPoly.z(1)
         assert route.dressed(1, 1) == PowerTheta.of(table.ptilde(1, 1)) * (z1 * z1)
 
     def test_jet_bound(self, route):
@@ -109,9 +107,9 @@ class TestDressed:
                            default=-1) <= max(i, j, -1)
 
     def test_contract_matches_dressed_sum(self, table, route):
-        z2 = JetPoly.z(2, M)
+        z2 = JetPoly.z(2)
         weights = {(0, 2): Q(3), (1, 0): z2, (2, 1): z2, (3, 3): z2 * Q(-1, 2)}
-        expect = PowerTheta.sum(M, [route.dressed(a, b) * w for (a, b), w in weights.items()])
+        expect = PowerTheta.sum([route.dressed(a, b) * w for (a, b), w in weights.items()])
         assert PowerTheta.of(table.contract(weights)) == expect
 
 
@@ -126,7 +124,6 @@ def route_g5():
 
 def test_contracted_loop_terms_match_dressed_route(route_g5, energies_g5):
     solver, route = route_g5
-    assert solver.cutoff == energies_g5[0].body.cutoff
     for i in range(3 * 5 - 1):
         assert PowerTheta.of(solver.lhs_coefficient(i)) == route.lhs(i), i
     for g in range(1, 6):
@@ -183,7 +180,7 @@ def test_frozen_row0_n25():
 
     from cubichodge.textform import jet_json
 
-    table = PTensorTable(29)
+    table = PTensorTable()
     table.ensure_row0(25)
     blob = json.dumps([[jet_json(c) for c in table.row0(n).powers()] for n in range(26)],
                       sort_keys=True)

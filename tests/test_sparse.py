@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cubichodge.jets import JetPoly
 from cubichodge.sigma import SigmaPoly
 from cubichodge.sparse import (SLOT_HALF, add_graded, add_into, exponent, mul_graded, mul_into,
-                               nonzero, pack, power, product_bound, split, unpack)
+                               nonzero, pack, power, product_bound, split, unpack, width)
 
 EDGE = SLOT_HALF // 2 - 1
 small = st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(-1, 1))
@@ -86,6 +86,17 @@ def test_pack_roundtrip_and_linear(a, b):
         assert exponent(pack(a), i) == e
     low, high = split(pack(a), 1)
     assert unpack(low, 1) == a[:1] and unpack(high, 2) == a[1:]
+
+
+@given(st.lists(st.sampled_from([0, 1, -1, EDGE, -EDGE, SLOT_HALF - 1, 1 - SLOT_HALF]), max_size=5),
+       keys)
+def test_width(a, b):
+    used = len(a)
+    while used and not a[used - 1]:
+        used -= 1
+    assert width([pack(a)]) == used
+    assert width([pack(a), pack(b), 0]) == max(used, width([pack(b)]))
+    assert width([]) == 0 and width({0: 1}) == 0
 
 
 def test_pack_rejects_overflow():
@@ -159,7 +170,7 @@ def test_power(t, n):
 
 # -- JetPoly: int numerators over one denominator ------------------------------------
 
-M = 2  # keys (s1, s3, z0, z1, z2); only z1 may be negative
+# keys (s1, s3, z0, z1, z2); only z1 may be negative
 jet_keys = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.integers(-2, 2),
                      st.integers(0, 1)) | st.tuples(*[st.sampled_from([0, 1, EDGE])] * 3,
                                                     st.sampled_from([-EDGE, -1, 1, EDGE]),
@@ -167,40 +178,51 @@ jet_keys = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st
 jet_terms = st.dictionaries(jet_keys, nonzero_coefs, max_size=6)
 
 
+def jet_named(t: dict) -> dict:
+    """t with each key named as JetPoly.items() names it: no trailing zero
+    jet past (sa, sb, e0, e1)."""
+    out = {}
+    for k, v in t.items():
+        while len(k) > 4 and not k[-1]:
+            k = k[:-1]
+        out[k] = v
+    return out
+
+
 @given(jet_terms)
 def test_jet_roundtrip(t):
-    p = JetPoly(M, t)
-    assert dict(p.items()) == t
+    p = JetPoly(t)
+    assert dict(p.items()) == jet_named(t)
     assert all(isinstance(v, int) for v in p.terms.values())
-    assert {unpack(k, M + 3): Fraction(v, p.den) for k, v in p.terms.items()} == t
+    assert {unpack(k, 5): Fraction(v, p.den) for k, v in p.terms.items()} == t
 
 
 @given(jet_terms, jet_terms)
 def test_jet_canonical(a, b):
-    p, q = JetPoly(M, a), JetPoly(M, b)
+    p, q = JetPoly(a), JetPoly(b)
     for r in (p, q, p + q, p - q, p * Fraction(3, 4)):
         assert r.den > 0 and gcd(r.den, *r.terms.values()) == 1
     # equal values reached along different routes compare and hash equal
-    for same in ((p + q) - q, (p * Fraction(6, 5)) / Fraction(6, 5), JetPoly.sum(M, [q, p, -q])):
+    for same in ((p + q) - q, (p * Fraction(6, 5)) / Fraction(6, 5), JetPoly.sum([q, p, -q])):
         assert same == p and hash(same) == hash(p)
 
 
 @given(st.dictionaries(jet_keys.filter(lambda k: max(map(abs, k)) < EDGE), nonzero_coefs, max_size=5),
        jet_terms)
 def test_jet_mul(a, b):
-    got = JetPoly(M, a) * JetPoly(M, b)
-    assert dict(got.items()) == ref_mul(a, b)
+    got = JetPoly(a) * JetPoly(b)
+    assert dict(got.items()) == jet_named(ref_mul(a, b))
 
 
 def test_jet_overflow_raises():
     with pytest.raises(OverflowError):
-        JetPoly.z(2, M, SLOT_HALF)
+        JetPoly.z(2, SLOT_HALF)
     with pytest.raises(OverflowError):
-        JetPoly(M, {(0, 0, 0, -SLOT_HALF, 0): 1})
-    big = JetPoly.z(1, M, -EDGE - 1)
+        JetPoly({(0, 0, 0, -SLOT_HALF, 0): 1})
+    big = JetPoly.z(1, -EDGE - 1)
     with pytest.raises(OverflowError):
         big * big
     with pytest.raises(OverflowError):
         big.mul_z(1, -EDGE - 1)
     with pytest.raises(OverflowError):
-        JetPoly.z(2, M, SLOT_HALF - 1).mul_z(2)
+        JetPoly.z(2, SLOT_HALF - 1).mul_z(2)

@@ -11,7 +11,7 @@ from cubichodge.textform import (free_energy_text, jet_from_json, jet_json, jet_
 
 from golden import H1_TEXT, H2_TEXT, H3_TEXT, parse_sigma
 
-M = 8
+JET_TOP = 8
 
 
 def test_h1_text(h123):
@@ -20,20 +20,20 @@ def test_h1_text(h123):
 
 
 def test_zero():
-    assert jet_text(JetPoly.zero(M)) == "0"
-    assert parse_jet("0", M) == JetPoly.zero(M)
+    assert jet_text(JetPoly.zero()) == "0"
+    assert parse_jet("0") == JetPoly.zero()
 
 
 def test_simple_term():
-    p = JetPoly.monomial(Q(7, 5760), (2, 0), {2: 1}, M)
+    p = JetPoly.monomial(Q(7, 5760), (2, 0), {2: 1})
     assert jet_text(p) == "(7/5760)*s1^2*z2"
 
 
 def test_golden_roundtrips():
     for text in (H2_TEXT, H3_TEXT):
-        p = parse_jet(text, 10)
-        assert parse_jet(jet_text(p), 10) == p
-        assert jet_text(parse_jet(jet_text(p), 10)) == jet_text(p)
+        p = parse_jet(text)
+        assert parse_jet(jet_text(p)) == p
+        assert jet_text(parse_jet(jet_text(p))) == jet_text(p)
 
 
 def test_sigma_roundtrip():
@@ -47,12 +47,12 @@ coef = st.fractions(min_value=-50, max_value=50).filter(lambda f: f != 0)
 @st.composite
 def jet_polys(draw):
     n_terms = draw(st.integers(0, 6))
-    p = JetPoly.zero(M)
+    p = JetPoly.zero()
     for _ in range(n_terms):
-        jets = {k: draw(st.integers(0, 3)) for k in draw(st.sets(st.integers(0, M), max_size=3))}
+        jets = {k: draw(st.integers(0, 3)) for k in draw(st.sets(st.integers(0, JET_TOP), max_size=3))}
         jets[1] = draw(st.integers(-4, 4))
         sigma = (draw(st.integers(0, 3)), draw(st.integers(0, 2)))
-        p = p + JetPoly.monomial(Q(draw(coef)), sigma, jets, M)
+        p = p + JetPoly.monomial(Q(draw(coef)), sigma, jets)
     return p
 
 
@@ -60,7 +60,7 @@ def jet_polys(draw):
 @settings(max_examples=120, deadline=None)
 def test_text_roundtrip_random(p):
     text = jet_text(p)
-    again = parse_jet(text, M)
+    again = parse_jet(text)
     assert again == p
     assert jet_text(again) == text
 
@@ -69,13 +69,13 @@ def test_text_roundtrip_random(p):
 @settings(max_examples=60, deadline=None)
 def test_json_roundtrip_random(p):
     blob = json.dumps(jet_json(p))
-    again = jet_from_json(json.loads(blob), M)
+    again = jet_from_json(json.loads(blob), JET_TOP)
     assert again == p
     assert json.dumps(jet_json(again)) == blob
 
 
 def test_json_schema_shape():
-    p = JetPoly.monomial(Q(-1, 2), (1, 0), {1: -2, 3: 1}, M)
+    p = JetPoly.monomial(Q(-1, 2), (1, 0), {1: -2, 3: 1})
     data = jet_json(p)
     assert data == [{"coef": "-1/2", "sigma": [1, 0], "jets": {"z1": -2, "z3": 1}}]
 

@@ -247,7 +247,7 @@ class TestAkn:
         from cubichodge.oracles import specialization_bridge
         from cubichodge.ptensors import PTensorTable
 
-        ok, detail = specialization_bridge(P12, PTensorTable(3), 2, 6)
+        ok, detail = specialization_bridge(P12, PTensorTable(), 2, 6)
         assert ok, detail
 
     def test_row_recursion_symmetry(self):
@@ -551,7 +551,7 @@ class TestCommutatorGrid:
         from cubichodge.ptensors import PTensorTable
 
         table = BtildeTable(P12, 10)
-        assert specialization_bridge(P12, PTensorTable(3), 2, 6, table) == (True, None)
+        assert specialization_bridge(P12, PTensorTable(), 2, 6, table) == (True, None)
         assert btilde11_closed_form_check(P12, btilde=table) == (True, None)
         assert btilde11_integral_check(P12, 8, btilde=table) == (True, None)
         with pytest.raises(ValueError):
