@@ -1,17 +1,15 @@
 """Edge paths: a z0 gradient component at genus >= 2, cache reuse across
 genera, and the factored rational functions behind V_m."""
-import json
-
 import pytest
 
 from cubichodge.jets import JetPoly
-from cubichodge.loop import (SOLVER_VERSION, FreeEnergy, LoopEquationError, LoopSolver,
-                             _payload_hash, cache_path, load_cached, store_cached)
+from cubichodge.loop import FreeEnergy, LoopEquationError, LoopSolver, load_cached
 from cubichodge.phiseries import TSeries
 from cubichodge.ratio import Q
 from cubichodge.sigma import SigmaPoly
 from cubichodge.virasoro import FactoredRational
 
+from test_loop import _store_tampered
 from test_virasoro import naive_residue
 
 
@@ -42,19 +40,12 @@ class TestCrossGenusCache:
         assert again[1].body == big[1].body
 
     def test_oversized_jets_force_recompute(self, tmp_path, h123):
-        # H_3 carries z1..z7; read as a genus-2 record, whose jets end at
+        # H_3 carries z1..z7; stored as a genus-2 record, whose jets end at
         # z4, the loader must miss rather than accept or truncate it
-        h3 = h123[2]
-        fe = FreeEnergy(3, h3.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
-        path = store_cached(str(tmp_path), fe)
-        assert load_cached(str(tmp_path), 3, "fp") is not None
-        with open(path) as fh:
-            record = json.load(fh)
-        record["payload"]["genus"] = 2
-        record["sha256"] = _payload_hash(record["payload"], "fp")
-        with open(cache_path(str(tmp_path), 2), "w") as fh:
-            json.dump(record, fh)
-        assert load_cached(str(tmp_path), 2, "fp") is None
+        fp = _store_tampered(tmp_path, h123[2])
+        assert load_cached(str(tmp_path), 3, fp) is not None
+        _store_tampered(tmp_path, FreeEnergy(2, h123[2].body))
+        assert load_cached(str(tmp_path), 2, fp) is None
 
 
 class TestFactoredRational:

@@ -57,6 +57,12 @@ class TestDerive:
     def test_derive_has_no_jet_bound(self):
         assert z(40).derive() == z(41)
 
+    def test_negative_jet_index_raises(self):
+        # z_-1 would land in the s3 slot of the packed key
+        for bad in (lambda: z(-1), lambda: z(2).partial(-1), lambda: z(2).mul_z(-2)):
+            with pytest.raises(ValueError):
+                bad()
+
     def test_leibniz_random(self):
         rng = random.Random(7)
         for _ in range(200):

@@ -178,9 +178,10 @@ class TestSolve:
             solver.reconstruct(2, bad)
 
 
-def _store_tampered(tmp_path, fe, change) -> str:
-    """Store fe's record under the current fingerprint, apply change to its
-    payload and sign it again, as if written so; returns the fingerprint."""
+def _store_tampered(tmp_path, fe, change=None) -> str:
+    """Store fe's record under the current fingerprint, apply change (if any)
+    to its payload and sign it again, as if written so; returns the
+    fingerprint."""
     import json
 
     from cubichodge.loop import _payload_hash
@@ -191,7 +192,8 @@ def _store_tampered(tmp_path, fe, change) -> str:
     path = store_cached(str(tmp_path), fe)
     with open(path) as fh:
         record = json.load(fh)
-    change(record["payload"])
+    if change:
+        change(record["payload"])
     record["sha256"] = _payload_hash(record["payload"], fp)
     with open(path, "w") as fh:
         json.dump(record, fh)
