@@ -15,9 +15,8 @@ from .outputs import (dimension_check, faber_leading, first_flow_check, h1_gap_c
 from .phiseries import TSeries, bernoulli, log_phi, power_sum, q_number
 from .ptensors import PTensorTable
 from .ratio import Q
-from .sigma import SigmaPoly
 from .theta import ThetaPoly
-from .virasoro import (BtildeTable, FockPoly, RationalParams, a_kn, btilde_row0, c_pair,
-                       monomial_basis, v_rational)
+from .virasoro import (BtildeTable, FockPoly, RationalParams, a_kn, c_pair, monomial_basis,
+                       v_rational)
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 internal assertion failure (with a machine-readable
 JSON report on stderr), 2 usage error (checked before any solving, also for
 a cache directory that is, or lies below, something other than a
-directory, and a --dump-ptable path whose parent directory does not
-exist).  Outputs are deterministic for a
+directory, and a --dump-ptable path that is a directory or whose parent
+directory does not exist).  Outputs are deterministic for a
 given configuration and cache state.  The cache directory comes from
 --cache-dir or the CUBICHODGE_CACHE environment variable; no caching
 happens when neither is set.
@@ -27,7 +27,7 @@ from .oracles import (btilde11_closed_form_check, c_pair_float_check, chain_rule
 from .outputs import intersection_table, r_poly
 from .ptensors import PTensorTable, top_coefficient_value
 from .ratio import qstr
-from .textform import free_energy_text, jet_json, jet_latex, sigma_json, sigma_text
+from .textform import free_energy_text, jet_json, jet_latex, jet_text
 from .virasoro import BtildeTable, RationalParams, monomial_basis
 
 
@@ -149,8 +149,12 @@ def _emit_body(fe, fmt: str) -> str:
 
 def cmd_compute(args) -> int:
     genus = _require_genus(args)
-    if args.dump_ptable and not os.path.isdir(os.path.dirname(args.dump_ptable) or "."):
-        _usage_error(f"--dump-ptable {args.dump_ptable!r}: its parent is not an existing directory")
+    if args.dump_ptable:
+        if not os.path.isdir(os.path.dirname(args.dump_ptable) or "."):
+            _usage_error(f"--dump-ptable {args.dump_ptable!r}: "
+                         "its parent is not an existing directory")
+        if os.path.isdir(args.dump_ptable):
+            _usage_error(f"--dump-ptable {args.dump_ptable!r} is a directory")
     solver = LoopSolver(genus)
     # a cache hit reads no P~ entry: solve without the cache, so the dump is always whole
     cache_dir = None if args.dump_ptable else args.cache_dir
@@ -167,11 +171,11 @@ def cmd_rg(args) -> int:
     solver = LoopSolver(genus)
     rg = r_poly(solver.free_energy(genus, args.cache_dir))
     if args.format == "text":
-        print(f"R_{genus} = {sigma_text(rg)}")
+        print(f"R_{genus} = {jet_text(rg)}")
     elif args.format == "latex":
-        print(jet_latex(JetPoly.from_sigma(rg)))
+        print(jet_latex(rg))
     else:
-        print(json.dumps({"genus": genus, "rg": sigma_json(rg)}, indent=1))
+        print(json.dumps({"genus": genus, "rg": jet_json(rg)}, indent=1))
     return 0
 
 
@@ -181,17 +185,15 @@ def cmd_hodge(args) -> int:
     fe = solver.free_energy(genus, args.cache_dir)
     rows = intersection_table(fe, args.tmax, args.dmax, normalized=args.integrals)
     if args.format == "json":
-        data = [{"indices": list(idx), "coefficient": sigma_json(sp)} for idx, sp in rows]
+        data = [{"indices": list(idx), "coefficient": jet_json(c)} for idx, c in rows]
         print(json.dumps({"genus": genus, "table": data}, indent=1))
         return 0
     label = "bracket" if args.integrals else "coefficient"
     width = max((len(_indices_text(idx)) for idx, _ in rows), default=8)
     print(f"# genus {genus}: t-monomial -> {label}")
-    for idx, sp in rows:
-        if args.format == "latex":
-            print(f"{_indices_text(idx):<{width}}  {jet_latex(JetPoly.from_sigma(sp))}")
-        else:
-            print(f"{_indices_text(idx):<{width}}  {sigma_text(sp)}")
+    emit = jet_latex if args.format == "latex" else jet_text
+    for idx, c in rows:
+        print(f"{_indices_text(idx):<{width}}  {emit(c)}")
     return 0
 
 
@@ -249,7 +251,7 @@ def _verify_suites(args):
                     return False, f"P~({i},{j}) degree {tp.degree}"
                 if tp.max_jet_index() >= 0:
                     return False, f"P~({i},{j}) carries jets"
-                if tp.powers()[-1].as_sigma() != top_coefficient_value(i, j):
+                if tp.powers()[-1] != JetPoly.const(top_coefficient_value(i, j)):
                     return False, f"P~({i},{j}) top coefficient"
         return True, None
 

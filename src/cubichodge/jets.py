@@ -2,7 +2,9 @@
 
 A JetPoly lives in Q[s1, s3][z0][z1^(+-1)][z2, z3, ...], the infinite jet
 ring: a polynomial is its terms alone, and each term uses only the jets it
-carries.  Each term is keyed by one packed int (see sparse.py) whose slots
+carries.  A polynomial over Q[s1, s3] alone is a JetPoly without jets; the
+places that need one (a TSeries coefficient, `evaluate`) check that it
+carries none.  Each term is keyed by one packed int (see sparse.py) whose slots
 hold the exponents
 
     (sa, sb, e0, e1, ..., ek)
@@ -24,8 +26,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .ratio import Q, QONE, is_rational
-from .sigma import SigmaPoly
+from .ratio import Q, QONE, QZERO, is_rational
 from .sparse import (add_into, exponent, mul_into, nonzero, pack, power, product_bound, split,
                      unit, unpack, width)
 
@@ -63,11 +64,10 @@ class JetPoly:
         return cls.const(1)
 
     @classmethod
-    def from_sigma(cls, sp: SigmaPoly) -> "JetPoly":
-        # s1, s3 fill slots 0 and 1 of both key layouts
-        p = JetPoly.__new__(JetPoly)
-        _set_fractions(p, sp.terms, sp.bound)
-        return p
+    def packed(cls, nums: dict, den: int, bound: int) -> "JetPoly":
+        """The JetPoly of nonzero int numerators on packed keys over den > 0,
+        whose exponents are at most `bound`, put in lowest terms."""
+        return _make(nums, den, bound)
 
     @classmethod
     def z(cls, k: int, power: int = 1) -> "JetPoly":
@@ -141,8 +141,6 @@ class JetPoly:
             return JetPoly.dot(((self, other),))
         if is_rational(other):
             return self._scaled(other.numerator, other.denominator)
-        if isinstance(other, SigmaPoly):
-            return self * JetPoly.from_sigma(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -233,24 +231,32 @@ class JetPoly:
     def is_jet_free(self) -> bool:
         return width(self.terms) <= 2
 
-    def as_sigma(self) -> SigmaPoly:
+    def evaluate(self, s1, s3):
+        """The exact value at rational (s1, s3); ValueError if a jet is left."""
         if not self.is_jet_free():
-            raise ValueError("polynomial still carries jet variables")
-        return SigmaPoly.packed({k: Q(v, self.den) for k, v in self.terms.items()}, self.bound)
+            raise ValueError("evaluate takes a polynomial without jets")
+        s1, s3 = Q(s1), Q(s3)
+        total = QZERO
+        for key, v in self.terms.items():
+            a, b = unpack(key, 2)
+            total += v * s1**a * s3**b
+        return total / self.den
 
-    def sigma_coefficient(self, jets) -> SigmaPoly:
-        """Coefficient of the jet monomial given as {k: exponent}."""
+    def sigma_coefficient(self, jets) -> "JetPoly":
+        """Coefficient of the jet monomial given as {k: exponent}: a JetPoly
+        without jets."""
         want = pack([jets.get(k, 0) for k in range(max(jets, default=-1) + 1)])
         out = {}
         for key, v in self.terms.items():
             sig, rest = split(key, 2)
             if rest == want:
-                out[sig] = Q(v, self.den)
-        return SigmaPoly.packed(out, self.bound)
+                out[sig] = v
+        return _make(out, self.den, self.bound)
 
-    def subs_jets(self, values) -> SigmaPoly:
-        """Evaluate the jet variables at exact rationals; z1 may be inverted.
-        Each distinct jet part is evaluated once."""
+    def subs_jets(self, values) -> "JetPoly":
+        """Evaluate the jet variables at exact rationals, leaving a JetPoly
+        without jets; z1 may be inverted.  Each distinct jet part is
+        evaluated once."""
         jet_values, factors, out = {}, {}, {}
         n = width(self.terms) - 2
         for key, c in self.terms.items():
@@ -265,7 +271,8 @@ class JetPoly:
                         w *= factors[k, e]
                 jet_values[jets] = w
             out[sig] = out.get(sig, 0) + c * w
-        return SigmaPoly.packed({k: v / self.den for k, v in out.items() if v}, self.bound)
+        fracs = {k: v / self.den for k, v in out.items() if v}
+        return _set_fractions(JetPoly.__new__(JetPoly), fracs, self.bound)
 
     def weighted_degrees(self, jet_weight, s1_weight: int = 0, s3_weight: int = 0):
         """Set of term degrees under deg z_k = jet_weight(k)."""
@@ -338,10 +345,11 @@ def _make(nums: dict, den: int, bound: int) -> JetPoly:
     return _raw(nums, den, bound)
 
 
-def _set_fractions(p: JetPoly, fracs: dict, bound: int) -> None:
+def _set_fractions(p: JetPoly, fracs: dict, bound: int) -> JetPoly:
     """Fill p from nonzero rationals in lowest terms over packed keys; over
     their lcm denominator the numerators are already coprime to it."""
     den = lcm(*(q.denominator for q in fracs.values()))
     p.terms = {k: q.numerator * (den // q.denominator) for k, q in fracs.items()}
     p.den = den
     p.bound = bound
+    return p

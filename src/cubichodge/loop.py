@@ -56,7 +56,6 @@ from .jets import JetPoly
 from .linsolve import TriangularSystem
 from .ptensors import PTensorTable
 from .ratio import Q, parse_q, qjson
-from .sigma import SigmaPoly
 from .sparse import exponent_bound
 from .theta import ThetaPoly
 
@@ -111,7 +110,7 @@ class LoopSolver:
     def xi_t(self, w) -> ThetaPoly:
         """sum_j xi_euler^j(T) w_j for jet weights w, where
         xi_euler^j T = (-1)^j ((s1/24) pi_(j+1) - pi_(j+2)/16)."""
-        t = [JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24)), JetPoly.const(Q(-1, 16))]
+        t = [JetPoly.monomial(Q(1, 24), (1, 0), {}), JetPoly.const(Q(-1, 16))]
         signed = (t, [-c for c in t])
         return ThetaPoly.dot([(ThetaPoly([JetPoly.zero()] * j + signed[j % 2]), wj)
                               for j, wj in enumerate(w) if wj])
@@ -194,7 +193,7 @@ class LoopSolver:
         """Rebuild H_g from its gradient: the genus-1 closed form, or the Euler
         identity for g >= 2, whose body's partials must equal the gradient."""
         if g == 1:
-            expect0 = JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24))
+            expect0 = JetPoly.monomial(Q(1, 24), (1, 0), {})
             expect1 = JetPoly.z(1, -1) * Q(1, 24)
             if gradient[0] != expect0 or gradient[1] != expect1:
                 raise LoopEquationError("genus-1 gradient does not match the closed form")

@@ -14,15 +14,15 @@ from .jets import JetPoly
 from .phiseries import TSeries, binomial_zinv, log_phi, log_phi_shifted, q_number
 from .ptensors import PTensorTable
 from .ratio import Q, QZERO
-from .sigma import SigmaPoly
 from .theta import ThetaPoly
 from .virasoro import BtildeTable, RationalParams, c_float, c_pair_memo, v_rational
 
 
-def theta_xi_coeffs(sigma_coeffs, order: int):
-    """xi-series of sum_k c_k Theta^k; the c_k are rationals or SigmaPolys."""
-    out = [QZERO] * (order + 1)
-    for k, c in enumerate(sigma_coeffs):
+def theta_xi_coeffs(coeffs, order: int, zero=QZERO):
+    """xi-series of sum_k c_k Theta^k; the c_k are rationals, or JetPolys
+    without jets when `zero` is JetPoly.zero()."""
+    out = [zero] * (order + 1)
+    for k, c in enumerate(coeffs):
         if not c:
             continue
         if k == 0:
@@ -60,8 +60,7 @@ def row0_shift_oracle(table: PTensorTable, n_max: int, xi_order: int):
     shifts = [shift_expansion_term(j, n_max) for j in range(xi_order + 1)]
     table.ensure_row0(n_max)
     for n in range(n_max + 1):
-        coeffs = [c.as_sigma() for c in table.row0(n).powers()]
-        series = theta_xi_coeffs(coeffs, xi_order)
+        series = theta_xi_coeffs(table.row0(n).powers(), xi_order, JetPoly.zero())
         for j in range(xi_order + 1):
             want = shifts[j].coefficient((n,))
             if series[j] != want:
@@ -86,7 +85,7 @@ def specialization_bridge(params: RationalParams, table: PTensorTable,
     table.ensure_row0(ij_max)
     for i in range(ij_max + 1):
         for j in range(ij_max + 1 - i):
-            coeffs = [c.as_sigma().evaluate(s1, s3) for c in table.ptilde(i, j).powers()]
+            coeffs = [c.evaluate(s1, s3) for c in table.ptilde(i, j).powers()]
             mine = theta_xi_coeffs(coeffs, xi_order)
             other = bt.row(i, j)[: xi_order + 1]
             if mine != other:
@@ -155,20 +154,18 @@ def c_pair_float_check(params: RationalParams, mn_max: int = 3, tol: float = 1e-
     return True, None
 
 
-def cy_power_sum_check(k_max: int = 11, tol: float = 1e-12):
-    """Symbolic power sums against direct float sums at CY triples."""
+def cy_power_sum_check(k_max: int = 11):
+    """Symbolic power sums against direct sums at rational CY triples, exactly."""
     from .phiseries import power_sum
 
-    triples = [(1.0, 1.0, -0.5), (0.5, 1.0 / 3.0, -0.2)]
+    triples = [(Q(1), Q(1), Q(-1, 2)), (Q(1, 2), Q(1, 3), Q(-1, 5))]
     for (p, q, r) in triples:
-        if abs(p * q + q * r + r * p) > 1e-15:
+        if p * q + q * r + r * p:
             raise AssertionError("test triple violates the CY condition")
         s1 = -(p + q + r)
-        s3 = -2.0 * (p**3 + q**3 + r**3)
+        s3 = -2 * (p**3 + q**3 + r**3)
         for k in range(1, k_max + 1, 2):
-            direct = p**k + q**k + r**k
-            sym = power_sum(k).evaluate_float(s1, s3)
-            if abs(sym - direct) > tol * max(1.0, abs(direct)):
+            if power_sum(k).evaluate(s1, s3) != p**k + q**k + r**k:
                 return False, f"k={k} at triple {(p, q, r)}"
     return True, None
 
@@ -179,7 +176,7 @@ def chain_rule_check(i_max: int = 6):
     fj = FJetTable()
     # Theta = pi_1 and Theta^3 = pi_1 - (3/2) pi_2 + (1/2) pi_3
     cubed = ThetaPoly([JetPoly.const(c) for c in (1, Q(-3, 2), Q(1, 2))])
-    t = ThetaPoly([JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24)), JetPoly.const(Q(-1, 16))])
+    t = ThetaPoly([JetPoly.monomial(Q(1, 24), (1, 0), {}), JetPoly.const(Q(-1, 16))])
     for name, h in (("Theta", ThetaPoly.theta()), ("Theta^3", cubed), ("T", t)):
         xi_pow = [h]
         for _ in range(i_max):

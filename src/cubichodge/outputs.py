@@ -15,7 +15,6 @@ from .jets import JetPoly
 from .loop import FreeEnergy
 from .phiseries import TSeries, _tseries, bernoulli
 from .ratio import Q, QZERO
-from .sigma import SigmaPoly
 from .sparse import mul_into, nonzero, pack, split, unpack, width
 
 
@@ -73,24 +72,26 @@ def log_jet_values(top: int) -> dict:
     return vals
 
 
-def r_poly(fe: FreeEnergy) -> SigmaPoly:
-    """R_g: the x^(2-2g) content of H_g on the jets of log x."""
+def r_poly(fe: FreeEnergy) -> JetPoly:
+    """R_g: the x^(2-2g) content of H_g on the jets of log x, a JetPoly
+    without jets."""
     if fe.genus < 2:
         raise ValueError("gap polynomials start at genus 2")
     out = fe.body.subs_jets(log_jet_values(fe.body.max_index()))
-    if out.degree() > 3 * fe.genus - 3:
+    degrees = out.weighted_degrees(lambda k: 0, s1_weight=1, s3_weight=3)
+    if max(degrees, default=-1) > 3 * fe.genus - 3:
         raise AssertionError(f"R_{fe.genus} exceeds the degree bound")
     return out
 
 
-def faber_leading(g: int) -> SigmaPoly:
+def faber_leading(g: int) -> JetPoly:
     """Closed form (-1)^g / (2 (2g-2)!) |B_2g||B_{2g-2}| / (2g (2g-2)) (s1^3/3 - s3/6)^(g-1)."""
     if g < 2:
         raise ValueError("the Faber leading term starts at genus 2")
     b2g = bernoulli(2 * g)
     b2g2 = bernoulli(2 * g - 2)
     c = Q((-1) ** g) * abs(b2g) * abs(b2g2) / (2 * factorial(2 * g - 2) * 2 * g * (2 * g - 2))
-    base = SigmaPoly.monomial(3, 0, Q(1, 3)) + SigmaPoly.monomial(0, 1, Q(-1, 6))
+    base = JetPoly.monomial(Q(1, 3), (3, 0), {}) + JetPoly.monomial(Q(-1, 6), (0, 1), {})
     return base ** (g - 1) * c
 
 
@@ -100,11 +101,11 @@ def h1_gap_check(fe: FreeEnergy) -> bool:
         raise ValueError("h1_gap_check takes the genus-1 free energy")
     # log(1/x) contributes -log_z1_coeff; the z0-linear part contributes its coefficient
     z0_lin = fe.body.sigma_coefficient({0: 1})
-    rest = fe.body - JetPoly.from_sigma(z0_lin).mul_z(0)
+    rest = fe.body - z0_lin.mul_z(0)
     if rest:
         return False
-    logx_coeff = z0_lin - SigmaPoly.const(fe.log_z1_coeff)
-    expect = (SigmaPoly.s1() - SigmaPoly.const(1)) * Q(1, 24)
+    logx_coeff = z0_lin - JetPoly.const(fe.log_z1_coeff)
+    expect = (JetPoly.monomial(1, (1, 0), {}) - JetPoly.one()) * Q(1, 24)
     return logx_coeff == expect
 
 
@@ -208,7 +209,7 @@ def dimension_check(g: int, series: TSeries):
 
 
 def intersection_table(fe: FreeEnergy, n_max: int, d_max: int, normalized: bool = False):
-    """Rows ((i_1..i_n), SigmaPoly) sorted canonically; normalized multiplies by
+    """Rows ((i_1..i_n), JetPoly without jets) sorted canonically; normalized multiplies by
     the automorphism factors prod m_i! to give the bracket values.
 
     By the dimension constraint sum(i_a) + a + 3b = 3g - 3 + n with n <= d_max,
@@ -245,7 +246,8 @@ def first_flow_check(h1: FreeEnergy, order: int = 3) -> bool:
     h1_series = v1.log() * h1.log_z1_coeff + v * sig1
     delta = h1_series.diff(0).diff(0)
     lhs = delta.diff(1)
+    s1 = JetPoly.monomial(1, (1, 0), {})
     rhs = (delta * v.diff(0) + v * delta.diff(0)
-           + (v.diff(0).diff(0).diff(0) + SigmaPoly.s1() * v.diff(0) * v.diff(0).diff(0)) * Q(1, 12))
+           + (v.diff(0).diff(0).diff(0) + s1 * v.diff(0) * v.diff(0).diff(0)) * Q(1, 12))
     diff = lhs - rhs
     return all(d > order for d in diff.grades)

@@ -7,7 +7,8 @@ with the odd power sums rewritten in (s1, s3) through Newton's identities
 under the local Calabi-Yau constraint pq + qr + rp = 0, i.e. with
 elementary symmetric values e1 = -s1, e2 = 0, e3 = s1^3/3 - s3/6.
 
-TSeries is the one truncated power series type over Q[s1, s3].  An
+Power sums and series coefficients are JetPolys without jets.  TSeries is
+the one truncated power series type over Q[s1, s3].  An
 expansion at z = infinity is a TSeries in the single variable t = 1/z,
 where `ddz` applies d/dz = -t^2 d/dt.
 """
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 from math import comb, factorial, gcd, lcm
 
+from .jets import JetPoly
 from .ratio import Q, QONE, QZERO, is_rational
-from .sigma import SigmaPoly
 from .sparse import add_graded, exponent, mul_graded, pack, power, product_bound, split, unit, unpack
 
 
@@ -48,25 +49,25 @@ def bernoulli(n: int):
 
 # -- power sums under the CY condition ---------------------------------------
 
-_E1 = SigmaPoly.s1() * Q(-1)
-_E3 = SigmaPoly.monomial(3, 0, Q(1, 3)) + SigmaPoly.monomial(0, 1, Q(-1, 6))
-_power_cache = [SigmaPoly.const(3), _E1]
+_E1 = JetPoly.monomial(-1, (1, 0), {})
+_E3 = JetPoly.monomial(Q(1, 3), (3, 0), {}) + JetPoly.monomial(Q(-1, 6), (0, 1), {})
+_power_cache = [JetPoly.const(3), _E1]
 
 
-def _power_sum_any(k: int) -> SigmaPoly:
+def _power_sum_any(k: int) -> JetPoly:
     while len(_power_cache) <= k:
         m = len(_power_cache)
         if m == 2:
             p = _E1 * _E1
         elif m == 3:
-            p = _E1 * _power_cache[2] + SigmaPoly.const(3) * _E3
+            p = _E1 * _power_cache[2] + _E3 * 3
         else:
             p = _E1 * _power_cache[m - 1] + _E3 * _power_cache[m - 3]
         _power_cache.append(p)
     return _power_cache[k]
 
 
-def power_sum(k: int) -> SigmaPoly:
+def power_sum(k: int) -> JetPoly:
     """p^k + q^k + r^k as a polynomial in (s1, s3); k must be odd."""
     if k < 1 or k % 2 == 0:
         raise ValueError("power_sum consumes odd k >= 1")
@@ -84,29 +85,36 @@ class TSeries:
     t_{n_max}^e_{n_max}.  As in JetPoly, its values are int numerators over
     one positive denominator `den`, in lowest terms (the gcd of den and every
     numerator is 1), so equal series compare equal.  `bound` bounds every
-    exponent.  The constructor and `const` take SigmaPoly or rational
-    coefficients; `coefficient` and `coefficients` are the only methods that
-    build rationals again.
+    exponent.  The constructor and `const` take coefficients that are
+    JetPolys without jets (`const` a rational too), and `coefficient` and
+    `coefficients` give them back as such; a jet in a coefficient would land
+    in a t slot, so the constructor raises ValueError for one.
     """
 
     __slots__ = ("n_max", "d_max", "grades", "den", "bound")
 
     def __init__(self, n_max: int, d_max: int, terms=None):
-        """`terms` maps a t-exponent tuple to its SigmaPoly coefficient."""
-        fracs = {}
-        bound = 0
-        for k, sp in (terms or {}).items():
-            if sp and sum(k) <= d_max:
+        """`terms` maps a t-exponent tuple to its coefficient, a JetPoly
+        without jets."""
+        live = []
+        for k, c in (terms or {}).items():
+            if c and sum(k) <= d_max:
                 if len(k) != n_max + 1 or min(k) < 0:
                     raise ValueError("t-exponents must be n_max + 1 nonnegative ints")
-                # the sigma part of a key fills slots 0 and 1, the t-exponents the rest
-                tk = pack(k, 2)
-                fracs.setdefault(sum(k), {}).update({ab + tk: c for ab, c in sp.terms.items()})
-                bound = max(bound, sp.bound, *k)
-        # over the lcm of lowest-terms denominators the numerators are coprime to it
-        den = lcm(*(c.denominator for t in fracs.values() for c in t.values()))
-        grades = {d: {k: c.numerator * (den // c.denominator) for k, c in t.items()}
-                  for d, t in fracs.items()}
+                if not c.is_jet_free():
+                    raise ValueError(f"the coefficient of t^{k} carries jets")
+                live.append((k, c))
+        # each coefficient is in lowest terms, so over the lcm of their
+        # denominators the numerators are coprime to it
+        den = lcm(*(c.den for _, c in live))
+        grades = {}
+        bound = 0
+        for k, c in live:
+            # the sigma part of a key fills slots 0 and 1, the t-exponents the rest
+            tk = pack(k, 2)
+            scale = den // c.den
+            grades.setdefault(sum(k), {}).update({ab + tk: v * scale for ab, v in c.terms.items()})
+            bound = max(bound, c.bound, *k)
         _fill(self, n_max, d_max, grades, den, bound)
 
     # -- constructors ------------------------------------------------------
@@ -117,14 +125,14 @@ class TSeries:
 
     @classmethod
     def const(cls, c, n_max: int, d_max: int) -> "TSeries":
-        sp = c if isinstance(c, SigmaPoly) else SigmaPoly.const(c)
-        return cls(n_max, d_max, {(0,) * (n_max + 1): sp})
+        c = c if isinstance(c, JetPoly) else JetPoly.const(c)
+        return cls(n_max, d_max, {(0,) * (n_max + 1): c})
 
     @classmethod
     def t(cls, i: int, n_max: int, d_max: int) -> "TSeries":
         key = [0] * (n_max + 1)
         key[i] = 1
-        return cls(n_max, d_max, {tuple(key): SigmaPoly.one()})
+        return cls(n_max, d_max, {tuple(key): JetPoly.one()})
 
     # -- ring ops ------------------------------------------------------------
 
@@ -157,7 +165,7 @@ class TSeries:
             n, den = other.numerator, self.den * other.denominator
             grades = {d: {k: v * n for k, v in t.items()} for d, t in self.grades.items()}
             return _tseries(self.n_max, self.d_max, grades, den, self.bound)
-        if isinstance(other, SigmaPoly):
+        if isinstance(other, JetPoly):
             other = TSeries.const(other, self.n_max, self.d_max)
         elif not isinstance(other, TSeries):
             return NotImplemented
@@ -197,19 +205,19 @@ class TSeries:
         return _tseries(self.n_max, self.d_max, out, self.den, self.bound)
 
     def coefficients(self) -> dict:
-        """{t-exponent tuple: SigmaPoly} over every nonzero coefficient."""
+        """{t-exponent tuple: JetPoly} over every nonzero coefficient."""
         out = {}
-        den = self.den
         for t in self.grades.values():
             for k, v in t.items():
                 sig, tk = split(k, 2)
-                out.setdefault(tk, {})[sig] = Q(v, den)
-        return {unpack(tk, self.n_max + 1): SigmaPoly.packed(sig, self.bound) for tk, sig in out.items()}
+                out.setdefault(tk, {})[sig] = v
+        return {unpack(tk, self.n_max + 1): JetPoly.packed(sig, self.den, self.bound)
+                for tk, sig in out.items()}
 
-    def constant_term(self) -> SigmaPoly:
+    def constant_term(self) -> JetPoly:
         return self.coefficient((0,) * (self.n_max + 1))
 
-    def coefficient(self, exponents) -> SigmaPoly:
+    def coefficient(self, exponents) -> JetPoly:
         d = sum(exponents)
         if d > self.d_max:
             raise TruncationError(f"monomial of degree {d} beyond the degree truncation {self.d_max}")
@@ -218,12 +226,12 @@ class TSeries:
         for k, v in self.grades.get(d, {}).items():
             sig, tk = split(k, 2)
             if tk == want:
-                out[sig] = Q(v, self.den)
-        return SigmaPoly.packed(out, self.bound)
+                out[sig] = v
+        return JetPoly.packed(out, self.den, self.bound)
 
     def recip(self) -> "TSeries":
         """1/self for a series with constant term 1."""
-        if self.constant_term() != SigmaPoly.one():
+        if self.constant_term() != JetPoly.one():
             raise ValueError("recip needs constant term 1")
         u = TSeries.const(1, self.n_max, self.d_max) - self
         acc = TSeries.const(1, self.n_max, self.d_max)
@@ -237,7 +245,7 @@ class TSeries:
 
     def log(self) -> "TSeries":
         """log(self) for a series with constant term 1."""
-        if self.constant_term() != SigmaPoly.one():
+        if self.constant_term() != JetPoly.one():
             raise ValueError("log needs constant term 1")
         u = self - TSeries.const(1, self.n_max, self.d_max)
         acc = TSeries.zero(self.n_max, self.d_max)
@@ -319,7 +327,7 @@ def binom_q(e, m: int):
 
 def binomial_zinv(e, c, order: int) -> TSeries:
     """(1 + c/z)^e expanded to the given order in t = 1/z, e rational."""
-    terms = {(m,): SigmaPoly.const(binom_q(e, m) * Q(c) ** m) for m in range(order + 1)}
+    terms = {(m,): JetPoly.const(binom_q(e, m) * Q(c) ** m) for m in range(order + 1)}
     return TSeries(0, order, terms)
 
 

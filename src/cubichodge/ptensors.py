@@ -39,8 +39,6 @@ from .bell import FJetTable
 from .jets import JetPoly
 from .phiseries import double_factorial_odd, phi_d_inv_all
 from .ratio import Q, is_rational
-from .sigma import SigmaPoly
-from .sparse import add_into
 from .theta import ThetaPoly
 
 CONSTRUCTION_VERSION = "ptensor-v1:binomial-lhs,row0-eq43,dfact(-1)=1"
@@ -127,30 +125,28 @@ class PTensorTable:
 
 
 def _build_row0(n_max: int) -> list[ThetaPoly]:
-    series = phi_d_inv_all(n_max, n_max)
-    bound = max(s.bound for s in series)
-    pdi = [s.coefficients() for s in series]
-    # acc[n][m] is the sigma term dict of the z^-n pi_m coefficient
-    acc: list[dict[int, dict]] = [dict() for _ in range(n_max + 1)]
+    pdi = [s.coefficients() for s in phi_d_inv_all(n_max, n_max)]
+    # acc[n][m] is the z^-n pi_m coefficient
+    acc: list[dict[int, JetPoly]] = [dict() for _ in range(n_max + 1)]
     for np_ in range(n_max + 1):
-        # zs[n]: sigma term dict of the z^-n coefficient of
+        # zs[n]: the parts of the z^-n coefficient of
         # sum_m c_{n',m} z^{m-n'} u_m, which multiplies pi_(n'+1)
-        zs: dict[int, dict] = {}
+        zs: dict[int, list] = {}
         for m in range(np_ + 1):
             d = np_ - m
             cm = double_factorial_odd(d) / (Q(2) ** d * factorial(m) * factorial(d))
             if d % 2 == 1:
                 cm = -cm
-            for (r,), sig in pdi[m].items():
+            for (r,), c in pdi[m].items():
                 if d + r <= n_max:
-                    add_into(zs.setdefault(d + r, {}), sig.terms, cm)
-        for n, sig in zs.items():
-            acc[n][np_ + 1] = sig
+                    zs.setdefault(d + r, []).append(c * cm)
+        for n, parts in zs.items():
+            acc[n][np_ + 1] = JetPoly.sum(parts)
     out = []
     for n in range(n_max + 1):
         coeffs = [JetPoly.zero()] * max(acc[n], default=0)
-        for m, sig in acc[n].items():
-            coeffs[m - 1] = JetPoly.from_sigma(SigmaPoly.packed(sig, bound))
+        for m, c in acc[n].items():
+            coeffs[m - 1] = c
         out.append(ThetaPoly(coeffs))
     return out
 

@@ -26,7 +26,6 @@ import re
 
 from .jets import JetPoly
 from .ratio import Q, parse_q, qjson, qstr
-from .sigma import SigmaPoly
 from .sparse import unpack, width
 
 TEXT_FORM_VERSION = "textform-v1"
@@ -72,10 +71,6 @@ def jet_text(p: JetPoly) -> str:
         else:
             pieces.append((" - " if neg else " + ") + body)
     return "".join(pieces)
-
-
-def sigma_text(sp: SigmaPoly) -> str:
-    return jet_text(JetPoly.from_sigma(sp))
 
 
 _TERM_RE = re.compile(r"\(\s*(-?\d+(?:\s*/\s*\d+)?)\s*\)")
@@ -167,10 +162,6 @@ def jet_from_json(data: list, top: int) -> JetPoly:
         jets = {index[name]: e for name, e in term["jets"].items()}
         terms.append((parse_q(term["coef"]), (sa, sb), jets))
     return JetPoly.sum([JetPoly.monomial(*t) for t in terms])
-
-
-def sigma_json(sp: SigmaPoly) -> list:
-    return jet_json(JetPoly.from_sigma(sp))
 
 
 # -- LaTeX ----------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 from .jets import JetPoly
 from .phiseries import q_number
 from .ratio import is_rational
-from .sigma import SigmaPoly
 
 
 class ThetaPoly:
@@ -92,7 +91,7 @@ class ThetaPoly:
         return ThetaPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (JetPoly, SigmaPoly)) or is_rational(other):
+        if isinstance(other, JetPoly) or is_rational(other):
             return ThetaPoly([c * other for c in self.coeffs])
         return NotImplemented
 

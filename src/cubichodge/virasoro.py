@@ -285,11 +285,6 @@ def a_kn(params: RationalParams, k: int, n: int, terms=None):
     return Q(total)
 
 
-def btilde_row0(params: RationalParams, k: int, order: int):
-    """B~_{0,k} as a xi-series (xi = K zeta): coefficients A_{k,n} / K^n."""
-    return BtildeTable(params, order).row(0, k)
-
-
 class BtildeTable:
     """B~_{i,j} xi-series via the xi d/dxi recursion from row 0.
 
@@ -401,9 +396,6 @@ def monomial_basis(params: RationalParams, k_cut: int, index_bound: int, degree:
                 if not smono[k]:
                     del smono[k]
 
+    # variable indices never decrease along a path, so each multiset is reached once
     build(0, degree, 0, {})
-    # deduplicate (the recursion revisits shorter monomials)
-    uniq = {}
-    for p in basis:
-        uniq[next(iter(p.terms))] = p
-    return list(uniq.values())
+    return basis

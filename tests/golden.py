@@ -1,12 +1,27 @@
 """Frozen reference expressions for the low-genus free energies and gap data,
-and the parser that reads the sigma ones back."""
+the parser that reads the sigma ones back, and the sigma grading of a
+polynomial over Q[s1, s3]."""
+from cubichodge.jets import JetPoly
 from cubichodge.textform import parse_jet
 
 
-def parse_sigma(text: str):
-    """A SigmaPoly from its canonical text: the text read as a jet polynomial
-    without jets."""
-    return parse_jet(text).as_sigma()
+def parse_sigma(text: str) -> JetPoly:
+    """A polynomial over Q[s1, s3] from its canonical text: a JetPoly that
+    must carry no jets."""
+    p = parse_jet(text)
+    if not p.is_jet_free():
+        raise ValueError(f"{text!r} carries jets")
+    return p
+
+
+def sigma_degrees(p: JetPoly) -> set:
+    """The term degrees of a JetPoly without jets, deg s1 = 1, deg s3 = 3."""
+    return p.weighted_degrees(lambda k: 0, s1_weight=1, s3_weight=3)
+
+
+def sigma_part(p: JetPoly, d: int) -> JetPoly:
+    """The terms of p of sigma degree d."""
+    return JetPoly({k: c for k, c in p.items() if k[0] + 3 * k[1] == d})
 
 
 H1_TEXT = "(1/24)*log(z1) + (1/24)*s1*z0"

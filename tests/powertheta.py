@@ -18,7 +18,6 @@ from math import comb
 
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q, is_rational
-from cubichodge.sigma import SigmaPoly
 
 
 class PowerTheta:
@@ -72,7 +71,7 @@ class PowerTheta:
                 for j, b in enumerate(other.coeffs):
                     pairs[i + j].append((a, b))
             return PowerTheta([JetPoly.dot(ps) for ps in pairs])
-        if isinstance(other, (JetPoly, SigmaPoly)) or is_rational(other):
+        if isinstance(other, JetPoly) or is_rational(other):
             return PowerTheta([c * other for c in self.coeffs])
         return NotImplemented
 
@@ -114,7 +113,7 @@ class PowerRoute:
         self._ptilde: dict[tuple[int, int], PowerTheta] = {}
         self._dressed: dict[tuple[int, int], PowerTheta] = {}
         self._dtheta = [PowerTheta.theta()]
-        lin = JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24) + SigmaPoly.const(Q(-1, 16)))
+        lin = JetPoly.monomial(Q(1, 24), (1, 0), {}) + JetPoly.const(Q(-1, 16))
         # T = Theta^2/16 - (1/16 - s1/24) Theta
         self._dT = [PowerTheta([JetPoly.zero(), lin, JetPoly.const(Q(1, 16))])]
 

@@ -11,12 +11,12 @@ from cubichodge.oracles import (btilde11_closed_form_check, cy_power_sum_check,
 from cubichodge.outputs import (dimension_check, faber_leading, first_flow_check,
                                 h1_gap_check, hodge_expand, r_poly)
 from cubichodge.ptensors import PTensorTable
+from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
-from cubichodge.sigma import SigmaPoly
 from cubichodge.virasoro import RationalParams, a_kn, monomial_basis
 
 from golden import (FABER2_TEXT, FABER3_TEXT, H1_TEXT, H2_TEXT, H3_TEXT, R2_TEXT, R3_TEXT,
-                    parse_sigma)
+                    parse_sigma, sigma_part)
 
 PAIRS = [(1, 2), (2, 3), (3, 4)]
 
@@ -82,7 +82,7 @@ def test_c05_faber_leading(solver_g4, energies_g5):
         if faber_leading(g) != frozen:
             ok, detail = False, f"closed form vs printed at g={g}"
     for g, fe in ((2, energies[1]), (3, energies[2]), (4, energies[3]), (5, energies_g5[4])):
-        if r_poly(fe).homogeneous_part(3 * g - 3) != faber_leading(g):
+        if sigma_part(r_poly(fe), 3 * g - 3) != faber_leading(g):
             ok, detail = False, f"top of R_{g}"
     total = sum(times.values())
     if total >= 600:
@@ -213,12 +213,12 @@ def test_c13_q_and_bell():
 def test_c14_hodge_tables(h123):
     ok, detail = True, ""
     g1 = hodge_expand(h123[0], 3, 4)
-    if g1.coefficient((1, 0, 0, 0)) != SigmaPoly.s1() * Q(1, 24):
+    if g1.coefficient((1, 0, 0, 0)) != JetPoly.monomial(Q(1, 24), (1, 0), {}):
         ok, detail = False, "t0 coefficient at genus 1"
-    if g1.coefficient((0, 1, 0, 0)) != SigmaPoly.const(Q(1, 24)):
+    if g1.coefficient((0, 1, 0, 0)) != JetPoly.const(Q(1, 24)):
         ok, detail = False, "t1 coefficient at genus 1"
     g2 = hodge_expand(h123[1], 3, 4)
-    expect = SigmaPoly.monomial(3, 0, Q(1, 17280)) + SigmaPoly.monomial(0, 1, Q(-1, 34560))
+    expect = JetPoly.monomial(Q(1, 17280), (3, 0), {}) + JetPoly.monomial(Q(-1, 34560), (0, 1), {})
     if g2.constant_term() != expect:
         ok, detail = False, "constant term at genus 2"
     for g in (1, 2, 3):
@@ -240,5 +240,5 @@ def test_c16_h1_gap(h123):
 
 
 def test_c17_power_sum_oracle():
-    ok, detail = cy_power_sum_check(11, tol=1e-12)
-    report(17, "power sums match float evaluation at CY triples (k <= 11)", ok, detail or "")
+    ok, detail = cy_power_sum_check(11)
+    report(17, "power sums match exact evaluation at CY triples (k <= 11)", ok, detail or "")

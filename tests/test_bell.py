@@ -5,7 +5,6 @@ import pytest
 from cubichodge.bell import BellTable, FJetTable, bell_jet
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
-from cubichodge.sigma import SigmaPoly
 
 N = 8
 TABLE = BellTable(N)
@@ -118,23 +117,23 @@ def substitute(poly: dict, xs, one):
 
 class TestComplete:
     def test_b0(self):
-        assert bell_complete(0, [], SigmaPoly.one()) == SigmaPoly.one()
+        assert bell_complete(0, [], JetPoly.one()) == JetPoly.one()
 
     def test_b1(self):
-        x1 = SigmaPoly.s1()
-        assert bell_complete(1, [x1], SigmaPoly.one()) == x1
+        x1 = JetPoly.monomial(1, (1, 0), {})
+        assert bell_complete(1, [x1], JetPoly.one()) == x1
 
     def test_b2(self):
-        x1, x2 = SigmaPoly.s1(), SigmaPoly.s3()
-        assert bell_complete(2, [x1, x2], SigmaPoly.one()) == x1 * x1 + x2
+        x1, x2 = JetPoly.monomial(1, (1, 0), {}), JetPoly.monomial(1, (0, 1), {})
+        assert bell_complete(2, [x1, x2], JetPoly.one()) == x1 * x1 + x2
 
     @pytest.mark.parametrize("n", range(N + 1))
     def test_matches_partial_sum(self, n):
-        xs = [SigmaPoly.monomial(i + 1, 1) for i in range(max(n, 1))]
-        via_rec = bell_complete(n, xs, SigmaPoly.one())
-        via_sum = SigmaPoly.zero()
+        xs = [JetPoly.monomial(1, (i + 1, 1), {}) for i in range(max(n, 1))]
+        via_rec = bell_complete(n, xs, JetPoly.one())
+        via_sum = JetPoly.zero()
         for k in range(0 if n == 0 else 1, n + 1):
-            via_sum = via_sum + substitute(TABLE.bell_partial(n, k), xs, SigmaPoly.one())
+            via_sum = via_sum + substitute(TABLE.bell_partial(n, k), xs, JetPoly.one())
         assert via_rec == via_sum
 
 

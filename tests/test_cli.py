@@ -58,7 +58,7 @@ def test_usage_error_exits_2(capsys, argv):
 
 @pytest.mark.parametrize("case", ["cache-dir-is-file", "cache-env-is-file", "cache-dir-under-file",
                                   "cache-env-under-file", "dump-parent-missing",
-                                  "dump-parent-is-file"])
+                                  "dump-parent-is-file", "dump-is-directory"])
 def test_bad_paths_exit_2_before_solving(tmp_path, capsys, monkeypatch, case):
     import cubichodge.cli as cli
 
@@ -76,6 +76,8 @@ def test_bad_paths_exit_2_before_solving(tmp_path, capsys, monkeypatch, case):
         monkeypatch.setenv("CUBICHODGE_CACHE", str(afile / "sub"))
     elif case == "dump-parent-missing":
         argv += ["--dump-ptable", str(tmp_path / "missing" / "x.json")]
+    elif case == "dump-is-directory":
+        argv += ["--dump-ptable", str(tmp_path)]
     else:
         argv += ["--dump-ptable", str(afile / "x.json")]
 
@@ -241,6 +243,16 @@ def test_verify_gradient_rejects_bad_body(capsys, monkeypatch, h123, case):
     code, out, _ = run_cli(capsys, "verify", "--suite", "gradient", "--genus", "2")
     assert code == 1
     assert out.splitlines() == [f"FAIL gradient: {detail}"]
+
+
+def test_verify_ptable_fails_on_a_wrong_top_coefficient(capsys, monkeypatch):
+    import cubichodge.cli as cli
+    from cubichodge.ptensors import top_coefficient_value
+
+    monkeypatch.setattr(cli, "top_coefficient_value", lambda i, j: top_coefficient_value(i, j) + 1)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "ptable")
+    assert code == 1
+    assert out.splitlines() == ["FAIL ptable: P~(0,0) top coefficient"]
 
 
 def test_virasoro_cmd(capsys):

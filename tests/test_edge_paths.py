@@ -6,7 +6,6 @@ from cubichodge.jets import JetPoly
 from cubichodge.loop import FreeEnergy, LoopEquationError, LoopSolver, load_cached
 from cubichodge.phiseries import TSeries
 from cubichodge.ratio import Q
-from cubichodge.sigma import SigmaPoly
 from cubichodge.virasoro import FactoredRational
 
 from test_loop import _store_tampered
@@ -62,11 +61,11 @@ class TestFactoredRational:
 
 class TestSeriesEdges:
     def test_pow(self):
-        s = TSeries(0, 6, {(1,): SigmaPoly.one(), (2,): SigmaPoly.one()})
+        s = TSeries(0, 6, {(1,): JetPoly.one(), (2,): JetPoly.one()})
         cube = s**3
-        assert cube.coefficient((3,)) == SigmaPoly.one()
-        assert cube.coefficient((4,)) == SigmaPoly.const(3)
+        assert cube.coefficient((3,)) == JetPoly.one()
+        assert cube.coefficient((4,)) == JetPoly.const(3)
 
     def test_exp_rejects_nonvanishing(self):
         with pytest.raises(ValueError):
-            TSeries(0, 4, {(0,): SigmaPoly.one()}).exp()
+            TSeries(0, 4, {(0,): JetPoly.one()}).exp()

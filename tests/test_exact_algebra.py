@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cubichodge.jets import ExactDivisionError, JetPoly
 from cubichodge.linsolve import SolveError, TriangularSystem
 from cubichodge.ratio import Q
-from cubichodge.sigma import SigmaPoly
 from cubichodge.sparse import exponent_bound
 from cubichodge.theta import ThetaPoly
 
@@ -37,7 +36,7 @@ class TestRingOps:
         assert sq.coeff(2) == const(1) and not sq.coeff(1) and not sq.coeff(0)
 
     def test_sigma_scalar(self):
-        s = SigmaPoly.s1() * Q(2, 3)
+        s = JetPoly.monomial(Q(2, 3), (1, 0), {})
         assert z(2) * s == JetPoly.monomial(Q(2, 3), (1, 0), {2: 1})
 
 
@@ -73,7 +72,7 @@ class TestDerive:
             assert lhs == rhs
 
     def test_scalar_commutes(self):
-        s = SigmaPoly.s3() + SigmaPoly.const(Q(5, 7))
+        s = JetPoly.monomial(1, (0, 1), {}) + JetPoly.const(Q(5, 7))
         f = _random_theta(random.Random(3))
         assert (f * s).derive() == f.derive() * s
         assert (f * s).xi_euler() == f.xi_euler() * s
@@ -148,10 +147,10 @@ class TestSolve:
     def test_genus_one_system(self):
         # the 3 z1 / 2 diagonal produces the 1/(24 z1) gradient component
         rows = [[const(1), z(1) * Q(-3, 2)], [JetPoly.zero(), z(1) * Q(3, 2)]]
-        s1 = SigmaPoly.s1()
-        rhs = [JetPoly.from_sigma(s1 * Q(1, 24) + SigmaPoly.const(Q(-1, 16))), const(Q(1, 16))]
+        s1 = JetPoly.monomial(1, (1, 0), {})
+        rhs = [s1 * Q(1, 24) + const(Q(-1, 16)), const(Q(1, 16))]
         sol = TriangularSystem(2, rows, rhs).solve()
-        assert sol[0] == JetPoly.from_sigma(s1 * Q(1, 24))
+        assert sol[0] == s1 * Q(1, 24)
         assert sol[1] == z(1, -1) * Q(1, 24)
 
     def test_zero_diagonal_rejected(self):

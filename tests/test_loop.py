@@ -5,7 +5,6 @@ from cubichodge.jets import JetPoly
 from cubichodge.loop import (SOLVER_VERSION, FreeEnergy, LoopEquationError, LoopSolver,
                              cache_path, load_cached, store_cached)
 from cubichodge.ratio import Q
-from cubichodge.sigma import SigmaPoly
 from cubichodge.textform import parse_jet
 from cubichodge.theta import ThetaPoly
 
@@ -44,8 +43,8 @@ class TestLhs:
 class TestRhs:
     def test_genus1(self, solver):
         rhs = solver.rhs_genus(1, [])
-        lin = SigmaPoly.s1() * Q(1, 24) + SigmaPoly.const(Q(-1, 16))
-        assert rhs.powers() == [JetPoly.zero(), JetPoly.from_sigma(lin),
+        lin = JetPoly.monomial(Q(1, 24), (1, 0), {}) + JetPoly.const(Q(-1, 16))
+        assert rhs.powers() == [JetPoly.zero(), lin,
                                 JetPoly.const(Q(1, 16))]
         assert rhs.degree == 2
 
@@ -61,7 +60,7 @@ class TestRhs:
 class TestSolve:
     def test_genus1_gradient(self, h123):
         h1 = h123[0]
-        assert h1.gradient[0] == JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24))
+        assert h1.gradient[0] == JetPoly.monomial(Q(1, 24), (1, 0), {})
         assert h1.gradient[1] == JetPoly.z(1, -1) * Q(1, 24)
         assert h1.log_z1_coeff == Q(1, 24)
 
@@ -216,7 +215,7 @@ class TestChainRule:
 
     @pytest.fixture(scope="class")
     def chain(self):
-        t = ThetaPoly([JetPoly.from_sigma(SigmaPoly.s1() * Q(1, 24)), JetPoly.const(Q(-1, 16))])
+        t = ThetaPoly([JetPoly.monomial(Q(1, 24), (1, 0), {}), JetPoly.const(Q(-1, 16))])
         derived = {}
         for name, h in (("pi_1", ThetaPoly.theta()), ("T", t)):
             derived[name] = [h]
@@ -409,14 +408,14 @@ def test_frozen_hashes_g4_g5(solver_g4, energies_g5):
     import hashlib
 
     from cubichodge.outputs import r_poly
-    from cubichodge.textform import sigma_text
+    from cubichodge.textform import jet_text
 
     h4, h5 = solver_g4[1][3], energies_g5[4]
     texts = {
         "H_4": h4.body_text(),
-        "R_4": sigma_text(r_poly(h4)),
+        "R_4": jet_text(r_poly(h4)),
         "H_5": h5.body_text(),
-        "R_5": sigma_text(r_poly(h5)),
+        "R_5": jet_text(r_poly(h5)),
     }
     got = {name: hashlib.sha256(t.encode()).hexdigest() for name, t in texts.items()}
     assert got == FROZEN_SHA256
@@ -476,10 +475,10 @@ def test_frozen_hashes_g6(energies_g6):
     import hashlib
 
     from cubichodge.outputs import r_poly
-    from cubichodge.textform import sigma_text
+    from cubichodge.textform import jet_text
 
     h6 = energies_g6[5]
-    texts = {"H_6": h6.body_text(), "R_6": sigma_text(r_poly(h6))}
+    texts = {"H_6": h6.body_text(), "R_6": jet_text(r_poly(h6))}
     got = {name: hashlib.sha256(t.encode()).hexdigest() for name, t in texts.items()}
     assert got == FROZEN_SHA256_G6
 
@@ -496,9 +495,9 @@ def test_frozen_hashes_g7(energies_g7):
     import hashlib
 
     from cubichodge.outputs import r_poly
-    from cubichodge.textform import sigma_text
+    from cubichodge.textform import jet_text
 
     h7 = energies_g7[6]
-    texts = {"H_7": h7.body_text(), "R_7": sigma_text(r_poly(h7))}
+    texts = {"H_7": h7.body_text(), "R_7": jet_text(r_poly(h7))}
     got = {name: hashlib.sha256(t.encode()).hexdigest() for name, t in texts.items()}
     assert got == FROZEN_SHA256_G7

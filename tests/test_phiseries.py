@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from cubichodge.phiseries import (TruncationError, TSeries, bernoulli, binom_q, binomial_zinv,
                                   ddz, log_phi, phi_d_inv_all, power_sum, q_number)
+from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
-from cubichodge.sigma import SigmaPoly
-from cubichodge.textform import sigma_json
+from cubichodge.textform import jet_json
+from golden import sigma_degrees
 from test_bell import bell_complete_all
+
+S1 = JetPoly.monomial(1, (1, 0), {})
 
 
 class TestBernoulli:
@@ -26,10 +29,10 @@ class TestBernoulli:
 
 class TestPowerSum:
     def test_p1(self):
-        assert power_sum(1) == -SigmaPoly.s1()
+        assert power_sum(1) == -S1
 
     def test_p3(self):
-        assert power_sum(3) == SigmaPoly.s3() * Q(-1, 2)
+        assert power_sum(3) == JetPoly.monomial(Q(-1, 2), (0, 1), {})
 
     def test_p5_numeric(self):
         # CY triple p=q=1, r=-1/2: fifth power sum is 63/32
@@ -43,10 +46,10 @@ class TestPowerSum:
     def test_degree(self):
         for i in range(1, 7):
             k = 2 * i - 1
-            assert power_sum(k).degree() == k
-            assert power_sum(k).is_homogeneous(k)
+            assert sigma_degrees(power_sum(k)) == {k}
+            assert power_sum(k).is_homogeneous(k, lambda j: 0, s1_weight=1, s3_weight=3)
 
-    def test_cy_float_oracle(self):
+    def test_cy_exact_oracle(self):
         from cubichodge.oracles import cy_power_sum_check
 
         ok, detail = cy_power_sum_check(11)
@@ -55,14 +58,14 @@ class TestPowerSum:
 
 class TestLogPhi:
     def test_zinv1(self):
-        assert log_phi(6).coefficient((1,)) == SigmaPoly.s1() * Q(1, 12)
+        assert log_phi(6).coefficient((1,)) == S1 * Q(1, 12)
 
     def test_zinv2_vanishes(self):
         assert not log_phi(6).coefficient((2,))
 
     def test_zinv3(self):
         # -B_4/(4*3) * (p^3+q^3+r^3) = (1/360)(-s3/2)
-        assert log_phi(6).coefficient((3,)) == SigmaPoly.s3() * Q(-1, 720)
+        assert log_phi(6).coefficient((3,)) == JetPoly.monomial(Q(-1, 720), (0, 1), {})
 
     def test_truncation_enforced(self):
         with pytest.raises(TruncationError):
@@ -79,16 +82,16 @@ def phi_d_inv(m: int, order: int) -> TSeries:
 class TestPhiDInv:
     def test_m0(self):
         s = phi_d_inv(0, 5)
-        assert s.coefficient((0,)) == SigmaPoly.one()
+        assert s.coefficient((0,)) == JetPoly.one()
         assert all(not s.coefficient((n,)) for n in range(1, 6))
 
     def test_m1_leading(self):
         s = phi_d_inv(1, 6)
-        assert s.coefficient((2,)) == SigmaPoly.s1() * Q(1, 12)
+        assert s.coefficient((2,)) == S1 * Q(1, 12)
         assert not s.coefficient((0,)) and not s.coefficient((1,))
 
     def test_m2_leading(self):
-        assert phi_d_inv(2, 6).coefficient((3,)) == SigmaPoly.s1() * Q(-1, 6)
+        assert phi_d_inv(2, 6).coefficient((3,)) == S1 * Q(-1, 6)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
     def test_series_oracle(self, m):
@@ -155,8 +158,8 @@ class TestSeriesArithmetic:
     def test_ddz_monomials(self):
         # d/dz z^-n = -n z^-(n+1), and a constant goes to 0
         for n in range(5):
-            got = ddz(TSeries(0, 6, {(n,): SigmaPoly.s1()}))
-            assert got == TSeries(0, 7, {(n + 1,): SigmaPoly.s1() * Q(-n)}), n
+            got = ddz(TSeries(0, 6, {(n,): S1}))
+            assert got == TSeries(0, 7, {(n + 1,): S1 * Q(-n)}), n
         assert not ddz(TSeries.const(3, 0, 6))
 
     def test_exp_log_roundtrip(self):
@@ -164,15 +167,15 @@ class TestSeriesArithmetic:
         again = s.exp()
         # recover the series by log: compare exp(s) * exp(-s) = 1
         prod = again * (-s).exp()
-        assert prod.coefficient((0,)) == SigmaPoly.one()
+        assert prod.coefficient((0,)) == JetPoly.one()
         for n in range(1, 8):
             assert not prod.coefficient((n,))
 
     def test_binomial_series(self):
         s = binomial_zinv(Q(-1, 2), -1, 4)
-        assert s.coefficient((0,)) == SigmaPoly.one()
-        assert s.coefficient((1,)) == SigmaPoly.const(Q(1, 2))
-        assert s.coefficient((2,)) == SigmaPoly.const(Q(3, 8))
+        assert s.coefficient((0,)) == JetPoly.one()
+        assert s.coefficient((1,)) == JetPoly.const(Q(1, 2))
+        assert s.coefficient((2,)) == JetPoly.const(Q(3, 8))
 
     def test_binom_q(self):
         assert binom_q(Q(-1, 2), 2) == Q(3, 8)
@@ -188,7 +191,7 @@ def in_lowest_terms(s: TSeries) -> bool:
 
 def tser(d_max, coeffs, n_max=0):
     """A series from {t-exponent tuple: rational}."""
-    return TSeries(n_max, d_max, {k: SigmaPoly.const(c) for k, c in coeffs.items()})
+    return TSeries(n_max, d_max, {k: JetPoly.const(c) for k, c in coeffs.items()})
 
 
 class TestIntNumerators:
@@ -226,8 +229,17 @@ class TestIntNumerators:
     def test_coefficients_are_rationals(self):
         s = tser(3, {(1,): Q(3, 4), (2,): Q(-5, 6)})
         assert s.den == 12
-        assert s.coefficients() == {(1,): SigmaPoly.const(Q(3, 4)), (2,): SigmaPoly.const(Q(-5, 6))}
-        assert s.coefficient((2,)) == SigmaPoly.const(Q(-5, 6))
+        assert s.coefficients() == {(1,): JetPoly.const(Q(3, 4)), (2,): JetPoly.const(Q(-5, 6))}
+        assert s.coefficient((2,)) == JetPoly.const(Q(-5, 6))
+
+    def test_coefficient_with_jets_rejected(self):
+        # a jet slot of a coefficient would land in a t slot of the key
+        with pytest.raises(ValueError):
+            TSeries(0, 3, {(1,): JetPoly.z(0)})
+        with pytest.raises(ValueError):
+            TSeries.t(0, 0, 3) * JetPoly.monomial(1, (1, 0), {2: 1})
+        with pytest.raises(ValueError):
+            JetPoly.z(1).evaluate(1, 1)
 
     def test_zero_has_den_one(self):
         s = tser(3, {(1,): Q(3, 4)})
@@ -240,7 +252,7 @@ _series = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _rati
 
 def coefficient_dict(s: TSeries) -> dict:
     """{t-exponents: rational} of a sigma-free series."""
-    return {k: dict(sp.items())[(0, 0)] for k, sp in s.coefficients().items()}
+    return {k: dict(c.items())[(0, 0, 0, 0)] for k, c in s.coefficients().items()}
 
 
 @given(_series, _series, _rationals)
@@ -281,6 +293,6 @@ def test_frozen_shift_series(name):
 
     series = {"shift_expansion_term": lambda j: shift_expansion_term(j, 12),
               "log_phi_shifted": lambda j: log_phi_shifted(12, j)}[name]
-    data = [[sigma_json(series(j).coefficient((n,))) for n in range(13)] for j in range(9)]
+    data = [[jet_json(series(j).coefficient((n,))) for n in range(13)] for j in range(9)]
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
     assert digest == SHIFT_ANCHORS[name]

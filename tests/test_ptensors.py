@@ -4,7 +4,6 @@ from cubichodge.jets import JetPoly
 from cubichodge.linsolve import TriangularSystem
 from cubichodge.ptensors import PTensorTable, top_coefficient_value
 from cubichodge.ratio import Q
-from cubichodge.sigma import SigmaPoly
 from cubichodge.theta import ThetaPoly
 
 from powertheta import PowerRoute, PowerTheta
@@ -41,11 +40,11 @@ class TestRow0:
 
 class TestPtilde:
     def test_p11_closed_form(self, table):
-        s1 = SigmaPoly.s1()
+        s1 = JetPoly.monomial(1, (1, 0), {})
         expect = [
             JetPoly.zero(),
-            JetPoly.from_sigma(SigmaPoly.const(Q(1, 8)) - s1 * Q(1, 12)),
-            JetPoly.from_sigma(SigmaPoly.const(Q(-3, 8)) + s1 * Q(1, 12)),
+            JetPoly.const(Q(1, 8)) - s1 * Q(1, 12),
+            JetPoly.const(Q(-3, 8)) + s1 * Q(1, 12),
             sconst(Q(1, 4)),
         ]
         assert table.ptilde(1, 1).powers() == expect
@@ -71,8 +70,8 @@ class TestPtilde:
     def test_top_coefficients(self, table):
         for i in range(6):
             for j in range(6 - i):
-                top = table.ptilde(i, j).powers()[i + j + 1].as_sigma()
-                assert top == SigmaPoly.const(top_coefficient_value(i, j))
+                top = table.ptilde(i, j).powers()[i + j + 1]
+                assert top == JetPoly.const(top_coefficient_value(i, j))
 
     def test_no_constant_row(self, table):
         for i in range(5):

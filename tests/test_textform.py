@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
-from cubichodge.sigma import SigmaPoly
 from cubichodge.textform import (free_energy_text, jet_from_json, jet_json, jet_latex,
-                                 jet_text, parse_jet, sigma_text)
+                                 jet_text, parse_jet)
 
 from golden import H1_TEXT, H2_TEXT, H3_TEXT, parse_sigma
 
@@ -37,8 +36,8 @@ def test_golden_roundtrips():
 
 
 def test_sigma_roundtrip():
-    sp = SigmaPoly.monomial(3, 0, Q(1, 17280)) + SigmaPoly.monomial(0, 1, Q(-1, 34560))
-    assert parse_sigma(sigma_text(sp)) == sp
+    sp = JetPoly.monomial(Q(1, 17280), (3, 0), {}) + JetPoly.monomial(Q(-1, 34560), (0, 1), {})
+    assert parse_sigma(jet_text(sp)) == sp
 
 
 coef = st.fractions(min_value=-50, max_value=50).filter(lambda f: f != 0)

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from cubichodge import virasoro
@@ -6,8 +8,7 @@ from cubichodge.commutators import OperatorImages, commutator_grid
 from cubichodge.ratio import Q, QONE, qstr
 from cubichodge.sparse import add_into, nonzero
 from cubichodge.virasoro import (BtildeTable, RationalParams, TruncationViolation, _smono_set,
-                                 a_kn, btilde_row0, c_float, c_pair, monomial_basis, v_rational,
-                                 v_residue)
+                                 a_kn, c_float, c_pair, monomial_basis, v_rational, v_residue)
 
 P21 = RationalParams(2, 1)
 P12 = RationalParams(1, 2)
@@ -222,12 +223,12 @@ class TestAkn:
                 assert row[n] == want / params.kconst**n, (k, n)
 
     def test_btilde00_is_theta(self):
-        assert btilde_row0(P21, 0, 10) == [Q(1)] * 11
+        assert BtildeTable(P21, 10).row(0, 0) == [Q(1)] * 11
 
     def test_btilde01_sigma_free(self):
         # (Theta^2 - Theta)/2 expands to m/2 xi^m for every parameter pair
         for params in (P21, P12):
-            assert btilde_row0(params, 1, 8) == [Q(m, 2) for m in range(9)]
+            assert BtildeTable(params, 8).row(0, 1) == [Q(m, 2) for m in range(9)]
 
     def test_btilde11_closed_form(self):
         from cubichodge.oracles import btilde11_closed_form_check
@@ -449,9 +450,17 @@ class TestCommutators:
             assert term is None, (m, n, term)
 
     def test_basis_size(self):
-        basis = monomial_basis(P21, 40, 4, 2)
-        # variables: x, s1, s3, s4 -> C(4+2, 2) monomials of degree <= 2
-        assert len(basis) == 15
+        p23 = RationalParams(2, 3)
+        # (params, k_cut, index bound, variable count): x, s1, s3, s4 for (2,1)
+        # and x with 15 s-indices up to 3h + 2 for (2,3)
+        cases = [(P21, 40, 4, 4), (p23, 3 * p23.h + 2 + 6 * p23.h, 3 * p23.h + 2, 16)]
+        for params, k_cut, bound, variables in cases:
+            for degree in range(5):
+                basis = monomial_basis(params, k_cut, bound, degree)
+                keys = [next(iter(p.terms)) for p in basis]
+                assert len(set(keys)) == len(keys)
+                # C(V + d, d) monomials of degree <= d in V variables
+                assert len(basis) == comb(variables + degree, degree), (params, degree)
 
 
 def per_sample_grid(params, basis, mmax):
