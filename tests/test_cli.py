@@ -255,6 +255,26 @@ def test_verify_ptable_fails_on_a_wrong_top_coefficient(capsys, monkeypatch):
     assert out.splitlines() == ["FAIL ptable: P~(0,0) top coefficient"]
 
 
+def test_verify_bridge_fails_on_a_wrong_pairing(capsys, monkeypatch):
+    from cubichodge import virasoro
+
+    c_pair = virasoro.c_pair
+    monkeypatch.setattr(virasoro, "c_pair", lambda *a: 2 * c_pair(*a))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "bridge")
+    assert code == 1
+    assert out.splitlines() == ["FAIL bridge: (i,j)=(0,0) for K=(1,2)"]
+
+
+def test_verify_series_oracles_fail_on_a_wrong_q_number(capsys, monkeypatch):
+    import cubichodge.oracles as oracles
+
+    q_number = oracles.q_number
+    monkeypatch.setattr(oracles, "q_number", lambda n, k: q_number(n, k) + 1)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "series-oracles")
+    assert code == 1
+    assert out.splitlines() == ["FAIL series-oracles: Q oracle: n=0, xi^0: 2 != 1"]
+
+
 def test_virasoro_cmd(capsys):
     code, out, _ = run_cli(capsys, "virasoro", "--k1", "2", "--k2", "1",
                            "--mmax", "2", "--degree", "2", "--index-bound", "7")
