@@ -220,10 +220,13 @@ class LoopSolver:
 
     # -- driving --------------------------------------------------------------
 
+    def _check_genus(self, genus: int) -> None:
+        if not 1 <= genus <= self.genus_max:
+            raise ValueError(f"genus {genus} outside the solver's range 1..{self.genus_max}")
+
     def compute(self, genus: int, cache_dir: str | None = None):
         """H_1..H_genus, resuming from the cache when directory and hash match."""
-        if genus > self.genus_max:
-            raise ValueError("genus exceeds the solver's configured bound")
+        self._check_genus(genus)
         energies: list[FreeEnergy] = []
         for g in range(1, genus + 1):
             fe = None
@@ -239,8 +242,7 @@ class LoopSolver:
     def free_energy(self, genus: int, cache_dir: str | None = None) -> FreeEnergy:
         """H_genus alone: its cache record when that is valid, else the last
         of `compute(genus, cache_dir)`; lower genera are read only then."""
-        if genus > self.genus_max:
-            raise ValueError("genus exceeds the solver's configured bound")
+        self._check_genus(genus)
         if cache_dir:
             fe = load_cached(cache_dir, genus, self.table.fingerprint())
             if fe is not None:

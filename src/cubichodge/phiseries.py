@@ -202,7 +202,8 @@ class TSeries:
                     td[k - u] = v * e
             if td:
                 out[d - 1] = td
-        return _tseries(self.n_max, self.d_max, out, self.den, self.bound)
+        # grade d_max of the derivative needs grade d_max + 1 of the series
+        return _tseries(self.n_max, self.d_max - 1, out, self.den, self.bound)
 
     def coefficients(self) -> dict:
         """{t-exponent tuple: JetPoly} over every nonzero coefficient."""

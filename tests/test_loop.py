@@ -58,6 +58,14 @@ class TestRhs:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("genus", [0, -2, 3])
+    def test_genus_outside_the_range_rejected(self, genus):
+        solver = LoopSolver(2)
+        with pytest.raises(ValueError):
+            solver.compute(genus)
+        with pytest.raises(ValueError):
+            solver.free_energy(genus)
+
     def test_genus1_gradient(self, h123):
         h1 = h123[0]
         assert h1.gradient[0] == JetPoly.monomial(Q(1, 24), (1, 0), {})

@@ -7,6 +7,7 @@ from cubichodge.loop import FreeEnergy
 from cubichodge.outputs import (TSeries, dimension_check, faber_leading, first_flow_check,
                                 h1_gap_check, hodge_expand, intersection_table, r_poly,
                                 t0_jets, v_series)
+from cubichodge.phiseries import TruncationError
 from cubichodge.ratio import Q
 
 from golden import (FABER2_TEXT, FABER3_TEXT, R2_TEXT, R3_TEXT, parse_sigma, sigma_degrees,
@@ -53,6 +54,15 @@ class TestVSeries:
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
     def test_riemann(self, i):
         assert riemann_check(i, 4)
+
+    def test_diff_lowers_the_truncation(self):
+        # the t0 t1^2 coefficient of v' comes from t0^2 t1^2, past v_series(1, 3)
+        dv = v_series(1, 3).diff(0)
+        assert dv.d_max == 2
+        assert dv == v_series(1, 6).diff(0).truncate(2)
+        assert v_series(1, 6).diff(0).coefficient((0, 3)) == JetPoly.one()
+        with pytest.raises(TruncationError):
+            dv.coefficient((0, 3))
 
 
 class TestGap:
