@@ -24,4 +24,4 @@ for g in (1, 2):
     print(f"dimension constraint at genus {g}:", "holds" if ok else violation)
 
 print("first deformed flow consistent at order eps^2:",
-      first_flow_check(energies[0], 3))
+      first_flow_check(energies[0]))

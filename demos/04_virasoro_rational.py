@@ -6,7 +6,7 @@ exact coefficients; their commutators close exactly.  The same B~ tensors
 arise once from residue sums A_{k,n} and once from the sigma-specialized
 P~ table, and the two series agree term by term.
 """
-from cubichodge import RationalParams, a_kn, commutator_grid, monomial_basis, v_rational
+from cubichodge import BtildeTable, RationalParams, a_kn, commutator_grid, monomial_basis, v_rational
 from cubichodge.oracles import specialization_bridge
 from cubichodge.ptensors import PTensorTable
 
@@ -22,7 +22,7 @@ bad = [cell for cell, term in commutator_grid(params, basis, 3).items() if term 
 print(f"commutators [L_m, L_n] = (m - n) L_(m+n) on {len(basis)} basis monomials:",
       "all pass" if not bad else f"failures at {bad}")
 
-table = PTensorTable()
+table = PTensorTable(4)
 for pair in ((1, 2), (2, 3), (3, 4)):
-    ok, detail = specialization_bridge(RationalParams(*pair), table, 4, 8)
+    ok, detail = specialization_bridge(BtildeTable(RationalParams(*pair), 10), table)
     print(f"B~ vs sigma-specialized P~ for (K1,K2)={pair}:", "match" if ok else detail)

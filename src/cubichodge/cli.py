@@ -240,8 +240,7 @@ def _verify_suites(args):
         return True, None
 
     def ptable():
-        table = PTensorTable()
-        table.ensure_row0(10)
+        table = PTensorTable(10)
         for i in range(11):
             for j in range(11 - i):
                 tp = table.ptilde(i, j)
@@ -256,11 +255,10 @@ def _verify_suites(args):
         return True, None
 
     def series_oracles():
-        ok, detail = q_geometric_check(8)
+        ok, detail = q_geometric_check()
         if not ok:
             return False, f"Q oracle: {detail}"
-        table = PTensorTable()
-        ok, detail = row0_shift_oracle(table, 8, 8)
+        ok, detail = row0_shift_oracle()
         if not ok:
             return False, f"xi oracle: {detail}"
         for params in pairs:
@@ -276,20 +274,20 @@ def _verify_suites(args):
         return cy_power_sum_check()
 
     def bridge():
-        table = PTensorTable()
+        table = PTensorTable(4)
         for params in pairs:
             # one B~ table per pair: each c-pairing is computed once for all four checks
-            btilde = BtildeTable(params, 10)
-            ok, detail = specialization_bridge(params, table, 4, 8, btilde)
+            bt = BtildeTable(params, 10)
+            ok, detail = specialization_bridge(bt, table)
             if not ok:
                 return False, detail
-            ok, detail = btilde11_closed_form_check(params, btilde=btilde)
+            ok, detail = btilde11_closed_form_check(bt)
             if not ok:
                 return False, f"B~_11 closed form: {detail}"
-            ok, detail = btilde11_integral_check(params, btilde=btilde)
+            ok, detail = btilde11_integral_check(bt)
             if not ok:
                 return False, f"integral identity: {detail}"
-            ok, detail = c_pair_float_check(params, pairs=btilde.pairs)
+            ok, detail = c_pair_float_check(bt)
             if not ok:
                 return False, f"c-pair floats: {detail}"
         return True, None

@@ -19,7 +19,9 @@ both contract P~ against jet-only weights (PTensorTable.contract):
 
 and the quadratic part of RHS_g is sum_{k,l} P~_{k,l} (F^T W F)_{k,l}, with
 W_{i+1,j+1} the bracket above for i <= j, halved on the diagonal (P is
-symmetric, so the upper triangle carries the whole sum).
+symmetric, so the upper triangle carries the whole sum).  Up to genus g
+both read P~_{k,l} with k + l <= 3g - 2 only, so a solver's P~ table is
+sized once, for its genus_max.
 
 Every Theta polynomial is held in the Stirling basis pi_m of theta.py, in
 which T = (s1/24) pi_1 - pi_2/16.  pi_m has Theta degree m and no constant
@@ -97,15 +99,10 @@ class LoopSolver:
         if genus_max < 1:
             raise ValueError("genus bound must be >= 1")
         self.genus_max = genus_max
-        self.table = PTensorTable()
+        self.table = PTensorTable(3 * genus_max - 2)
         self._lhs: dict[int, ThetaPoly] = {}
 
     # -- coefficient assembly ---------------------------------------------
-
-    def _contract(self, weights) -> ThetaPoly:
-        # L_i for i <= 3g-2 and RHS_g read row 0 up to z^-(3g-2): build it once, for genus_max
-        self.table.ensure_row0(3 * self.genus_max - 2)
-        return self.table.contract(weights)
 
     def xi_t(self, w) -> ThetaPoly:
         """sum_j xi_euler^j(T) w_j for jet weights w, where
@@ -121,7 +118,7 @@ class LoopSolver:
             return got
         f = self.table.fjets.f
         theta_part = ThetaPoly([-f(i, j) if j % 2 else f(i, j) for j in range(i + 1)])
-        acc = theta_part + self._contract(
+        acc = theta_part + self.table.contract(
             {(j - 1, i - j + 1): comb(i, j) for j in range(1, i + 1)})
         if acc.degree != i + 1:
             raise LoopEquationError(f"L_{i} has Theta degree {acc.degree}, expected {i + 1}")
@@ -154,7 +151,7 @@ class LoopSolver:
                     if i < len(grads[k]) and j < len(grads[g - k])])
                 if w:
                     weights[i + 1, j + 1] = w * half if i == j else w
-        return linear + self._contract(weights)
+        return linear + self.table.contract(weights)
 
     # -- the solve -----------------------------------------------------------
 

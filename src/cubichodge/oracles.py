@@ -3,7 +3,10 @@
 Each oracle recomputes a quantity along a second, independent route (series
 shifts, geometric expansions, residue sums, floating Gamma functions) and
 compares exactly or to a stated float tolerance.  They back both the test
-suite and the `verify` command.
+suite and the `verify` command.  Each runs at one fixed range, set in its
+body and named in its docstring; it takes only what varies: the rational
+pair, a BtildeTable whose order is the xi order of its B~ comparisons and
+whose memo its pairings share, and the P~ table the bridge reads.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from .phiseries import TSeries, binomial_zinv, log_phi, log_phi_shifted, q_numbe
 from .ptensors import PTensorTable
 from .ratio import Q, QZERO
 from .theta import ThetaPoly
-from .virasoro import BtildeTable, RationalParams, c_float, c_pair_memo, v_rational
+from .virasoro import BtildeTable, RationalParams, c_float, v_rational
 
 
 def theta_xi_coeffs(coeffs, order: int, zero=QZERO):
@@ -33,8 +36,10 @@ def theta_xi_coeffs(coeffs, order: int, zero=QZERO):
     return out
 
 
-def q_geometric_check(n_max: int, order: int = 12):
-    """sum_k Q(n,k) Theta^k re-expanded in xi must equal sum_j (-j)^n xi^j."""
+def q_geometric_check():
+    """sum_k Q(n,k) Theta^k re-expanded in xi must equal sum_j (-j)^n xi^j,
+    for n <= 8 to xi^12."""
+    n_max, order = 8, 12
     for n in range(n_max + 1):
         coeffs = [QZERO] * (n + 2)
         for k in range(1, n + 2):
@@ -55,12 +60,14 @@ def shift_expansion_term(j: int, order: int) -> TSeries:
     return expo.exp() * binomial_zinv(Q(-1, 2), -j, order)
 
 
-def row0_shift_oracle(table: PTensorTable, n_max: int, xi_order: int):
-    """P~_0,n from the explicit sum vs the operator-shift expansion."""
+def row0_shift_oracle():
+    """P~_0,n from the explicit sum vs the operator-shift expansion, for
+    n <= 8 to xi^8."""
+    n_max = xi_order = 8
+    table = PTensorTable(n_max)
     shifts = [shift_expansion_term(j, n_max) for j in range(xi_order + 1)]
-    table.ensure_row0(n_max)
     for n in range(n_max + 1):
-        series = theta_xi_coeffs(table.row0(n).powers(), xi_order, JetPoly.zero())
+        series = theta_xi_coeffs(table.ptilde(0, n).powers(), xi_order, JetPoly.zero())
         for j in range(xi_order + 1):
             want = shifts[j].coefficient((n,))
             if series[j] != want:
@@ -68,51 +75,37 @@ def row0_shift_oracle(table: PTensorTable, n_max: int, xi_order: int):
     return True, None
 
 
-def _btilde(params: RationalParams, order: int, table: BtildeTable | None) -> BtildeTable:
-    """`table` when a caller shares one (its rows are read to `order`), else a new one."""
-    if table is None:
-        return BtildeTable(params, order)
-    if table.params != params or table.order < order:
-        raise ValueError(f"shared B~ table of order {table.order} cannot serve order {order}")
-    return table
-
-
-def specialization_bridge(params: RationalParams, table: PTensorTable,
-                          ij_max: int, xi_order: int, btilde: BtildeTable | None = None):
-    """ptilde with sigma specialized must match the A_{k,n} route term by term."""
+def specialization_bridge(bt: BtildeTable, table: PTensorTable):
+    """ptilde with sigma specialized must match the A_{k,n} route term by
+    term, for i + j <= 4 to xi^bt.order; `table` needs n_max >= 4."""
+    params, order = bt.params, bt.order
     s1, s3 = params.sigma_values()
-    bt = _btilde(params, xi_order, btilde)
-    table.ensure_row0(ij_max)
+    ij_max = 4
     for i in range(ij_max + 1):
         for j in range(ij_max + 1 - i):
             coeffs = [c.evaluate(s1, s3) for c in table.ptilde(i, j).powers()]
-            mine = theta_xi_coeffs(coeffs, xi_order)
-            other = bt.row(i, j)[: xi_order + 1]
-            if mine != other:
+            if theta_xi_coeffs(coeffs, order) != bt.row(i, j):
                 return False, f"(i,j)=({i},{j}) for K=({params.k1},{params.k2})"
     return True, None
 
 
-def btilde11_closed_form_check(params: RationalParams, order: int = 10,
-                               btilde: BtildeTable | None = None):
+def btilde11_closed_form_check(bt: BtildeTable):
     """B~_1,1 against 1/4 Theta^3 - (3/8 - s1/12) Theta^2 + (1/8 - s1/12) Theta."""
+    params = bt.params
     s1, _ = params.sigma_values()
     closed = [QZERO, Q(1, 8) - s1 / 12, -(Q(3, 8) - s1 / 12), Q(1, 4)]
-    expect = theta_xi_coeffs(closed, order)
-    got = _btilde(params, order, btilde).row(1, 1)[: order + 1]
-    if got != expect:
+    if bt.row(1, 1) != theta_xi_coeffs(closed, bt.order):
         return False, f"K=({params.k1},{params.k2})"
     return True, None
 
 
-def btilde11_integral_check(params: RationalParams, order: int = 10,
-                            btilde: BtildeTable | None = None):
+def btilde11_integral_check(bt: BtildeTable):
     """Term-by-term integral of B~_1,1 / xi against the closed antiderivative."""
-    s1, _ = params.sigma_values()
-    series = _btilde(params, order, btilde).row(1, 1)
+    s1, _ = bt.params.sigma_values()
+    series = bt.row(1, 1)
     if series[0]:
         return False, "B~_1,1 has a xi^0 term"
-    for n in range(1, order + 1):
+    for n in range(1, bt.order + 1):
         lhs = series[n] / n
         rhs = Q(n + 1, 8) - (Q(1, 8) - s1 / 12)
         if lhs != rhs:
@@ -120,8 +113,10 @@ def btilde11_integral_check(params: RationalParams, order: int = 10,
     return True, None
 
 
-def v1_asymptotic_check(params: RationalParams, order: int = 8):
-    """z-expansion of the explicit V_1 against exp(logPhi(z) - logPhi(z-1)) sqrt(z/(z-1))."""
+def v1_asymptotic_check(params: RationalParams):
+    """z-expansion of the explicit V_1 against exp(logPhi(z) - logPhi(z-1)) sqrt(z/(z-1)),
+    to z^-8."""
+    order = 8
     got = v_rational(params, 1).zinv_expansion(order)
     series = shift_expansion_term(1, order)
     s1, s3 = params.sigma_values()
@@ -132,30 +127,31 @@ def v1_asymptotic_check(params: RationalParams, order: int = 8):
     return True, None
 
 
-def c_pair_float_check(params: RationalParams, mn_max: int = 3, tol: float = 1e-10,
-                       pairs: dict | None = None):
-    """Every exact pairing against the log-Gamma floats; `pairs` may hold
-    products computed before (see c_pair_memo)."""
+def c_pair_float_check(bt: BtildeTable):
+    """Every exact pairing with m + n <= 3, read through `bt`, against the
+    log-Gamma floats to a relative 1e-10."""
+    params = bt.params
     h = params.h
-    pairs = {} if pairs is None else pairs
+    mn_max, tol = 3, 1e-10
     for m in range(mn_max + 1):
         for n in range(mn_max + 1 - m):
             cases = [(alpha, params.k1 - alpha) for alpha in range(1, params.k1)]
             cases += [(alpha, -alpha - params.k2) for alpha in range(-(params.k2 - 1), 0)]
             for alpha, beta in cases:
-                exact = float(c_pair_memo(params, pairs, alpha, m, beta, n))
+                exact = float(bt.c_pair(alpha, m, beta, n))
                 approx = c_float(params, alpha + h * m) * c_float(params, beta + h * n)
                 if abs(exact - approx) > tol * max(1.0, abs(approx)):
                     return False, f"(alpha,m,beta,n)=({alpha},{m},{beta},{n})"
-            exact = float(c_pair_memo(params, pairs, 0, m, 0, n))
+            exact = float(bt.c_pair(0, m, 0, n))
             approx = c_float(params, h * (m + 1)) * c_float(params, h * (n + 1))
             if abs(exact - approx) > tol * max(1.0, abs(approx)):
                 return False, f"aligned (m,n)=({m},{n})"
     return True, None
 
 
-def cy_power_sum_check(k_max: int = 11):
-    """Symbolic power sums against direct sums at rational CY triples, exactly."""
+def cy_power_sum_check():
+    """Symbolic power sums against direct sums at rational CY triples,
+    exactly, for odd k <= 11."""
     from .phiseries import power_sum
 
     triples = [(Q(1), Q(1), Q(-1, 2)), (Q(1, 2), Q(1, 3), Q(-1, 5))]
@@ -164,15 +160,17 @@ def cy_power_sum_check(k_max: int = 11):
             raise AssertionError("test triple violates the CY condition")
         s1 = -(p + q + r)
         s3 = -2 * (p**3 + q**3 + r**3)
-        for k in range(1, k_max + 1, 2):
+        for k in range(1, 12, 2):
             if power_sum(k).evaluate(s1, s3) != p**k + q**k + r**k:
                 return False, f"k={k} at triple {(p, q, r)}"
     return True, None
 
 
-def chain_rule_check(i_max: int = 6):
+def chain_rule_check():
     """ThetaPoly.derive^i h = sum_j f_{i,j} xi_euler^j h, the solver's route, for
-    h = Theta, Theta^3 and the genus-1 right-hand side T = (s1/24) pi_1 - pi_2/16."""
+    i <= 6 and h = Theta, Theta^3 and the genus-1 right-hand side
+    T = (s1/24) pi_1 - pi_2/16."""
+    i_max = 6
     fj = FJetTable()
     # Theta = pi_1 and Theta^3 = pi_1 - (3/2) pi_2 + (1/2) pi_3
     cubed = ThetaPoly([JetPoly.const(c) for c in (1, Q(-3, 2), Q(1, 2))])

@@ -234,11 +234,13 @@ def intersection_table(fe: FreeEnergy, n_max: int, d_max: int, normalized: bool 
 # -- the first Hodge flow ---------------------------------------------------------------
 
 
-def first_flow_check(h1: FreeEnergy, order: int = 3) -> bool:
-    """Order-epsilon^2 slice of w_{t1} = w w_{t0} + eps^2/12 (w_{t0t0t0} + s1 w_{t0} w_{t0t0})."""
+def first_flow_check(h1: FreeEnergy) -> bool:
+    """Order-epsilon^2 slice of w_{t1} = w w_{t0} + eps^2/12 (w_{t0t0t0} + s1 w_{t0} w_{t0t0}),
+    to t-degree 3."""
     if h1.genus != 1:
         raise ValueError("first_flow_check takes the genus-1 free energy")
-    n_max, d_max = max(order, 2), order + 4
+    order = 3
+    n_max, d_max = order, order + 4
     v = v_series(n_max, d_max)
     v1 = v.diff(0)
     sig1 = h1.body.sigma_coefficient({0: 1})

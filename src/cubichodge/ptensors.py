@@ -26,9 +26,11 @@ over one common denominator without forming the products.  P~ has
 sigma-only coefficients, so the last step is one ThetaPoly.dot: per pi_m,
 a sum of sigma x jet products.
 
-The P~ entries are cached; the table only ever grows.  P~ carries no jet,
-and the table no jet bound: its f-table and the weights bring in only the
-jets they carry.  `dump_json` writes the entries in powers of Theta.
+A table holds P~_{i,j} for i + j <= n_max, a size fixed when it is made:
+row 0 up to z^-n_max is built whole on the first read, and every entry
+once read is cached.  P~ carries no jet, and the table no jet bound: its
+f-table and the weights bring in only the jets they carry.  `dump_json`
+writes the entries in powers of Theta.
 """
 from __future__ import annotations
 
@@ -45,39 +47,26 @@ CONSTRUCTION_VERSION = "ptensor-v1:binomial-lhs,row0-eq43,dfact(-1)=1"
 
 
 class PTensorTable:
-    def __init__(self):
+    """P~_{i,j} for i + j <= n_max; row 0 is built whole on the first read."""
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
         self.fjets = FJetTable()
-        self._row0: list[ThetaPoly] = []
         self._ptilde: dict[tuple[int, int], ThetaPoly] = {}
-
-    # -- row zero -------------------------------------------------------
-
-    def ensure_row0(self, n_max: int) -> None:
-        if n_max < len(self._row0):
-            return
-        row = _build_row0(n_max)
-        for n, old in enumerate(self._row0):
-            if row[n] != old:
-                raise AssertionError("row-0 rebuild changed a cached entry")
-        self._row0 = row
-
-    def row0(self, n: int) -> ThetaPoly:
-        self.ensure_row0(n)
-        return self._row0[n]
-
-    # -- the recursion ----------------------------------------------------
 
     def ptilde(self, i: int, j: int) -> ThetaPoly:
         """P~_{i,j}; built strictly by the first-index recursion from row 0."""
         if i < 0 or j < 0:
             raise ValueError("negative tensor index")
+        if i + j > self.n_max:
+            raise ValueError(f"P~({i},{j}) lies past the table's i + j <= {self.n_max}")
         got = self._ptilde.get((i, j))
         if got is not None:
             return got
         if i == 0:
-            value = self.row0(j)
-        else:
-            value = self.ptilde(i - 1, j).xi_euler() - self.ptilde(i - 1, j + 1)
+            self._ptilde.update(((0, n), tp) for n, tp in enumerate(_build_row0(self.n_max)))
+            return self._ptilde[0, j]
+        value = self.ptilde(i - 1, j).xi_euler() - self.ptilde(i - 1, j + 1)
         self._ptilde[(i, j)] = value
         return value
 
@@ -115,13 +104,11 @@ class PTensorTable:
     def dump_json(self) -> dict:
         from .textform import jet_json
 
-        built = {(0, n): tp for n, tp in enumerate(self._row0)}
-        built.update(self._ptilde)
         entries = {}
-        for (i, j), tp in sorted(built.items()):
+        for (i, j), tp in sorted(self._ptilde.items()):
             entries[f"{i},{j}"] = [jet_json(c) for c in tp.powers()]
-        # the format's jet width is 3g + 2 for a genus-g solve, whose row 0 ends at n = 3g - 2
-        return {"version": CONSTRUCTION_VERSION, "cutoff": len(self._row0) + 3, "ptilde": entries}
+        # the format's jet width is 3g + 2 for a genus-g solve, whose table has n_max = 3g - 2
+        return {"version": CONSTRUCTION_VERSION, "cutoff": self.n_max + 4, "ptilde": entries}
 
 
 def _build_row0(n_max: int) -> list[ThetaPoly]:

@@ -12,8 +12,9 @@ through the pairing and ratio identities
 with a floating log-Gamma oracle available as the independent check.  The
 roots of V_m are three integer progressions, so v_residue takes each residue
 as one quotient of integer products, without building V_m.  No V_m or
-residue is cached at module level; a BtildeTable keeps each pairing it
-computes, so checks that share a table evaluate every residue once.
+residue is cached at module level; a BtildeTable owns the only memo of
+the pairings and of the A_{k,n} terms, so checks that share a table
+evaluate every residue once.
 
 The Virasoro operators act through the memoised commutator grid in
 commutators.py; the per-sample reference the tests compare it with
@@ -225,16 +226,6 @@ def c_pair(params: RationalParams, alpha: int, m: int, beta: int, n: int):
     raise ValueError(f"alpha = {alpha} outside the pairing identities' range")
 
 
-def c_pair_memo(params: RationalParams, pairs: dict, alpha: int, m: int, beta: int, n: int):
-    """c_pair through `pairs`, a dict keyed by (alpha, m, beta, n) that keeps
-    each product for later calls."""
-    key = (alpha, m, beta, n)
-    got = pairs.get(key)
-    if got is None:
-        got = pairs[key] = c_pair(params, alpha, m, beta, n)
-    return got
-
-
 def c_float(params: RationalParams, k: int) -> float:
     """Floating c_k via log-Gamma; the independent oracle for the pairings."""
     b = float(params.b(k))
@@ -245,71 +236,76 @@ def c_float(params: RationalParams, k: int) -> float:
 # -- A_{k,n} and B~ -------------------------------------------------------------------
 
 
-def a_kn_terms(params: RationalParams, n: int, pairs: dict | None = None) -> list:
-    """The k-free parts of A_{k,n} for n >= 1: (base x, weight w) pairs with
-
-        A_{k,n} = sum_(x, w) w x^k        (plus c_{hn} when k = 0).
-
-    The bases are l (weight c_{hl} c_{h(n-l)}, with the boundary l = n of
-    weight c_{hn}) and b_{alpha+hl} (weight K2/h or K1/h times the c pair).
-    The alpha = beta = 0 block contributes both boundary terms l = 0 and
-    l = n (the printed formula in the source drops the l = n one); the
-    identity A_{0,n} = K^n pins the convention.  `pairs` (see c_pair_memo)
-    keeps the c products across calls."""
-    if pairs is None:
-        pairs = {}
-    h = params.h
-    terms = [(ell, params.c_int(ell) * params.c_int(n - ell)) for ell in range(1, n)]
-    terms.append((n, params.c_int(n)))
-    for alpha in params.index_set_star():
-        beta, weight = (params.k1 - alpha, Q(params.k2, h)) if alpha > 0 else \
-            (-alpha - params.k2, Q(params.k1, h))
-        for ell in range(n):
-            pair = c_pair_memo(params, pairs, alpha, ell, beta, n - 1 - ell)
-            terms.append((params.b(alpha + h * ell), weight * pair))
-    return terms
-
-
-def a_kn(params: RationalParams, k: int, n: int, terms=None):
-    """zeta^n coefficient of B~_{0,k}, assembled from exact c products.
-
-    `terms` is a_kn_terms(params, n): callers that need A_{k,n} for many k
-    build it once per n."""
-    if n == 0:
-        return QONE if k == 0 else QZERO
-    if terms is None:
-        terms = a_kn_terms(params, n)
-    total = sum(w * x**k for x, w in terms)
-    if k == 0:
-        total += params.c_int(n)
-    return Q(total)
+def a_kn(params: RationalParams, k: int, n: int):
+    """zeta^n coefficient of B~_{0,k}, assembled from exact c products; a
+    BtildeTable keeps the products and terms for many (k, n)."""
+    return BtildeTable(params, n).a_kn(k, n)
 
 
 class BtildeTable:
-    """B~_{i,j} xi-series via the xi d/dxi recursion from row 0.
+    """B~_{i,j} xi-series to xi^order via the xi d/dxi recursion from row 0.
 
-    A table keeps its rows, the c products and the k-free terms of every
-    A_{k,n} (see a_kn_terms), so one table shared by several checks computes
-    each pairing once, and its row-0 entries build each n's terms once."""
+    A table keeps its rows, every c product it computes (c_pair) and the
+    k-free terms of every A_{k,n} (a_kn_terms), so the checks that share
+    one table compute each pairing once, and its row 0 builds each n's
+    terms once."""
 
     def __init__(self, params: RationalParams, order: int):
         self.params = params
         self.order = order
         self._cache: dict = {}
-        self.pairs: dict = {}
-        self.a_terms: dict = {}
+        self._pairs: dict = {}
+        self._a_terms: dict = {}
+
+    def c_pair(self, alpha: int, m: int, beta: int, n: int):
+        """c_pair(params, alpha, m, beta, n), computed once per table."""
+        key = (alpha, m, beta, n)
+        got = self._pairs.get(key)
+        if got is None:
+            got = self._pairs[key] = c_pair(self.params, alpha, m, beta, n)
+        return got
+
+    def a_kn_terms(self, n: int) -> list:
+        """The k-free parts of A_{k,n} for n >= 1: (base x, weight w) pairs with
+
+            A_{k,n} = sum_(x, w) w x^k        (plus c_{hn} when k = 0).
+
+        The bases are l (weight c_{hl} c_{h(n-l)}, with the boundary l = n of
+        weight c_{hn}) and b_{alpha+hl} (weight K2/h or K1/h times the c pair).
+        The alpha = beta = 0 block contributes both boundary terms l = 0 and
+        l = n (the printed formula in the source drops the l = n one); the
+        identity A_{0,n} = K^n pins the convention.  Built once per n."""
+        terms = self._a_terms.get(n)
+        if terms is not None:
+            return terms
+        params, h = self.params, self.params.h
+        terms = [(ell, params.c_int(ell) * params.c_int(n - ell)) for ell in range(1, n)]
+        terms.append((n, params.c_int(n)))
+        for alpha in params.index_set_star():
+            beta, weight = (params.k1 - alpha, Q(params.k2, h)) if alpha > 0 else \
+                (-alpha - params.k2, Q(params.k1, h))
+            for ell in range(n):
+                pair = self.c_pair(alpha, ell, beta, n - 1 - ell)
+                terms.append((params.b(alpha + h * ell), weight * pair))
+        self._a_terms[n] = terms
+        return terms
+
+    def a_kn(self, k: int, n: int):
+        """zeta^n coefficient of B~_{0,k}: A_{k,n} from a_kn_terms(n)."""
+        if n == 0:
+            return QONE if k == 0 else QZERO
+        total = sum(w * x**k for x, w in self.a_kn_terms(n))
+        if k == 0:
+            total += self.params.c_int(n)
+        return Q(total)
 
     def row(self, i: int, j: int):
         got = self._cache.get((i, j))
         if got is not None:
             return got
         if i == 0:
-            out = [a_kn(self.params, j, 0)]
-            for n in range(1, self.order + 1):
-                terms = self.a_terms.get(n)
-                if terms is None:
-                    terms = self.a_terms[n] = a_kn_terms(self.params, n, self.pairs)
-                out.append(a_kn(self.params, j, n, terms) / self.params.kconst**n)
+            kconst = self.params.kconst
+            out = [self.a_kn(j, n) / kconst**n for n in range(self.order + 1)]
         else:
             lower = self.row(i - 1, j)
             euler = [Q(n) * c for n, c in enumerate(lower)]

@@ -122,7 +122,7 @@ class PowerRoute:
         got = self._ptilde.get((i, j))
         if got is None:
             if i == 0:
-                got = PowerTheta.of(self.table.row0(j))
+                got = PowerTheta.of(self.table.ptilde(0, j))
             else:
                 got = self.ptilde(i - 1, j).xi_euler() - self.ptilde(i - 1, j + 1)
             self._ptilde[i, j] = got

@@ -13,7 +13,7 @@ from cubichodge.outputs import (dimension_check, faber_leading, first_flow_check
 from cubichodge.ptensors import PTensorTable
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
-from cubichodge.virasoro import RationalParams, a_kn, monomial_basis
+from cubichodge.virasoro import BtildeTable, RationalParams, a_kn, monomial_basis
 
 from golden import (FABER2_TEXT, FABER3_TEXT, H1_TEXT, H2_TEXT, H3_TEXT, R2_TEXT, R3_TEXT,
                     parse_sigma, sigma_part)
@@ -170,13 +170,13 @@ def test_c09_virasoro_commutators():
 
 def test_c10_residue_bridge():
     ok, detail = True, ""
-    table = PTensorTable()
+    table = PTensorTable(4)
     for pair in PAIRS:
         params = RationalParams(*pair)
         for n in range(13):
             if a_kn(params, 0, n) != params.kconst**n:
                 ok, detail = False, f"A(0,{n}) for K={pair}"
-        good, d = specialization_bridge(params, table, 4, 8)
+        good, d = specialization_bridge(BtildeTable(params, 10), table)
         if not good:
             ok, detail = False, str(d)
     report(10, "A_0n = K^n (n <= 12) and the B~ vs P~ bridge (i+j <= 4)", ok, detail)
@@ -185,20 +185,19 @@ def test_c10_residue_bridge():
 def test_c11_btilde11_closed_form():
     ok, detail = True, ""
     for pair in PAIRS:
-        good, d = btilde11_closed_form_check(RationalParams(*pair))
+        good, d = btilde11_closed_form_check(BtildeTable(RationalParams(*pair), 10))
         if not good:
             ok, detail = False, str(d)
     report(11, "B~_1,1 matches its closed Theta-polynomial form", ok, detail)
 
 
 def test_c12_xi_oracle():
-    table = PTensorTable()
-    ok, detail = row0_shift_oracle(table, 8, 8)
+    ok, detail = row0_shift_oracle()
     report(12, "P~_0,n (n <= 8) agrees with the shift expansion to xi^8", ok, detail or "")
 
 
 def test_c13_q_and_bell():
-    ok, detail = q_geometric_check(8)
+    ok, detail = q_geometric_check()
     if ok:
         table = BellTable(8)
         fj = FJetTable()
@@ -231,7 +230,7 @@ def test_c14_hodge_tables(h123):
 
 def test_c15_first_flow(h123):
     report(15, "first Hodge flow holds at order eps^2 to t-degree 3",
-           first_flow_check(h123[0], 3))
+           first_flow_check(h123[0]))
 
 
 def test_c16_h1_gap(h123):
@@ -240,5 +239,5 @@ def test_c16_h1_gap(h123):
 
 
 def test_c17_power_sum_oracle():
-    ok, detail = cy_power_sum_check(11)
+    ok, detail = cy_power_sum_check()
     report(17, "power sums match exact evaluation at CY triples (k <= 11)", ok, detail or "")

@@ -167,5 +167,5 @@ class TestFJet:
     def test_chain_rule_identity(self):
         from cubichodge.oracles import chain_rule_check
 
-        ok, detail = chain_rule_check(i_max=6)
+        ok, detail = chain_rule_check()
         assert ok, detail

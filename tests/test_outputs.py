@@ -56,7 +56,7 @@ class TestVSeries:
         assert riemann_check(i, 4)
 
     def test_diff_lowers_the_truncation(self):
-        # the t0 t1^2 coefficient of v' comes from t0^2 t1^2, past v_series(1, 3)
+        # the t1^3 coefficient of dv/dt0 comes from t0 t1^3 of v, past v_series(1, 3)
         dv = v_series(1, 3).diff(0)
         assert dv.d_max == 2
         assert dv == v_series(1, 6).diff(0).truncate(2)
@@ -208,18 +208,18 @@ class TestSharedProducts:
 
 class TestFirstFlow:
     def test_holds_to_degree3(self, h123):
-        assert first_flow_check(h123[0], 3)
+        assert first_flow_check(h123[0])
 
     def test_sigma_mutation_fails(self, h123):
         h1 = h123[0]
         body = JetPoly.monomial(Q(1, 25), (1, 0), {0: 1})
         fake = FreeEnergy(1, body, log_z1_coeff=Q(1, 24))
-        assert not first_flow_check(fake, 3)
+        assert not first_flow_check(fake)
 
     def test_log_mutation_fails(self, h123):
         h1 = h123[0]
         fake = FreeEnergy(1, h1.body, log_z1_coeff=Q(1, 23))
-        assert not first_flow_check(fake, 3)
+        assert not first_flow_check(fake)
 
 
 # sha256 of the exact `hodge --integrals --format json` stdout for three

@@ -52,7 +52,7 @@ class TestPowerSum:
     def test_cy_exact_oracle(self):
         from cubichodge.oracles import cy_power_sum_check
 
-        ok, detail = cy_power_sum_check(11)
+        ok, detail = cy_power_sum_check()
         assert ok, detail
 
 
@@ -150,7 +150,7 @@ class TestQNumbers:
     def test_geometric_oracle(self):
         from cubichodge.oracles import q_geometric_check
 
-        ok, detail = q_geometric_check(8, order=12)
+        ok, detail = q_geometric_check()
         assert ok, detail
 
 

@@ -11,7 +11,7 @@ from powertheta import PowerRoute, PowerTheta
 
 @pytest.fixture(scope="module")
 def table():
-    return PTensorTable()
+    return PTensorTable(10)
 
 
 @pytest.fixture(scope="module")
@@ -25,17 +25,18 @@ def sconst(c):
 
 class TestRow0:
     def test_p00_is_theta(self, table):
-        assert table.row0(0) == ThetaPoly.theta()
+        assert table.ptilde(0, 0) == ThetaPoly.theta()
 
     def test_p01(self, table):
-        tp = table.row0(1)
+        tp = table.ptilde(0, 1)
         assert tp.degree == 2
         assert tp.powers() == [JetPoly.zero(), sconst(Q(-1, 2)), sconst(Q(1, 2))]
 
-    def test_append_only(self, table):
-        before = table.row0(2)
-        table.ensure_row0(6)
-        assert table.row0(2) == before
+    def test_size_is_fixed(self, table):
+        with pytest.raises(ValueError):
+            table.ptilde(0, 11)
+        with pytest.raises(ValueError):
+            table.ptilde(6, 5)
 
 
 class TestPtilde:
@@ -50,7 +51,7 @@ class TestPtilde:
         assert table.ptilde(1, 1).powers() == expect
 
     def test_p10_equals_p01(self, table):
-        assert table.ptilde(1, 0) == table.row0(1)
+        assert table.ptilde(1, 0) == table.ptilde(0, 1)
 
     def test_symmetry_to_10(self, table):
         for i in range(11):
@@ -91,7 +92,7 @@ class TestDressed:
 
     def test_p01(self, table, route):
         z1 = JetPoly.z(1)
-        expect = PowerTheta.of(table.row0(1)) * z1
+        expect = PowerTheta.of(table.ptilde(0, 1)) * z1
         assert route.dressed(0, 1) == expect
         assert route.dressed(0, 1).coeff(2) == z1 * Q(1, 2)
 
@@ -143,10 +144,10 @@ def test_power_rows_solve_to_the_gradients(route_g5, energies_g5):
 
 
 class TestXiOracle:
-    def test_row0_against_shift_expansion(self, table):
+    def test_row0_against_shift_expansion(self):
         from cubichodge.oracles import row0_shift_oracle
 
-        ok, detail = row0_shift_oracle(table, 5, 6)
+        ok, detail = row0_shift_oracle()
         assert ok, detail
 
 
@@ -179,8 +180,7 @@ def test_frozen_row0_n25():
 
     from cubichodge.textform import jet_json
 
-    table = PTensorTable()
-    table.ensure_row0(25)
-    blob = json.dumps([[jet_json(c) for c in table.row0(n).powers()] for n in range(26)],
+    table = PTensorTable(25)
+    blob = json.dumps([[jet_json(c) for c in table.ptilde(0, n).powers()] for n in range(26)],
                       sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_ROW0_N25_SHA256

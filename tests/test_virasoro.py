@@ -94,7 +94,7 @@ class TestVRational:
         from cubichodge.oracles import v1_asymptotic_check
 
         for params in (P12, RationalParams(2, 3), RationalParams(3, 4)):
-            ok, detail = v1_asymptotic_check(params, 8)
+            ok, detail = v1_asymptotic_check(params)
             assert ok, detail
 
 
@@ -174,7 +174,7 @@ class TestCConstants:
         from cubichodge.oracles import c_pair_float_check
 
         for params in (P12, RationalParams(2, 3), RationalParams(3, 4)):
-            ok, detail = c_pair_float_check(params, 3)
+            ok, detail = c_pair_float_check(BtildeTable(params, 10))
             assert ok, detail
 
     def test_c_pair_range_errors(self):
@@ -234,21 +234,21 @@ class TestAkn:
         from cubichodge.oracles import btilde11_closed_form_check
 
         for params in (P12, RationalParams(2, 3), RationalParams(3, 4)):
-            ok, detail = btilde11_closed_form_check(params)
+            ok, detail = btilde11_closed_form_check(BtildeTable(params, 10))
             assert ok, detail
 
     def test_integral_identity(self):
         from cubichodge.oracles import btilde11_integral_check
 
         for params in (P12, RationalParams(2, 3), RationalParams(3, 4)):
-            ok, detail = btilde11_integral_check(params, 10)
+            ok, detail = btilde11_integral_check(BtildeTable(params, 10))
             assert ok, detail
 
     def test_specialization_bridge_small(self):
         from cubichodge.oracles import specialization_bridge
         from cubichodge.ptensors import PTensorTable
 
-        ok, detail = specialization_bridge(P12, PTensorTable(), 2, 6)
+        ok, detail = specialization_bridge(BtildeTable(P12, 10), PTensorTable(4))
         assert ok, detail
 
     def test_row_recursion_symmetry(self):
@@ -560,8 +560,6 @@ class TestCommutatorGrid:
         from cubichodge.ptensors import PTensorTable
 
         table = BtildeTable(P12, 10)
-        assert specialization_bridge(P12, PTensorTable(), 2, 6, table) == (True, None)
-        assert btilde11_closed_form_check(P12, btilde=table) == (True, None)
-        assert btilde11_integral_check(P12, 8, btilde=table) == (True, None)
-        with pytest.raises(ValueError):
-            btilde11_closed_form_check(P12, 12, btilde=table)
+        assert specialization_bridge(table, PTensorTable(4)) == (True, None)
+        assert btilde11_closed_form_check(table) == (True, None)
+        assert btilde11_integral_check(table) == (True, None)
