@@ -246,12 +246,17 @@ class JetPoly:
         """Coefficient of the jet monomial given as {k: exponent}: a JetPoly
         without jets."""
         want = pack([jets.get(k, 0) for k in range(max(jets, default=-1) + 1)])
-        out = {}
+        return self.sigma_parts().get(want, JetPoly())
+
+    def sigma_parts(self) -> dict:
+        """{jet part: its coefficient, a JetPoly without jets} over the jet
+        parts of the terms; a jet part is the packed key of (e0, e1, ...) in
+        slots 0, 1, ..."""
+        parts = {}
         for key, v in self.terms.items():
-            sig, rest = split(key, 2)
-            if rest == want:
-                out[sig] = v
-        return _make(out, self.den, self.bound)
+            sig, jets = split(key, 2)
+            parts.setdefault(jets, {})[sig] = v
+        return {jets: _make(nums, self.den, self.bound) for jets, nums in parts.items()}
 
     def subs_jets(self, values) -> "JetPoly":
         """Evaluate the jet variables at exact rationals, leaving a JetPoly

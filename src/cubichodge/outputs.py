@@ -13,9 +13,9 @@ from math import factorial, lcm, prod
 
 from .jets import JetPoly
 from .loop import FreeEnergy
-from .phiseries import TSeries, _tseries, bernoulli
+from .phiseries import TSeries, bernoulli
 from .ratio import Q, QZERO
-from .sparse import mul_into, nonzero, pack, split, unpack, width
+from .sparse import pack, unpack, width
 
 
 # -- genus zero -----------------------------------------------------------------
@@ -28,10 +28,10 @@ def v_series(n_max: int, d_max: int) -> TSeries:
     The coefficient of prod t_i^m_i is (n-1)! / prod(m_i! (i!)^m_i) with
     n = sum m_i, and only monomials with sum i m_i = n - 1 occur; so
     m_0 = 1 + sum_{i>=2} (i-1) m_i and n = 1 + sum_{i>=1} i m_i <= d_max.
-    Every coefficient is placed as an int over the lcm of the denominators,
-    and the series is reduced once.
+    Each degree is one JetPoly of int numerators over the lcm of its
+    denominators, reduced once.
     """
-    terms = []  # (t-exponents, (n-1)!, prod m_i! (i!)^m_i)
+    terms = {}  # degree -> [(t-exponents, (n-1)!, prod m_i! (i!)^m_i)]
 
     def place(i: int, ms: tuple, room: int) -> None:
         # ms = (m_1, .., m_{i-1}); room bounds sum_{j>=i} j m_j
@@ -40,18 +40,17 @@ def v_series(n_max: int, d_max: int) -> TSeries:
                 place(i + 1, ms + (m,), room - i * m)
             return
         key = (1 + sum((j - 1) * m for j, m in enumerate(ms, 1)),) + ms
-        terms.append((key, factorial(sum(key) - 1),
-                      prod(factorial(m) * factorial(j) ** m for j, m in enumerate(key))))
+        terms.setdefault(sum(key), []).append(
+            (key, factorial(sum(key) - 1), prod(factorial(m) * factorial(j) ** m for j, m in enumerate(key))))
 
     place(1, (), d_max - 1)
-    terms = [term for term in terms if sum(term[0]) <= d_max]
-    den = lcm(*(q for _, _, q in terms))
     grades = {}
-    for key, p, q in terms:
+    for d, group in terms.items():
+        den = lcm(*(q for _, _, q in group))
         # the sigma slots stay 0; the t-exponents fill the slots after them
-        grades.setdefault(sum(key), {})[pack(key, 2)] = p * (den // q)
-    bound = max((max(key) for key, _, _ in terms), default=0)
-    return _tseries(n_max, d_max, grades, den, bound)
+        nums = {pack(key, 2): p * (den // q) for key, p, q in group}
+        grades[d] = JetPoly.packed(nums, den, max(max(key) for key, _, _ in group))
+    return TSeries.graded(n_max, d_max, grades)
 
 
 def t0_jets(v: TSeries, count: int) -> list:
@@ -121,14 +120,12 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
 
     For g >= 2 the jets v^(k) are sigma-free, so the body's packed keys are
     grouped by their jet part and each distinct product prod_k (v^(k))^e_k
-    is formed once, then scattered over its group's sigma terms.  The jet
-    parts are walked in sorted order as factor tuples ((k, e_k), ...), k
-    descending, keeping one chain of partial products for the current
-    prefix: a prefix shared by neighbouring tuples is multiplied once.  Each
-    power is one factor times the power next to it, with one `recip` per
-    jet.  Every group's int numerators are scattered into one accumulator
-    over body.den times the lcm of the products' denominators (rescaled on
-    the rare product whose denominator is new), and the sum is reduced once.
+    is formed once.  The jet parts are walked in sorted order as factor
+    tuples ((k, e_k), ...), k descending, keeping one chain of partial
+    products for the current prefix: a prefix shared by neighbouring tuples
+    is multiplied once.  Each power is one factor times the power next to
+    it, with one `recip` per jet.  Each degree of the sum is one `JetPoly.dot`
+    over the (sigma part, that degree of its product) pairs of every group.
     """
     pad = fe.max_jet_index()
     v = v_series(n_max, d_max + pad)
@@ -150,23 +147,16 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
             powers[(k, e)] = got
         return got
 
-    # jet part (packed key of z0, z1, ...) -> {packed (a, b): int numerator over body.den}
-    by_jets: dict[int, dict] = {}
-    for key, c in fe.body.terms.items():
-        sig, jet_key = split(key, 2)
-        by_jets.setdefault(jet_key, {})[sig] = c
-    # factor tuple ((k, e_k), ..., k descending) -> its group's sigma terms
+    # factor tuple ((k, e_k), ..., k descending) -> the sigma part of its jet monomial
     groups = {}
-    n = width(by_jets)
-    for jet_key, sigma_terms in by_jets.items():
+    parts = fe.body.sigma_parts()
+    n = width(parts)
+    for jet_key, sigma in parts.items():
         es = unpack(jet_key, n)
-        groups[tuple((k, es[k]) for k in range(len(es) - 1, -1, -1) if es[k])] = sigma_terms
+        groups[tuple((k, es[k]) for k in range(len(es) - 1, -1, -1) if es[k])] = sigma
     one = TSeries.const(1, n_max, d_max)
     chain: list[tuple[tuple[int, int], TSeries]] = []  # (factor, product of the prefix through it)
-    # the sum over every group, over den = lcm(product dens) * body.den so far
-    out: dict[int, dict] = {}
-    den = fe.body.den
-    bound = fe.body.bound  # bounds the sigma slots; each product bounds its t-slots
+    pairs: dict[int, list] = {}  # degree -> [(sigma part, that degree of its product)]
     for factors in sorted(groups):
         shared = 0
         while shared < min(len(chain), len(factors)) and chain[shared][0] == factors[shared]:
@@ -180,31 +170,20 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
                 prefix = chain[-1][1]
                 chain.append((f, prefix * jet_power(*f) if prefix else prefix))
         product = chain[-1][1] if chain else one
-        bound = max(bound, product.bound)
-        group_den = fe.body.den * product.den
-        if den % group_den:
-            # a new denominator: bring what is summed so far over the larger lcm
-            grow = lcm(den, group_den) // den
-            out = {d: {k: v * grow for k, v in t.items()} for d, t in out.items()}
-            den *= grow
-        sigma_terms = groups[factors]
-        scale = den // group_den
-        if scale != 1:
-            sigma_terms = {k: v * scale for k, v in sigma_terms.items()}
-        for d, terms in product.grades.items():
-            mul_into(out.setdefault(d, {}), sigma_terms, terms)
-    return _tseries(n_max, d_max, {d: nonzero(t) for d, t in out.items()}, den, bound)
+        for d, grade in product.grades.items():
+            pairs.setdefault(d, []).append((groups[factors], grade))
+    return TSeries.graded(n_max, d_max, {d: JetPoly.dot(p) for d, p in sorted(pairs.items())})
 
 
 def dimension_check(g: int, series: TSeries):
     """Every sigma part of every stored coefficient must sit on the dimension
     constraint sum(i_a) + a + 3b = 3g - 3 + n.  Returns (ok, first_violation)."""
-    for n, t in series.grades.items():
-        for k, c in t.items():
+    for n, grade in series.grades.items():
+        for k, c in grade.terms.items():
             key = unpack(k, series.n_max + 3)
             weight = sum(i * e for i, e in enumerate(key[2:]))
             if weight + key[0] + 3 * key[1] != 3 * g - 3 + n:
-                return False, (key[2:], key[:2], Q(c, series.den))
+                return False, (key[2:], key[:2], Q(c, grade.den))
     return True, None
 
 

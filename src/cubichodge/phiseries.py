@@ -8,17 +8,18 @@ under the local Calabi-Yau constraint pq + qr + rp = 0, i.e. with
 elementary symmetric values e1 = -s1, e2 = 0, e3 = s1^3/3 - s3/6.
 
 Power sums and series coefficients are JetPolys without jets.  TSeries is
-the one truncated power series type over Q[s1, s3].  An
+the one truncated power series type over Q[s1, s3]: a map from each total
+t-degree to the JetPoly of that degree's terms, t_i in the slot of z_i.  An
 expansion at z = infinity is a TSeries in the single variable t = 1/z,
 where `ddz` applies d/dz = -t^2 d/dt.
 """
 from __future__ import annotations
 
-from math import comb, factorial, gcd, lcm
+from math import comb
 
 from .jets import JetPoly
 from .ratio import Q, QONE, QZERO, is_rational
-from .sparse import add_graded, exponent, mul_graded, pack, power, product_bound, split, unit, unpack
+from .sparse import power, unpack
 
 
 class TruncationError(ValueError):
@@ -80,44 +81,48 @@ def power_sum(k: int) -> JetPoly:
 class TSeries:
     """Total-degree truncated power series in t_0..t_{n_max} over Q[s1, s3].
 
-    `grades` maps a total t-degree d <= d_max to a term dict on packed keys
-    with slots (a, b, e_0, ..., e_{n_max}) for s1^a s3^b t_0^e_0 ...
-    t_{n_max}^e_{n_max}.  As in JetPoly, its values are int numerators over
-    one positive denominator `den`, in lowest terms (the gcd of den and every
-    numerator is 1), so equal series compare equal.  `bound` bounds every
-    exponent.  The constructor and `const` take coefficients that are
-    JetPolys without jets (`const` a rational too), and `coefficient` and
-    `coefficients` give them back as such; a jet in a coefficient would land
-    in a t slot, so the constructor raises ValueError for one.
+    `grades` maps a total t-degree d <= d_max to the nonzero JetPoly of that
+    degree's terms, with t_i in the slot of z_i: s1^a s3^b t_0^e_0 ...
+    t_{n_max}^e_{n_max} is the jet monomial s1^a s3^b z_0^e_0 ...
+    z_{n_max}^e_{n_max}.  Each grade is in lowest terms, so equal series
+    compare equal, and every operation is the JetPoly one grade by grade.
+    The constructor and `const` take coefficients that are JetPolys without
+    jets (`const` a rational too), and `coefficient` and `coefficients` give
+    them back as such; a jet in a coefficient would land in a t slot, so the
+    constructor raises ValueError for one.
     """
 
-    __slots__ = ("n_max", "d_max", "grades", "den", "bound")
+    __slots__ = ("n_max", "d_max", "grades")
 
     def __init__(self, n_max: int, d_max: int, terms=None):
         """`terms` maps a t-exponent tuple to its coefficient, a JetPoly
         without jets."""
-        live = []
+        parts = {}
         for k, c in (terms or {}).items():
             if c and sum(k) <= d_max:
                 if len(k) != n_max + 1 or min(k) < 0:
                     raise ValueError("t-exponents must be n_max + 1 nonnegative ints")
                 if not c.is_jet_free():
                     raise ValueError(f"the coefficient of t^{k} carries jets")
-                live.append((k, c))
-        # each coefficient is in lowest terms, so over the lcm of their
-        # denominators the numerators are coprime to it
-        den = lcm(*(c.den for _, c in live))
-        grades = {}
-        bound = 0
-        for k, c in live:
-            # the sigma part of a key fills slots 0 and 1, the t-exponents the rest
-            tk = pack(k, 2)
-            scale = den // c.den
-            grades.setdefault(sum(k), {}).update({ab + tk: v * scale for ab, v in c.terms.items()})
-            bound = max(bound, c.bound, *k)
-        _fill(self, n_max, d_max, grades, den, bound)
+                for i, e in enumerate(k):
+                    if e:
+                        c = c.mul_z(i, e)
+                parts.setdefault(sum(k), []).append(c)
+        self.n_max = n_max
+        self.d_max = d_max
+        self.grades = {d: JetPoly.sum(p) for d, p in sorted(parts.items())}
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def graded(cls, n_max: int, d_max: int, grades: dict) -> "TSeries":
+        """The series of {degree: JetPoly of that degree's terms}; drops zero
+        grades and degrees beyond d_max."""
+        s = cls.__new__(cls)
+        s.n_max = n_max
+        s.d_max = d_max
+        s.grades = {d: g for d, g in grades.items() if g and d <= d_max}
+        return s
 
     @classmethod
     def zero(cls, n_max: int, d_max: int) -> "TSeries":
@@ -141,38 +146,35 @@ class TSeries:
             raise ValueError("t-variable count mismatch")
         return min(self.d_max, other.d_max)
 
-    def _add(self, other: "TSeries", sign: int) -> "TSeries":
-        d = self._check(other)
-        den = lcm(self.den, other.den)
-        grades = add_graded(self.grades, other.grades, den // self.den, sign * (den // other.den))
-        return _tseries(self.n_max, d, grades, den, max(self.bound, other.bound))
-
     def __add__(self, other):
-        return self._add(other, 1)
+        d_max = self._check(other)
+        a, b = self.grades, other.grades
+        zero = JetPoly()
+        grades = {d: JetPoly.sum((a.get(d, zero), b.get(d, zero))) for d in sorted(a.keys() | b.keys())}
+        return TSeries.graded(self.n_max, d_max, grades)
 
     def __sub__(self, other):
-        return self._add(other, -1)
+        return self + -other
 
     def __neg__(self):
-        return _raw(self.n_max, self.d_max,
-                    {d: {k: -v for k, v in t.items()} for d, t in self.grades.items()},
-                    self.den, self.bound)
+        return TSeries.graded(self.n_max, self.d_max, {d: -g for d, g in self.grades.items()})
 
     def __mul__(self, other):
         if is_rational(other):
-            if not other:
-                return TSeries.zero(self.n_max, self.d_max)
-            n, den = other.numerator, self.den * other.denominator
-            grades = {d: {k: v * n for k, v in t.items()} for d, t in self.grades.items()}
-            return _tseries(self.n_max, self.d_max, grades, den, self.bound)
+            return TSeries.graded(self.n_max, self.d_max,
+                                  {d: g * other for d, g in self.grades.items()})
         if isinstance(other, JetPoly):
             other = TSeries.const(other, self.n_max, self.d_max)
         elif not isinstance(other, TSeries):
             return NotImplemented
-        d = self._check(other)
-        bound = product_bound((self.bound, self.grades.values()), (other.bound, other.grades.values()))
-        return _tseries(self.n_max, d, mul_graded(self.grades, other.grades, d),
-                        self.den * other.den, bound)
+        d_max = self._check(other)
+        pairs = {}
+        for i, a in self.grades.items():
+            for j, b in other.grades.items():
+                if i + j <= d_max:
+                    pairs.setdefault(i + j, []).append((a, b))
+        return TSeries.graded(self.n_max, d_max,
+                              {d: JetPoly.dot(p) for d, p in sorted(pairs.items())})
 
     __rmul__ = __mul__
 
@@ -182,8 +184,7 @@ class TSeries:
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
-        return ((self.n_max, self.d_max, self.den, self.grades)
-                == (other.n_max, other.d_max, other.den, other.grades))
+        return (self.n_max, self.d_max, self.grades) == (other.n_max, other.d_max, other.grades)
 
     def __bool__(self):
         return bool(self.grades)
@@ -191,29 +192,14 @@ class TSeries:
     # -- calculus and series inverses -------------------------------------------
 
     def diff(self, i: int) -> "TSeries":
-        j = 2 + i
-        u = unit(j)
-        out = {}
-        for d, t in self.grades.items():
-            td = {}
-            for k, v in t.items():
-                e = exponent(k, j)
-                if e:
-                    td[k - u] = v * e
-            if td:
-                out[d - 1] = td
         # grade d_max of the derivative needs grade d_max + 1 of the series
-        return _tseries(self.n_max, self.d_max - 1, out, self.den, self.bound)
+        return TSeries.graded(self.n_max, self.d_max - 1,
+                              {d - 1: g.partial(i) for d, g in self.grades.items()})
 
     def coefficients(self) -> dict:
         """{t-exponent tuple: JetPoly} over every nonzero coefficient."""
-        out = {}
-        for t in self.grades.values():
-            for k, v in t.items():
-                sig, tk = split(k, 2)
-                out.setdefault(tk, {})[sig] = v
-        return {unpack(tk, self.n_max + 1): JetPoly.packed(sig, self.den, self.bound)
-                for tk, sig in out.items()}
+        return {unpack(tk, self.n_max + 1): c
+                for g in self.grades.values() for tk, c in g.sigma_parts().items()}
 
     def constant_term(self) -> JetPoly:
         return self.coefficient((0,) * (self.n_max + 1))
@@ -222,13 +208,8 @@ class TSeries:
         d = sum(exponents)
         if d > self.d_max:
             raise TruncationError(f"monomial of degree {d} beyond the degree truncation {self.d_max}")
-        want = pack(exponents)
-        out = {}
-        for k, v in self.grades.get(d, {}).items():
-            sig, tk = split(k, 2)
-            if tk == want:
-                out[sig] = v
-        return JetPoly.packed(out, self.den, self.bound)
+        grade = self.grades.get(d)
+        return grade.sigma_coefficient(dict(enumerate(exponents))) if grade else JetPoly()
 
     def recip(self) -> "TSeries":
         """1/self for a series with constant term 1."""
@@ -274,62 +255,26 @@ class TSeries:
     def truncate(self, d_max: int) -> "TSeries":
         if d_max > self.d_max:
             raise ValueError("cannot extend a degree truncation")
-        return _tseries(self.n_max, d_max, self.grades, self.den, self.bound)
-
-
-def _fill(s: TSeries, n_max: int, d_max: int, grades: dict, den: int, bound: int) -> TSeries:
-    s.n_max = n_max
-    s.d_max = d_max
-    s.grades = grades
-    s.den = den
-    s.bound = bound
-    return s
-
-
-def _raw(n_max: int, d_max: int, grades: dict, den: int, bound: int) -> TSeries:
-    """Wrap a graded map already in lowest terms and within d_max."""
-    return _fill(TSeries.__new__(TSeries), n_max, d_max, grades, den, bound)
-
-
-def _tseries(n_max: int, d_max: int, grades: dict, den: int, bound: int) -> TSeries:
-    """A TSeries from a graded map of nonzero int numerators over den > 0:
-    drops degrees beyond d_max and empty grades, then puts what is left in
-    lowest terms."""
-    grades = {d: t for d, t in grades.items() if d <= d_max and t}
-    if den != 1:
-        g = den
-        for t in grades.values():
-            g = gcd(g, *t.values())
-            if g == 1:
-                break
-        if g != 1:
-            grades = {d: {k: v // g for k, v in t.items()} for d, t in grades.items()}
-            den //= g
-    return _raw(n_max, d_max, grades, den, bound)
+        return TSeries.graded(self.n_max, d_max, self.grades)
 
 
 def ddz(s: TSeries) -> TSeries:
     """d/dz = -t^2 d/dt of a series in the one variable t = 1/z: the t^n
     coefficient moves to t^(n+1), times -n; the result is exact one degree
     further."""
-    u = unit(2)
-    out = {n + 1: {k + u: v * -n for k, v in t.items()} for n, t in s.grades.items() if n}
-    return _tseries(0, s.d_max + 1, out, s.den, s.bound + 1)
-
-
-def binom_q(e, m: int):
-    """Generalized binomial coefficient C(e, m) for rational e."""
-    e = Q(e)
-    out = QONE
-    for i in range(m):
-        out = out * (e - i)
-    return out / factorial(m)
+    return TSeries.graded(0, s.d_max + 1, {n + 1: g.mul_z(0) * -n for n, g in s.grades.items()})
 
 
 def binomial_zinv(e, c, order: int) -> TSeries:
-    """(1 + c/z)^e expanded to the given order in t = 1/z, e rational."""
-    terms = {(m,): JetPoly.const(binom_q(e, m) * Q(c) ** m) for m in range(order + 1)}
-    return TSeries(0, order, terms)
+    """(1 + c/z)^e expanded to the given order in t = 1/z, e rational: the
+    t^(m+1) coefficient is the t^m one times (e - m) c / (m + 1)."""
+    e, c = Q(e), Q(c)
+    grades = {}
+    term = QONE
+    for m in range(order + 1):
+        grades[m] = JetPoly.monomial(term, (0, 0), {0: m})
+        term = term * (e - m) * c / (m + 1)
+    return TSeries.graded(0, order, grades)
 
 
 # -- the log Phi series and friends -------------------------------------------
@@ -349,16 +294,11 @@ def log_phi(order: int) -> TSeries:
 
 
 def log_phi_shifted(order: int, shift) -> TSeries:
-    """log Phi(z - shift) expanded around z = infinity, truncated at t^order."""
-    shift = Q(shift)
+    """log Phi(z - shift) expanded around z = infinity, truncated at t^order:
+    each term c_n z^-n of log Phi becomes c_n t^n (1 - shift t)^-n."""
     out = TSeries.zero(0, order)
-    i = 1
-    while 2 * i - 1 <= order:
-        coeff = -bernoulli(2 * i) / (2 * i * (2 * i - 1))
-        # (z - shift)^{1-2i} = t^{2i-1} (1 - shift t)^{1-2i}
-        mono = TSeries(0, order, {(2 * i - 1,): _power_sum_any(2 * i - 1) * coeff})
-        out = out + mono * binomial_zinv(1 - 2 * i, -shift, order)
-        i += 1
+    for (n,), c in log_phi(order).coefficients().items():
+        out = out + TSeries(0, order, {(n,): c}) * binomial_zinv(-n, -shift, order)
     return out
 
 

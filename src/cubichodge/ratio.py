@@ -2,8 +2,9 @@
 
 gmpy2's mpq is used when available; fractions.Fraction is a drop-in
 fallback.  Both store lowest terms with a positive denominator, which the
-canonical forms elsewhere rely on.  JetPoly and TSeries keep int numerators
-over one denominator and make rationals only when they take or give them.
+canonical forms elsewhere rely on.  JetPoly keeps int numerators over one
+denominator (a TSeries holds one JetPoly per degree) and makes rationals
+only when it takes or gives them.
 """
 from __future__ import annotations
 

@@ -9,9 +9,9 @@ built by signed Kronecker packing: slot i holds the exponent e_i times
 Packing is linear, so the key of a product term is the sum of its factors'
 keys, and a negative exponent (z1 in a JetPoly) needs no offset.  For every
 polynomial over Q[s1, s3], slots 0 and 1 hold the s1 and s3 exponents; the
-slots after them hold the jets z0, z1, ... (JetPoly) or t0..tn (TSeries).
-A key has as many slots as it needs: `width` reads from the keys how many
-are in use.  The functions `pack`, `unpack`, `width`, `unit`, `exponent` and
+slots after them hold the jets z0, z1, ... (in a TSeries, t0..tn take their
+slots).  A key has as many slots as it needs: `width` reads from the keys
+how many are in use.  The functions `pack`, `unpack`, `width`, `unit`, `exponent` and
 `split` below are the only code that knows this layout.
 
 A key is right only while every slot stays inside the slot.  Each polynomial
@@ -20,9 +20,8 @@ add the bounds, sums take the largest, and `product_bound` raises
 OverflowError before a bound can leave the slot.
 
 Coefficients are any exact ring values.  The partial Bell table stores
-Fractions; JetPoly and TSeries store int numerators over one common
-denominator per polynomial or series.  A graded map {grade: term
-dict} holds a truncated series, one term dict per grade.  Every type adds,
+Fractions; JetPoly stores int numerators over one common denominator per
+polynomial, and a TSeries holds one JetPoly per degree.  Every type adds,
 multiplies and raises to powers through these free functions; `add_into`
 and `nonzero` take any key.
 """
@@ -160,7 +159,7 @@ def mul_into(acc: dict, a: dict, b: dict) -> dict:
     """acc += a * b in place, one term pair at a time; returns acc.
 
     Callers run many products into one acc: `JetPoly.dot` every pair of a
-    sum of products, `mul_graded` every pair of grades that meet.
+    sum of products.
     Coefficients that cancel stay behind as zeros: `nonzero` drops them
     once, after the last product into acc.
     """
@@ -178,27 +177,6 @@ def mul_into(acc: dict, a: dict, b: dict) -> dict:
 def nonzero(terms: dict) -> dict:
     """The terms with a nonzero coefficient."""
     return {k: v for k, v in terms.items() if v}
-
-
-def add_graded(a: dict, b: dict, fa=1, fb=1) -> dict:
-    """fa * a + fb * b over graded maps; grades that cancel are dropped."""
-    out = {g: dict(t) if fa == 1 else {k: v * fa for k, v in t.items()} for g, t in a.items()}
-    for g, t in b.items():
-        if not add_into(out.setdefault(g, {}), t, fb):
-            del out[g]
-    return out
-
-
-def mul_graded(a: dict, b: dict, top: int | None = None) -> dict:
-    """a * b over graded maps, skipping grade pairs above top (None: none)."""
-    out = {}
-    for i, ta in a.items():
-        for j, tb in b.items():
-            g = i + j
-            if top is None or g <= top:
-                mul_into(out.setdefault(g, {}), ta, tb)
-    out = {g: nonzero(t) for g, t in out.items()}
-    return {g: t for g, t in out.items() if t}
 
 
 def power(base, n: int, one):

@@ -9,9 +9,11 @@ from cubichodge.outputs import (TSeries, dimension_check, faber_leading, first_f
                                 t0_jets, v_series)
 from cubichodge.phiseries import TruncationError
 from cubichodge.ratio import Q
+from cubichodge.sparse import exponent_bound
 
 from golden import (FABER2_TEXT, FABER3_TEXT, R2_TEXT, R3_TEXT, parse_sigma, sigma_degrees,
                     sigma_part)
+from test_phiseries import in_lowest_terms
 
 
 def riemann_check(i: int, order: int) -> bool:
@@ -49,7 +51,9 @@ class TestVSeries:
     @pytest.mark.parametrize("n_max,d_max", [(0, 5), (1, 6), (2, 4), (4, 16), (3, 18), (6, 12)])
     def test_bound_is_exact(self, n_max, d_max):
         v = v_series(n_max, d_max)
-        assert v.bound == max(max(k) for k in v.coefficients())
+        for d, grade in v.grades.items():
+            assert grade.bound == exponent_bound((grade.terms,)), d
+        assert in_lowest_terms(v)
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
     def test_riemann(self, i):
@@ -148,7 +152,7 @@ class TestHodgeTables:
         ok, (t_exponents, sigma, c) = dimension_check(2, series)
         assert not ok
         # the violation reports the rational coefficient, not a raw numerator
-        assert isinstance(c, type(Q(1, 2))) and series.den != 1
+        assert isinstance(c, type(Q(1, 2))) and series.grades[sum(t_exponents)].den != 1
         assert c == dict(series.coefficient(t_exponents).items())[(*sigma, 0, 0)]
 
     def test_g1_t2_coefficient_vanishes(self, h123):
@@ -194,10 +198,7 @@ class TestSharedProducts:
     @pytest.mark.parametrize("g,n_max,d_max", [(2, 4, 6), (3, 4, 6)])
     def test_bound_covers_every_slot(self, h123, g, n_max, d_max):
         series = hodge_expand(h123[g - 1], n_max, d_max)
-        coefficients = series.coefficients()
-        sigma_top = max(max(ab) for sp in coefficients.values() for ab, _ in sp.items())
-        t_top = max(max(k) for k in coefficients)
-        assert series.bound >= max(sigma_top, t_top)
+        assert series.grades and in_lowest_terms(series)
 
     @pytest.mark.parametrize("g,d_max", [(2, 2), (2, 4), (3, 2), (3, 4)])
     def test_no_t_index_beyond_dimension_bound(self, h123, g, d_max):

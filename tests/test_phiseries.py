@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubichodge.phiseries import (TruncationError, TSeries, bernoulli, binom_q, binomial_zinv,
-                                  ddz, log_phi, phi_d_inv_all, power_sum, q_number)
+from cubichodge.phiseries import (TruncationError, TSeries, bernoulli, binomial_zinv, ddz, log_phi,
+                                  phi_d_inv_all, power_sum, q_number)
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
+from cubichodge.sparse import exponent_bound
 from cubichodge.textform import jet_json
 from golden import sigma_degrees
 from test_bell import bell_complete_all
@@ -177,16 +178,17 @@ class TestSeriesArithmetic:
         assert s.coefficient((1,)) == JetPoly.const(Q(1, 2))
         assert s.coefficient((2,)) == JetPoly.const(Q(3, 8))
 
-    def test_binom_q(self):
-        assert binom_q(Q(-1, 2), 2) == Q(3, 8)
-        assert binom_q(Q(5), 2) == Q(10)
-
 
 def in_lowest_terms(s: TSeries) -> bool:
-    """den > 0, its gcd with every (nonzero, integer) numerator is 1 and no
-    grade is empty."""
-    nums = [v for t in s.grades.values() for v in t.values()]
-    return s.den > 0 and all(nums) and gcd(s.den, *nums) == 1 and all(s.grades.values())
+    """Every degree holds a nonzero JetPoly whose den > 0 has gcd 1 with its
+    (nonzero, integer) numerators and whose bound covers its keys."""
+    return all(g.terms and all(g.terms.values()) and g.den > 0 and gcd(g.den, *g.terms.values()) == 1
+               and g.bound >= exponent_bound((g.terms,)) for g in s.grades.values())
+
+
+def dens(s: TSeries) -> dict:
+    """{degree: the denominator of that degree's JetPoly}."""
+    return {d: g.den for d, g in s.grades.items()}
 
 
 def tser(d_max, coeffs, n_max=0):
@@ -197,23 +199,23 @@ def tser(d_max, coeffs, n_max=0):
 class TestIntNumerators:
     def test_truncate_reduces(self):
         s = tser(4, {(0,): 2, (3,): Q(1, 3)})
-        assert s.den == 3 and in_lowest_terms(s)
+        assert dens(s) == {0: 1, 3: 3} and in_lowest_terms(s)
         cut = s.truncate(2)
-        assert cut.den == 1 and in_lowest_terms(cut)
+        assert dens(cut) == {0: 1} and in_lowest_terms(cut)
         assert cut == tser(2, {(0,): 2})
 
     def test_product_whose_terms_cancel(self):
         # (1 + t/3)(1 - t/3) = 1 - t^2/9; truncated at t^1 only 1 is left
         a, b = tser(1, {(0,): 1, (1,): Q(1, 3)}), tser(1, {(0,): 1, (1,): Q(-1, 3)})
         prod = a * b
-        assert prod.den == 1 and in_lowest_terms(prod)
+        assert dens(prod) == {0: 1} and in_lowest_terms(prod)
         assert prod == TSeries.const(1, 0, 1)
         assert not a * b - TSeries.const(1, 0, 1)
 
     def test_recip(self):
         # 1 / (1 + t/2) = sum (-t/2)^n
         got = tser(4, {(0,): 1, (1,): Q(1, 2)}).recip()
-        assert in_lowest_terms(got) and got.den == 16
+        assert in_lowest_terms(got) and dens(got) == {n: 2**n for n in range(5)}
         assert got == tser(4, {(n,): Q(-1, 2) ** n for n in range(5)})
 
     def test_equal_by_different_routes(self):
@@ -224,11 +226,11 @@ class TestIntNumerators:
         d = ((t + TSeries.const(1, 0, 4)) * Q(1, 2)) ** 2 - t * Q(1, 3) - TSeries.const(Q(1, 4), 0, 4)
         for other in (b, c, d):
             assert in_lowest_terms(other)
-            assert other == a and (other.den, other.grades) == (a.den, a.grades)
+            assert other == a and dens(other) == dens(a)
 
     def test_coefficients_are_rationals(self):
         s = tser(3, {(1,): Q(3, 4), (2,): Q(-5, 6)})
-        assert s.den == 12
+        assert dens(s) == {1: 4, 2: 6}
         assert s.coefficients() == {(1,): JetPoly.const(Q(3, 4)), (2,): JetPoly.const(Q(-5, 6))}
         assert s.coefficient((2,)) == JetPoly.const(Q(-5, 6))
 
@@ -243,7 +245,7 @@ class TestIntNumerators:
 
     def test_zero_has_den_one(self):
         s = tser(3, {(1,): Q(3, 4)})
-        assert (s - s).den == 1 and not s - s and s * 0 == TSeries.zero(0, 3)
+        assert (s - s).grades == {} and not s - s and s * 0 == TSeries.zero(0, 3)
 
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)

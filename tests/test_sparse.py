@@ -15,8 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubichodge.jets import JetPoly
-from cubichodge.sparse import (SLOT_HALF, add_graded, add_into, exponent, mul_graded, mul_into,
-                               nonzero, pack, power, product_bound, split, unpack, width)
+from cubichodge.sparse import (SLOT_HALF, add_into, exponent, mul_into, nonzero, pack, power,
+                               product_bound, split, unpack, width)
 
 EDGE = SLOT_HALF // 2 - 1
 small = st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(-1, 1))
@@ -25,8 +25,6 @@ keys = small | edge
 coefs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 nonzero_coefs = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1), st.integers(1, 3))
 terms = st.dictionaries(keys, nonzero_coefs, max_size=6)
-graded = st.dictionaries(st.integers(-2, 4), st.dictionaries(keys, nonzero_coefs, min_size=1, max_size=6),
-                         max_size=4)
 
 
 def packed(t: dict) -> dict:
@@ -52,26 +50,6 @@ def ref_mul(a: dict, b: dict) -> dict:
             k = tuple(x + y for x, y in zip(ka, kb))
             out[k] = out.get(k, Fraction(0)) + va * vb
     return {k: v for k, v in out.items() if v != 0}
-
-
-def flatten(g: dict) -> dict:
-    return {(d,) + k: v for d, t in g.items() for k, v in t.items()}
-
-
-def regroup(flat: dict, top=None) -> dict:
-    out = {}
-    for k, v in flat.items():
-        if top is None or k[0] <= top:
-            out.setdefault(k[0], {})[k[1:]] = v
-    return out
-
-
-def packed_graded(g: dict) -> dict:
-    return {d: packed(t) for d, t in g.items()}
-
-
-def unpacked_graded(g: dict) -> dict:
-    return {d: unpacked(t) for d, t in g.items()}
 
 
 # -- the key layout -------------------------------------------------------------
@@ -144,18 +122,6 @@ def test_cross_terms_cancel():
     plus = packed({x: Fraction(1), y: Fraction(1)})
     minus = packed({x: Fraction(1), y: Fraction(-1)})
     assert unpacked(nonzero(mul_into({}, plus, minus)), 2) == {(2, 0): 1, (0, 2): -1}
-
-
-@given(graded, graded)
-def test_add_graded(a, b):
-    got = add_graded(packed_graded(a), packed_graded(b))
-    assert unpacked_graded(got) == regroup(ref_add(flatten(a), flatten(b)))
-
-
-@given(graded, graded, st.one_of(st.none(), st.integers(-4, 8)))
-def test_mul_graded(a, b, top):
-    full = ref_mul(flatten(a), flatten(b))
-    assert unpacked_graded(mul_graded(packed_graded(a), packed_graded(b), top)) == regroup(full, top)
 
 
 @given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), nonzero_coefs, max_size=6),
