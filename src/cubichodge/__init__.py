@@ -6,7 +6,7 @@ and extracts gap polynomials, Faber-type leading terms and tables of cubic
 Hodge intersection numbers.
 """
 from .bell import BellTable, FJetTable
-from .commutators import commutator_grid
+from .commutators import commutator_grid, monomial_basis
 from .jets import ExactDivisionError, JetPoly
 from .linsolve import SolveError, TriangularSystem
 from .loop import FreeEnergy, LoopEquationError, LoopSolver
@@ -16,7 +16,6 @@ from .phiseries import TSeries, bernoulli, log_phi, power_sum, q_number
 from .ptensors import PTensorTable
 from .ratio import Q
 from .theta import ThetaPoly
-from .virasoro import (BtildeTable, FockPoly, RationalParams, a_kn, c_pair, monomial_basis,
-                       v_rational)
+from .virasoro import BtildeTable, RationalParams, a_kn, c_pair, v_value
 
 __version__ = "0.1.0"

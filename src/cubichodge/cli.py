@@ -18,7 +18,7 @@ import os
 import sys
 from typing import NoReturn
 
-from .commutators import commutator_grid
+from .commutators import commutator_grid, monomial_basis
 from .jets import JetPoly
 from .loop import LoopSolver
 from .oracles import (btilde11_closed_form_check, c_pair_float_check, chain_rule_check,
@@ -28,7 +28,7 @@ from .outputs import intersection_table, r_poly
 from .ptensors import PTensorTable, top_coefficient_value
 from .ratio import qstr
 from .textform import free_energy_text, jet_json, jet_latex, jet_text
-from .virasoro import BtildeTable, RationalParams, monomial_basis
+from .virasoro import BtildeTable, RationalParams
 
 
 def _nonnegative(text: str) -> int:
@@ -332,10 +332,10 @@ def cmd_virasoro(args) -> int:
     if bound < minimum:
         _usage_error(f"--index-bound must be >= {minimum} for h = {params.h}, --mmax {args.mmax}")
     k_cut = bound + params.h * 2 * args.mmax
-    basis = monomial_basis(params, k_cut, bound, args.degree)
+    basis = monomial_basis(params, bound, args.degree)
     print(f"# (K1,K2)=({params.k1},{params.k2}), basis size {len(basis)}, "
           f"degree <= {args.degree}, s-indices <= {bound}")
-    grid = commutator_grid(params, basis, args.mmax)
+    grid = commutator_grid(params, basis, args.mmax, k_cut)
     failures = [(m, n, term) for (m, n), term in grid.items() if term is not None]
     for m in range(args.mmax + 1):
         cells = ["pass" if grid[m, n] is None else "FAIL" for n in range(args.mmax + 1)]

@@ -1,21 +1,65 @@
-"""The Virasoro commutator grid: [L_m, L_n] = (m - n) L_{m+n} checked on
-every monomial of a basis, with each L_m treated as a linear map.
+"""The truncated Fock space and the Virasoro commutator grid:
+[L_m, L_n] = (m - n) L_{m+n} checked on every monomial of a basis, with
+each L_m treated as a linear map.
 
+A monomial x^a eps^(2e) prod s_k^(e_k) is its key (a, e, ((k, e_k), ...)),
+sorted by k; monomial_basis lists the keys and commutator_grid reads them.
 Within one grid call, OperatorImages builds one coefficient table per m and
 memoises the image of each monomial it meets, numbered as met, as integer
 coefficients over one common denominator.  The memo lives in that object
 and is dropped with it; nothing is cached at module level.
 The per-sample commutator_check in tests/test_virasoro.py is the reference
-the tests compare the grid with.  The grid has its own module because the
-package compiles every module at import, and the largest one sets the
-import's peak memory.
+the tests compare the grid with.
 """
 from __future__ import annotations
 
 import math
 
 from .ratio import Q, QZERO
-from .virasoro import FockPoly, RationalParams, TruncationViolation, _smono_set
+from .virasoro import RationalParams
+
+
+class TruncationViolation(ValueError):
+    """An operator or monomial would step outside the declared truncation."""
+
+
+def _smono_set(smono, k, delta):
+    """Adjust the exponent of s_k by delta inside a sorted smono tuple."""
+    d = dict(smono)
+    e = d.get(k, 0) + delta
+    if e < 0:
+        raise ValueError("negative s exponent")
+    if e:
+        d[k] = e
+    else:
+        d.pop(k, None)
+    return tuple(sorted(d.items()))
+
+
+def monomial_basis(params: RationalParams, index_bound: int, degree: int) -> list:
+    """The keys of all monomials of total degree <= degree in x and s_k,
+    k <= index_bound."""
+    variables = [("x", None)] + [("s", k) for k in params.nstar_upto(index_bound)]
+    basis = []
+
+    def build(start, left, xe, smono):
+        basis.append((xe, 0, tuple(sorted(smono.items()))))
+        if left == 0:
+            return
+        for idx in range(start, len(variables)):
+            kind, k = variables[idx]
+            if kind == "x":
+                build(idx, left - 1, xe + 1, smono)
+            else:
+                smono[k] = smono.get(k, 0) + 1
+                build(idx, left - 1, xe, smono)
+                smono[k] -= 1
+                if not smono[k]:
+                    del smono[k]
+
+    # variable indices never decrease along a path, so each multiset is reached once
+    build(0, degree, 0, {})
+    return basis
 
 
 class OperatorImages:
@@ -113,29 +157,34 @@ class OperatorImages:
                 acc[t] = acc.get(t, 0) + cg * c
 
 
-def commutator_grid(params: RationalParams, basis, mmax: int) -> dict:
-    """[L_m, L_n] - (m - n) L_{m+n} on every monomial of a basis, for every
-    m, n = 0..mmax; tests/test_virasoro.py holds the per-sample reference.
+def commutator_grid(params: RationalParams, basis, mmax: int, k_cut: int) -> dict:
+    """[L_m, L_n] - (m - n) L_{m+n} on every monomial key of a basis, in the
+    Fock space truncated at s_{k_cut}, for every m, n = 0..mmax;
+    tests/test_virasoro.py holds the per-sample reference.
 
-    Returns {(m, n): None | first_term}: None where every basis monomial
-    passes, else the first_term of the first one that fails.  The operators
-    are memoised linear maps for this call only (OperatorImages).  Two cells
-    need no work: [L_m, L_m] vanishes term by term, and the (n, m) residual
-    is minus the (m, n) one, so it fails on the same monomial with the
-    negated coefficient."""
+    Returns {(m, n): None | (key, coefficient)}: None where every basis
+    monomial passes, else the lowest term of the residual on the first one
+    that fails.  The operators are memoised linear maps for this call only
+    (OperatorImages).  Two cells need no work: [L_m, L_m] vanishes term by
+    term, and the (n, m) residual is minus the (m, n) one, so it fails on
+    the same monomial with the negated coefficient."""
+    for _, _, smono in basis:
+        for k, e in smono:
+            if not params.in_nstar(k):
+                raise TruncationViolation(f"s_{k} index not in N_*")
+            if k > k_cut:
+                raise TruncationViolation(f"s_{k} beyond k_cut = {k_cut}")
+            if e < 1:
+                raise ValueError("monomial exponents must be positive")
     cells = [(m, n) for m in range(mmax + 1) for n in range(mmax + 1)]
-    if not basis:
-        return dict.fromkeys(cells)
-    k_cut, h = basis[0].k_cut, params.h
+    h = params.h
     top = 2 * mmax - 1 if mmax else 0
     if h * top > k_cut:
         # report the first operator index past the cut, as applying the
         # operators in rising order would (the tests' per-sample reference)
         raise TruncationViolation(f"operator index h*m = {h * (k_cut // h + 1)} beyond k_cut")
     ops = OperatorImages(params, k_cut, top)
-    samples = [(ops.number(key), c) for f in basis for key, c in f.terms.items()]
-    if len(samples) != len(basis):
-        raise ValueError("commutator_grid needs a basis of monomials")
+    samples = [ops.number(key) for key in basis]
     den = ops.den
     out = {}
     for m, n in cells:
@@ -143,7 +192,7 @@ def commutator_grid(params: RationalParams, basis, mmax: int) -> dict:
             mirror = out.get((n, m))
             out[m, n] = mirror and (mirror[0], -mirror[1])
             continue
-        for i, c in samples:
+        for i in samples:
             acc: dict = {}
             ops.compose_into(acc, m, n, i, 1)
             ops.compose_into(acc, n, m, i, -1)
@@ -151,8 +200,8 @@ def commutator_grid(params: RationalParams, basis, mmax: int) -> dict:
             for t, d in zip(it, it):
                 acc[t] = acc.get(t, 0) + (n - m) * den * d
             if any(acc.values()):
-                diff = {ops.keys[t]: Q(v, den * den) * c for t, v in acc.items()}
-                out[m, n] = FockPoly(params, k_cut, diff).first_term()
+                key, v = min((ops.keys[t], v) for t, v in acc.items() if v)
+                out[m, n] = key, Q(v, den * den)
                 break
         else:
             out[m, n] = None

@@ -18,7 +18,7 @@ from .phiseries import TSeries, binomial_zinv, log_phi, log_phi_shifted, q_numbe
 from .ptensors import PTensorTable
 from .ratio import Q, QZERO
 from .theta import ThetaPoly
-from .virasoro import BtildeTable, RationalParams, c_float, v_rational
+from .virasoro import BtildeTable, RationalParams, c_float, v_zinv_expansion
 
 
 def theta_xi_coeffs(coeffs, order: int, zero=QZERO):
@@ -117,7 +117,7 @@ def v1_asymptotic_check(params: RationalParams):
     """z-expansion of the explicit V_1 against exp(logPhi(z) - logPhi(z-1)) sqrt(z/(z-1)),
     to z^-8."""
     order = 8
-    got = v_rational(params, 1).zinv_expansion(order)
+    got = v_zinv_expansion(params, 1, order)
     series = shift_expansion_term(1, order)
     s1, s3 = params.sigma_values()
     for n in range(order + 1):

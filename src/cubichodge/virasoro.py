@@ -1,6 +1,5 @@
-"""Rational-case data (K1, K2): index sets, b_k, the rational functions V_m,
-the truncated Fock space with its monomial basis, and the A_{k,n} route to
-the B~ tensors.
+"""Rational-case data (K1, K2): index sets, b_k, the rational functions V_m
+and the A_{k,n} route to the B~ tensors.
 
 Individual c_k with fractional b_k are Gamma quotients and generally
 irrational, so they are never materialized exactly; everything exact goes
@@ -9,16 +8,14 @@ through the pairing and ratio identities
     c_{k+h l} / c_k = K^l V_l(-b_k),        c_{h l} = K^l V_l(0),
     c_{a+hm} c_{K1-a+hn} = (h/K2) K^{m+n+1} / b_{a+hm} Res_{z=b_{a+hm}} V_{m+n+1},
 
-with a floating log-Gamma oracle available as the independent check.  The
-roots of V_m are three integer progressions, so v_residue takes each residue
-as one quotient of integer products, without building V_m.  No V_m or
-residue is cached at module level; a BtildeTable owns the only memo of
-the pairings and of the A_{k,n} terms, so checks that share a table
-evaluate every residue once.
+with a floating log-Gamma oracle available as the independent check.  V_m
+has one form, its roots: three integer progressions.  Its value, its
+residues and its expansion at infinity are all read from them, the first
+two as one quotient of integer products.  No V_m or residue is cached at
+module level; a BtildeTable owns the only memo of the pairings and of the
+A_{k,n} terms, so checks that share a table evaluate every residue once.
 
-The Virasoro operators act through the memoised commutator grid in
-commutators.py; the per-sample reference the tests compare it with
-(virasoro_apply, commutator_check) lives in tests/test_virasoro.py.
+The Fock space and the Virasoro operators L_m live in commutators.py.
 """
 from __future__ import annotations
 
@@ -27,10 +24,6 @@ from dataclasses import dataclass, field
 from math import comb, gcd, prod
 
 from .ratio import Q, QONE, QZERO
-
-
-class TruncationViolation(ValueError):
-    """An operator or monomial would step outside the declared truncation."""
 
 
 # -- rational-case parameters -----------------------------------------------------
@@ -103,93 +96,28 @@ class RationalParams:
 # -- V_m and the exact c-constant identities -----------------------------------------
 
 
-class FactoredRational:
-    """prod_i (z - a_i) / prod_j (z - b_j) with exact roots and common factors
-    cancelled as multisets.  Evaluation and the expansion at infinity come
-    straight from the factors, which keeps V_m arithmetic cheap at large m."""
-
-    __slots__ = ("num_roots", "den_roots")
-
-    def __init__(self, num_roots, den_roots):
-        num = {}
-        for r in num_roots:
-            r = Q(r)
-            num[r] = num.get(r, 0) + 1
-        den = {}
-        for r in den_roots:
-            r = Q(r)
-            if num.get(r):
-                num[r] -= 1
-                if not num[r]:
-                    del num[r]
-            else:
-                den[r] = den.get(r, 0) + 1
-        self.num_roots = num
-        self.den_roots = den
-
-    def __call__(self, x):
-        x = Q(x)
-        if x in self.den_roots:
-            raise ZeroDivisionError(f"pole at {x}")
-        out = QONE
-        for r, e in self.num_roots.items():
-            out = out * (x - r) ** e
-        for r, e in self.den_roots.items():
-            out = out / (x - r) ** e
-        return out
-
-    def zinv_expansion(self, order: int):
-        """Coefficients of z^0..z^-order of the expansion at z = infinity,
-
-            z^(deg num - deg den) prod (1 - a/z)^e / prod (1 - b/z)^e,
-
-        taken factor by factor from the roots; needs deg num <= deg den."""
-        shift = sum(self.den_roots.values()) - sum(self.num_roots.values())
-        if shift < 0:
-            raise ValueError("expansion at infinity needs deg num <= deg den")
-        out = [QONE] + [QZERO] * order
-        for a, e in self.num_roots.items():
-            for _ in range(e):
-                for n in range(order, 0, -1):
-                    out[n] -= a * out[n - 1]
-        for b, e in self.den_roots.items():
-            for _ in range(e):
-                for n in range(1, order + 1):
-                    out[n] += b * out[n - 1]
-        return ([QZERO] * shift + out)[: order + 1]
+def _progressions(params: RationalParams):
+    """The roots of V_m(z) = prod_{j=0}^{m-1} V_1(z - j) as (d, on top):
+    n/d for n = 1..d m, with d = h on top and d = K1, K2 below."""
+    return (params.h, True), (params.k1, False), (params.k2, False)
 
 
-def v_rational(params: RationalParams, m: int) -> FactoredRational:
-    """V_m(z) = prod_{j=0}^{m-1} V_1(z - j) in factored form."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    h, k1, k2 = params.h, params.k1, params.k2
-    num = [Q(i, h) + j for j in range(m) for i in range(1, h + 1)]
-    den = [Q(i, k1) + j for j in range(m) for i in range(1, k1 + 1)]
-    den += [Q(i, k2) + j for j in range(m) for i in range(1, k2 + 1)]
-    return FactoredRational(num, den)
+def _v_order_quotient(params: RationalParams, m: int, r):
+    """V_m at r as (order, quotient), exactly, in integer arithmetic.
 
-
-def v_residue(params: RationalParams, m: int, r):
-    """Res_{z=r} V_m(z), exactly, in integer arithmetic.
-
-    The roots of V_m are three progressions: n/h (n = 1..h m) on top, n/K1
-    (n = 1..K1 m) and n/K2 (n = 1..K2 m) below.  At r = p/q each factor is
-    r - n/d = (d p - n q)/(d q): the nonzero d p - n q of a progression are
-    multiplied together, their (d q) scales go to the other side, and one
-    rational is formed at the end.  With order = (vanishing factors on top)
-    - (vanishing factors below), order >= 0 (a regular point or a zero of
-    V_m) gives 0 and order = -1 gives the quotient.  order <= -2 cannot
-    happen: it needs r = n/K1 = n'/K2, and then h r = n + n' lies in 1..h m,
-    so a top factor vanishes too (for coprime K1, K2 such an r is an
-    integer).  It raises ArithmeticError all the same."""
+    At r = p/q each factor is r - n/d = (d p - n q)/(d q): the nonzero
+    d p - n q of a progression are multiplied together, their (d q) scales
+    go to the other side, and one rational is formed at the end.  order =
+    (vanishing factors on top) - (vanishing factors below), and the
+    quotient is the product of the nonvanishing factors; common roots
+    cancel through the count."""
     if m < 0:
         raise ValueError("m must be >= 0")
     r = Q(r)
     p, q = r.numerator, r.denominator
     num = den = 1
     order = 0
-    for d, on_top in ((params.h, True), (params.k1, False), (params.k2, False)):
+    for d, on_top in _progressions(params):
         factors = [d * p - n * q for n in range(1, d * m + 1)]
         kept = [f for f in factors if f]
         top, scale, zeros = prod(kept), (d * q) ** len(kept), len(factors) - len(kept)
@@ -197,11 +125,52 @@ def v_residue(params: RationalParams, m: int, r):
             num, den, order = num * top, den * scale, order + zeros
         else:
             num, den, order = num * scale, den * top, order - zeros
+    return order, Q(num, den)
+
+
+def v_value(params: RationalParams, m: int, x):
+    """V_m(x), exactly; raises ZeroDivisionError at a pole."""
+    order, quotient = _v_order_quotient(params, m, x)
+    if order < 0:
+        raise ZeroDivisionError(f"pole of V_{m} at {Q(x)}")
+    return quotient if order == 0 else QZERO
+
+
+def v_residue(params: RationalParams, m: int, r):
+    """Res_{z=r} V_m(z), exactly: 0 at a regular point or a zero of V_m,
+    the quotient at a simple pole.  A pole of order >= 2 cannot happen: it
+    needs r = n/K1 = n'/K2, and then h r = n + n' lies in 1..h m, so a top
+    factor vanishes too (for coprime K1, K2 such an r is an integer).  It
+    raises ArithmeticError all the same."""
+    order, quotient = _v_order_quotient(params, m, r)
     if order >= 0:
         return QZERO
     if order < -1:
-        raise ArithmeticError(f"pole of V_{m} at {r} is not simple")
-    return Q(num, den)
+        raise ArithmeticError(f"pole of V_{m} at {Q(r)} is not simple")
+    return quotient
+
+
+def v_zinv_expansion(params: RationalParams, m: int, order: int):
+    """Coefficients of z^0..z^-order of V_m at z = infinity,
+
+        prod (1 - a/z) / prod (1 - b/z),
+
+    over the roots a on top and b below (h m of each), taken factor by
+    factor from the three progressions.  Common roots are not cancelled:
+    their factors cancel in the truncated series all the same."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    out = [QONE] + [QZERO] * order
+    for d, on_top in _progressions(params):
+        for n in range(1, d * m + 1):
+            a = Q(n, d)
+            if on_top:
+                for i in range(order, 0, -1):
+                    out[i] -= a * out[i - 1]
+            else:
+                for i in range(1, order + 1):
+                    out[i] += a * out[i - 1]
+    return out
 
 
 def c_pair(params: RationalParams, alpha: int, m: int, beta: int, n: int):
@@ -313,85 +282,3 @@ class BtildeTable:
             out = [x - y for x, y in zip(euler, nxt)]
         self._cache[(i, j)] = out
         return out
-
-
-# -- Fock-space polynomials and the monomial basis -------------------------------------
-
-
-class FockPoly:
-    """Sparse polynomial in x and the s_k (k in N_*), coefficients Laurent in eps^2.
-
-    Terms are keyed by (x exponent, eps^2 exponent, ((k, e), ...) sorted).
-    Indices are validated against N_* and the truncation k_cut at
-    construction.
-    """
-
-    __slots__ = ("params", "k_cut", "terms")
-
-    def __init__(self, params: RationalParams, k_cut: int, terms=None):
-        self.params = params
-        self.k_cut = k_cut
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if c == 0:
-                    continue
-                self._validate(key)
-                self.terms[key] = c
-
-    def _validate(self, key):
-        for k, e in key[2]:
-            if not self.params.in_nstar(k):
-                raise TruncationViolation(f"s_{k} index not in N_*")
-            if k > self.k_cut:
-                raise TruncationViolation(f"s_{k} beyond k_cut = {self.k_cut}")
-            if e < 1:
-                raise ValueError("monomial exponents must be positive")
-
-    @classmethod
-    def monomial(cls, params, k_cut, coef=1, x: int = 0, s=()):
-        return cls(params, k_cut, {(x, 0, tuple(sorted(s))): Q(coef)})
-
-    def first_term(self):
-        if not self.terms:
-            return None
-        key = min(self.terms)
-        return key, self.terms[key]
-
-
-def _smono_set(smono, k, delta):
-    """Adjust the exponent of s_k by delta inside a sorted smono tuple."""
-    d = dict(smono)
-    e = d.get(k, 0) + delta
-    if e < 0:
-        raise ValueError("negative s exponent")
-    if e:
-        d[k] = e
-    else:
-        d.pop(k, None)
-    return tuple(sorted(d.items()))
-
-
-def monomial_basis(params: RationalParams, k_cut: int, index_bound: int, degree: int):
-    """All monomials of total degree <= degree in x and s_k, k <= index_bound."""
-    variables = [("x", None)] + [("s", k) for k in params.nstar_upto(index_bound)]
-    basis = []
-
-    def build(start, left, xe, smono):
-        basis.append(FockPoly.monomial(params, k_cut, 1, x=xe, s=tuple(smono.items())))
-        if left == 0:
-            return
-        for idx in range(start, len(variables)):
-            kind, k = variables[idx]
-            if kind == "x":
-                build(idx, left - 1, xe + 1, smono)
-            else:
-                smono[k] = smono.get(k, 0) + 1
-                build(idx, left - 1, xe, smono)
-                smono[k] -= 1
-                if not smono[k]:
-                    del smono[k]
-
-    # variable indices never decrease along a path, so each multiset is reached once
-    build(0, degree, 0, {})
-    return basis

@@ -5,7 +5,7 @@ import time
 
 from cubichodge.bell import BellTable, FJetTable, bell_jet
 from cubichodge.cli import main
-from cubichodge.commutators import commutator_grid
+from cubichodge.commutators import commutator_grid, monomial_basis
 from cubichodge.oracles import (btilde11_closed_form_check, cy_power_sum_check,
                                 q_geometric_check, row0_shift_oracle, specialization_bridge)
 from cubichodge.outputs import (dimension_check, faber_leading, first_flow_check,
@@ -13,7 +13,7 @@ from cubichodge.outputs import (dimension_check, faber_leading, first_flow_check
 from cubichodge.ptensors import PTensorTable
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
-from cubichodge.virasoro import BtildeTable, RationalParams, a_kn, monomial_basis
+from cubichodge.virasoro import BtildeTable, RationalParams, a_kn
 
 from golden import (FABER2_TEXT, FABER3_TEXT, H1_TEXT, H2_TEXT, H3_TEXT, R2_TEXT, R3_TEXT,
                     parse_sigma, sigma_part)
@@ -154,8 +154,8 @@ def test_c09_virasoro_commutators():
     for pair in PAIRS:
         params = RationalParams(*pair)
         bound = 3 * params.h + 2
-        basis = monomial_basis(params, bound + 6 * params.h, bound, 3)
-        grid = commutator_grid(params, basis, 3)
+        basis = monomial_basis(params, bound, 3)
+        grid = commutator_grid(params, basis, 3, bound + 6 * params.h)
         assert len(grid) == 16
         bad = [(cell, term) for cell, term in grid.items() if term is not None]
         if bad:

@@ -1,12 +1,11 @@
 """Edge paths: a z0 gradient component at genus >= 2, cache reuse across
-genera, and the factored rational functions behind V_m."""
+genera, and the reference residue over root lists behind the V_m tests."""
 import pytest
 
 from cubichodge.jets import JetPoly
 from cubichodge.loop import FreeEnergy, LoopEquationError, LoopSolver, load_cached
 from cubichodge.phiseries import TSeries
 from cubichodge.ratio import Q
-from cubichodge.virasoro import FactoredRational
 
 from test_loop import _store_tampered
 from test_virasoro import naive_residue
@@ -48,15 +47,12 @@ class TestCrossGenusCache:
 
 
 class TestFactoredRational:
-    def test_zinv_expansion_geometric(self):
-        # z / (z - 1) = sum z^-n
-        f = FactoredRational([0], [1])
-        assert f.zinv_expansion(5) == [Q(1)] * 6
-
     def test_residue(self):
-        f = FactoredRational([], [2, 3])
-        assert naive_residue(f, Q(2)) == Q(-1)
-        assert naive_residue(f, Q(7)) == Q(0)
+        # 1 / ((z - 2)(z - 3)), and z / (z (z - 2)) with its common root
+        assert naive_residue([], [Q(2), Q(3)], Q(2)) == Q(-1)
+        assert naive_residue([], [Q(2), Q(3)], Q(7)) == Q(0)
+        assert naive_residue([Q(0)], [Q(0), Q(2)], Q(0)) == Q(0)
+        assert naive_residue([Q(0)], [Q(0), Q(2)], Q(2)) == Q(1)
 
 
 class TestSeriesEdges:

@@ -2,13 +2,14 @@ from math import comb
 
 import pytest
 
-from cubichodge import virasoro
+from cubichodge import oracles, virasoro
 from cubichodge.cli import main
-from cubichodge.commutators import OperatorImages, commutator_grid
+from cubichodge.commutators import (OperatorImages, TruncationViolation, _smono_set,
+                                    commutator_grid, monomial_basis)
 from cubichodge.ratio import Q, QONE, qstr
 from cubichodge.sparse import add_into, nonzero
-from cubichodge.virasoro import (BtildeTable, RationalParams, TruncationViolation, _smono_set,
-                                 a_kn, c_float, c_pair, monomial_basis, v_rational, v_residue)
+from cubichodge.virasoro import (BtildeTable, RationalParams, a_kn, c_float, c_pair, v_residue,
+                                 v_value, v_zinv_expansion)
 
 P21 = RationalParams(2, 1)
 P12 = RationalParams(1, 2)
@@ -78,17 +79,97 @@ class TestParams:
         assert s3 == Q(2, 27) - Q(2, 8) - 2
 
 
+def v_roots(params: RationalParams, m: int):
+    """The roots of V_m, uncancelled: n/h on top, n/K1 and n/K2 below."""
+    top = [Q(n, params.h) for n in range(1, params.h * m + 1)]
+    below = [Q(n, d) for d in (params.k1, params.k2) for n in range(1, d * m + 1)]
+    return top, below
+
+
+def naive_rest(num_roots, den_roots, x):
+    """prod (x - a) / prod (x - b) over the roots a on top and b below that
+    differ from x, one Fraction factor per root, no integer shortcut."""
+    out = Q(1)
+    for a in num_roots:
+        if a != x:
+            out *= x - a
+    for b in den_roots:
+        if b != x:
+            out /= x - b
+    return out
+
+
+def naive_value(num_roots, den_roots, x):
+    """Reference value of prod (z - a) / prod (z - b) at z = x, common roots
+    cancelled by count."""
+    x = Q(x)
+    order = num_roots.count(x) - den_roots.count(x)
+    if order < 0:
+        raise ZeroDivisionError(f"pole at {x}")
+    return naive_rest(num_roots, den_roots, x) if order == 0 else Q(0)
+
+
+def naive_residue(num_roots, den_roots, r):
+    """Reference Res_{z=r} of prod (z - a) / prod (z - b), common roots
+    cancelled by count."""
+    r = Q(r)
+    mult = den_roots.count(r) - num_roots.count(r)
+    if mult > 1:
+        raise ArithmeticError(f"pole at {r} is not simple")
+    return naive_rest(num_roots, den_roots, r) if mult == 1 else Q(0)
+
+
+def naive_zinv_expansion(num_roots, den_roots, order):
+    """Reference z^0..z^-order coefficients at infinity: the plain Fraction
+    product of the series 1 - a t and sum_k b^k t^k (t = 1/z), one per root."""
+    out = [Q(1)] + [Q(0)] * order
+    factors = [[Q(1), -a] + [Q(0)] * (order - 1) for a in num_roots]
+    factors += [[b**k for k in range(order + 1)] for b in den_roots]
+    for f in factors:
+        out = [sum(out[i] * f[n - i] for i in range(n + 1)) for n in range(order + 1)]
+    return out
+
+
+PAIRS = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 4), (2, 5)]
+
+
 class TestVRational:
     def test_v1_at_zero(self):
-        assert v_rational(P21, 1)(0) == Q(4, 9)
+        assert v_value(P21, 1, 0) == Q(4, 9)
 
     def test_v0_is_one(self):
-        assert v_rational(P21, 0)(Q(5, 7)) == Q(1)
+        assert v_value(P21, 0, Q(5, 7)) == Q(1)
 
     def test_telescoping(self):
-        v1, v3 = v_rational(P21, 1), v_rational(P21, 3)
         x = Q(17, 5)
-        assert v3(x) == v1(x) * v1(x - 1) * v1(x - 2)
+        v1 = [v_value(P21, 1, x - j) for j in range(3)]
+        assert v_value(P21, 3, x) == v1[0] * v1[1] * v1[2]
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_value_equals_reference(self, pair):
+        # every root, common roots and poles included, and two regular points
+        params = RationalParams(*pair)
+        for m in range(8):
+            top, below = v_roots(params, m)
+            for x in sorted(set(top + below)) + [Q(1, 7), Q(-5, 3)]:
+                try:
+                    want = naive_value(top, below, x)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        v_value(params, m, x)
+                else:
+                    assert v_value(params, m, x) == want, (m, x)
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_zinv_expansion_equals_reference(self, pair):
+        params = RationalParams(*pair)
+        for m in range(4):
+            assert v_zinv_expansion(params, m, 8) == naive_zinv_expansion(*v_roots(params, m), 8)
+
+    def test_negative_m(self):
+        for f in (v_value, v_zinv_expansion):
+            with pytest.raises(ValueError):
+                f(P21, -1, 1)
 
     def test_asymptotic_series_oracle(self):
         from cubichodge.oracles import v1_asymptotic_check
@@ -98,35 +179,19 @@ class TestVRational:
             assert ok, detail
 
 
-def naive_residue(f, r):
-    """Reference Res_{z=r} f for a FactoredRational: one Fraction power per
-    root, no integer shortcut."""
-    r = Q(r)
-    mult = f.den_roots.get(r, 0)
-    if mult == 0:
-        return Q(0)
-    if mult > 1:
-        raise ArithmeticError(f"pole at {r} is not simple")
-    out = Q(1)
-    for a, e in f.num_roots.items():
-        out = out * (r - a) ** e
-    for b, e in f.den_roots.items():
-        if b != r:
-            out = out / (r - b) ** e
-    return out
-
-
 class TestVResidue:
-    @pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 4), (2, 5)])
+    @pytest.mark.parametrize("pair", PAIRS)
     def test_equals_reference(self, pair):
         params = RationalParams(*pair)
         for m in range(11):
-            f = v_rational(params, m)
-            for r in f.num_roots:
-                assert v_residue(params, m, r) == naive_residue(f, r) == 0
-            for r in list(f.den_roots) + [Q(1, 7), Q(-5, 3)]:
-                assert v_residue(params, m, r) == naive_residue(f, r)
-            assert all(v_residue(params, m, r) for r in f.den_roots)
+            top, below = v_roots(params, m)
+            for r in set(top + below):
+                residue = v_residue(params, m, r)
+                assert residue == naive_residue(top, below, r)
+                # nonzero exactly at the poles left after cancelling
+                assert bool(residue) == (below.count(r) > top.count(r))
+            for r in (Q(1, 7), Q(-5, 3)):
+                assert v_residue(params, m, r) == naive_residue(top, below, r) == 0
 
     def test_negative_m(self):
         with pytest.raises(ValueError):
@@ -139,7 +204,7 @@ def c_ratio(params: RationalParams, k: int, ell: int):
         raise ValueError("ell must be >= 0")
     if ell == 0:
         return QONE
-    return params.kconst**ell * v_rational(params, ell)(-params.b(k))
+    return params.kconst**ell * v_value(params, ell, -params.b(k))
 
 
 class TestCConstants:
@@ -149,7 +214,7 @@ class TestCConstants:
 
     def test_aligned_ratio_identity(self):
         # c_h = K V_1(0): 3 = (27/4)(4/9)
-        assert P21.kconst * v_rational(P21, 1)(0) == P21.c_int(1)
+        assert P21.kconst * v_value(P21, 1, 0) == P21.c_int(1)
 
     def test_c_ratio_trivial(self):
         assert c_ratio(P21, 1, 0) == Q(1)
@@ -261,22 +326,42 @@ class TestAkn:
 # -- the per-sample reference for the commutator grid -----------------------------
 
 
-class FockPoly(virasoro.FockPoly):
-    """virasoro.FockPoly with an optional degree cut, any eps^2 exponent in
-    `monomial`, and the ring operations the reference needs."""
+class FockPoly:
+    """Sparse polynomial in x and the s_k (k in N_*), coefficients Laurent in
+    eps^2, keyed like the grid's monomials: (x exponent, eps^2 exponent,
+    ((k, e), ...) sorted).  Indices are validated against N_*, the
+    truncation k_cut and an optional degree cut at construction."""
 
-    __slots__ = ("d_cut",)
+    __slots__ = ("params", "k_cut", "d_cut", "terms")
 
     def __init__(self, params: RationalParams, k_cut: int, terms=None, d_cut: int | None = None):
+        self.params = params
+        self.k_cut = k_cut
         self.d_cut = d_cut
-        super().__init__(params, k_cut, terms)
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            if c:
+                self._validate(key)
+                self.terms[key] = c
 
     def _validate(self, key):
-        super()._validate(key)
         xe, _, smono = key
+        for k, e in smono:
+            if not self.params.in_nstar(k):
+                raise TruncationViolation(f"s_{k} index not in N_*")
+            if k > self.k_cut:
+                raise TruncationViolation(f"s_{k} beyond k_cut = {self.k_cut}")
+            if e < 1:
+                raise ValueError("monomial exponents must be positive")
         deg = xe + sum(e for _, e in smono)
         if self.d_cut is not None and deg > self.d_cut:
             raise TruncationViolation(f"degree {deg} beyond d_cut = {self.d_cut}")
+
+    def first_term(self):
+        if not self.terms:
+            return None
+        key = min(self.terms)
+        return key, self.terms[key]
 
     @classmethod
     def monomial(cls, params, k_cut, coef=1, x: int = 0, eps2: int = 0, s=(), d_cut=None):
@@ -299,13 +384,13 @@ class FockPoly(virasoro.FockPoly):
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, virasoro.FockPoly) and self.terms == other.terms
+        return isinstance(other, FockPoly) and self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
 
 
-def virasoro_apply(params: RationalParams, m: int, f: virasoro.FockPoly) -> FockPoly:
+def virasoro_apply(params: RationalParams, m: int, f: FockPoly) -> FockPoly:
     """Exact image L_m(f) on the truncated Fock space, one term at a time."""
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -372,7 +457,7 @@ def add_second(add, params, smono, xe, ee, factor, a, b):
     add((xe, ee + 1, base), coeff)
 
 
-def commutator_check(params: RationalParams, m: int, n: int, sample: virasoro.FockPoly):
+def commutator_check(params: RationalParams, m: int, n: int, sample: FockPoly):
     """([L_m, L_n] - (m - n) L_{m+n}) sample == 0; returns (ok, first_term)."""
     lm_ln = virasoro_apply(params, m, virasoro_apply(params, n, sample))
     ln_lm = virasoro_apply(params, n, virasoro_apply(params, m, sample))
@@ -443,56 +528,60 @@ class TestCommutators:
     def test_grid_23(self):
         params = RationalParams(2, 3)
         bound = params.h + 2
-        basis = monomial_basis(params, bound + 6 * params.h, bound, 3)
-        grid = commutator_grid(params, basis, 3)
+        basis = monomial_basis(params, bound, 3)
+        grid = commutator_grid(params, basis, 3, bound + 6 * params.h)
         assert sorted(grid) == [(m, n) for m in range(4) for n in range(4)]
         for (m, n), term in grid.items():
             assert term is None, (m, n, term)
 
     def test_basis_size(self):
         p23 = RationalParams(2, 3)
-        # (params, k_cut, index bound, variable count): x, s1, s3, s4 for (2,1)
+        # (params, index bound, variable count): x, s1, s3, s4 for (2,1)
         # and x with 15 s-indices up to 3h + 2 for (2,3)
-        cases = [(P21, 40, 4, 4), (p23, 3 * p23.h + 2 + 6 * p23.h, 3 * p23.h + 2, 16)]
-        for params, k_cut, bound, variables in cases:
+        cases = [(P21, 4, 4), (p23, 3 * p23.h + 2, 16)]
+        for params, bound, variables in cases:
             for degree in range(5):
-                basis = monomial_basis(params, k_cut, bound, degree)
-                keys = [next(iter(p.terms)) for p in basis]
-                assert len(set(keys)) == len(keys)
+                basis = monomial_basis(params, bound, degree)
+                assert len(set(basis)) == len(basis)
+                assert all(ee == 0 and list(smono) == sorted(smono) for _, ee, smono in basis)
                 # C(V + d, d) monomials of degree <= d in V variables
                 assert len(basis) == comb(variables + degree, degree), (params, degree)
 
 
-def per_sample_grid(params, basis, mmax):
-    """The grid the slow way: commutator_check on each sample until one fails."""
+def per_sample_grid(params, basis, mmax, k_cut):
+    """The grid the slow way: commutator_check on each sample, each key of
+    the basis wrapped in a FockPoly, until one fails."""
+    samples = [FockPoly(params, k_cut, {key: Q(1)}) for key in basis]
     out = {}
     for m in range(mmax + 1):
         for n in range(mmax + 1):
             out[m, n] = next((term for ok, term in
-                              (commutator_check(params, m, n, f) for f in basis) if not ok), None)
+                              (commutator_check(params, m, n, f) for f in samples) if not ok), None)
     return out
 
 
 class TestCommutatorGrid:
     def test_agrees_with_per_sample_check(self, monkeypatch):
-        basis = monomial_basis(P12, 8 + 6 * P12.h, 8, 3)
-        grid = commutator_grid(P12, basis, 3)
-        assert grid == per_sample_grid(P12, basis, 3)
+        k_cut = 8 + 6 * P12.h
+        basis = monomial_basis(P12, 8, 3)
+        grid = commutator_grid(P12, basis, 3, k_cut)
+        assert grid == per_sample_grid(P12, basis, 3, k_cut)
         assert list(grid.values()) == [None] * 16
         # a wrong operator: doubling every b_k breaks each off-diagonal cell
         b = RationalParams.b
         monkeypatch.setattr(RationalParams, "b", lambda self, k: 2 * b(self, k))
-        grid = commutator_grid(P12, basis, 3)
-        assert grid == per_sample_grid(P12, basis, 3)
+        grid = commutator_grid(P12, basis, 3, k_cut)
+        assert grid == per_sample_grid(P12, basis, 3, k_cut)
         assert sorted(cell for cell, term in grid.items() if term) == \
             [(m, n) for m in range(4) for n in range(4) if m != n]
+        assert grid[0, 1] == ((2, 0, ((-1, 1),)), Q(-1))
 
     def test_images_match_virasoro_apply(self):
         k_cut = 8 + 6 * P12.h
         ops = OperatorImages(P12, k_cut, 5)
-        for f in monomial_basis(P12, k_cut, 8, 3):
-            (key, _), = f.terms.items()
+        for key in monomial_basis(P12, 8, 3):
             i = ops.number(key)
+            f = FockPoly(P12, k_cut, {key: Q(1)})
             for m in range(6):
                 it = iter(ops.image(m, i))
                 image = {ops.keys[t]: Q(c, ops.den) for t, c in zip(it, it)}
@@ -501,20 +590,35 @@ class TestCommutatorGrid:
     def test_truncation_like_per_sample_check(self):
         # h = 3: the first index past k_cut = 5 is L_2, past k_cut = 7 it is L_3
         for k_cut in (5, 7):
-            basis = monomial_basis(P21, k_cut, 4, 2)
+            basis = monomial_basis(P21, 4, 2)
             for mmax in (2, 3):
                 with pytest.raises(TruncationViolation) as slow:
-                    per_sample_grid(P21, basis, mmax)
+                    per_sample_grid(P21, basis, mmax, k_cut)
                 with pytest.raises(TruncationViolation) as fast:
-                    commutator_grid(P21, basis, mmax)
+                    commutator_grid(P21, basis, mmax, k_cut)
                 assert str(fast.value) == str(slow.value)
-            assert commutator_grid(P21, basis, 1) == per_sample_grid(P21, basis, 1)
+            assert commutator_grid(P21, basis, 1, k_cut) == per_sample_grid(P21, basis, 1, k_cut)
+
+    @pytest.mark.parametrize("key, error", [
+        ((0, 0, ((2, 1),)), TruncationViolation),  # 2 is not in N_* for (2,1)
+        ((0, 0, ((1, 1), (7, 1))), TruncationViolation),  # 7 beyond k_cut
+        ((1, 0, ((4, 0),)), ValueError),  # exponent below 1
+    ])
+    def test_basis_keys_validated(self, key, error):
+        # the grid rejects a key as the reference's FockPoly does, before any
+        # operator runs
+        basis = monomial_basis(P21, 4, 2) + [key]
+        with pytest.raises(error) as slow:
+            per_sample_grid(P21, basis, 1, 6)
+        with pytest.raises(error) as fast:
+            commutator_grid(P21, basis, 1, 6)
+        assert str(fast.value) == str(slow.value)
 
     @pytest.mark.parametrize("mmax, degree", [(5, 3), (3, 4)])
     def test_larger_grid_12(self, mmax, degree):
         bound = 3 * P12.h + 2
-        basis = monomial_basis(P12, bound + 2 * mmax * P12.h, bound, degree)
-        grid = commutator_grid(P12, basis, mmax)
+        basis = monomial_basis(P12, bound, degree)
+        grid = commutator_grid(P12, basis, mmax, bound + 2 * mmax * P12.h)
         assert len(grid) == (mmax + 1) ** 2
         assert all(term is None for term in grid.values()), grid
 
@@ -540,12 +644,9 @@ class TestCommutatorGrid:
         assert counts[0] == counts[1] == len(set(pairs)) > 0
 
     def test_no_v_state_outlives_a_call(self, monkeypatch):
-        from cubichodge.virasoro import FactoredRational
-
         built = []
-        init = FactoredRational.__init__
-        monkeypatch.setattr(FactoredRational, "__init__",
-                            lambda self, *a: built.append(a) or init(self, *a))
+        expand = oracles.v_zinv_expansion
+        monkeypatch.setattr(oracles, "v_zinv_expansion", lambda *a: built.append(a) or expand(*a))
         argv = ["verify", "--suite", "bridge", "--suite", "series-oracles", "--pairs", "1,2;2,3"]
         counts = []
         for _ in range(2):
