@@ -27,7 +27,7 @@ from .oracles import (btilde11_closed_form_check, c_pair_float_check, chain_rule
 from .outputs import intersection_table, r_poly
 from .ptensors import PTensorTable, top_coefficient_value
 from .ratio import qstr
-from .textform import free_energy_text, jet_json, jet_latex, jet_text
+from .textform import free_energy_text, jet_json, jet_latex, jet_text, json_text
 from .virasoro import BtildeTable, RationalParams
 
 
@@ -144,7 +144,7 @@ def _emit_body(fe, fmt: str) -> str:
         return head + jet_latex(fe.body)
     data = {"genus": fe.genus, "body": jet_json(fe.body),
             "log_z1_coeff": qstr(fe.log_z1_coeff) if fe.log_z1_coeff is not None else None}
-    return json.dumps(data, indent=1)
+    return json_text(data)
 
 
 def cmd_compute(args) -> int:
@@ -161,8 +161,7 @@ def cmd_compute(args) -> int:
     print(_emit_body(solver.free_energy(genus, cache_dir), args.format))
     if args.dump_ptable:
         with open(args.dump_ptable, "w") as fh:
-            json.dump(solver.table.dump_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(solver.table.dump_json(), sort_keys=True) + "\n")
     return 0
 
 
@@ -175,7 +174,7 @@ def cmd_rg(args) -> int:
     elif args.format == "latex":
         print(jet_latex(rg))
     else:
-        print(json.dumps({"genus": genus, "rg": jet_json(rg)}, indent=1))
+        print(json_text({"genus": genus, "rg": jet_json(rg)}))
     return 0
 
 
@@ -186,7 +185,7 @@ def cmd_hodge(args) -> int:
     rows = intersection_table(fe, args.tmax, args.dmax, normalized=args.integrals)
     if args.format == "json":
         data = [{"indices": list(idx), "coefficient": jet_json(c)} for idx, c in rows]
-        print(json.dumps({"genus": genus, "table": data}, indent=1))
+        print(json_text({"genus": genus, "table": data}))
         return 0
     label = "bracket" if args.integrals else "coefficient"
     width = max((len(_indices_text(idx)) for idx, _ in rows), default=8)

@@ -277,7 +277,7 @@ def cache_path(cache_dir: str, genus: int) -> str:
 
 
 def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
-    from .textform import TEXT_FORM_VERSION
+    from .textform import TEXT_FORM_VERSION, json_text
 
     os.makedirs(cache_dir, exist_ok=True)
     payload = _payload(fe)
@@ -289,11 +289,11 @@ def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
     }
     path = cache_path(cache_dir, fe.genus)
     # write beside the target and rename over it, so a torn write is never read back
+    text = json_text(record, sort_keys=True) + "\n"
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -7,12 +7,17 @@ built by signed Kronecker packing: slot i holds the exponent e_i times
     key = sum_i e_i << (SLOT_BITS * i),    -SLOT_HALF < e_i < SLOT_HALF.
 
 Packing is linear, so the key of a product term is the sum of its factors'
-keys, and a negative exponent (z1 in a JetPoly) needs no offset.  For every
-polynomial over Q[s1, s3], slots 0 and 1 hold the s1 and s3 exponents; the
-slots after them hold the jets z0, z1, ... (in a TSeries, t0..tn take their
-slots).  A key has as many slots as it needs: `width` reads from the keys
-how many are in use.  The functions `pack`, `unpack`, `width`, `unit`, `exponent` and
-`split` below are the only code that knows this layout.
+keys, and a negative exponent (z1 in a JetPoly) needs no offset.  It also
+keeps order: the slots below slot j add up to less than half of
+2^(SLOT_BITS * j) in size, so keys compare as their exponent tuples do,
+read from the top slot down.
+
+For every polynomial over Q[s1, s3], slots 0 and 1 hold the s1 and s3
+exponents; the slots after them hold the jets z0, z1, ... (in a TSeries,
+t0..tn take their slots).  A key has as many slots as it needs: `width`
+reads from the keys how many are in use.  The functions `pack`, `unpack`,
+`width`, `unit`, `exponent` and `split` below are the only code that knows
+this layout.
 
 A key is right only while every slot stays inside the slot.  Each polynomial
 therefore carries a bound on |e_i| over all its terms and slots: products
@@ -27,11 +32,13 @@ and `nonzero` take any key.
 """
 from __future__ import annotations
 
+import struct
 from functools import cache
 
 SLOT_BITS = 16
 SLOT_HALF = 1 << (SLOT_BITS - 1)
 _MASK = (1 << SLOT_BITS) - 1
+_SLOT_CODE = {8: "b", 16: "h", 32: "i", 64: "q"}[SLOT_BITS]  # one signed slot for struct
 
 
 # -- the key layout -----------------------------------------------------------
@@ -50,14 +57,18 @@ def pack(exponents, start: int = 0) -> int:
 
 def unpack(key: int, n: int) -> tuple:
     """The exponents in slots 0..n-1 of key; ValueError if a later slot is used."""
-    out = []
-    for _ in range(n):
-        e = ((key + SLOT_HALF) & _MASK) - SLOT_HALF
-        out.append(e)
-        key = (key - e) >> SLOT_BITS
-    if key:
-        raise ValueError(f"key uses slots beyond the first {n}")
-    return tuple(out)
+    read, bias, size = _reader(n)
+    try:
+        # SLOT_HALF added to each slot makes it a nonnegative digit e + SLOT_HALF
+        # with no borrow; flipping that bit again leaves e in two's complement
+        return read(((key + bias) ^ bias).to_bytes(size, "little"))
+    except OverflowError:
+        raise ValueError(f"key uses slots beyond the first {n}") from None
+
+
+@cache
+def _reader(n: int):
+    return struct.Struct(f"<{n}{_SLOT_CODE}").unpack, _bias(n - 1), n * SLOT_BITS // 8
 
 
 def width(keys) -> int:

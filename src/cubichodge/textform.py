@@ -15,7 +15,9 @@ reproduces the familiar ordering of the printed genus-2 free energy.
 JSON form: a list of term objects {"coef": "num/den", "sigma": [a, b],
 "jets": {"z1": -2, ...}} in the same canonical order, rationals always
 carrying an explicit denominator.  `jet_from_json` reads outside input, so
-it checks every sigma and jet name before it packs a key.
+it checks every sigma, jet name and exponent before it packs a key.
+`json_text` writes any such object, and every other JSON the program
+writes, as `json.dumps(obj, indent=1)` does, byte for byte.
 
 TEXT_FORM_VERSION names these canonical forms; the per-genus cache stores
 it and ignores a record written under another version.
@@ -23,27 +25,47 @@ it and ignores a record written under another version.
 from __future__ import annotations
 
 import re
+from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 
 from .jets import JetPoly
-from .ratio import Q, parse_q, qjson, qstr
-from .sparse import unpack, width
+from .ratio import parse_q, qstr
+from .sparse import SLOT_HALF, unit, unpack, width
 
 TEXT_FORM_VERSION = "textform-v1"
 
 
-def term_sort_key(key: tuple):
-    """Canonical order of exponent tuples (sa, sb, e0, ..., ek) of one width."""
-    sdeg = key[0] + 3 * key[1]
-    jets_desc = tuple(-e for e in key[:3:-1])
-    return (sdeg, key[1], jets_desc, -key[3], -key[2])
+# a jet-free key (a Hodge-table row, R_g) lies in [0, _FIRST_JET): its sigma slots are nonnegative
+_FIRST_JET = unit(2)
 
 
-def sorted_items(p: JetPoly):
-    """p.items() in canonical term order, every exponent tuple padded to the
-    widest one, so that term_sort_key compares them from one top jet down."""
-    n, den = max(4, width(p.terms)), p.den
-    return sorted([(unpack(k, n), Q(v, den)) for k, v in p.terms.items()],
-                  key=lambda kv: term_sort_key(kv[0]))
+def sorted_items(p: JetPoly) -> list:
+    """(exponent tuple, numerator, denominator) per term of p in canonical
+    term order, each coefficient in lowest terms and every tuple padded to
+    the widest one (at least four slots).
+
+    Keys order as their exponents do, read from the top slot down
+    (sparse.py), and the sigma slots are nonnegative; so the keys in
+    descending order list the jet parts in canonical order, and the stable
+    sort by sigma grade after it keeps that order within each grade."""
+    terms, den = p.terms, p.den
+    keys = sorted(terms, reverse=True)
+    if not keys:
+        return []
+    n = 4 if keys[-1] >= 0 and keys[0] < _FIRST_JET else max(4, width(keys))
+    rows = [(unpack(k, n), terms[k]) for k in keys]
+    rows.sort(key=_grade)
+    out = []
+    for key, v in rows:
+        g = gcd(v, den)
+        out.append((key, v // g, den // g))
+    return out
+
+
+def _grade(row) -> tuple:
+    """Sigma weighted degree (deg s1 = 1, deg s3 = 3), then the s3 exponent."""
+    key = row[0]
+    return key[0] + 3 * key[1], key[1]
 
 
 def _factors(key: tuple) -> str:
@@ -62,10 +84,11 @@ def jet_text(p: JetPoly) -> str:
     if not p.terms:
         return "0"
     pieces = []
-    for key, c in sorted_items(p):
-        neg = c < 0
+    for key, num, den in sorted_items(p):
+        neg = num < 0
         mono = _factors(key)
-        body = f"({qstr(-c if neg else c)})" + (f"*{mono}" if mono else "")
+        coef = -num if neg else num
+        body = (f"({coef})" if den == 1 else f"({coef}/{den})") + (f"*{mono}" if mono else "")
         if not pieces:
             pieces.append(("-" if neg else "") + body)
         else:
@@ -142,26 +165,115 @@ def _split_terms(text: str):
 
 
 def jet_json(p: JetPoly) -> list:
-    out = []
-    for key, c in sorted_items(p):
-        jets = {f"z{k}": e for k, e in enumerate(key[2:]) if e}
-        out.append({"coef": qjson(c), "sigma": [key[0], key[1]], "jets": jets})
-    return out
+    rows = sorted_items(p)
+    names = [f"z{k}" for k in range(len(rows[0][0]) - 2)] if rows else []
+    return [{"coef": f"{num}/{den}", "sigma": [key[0], key[1]],
+             "jets": {name: e for name, e in zip(names, key[2:]) if e}}
+            for key, num, den in rows]
 
 
 def jet_from_json(data: list, top: int) -> JetPoly:
-    """The JetPoly of jet_json's list.  Every term is checked before any key
-    is packed: ValueError for a sigma other than two nonnegative ints,
-    KeyError for a jet name other than z0..z{top}."""
-    index = {f"z{k}": k for k in range(top + 1)}
-    terms = []
+    """The JetPoly of jet_json's list, summing repeated terms and dropping
+    zero ones.  A term's key is used only once every check on the term has
+    passed: ValueError for a sigma other than two nonnegative ints, for a
+    jet exponent that is not an int or is negative outside z1, and for a
+    coefficient that is not "num" or "num/den" in ints; KeyError for a jet
+    name other than z0..z{top}; OverflowError for an exponent that does not
+    fit its slot; ZeroDivisionError for a zero denominator."""
+    slots = {f"z{k}": unit(2 + k) for k in range(top + 1)}
+    s3, z1 = unit(1), unit(3)
+    parsed = []
+    bound = 0
     for term in data:
         sa, sb = sigma = term["sigma"]
         if type(sa) is not int or type(sb) is not int or sa < 0 or sb < 0:
             raise ValueError(f"sigma {sigma!r} is not two nonnegative ints")
-        jets = {index[name]: e for name, e in term["jets"].items()}
-        terms.append((parse_q(term["coef"]), (sa, sb), jets))
-    return JetPoly.sum([JetPoly.monomial(*t) for t in terms])
+        top_e = max(sa, sb)
+        key = sa + sb * s3
+        for name, e in term["jets"].items():
+            slot = slots[name]
+            if type(e) is not int or (e < 0 and slot != z1):
+                raise ValueError(f"{name}^{e!r}: a jet exponent is an int, negative only on z1")
+            if abs(e) > top_e:
+                top_e = abs(e)
+            key += e * slot
+        if top_e >= SLOT_HALF:
+            raise OverflowError(f"exponent {top_e} does not fit a slot")
+        num, slash, den = term["coef"].partition("/")
+        num, den = int(num), int(den) if slash else 1
+        if not den:
+            raise ZeroDivisionError(f"coefficient {term['coef']!r} has a zero denominator")
+        if num:
+            parsed.append((key, num, den))
+            if top_e > bound:
+                bound = top_e
+    common = lcm(*(d for _, _, d in parsed))  # positive, as math.lcm is
+    nums = {}
+    get = nums.get
+    for key, num, den in parsed:
+        nums[key] = get(key, 0) + num * (common // den)
+    return JetPoly.packed({k: v for k, v in nums.items() if v}, common, bound)
+
+
+def json_text(obj, sort_keys: bool = False) -> str:
+    """json.dumps(obj, indent=1, sort_keys=sort_keys), byte for byte, for
+    lists, tuples and dicts with str keys of str, int, float, bool and None.
+    Strings go through json's own (C) escaper, and each container is one
+    join."""
+    keys = {}   # str key -> its JSON and ": ", made once per call
+    lines = []  # depth -> (its newline, the newline of its items, their separator)
+
+    def write(obj, depth: int) -> str:
+        while len(lines) <= depth:
+            pad = " " * len(lines)
+            lines.append(("\n" + pad, "\n " + pad, ",\n " + pad))
+        nl, inner, sep = lines[depth]
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            parts = []
+            for k, v in sorted(obj.items()) if sort_keys else obj.items():
+                head = keys.get(k)
+                if head is None:
+                    if not isinstance(k, str):
+                        raise TypeError(f"keys must be str, not {type(k).__name__}")
+                    head = keys[k] = encode_basestring_ascii(k) + ": "
+                w = _SCALAR_JSON.get(type(v))
+                parts.append(head + (w(v) if w else write(v, depth + 1)))
+            return "{" + inner + sep.join(parts) + nl + "}"
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            return "[" + inner + sep.join([w(v) if (w := _SCALAR_JSON.get(type(v)))
+                                           else write(v, depth + 1) for v in obj]) + nl + "]"
+        # subclasses of the scalar types, as json writes them
+        for base in (str, int, float):
+            if isinstance(obj, base):
+                return _SCALAR_JSON[base](obj)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    w = _SCALAR_JSON.get(type(obj))
+    return w(obj) if w else write(obj, 0)
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_INF = float("inf")
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
 
 
 # -- LaTeX ----------------------------------------------------------------
@@ -182,11 +294,10 @@ def jet_latex(p: JetPoly) -> str:
     if not p.terms:
         return "0"
     pieces = []
-    for key, c in sorted_items(p):
-        neg = c < 0
+    for key, num, den in sorted_items(p):
+        neg = num < 0
         if neg:
-            c = -c
-        num, den = c.numerator, c.denominator
+            num = -num
         sig = _latex_sigma(key)
         top = (f"{num}" if num != 1 or not sig else "") + (f" {sig}" if sig else "")
         top = top.strip() or f"{num}"

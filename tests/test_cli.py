@@ -347,3 +347,24 @@ def test_frozen_dump_ptable_g3(tmp_path, capsys):
     assert run_cli(capsys, "compute", "--genus", "3", "--dump-ptable", path)[0] == 0
     with open(path, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == FROZEN_DUMP_PTABLE_G3_SHA256
+
+
+# sha256 of the exact stdout of each JSON output, frozen while they were
+# written by `json.dumps(..., indent=1)`; the writer that replaced it must
+# keep every byte.
+FROZEN_JSON_STDOUT_SHA256 = {
+    "hodge --genus 3 --tmax 4 --dmax 6 --integrals --format json":
+        "c8368bba4734cd6cd30d912194701f46c38f6ec2dfa0cff6176bbd3b41b9ca75",
+    "rg --genus 4 --format json": "6a8a7416dd25c9a150dc73ceb2330a0c9ef39ba6d41fa05f46e4527708706f99",
+    "compute --genus 3 --format json": "61315fb280d3a8cec01c57c3c8f6234cb1c5e43d98ed4beb237e1ad94da9f0f7",
+    "compute --genus 1 --format json": "94b2167dea137499746e443e4e7fc6f863982ed1dc7dff11758edc326ca19e66",
+}
+
+
+@pytest.mark.parametrize("command", FROZEN_JSON_STDOUT_SHA256)
+def test_frozen_json_stdout(capsys, command):
+    import hashlib
+
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_JSON_STDOUT_SHA256[command]

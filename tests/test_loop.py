@@ -372,9 +372,62 @@ class TestCache:
         json.dump(record, open(path, "w"))
         assert load_cached(str(tmp_path), 2, "fp") is None
 
-    def test_torn_write_keeps_previous_record(self, tmp_path, h123, monkeypatch):
-        import json
+    def test_split_and_zero_terms_read_back_whole(self, tmp_path, h123):
+        """Repeated terms are summed, zero ones dropped, and a negative
+        denominator normalised: the record reads back as the solved body,
+        with its den and bound."""
+        h2 = h123[1].body
 
+        def rewrite(payload):
+            body = payload["body"]
+            num, den = map(int, body[0]["coef"].split("/"))
+            # two halves of the first term, each written over a negative denominator
+            body[0]["coef"] = f"{-3 * num}/{-6 * den}"
+            body.insert(1, dict(body[0]))
+            body.append({"coef": "0/7", "sigma": [0, 0], "jets": {"z2": 1}})
+            body.append({"coef": "1/3", "sigma": [1, 0], "jets": {"z2": 2}})
+            body.append({"coef": "-2/6", "sigma": [1, 0], "jets": {"z2": 2}})
+
+        fp = _store_tampered(tmp_path, h123[1], rewrite)
+        fe = load_cached(str(tmp_path), 2, fp)
+        assert fe is not None
+        assert fe.body == h2 and (fe.body.den, fe.body.bound) == (h2.den, h2.bound)
+
+    @pytest.mark.parametrize("change", [
+        ("coef", "1/0"), ("coef", "1/2/3"), ("coef", 5), ("coef", "x"),
+        ("z2", True), ("z2", 1.0), ("z2", "1"), ("z2", None),
+        ("z2", 2 ** 15), ("z1", -(2 ** 15)), ("sigma", [2 ** 15, 0]),
+        ("z0", -1), ("z2", -1), ("x1", 1), ("z01", 1),
+    ], ids=repr)
+    def test_bad_term_misses(self, tmp_path, h123, change):
+        field, value = change
+
+        def bad_term(payload):
+            term = payload["body"][-1]
+            if field in ("coef", "sigma"):
+                term[field] = value
+            else:
+                term["jets"][field] = value
+
+        assert load_cached(str(tmp_path), 2, _store_tampered(tmp_path, h123[1], bad_term)) is None
+
+    @pytest.mark.parametrize("change", [("z1", -(2 ** 15) + 1), ("z2", 2 ** 15 - 1),
+                                        ("sigma", [2 ** 15 - 1, 0])], ids=repr)
+    def test_largest_exponents_hit(self, tmp_path, h123, change):
+        field, value = change
+
+        def big_term(payload):
+            term = {"coef": "1/5", "sigma": [0, 0], "jets": {}}
+            if field == "sigma":
+                term["sigma"] = value
+            else:
+                term["jets"][field] = value
+            payload["body"].append(term)
+
+        fe = load_cached(str(tmp_path), 2, _store_tampered(tmp_path, h123[1], big_term))
+        assert fe is not None and fe.body.bound == 2 ** 15 - 1
+
+    def test_torn_write_keeps_previous_record(self, tmp_path, h123, monkeypatch):
         import cubichodge.loop as loop
 
         h2 = h123[1]
@@ -382,11 +435,25 @@ class TestCache:
         path = store_cached(str(tmp_path), fe)
         before = open(path).read()
 
-        def torn_dump(obj, fh, **kw):
-            fh.write(json.dumps(obj)[:100])
-            raise OSError("disk full")
+        class TornFile:
+            """A file whose first write stops after 100 characters."""
 
-        monkeypatch.setattr(loop.json, "dump", torn_dump)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:100])
+                raise OSError("disk full")
+
+        # the write inside store_cached fails part way
+        monkeypatch.setattr(loop, "open", lambda path, mode="r": TornFile(open(path, mode)),
+                            raising=False)
         with pytest.raises(OSError):
             store_cached(str(tmp_path), fe)
         monkeypatch.undo()

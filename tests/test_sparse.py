@@ -76,6 +76,26 @@ def test_width(a, b):
     assert width([]) == 0 and width({0: 1}) == 0
 
 
+slot_values = st.sampled_from([0, 1, -1, EDGE, -EDGE, SLOT_HALF - 1, 1 - SLOT_HALF])
+
+
+@given(st.lists(slot_values, max_size=5))
+def test_unpack_reads_n_slots(a):
+    used = width([pack(a)])
+    assert unpack(pack(a), len(a) + 2) == tuple(a) + (0, 0)
+    assert unpack(pack(a), used) == tuple(a[:used])
+    if used:
+        with pytest.raises(ValueError):
+            unpack(pack(a), used - 1)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[st.lists(slot_values, min_size=n,
+                                                                  max_size=n)] * 2)))
+def test_keys_order_as_exponents_from_the_top_slot(ab):
+    a, b = ab
+    assert (pack(a) < pack(b)) == (a[::-1] < b[::-1])
+
+
 def test_pack_rejects_overflow():
     assert unpack(pack((SLOT_HALF - 1, 1 - SLOT_HALF)), 2) == (SLOT_HALF - 1, 1 - SLOT_HALF)
     for e in (SLOT_HALF, -SLOT_HALF):

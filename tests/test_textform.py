@@ -1,12 +1,12 @@
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
 from cubichodge.textform import (free_energy_text, jet_from_json, jet_json, jet_latex,
-                                 jet_text, parse_jet)
+                                 jet_text, json_text, parse_jet, sorted_items)
 
 from golden import H1_TEXT, H2_TEXT, H3_TEXT, parse_sigma
 
@@ -73,6 +73,53 @@ def test_json_roundtrip_random(p):
     assert json.dumps(jet_json(again)) == blob
 
 
+@st.composite
+def json_terms(draw):
+    """jet_json-shaped terms with repeats, zero coefficients and signs on
+    either side of the fraction bar."""
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        if terms and draw(st.booleans()):
+            term = dict(draw(st.sampled_from(terms)))
+        else:
+            jets = {f"z{k}": draw(st.integers(0, 3)) for k in draw(st.sets(st.integers(0, JET_TOP),
+                                                                          max_size=3))}
+            jets["z1"] = draw(st.integers(-4, 4))
+            term = {"sigma": [draw(st.integers(0, 3)), draw(st.integers(0, 2))], "jets": jets}
+        num, den = draw(st.integers(-6, 6)), draw(st.integers(-6, 6).filter(bool))
+        term["coef"] = draw(st.sampled_from([f"{num}/{den}", f"{num}"]))
+        terms.append(term)
+    return terms
+
+
+@given(json_terms())
+@settings(max_examples=150, deadline=None)
+def test_json_reader_sums_terms(terms):
+    """The reader sums the terms as JetPoly.monomial and JetPoly.sum do, with
+    the same den and bound."""
+    want = JetPoly.sum([JetPoly.monomial(Q(*map(int, t["coef"].split("/"))), tuple(t["sigma"]),
+                                         {int(name[1:]): e for name, e in t["jets"].items()})
+                        for t in terms])
+    got = jet_from_json(terms, JET_TOP)
+    assert got == want and (got.den, got.bound) == (want.den, want.bound)
+
+
+def canonical_order(key: tuple):
+    """The module docstring's term order, on exponent tuples of one width."""
+    return (key[0] + 3 * key[1], key[1], tuple(-e for e in key[:3:-1]), -key[3], -key[2])
+
+
+@given(jet_polys())
+@settings(max_examples=80, deadline=None)
+def test_sorted_items_is_canonical_order(p):
+    n = max([4] + [len(key) for key, _ in p.items()])
+    want = sorted(((key + (0,) * (n - len(key)), c) for key, c in p.items()),
+                  key=lambda kc: canonical_order(kc[0]))
+    rows = sorted_items(p)
+    assert [(key, Q(num, den)) for key, num, den in rows] == want
+    assert all(Q(num, den).denominator == den for _, num, den in rows)
+
+
 def test_json_schema_shape():
     p = JetPoly.monomial(Q(-1, 2), (1, 0), {1: -2, 3: 1})
     data = jet_json(p)
@@ -90,3 +137,28 @@ def test_canonical_order_matches_printed_h2(h123):
     text = jet_text(h123[1].body)
     assert text.index("z4") < text.index("z3") < text.index("z2^3")
     assert text.index("s1^3") < text.index("s3")
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text() | st.text(st.characters(max_codepoint=0x7f)))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(json_values, st.booleans())
+@example({"z10": [], "z2": {}, "é\u2028": "\ud800\"\\\n\t\x00", "": [-0.0, 1e300, -7]}, True)
+@example([float("nan"), float("inf"), -float("inf"), (1, (), [{}])], False)
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_json_dumps(obj, sort_keys):
+    assert json_text(obj, sort_keys) == json.dumps(obj, indent=1, sort_keys=sort_keys)
+
+
+def test_json_text_takes_str_keys_and_json_types_only():
+    import pytest
+
+    for obj in ({1: 2}, {"a": {(1,): 2}}, [object()], {1, 2}):
+        with pytest.raises(TypeError):
+            json_text(obj)
