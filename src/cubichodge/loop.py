@@ -287,9 +287,9 @@ def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
         "provenance": {k: provenance[k] for k in sorted(provenance)},
         "sha256": _payload_hash(payload, fe.provenance.get("ptable", "")),
     }
+    text = json_text(record, sort_keys=True) + "\n"
     path = cache_path(cache_dir, fe.genus)
     # write beside the target and rename over it, so a torn write is never read back
-    text = json_text(record, sort_keys=True) + "\n"
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:

@@ -38,7 +38,7 @@ from functools import cache
 SLOT_BITS = 16
 SLOT_HALF = 1 << (SLOT_BITS - 1)
 _MASK = (1 << SLOT_BITS) - 1
-_SLOT_CODE = {8: "b", 16: "h", 32: "i", 64: "q"}[SLOT_BITS]  # one signed slot for struct
+_SLOT_CODE = "h"  # struct's code for one signed 16-bit (SLOT_BITS) slot
 
 
 # -- the key layout -----------------------------------------------------------

@@ -344,18 +344,16 @@ class TestCache:
 
     @pytest.mark.parametrize("name", ["z-1", "z5", "z100000000"])
     def test_jet_index_out_of_range_misses(self, tmp_path, h123, monkeypatch, name):
-        import cubichodge.jets as jets
-
         # H_2's jets end at z4; the last term takes the bad jet
         def bad_jet(payload):
             payload["body"][-1]["jets"][name] = 1
 
         fp = _store_tampered(tmp_path, h123[1], bad_jet)
 
-        def no_pack(*args):
-            raise AssertionError("a key was packed before the jets were checked")
+        def no_packed(*args):
+            raise AssertionError("a polynomial was built before every term was checked")
 
-        monkeypatch.setattr(jets, "pack", no_pack)
+        monkeypatch.setattr(JetPoly, "packed", no_packed)
         assert load_cached(str(tmp_path), 2, fp) is None
 
     def test_jets_of_wrong_shape_misses(self, tmp_path, h123):
