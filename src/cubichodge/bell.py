@@ -11,6 +11,7 @@ checked once per table against the cached Bell polynomials.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 from .jets import JetPoly
@@ -71,11 +72,10 @@ class FJetTable:
         while len(self._rows) <= imax:
             i = len(self._rows) - 1
             prev = self._rows[i]
-            z1 = JetPoly.z(1)
             row = [self._zero]
             for j in range(i + 1):
                 up = prev[j + 1].derive() if j + 1 <= i else self._zero
-                row.append(up + z1 * prev[j])
+                row.append(up + prev[j].mul_z(1))
             self._rows.append(row)
         if grew:
             top = min(len(self._rows) - 1, SELFCHECK_TO)
@@ -84,17 +84,20 @@ class FJetTable:
                 self._verified_to = top
 
     def _verify_against_bell(self, lo: int, hi: int):
-        table = BellTable(hi)
+        table = _selfcheck_table()
         for i in range(lo, hi + 1):
             for j in range(i + 1):
                 if self._rows[i][j] != bell_jet(table, i, j):
                     raise AssertionError(f"f_({i},{j}) disagrees with its Bell closed form")
 
 
+@cache
+def _selfcheck_table() -> BellTable:
+    """The Bell table every FJetTable checks its rows against, built once."""
+    return BellTable(SELFCHECK_TO)
+
+
 def bell_jet(table: BellTable, n: int, k: int) -> JetPoly:
     """B_{n,k}(z1, ..., z_{n-k+1}) as a JetPoly."""
-    out = JetPoly.zero()
-    for mono, c in table.bell_partial(n, k).items():
-        jets = {m + 1: e for m, e in enumerate(mono) if e}
-        out = out + JetPoly.monomial(c, (0, 0), jets)
-    return out
+    # slot m of a Bell monomial is the exponent of X_(m+1) = z_(m+1)
+    return JetPoly({(0, 0, 0) + mono: c for mono, c in table.bell_partial(n, k).items()})

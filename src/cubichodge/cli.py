@@ -156,9 +156,7 @@ def cmd_compute(args) -> int:
         if os.path.isdir(args.dump_ptable):
             _usage_error(f"--dump-ptable {args.dump_ptable!r} is a directory")
     solver = LoopSolver(genus)
-    # a cache hit reads no P~ entry: solve without the cache, so the dump is always whole
-    cache_dir = None if args.dump_ptable else args.cache_dir
-    print(_emit_body(solver.free_energy(genus, cache_dir), args.format))
+    print(_emit_body(solver.free_energy(genus, args.cache_dir), args.format))
     if args.dump_ptable:
         with open(args.dump_ptable, "w") as fh:
             fh.write(json_text(solver.table.dump_json(), sort_keys=True) + "\n")

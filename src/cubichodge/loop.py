@@ -11,28 +11,34 @@ with RHS_1 = Theta^2/16 - (1/16 - s1/24) Theta =: T and for g >= 2
           + 1/2 sum_{i,j} P_{i+1,j+1} (d2 H_{g-1}/dz_i dz_j
                 + sum_{k=1}^{g-1} dH_k/dz_i dH_{g-k}/dz_j).
 
-Neither side forms a dressed P_{a,b} = sum_{k,l} f_{a,k} f_{b,l} P~_{k,l};
-both contract P~ against jet-only weights (PTensorTable.contract):
+Neither side forms a dressed P_{a,b} = sum_{k,l} f_{a,k} f_{b,l} P~_{k,l}
+whole.  The total derivative is derive = (jets entry by entry) + z1 xi_euler,
+so the recursions xi_euler P~_{k,l} = P~_{k+1,l} + P~_{k,l+1} and
+f_{a+1,k} = derive(f_{a,k}) + z1 f_{a,k-1} give derive(P_{a,b}) =
+P_{a+1,b} + P_{a,b+1}; Pascal's rule on the binomial sum then leaves one
+new term per step:
 
-    L_i = derive^i(Theta) + sum_{k,l} P~_{k,l} Omega^(i)_{k,l},
-    Omega^(i)_{k,l} = sum_{j=1}^i C(i, j) f_{j-1,k} f_{i-j+1,l},
+    L_0 = Theta,   L_i = derive(L_{i-1}) + P_{0,i},
+    P_{0,i} = sum_{l=1}^i f_{i,l} P~_{0,l},
 
-and the quadratic part of RHS_g is sum_{k,l} P~_{k,l} (F^T W F)_{k,l}, with
-W_{i+1,j+1} the bracket above for i <= j, halved on the diagonal (P is
-symmetric, so the upper triangle carries the whole sum).  Up to genus g
-both read P~_{k,l} with k + l <= 3g - 2 only, so a solver's P~ table is
-sized once, for its genus_max.
+so L_i reads row 0 of P~ only.  The quadratic part of RHS_g contracts P~
+against jet-only weights (PTensorTable.contract): it is
+sum_{k,l} P~_{k,l} (F^T W F)_{k,l}, with W_{i+1,j+1} the bracket above for
+i <= j, halved on the diagonal (P is symmetric, so the upper triangle
+carries the whole sum).  Up to genus g both sides read P~_{k,l} with
+k + l <= 3g - 2 only, so a solver's P~ table is sized once, for its
+genus_max.
 
 Every Theta polynomial is held in the Stirling basis pi_m of theta.py, in
 which T = (s1/24) pi_1 - pi_2/16.  pi_m has Theta degree m and no constant
 term, and L_i, P~ and RHS_g have none, so the identity holds iff it holds
-for each pi_m coefficient.  Theta and T have jet-free coefficients, so no
-derivative is formed: by the chain rule (Faa di Bruno; Comtet, ch. 3)
+for each pi_m coefficient.  T has jet-free coefficients, so the linear
+part of RHS_g forms no derivative: by the chain rule (Faa di Bruno;
+Comtet, ch. 3)
 
     derive^n h = sum_j f_{n,j} xi_euler^j h,   xi_euler^j pi_m = (-1)^j pi_(m+j),
 
-derive^i(Theta) = sum_j (-1)^j f_{i,j} pi_(j+1), and the linear part of
-RHS_g is sum_j xi_euler^j(T) w_j with w_j = sum_i f_{i+2,j} dH_{g-1}/dz_i.
+it is sum_j xi_euler^j(T) w_j with w_j = sum_i f_{i+2,j} dH_{g-1}/dz_i.
 The pi_m rows m = 1..3g-1 form an invertible triangular system for the
 gradient of H_g; all remaining rows must be matched identically, which is
 asserted after every solve.  H_g itself is recovered from the Euler
@@ -52,7 +58,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from math import comb
 
 from .jets import JetPoly
 from .linsolve import TriangularSystem
@@ -100,7 +105,7 @@ class LoopSolver:
             raise ValueError("genus bound must be >= 1")
         self.genus_max = genus_max
         self.table = PTensorTable(3 * genus_max - 2)
-        self._lhs: dict[int, ThetaPoly] = {}
+        self._lhs: list[ThetaPoly] = []
 
     # -- coefficient assembly ---------------------------------------------
 
@@ -113,20 +118,23 @@ class LoopSolver:
                               for j, wj in enumerate(w) if wj])
 
     def lhs_coefficient(self, i: int) -> ThetaPoly:
-        got = self._lhs.get(i)
-        if got is not None:
-            return got
-        f = self.table.fjets.f
-        theta_part = ThetaPoly([-f(i, j) if j % 2 else f(i, j) for j in range(i + 1)])
-        acc = theta_part + self.table.contract(
-            {(j - 1, i - j + 1): comb(i, j) for j in range(1, i + 1)})
-        if acc.degree != i + 1:
-            raise LoopEquationError(f"L_{i} has Theta degree {acc.degree}, expected {i + 1}")
-        top = acc.coeff(i + 1)
-        if len(top.terms) != 1:
-            raise LoopEquationError(f"L_{i} top coefficient is not a single monomial")
-        self._lhs[i] = acc
-        return acc
+        """L_i, with L_0..L_(i-1) before it: L_k = derive(L_(k-1)) + P_{0,k}."""
+        lhs = self._lhs
+        f, ptilde = self.table.fjets.f, self.table.ptilde
+        while len(lhs) <= i:
+            k = len(lhs)
+            if k == 0:
+                acc = ThetaPoly.theta()
+            else:
+                # P_{0,k} = sum_l f_{k,l} P~_{0,l}; f_{k,0} = 0 for k >= 1
+                acc = lhs[-1].derive() + ThetaPoly.dot(
+                    [(ptilde(0, l), f(k, l)) for l in range(1, k + 1)])
+            if acc.degree != k + 1:
+                raise LoopEquationError(f"L_{k} has Theta degree {acc.degree}, expected {k + 1}")
+            if len(acc.coeff(k + 1).terms) != 1:
+                raise LoopEquationError(f"L_{k} top coefficient is not a single monomial")
+            lhs.append(acc)
+        return lhs[i]
 
     def rhs_genus(self, g: int, lower) -> ThetaPoly:
         if g < 1:

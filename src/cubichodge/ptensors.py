@@ -14,9 +14,10 @@ P~_{i,j} = P~_{j,i} is NOT used by the construction, so it stays available
 as a genuine consistency check.
 
 The loop equation reads P~ only through the dressed tensors
-P_{a,b} = sum_{k,l} f_{a,k} f_{b,l} P~_{k,l}, and only in sums
-sum_{a,b} w_{a,b} P_{a,b} with jet weights w.  `contract` evaluates such a
-sum by linearity, without forming any P_{a,b}:
+P_{a,b} = sum_{k,l} f_{a,k} f_{b,l} P~_{k,l}.  Its L_i read row 0 alone
+(loop.py); its right-hand side reads sums sum_{a,b} w_{a,b} P_{a,b} with
+jet weights w.  `contract` evaluates such a sum by linearity, without
+forming any P_{a,b}:
 
   sum_{a,b} w_{a,b} P_{a,b} = sum_{k,l} P~_{k,l} (F^T w F)_{k,l},
   (F^T w F)_{k,l} = sum_a f_{a,k} G_{a,l},   G_{a,l} = sum_b w_{a,b} f_{b,l}.
@@ -30,7 +31,8 @@ A table holds P~_{i,j} for i + j <= n_max, a size fixed when it is made:
 row 0 up to z^-n_max is built whole on the first read, and every entry
 once read is cached.  P~ carries no jet, and the table no jet bound: its
 f-table and the weights bring in only the jets they carry.  `dump_json`
-writes the entries in powers of Theta.
+writes a set fixed by n_max, whatever has been read: row 0 and every
+P~_{i,j} with i, j >= 1 and i + j <= n_max, in powers of Theta.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from math import factorial
 from .bell import FJetTable
 from .jets import JetPoly
 from .phiseries import double_factorial_odd, phi_d_inv_all
-from .ratio import Q, is_rational
+from .ratio import Q
 from .theta import ThetaPoly
 
 CONSTRUCTION_VERSION = "ptensor-v1:binomial-lhs,row0-eq43,dfact(-1)=1"
@@ -73,18 +75,15 @@ class PTensorTable:
     # -- dressing -----------------------------------------------------------
 
     def contract(self, weights) -> ThetaPoly:
-        """sum_{a,b} w_{a,b} P_{a,b} for weights {(a, b): JetPoly or rational},
-        as sum_{k,l} P~_{k,l} (F^T w F)_{k,l}; no P_{a,b} is formed.
+        """sum_{a,b} w_{a,b} P_{a,b} for weights {(a, b): JetPoly}, as
+        sum_{k,l} P~_{k,l} (F^T w F)_{k,l}; no P_{a,b} is formed.
 
         G, F^T w F and the last step are each summed by one `dot` call per
-        entry (per pi_m in the last step); a rational weight enters
-        as a constant JetPoly."""
+        entry (per pi_m in the last step)."""
         f = self.fjets.f
         # f_{b,l} vanishes for l > b, and for l = 0 unless b = 0
         g_pairs: dict[tuple[int, int], list] = {}
         for (a, b), w in weights.items():
-            if is_rational(w):
-                w = JetPoly.const(w)
             for l in range(0 if b == 0 else 1, b + 1):
                 g_pairs.setdefault((a, l), []).append((f(b, l), w))
         fwf_pairs: dict[tuple[int, int], list] = {}
@@ -102,11 +101,15 @@ class PTensorTable:
         return hashlib.sha256(CONSTRUCTION_VERSION.encode()).hexdigest()[:16]
 
     def dump_json(self) -> dict:
+        """Row 0 and every P~_{i,j} with i, j >= 1, i + j <= n_max, in powers
+        of Theta, whatever has been read so far."""
         from .textform import jet_json
 
-        entries = {}
-        for (i, j), tp in sorted(self._ptilde.items()):
-            entries[f"{i},{j}"] = [jet_json(c) for c in tp.powers()]
+        n = self.n_max
+        keys = [(0, j) for j in range(n + 1)]
+        keys += [(i, j) for i in range(1, n) for j in range(1, n - i + 1)]
+        entries = {f"{i},{j}": [jet_json(c) for c in self.ptilde(i, j).powers()]
+                   for i, j in keys}
         # the format's jet width is 3g + 2 for a genus-g solve, whose table has n_max = 3g - 2
         return {"version": CONSTRUCTION_VERSION, "cutoff": self.n_max + 4, "ptilde": entries}
 

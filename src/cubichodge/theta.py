@@ -121,8 +121,9 @@ class ThetaPoly:
     def derive(self) -> "ThetaPoly":
         """Full derivation: jets via d(z_k) = z_{k+1}, Theta via the chain rule;
         since d(Theta) = z1 Theta (Theta - 1), the Theta part is z1 xi_euler.
-        The solver uses the f-table instead; this is the independent route
-        that oracles.chain_rule_check and the tests compare it with."""
+        The solver builds each L_i from L_(i-1) by it; oracles.chain_rule_check
+        and the tests compare it with the f-table route
+        derive^n h = sum_j f_{n,j} xi_euler^j h."""
         parts = [[c.derive()] for c in self.coeffs] + [[]]
         for d, c in enumerate(self.xi_euler().coeffs):
             parts[d].append(c.mul_z(1))

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from cubichodge.bell import FJetTable
@@ -38,6 +40,22 @@ class TestLhs:
         key, val = top.items()[0]
         assert key[0] == key[1] == 0 and key[3] == i
         assert all(e == 0 for t, e in enumerate(key[2:]) if t != 1)
+
+
+def contracted_lhs(table, i: int) -> ThetaPoly:
+    """L_i = derive^i(Theta) + sum_{j=1}^i C(i, j) P_{j-1, i-j+1}, the dressed
+    sum contracted against P~ whole, as L_i was built before its recursion."""
+    f = table.fjets.f
+    theta_part = ThetaPoly([-f(i, j) if j % 2 else f(i, j) for j in range(i + 1)])
+    return theta_part + table.contract(
+        {(j - 1, i - j + 1): JetPoly.const(comb(i, j)) for j in range(1, i + 1)})
+
+
+def test_lhs_recursion_matches_contraction():
+    # L_i = derive(L_(i-1)) + P_{0,i} against the full contraction, through genus 7
+    solver = LoopSolver(7)
+    for i in range(3 * 7 - 1):
+        assert solver.lhs_coefficient(i) == contracted_lhs(solver.table, i), i
 
 
 class TestRhs:

@@ -108,9 +108,29 @@ class TestDressed:
 
     def test_contract_matches_dressed_sum(self, table, route):
         z2 = JetPoly.z(2)
-        weights = {(0, 2): Q(3), (1, 0): z2, (2, 1): z2, (3, 3): z2 * Q(-1, 2)}
+        weights = {(0, 2): sconst(Q(3)), (1, 0): z2, (2, 1): z2, (3, 3): z2 * Q(-1, 2)}
         expect = PowerTheta.sum([route.dressed(a, b) * w for (a, b), w in weights.items()])
         assert PowerTheta.of(table.contract(weights)) == expect
+
+    def test_derive_shifts_either_index(self, route):
+        # derive(P_{a,b}) = P_{a+1,b} + P_{a,b+1}, on which L_i's recursion rests
+        for a in range(6):
+            for b in range(6 - a):
+                expect = route.dressed(a + 1, b) + route.dressed(a, b + 1)
+                assert route.dressed(a, b).derive() == expect, (a, b)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_dump_is_fixed_by_the_table_size(genus):
+    # row 0 and every (i, j) with i, j >= 1, i + j <= n, whatever a solve has read
+    from cubichodge.loop import LoopSolver
+
+    solver = LoopSolver(genus)
+    n = solver.table.n_max
+    fresh = PTensorTable(n).dump_json()
+    solver.compute(genus)
+    assert solver.table.dump_json() == fresh
+    assert len(fresh["ptilde"]) == n + 1 + n * (n - 1) // 2
 
 
 @pytest.fixture(scope="module")
