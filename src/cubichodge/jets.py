@@ -24,6 +24,7 @@ one-pair case; `JetPoly.sum` adds polynomials that are already formed.
 """
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, lcm
 
 from .ratio import Q, QONE, QZERO, is_rational
@@ -178,17 +179,18 @@ class JetPoly:
     def derive(self) -> "JetPoly":
         """The derivation sum_k z_{k+1} d/dz_k on the jet variables."""
         n = width(self.terms)
-        steps = [unit(3 + k) - unit(2 + k) for k in range(n - 2)]
+        slots = range(2, n)
+        steps = [unit(i + 1) - unit(i) for i in range(n)]
         out = {}
         get = out.get
         for key, c in self.terms.items():
             es = unpack(key, n)
-            for k, step in enumerate(steps):
-                e = es[2 + k]
-                if e:
-                    nk = key + step
-                    w = get(nk)
-                    out[nk] = c * e if w is None else w + c * e
+            # only the jets a term carries: most of its slots are zero
+            for i in compress(slots, es[2:]):
+                e = es[i]
+                nk = key + steps[i]
+                w = get(nk)
+                out[nk] = c * e if w is None else w + c * e
         bound = product_bound((self.bound, (self.terms,)), extra=1)
         return _make(nonzero(out), self.den, bound)
 
