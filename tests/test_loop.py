@@ -43,8 +43,8 @@ class TestLhs:
 
 
 def contracted_lhs(table, i: int) -> ThetaPoly:
-    """L_i = derive^i(Theta) + sum_{j=1}^i C(i, j) P_{j-1, i-j+1}, the dressed
-    sum contracted against P~ whole, as L_i was built before its recursion."""
+    """L_i = derive^i(Theta) + sum_{j=1}^i C(i, j) P_{j-1, i-j+1}, its dressed
+    sum contracted against P~ whole: the reference for L_i's recursion."""
     f = table.fjets.f
     theta_part = ThetaPoly([-f(i, j) if j % 2 else f(i, j) for j in range(i + 1)])
     return theta_part + table.contract(
