@@ -215,9 +215,9 @@ class BtildeTable:
     """B~_{i,j} xi-series to xi^order via the xi d/dxi recursion from row 0.
 
     A table keeps its rows, every c product it computes (c_pair) and the
-    k-free terms of every A_{k,n} (a_kn_terms), so the checks that share
-    one table compute each pairing once, and its row 0 builds each n's
-    terms once."""
+    k-free integer terms of every A_{k,n} (a_kn_terms), so the checks that
+    share one table compute each pairing once, and its row 0 builds each
+    n's terms once."""
 
     def __init__(self, params: RationalParams, order: int):
         self.params = params
@@ -234,19 +234,21 @@ class BtildeTable:
             got = self._pairs[key] = c_pair(self.params, alpha, m, beta, n)
         return got
 
-    def a_kn_terms(self, n: int) -> list:
-        """The k-free parts of A_{k,n} for n >= 1: (base x, weight w) pairs with
+    def a_kn_terms(self, n: int) -> tuple:
+        """The k-free parts of A_{k,n} for n >= 1, in integers: (base p,
+        weight u) pairs and one weight denominator d with
 
-            A_{k,n} = sum_(x, w) w x^k        (plus c_{hn} when k = 0).
+            A_{k,n} = sum_(p, u) u p^k / (d (K1 K2)^k)     (plus c_{hn} when k = 0).
 
-        The bases are l (weight c_{hl} c_{h(n-l)}, with the boundary l = n of
-        weight c_{hn}) and b_{alpha+hl} (weight K2/h or K1/h times the c pair).
-        The alpha = beta = 0 block contributes both boundary terms l = 0 and
-        l = n (the printed formula in the source drops the l = n one); the
-        identity A_{0,n} = K^n pins the convention.  Built once per n."""
-        terms = self._a_terms.get(n)
-        if terms is not None:
-            return terms
+        The bases p / (K1 K2) are l (weight c_{hl} c_{h(n-l)}, with the
+        boundary l = n of weight c_{hn}) and b_{alpha+hl} (weight K2/h or
+        K1/h times the c pair).  The alpha = beta = 0 block contributes both
+        boundary terms l = 0 and l = n (the printed formula in the source
+        drops the l = n one); the identity A_{0,n} = K^n pins the
+        convention.  Built once per n."""
+        got = self._a_terms.get(n)
+        if got is not None:
+            return got
         params, h = self.params, self.params.h
         terms = [(ell, params.c_int(ell) * params.c_int(n - ell)) for ell in range(1, n)]
         terms.append((n, params.c_int(n)))
@@ -256,17 +258,23 @@ class BtildeTable:
             for ell in range(n):
                 pair = self.c_pair(alpha, ell, beta, n - 1 - ell)
                 terms.append((params.b(alpha + h * ell), weight * pair))
-        self._a_terms[n] = terms
-        return terms
+        # every b has denominator K1 or K2, which divide K1 K2
+        k12 = params.k1 * params.k2
+        d = math.lcm(*(w.denominator for _, w in terms))
+        got = self._a_terms[n] = ([(x.numerator * (k12 // x.denominator),
+                                    w.numerator * (d // w.denominator)) for x, w in terms], d)
+        return got
 
     def a_kn(self, k: int, n: int):
-        """zeta^n coefficient of B~_{0,k}: A_{k,n} from a_kn_terms(n)."""
+        """zeta^n coefficient of B~_{0,k}: A_{k,n} from a_kn_terms(n), one
+        integer sum over one denominator."""
         if n == 0:
             return QONE if k == 0 else QZERO
-        total = sum(w * x**k for x, w in self.a_kn_terms(n))
+        terms, d = self.a_kn_terms(n)
+        total = sum(u * p**k for p, u in terms)
         if k == 0:
-            total += self.params.c_int(n)
-        return Q(total)
+            total += self.params.c_int(n) * d
+        return Q(total, d * (self.params.k1 * self.params.k2) ** k)
 
     def row(self, i: int, j: int):
         got = self._cache.get((i, j))

@@ -110,6 +110,13 @@ def test_smallest_index_bound_passes(capsys, mmax, bound):
     assert code == 0 and "all commutators pass" in out
 
 
+def test_basis_deeper_than_recursion_limit(capsys):
+    # x^0..x^1200: the basis is enumerated without one call per degree
+    code, out, _ = run_cli(capsys, "virasoro", "--k1", "1", "--k2", "2", "--mmax", "1",
+                           "--degree", "1200", "--index-bound", "-3")
+    assert code == 0 and "basis size 1201," in out and "all commutators pass" in out
+
+
 def test_determinism(capsys):
     _, first, _ = run_cli(capsys, "compute", "--genus", "2", "--format", "json")
     _, second, _ = run_cli(capsys, "compute", "--genus", "2", "--format", "json")

@@ -4,8 +4,8 @@ import pytest
 
 from cubichodge import oracles, virasoro
 from cubichodge.cli import main
-from cubichodge.commutators import (OperatorImages, TruncationViolation, _smono_set,
-                                    commutator_grid, monomial_basis)
+from cubichodge.commutators import (OperatorImages, TruncationViolation, commutator_grid,
+                                    monomial_basis)
 from cubichodge.ratio import Q, QONE, qstr
 from cubichodge.sparse import add_into, nonzero
 from cubichodge.virasoro import (BtildeTable, RationalParams, a_kn, c_float, c_pair, v_residue,
@@ -326,6 +326,19 @@ class TestAkn:
 # -- the per-sample reference for the commutator grid -----------------------------
 
 
+def _smono_set(smono, k, delta):
+    """Adjust the exponent of s_k by delta inside a sorted smono tuple."""
+    d = dict(smono)
+    e = d.get(k, 0) + delta
+    if e < 0:
+        raise ValueError("negative s exponent")
+    if e:
+        d[k] = e
+    else:
+        d.pop(k, None)
+    return tuple(sorted(d.items()))
+
+
 class FockPoly:
     """Sparse polynomial in x and the s_k (k in N_*), coefficients Laurent in
     eps^2, keyed like the grid's monomials: (x exponent, eps^2 exponent,
@@ -576,15 +589,53 @@ class TestCommutatorGrid:
             [(m, n) for m in range(4) for n in range(4) if m != n]
         assert grid[0, 1] == ((2, 0, ((-1, 1),)), Q(-1))
 
-    def test_images_match_virasoro_apply(self):
+    def test_failure_on_a_monomial_with_x(self, monkeypatch):
+        # x s_k comes before s_k, so each failing cell reports the residual
+        # of x s_k: the s-part's residual shifted by one x, and no cell may
+        # skip s_k as passed
         k_cut = 8 + 6 * P12.h
-        ops = OperatorImages(P12, k_cut, 5)
-        for key in monomial_basis(P12, 8, 3):
-            i = ops.number(key)
+        basis = [(0, 0, ()), (1, 0, ()), (1, 0, ((2, 1),)), (0, 0, ((2, 1),)),
+                 (2, 0, ((-1, 1), (5, 1))), (0, 0, ((-1, 1), (5, 1))), (0, 0, ((8, 2),))]
+        b = RationalParams.b
+        monkeypatch.setattr(RationalParams, "b", lambda self, k: 2 * b(self, k))
+        grid = commutator_grid(P12, basis, 3, k_cut)
+        assert grid == per_sample_grid(P12, basis, 3, k_cut)
+        failing = [term for term in grid.values() if term]
+        assert failing and all(key[0] >= 1 for key, _ in failing)
+
+    @pytest.mark.parametrize("double_b", [False, True])
+    def test_degree_beyond_one_byte(self, monkeypatch, double_b):
+        # s-degrees above 255 need a wider slot than one byte
+        k_cut = 8 + 6 * P12.h
+        basis = [(0, 0, ((-1, 256),)), (300, 0, ((2, 1),)), (1, 0, ((-1, 130), (2, 140))),
+                 (0, 0, ((3, 299), (8, 1))), (0, 0, ((5, 200), (6, 57)))]
+        if double_b:
+            b = RationalParams.b
+            monkeypatch.setattr(RationalParams, "b", lambda self, k: 2 * b(self, k))
+        grid = commutator_grid(P12, basis, 3, k_cut)
+        assert grid == per_sample_grid(P12, basis, 3, k_cut)
+        assert any(grid.values()) == double_b
+
+    def test_s_degree_beyond_64_bits(self):
+        basis = [(0, 0, ((1, 1 << 64),))]
+        with pytest.raises(OverflowError):
+            commutator_grid(P21, basis, 1, 6)
+
+    def test_images_match_virasoro_apply(self):
+        # the image of a monomial is its s-part's image shifted by its x and
+        # eps^2 exponents; a basis of every x and eps^2 exponent -2..2 on the
+        # s-parts of degree <= 3 checks both, with the keys' round trip
+        k_cut = 8 + 6 * P12.h
+        basis = [(xe, ee, smono) for xe, _, smono in monomial_basis(P12, 8, 3)
+                 for ee in range(-2, 3)]
+        ops = OperatorImages(P12, basis, k_cut, 5)
+        for key in basis:
+            packed = ops.pack(key)
+            assert ops.unpack(packed) == key
             f = FockPoly(P12, k_cut, {key: Q(1)})
             for m in range(6):
-                it = iter(ops.image(m, i))
-                image = {ops.keys[t]: Q(c, ops.den) for t, c in zip(it, it)}
+                image = {ops.unpack(packed + d): Q(c, ops.den)
+                         for d, c in ops.image(m, packed & ops.mask)}
                 assert image == virasoro_apply(P12, m, f).terms, (m, key)
 
     def test_truncation_like_per_sample_check(self):
