@@ -100,15 +100,33 @@ class JetPoly:
         return _make(acc, den, max(p.bound for p in polys))
 
     @classmethod
-    def dot(cls, pairs) -> "JetPoly":
-        """sum a * b over the (a, b) pairs, accumulated once over their common
-        denominator; no product is formed on its own."""
+    def dot(cls, pairs, derived=None) -> "JetPoly":
+        """sum a * b over the (a, b) pairs, plus derive(derived) when one is
+        given, accumulated once over their common denominator; no product and
+        no derivative is formed on its own."""
         live = [(a, b) for a, b in pairs if a.terms and b.terms]
-        if not live:
+        dens = [a.den * b.den for a, b in live] + ([derived.den] if derived else [])
+        if not dens:
             return cls()
-        den = lcm(*(a.den * b.den for a, b in live))
+        den = lcm(*dens)
         acc = {}
         bound = 0
+        if derived:
+            n = width(derived.terms)
+            slots = range(2, n)
+            steps = [unit(i + 1) - unit(i) for i in range(n)]
+            factor = den // derived.den
+            get = acc.get
+            for key, c in derived.terms.items():
+                es = unpack(key, n)
+                c *= factor
+                # only the jets a term carries: most of its slots are zero
+                for i in compress(slots, es[2:]):
+                    e = es[i]
+                    nk = key + steps[i]
+                    w = get(nk)
+                    acc[nk] = c * e if w is None else w + c * e
+            bound = product_bound((derived.bound, (derived.terms,)), extra=1)
         for a, b in live:
             at, bt = a.terms, b.terms
             scale = den // (a.den * b.den)
@@ -178,21 +196,7 @@ class JetPoly:
 
     def derive(self) -> "JetPoly":
         """The derivation sum_k z_{k+1} d/dz_k on the jet variables."""
-        n = width(self.terms)
-        slots = range(2, n)
-        steps = [unit(i + 1) - unit(i) for i in range(n)]
-        out = {}
-        get = out.get
-        for key, c in self.terms.items():
-            es = unpack(key, n)
-            # only the jets a term carries: most of its slots are zero
-            for i in compress(slots, es[2:]):
-                e = es[i]
-                nk = key + steps[i]
-                w = get(nk)
-                out[nk] = c * e if w is None else w + c * e
-        bound = product_bound((self.bound, (self.terms,)), extra=1)
-        return _make(nonzero(out), self.den, bound)
+        return JetPoly.dot((), self)
 
     def partial(self, k: int) -> "JetPoly":
         """d/dz_k."""
@@ -206,6 +210,28 @@ class JetPoly:
                 out[key - u] = c * e
         bound = product_bound((self.bound, (self.terms,)), extra=1)
         return _make(out, self.den, bound)
+
+    def partials(self, n: int) -> list:
+        """[partial(0), ..., partial(n-1)] in one pass over the terms, one
+        unpack per key, each with its exact bound: a slot's exponent e
+        becomes e - 1, so under z1^-e it grows to e + 1.  The pass reads
+        every exponent, so it also sets self.bound to the largest |exponent|
+        of its keys; a bound only guards the slots."""
+        w = width(self.terms)
+        slots = range(2, min(w, n + 2))
+        outs, tops, top = [{} for _ in range(n)], [0] * n, 0
+        for key, c in self.terms.items():
+            es = unpack(key, w)
+            # the rest of a term keeps its largest |exponent| m1, or the next
+            # largest m2 when the slot that moves holds m1
+            m2, m1 = sorted((0, 0, *map(abs, es)))[-2:]
+            top = max(top, m1)
+            for i in compress(slots, es[2:]):
+                e = es[i]
+                outs[i - 2][key - unit(i)] = c * e
+                tops[i - 2] = max(tops[i - 2], m2 if abs(e) == m1 else m1, abs(e - 1))
+        self.bound = top
+        return [_make(out, self.den, b) for out, b in zip(outs, tops)]
 
     def mul_z(self, k: int, power: int = 1) -> "JetPoly":
         """Fast multiply by z_k^power."""
@@ -295,25 +321,29 @@ class JetPoly:
 
     def exact_div(self, d: "JetPoly") -> "JetPoly":
         """Exact quotient self / d by a single-term d; raises ExactDivisionError
-        on a remainder or a multi-term divisor."""
+        on a remainder or a multi-term divisor.  The check unpacks every
+        quotient key, so the quotient's bound is its largest |exponent|."""
         if not d.terms:
             raise ZeroDivisionError("division by the zero JetPoly")
         if len(d.terms) != 1:
             raise ExactDivisionError("divisor is not a single monomial")
         (dk, dn), = d.terms.items()
-        bound = product_bound((self.bound, (self.terms,)), (d.bound, (d.terms,)))
+        # OverflowError unless the quotient's exponents fit their slots
+        product_bound((self.bound, (self.terms,)), (d.bound, (d.terms,)))
         # a quotient key has no slot above those of self's keys and dk
         n = max(width(self.terms), width((dk,)), 4)
         # self / d = sum (v / den) / (dn / d.den) * z^(key - dk)
         scale = -d.den if dn < 0 else d.den
         out = {}
+        top = 0
         for k, v in self.terms.items():
             nk = k - dk
             es = unpack(nk, n)
-            if es[0] < 0 or es[1] < 0 or es[2] < 0 or any(e < 0 for e in es[4:]):
+            if min(es[:3] + es[4:]) < 0:
                 raise ExactDivisionError("monomial divisor does not divide a term")
+            top = max(top, -es[3], *es)
             out[nk] = v * scale
-        return _make(out, self.den * abs(dn), bound)
+        return _make(out, self.den * abs(dn), top)
 
     def __repr__(self):
         from .textform import jet_text

@@ -21,11 +21,13 @@ new term per step:
     L_0 = Theta,   L_i = derive(L_{i-1}) + P_{0,i},
     P_{0,i} = sum_{l=1}^i f_{i,l} P~_{0,l},
 
-so L_i reads row 0 of P~ only.  The quadratic part of RHS_g contracts P~
-against jet-only weights (PTensorTable.contract): it is
+so L_i reads row 0 of P~ only; it is one accumulator per pi_m, reduced
+once (ThetaPoly.derive with the P_{0,i} pairs).  The quadratic part of
+RHS_g contracts P~ against jet-only weights (PTensorTable.contract): it is
 sum_{k,l} P~_{k,l} (F^T W F)_{k,l}, with W_{i+1,j+1} the bracket above for
 i <= j, halved on the diagonal (P is symmetric, so the upper triangle
-carries the whole sum).  Up to genus g both sides read P~_{k,l} with
+carries the whole sum; on the diagonal the terms k and g-k are one
+product, formed once).  Up to genus g both sides read P~_{k,l} with
 k + l <= 3g - 2 only, so a solver's P~ table is sized once, for its
 genus_max.
 
@@ -45,7 +47,8 @@ asserted after every solve.  H_g itself is recovered from the Euler
 identity sum j z_j dH_g/dz_j = (2g-2) H_g, which needs dH_g/dz0 = 0 for
 g >= 2, and for g = 1 from the closed form (1/24) log z1 + (s1/24) z0;
 every partial of that body must equal the solved gradient, so the
-gradient is closed.  No jet bound is declared: H_g carries z0..z_{3g-2}
+gradient is closed.  Exact exponent bounds come from the passes that
+unpack every key anyway (exact_div, JetPoly.partials).  No jet bound is declared: H_g carries z0..z_{3g-2}
 by its own degree, and a cache record whose jets go past z_{3g-2} misses.  A FreeEnergy and its cache record keep only that
 body; the gradient the next genus reads is derived from it again.
 """
@@ -63,7 +66,6 @@ from .jets import JetPoly
 from .linsolve import TriangularSystem
 from .ptensors import PTensorTable
 from .ratio import Q, parse_q, qjson
-from .sparse import exponent_bound
 from .theta import ThetaPoly
 
 SOLVER_VERSION = "loop-solver-v2"
@@ -85,10 +87,10 @@ class FreeEnergy:
     def gradient(self) -> list:
         """dH_g/dz_i for i = 0..3g-2, derived from the body on first read,
         each with its exact exponent bound."""
-        grad = [self.body.partial(i) for i in range(3 * self.genus - 1)]
+        grad = self.body.partials(3 * self.genus - 1)
         if self.log_z1_coeff is not None:
             grad[1] += JetPoly.z(1, -1) * self.log_z1_coeff
-        return [_exact_bound(p) for p in grad]
+        return grad
 
     def max_jet_index(self) -> int:
         return 3 * self.genus - 2 if self.genus >= 1 else 0
@@ -127,8 +129,7 @@ class LoopSolver:
                 acc = ThetaPoly.theta()
             else:
                 # P_{0,k} = sum_l f_{k,l} P~_{0,l}; f_{k,0} = 0 for k >= 1
-                acc = lhs[-1].derive() + ThetaPoly.dot(
-                    [(ptilde(0, l), f(k, l)) for l in range(1, k + 1)])
+                acc = lhs[-1].derive([(ptilde(0, l), f(k, l)) for l in range(1, k + 1)])
             if acc.degree != k + 1:
                 raise LoopEquationError(f"L_{k} has Theta degree {acc.degree}, expected {k + 1}")
             if len(acc.coeff(k + 1).terms) != 1:
@@ -151,14 +152,17 @@ class LoopSolver:
                             for j in range(top_prev + 3)])
         # W_{i+1,j+1} = w_ij for i <= j, halved on the diagonal; P is symmetric
         weights = {}
-        half = Q(1, 2)
+        one, half = JetPoly.one(), JetPoly.const(Q(1, 2))
         for i in range(top_prev + 1):
             for j in range(i, top_prev + 1):
-                w = grads[g - 1][i].partial(j) + JetPoly.dot([
-                    (grads[k][i], grads[g - k][j]) for k in range(1, g)
+                # on the diagonal the terms k and g-k are one product: formed
+                # once for k < g-k, and halved with the d2 term for k = g/2
+                w = JetPoly.dot([(grads[g - 1][i].partial(j), one if i < j else half)] + [
+                    (grads[k][i], grads[g - k][j] if i < j or 2 * k < g else grads[k][j] * Q(1, 2))
+                    for k in range(1, g if i < j else g // 2 + 1)
                     if i < len(grads[k]) and j < len(grads[g - k])])
                 if w:
-                    weights[i + 1, j + 1] = w * half if i == j else w
+                    weights[i + 1, j + 1] = w
         return linear + self.table.contract(weights)
 
     # -- the solve -----------------------------------------------------------
@@ -170,8 +174,7 @@ class LoopSolver:
         rhs = self.rhs_genus(g, lower)
         rows = [[ell[i].coeff(m) for i in range(n)] for m in range(1, n + 1)]
         vec = [rhs.coeff(m) for m in range(1, n + 1)]
-        # products only add exponent bounds: read the solved entries' bounds from their keys
-        gradient = [_exact_bound(x) for x in TriangularSystem(n, rows, vec).solve()]
+        gradient = TriangularSystem(n, rows, vec).solve()
         residual = self._apply_lhs(gradient) - rhs
         if residual:
             raise LoopEquationError(f"loop residual nonzero at genus {g}")
@@ -208,7 +211,7 @@ class LoopSolver:
         if gradient[0]:
             raise LoopEquationError(f"dH_{g}/dz0 is nonzero")
         euler = JetPoly.sum([gradient[j].mul_z(j) * j for j in range(1, len(gradient))])
-        fe = FreeEnergy(g, _exact_bound(euler / (2 * g - 2)))
+        fe = FreeEnergy(g, euler / (2 * g - 2))
         for i in range(len(gradient)):
             if fe.gradient[i] != gradient[i]:
                 raise LoopEquationError(f"reconstructed body disagrees with gradient at z{i}")
@@ -253,13 +256,6 @@ class LoopSolver:
             if fe is not None:
                 return fe
         return self.compute(genus, cache_dir)[-1]
-
-
-def _exact_bound(p: JetPoly) -> JetPoly:
-    """p, its exponent bound set to the largest |exponent| in its keys; p must
-    be fresh, since the bound is set in place."""
-    p.bound = exponent_bound((p.terms,))
-    return p
 
 
 # -- per-genus cache files ------------------------------------------------------

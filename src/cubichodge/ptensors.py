@@ -11,7 +11,9 @@ where pi_(n+1) = sum_{k=1}^{n+1} Q(n,k) Theta^k, read off at each z^-n.
 Higher rows follow the recursion P~_{i+1,j} = xi_euler(P~_{i,j}) -
 P~_{i,j+1}, in which xi_euler shifts pi_m to -pi_(m+1); the index symmetry
 P~_{i,j} = P~_{j,i} is NOT used by the construction, so it stays available
-as a genuine consistency check.
+as a genuine consistency check (`verify --suite ptable`).  The solver does
+rely on it: its W carries only the upper triangle, and `contract` folds
+(k, l) and (l, k) onto one entry, so it reads no P~_{k,l} with k > l.
 
 The loop equation reads P~ only through the dressed tensors
 P_{a,b} = sum_{k,l} f_{a,k} f_{b,l} P~_{k,l}.  Its L_i read row 0 alone
@@ -79,7 +81,9 @@ class PTensorTable:
         sum_{k,l} P~_{k,l} (F^T w F)_{k,l}; no P_{a,b} is formed.
 
         G, F^T w F and the last step are each summed by one `dot` call per
-        entry (per pi_m in the last step)."""
+        entry (per pi_m in the last step).  P~ is symmetric, so the second
+        pass keys (k, l) and (l, k) by (min, max): M_{k,l} + M_{l,k} is one
+        dot against one entry, and none with k > l is read or built."""
         f = self.fjets.f
         # f_{b,l} vanishes for l > b, and for l = 0 unless b = 0
         g_pairs: dict[tuple[int, int], list] = {}
@@ -91,7 +95,7 @@ class PTensorTable:
             g = JetPoly.dot(pairs)
             if g:
                 for k in range(0 if a == 0 else 1, a + 1):
-                    fwf_pairs.setdefault((k, l), []).append((f(a, k), g))
+                    fwf_pairs.setdefault((min(k, l), max(k, l)), []).append((f(a, k), g))
         return ThetaPoly.dot([(self.ptilde(k, l), JetPoly.dot(pairs))
                               for (k, l), pairs in fwf_pairs.items()])
 

@@ -22,7 +22,9 @@ this layout.
 A key is right only while every slot stays inside the slot.  Each polynomial
 therefore carries a bound on |e_i| over all its terms and slots: products
 add the bounds, sums take the largest, and `product_bound` raises
-OverflowError before a bound can leave the slot.
+OverflowError before a bound can leave the slot.  A pass that unpacks every
+key sets the exact bound instead: `JetPoly.exact_div` on its quotient and
+`JetPoly.partials` on each partial; nothing rescans keys for a bound alone.
 
 Coefficients are any exact ring values.  The partial Bell table stores
 Fractions; JetPoly stores int numerators over one common denominator per

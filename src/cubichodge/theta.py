@@ -27,6 +27,9 @@ from .phiseries import q_number
 from .ratio import is_rational
 
 
+_MINUS_Z1 = JetPoly.monomial(-1, (0, 0), {1: 1})
+
+
 class ThetaPoly:
     __slots__ = ("coeffs",)
 
@@ -118,16 +121,20 @@ class ThetaPoly:
 
     # -- derivations --------------------------------------------------------
 
-    def derive(self) -> "ThetaPoly":
-        """Full derivation: jets via d(z_k) = z_{k+1}, Theta via the chain rule;
-        since d(Theta) = z1 Theta (Theta - 1), the Theta part is z1 xi_euler.
-        The solver builds each L_i from L_(i-1) by it; oracles.chain_rule_check
-        and the tests compare it with the f-table route
-        derive^n h = sum_j f_{n,j} xi_euler^j h."""
-        parts = [[c.derive()] for c in self.coeffs] + [[]]
-        for d, c in enumerate(self.xi_euler().coeffs):
-            parts[d].append(c.mul_z(1))
-        return ThetaPoly([JetPoly.sum(ps) for ps in parts])
+    def derive(self, pairs=()) -> "ThetaPoly":
+        """Full derivation plus sum tp * w over the (ThetaPoly tp, JetPoly w)
+        pairs, one JetPoly.dot per pi_m: jets via d(z_k) = z_{k+1}, Theta by
+        the chain rule; since d(Theta) = z1 Theta (Theta - 1), the Theta part
+        is z1 xi_euler, which adds -z1 times the pi_(m-1) coefficient.  The
+        solver builds each L_i = derive(L_(i-1)) + P_{0,i} by one call;
+        oracles.chain_rule_check and the tests compare it with the f-table
+        route derive^n h = sum_j f_{n,j} xi_euler^j h."""
+        pairs = list(pairs)
+        top = max([len(self.coeffs) + 1] + [len(tp.coeffs) for tp, _ in pairs])
+        cs = self.coeffs + (JetPoly.zero(),) * (top - len(self.coeffs))
+        return ThetaPoly([JetPoly.dot([(tp.coeffs[d], w) for tp, w in pairs if d < len(tp.coeffs)]
+                                      + ([(cs[d - 1], _MINUS_Z1)] if d else []), cs[d])
+                          for d in range(top)])
 
     def xi_euler(self) -> "ThetaPoly":
         """Theta (Theta - 1) d/dTheta, treating JetPoly coefficients as

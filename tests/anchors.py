@@ -1,0 +1,79 @@
+"""Anchors above the tier-1 range: the first 16 hex digits of the sha256 of
+H_g (`FreeEnergy.body_text()`) and of R_g (`jet_text(r_poly(H_g))`).
+
+    python tests/anchors.py --genus 10
+
+solves H_1..H_G with one LoopSolver(G) and no cache, in the process it
+starts, prints one line per genus from 4 to G, and exits 1 if any hash
+differs from ANCHORS.  The table reaches genus 11.  On a shared 2-vCPU
+host a solve through genus 10 takes about a minute, and through genus 11
+a few minutes and some 500 MB.
+
+pytest does not collect this file: tests/test_loop.py runs `check` through
+genus 5 and ties H_4..H_7 and R_4..R_7 to its full frozen hashes.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cubichodge import LoopSolver  # noqa: E402
+from cubichodge.outputs import r_poly  # noqa: E402
+from cubichodge.textform import jet_text  # noqa: E402
+
+# genus: (H_g, R_g)
+ANCHORS = {
+    4: ("e3f13ea5b003edb7", "4d655db7a66ff73f"),
+    5: ("dfc56e79a800c9a5", "72315a03fd9f433b"),
+    6: ("e2f1bb4d7ac9dddc", "07e0405be557ebed"),
+    7: ("c26bac7bc89a07c7", "480e34b18140912a"),
+    8: ("999b603c2a8e884b", "48e250ff054cb61e"),
+    9: ("23b8450a40c8fc28", "ffb3c5a62342e7dd"),
+    10: ("5c2e4c292e2a090e", "0e2754260efcebe5"),
+    11: ("ee7fd2c0dd71a67e", "dfab2f4e0910145a"),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def check(genus: int, emit=None) -> tuple[bool, list[str]]:
+    """Solve through `genus` and compare H_g, R_g for g = 4..genus with
+    ANCHORS: (all equal, one line per genus); each line also goes to
+    `emit` as soon as its genus is solved."""
+    if not 4 <= genus <= max(ANCHORS):
+        raise ValueError(f"anchors cover genus 4..{max(ANCHORS)}")
+    solver, energies, lines, ok = LoopSolver(genus), [], [], True
+    for g in range(1, genus + 1):
+        t0 = time.monotonic()
+        fe = solver.solve_genus(g, energies)
+        energies.append(fe)
+        if g < 4:
+            continue
+        got = (_digest(fe.body_text()), _digest(jet_text(r_poly(fe))))
+        verdicts = ["ok" if a == b else f"MISMATCH (want {b})" for a, b in zip(got, ANCHORS[g])]
+        ok = ok and got == ANCHORS[g]
+        lines.append(f"genus {g}: H_{g} {got[0]} {verdicts[0]}, R_{g} {got[1]} {verdicts[1]}"
+                     f", solved in {time.monotonic() - t0:.2f} s")
+        if emit:
+            emit(lines[-1])
+    return ok, lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--genus", type=int, required=True, choices=sorted(ANCHORS))
+    args = ap.parse_args(argv)
+    ok, _ = check(args.genus, emit=lambda line: print(line, flush=True))
+    print("all anchors hold" if ok else "ANCHOR MISMATCH")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -259,3 +259,95 @@ class TestDot:
         assert got.degree <= top
         for m in range(1, top + 1):
             assert_matches(got.coeff(m), ref_dot([(tp.coeff(m), w) for tp, w in pairs]))
+
+
+# wider exponents than dot_keys, z1 down to -4, for the bounds set by the
+# passes that unpack every key
+wide_keys = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 3),
+                      st.integers(-4, 3), st.integers(0, 3), st.integers(0, 2))
+wide_jets = st.dictionaries(wide_keys, dot_coefs, max_size=6).map(JetPoly)
+
+
+def ref_derive(p: JetPoly) -> dict:
+    """derive(p) as {exponent tuple: Fraction}, term by term from items(),
+    named as items() names a key."""
+    out = {}
+    for k, v in p.items():
+        for s in range(2, len(k)):
+            if k[s]:
+                nk = list(k) + [0]
+                nk[s] -= 1
+                nk[s + 1] += 1
+                while len(nk) > 4 and not nk[-1]:
+                    nk.pop()
+                out[tuple(nk)] = out.get(tuple(nk), Fraction(0)) + Fraction(v) * k[s]
+    return out
+
+
+def ref_merge(*parts) -> dict:
+    out = {}
+    for part in parts:
+        for k, v in part.items():
+            out[k] = out.get(k, Fraction(0)) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def assert_exact_bound(p: JetPoly):
+    assert p.bound == exponent_bound((p.terms,))
+
+
+class TestOnePass:
+    """The single-accumulator and single-pass routes of the genus step."""
+
+    @given(dot_jets, dot_pairs)
+    def test_dot_with_derived(self, d, pairs):
+        assert_matches(JetPoly.dot(pairs, d), ref_merge(ref_derive(d), ref_dot(pairs)))
+        assert_matches(d.derive(), ref_merge(ref_derive(d)))
+
+    @given(dot_thetas, st.lists(st.tuples(dot_thetas, dot_jets), max_size=3))
+    def test_theta_derive_with_pairs(self, tp, pairs):
+        # pi_m: the jets of its coefficient, -z1 times the pi_(m-1) one, the pairs
+        got = tp.derive(pairs)
+        top = max([tp.degree + 1] + [t.degree for t, _ in pairs])
+        assert got.degree <= top
+        minus_z1 = JetPoly({(0, 0, 0, 1): -1})
+        for m in range(1, top + 1):
+            ref = ref_merge(ref_derive(tp.coeff(m)), ref_dot(
+                [(tp.coeff(m - 1), minus_z1)] + [(t.coeff(m), w) for t, w in pairs]))
+            assert_matches(got.coeff(m), ref)
+        assert got == tp.derive() + ThetaPoly.dot(pairs)
+
+    @given(wide_jets, wide_keys, st.integers(-4, 4))
+    def test_exact_div_bound_is_exact(self, p, dkey, shift):
+        d = JetPoly({dkey: Fraction(-2, 3)})
+        q = (p * d).exact_div(d)
+        assert q == p
+        assert_exact_bound(q)
+        # a z1 power alone divides anything, and can drive z1 below zero
+        q = p.exact_div(z(1, shift) * Q(3)) if shift else p.exact_div(const(3))
+        assert q == p * z(1, -shift) * Q(1, 3)
+        assert_exact_bound(q)
+
+    @given(wide_jets, st.integers(0, 6))
+    def test_partials_match_partial(self, p, n):
+        got = p.partials(n)
+        assert len(got) == n
+        for i, q in enumerate(got):
+            expect = p.partial(i)
+            assert q.terms == expect.terms and q.den == expect.den, i
+            assert_exact_bound(q)
+        assert_exact_bound(p)
+
+    def test_partials_bounds_by_hand(self):
+        # z1^-3 z2^3: d/dz1 raises |e1| to 4, the largest exponent; d/dz2
+        # lowers the unique top slot z2^3 of the other term, leaving z1^2
+        p = JetPoly({(0, 0, 0, -3, 3): Fraction(1, 2), (0, 0, 0, 2, 3): Fraction(1)})
+        d0, d1, d2 = p.partials(3)
+        assert not d0.terms and d0.bound == 0
+        assert d1 == JetPoly({(0, 0, 0, -4, 3): Fraction(-3, 2), (0, 0, 0, 1, 3): 2})
+        assert d1.bound == 4
+        assert d2 == JetPoly({(0, 0, 0, -3, 2): Fraction(3, 2), (0, 0, 0, 2, 2): 3})
+        assert d2.bound == 3
+        q = JetPoly({(0, 0, 0, 1, 3): 1})
+        assert q.partials(3)[2].bound == 2
+        assert p.bound == 3

@@ -592,3 +592,29 @@ def test_frozen_hashes_g7(energies_g7):
     texts = {"H_7": h7.body_text(), "R_7": jet_text(r_poly(h7))}
     got = {name: hashlib.sha256(t.encode()).hexdigest() for name, t in texts.items()}
     assert got == FROZEN_SHA256_G7
+
+
+def test_anchor_script_through_genus5():
+    """tests/anchors.py holds prefixes of the frozen hashes above, and its
+    check passes through genus 5."""
+    import anchors
+
+    frozen = {**FROZEN_SHA256, **FROZEN_SHA256_G6, **FROZEN_SHA256_G7}
+    for g in range(4, 8):
+        h, r = anchors.ANCHORS[g]
+        assert frozen[f"H_{g}"].startswith(h) and frozen[f"R_{g}"].startswith(r), g
+    ok, lines = anchors.check(5)
+    assert ok, lines
+    assert [line.split(":")[0] for line in lines] == ["genus 4", "genus 5"]
+
+
+def test_no_exponent_bound_rescans(monkeypatch):
+    """Exact bounds come from the passes that unpack the keys (exact_div,
+    JetPoly.partials), not from a second scan of them."""
+    from cubichodge import sparse
+
+    calls = []
+    scan = sparse.exponent_bound
+    monkeypatch.setattr(sparse, "exponent_bound", lambda dicts: calls.append(1) or scan(dicts))
+    LoopSolver(6).compute(6)
+    assert len(calls) <= 6

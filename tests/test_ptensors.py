@@ -150,6 +150,18 @@ def test_contracted_loop_terms_match_dressed_route(route_g5, energies_g5):
         assert PowerTheta.of(solver.rhs_genus(g, energies_g5)) == route.rhs(g, energies_g5), g
 
 
+def test_solve_reads_no_lower_triangle():
+    # contract folds (k, l) and (l, k) onto k <= l: no P~_{k,l} with k > l is
+    # read or built
+    from cubichodge.loop import LoopSolver
+
+    solver = LoopSolver(5)
+    solver.compute(5)
+    keys = list(solver.table._ptilde)
+    assert all(k <= l for k, l in keys)
+    assert len(keys) == 56  # 71 when both triangles were read
+
+
 def test_power_rows_solve_to_the_gradients(route_g5, energies_g5):
     # the Theta^a rows a = 1..3g-1 of the power route, solved by the same back
     # substitution, give the gradient of each solved H_g
