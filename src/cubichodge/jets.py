@@ -19,8 +19,10 @@ term by (sa, sb, e0, e1) and the jets up to its own highest one.
 
 Products are summed, not formed one by one: `JetPoly.dot` takes a sum of
 products a * b over the common denominator of every a.den * b.den, runs each
-pair into one accumulator, and drops zeros and reduces once.  `a * b` is its
-one-pair case; `JetPoly.sum` adds polynomials that are already formed.
+pair into one accumulator, and drops zeros and reduces once; it can add the
+derivative of one more polynomial into the same accumulator.  `a * b` is its
+one-pair case and `derive()` its case without pairs; `JetPoly.sum` adds
+polynomials that are already formed.
 """
 from __future__ import annotations
 
