@@ -182,7 +182,7 @@ def cmd_hodge(args) -> int:
     fe = solver.free_energy(genus, args.cache_dir)
     rows = intersection_table(fe, args.tmax, args.dmax, normalized=args.integrals)
     if args.format == "json":
-        data = [{"indices": list(idx), "coefficient": jet_json(c)} for idx, c in rows]
+        data = [{"indices": list(idx), "coefficient": c} for idx, c in rows]
         print(json_text({"genus": genus, "table": data}))
         return 0
     label = "bracket" if args.integrals else "coefficient"

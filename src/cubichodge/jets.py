@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd, lcm
 
-from .ratio import Q, QONE, QZERO, is_rational
+from .ratio import Q, QZERO, is_rational
 from .sparse import (add_into, exponent, mul_into, nonzero, pack, power, product_bound, split,
                      unit, unpack, width)
 
@@ -50,7 +50,10 @@ class JetPoly:
             if v != 0:
                 fracs[pack(k)] = Q(v)
                 bound = max(bound, *map(abs, k))
-        _set_fractions(self, fracs, bound)
+        # over the lcm of the reduced denominators the numerators are coprime to it
+        self.den = lcm(*(q.denominator for q in fracs.values()))
+        self.terms = {k: q.numerator * (self.den // q.denominator) for k, q in fracs.items()}
+        self.bound = bound
 
     # -- constructors -------------------------------------------------
 
@@ -290,24 +293,32 @@ class JetPoly:
 
     def subs_jets(self, values) -> "JetPoly":
         """Evaluate the jet variables at exact rationals, leaving a JetPoly
-        without jets; z1 may be inverted.  Each distinct jet part is
-        evaluated once."""
-        jet_values, factors, out = {}, {}, {}
-        n = width(self.terms) - 2
+        without jets; z1 may be inverted.  Each distinct jet part's value is
+        formed once as (numerator, denominator); the terms are summed as int
+        numerators over den * lcm(value denominators) and reduced once."""
+        parts, factors, valued = {}, {}, []
         for key, c in self.terms.items():
             sig, jets = split(key, 2)
-            w = jet_values.get(jets)
-            if w is None:
-                w = QONE
-                for k, e in enumerate(unpack(jets, n)):
-                    if e:
-                        if (k, e) not in factors:
-                            factors[k, e] = Q(values[k]) ** e
-                        w *= factors[k, e]
-                jet_values[jets] = w
-            out[sig] = out.get(sig, 0) + c * w
-        fracs = {k: v / self.den for k, v in out.items() if v}
-        return _set_fractions(JetPoly.__new__(JetPoly), fracs, self.bound)
+            parts.setdefault(jets, []).append((sig, c))
+        n = width(parts)
+        for jets, terms in parts.items():
+            num = den = 1  # den may turn negative, or 0 under a zero value's negative power
+            for k, e in enumerate(unpack(jets, n)):
+                if e:
+                    if (k, e) not in factors:
+                        q = Q(values[k])
+                        a, b = (q.numerator, q.denominator) if e > 0 else (q.denominator, q.numerator)
+                        factors[k, e] = a ** abs(e), b ** abs(e)
+                    num, den = num * factors[k, e][0], den * factors[k, e][1]
+            valued.append((num, den, terms))
+        common = lcm(*(den for _, den, _ in valued))  # ZeroDivisionError below if it is 0
+        acc = {}
+        for num, den, terms in valued:
+            scale = num * (common // den)
+            if scale:
+                for sig, c in terms:
+                    acc[sig] = acc.get(sig, 0) + c * scale
+        return _make(nonzero(acc), self.den * common, self.bound)
 
     def weighted_degrees(self, jet_weight, s1_weight: int = 0, s3_weight: int = 0):
         """Set of term degrees under deg z_k = jet_weight(k)."""
@@ -383,12 +394,3 @@ def _make(nums: dict, den: int, bound: int) -> JetPoly:
             den //= g
     return _raw(nums, den, bound)
 
-
-def _set_fractions(p: JetPoly, fracs: dict, bound: int) -> JetPoly:
-    """Fill p from nonzero rationals in lowest terms over packed keys; over
-    their lcm denominator the numerators are already coprime to it."""
-    den = lcm(*(q.denominator for q in fracs.values()))
-    p.terms = {k: q.numerator * (den // q.denominator) for k, q in fracs.items()}
-    p.den = den
-    p.bound = bound
-    return p

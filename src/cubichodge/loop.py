@@ -63,11 +63,14 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from operator import mul
 
+from . import textform
 from .jets import JetPoly
 from .linsolve import TriangularSystem
 from .ptensors import PTensorTable
 from .ratio import Q, parse_q, qjson
+from .sparse import unpack, width
 from .theta import ThetaPoly
 
 SOLVER_VERSION = "loop-solver-v2"
@@ -98,9 +101,7 @@ class FreeEnergy:
         return 3 * self.genus - 2 if self.genus >= 1 else 0
 
     def body_text(self) -> str:
-        from .textform import free_energy_text
-
-        return free_energy_text(self.genus, self.body, self.log_z1_coeff)
+        return textform.free_energy_text(self.genus, self.body, self.log_z1_coeff)
 
 
 class LoopSolver:
@@ -212,8 +213,9 @@ class LoopSolver:
 
         if gradient[0]:
             raise LoopEquationError(f"dH_{g}/dz0 is nonzero")
-        euler = JetPoly.sum([gradient[j].mul_z(j) * j for j in range(1, len(gradient))])
-        fe = FreeEnergy(g, euler / (2 * g - 2))
+        # the Euler body sum_j j z_j dH_g/dz_j / (2g-2), in one accumulator reduced once
+        fe = FreeEnergy(g, JetPoly.dot([(grad, JetPoly.monomial(Q(j, 2 * g - 2), (0, 0), {j: 1}))
+                                        for j, grad in enumerate(gradient) if j]))
         for i in range(len(gradient)):
             if fe.gradient[i] != gradient[i]:
                 raise LoopEquationError(f"reconstructed body disagrees with gradient at z{i}")
@@ -222,11 +224,17 @@ class LoopSolver:
     def _check_homogeneity(self, fe: FreeEnergy) -> None:
         if fe.genus < 2:
             return
-        g, body = fe.genus, fe.body
-        if not body.is_homogeneous(2 * g - 2, lambda k: k):
-            raise LoopEquationError(f"H_{g} is not (2g-2)-homogeneous in jet weights")
-        if not body.is_homogeneous(3 * g - 3, lambda k: k - 1, s1_weight=1, s3_weight=3):
-            raise LoopEquationError(f"H_{g} is not (3g-3)-homogeneous in the dual grading")
+        g, terms = fe.genus, fe.body.terms
+        n = width(terms)
+        # both gradings from one unpack per key: deg z_k = k; and deg z_k = k - 1,
+        # deg s1 = 1, deg s3 = 3
+        jet, dual = (0, 0, *range(n - 2)), (1, 3, *range(-1, n - 3))
+        for key in terms:
+            es = unpack(key, n)
+            if sum(map(mul, jet, es)) != 2 * g - 2:
+                raise LoopEquationError(f"H_{g} is not (2g-2)-homogeneous in jet weights")
+            if sum(map(mul, dual, es)) != 3 * g - 3:
+                raise LoopEquationError(f"H_{g} is not (3g-3)-homogeneous in the dual grading")
 
     # -- driving --------------------------------------------------------------
 
@@ -264,11 +272,9 @@ class LoopSolver:
 
 
 def _payload(fe: FreeEnergy) -> dict:
-    from .textform import jet_json
-
     return {
         "genus": fe.genus,
-        "body": jet_json(fe.body),
+        "body": textform.jet_json(fe.body),
         "log_z1_coeff": qjson(fe.log_z1_coeff) if fe.log_z1_coeff is not None else None,
     }
 
@@ -283,17 +289,15 @@ def cache_path(cache_dir: str, genus: int) -> str:
 
 
 def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
-    from .textform import TEXT_FORM_VERSION, json_text
-
     os.makedirs(cache_dir, exist_ok=True)
     payload = _payload(fe)
-    provenance = dict(fe.provenance, textform=TEXT_FORM_VERSION)
+    provenance = dict(fe.provenance, textform=textform.TEXT_FORM_VERSION)
     record = {
         "payload": payload,
         "provenance": {k: provenance[k] for k in sorted(provenance)},
         "sha256": _payload_hash(payload, fe.provenance.get("ptable", "")),
     }
-    text = json_text(record, sort_keys=True) + "\n"
+    text = textform.json_text(record, sort_keys=True) + "\n"
     path = cache_path(cache_dir, fe.genus)
     # write beside the target and rename over it, so a torn write is never read back
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -312,8 +316,6 @@ def load_cached(cache_dir: str, genus: int, fingerprint: str) -> FreeEnergy | No
     """Return the cached FreeEnergy, or None on a solver-version, text-form
     version, fingerprint or hash mismatch, or any corruption, such as a jet
     above z_(3g-2) or a zero denominator."""
-    from .textform import TEXT_FORM_VERSION, jet_from_json
-
     path = cache_path(cache_dir, genus)
     try:
         with open(path) as fh:
@@ -321,7 +323,7 @@ def load_cached(cache_dir: str, genus: int, fingerprint: str) -> FreeEnergy | No
         payload = record["payload"]
         if record["provenance"].get("solver") != SOLVER_VERSION:
             return None
-        if record["provenance"].get("textform") != TEXT_FORM_VERSION:
+        if record["provenance"].get("textform") != textform.TEXT_FORM_VERSION:
             return None
         if record["provenance"].get("ptable") != fingerprint:
             return None
@@ -329,7 +331,7 @@ def load_cached(cache_dir: str, genus: int, fingerprint: str) -> FreeEnergy | No
             return None
         if payload["genus"] != genus:
             return None
-        body = jet_from_json(payload["body"], 3 * genus - 2)
+        body = textform.jet_from_json(payload["body"], 3 * genus - 2)
         log_c = parse_q(payload["log_z1_coeff"]) if payload["log_z1_coeff"] else None
         prov = dict(record["provenance"])
         prov["cache"] = "hit"

@@ -10,65 +10,67 @@ raw; the factorial-normalized view is a formatting concern).
 from __future__ import annotations
 
 from math import factorial, lcm, prod
+from operator import mul
 
 from .jets import JetPoly
 from .loop import FreeEnergy
 from .phiseries import TSeries, bernoulli
-from .ratio import Q, QZERO
-from .sparse import pack, unpack, width
+from .ratio import Q
+from .sparse import unit, unpack, width
 
 
 # -- genus zero -----------------------------------------------------------------
 
 
 def v_series(n_max: int, d_max: int) -> TSeries:
-    """v(t) = d^2 H_0 / dt_0^2, the solution of v = sum_i t_i v^i / i!, from
-    its Lagrange-inversion closed form.
+    """v(t) = d^2 H_0 / dt_0^2, the solution of v = sum_i t_i v^i / i!."""
+    return v_jets(n_max, d_max, 0)[0]
 
-    The coefficient of prod t_i^m_i is (n-1)! / prod(m_i! (i!)^m_i) with
-    n = sum m_i, and only monomials with sum i m_i = n - 1 occur; so
-    m_0 = 1 + sum_{i>=2} (i-1) m_i and n = 1 + sum_{i>=1} i m_i <= d_max.
-    Each degree is one JetPoly of int numerators over the lcm of its
-    denominators, reduced once.
-    """
-    terms = {}  # degree -> [(t-exponents, (n-1)!, prod m_i! (i!)^m_i)]
 
-    def place(i: int, ms: tuple, room: int) -> None:
-        # ms = (m_1, .., m_{i-1}); room bounds sum_{j>=i} j m_j
+def v_jets(n_max: int, d_max: int, count: int) -> list:
+    """[v, dv/dt_0, ..., d^count v/dt_0^count] to degree d_max, from the
+    Lagrange-inversion closed form: v's t^m coefficient is (n-1)! / prod(m_i!
+    (i!)^m_i) with n = sum m_i, on the m with sum i m_i = n - 1.  So v^(k)'s
+    t^m coefficient, v's at t^(m + k e_0) times (m_0+k)!/m_0!, is W! / (m_0!
+    prod_{i>=1} m_i! (i!)^m_i) with W = sum_{i>=1} i m_i and m_0 = 1 - k +
+    sum_{i>=1} (i-1) m_i >= 0, in degree 1 - k + W.  Each m_1..m_{n_max} is
+    enumerated once for every k; each degree of each jet is one JetPoly of
+    int numerators over the lcm of its denominators, reduced once."""
+    terms = [{} for _ in range(count + 1)]  # k -> degree -> [(key, W!, denominator, top)]
+
+    def place(i: int, key: int, w: int, s: int, n: int, p: int, top: int) -> None:
+        # key packs m_1..m_{i-1}; w, s, n, p are their W, sum (j-1) m_j, sum m_j,
+        # prod m_j! (j!)^m_j, and top is the largest m_j
         if i <= n_max:
-            for m in range(room // i + 1):
-                place(i + 1, ms + (m,), room - i * m)
+            # W stays below d_max + count, and sum m_j <= d_max
+            for m in range(min((d_max + count - 1 - w) // i, d_max - n) + 1):
+                place(i + 1, key + m * unit(2 + i), w + i * m, s + (i - 1) * m, n + m,
+                      p * factorial(m) * factorial(i) ** m, max(top, m))
             return
-        key = (1 + sum((j - 1) * m for j, m in enumerate(ms, 1)),) + ms
-        terms.setdefault(sum(key), []).append(
-            (key, factorial(sum(key) - 1), prod(factorial(m) * factorial(j) ** m for j, m in enumerate(key))))
+        for k in range(max(0, w + 1 - d_max), min(count, 1 + s) + 1):
+            m0 = 1 - k + s
+            terms[k].setdefault(1 - k + w, []).append(
+                (key + m0 * unit(2), factorial(w), factorial(m0) * p, max(top, m0)))
 
-    place(1, (), d_max - 1)
-    grades = {}
-    for d, group in terms.items():
-        den = lcm(*(q for _, _, q in group))
-        # the sigma slots stay 0; the t-exponents fill the slots after them
-        nums = {pack(key, 2): p * (den // q) for key, p, q in group}
-        grades[d] = JetPoly.packed(nums, den, max(max(key) for key, _, _ in group))
-    return TSeries.graded(n_max, d_max, grades)
-
-
-def t0_jets(v: TSeries, count: int) -> list:
-    jets = [v]
-    for _ in range(count):
-        jets.append(jets[-1].diff(0))
+    place(1, 0, 0, 0, 0, 1, 0)
+    del place  # a recursive closure is a reference cycle: break it so `terms` is freed on return
+    jets = []
+    for by_degree in terms:
+        grades = {}
+        for d, group in by_degree.items():
+            den = lcm(*(q for _, _, q, _ in group))
+            grades[d] = JetPoly.packed({key: num * (den // q) for key, num, q, _ in group}, den,
+                                       max(top for _, _, _, top in group))
+        jets.append(TSeries.graded(n_max, d_max, grades))
     return jets
 
 
 # -- gap polynomials and the Faber term --------------------------------------------
 
 
-def log_jet_values(top: int) -> dict:
-    """z_j value (-1)^(j-1) (j-1)! carried by the jets of log x, j = 1..top."""
-    vals = {0: QZERO}
-    for j in range(1, top + 1):
-        vals[j] = Q((-1) ** (j - 1) * factorial(j - 1))
-    return vals
+def log_jet_values(top: int) -> list:
+    """The z_j values of the jets of log x, j = 0..top: 0, then (-1)^(j-1) (j-1)!."""
+    return [0] + [(-1) ** (j - 1) * factorial(j - 1) for j in range(1, top + 1)]
 
 
 def r_poly(fe: FreeEnergy) -> JetPoly:
@@ -114,9 +116,8 @@ def h1_gap_check(fe: FreeEnergy) -> bool:
 def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
     """H_g(v, v', ...) as a t-series; raw monomial coefficients.
 
-    The genus-g expansion differentiates v up to 3g-2 times, so v is built
-    from its closed form with that much degree headroom and its t0-jets are
-    truncated back to d_max.
+    The genus-g expansion reads the t0-jets of v up to v^(3g-2), each built
+    at d_max from the closed form (v_jets).
 
     For g >= 2 the jets v^(k) are sigma-free, so the body's packed keys are
     grouped by their jet part and each distinct product prod_k (v^(k))^e_k
@@ -127,9 +128,7 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
     it, with one `recip` per jet.  Each degree of the sum is one `JetPoly.dot`
     over the (sigma part, that degree of its product) pairs of every group.
     """
-    pad = fe.max_jet_index()
-    v = v_series(n_max, d_max + pad)
-    jets = [j.truncate(d_max) for j in t0_jets(v, pad)]
+    jets = v_jets(n_max, d_max, fe.max_jet_index())
     if fe.genus == 1:
         return jets[1].log() * fe.log_z1_coeff + jets[0] * fe.body.sigma_coefficient({0: 1})
     powers: dict[tuple[int, int], TSeries] = {}
@@ -172,17 +171,18 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
         product = chain[-1][1] if chain else one
         for d, grade in product.grades.items():
             pairs.setdefault(d, []).append((groups[factors], grade))
+    del jet_power  # break the recursive closure's cycle, so the powers are freed on return
     return TSeries.graded(n_max, d_max, {d: JetPoly.dot(p) for d, p in sorted(pairs.items())})
 
 
 def dimension_check(g: int, series: TSeries):
     """Every sigma part of every stored coefficient must sit on the dimension
     constraint sum(i_a) + a + 3b = 3g - 3 + n.  Returns (ok, first_violation)."""
+    weights = (1, 3, *range(series.n_max + 1))
     for n, grade in series.grades.items():
         for k, c in grade.terms.items():
             key = unpack(k, series.n_max + 3)
-            weight = sum(i * e for i, e in enumerate(key[2:]))
-            if weight + key[0] + 3 * key[1] != 3 * g - 3 + n:
+            if sum(map(mul, weights, key)) != 3 * g - 3 + n:
                 return False, (key[2:], key[:2], Q(c, grade.den))
     return True, None
 
@@ -192,10 +192,15 @@ def intersection_table(fe: FreeEnergy, n_max: int, d_max: int, normalized: bool 
     the automorphism factors prod m_i! to give the bracket values.
 
     By the dimension constraint sum(i_a) + a + 3b = 3g - 3 + n with n <= d_max,
-    no t_i with i > 3g - 3 + d_max occurs, so the expansion stops there.
+    no t_i with i > 3g - 3 + d_max occurs, so the expansion stops there; every
+    row is checked against it (AssertionError on a violation).
     """
     n_max = min(n_max, 3 * fe.genus - 3 + d_max)
-    coefficients = hodge_expand(fe, n_max, d_max).coefficients()
+    series = hodge_expand(fe, n_max, d_max)
+    ok, violation = dimension_check(fe.genus, series)
+    if not ok:
+        raise AssertionError(f"H_{fe.genus} table breaks the dimension constraint at {violation}")
+    coefficients = series.coefficients()
     rows = []
     for key in sorted(coefficients, key=lambda k: (sum(k), k)):
         sp = coefficients[key]

@@ -217,14 +217,15 @@ def jet_from_json(data: list, top: int) -> JetPoly:
 
 def json_text(obj, sort_keys: bool = False) -> str:
     """json.dumps(obj, indent=1, sort_keys=sort_keys), byte for byte, for
-    lists, tuples and dicts with str keys of str, int, float, bool and None.
+    lists, tuples and dicts with str keys of str, int, float, bool and None;
+    a JetPoly is written as its jet_json list, without building that list.
     Strings go through json's own (C) escaper, and each container is one
     join."""
     keys = {}   # str key -> its JSON and ": ", made once per call
     lines = []  # depth -> (its newline, the newline of its items, their separator)
 
     def write(obj, depth: int) -> str:
-        while len(lines) <= depth:
+        while len(lines) <= depth + 2:
             pad = " " * len(lines)
             lines.append(("\n" + pad, "\n " + pad, ",\n " + pad))
         nl, inner, sep = lines[depth]
@@ -246,6 +247,22 @@ def json_text(obj, sort_keys: bool = False) -> str:
                 return "[]"
             return "[" + inner + sep.join([w(v) if (w := _SCALAR_JSON.get(type(v)))
                                            else write(v, depth + 1) for v in obj]) + nl + "]"
+        if isinstance(obj, JetPoly):
+            rows = sorted_items(obj)
+            if not rows:
+                return "[]"
+            (nl1, in1, sep1), (nl2, in2, sep2) = lines[depth + 1], lines[depth + 2]
+            names = [f'"z{k}": ' for k in range(len(rows[0][0]) - 2)]
+            # as JSON keys "z10" sorts before "z2"
+            order = sorted(range(len(names)), key=names.__getitem__) if sort_keys else range(len(names))
+            terms = []
+            for (sa, sb, *es), num, den in rows:
+                jets = [names[k] + str(es[k]) for k in order if es[k]]
+                jets = f'"jets": {{{in2}{sep2.join(jets)}{nl2}}}' if jets else '"jets": {}'
+                sigma = f'"sigma": [{in2}{sa}{sep2}{sb}{nl2}]'
+                tail = f"{jets}{sep1}{sigma}" if sort_keys else f"{sigma}{sep1}{jets}"
+                terms.append(f'{{{in1}"coef": "{num}/{den}"{sep1}{tail}{nl1}}}')
+            return "[" + inner + sep.join(terms) + nl + "]"
         # subclasses of the scalar types, as json writes them
         for base in (str, int, float):
             if isinstance(obj, base):

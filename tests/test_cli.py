@@ -375,3 +375,34 @@ def test_frozen_json_stdout(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_JSON_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("genus,tmax,dmax,integrals", [
+    (1, 3, 4, False), (1, 2, 0, True), (3, 4, 6, True), (3, 3, 0, False), (4, 4, 5, True)])
+def test_hodge_json_is_json_dumps_of_the_rows(capsys, genus, tmax, dmax, integrals):
+    # the JetPoly of each row is written in place; json.dumps writes its jet_json list
+    from cubichodge.loop import LoopSolver
+    from cubichodge.outputs import intersection_table
+    from cubichodge.textform import jet_json
+
+    argv = ["hodge", "--genus", str(genus), "--tmax", str(tmax), "--dmax", str(dmax),
+            "--format", "json"] + (["--integrals"] if integrals else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    fe = LoopSolver(genus).free_energy(genus)
+    rows = intersection_table(fe, tmax, dmax, normalized=integrals)
+    data = [{"indices": list(idx), "coefficient": jet_json(c)} for idx, c in rows]
+    assert out == json.dumps({"genus": genus, "table": data}, indent=1) + "\n"
+
+
+def test_hodge_exits_1_on_a_table_off_the_dimension_constraint(capsys, monkeypatch, h123):
+    import cubichodge.cli as cli
+    from cubichodge.loop import FreeEnergy
+
+    # z2 times H_2 has jet weight 4, not 2g - 2 = 2: every row misses the constraint
+    broken = FreeEnergy(2, h123[1].body.mul_z(2))
+    monkeypatch.setattr(cli.LoopSolver, "free_energy", lambda self, genus, cache_dir=None: broken)
+    code, out, err = run_cli(capsys, "hodge", "--genus", "2", "--tmax", "2", "--dmax", "3")
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["type"] == "AssertionError" and "dimension constraint" in report["error"]

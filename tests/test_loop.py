@@ -202,6 +202,16 @@ class TestSolve:
         with pytest.raises(LoopEquationError):
             solver.reconstruct(2, bad)
 
+    @pytest.mark.parametrize("extra,grading", [
+        (JetPoly.z(3), "jet weights"),  # jet weight 3 and dual weight 2: both off
+        (JetPoly.monomial(1, (0, 0), {1: -1, 4: 1}), "jet weights"),  # 3 and 3: the jet one
+        (JetPoly.z(2), "dual grading")])  # 2 and 1: the dual one
+    def test_homogeneity_check_names_the_broken_grading(self, h123, extra, grading):
+        solver = LoopSolver(2)
+        solver._check_homogeneity(h123[1])
+        with pytest.raises(LoopEquationError, match=grading):
+            solver._check_homogeneity(FreeEnergy(2, h123[1].body + extra))
+
 
 def _store_tampered(tmp_path, fe, change=None) -> str:
     """Store fe's record under the current fingerprint, apply change (if any)

@@ -5,8 +5,8 @@ import pytest
 from cubichodge.jets import JetPoly
 from cubichodge.loop import FreeEnergy
 from cubichodge.outputs import (TSeries, dimension_check, faber_leading, first_flow_check,
-                                h1_gap_check, hodge_expand, intersection_table, r_poly,
-                                t0_jets, v_series)
+                                h1_gap_check, hodge_expand, intersection_table, r_poly, v_jets,
+                                v_series)
 from cubichodge.phiseries import TruncationError
 from cubichodge.ratio import Q
 from cubichodge.sparse import exponent_bound
@@ -69,7 +69,44 @@ class TestVSeries:
             dv.coefficient((0, 3))
 
 
+class TestVJets:
+    @pytest.mark.parametrize("n_max,d_max,count", [
+        (0, 0, 0), (0, 0, 3), (0, 5, 2), (1, 0, 1), (2, 0, 4), (1, 4, 6), (2, 3, 5),
+        (3, 5, 7), (4, 6, 1), (4, 7, 3), (3, 2, 9), (4, 0, 0), (2, 6, 0)])
+    def test_equals_differentiated_v(self, n_max, d_max, count):
+        # count > n_max, d_max = 0 and n_max = 0 all occur
+        jets = v_jets(n_max, d_max, count)
+        ref = [j.truncate(d_max) for j in t0_jets(v_series(n_max, d_max + count), count)]
+        assert jets == ref
+        assert all(j.d_max == d_max and j.n_max == n_max for j in jets)
+        for j in jets:
+            for grade in j.grades.values():
+                assert grade.bound == exponent_bound((grade.terms,))
+
+    def test_first_jet_starts_at_one(self):
+        assert v_jets(3, 4, 2)[1].constant_term() == JetPoly.one()
+        assert not v_jets(0, 4, 2)[2]
+
+
+def naive_r_poly(fe):
+    """R_g term by term in Fractions: z0 -> 0 and z_j -> (-1)^(j-1) (j-1)!."""
+    acc = {}
+    for key, c in fe.body.items():
+        value = c
+        for j, e in enumerate(key[2:]):
+            if e:
+                value *= (Q(0) if j == 0 else Q((-1) ** (j - 1) * factorial(j - 1))) ** e
+        acc[key[:2]] = acc.get(key[:2], 0) + value
+    return JetPoly(acc)
+
+
 class TestGap:
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6, 7])
+    def test_matches_fraction_reference(self, energies_g7, g):
+        got = r_poly(energies_g7[g - 1])
+        assert got == naive_r_poly(energies_g7[g - 1])
+        assert got.is_jet_free() and got.den > 0
+
     def test_r2(self, h123):
         assert r_poly(h123[1]) == parse_sigma(R2_TEXT)
 
@@ -165,6 +202,14 @@ class TestHodgeTables:
         key = (1, 1)  # t1^2 monomial
         assert raw[key] == JetPoly.const(Q(1, 48))
         assert normed[key] == raw[key] * Q(2)
+
+
+def t0_jets(v, count):
+    """[v, dv/dt0, ..., d^count v/dt0^count] by repeated differentiation."""
+    jets = [v]
+    for _ in range(count):
+        jets.append(jets[-1].diff(0))
+    return jets
 
 
 def naive_hodge_expand(fe, n_max, d_max):

@@ -156,6 +156,40 @@ def test_json_text_is_json_dumps(obj, sort_keys):
     assert json_text(obj, sort_keys) == json.dumps(obj, indent=1, sort_keys=sort_keys)
 
 
+@st.composite
+def wide_jet_polys(draw):
+    """JetPolys with jets up to z11 (z10 sorts before z2 as a JSON key) and
+    negative powers of z1; the zero poly among them."""
+    p = JetPoly.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        jets = {k: draw(st.integers(1, 3)) for k in draw(st.sets(st.integers(0, 11), max_size=4))}
+        jets[1] = draw(st.integers(-4, 4))
+        p = p + JetPoly.monomial(draw(coef), (draw(st.integers(0, 3)), draw(st.integers(0, 2))), jets)
+    return p
+
+
+def as_jet_json(obj):
+    """obj with every JetPoly replaced by its jet_json list."""
+    if isinstance(obj, JetPoly):
+        return jet_json(obj)
+    if isinstance(obj, dict):
+        return {k: as_jet_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_jet_json(v) for v in obj]
+    return obj
+
+
+@given(st.recursive(json_scalars | wide_jet_polys(),
+                    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+                        st.text(max_size=3), inner, max_size=3),
+                    max_leaves=8), st.booleans())
+@example(JetPoly.monomial(-3, (1, 2), {10: 2, 2: 1, 1: -3}), True)
+@example({"b": [JetPoly.zero(), {"z10": JetPoly.z(10)}], "a": JetPoly.z(1, -2)}, False)
+@settings(max_examples=150, deadline=None)
+def test_json_text_writes_a_jetpoly_as_its_jet_json(obj, sort_keys):
+    assert json_text(obj, sort_keys) == json.dumps(as_jet_json(obj), indent=1, sort_keys=sort_keys)
+
+
 def test_json_text_takes_str_keys_and_json_types_only():
     import pytest
 
