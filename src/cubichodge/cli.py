@@ -258,10 +258,9 @@ def _verify_suites(args):
         ok, detail = row0_shift_oracle()
         if not ok:
             return False, f"xi oracle: {detail}"
-        for params in pairs:
-            ok, detail = v1_asymptotic_check(params)
-            if not ok:
-                return False, f"V1 asymptotics ({params.k1},{params.k2}): {detail}"
+        ok, detail = v1_asymptotic_check(pairs)
+        if not ok:
+            return False, f"V1 asymptotics {detail}"
         return True, None
 
     def bell_suite():

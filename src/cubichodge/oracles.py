@@ -5,12 +5,16 @@ shifts, geometric expansions, residue sums, floating Gamma functions) and
 compares exactly or to a stated float tolerance.  They back both the test
 suite and the `verify` command.  Each runs at one fixed range, set in its
 body and named in its docstring; it takes only what varies: the rational
-pair, a BtildeTable whose order is the xi order of its B~ comparisons and
-whose memo its pairings share, and the P~ table the bridge reads.
+pair (v1_asymptotic_check takes all the pairs, so that it builds its shift
+series once), a BtildeTable whose order is the xi order of its B~
+comparisons and whose residue steps its pairings share, and the P~ table
+the bridge reads.  The checks on rationals sum int numerators over one
+denominator and form one rational per compared value.
 """
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from .bell import FJetTable
 from .jets import JetPoly
@@ -18,22 +22,21 @@ from .phiseries import TSeries, binomial_zinv, log_phi, log_phi_shifted, q_numbe
 from .ptensors import PTensorTable
 from .ratio import Q, QZERO
 from .theta import ThetaPoly
-from .virasoro import BtildeTable, RationalParams, c_float, v_zinv_expansion
+from .virasoro import BtildeTable, c_float, v_zinv_expansion
 
 
 def theta_xi_coeffs(coeffs, order: int, zero=QZERO):
-    """xi-series of sum_k c_k Theta^k; the c_k are rationals, or JetPolys
-    without jets when `zero` is JetPoly.zero()."""
-    out = [zero] * (order + 1)
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k == 0:
-            out[0] += c
-            continue
-        for m in range(order + 1):
-            out[m] += c * comb(k + m - 1, m)
-    return out
+    """xi-series of sum_k c_k Theta^k, with Theta^k = sum_m C(k+m-1, m) xi^m
+    for k >= 1; the c_k are rationals, summed as int numerators over their
+    lcm into one rational per xi^m, or JetPolys without jets when `zero` is
+    JetPoly.zero(), summed once per xi^m."""
+    weights = [[comb(k + m - 1, m) if k else int(m == 0) for k in range(len(coeffs))]
+               for m in range(order + 1)]
+    if isinstance(zero, JetPoly):
+        return [JetPoly.sum([c * w for c, w in zip(coeffs, ws) if c and w]) for ws in weights]
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    return [Q(sum(map(mul, nums, ws)), den) for ws in weights]
 
 
 def q_geometric_check():
@@ -113,17 +116,19 @@ def btilde11_integral_check(bt: BtildeTable):
     return True, None
 
 
-def v1_asymptotic_check(params: RationalParams):
+def v1_asymptotic_check(pairs):
     """z-expansion of the explicit V_1 against exp(logPhi(z) - logPhi(z-1)) sqrt(z/(z-1)),
-    to z^-8."""
+    to z^-8, for each RationalParams of `pairs`; the shift series is built
+    once for all of them."""
     order = 8
-    got = v_zinv_expansion(params, 1, order)
     series = shift_expansion_term(1, order)
-    s1, s3 = params.sigma_values()
-    for n in range(order + 1):
-        want = series.coefficient((n,)).evaluate(s1, s3)
-        if got[n] != want:
-            return False, f"z^-{n}: {got[n]} != {want}"
+    for params in pairs:
+        got = v_zinv_expansion(params, 1, order)
+        s1, s3 = params.sigma_values()
+        for n in range(order + 1):
+            want = series.coefficient((n,)).evaluate(s1, s3)
+            if got[n] != want:
+                return False, f"({params.k1},{params.k2}): z^-{n}: {got[n]} != {want}"
     return True, None
 
 

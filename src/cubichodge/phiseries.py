@@ -295,11 +295,14 @@ def log_phi(order: int) -> TSeries:
 
 def log_phi_shifted(order: int, shift) -> TSeries:
     """log Phi(z - shift) expanded around z = infinity, truncated at t^order:
-    each term c_n z^-n of log Phi becomes c_n t^n (1 - shift t)^-n."""
-    out = TSeries.zero(0, order)
-    for (n,), c in log_phi(order).coefficients().items():
-        out = out + TSeries(0, order, {(n,): c}) * binomial_zinv(-n, -shift, order)
-    return out
+    each term c_n z^-n of log Phi becomes c_n t^n (1 - shift t)^-n, whose
+    t^d coefficient is c_n C(d-1, d-n) shift^(d-n); one sum per degree."""
+    shift = Q(shift)
+    coeffs = {n: c for (n,), c in log_phi(order).coefficients().items()}
+    grades = {d: JetPoly.sum([c * (comb(d - 1, d - n) * shift ** (d - n))
+                              for n, c in coeffs.items() if n <= d]).mul_z(0, d)
+              for d in range(1, order + 1)}
+    return TSeries.graded(0, order, grades)
 
 
 def phi_d_inv_all(m_max: int, order: int) -> list:

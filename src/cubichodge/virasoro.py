@@ -12,8 +12,12 @@ with a floating log-Gamma oracle available as the independent check.  V_m
 has one form, its roots: three integer progressions.  Its value, its
 residues and its expansion at infinity are all read from them, the first
 two as one quotient of integer products.  No V_m or residue is cached at
-module level; a BtildeTable owns the only memo of the pairings and of the
-A_{k,n} terms, so checks that share a table evaluate every residue once.
+module level.  A BtildeTable owns the only memo: at each pole b it meets,
+V_N(b) as an integer triple from N = ceil(b), the first V_N with a pole
+there, extended from V_N to V_(N+1) by the 2h root factors of V_1(z - N),
+so the checks that share a table form every residue step once.  In A_{k,n} the weight K2/h (K1/h) of a pairing cancels its
+prefactor h/K2 (h/K1), so each of those terms is the int pair
+K^N Res_{z=b} V_N / b.
 
 The Fock space and the Virasoro operators L_m live in commutators.py.
 """
@@ -102,29 +106,37 @@ def _progressions(params: RationalParams):
     return (params.h, True), (params.k1, False), (params.k2, False)
 
 
-def _v_order_quotient(params: RationalParams, m: int, r):
-    """V_m at r as (order, quotient), exactly, in integer arithmetic.
+def _v_extend(params: RationalParams, p: int, q: int, state: tuple, m0: int, m1: int) -> tuple:
+    """(order, num, den) of V_m1 at p/q from that of V_m0, exactly, in
+    integer arithmetic: V_m1 = V_m0 times the root factors n/d of each
+    progression with d m0 < n <= d m1.
 
-    At r = p/q each factor is r - n/d = (d p - n q)/(d q): the nonzero
-    d p - n q of a progression are multiplied together, their (d q) scales
-    go to the other side, and one rational is formed at the end.  order =
-    (vanishing factors on top) - (vanishing factors below), and the
-    quotient is the product of the nonvanishing factors; common roots
-    cancel through the count."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    r = Q(r)
-    p, q = r.numerator, r.denominator
-    num = den = 1
-    order = 0
+    At p/q each factor is p/q - n/d = (d p - n q)/(d q): the nonzero d p - n q
+    of a progression are multiplied together and their (d q) scales go to
+    the other side.  order = (vanishing factors on top) - (vanishing factors
+    below), and num/den is the product of the nonvanishing factors; common
+    roots cancel through the count.  V_0 = 1 is (0, 1, 1)."""
+    order, num, den = state
     for d, on_top in _progressions(params):
-        factors = [d * p - n * q for n in range(1, d * m + 1)]
-        kept = [f for f in factors if f]
-        top, scale, zeros = prod(kept), (d * q) ** len(kept), len(factors) - len(kept)
+        factors = range(d * p - (d * m0 + 1) * q, d * p - d * m1 * q - 1, -q)
+        top, zeros = prod(factors), 0
+        if not top:
+            # d p - n q vanishes for one n at most
+            top, zeros = prod(f for f in factors if f), 1
+        scale = (d * q) ** (len(factors) - zeros)
         if on_top:
             num, den, order = num * top, den * scale, order + zeros
         else:
             num, den, order = num * scale, den * top, order - zeros
+    return order, num, den
+
+
+def _v_order_quotient(params: RationalParams, m: int, r):
+    """V_m at r as (order, quotient), exactly, built from V_0 in one step."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    r = Q(r)
+    order, num, den = _v_extend(params, r.numerator, r.denominator, (0, 1, 1), 0, m)
     return order, Q(num, den)
 
 
@@ -173,26 +185,32 @@ def v_zinv_expansion(params: RationalParams, m: int, order: int):
     return out
 
 
-def c_pair(params: RationalParams, alpha: int, m: int, beta: int, n: int):
-    """Exact product of two c constants per the three residue identities.
+def _pairing_case(params: RationalParams, alpha: int, m: int, beta: int, n: int):
+    """(w, b, N) with c_{alpha+hm} c_{beta+hn} = w K^N Res_{z=b} V_N / b.
 
-    Cases: alpha in 1..K1-1 with beta = K1 - alpha; alpha in -(K2-1)..-1 with
-    beta = -alpha - K2; alpha = beta = 0 (indices h(m+1), h(n+1))."""
-    h, k1, k2, K = params.h, params.k1, params.k2, params.kconst
+    Cases: alpha in 1..K1-1 with beta = K1 - alpha (w = h/K2); alpha in
+    -(K2-1)..-1 with beta = -alpha - K2 (w = h/K1); alpha = beta = 0
+    (indices h(m+1), h(n+1), w = 1)."""
+    h, k1, k2 = params.h, params.k1, params.k2
     if alpha == 0 and beta == 0:
-        b = Q(m + 1)
-        return K ** (m + n + 2) / b * v_residue(params, m + n + 2, b)
+        return QONE, Q(m + 1), m + n + 2
     if 1 <= alpha <= k1 - 1:
         if beta != k1 - alpha:
             raise ValueError("positive case needs beta = K1 - alpha")
-        b = params.b(alpha + h * m)
-        return Q(h, k2) * K ** (m + n + 1) / b * v_residue(params, m + n + 1, b)
+        return Q(h, k2), params.b(alpha + h * m), m + n + 1
     if -(k2 - 1) <= alpha <= -1:
         if beta != -alpha - k2:
             raise ValueError("negative case needs beta = -alpha - K2")
-        b = params.b(alpha + h * m)
-        return Q(h, k1) * K ** (m + n + 1) / b * v_residue(params, m + n + 1, b)
+        return Q(h, k1), params.b(alpha + h * m), m + n + 1
     raise ValueError(f"alpha = {alpha} outside the pairing identities' range")
+
+
+def c_pair(params: RationalParams, alpha: int, m: int, beta: int, n: int):
+    """Exact product of two c constants per the three residue identities,
+    with V_N's residue built from scratch; BtildeTable.c_pair reads the same
+    value from its residue steps."""
+    w, b, big_n = _pairing_case(params, alpha, m, beta, n)
+    return w * params.kconst ** big_n / b * v_residue(params, big_n, b)
 
 
 def c_float(params: RationalParams, k: int) -> float:
@@ -207,32 +225,56 @@ def c_float(params: RationalParams, k: int) -> float:
 
 def a_kn(params: RationalParams, k: int, n: int):
     """zeta^n coefficient of B~_{0,k}, assembled from exact c products; a
-    BtildeTable keeps the products and terms for many (k, n)."""
+    BtildeTable keeps the residue steps and terms for many (k, n)."""
     return BtildeTable(params, n).a_kn(k, n)
 
 
 class BtildeTable:
     """B~_{i,j} xi-series to xi^order via the xi d/dxi recursion from row 0.
 
-    A table keeps its rows, every c product it computes (c_pair) and the
-    k-free integer terms of every A_{k,n} (a_kn_terms), so the checks that
-    share one table compute each pairing once, and its row 0 builds each
-    n's terms once."""
+    A table keeps its rows, the k-free integer terms of every A_{k,n}
+    (a_kn_terms) and, for each pole b = p/q it meets, the integer triples
+    (order, num, den) of V_N at b for N = ceil(b), ceil(b) + 1, ... (no
+    V_N with N < b has a pole at b): V_(N+1) is V_N times the 2h root
+    factors that V_1(z - N) adds, so each residue is extended one N at a
+    time and every pairing that shares the table reads the same steps."""
 
     def __init__(self, params: RationalParams, order: int):
         self.params = params
         self.order = order
         self._cache: dict = {}
-        self._pairs: dict = {}
+        self._steps: dict = {}
         self._a_terms: dict = {}
 
+    def residue_term(self, p: int, q: int, n: int) -> tuple:
+        """K^n Res_{z=b} V_n / b at b = p/q > 0 in lowest terms, as a reduced
+        int pair (num, den), den > 0, with K^n = h^(hn) / (K1^(K1 n)
+        K2^(K2 n)); (0, 1) off a pole.  A pole of order >= 2 raises
+        ArithmeticError, as in v_residue."""
+        params = self.params
+        first = -(-p // q)  # V_N has a pole at b only for N >= b
+        if n < first:
+            return 0, 1
+        steps = self._steps.get((p, q))
+        if steps is None:
+            steps = self._steps[p, q] = [_v_extend(params, p, q, (0, 1, 1), 0, first)]
+        while len(steps) <= n - first:
+            m = first + len(steps)
+            steps.append(_v_extend(params, p, q, steps[-1], m - 1, m))
+        order, num, den = steps[n - first]
+        if order >= 0:
+            return 0, 1
+        if order < -1:
+            raise ArithmeticError(f"pole of V_{n} at {Q(p, q)} is not simple")
+        num *= params.h ** (params.h * n) * q
+        den *= params.k1 ** (params.k1 * n) * params.k2 ** (params.k2 * n) * p
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        return num // g, den // g
+
     def c_pair(self, alpha: int, m: int, beta: int, n: int):
-        """c_pair(params, alpha, m, beta, n), computed once per table."""
-        key = (alpha, m, beta, n)
-        got = self._pairs.get(key)
-        if got is None:
-            got = self._pairs[key] = c_pair(self.params, alpha, m, beta, n)
-        return got
+        """c_pair(params, alpha, m, beta, n), read from the residue steps."""
+        w, b, big_n = _pairing_case(self.params, alpha, m, beta, n)
+        return w * Q(*self.residue_term(b.numerator, b.denominator, big_n))
 
     def a_kn_terms(self, n: int) -> tuple:
         """The k-free parts of A_{k,n} for n >= 1, in integers: (base p,
@@ -241,28 +283,26 @@ class BtildeTable:
             A_{k,n} = sum_(p, u) u p^k / (d (K1 K2)^k)     (plus c_{hn} when k = 0).
 
         The bases p / (K1 K2) are l (weight c_{hl} c_{h(n-l)}, with the
-        boundary l = n of weight c_{hn}) and b_{alpha+hl} (weight K2/h or
-        K1/h times the c pair).  The alpha = beta = 0 block contributes both
-        boundary terms l = 0 and l = n (the printed formula in the source
-        drops the l = n one); the identity A_{0,n} = K^n pins the
+        boundary l = n of weight c_{hn}) and b = b_{alpha+hl}, whose weight
+        K2/h (or K1/h) cancels the prefactor h/K2 (or h/K1) of the c pair,
+        leaving residue_term at b and N = n.  The alpha = beta = 0 block contributes
+        both boundary terms l = 0 and l = n (the printed formula in the
+        source drops the l = n one); the identity A_{0,n} = K^n pins the
         convention.  Built once per n."""
         got = self._a_terms.get(n)
         if got is not None:
             return got
-        params, h = self.params, self.params.h
-        terms = [(ell, params.c_int(ell) * params.c_int(n - ell)) for ell in range(1, n)]
-        terms.append((n, params.c_int(n)))
-        for alpha in params.index_set_star():
-            beta, weight = (params.k1 - alpha, Q(params.k2, h)) if alpha > 0 else \
-                (-alpha - params.k2, Q(params.k1, h))
-            for ell in range(n):
-                pair = self.c_pair(alpha, ell, beta, n - 1 - ell)
-                terms.append((params.b(alpha + h * ell), weight * pair))
+        params = self.params
         # every b has denominator K1 or K2, which divide K1 K2
         k12 = params.k1 * params.k2
-        d = math.lcm(*(w.denominator for _, w in terms))
-        got = self._a_terms[n] = ([(x.numerator * (k12 // x.denominator),
-                                    w.numerator * (d // w.denominator)) for x, w in terms], d)
+        terms = [(ell * k12, params.c_int(ell) * params.c_int(n - ell), 1) for ell in range(1, n)]
+        terms.append((n * k12, params.c_int(n), 1))
+        for alpha in params.index_set_star():
+            b = params.b(alpha)  # b_{alpha+hl} = b_alpha + l
+            for p in range(b.numerator, b.numerator + n * b.denominator, b.denominator):
+                terms.append((p * (k12 // b.denominator), *self.residue_term(p, b.denominator, n)))
+        d = math.lcm(*(w for _, _, w in terms))
+        got = self._a_terms[n] = ([(p, u * (d // w)) for p, u, w in terms], d)
         return got
 
     def a_kn(self, k: int, n: int):

@@ -263,10 +263,16 @@ def test_verify_ptable_fails_on_a_wrong_top_coefficient(capsys, monkeypatch):
 
 
 def test_verify_bridge_fails_on_a_wrong_pairing(capsys, monkeypatch):
-    from cubichodge import virasoro
+    from cubichodge.virasoro import BtildeTable
 
-    c_pair = virasoro.c_pair
-    monkeypatch.setattr(virasoro, "c_pair", lambda *a: 2 * c_pair(*a))
+    term = BtildeTable.residue_term
+
+    def doubled(self, p, q, n):
+        num, den = term(self, p, q, n)
+        return 2 * num, den
+
+    # the table's pairings and A_{k,n} terms all read residue_term
+    monkeypatch.setattr(BtildeTable, "residue_term", doubled)
     code, out, _ = run_cli(capsys, "verify", "--suite", "bridge")
     assert code == 1
     assert out.splitlines() == ["FAIL bridge: (i,j)=(0,0) for K=(1,2)"]
@@ -280,6 +286,42 @@ def test_verify_series_oracles_fail_on_a_wrong_q_number(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "series-oracles")
     assert code == 1
     assert out.splitlines() == ["FAIL series-oracles: Q oracle: n=0, xi^0: 2 != 1"]
+
+
+@pytest.mark.parametrize("k1, index, step, line", [
+    (1, 3, 1, "V1 asymptotics (1,2): z^-3: 35/24 != 11/24"),
+    (2, 5, -1, "V1 asymptotics (2,3): z^-5: -206771/324000 != 117229/324000"),
+], ids=["first-pair", "second-pair"])
+def test_verify_series_oracles_fail_on_a_wrong_v1_coefficient(capsys, monkeypatch, k1, index, step,
+                                                             line):
+    import cubichodge.oracles as oracles
+
+    expand = oracles.v_zinv_expansion
+
+    def wrong(params, m, order):
+        got = expand(params, m, order)
+        if params.k1 == k1:
+            got[index] += step
+        return got
+
+    monkeypatch.setattr(oracles, "v_zinv_expansion", wrong)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "series-oracles")
+    assert code == 1
+    assert out.splitlines() == [f"FAIL series-oracles: {line}"]
+
+
+def test_verify_series_oracles_fail_on_a_wrong_shifted_log_phi(capsys, monkeypatch):
+    import cubichodge.oracles as oracles
+    from cubichodge.phiseries import TSeries
+
+    shifted = oracles.log_phi_shifted
+    extra = JetPoly.monomial(1, (1, 0), {})
+    monkeypatch.setattr(oracles, "log_phi_shifted",
+                        lambda order, shift: shifted(order, shift) + TSeries(0, order, {(3,): extra}))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "series-oracles")
+    assert code == 1
+    assert out.splitlines() == ["FAIL series-oracles: xi oracle: P~(0,3) at xi^1: "
+                                "JetPoly((5/16) - (1/8)*s1) != JetPoly((5/16) - (9/8)*s1)"]
 
 
 def test_virasoro_cmd(capsys):

@@ -351,3 +351,25 @@ class TestOnePass:
         q = JetPoly({(0, 0, 0, 1, 3): 1})
         assert q.partials(3)[2].bound == 2
         assert p.bound == 3
+
+
+_small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+class TestEvaluate:
+    @given(st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 4)), _small_fractions,
+                           max_size=6),
+           _small_fractions, _small_fractions)
+    def test_matches_fraction_sum(self, coeffs, s1, s3):
+        # the zero poly, zero coefficients and negative s1 are all drawn
+        p = JetPoly({(a, b, 0, 0): c for (a, b), c in coeffs.items()})
+        want = sum((c * s1**a * s3**b for (a, b), c in coeffs.items()), Fraction(0))
+        assert p.evaluate(s1, s3) == want
+        assert p.evaluate(s1, s3) == sum((c * s1**a * s3**b for (a, b, *_), c in p.items()),
+                                         Fraction(0))
+
+    def test_by_hand(self):
+        p = JetPoly({(2, 0, 0, 0): Fraction(1, 3), (0, 1, 0, 0): Fraction(-1, 2), (0, 0, 0, 0): 5})
+        assert p.evaluate(Fraction(-3, 2), 4) == Fraction(3, 4) - 2 + 5
+        assert JetPoly().evaluate(Fraction(-1, 2), 3) == 0
+        assert JetPoly.const(Fraction(7, 3)).evaluate(0, 0) == Fraction(7, 3)

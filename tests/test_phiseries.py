@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubichodge.phiseries import (TruncationError, TSeries, bernoulli, binomial_zinv, ddz, log_phi,
-                                  phi_d_inv_all, power_sum, q_number)
+                                  log_phi_shifted, phi_d_inv_all, power_sum, q_number)
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
 from cubichodge.sparse import exponent_bound
@@ -298,3 +298,20 @@ def test_frozen_shift_series(name):
     data = [[jet_json(series(j).coefficient((n,))) for n in range(13)] for j in range(9)]
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
     assert digest == SHIFT_ANCHORS[name]
+
+
+def naive_log_phi_shifted(order: int, shift) -> TSeries:
+    """log Phi(z - shift) by one series product per odd power: each c_n t^n
+    of log Phi times (1 - shift t)^-n."""
+    out = TSeries.zero(0, order)
+    for (n,), c in log_phi(order).coefficients().items():
+        out = out + TSeries(0, order, {(n,): c}) * binomial_zinv(-n, -shift, order)
+    return out
+
+
+@pytest.mark.parametrize("shift", [*range(9), -3, Q(1, 2)])
+def test_log_phi_shifted_matches_series_products(shift):
+    for order in (1, 2, 7, 12):
+        got = log_phi_shifted(order, shift)
+        assert got == naive_log_phi_shifted(order, shift), order
+        assert in_lowest_terms(got)

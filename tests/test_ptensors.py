@@ -1,4 +1,8 @@
+from math import comb
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubichodge.jets import JetPoly
 from cubichodge.linsolve import TriangularSystem
@@ -175,12 +179,46 @@ def test_power_rows_solve_to_the_gradients(route_g5, energies_g5):
         assert TriangularSystem(n, rows, vec).solve() == energies_g5[g - 1].gradient, g
 
 
+def naive_theta_xi_coeffs(coeffs, order: int, zero=Q(0)):
+    """xi-series of sum_k c_k Theta^k by repeated +, one c_k C(k+m-1, m) at
+    a time."""
+    out = [zero] * (order + 1)
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        if k == 0:
+            out[0] += c
+            continue
+        for m in range(order + 1):
+            out[m] += c * comb(k + m - 1, m)
+    return out
+
+
 class TestXiOracle:
     def test_row0_against_shift_expansion(self):
         from cubichodge.oracles import row0_shift_oracle
 
         ok, detail = row0_shift_oracle()
         assert ok, detail
+
+    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=30), max_size=8),
+           st.integers(0, 10))
+    def test_theta_xi_coeffs_on_rationals(self, coeffs, order):
+        from cubichodge.oracles import theta_xi_coeffs
+
+        assert theta_xi_coeffs(coeffs, order) == naive_theta_xi_coeffs(coeffs, order)
+
+    def test_theta_xi_coeffs_on_jetpolys(self, table):
+        from cubichodge.oracles import theta_xi_coeffs
+
+        zero = JetPoly.zero()
+        for i in range(6):
+            for j in range(9 - i):
+                coeffs = table.ptilde(i, j).powers()
+                for order in (0, 3, 10):
+                    got = theta_xi_coeffs(coeffs, order, zero)
+                    assert got == naive_theta_xi_coeffs(coeffs, order, zero), (i, j, order)
+        assert theta_xi_coeffs([], 2, zero) == [zero] * 3
 
 
 # sha256 of PTensorTable.dump_json() after a genus-4 solve, frozen before the

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -13,6 +13,7 @@ from cubichodge.virasoro import (BtildeTable, RationalParams, a_kn, c_float, c_p
 
 P21 = RationalParams(2, 1)
 P12 = RationalParams(1, 2)
+RESIDUE_PAIRS = [(1, 2), (2, 3), (3, 4), (4, 7), (7, 9)]
 
 
 def ref_a_kn(params: RationalParams, k: int, n: int):
@@ -174,9 +175,8 @@ class TestVRational:
     def test_asymptotic_series_oracle(self):
         from cubichodge.oracles import v1_asymptotic_check
 
-        for params in (P12, RationalParams(2, 3), RationalParams(3, 4)):
-            ok, detail = v1_asymptotic_check(params)
-            assert ok, detail
+        pairs = [P12, RationalParams(2, 3), RationalParams(3, 4), RationalParams(7, 9)]
+        assert v1_asymptotic_check(pairs) == (True, None)
 
 
 class TestVResidue:
@@ -275,17 +275,45 @@ class TestAkn:
         for n in range(13):
             assert a_kn(params, 0, n) == params.kconst**n
 
-    @pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
+    @pytest.mark.parametrize("pair", RESIDUE_PAIRS)
     def test_a_kn_matches_reference(self, pair):
-        # every (k, n) of the bridge suite's B~ rows: k <= 4, n <= 10
+        # every (k, n) of the bridge suite's B~ rows (k <= 4, n <= 10) and
+        # two more orders, from residues extended one N at a time, against
+        # every term rebuilt from scratch; (7, 9) has poles b = 2/3 + l
         params = RationalParams(*pair)
-        table = BtildeTable(params, 10)
+        table = BtildeTable(params, 12)
         for k in range(5):
             row = table.row(0, k)
-            for n in range(11):
+            for n in range(13):
                 want = ref_a_kn(params, k, n)
-                assert a_kn(params, k, n) == want, (k, n)
+                assert table.a_kn(k, n) == want, (k, n)
                 assert row[n] == want / params.kconst**n, (k, n)
+        # a lone n above the table's order: every residue step in one call
+        assert BtildeTable(params, 2).a_kn(3, 11) == a_kn(params, 3, 11) == ref_a_kn(params, 3, 11)
+
+    @pytest.mark.parametrize("pair", RESIDUE_PAIRS)
+    def test_table_c_pair_matches_c_pair(self, pair):
+        # the table reads V_N at each pole from its steps, in any order of N;
+        # c_pair builds every residue from scratch
+        params = RationalParams(*pair)
+        table = BtildeTable(params, 12)
+        cases = [(0, 0)] + [(a, params.k1 - a if a > 0 else -a - params.k2)
+                            for a in params.index_set_star()]
+        for alpha, beta in cases:
+            for m in reversed(range(12)):
+                for n in range(12 - m):
+                    want = c_pair(params, alpha, m, beta, n)
+                    assert table.c_pair(alpha, m, beta, n) == want, (alpha, m, beta, n)
+        poles = [params.b(alpha + params.h * ell)
+                 for alpha in params.index_set_star() for ell in range(12)]
+        for b in poles + [Q(ell) for ell in range(1, 13)]:
+            for n in range(13):
+                num, den = table.residue_term(b.numerator, b.denominator, n)
+                assert den > 0 and gcd(num, den) == 1
+                assert bool(num) == (n >= b), (b, n)
+        for alpha, beta in ((1, params.k1), (0, 1), (params.k1 + 1, 0)):
+            with pytest.raises(ValueError):
+                table.c_pair(alpha, 0, beta, 0)
 
     def test_btilde00_is_theta(self):
         assert BtildeTable(P21, 10).row(0, 0) == [Q(1)] * 11
@@ -674,11 +702,13 @@ class TestCommutatorGrid:
         assert all(term is None for term in grid.values()), grid
 
     def test_memos_last_one_call(self, monkeypatch):
-        built, pairs = [], []
-        build, c_pair_ = OperatorImages._build, virasoro.c_pair
+        built, steps = [], []
+        build, extend = OperatorImages._build, virasoro._v_extend
         monkeypatch.setattr(OperatorImages, "_build",
                             lambda self, *a: built.append(a) or build(self, *a))
-        monkeypatch.setattr(virasoro, "c_pair", lambda *a: pairs.append(a) or c_pair_(*a))
+        monkeypatch.setattr(virasoro, "_v_extend",
+                            lambda params, p, q, state, m0, m1:
+                            steps.append((params, p, q, m0, m1)) or extend(params, p, q, state, m0, m1))
         argv = ["virasoro", "--k1", "1", "--k2", "2", "--mmax", "3", "--index-bound", "11"]
         counts = []
         for _ in range(2):
@@ -688,11 +718,13 @@ class TestCommutatorGrid:
         assert counts[0] == counts[1] > 0
         counts = []
         for _ in range(2):
-            pairs.clear()
+            steps.clear()
             assert main(["verify", "--suite", "bridge", "--pairs", "1,2;2,3"]) == 0
-            counts.append(len(pairs))
-        # each distinct pairing is computed once per call
-        assert counts[0] == counts[1] == len(set(pairs)) > 0
+            counts.append(len(steps))
+        # each residue step at each pole b = p/q is formed once per call: V_0 ->
+        # V_ceil(b), then V_N -> V_(N+1)
+        assert counts[0] == counts[1] == len(set(steps)) > 0
+        assert all(m1 == (m0 + 1 if m0 else -(-p // q)) for _, p, q, m0, m1 in steps)
 
     def test_no_v_state_outlives_a_call(self, monkeypatch):
         built = []
