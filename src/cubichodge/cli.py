@@ -6,8 +6,8 @@ a cache directory that is, or lies below, something other than a
 directory, and a --dump-ptable path that is a directory or whose parent
 directory does not exist).  Outputs are deterministic for a
 given configuration and cache state.  The cache directory comes from
---cache-dir or the CUBICHODGE_CACHE environment variable; no caching
-happens when neither is set.
+--cache-dir or, when that is absent, the CUBICHODGE_CACHE environment
+variable, read on each call; no caching happens when neither is set.
 """
 from __future__ import annotations
 
@@ -41,26 +41,32 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cubichodge",
                                  description="Exact cubic Hodge free energies from the loop equation")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
     def common(p, formats=True):
         if formats:
             p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-        p.add_argument("--cache-dir", default=os.environ.get("CUBICHODGE_CACHE"))
+        p.add_argument("--cache-dir")
 
-    p = sub.add_parser("compute", help="solve the loop equation up to a genus")
+    p = command("compute", cmd_compute, "solve the loop equation up to a genus")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--dump-ptable", default=None, help="write the P-table JSON here")
     common(p)
 
-    p = sub.add_parser("rg", help="gap polynomial R_g")
+    p = command("rg", cmd_rg, "gap polynomial R_g")
     p.add_argument("--genus", type=int, required=True)
     common(p)
 
-    p = sub.add_parser("hodge", help="table of cubic Hodge intersection data")
+    p = command("hodge", cmd_hodge, "table of cubic Hodge intersection data")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--tmax", type=_nonnegative, default=3, help="highest t index")
     p.add_argument("--dmax", type=_nonnegative, default=4, help="total degree truncation")
@@ -68,7 +74,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="multiply by automorphism factorials (bracket values)")
     common(p)
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = command("verify", cmd_verify, "run verification suites")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name (repeatable); default all")
     p.add_argument("--genus", type=int, default=3)
@@ -76,7 +82,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="rational-case pairs for the bridge suite, e.g. '1,2;2,3'")
     common(p, formats=False)
 
-    p = sub.add_parser("virasoro", help="Virasoro commutator matrix for (K1, K2)")
+    p = command("virasoro", cmd_virasoro, "Virasoro commutator matrix for (K1, K2)")
     p.add_argument("--k1", type=int, required=True)
     p.add_argument("--k2", type=int, required=True)
     p.add_argument("--mmax", type=_nonnegative, default=3)
@@ -89,26 +95,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except (ArithmeticError, ValueError, AssertionError, OSError) as exc:
         json.dump({"error": str(exc), "type": type(exc).__name__}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-
-
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "compute":
-        return cmd_compute(args)
-    if cmd == "rg":
-        return cmd_rg(args)
-    if cmd == "hodge":
-        return cmd_hodge(args)
-    if cmd == "verify":
-        return cmd_verify(args)
-    if cmd == "virasoro":
-        return cmd_virasoro(args)
-    raise ValueError(f"unknown command {cmd}")
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -119,6 +110,8 @@ def _usage_error(message: str) -> NoReturn:
 def _require_genus(args, minimum: int = 1) -> int:
     if args.genus < minimum:
         _usage_error(f"--genus must be >= {minimum}")
+    if args.cache_dir is None:
+        args.cache_dir = os.environ.get("CUBICHODGE_CACHE")
     # a bad cache path would otherwise fail only when the first result is stored
     if args.cache_dir:
         blocker = _nearest_existing(args.cache_dir)
@@ -263,12 +256,6 @@ def _verify_suites(args):
             return False, f"V1 asymptotics {detail}"
         return True, None
 
-    def bell_suite():
-        return chain_rule_check()
-
-    def power_sum_suite():
-        return cy_power_sum_check()
-
     def bridge():
         table = PTensorTable(4)
         for params in pairs:
@@ -293,8 +280,8 @@ def _verify_suites(args):
         "gradient": gradient,
         "ptable": ptable,
         "series-oracles": series_oracles,
-        "bell": bell_suite,
-        "power-sum": power_sum_suite,
+        "bell": chain_rule_check,
+        "power-sum": cy_power_sum_check,
         "bridge": bridge,
     }
 

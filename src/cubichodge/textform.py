@@ -296,12 +296,19 @@ _SCALAR_JSON = {
 # -- LaTeX ----------------------------------------------------------------
 
 
+def _latex_power(name: str, e: int) -> str:
+    """name^e for e >= 1; an exponent of two or more digits is braced."""
+    if e == 1:
+        return name
+    return f"{name}^{e}" if e < 10 else f"{name}^{{{e}}}"
+
+
 def _latex_sigma(key) -> str:
     bits = []
     if key[0]:
-        bits.append(r"\sigma_1" + (f"^{key[0]}" if key[0] > 1 else ""))
+        bits.append(_latex_power(r"\sigma_1", key[0]))
     if key[1]:
-        bits.append(r"\sigma_3" + (f"^{key[1]}" if key[1] > 1 else ""))
+        bits.append(_latex_power(r"\sigma_3", key[1]))
     return " ".join(bits)
 
 
@@ -325,9 +332,9 @@ def jet_latex(p: JetPoly) -> str:
                 continue
             name = f"z_{k}" if k < 10 else f"z_{{{k}}}"
             if e > 0:
-                jets_num.append(name + (f"^{e}" if e > 1 else ""))
+                jets_num.append(_latex_power(name, e))
             else:
-                jets_den.append(name + (f"^{-e}" if e < -1 else ""))
+                jets_den.append(_latex_power(name, -e))
         if den == 1 and not jets_den:
             body = top + (" " if jets_num else "") + " ".join(jets_num)
         else:

@@ -163,11 +163,30 @@ def test_cache_record_of_wrong_shape_recomputes(tmp_path, capsys, provenance):
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    cache = str(tmp_path / "envcache")
-    monkeypatch.setenv("CUBICHODGE_CACHE", cache)
+    # the parser is built once per process, so the variable must be read on each call:
+    # set after a first call, it still takes effect
+    monkeypatch.delenv("CUBICHODGE_CACHE", raising=False)
+    assert run_cli(capsys, "compute", "--genus", "1")[0] == 0
+    cache, flag = tmp_path / "envcache", tmp_path / "flagcache"
+    monkeypatch.setenv("CUBICHODGE_CACHE", str(cache))
     code, _, _ = run_cli(capsys, "compute", "--genus", "1")
     assert code == 0
-    assert os.path.exists(os.path.join(cache, "free_energy_g1.json"))
+    assert os.listdir(cache) == ["free_energy_g1.json"]
+    # an explicit --cache-dir wins over the variable, and an empty one turns caching off
+    assert run_cli(capsys, "compute", "--genus", "2", "--cache-dir", str(flag))[0] == 0
+    assert sorted(os.listdir(flag)) == ["free_energy_g1.json", "free_energy_g2.json"]
+    assert run_cli(capsys, "compute", "--genus", "2", "--cache-dir", "")[0] == 0
+    assert os.listdir(cache) == ["free_energy_g1.json"]
+
+
+def test_one_call_leaves_nothing_for_the_next(capsys):
+    # a usage error after --suite was read, then calls that each name one suite
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "bell", "--genus", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "verify", "--suite", "bell") == (0, "PASS bell\n", "")
+    assert run_cli(capsys, "verify", "--suite", "power-sum") == (0, "PASS power-sum\n", "")
 
 
 def test_warm_commands_read_only_the_requested_genus(tmp_path, capsys, monkeypatch):

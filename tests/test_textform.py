@@ -132,6 +132,11 @@ def test_latex_fraction_layout(h123):
     assert r"\sigma_1^2" in tex and r"\frac{\sigma_3}{34560}" in tex
 
 
+def test_latex_braces_exponents_of_two_digits():
+    p = JetPoly.monomial(Q(3, 7), (10, 0), {1: -12, 2: 11})
+    assert jet_latex(p) == r"\frac{3 \sigma_1^{10}}{7 z_1^{12}}\,z_2^{11}"
+
+
 def test_canonical_order_matches_printed_h2(h123):
     # highest jets first within ascending sigma grade
     text = jet_text(h123[1].body)
