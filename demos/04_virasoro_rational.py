@@ -6,14 +6,15 @@ exact coefficients; their commutators close exactly.  The same B~ tensors
 arise once from residue sums A_{k,n} and once from the sigma-specialized
 P~ table, and the two series agree term by term.
 """
-from cubichodge import BtildeTable, RationalParams, a_kn, commutator_grid, monomial_basis, v_value
+from cubichodge import BtildeTable, RationalParams, commutator_grid, monomial_basis, v_value
 from cubichodge.oracles import specialization_bridge
 from cubichodge.ptensors import PTensorTable
 
 params = RationalParams(2, 1)
 print(f"(K1, K2) = (2, 1): h = {params.h}, K = {params.kconst}")
 print("V_1(0) =", v_value(params, 1, 0))
-print("A_{0,n} / K^n for n <= 6:", [a_kn(params, 0, n) / params.kconst**n for n in range(7)])
+btilde = BtildeTable(params, 6)
+print("A_{0,n} / K^n for n <= 6:", [btilde.a_kn(0, n) / params.kconst**n for n in range(7)])
 print()
 
 bound = 2 * params.h + 2

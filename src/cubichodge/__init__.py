@@ -16,6 +16,6 @@ from .phiseries import TSeries, bernoulli, log_phi, power_sum, q_number
 from .ptensors import PTensorTable
 from .ratio import Q
 from .theta import ThetaPoly
-from .virasoro import BtildeTable, RationalParams, a_kn, c_pair, v_value
+from .virasoro import BtildeTable, RationalParams, v_value
 
 __version__ = "0.1.0"

@@ -315,7 +315,8 @@ def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
 def load_cached(cache_dir: str, genus: int, fingerprint: str) -> FreeEnergy | None:
     """Return the cached FreeEnergy, or None on a solver-version, text-form
     version, fingerprint or hash mismatch, or any corruption, such as a jet
-    above z_(3g-2) or a zero denominator."""
+    above z_(3g-2), a zero denominator or a log z1 coefficient at a genus
+    other than 1 (or none at genus 1)."""
     path = cache_path(cache_dir, genus)
     try:
         with open(path) as fh:
@@ -329,10 +330,10 @@ def load_cached(cache_dir: str, genus: int, fingerprint: str) -> FreeEnergy | No
             return None
         if record["sha256"] != _payload_hash(payload, fingerprint):
             return None
-        if payload["genus"] != genus:
+        if payload["genus"] != genus or (payload["log_z1_coeff"] is None) == (genus == 1):
             return None
         body = textform.jet_from_json(payload["body"], 3 * genus - 2)
-        log_c = parse_q(payload["log_z1_coeff"]) if payload["log_z1_coeff"] else None
+        log_c = parse_q(payload["log_z1_coeff"]) if genus == 1 else None
         prov = dict(record["provenance"])
         prov["cache"] = "hit"
         return FreeEnergy(genus, body, log_c, prov)

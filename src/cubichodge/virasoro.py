@@ -9,15 +9,15 @@ through the pairing and ratio identities
     c_{a+hm} c_{K1-a+hn} = (h/K2) K^{m+n+1} / b_{a+hm} Res_{z=b_{a+hm}} V_{m+n+1},
 
 with a floating log-Gamma oracle available as the independent check.  V_m
-has one form, its roots: three integer progressions.  Its value, its
-residues and its expansion at infinity are all read from them, the first
-two as one quotient of integer products.  No V_m or residue is cached at
-module level.  A BtildeTable owns the only memo: at each pole b it meets,
-V_N(b) as an integer triple from N = ceil(b), the first V_N with a pole
-there, extended from V_N to V_(N+1) by the 2h root factors of V_1(z - N),
-so the checks that share a table form every residue step once.  In A_{k,n} the weight K2/h (K1/h) of a pairing cancels its
-prefactor h/K2 (h/K1), so each of those terms is the int pair
-K^N Res_{z=b} V_N / b.
+has one form, its roots: three integer progressions.  Its value and its
+expansion at infinity are read from them by v_value and v_zinv_expansion.
+Residues of V_N, c-pairings and A_{k,n} have one route, a BtildeTable,
+which owns the only memo: at each pole b it meets, V_N(b) as an integer
+triple from N = ceil(b), the first V_N with a pole there, extended from V_N
+to V_(N+1) by the 2h root factors of V_1(z - N), so the checks that share a
+table form every residue step once.  In A_{k,n} the weight K2/h (K1/h) of a
+pairing cancels its prefactor h/K2 (h/K1), so each of those terms is the
+int pair K^N Res_{z=b} V_N / b.
 
 The Fock space and the Virasoro operators L_m live in commutators.py.
 """
@@ -49,11 +49,8 @@ class RationalParams:
 
     # index bookkeeping ------------------------------------------------------
 
-    def index_set(self):
-        return list(range(-(self.k2 - 1), self.k1))
-
     def index_set_star(self):
-        return [a for a in self.index_set() if a]
+        return [a for a in range(1 - self.k2, self.k1) if a]
 
     def in_nstar(self, k: int) -> bool:
         return k >= 1 - self.k2 and k != 0 and (k + self.k2) % self.h != 0
@@ -97,7 +94,7 @@ class RationalParams:
         return comb(self.h * ell, self.k1 * ell)
 
 
-# -- V_m and the exact c-constant identities -----------------------------------------
+# -- V_m from its roots, and the floating c_k ----------------------------------------
 
 
 def _progressions(params: RationalParams):
@@ -131,35 +128,15 @@ def _v_extend(params: RationalParams, p: int, q: int, state: tuple, m0: int, m1:
     return order, num, den
 
 
-def _v_order_quotient(params: RationalParams, m: int, r):
-    """V_m at r as (order, quotient), exactly, built from V_0 in one step."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    r = Q(r)
-    order, num, den = _v_extend(params, r.numerator, r.denominator, (0, 1, 1), 0, m)
-    return order, Q(num, den)
-
-
 def v_value(params: RationalParams, m: int, x):
     """V_m(x), exactly; raises ZeroDivisionError at a pole."""
-    order, quotient = _v_order_quotient(params, m, x)
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    x = Q(x)
+    order, num, den = _v_extend(params, x.numerator, x.denominator, (0, 1, 1), 0, m)
     if order < 0:
-        raise ZeroDivisionError(f"pole of V_{m} at {Q(x)}")
-    return quotient if order == 0 else QZERO
-
-
-def v_residue(params: RationalParams, m: int, r):
-    """Res_{z=r} V_m(z), exactly: 0 at a regular point or a zero of V_m,
-    the quotient at a simple pole.  A pole of order >= 2 cannot happen: it
-    needs r = n/K1 = n'/K2, and then h r = n + n' lies in 1..h m, so a top
-    factor vanishes too (for coprime K1, K2 such an r is an integer).  It
-    raises ArithmeticError all the same."""
-    order, quotient = _v_order_quotient(params, m, r)
-    if order >= 0:
-        return QZERO
-    if order < -1:
-        raise ArithmeticError(f"pole of V_{m} at {Q(r)} is not simple")
-    return quotient
+        raise ZeroDivisionError(f"pole of V_{m} at {x}")
+    return Q(num, den) if order == 0 else QZERO
 
 
 def v_zinv_expansion(params: RationalParams, m: int, order: int):
@@ -185,34 +162,6 @@ def v_zinv_expansion(params: RationalParams, m: int, order: int):
     return out
 
 
-def _pairing_case(params: RationalParams, alpha: int, m: int, beta: int, n: int):
-    """(w, b, N) with c_{alpha+hm} c_{beta+hn} = w K^N Res_{z=b} V_N / b.
-
-    Cases: alpha in 1..K1-1 with beta = K1 - alpha (w = h/K2); alpha in
-    -(K2-1)..-1 with beta = -alpha - K2 (w = h/K1); alpha = beta = 0
-    (indices h(m+1), h(n+1), w = 1)."""
-    h, k1, k2 = params.h, params.k1, params.k2
-    if alpha == 0 and beta == 0:
-        return QONE, Q(m + 1), m + n + 2
-    if 1 <= alpha <= k1 - 1:
-        if beta != k1 - alpha:
-            raise ValueError("positive case needs beta = K1 - alpha")
-        return Q(h, k2), params.b(alpha + h * m), m + n + 1
-    if -(k2 - 1) <= alpha <= -1:
-        if beta != -alpha - k2:
-            raise ValueError("negative case needs beta = -alpha - K2")
-        return Q(h, k1), params.b(alpha + h * m), m + n + 1
-    raise ValueError(f"alpha = {alpha} outside the pairing identities' range")
-
-
-def c_pair(params: RationalParams, alpha: int, m: int, beta: int, n: int):
-    """Exact product of two c constants per the three residue identities,
-    with V_N's residue built from scratch; BtildeTable.c_pair reads the same
-    value from its residue steps."""
-    w, b, big_n = _pairing_case(params, alpha, m, beta, n)
-    return w * params.kconst ** big_n / b * v_residue(params, big_n, b)
-
-
 def c_float(params: RationalParams, k: int) -> float:
     """Floating c_k via log-Gamma; the independent oracle for the pairings."""
     b = float(params.b(k))
@@ -220,13 +169,7 @@ def c_float(params: RationalParams, k: int) -> float:
     return math.exp(top - math.lgamma(b * params.k1 + 1) - math.lgamma(b * params.k2 + 1))
 
 
-# -- A_{k,n} and B~ -------------------------------------------------------------------
-
-
-def a_kn(params: RationalParams, k: int, n: int):
-    """zeta^n coefficient of B~_{0,k}, assembled from exact c products; a
-    BtildeTable keeps the residue steps and terms for many (k, n)."""
-    return BtildeTable(params, n).a_kn(k, n)
+# -- residues, c-pairings, A_{k,n} and B~ --------------------------------------------
 
 
 class BtildeTable:
@@ -249,8 +192,11 @@ class BtildeTable:
     def residue_term(self, p: int, q: int, n: int) -> tuple:
         """K^n Res_{z=b} V_n / b at b = p/q > 0 in lowest terms, as a reduced
         int pair (num, den), den > 0, with K^n = h^(hn) / (K1^(K1 n)
-        K2^(K2 n)); (0, 1) off a pole.  A pole of order >= 2 raises
-        ArithmeticError, as in v_residue."""
+        K2^(K2 n)); (0, 1) at a regular point or a zero of V_n.  A pole of
+        order >= 2 cannot happen: it needs b = n1/K1 = n2/K2, and then h b =
+        n1 + n2 lies in 1..h n, so a top factor vanishes too (for coprime
+        K1, K2 such a b is an integer).  It raises ArithmeticError all the
+        same."""
         params = self.params
         first = -(-p // q)  # V_N has a pole at b only for N >= b
         if n < first:
@@ -272,9 +218,24 @@ class BtildeTable:
         return num // g, den // g
 
     def c_pair(self, alpha: int, m: int, beta: int, n: int):
-        """c_pair(params, alpha, m, beta, n), read from the residue steps."""
-        w, b, big_n = _pairing_case(self.params, alpha, m, beta, n)
-        return w * Q(*self.residue_term(b.numerator, b.denominator, big_n))
+        """c_{alpha+hm} c_{beta+hn} = w K^N Res_{z=b} V_N / b, exactly, read
+        from the residue steps.
+
+        Cases: alpha in 1..K1-1 with beta = K1 - alpha (w = h/K2, b =
+        b_{alpha+hm}, N = m+n+1); alpha in -(K2-1)..-1 with beta = -alpha - K2
+        (w = h/K1, likewise); alpha = beta = 0 (indices h(m+1), h(n+1), w = 1,
+        b = m+1, N = m+n+2)."""
+        params = self.params
+        if alpha == beta == 0:
+            return Q(*self.residue_term(m + 1, 1, m + n + 2))
+        if 1 <= alpha < params.k1 and beta == params.k1 - alpha:
+            w = Q(params.h, params.k2)
+        elif 1 - params.k2 <= alpha < 0 and beta == -alpha - params.k2:
+            w = Q(params.h, params.k1)
+        else:
+            raise ValueError(f"no pairing identity for (alpha, beta) = ({alpha}, {beta})")
+        b = params.b(alpha + params.h * m)
+        return w * Q(*self.residue_term(b.numerator, b.denominator, m + n + 1))
 
     def a_kn_terms(self, n: int) -> tuple:
         """The k-free parts of A_{k,n} for n >= 1, in integers: (base p,

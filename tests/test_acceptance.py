@@ -13,7 +13,7 @@ from cubichodge.outputs import (dimension_check, faber_leading, first_flow_check
 from cubichodge.ptensors import PTensorTable
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
-from cubichodge.virasoro import BtildeTable, RationalParams, a_kn
+from cubichodge.virasoro import BtildeTable, RationalParams
 
 from golden import (FABER2_TEXT, FABER3_TEXT, H1_TEXT, H2_TEXT, H3_TEXT, R2_TEXT, R3_TEXT,
                     parse_sigma, sigma_part)
@@ -173,10 +173,11 @@ def test_c10_residue_bridge():
     table = PTensorTable(4)
     for pair in PAIRS:
         params = RationalParams(*pair)
+        btilde = BtildeTable(params, 10)
         for n in range(13):
-            if a_kn(params, 0, n) != params.kconst**n:
+            if btilde.a_kn(0, n) != params.kconst**n:
                 ok, detail = False, f"A(0,{n}) for K={pair}"
-        good, d = specialization_bridge(BtildeTable(params, 10), table)
+        good, d = specialization_bridge(btilde, table)
         if not good:
             ok, detail = False, str(d)
     report(10, "A_0n = K^n (n <= 12) and the B~ vs P~ bridge (i+j <= 4)", ok, detail)

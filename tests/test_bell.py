@@ -164,6 +164,15 @@ class TestFJet:
         for j in range(i + 1):
             assert self.FJ.f(i, j) == bell_jet(TABLE, i, j)
 
+    def test_doctored_bell_row_fails_the_self_check(self, monkeypatch):
+        from cubichodge import bell
+
+        rows = [list(row) for row in bell._selfcheck_rows()]
+        rows[8][1] = rows[8][1] + JetPoly.one()
+        monkeypatch.setattr(bell, "_selfcheck_rows", lambda: rows)
+        with pytest.raises(AssertionError, match=r"f_\(8,j\)"):
+            FJetTable().f(8, 1)
+
     def test_chain_rule_identity(self):
         from cubichodge.oracles import chain_rule_check
 

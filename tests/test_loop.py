@@ -363,6 +363,24 @@ class TestCache:
         assert load_cached(str(tmp_path), 2, fp) is not None
         capsys.readouterr()
 
+    @pytest.mark.parametrize("genus, log_c", [(1, None), (2, "1/24")])
+    def test_log_coefficient_off_its_genus_misses(self, tmp_path, h123, capsys, genus, log_c):
+        # only H_1 carries a log z1 term: a signed record without it at genus
+        # 1, or with it at genus 2, is corrupt, and every command solves again
+        from cubichodge.cli import main
+
+        def set_log(payload):
+            payload["log_z1_coeff"] = log_c
+
+        fp = _store_tampered(tmp_path, h123[genus - 1], set_log)
+        assert load_cached(str(tmp_path), genus, fp) is None
+        for argv in (["compute", "--genus", str(genus)], ["compute", "--genus", "3"],
+                     ["hodge", "--genus", str(genus)], ["verify", "--genus", str(genus)]):
+            _store_tampered(tmp_path, h123[genus - 1], set_log)
+            assert main(argv + ["--cache-dir", str(tmp_path)]) == 0, argv
+            assert load_cached(str(tmp_path), genus, fp) is not None
+        capsys.readouterr()
+
     @pytest.mark.parametrize("sigma", [[0, 0, 5], [1], [-1, 0], [0.5, 0], ["1", 0], 3])
     def test_sigma_of_wrong_shape_misses(self, tmp_path, h123, sigma):
         def bad_sigma(payload):

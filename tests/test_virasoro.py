@@ -1,3 +1,4 @@
+from functools import cache
 from math import comb, gcd
 
 import pytest
@@ -8,32 +9,11 @@ from cubichodge.commutators import (OperatorImages, TruncationViolation, commuta
                                     monomial_basis)
 from cubichodge.ratio import Q, QONE, qstr
 from cubichodge.sparse import add_into, nonzero
-from cubichodge.virasoro import (BtildeTable, RationalParams, a_kn, c_float, c_pair, v_residue,
-                                 v_value, v_zinv_expansion)
+from cubichodge.virasoro import BtildeTable, RationalParams, c_float, v_value, v_zinv_expansion
 
 P21 = RationalParams(2, 1)
 P12 = RationalParams(1, 2)
 RESIDUE_PAIRS = [(1, 2), (2, 3), (3, 4), (4, 7), (7, 9)]
-
-
-def ref_a_kn(params: RationalParams, k: int, n: int):
-    """Reference A_{k,n}: every base, c product and weight rebuilt for each
-    (k, n) and summed term by term."""
-    if n == 0:
-        return QONE if k == 0 else Q(0)
-    h = params.h
-    total = Q(0)
-    for ell in range(1, n):
-        total += Q(ell) ** k * params.c_int(ell) * params.c_int(n - ell)
-    total += Q(n) ** k * params.c_int(n)
-    if k == 0:
-        total += params.c_int(n)
-    for alpha in params.index_set_star():
-        beta, weight = (params.k1 - alpha, Q(params.k2, h)) if alpha > 0 else \
-            (-alpha - params.k2, Q(params.k1, h))
-        for ell in range(n):
-            total += weight * params.b(alpha + h * ell) ** k * c_pair(params, alpha, ell, beta, n - 1 - ell)
-    return total
 
 
 class TestParams:
@@ -120,6 +100,41 @@ def naive_residue(num_roots, den_roots, r):
     return naive_rest(num_roots, den_roots, r) if mult == 1 else Q(0)
 
 
+@cache
+def ref_c_pair(params: RationalParams, alpha: int, m: int, beta: int, n: int):
+    """Reference c_{alpha+hm} c_{beta+hn} = w K^N Res_{z=b} V_N / b, with the
+    residue taken by naive_residue over the explicit roots of V_N (kept per
+    argument tuple, as the A_{k,n} references reuse each pairing for every k)."""
+    if alpha == beta == 0:
+        w, b, big_n = QONE, Q(m + 1), m + n + 2
+    else:
+        assert beta == (params.k1 - alpha if alpha > 0 else -alpha - params.k2)
+        w = Q(params.h, params.k2 if alpha > 0 else params.k1)
+        b, big_n = params.b(alpha + params.h * m), m + n + 1
+    return w * params.kconst**big_n / b * naive_residue(*v_roots(params, big_n), b)
+
+
+def ref_a_kn(params: RationalParams, k: int, n: int):
+    """Reference A_{k,n}: every base, c product and weight rebuilt for each
+    (k, n) and summed term by term, the c products from ref_c_pair."""
+    if n == 0:
+        return QONE if k == 0 else Q(0)
+    h = params.h
+    total = Q(0)
+    for ell in range(1, n):
+        total += Q(ell) ** k * params.c_int(ell) * params.c_int(n - ell)
+    total += Q(n) ** k * params.c_int(n)
+    if k == 0:
+        total += params.c_int(n)
+    for alpha in params.index_set_star():
+        beta, weight = (params.k1 - alpha, Q(params.k2, h)) if alpha > 0 else \
+            (-alpha - params.k2, Q(params.k1, h))
+        for ell in range(n):
+            pair = ref_c_pair(params, alpha, ell, beta, n - 1 - ell)
+            total += weight * params.b(alpha + h * ell) ** k * pair
+    return total
+
+
 def naive_zinv_expansion(num_roots, den_roots, order):
     """Reference z^0..z^-order coefficients at infinity: the plain Fraction
     product of the series 1 - a t and sum_k b^k t^k (t = 1/z), one per root."""
@@ -182,20 +197,17 @@ class TestVRational:
 class TestVResidue:
     @pytest.mark.parametrize("pair", PAIRS)
     def test_equals_reference(self, pair):
+        # residue_term is K^m Res_{z=r} V_m / r at every root r of V_m (all
+        # positive) and at a regular point, read from one table's steps
         params = RationalParams(*pair)
+        table = BtildeTable(params, 0)
         for m in range(11):
             top, below = v_roots(params, m)
-            for r in set(top + below):
-                residue = v_residue(params, m, r)
-                assert residue == naive_residue(top, below, r)
+            for r in set(top + below) | {Q(1, 7)}:
+                residue = Q(*table.residue_term(r.numerator, r.denominator, m))
+                assert residue == params.kconst**m * naive_residue(top, below, r) / r, (m, r)
                 # nonzero exactly at the poles left after cancelling
                 assert bool(residue) == (below.count(r) > top.count(r))
-            for r in (Q(1, 7), Q(-5, 3)):
-                assert v_residue(params, m, r) == naive_residue(top, below, r) == 0
-
-    def test_negative_m(self):
-        with pytest.raises(ValueError):
-            v_residue(P21, -1, Q(1, 2))
 
 
 def c_ratio(params: RationalParams, k: int, ell: int):
@@ -230,10 +242,10 @@ class TestCConstants:
 
     def test_c_pair_half_integer(self):
         # c_1^2 with c_1 = 3/2
-        assert c_pair(P21, 1, 0, 1, 0) == Q(9, 4)
+        assert BtildeTable(P21, 0).c_pair(1, 0, 1, 0) == Q(9, 4)
 
     def test_c_pair_aligned(self):
-        assert c_pair(P21, 0, 0, 0, 0) == Q(9)  # c_3 * c_3
+        assert BtildeTable(P21, 0).c_pair(0, 0, 0, 0) == Q(9)  # c_3 * c_3
 
     def test_c_pair_float_oracle(self):
         from cubichodge.oracles import c_pair_float_check
@@ -243,25 +255,27 @@ class TestCConstants:
             assert ok, detail
 
     def test_c_pair_range_errors(self):
+        table = BtildeTable(P21, 0)
         with pytest.raises(ValueError):
-            c_pair(P21, 1, 0, 2, 0)
+            table.c_pair(1, 0, 2, 0)
         with pytest.raises(ValueError):
-            c_pair(P21, 5, 0, -3, 0)
+            table.c_pair(5, 0, -3, 0)
 
     def test_frozen_pairings(self):
-        # sha256 of every c_pair value in qstr text, one sorted line per
+        # sha256 of every c-pairing value in qstr text, one sorted line per
         # (K1,K2 alpha m beta n), for every alpha the identities allow and
         # m + n <= 9; frozen before the residues were computed from integers.
         import hashlib
 
         lines = []
         for params in (P12, RationalParams(2, 3), RationalParams(3, 4)):
+            table = BtildeTable(params, 0)
             cases = [(0, 0)] + [(a, params.k1 - a if a > 0 else -a - params.k2)
                                 for a in params.index_set_star()]
             for alpha, beta in cases:
                 for m in range(10):
                     for n in range(10 - m):
-                        value = qstr(c_pair(params, alpha, m, beta, n))
+                        value = qstr(table.c_pair(alpha, m, beta, n))
                         lines.append(f"{params.k1},{params.k2} {alpha} {m} {beta} {n} {value}")
         assert len(lines) == 660
         digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
@@ -272,14 +286,15 @@ class TestAkn:
     @pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 4)])
     def test_a0n_is_kn(self, pair):
         params = RationalParams(*pair)
+        table = BtildeTable(params, 0)
         for n in range(13):
-            assert a_kn(params, 0, n) == params.kconst**n
+            assert table.a_kn(0, n) == params.kconst**n
 
     @pytest.mark.parametrize("pair", RESIDUE_PAIRS)
     def test_a_kn_matches_reference(self, pair):
         # every (k, n) of the bridge suite's B~ rows (k <= 4, n <= 10) and
         # two more orders, from residues extended one N at a time, against
-        # every term rebuilt from scratch; (7, 9) has poles b = 2/3 + l
+        # every term rebuilt from explicit roots; (7, 9) has poles b = 2/3 + l
         params = RationalParams(*pair)
         table = BtildeTable(params, 12)
         for k in range(5):
@@ -289,12 +304,12 @@ class TestAkn:
                 assert table.a_kn(k, n) == want, (k, n)
                 assert row[n] == want / params.kconst**n, (k, n)
         # a lone n above the table's order: every residue step in one call
-        assert BtildeTable(params, 2).a_kn(3, 11) == a_kn(params, 3, 11) == ref_a_kn(params, 3, 11)
+        assert BtildeTable(params, 2).a_kn(3, 11) == ref_a_kn(params, 3, 11)
 
     @pytest.mark.parametrize("pair", RESIDUE_PAIRS)
     def test_table_c_pair_matches_c_pair(self, pair):
         # the table reads V_N at each pole from its steps, in any order of N;
-        # c_pair builds every residue from scratch
+        # ref_c_pair takes every residue over the explicit roots of V_N
         params = RationalParams(*pair)
         table = BtildeTable(params, 12)
         cases = [(0, 0)] + [(a, params.k1 - a if a > 0 else -a - params.k2)
@@ -302,7 +317,7 @@ class TestAkn:
         for alpha, beta in cases:
             for m in reversed(range(12)):
                 for n in range(12 - m):
-                    want = c_pair(params, alpha, m, beta, n)
+                    want = ref_c_pair(params, alpha, m, beta, n)
                     assert table.c_pair(alpha, m, beta, n) == want, (alpha, m, beta, n)
         poles = [params.b(alpha + params.h * ell)
                  for alpha in params.index_set_star() for ell in range(12)]
