@@ -25,6 +25,6 @@ for g in (1, 2, 3):
 print("\nloop-equation residual vanishes identically for g = 1, 2, 3")
 
 h3 = energies[2].body
-assert h3.is_homogeneous(4, lambda k: k)
-assert h3.is_homogeneous(6, lambda k: k - 1, s1_weight=1, s3_weight=3)
+assert h3.weighted_degrees(lambda k: k) == {4}
+assert h3.weighted_degrees(lambda k: k - 1, s1_weight=1, s3_weight=3) == {6}
 print("H_3 carries both gradings: degree 4 in jet weights, 6 in the dual weights")

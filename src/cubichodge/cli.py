@@ -24,7 +24,7 @@ from .loop import LoopSolver
 from .oracles import (btilde11_closed_form_check, c_pair_float_check, chain_rule_check,
                       btilde11_integral_check, cy_power_sum_check, q_geometric_check,
                       row0_shift_oracle, specialization_bridge, v1_asymptotic_check)
-from .outputs import intersection_table, r_poly
+from .outputs import faber_leading, h1_gap_check, intersection_table, r_poly
 from .ptensors import PTensorTable, top_coefficient_value
 from .ratio import qstr
 from .textform import free_energy_text, jet_json, jet_latex, jet_text, json_text
@@ -229,6 +229,21 @@ def _verify_suites(args):
                 return False, f"Euler identity fails at genus {fe.genus}"
         return True, None
 
+    def gap():
+        _, energies = solved()
+        if not h1_gap_check(energies[0]):
+            return False, "H_1 does not collapse to ((s1 - 1)/24) log x"
+        for fe in energies[1:]:
+            g = fe.genus
+            try:
+                rg = r_poly(fe)
+            except AssertionError as exc:
+                return False, str(exc)
+            top = JetPoly({key: c for key, c in rg.items() if key[0] + 3 * key[1] == 3 * g - 3})
+            if top != faber_leading(g):
+                return False, f"top part of R_{g} differs from the Faber form"
+        return True, None
+
     def ptable():
         table = PTensorTable(10)
         for i in range(11):
@@ -278,6 +293,7 @@ def _verify_suites(args):
     return {
         "loop-residual": loop_residual,
         "gradient": gradient,
+        "gap": gap,
         "ptable": ptable,
         "series-oracles": series_oracles,
         "bell": chain_rule_check,

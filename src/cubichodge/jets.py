@@ -330,10 +330,6 @@ class JetPoly:
         weights = [s1_weight, s3_weight] + [jet_weight(k) for k in range(n - 2)]
         return {sum(w * e for w, e in zip(weights, unpack(key, n))) for key in self.terms}
 
-    def is_homogeneous(self, degree: int, jet_weight, s1_weight: int = 0, s3_weight: int = 0) -> bool:
-        degs = self.weighted_degrees(jet_weight, s1_weight, s3_weight)
-        return degs <= {degree}
-
     # -- division ---------------------------------------------------------
 
     def exact_div(self, d: "JetPoly") -> "JetPoly":

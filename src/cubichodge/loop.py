@@ -53,6 +53,13 @@ declared: H_g carries z0..z_{3g-2} by its own degree, and a cache record
 whose jets go past z_{3g-2} misses.  A FreeEnergy and its cache record
 keep only that body; the gradient the next genus reads is derived from it
 again.
+
+A cache record is one file per genus: a first line holding the sha256 of
+the rest of the file, then the record {version, genus, body, log_z1_coeff,
+provenance} as sorted-key JSON.  The digest covers every stored byte, so a
+torn or edited file misses, and `version` (CACHE_VERSION) names the
+solver, the text forms and the P~ construction at once, so a record
+written under any other one of them misses too.
 """
 from __future__ import annotations
 
@@ -68,12 +75,13 @@ from operator import mul
 from . import textform
 from .jets import JetPoly
 from .linsolve import TriangularSystem
-from .ptensors import PTensorTable
+from .ptensors import CONSTRUCTION_VERSION, PTensorTable
 from .ratio import Q, parse_q, qjson
 from .sparse import unpack, width
 from .theta import ThetaPoly
 
 SOLVER_VERSION = "loop-solver-v2"
+CACHE_VERSION = f"{SOLVER_VERSION}|{textform.TEXT_FORM_VERSION}|{CONSTRUCTION_VERSION}"
 
 
 class LoopEquationError(ArithmeticError):
@@ -182,11 +190,7 @@ class LoopSolver:
         if residual:
             raise LoopEquationError(f"loop residual nonzero at genus {g}")
         fe = self.reconstruct(g, gradient)
-        fe.provenance.update({
-            "solver": SOLVER_VERSION,
-            "ptable": self.table.fingerprint(),
-            "wall_time": round(time.monotonic() - t0, 6),
-        })
+        fe.provenance["wall_time"] = round(time.monotonic() - t0, 6)
         self._check_homogeneity(fe)
         return fe
 
@@ -243,13 +247,13 @@ class LoopSolver:
             raise ValueError(f"genus {genus} outside the solver's range 1..{self.genus_max}")
 
     def compute(self, genus: int, cache_dir: str | None = None):
-        """H_1..H_genus, resuming from the cache when directory and hash match."""
+        """H_1..H_genus, resuming from every valid record in the cache."""
         self._check_genus(genus)
         energies: list[FreeEnergy] = []
         for g in range(1, genus + 1):
             fe = None
             if cache_dir:
-                fe = load_cached(cache_dir, g, self.table.fingerprint())
+                fe = load_cached(cache_dir, g)
             if fe is None:
                 fe = self.solve_genus(g, energies)
                 if cache_dir:
@@ -262,7 +266,7 @@ class LoopSolver:
         of `compute(genus, cache_dir)`; lower genera are read only then."""
         self._check_genus(genus)
         if cache_dir:
-            fe = load_cached(cache_dir, genus, self.table.fingerprint())
+            fe = load_cached(cache_dir, genus)
             if fe is not None:
                 return fe
         return self.compute(genus, cache_dir)[-1]
@@ -271,39 +275,27 @@ class LoopSolver:
 # -- per-genus cache files ------------------------------------------------------
 
 
-def _payload(fe: FreeEnergy) -> dict:
-    return {
-        "genus": fe.genus,
-        "body": textform.jet_json(fe.body),
-        "log_z1_coeff": qjson(fe.log_z1_coeff) if fe.log_z1_coeff is not None else None,
-    }
-
-
-def _payload_hash(payload: dict, fingerprint: str) -> str:
-    blob = json.dumps(payload, sort_keys=True) + "|" + fingerprint
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def cache_path(cache_dir: str, genus: int) -> str:
     return os.path.join(cache_dir, f"free_energy_g{genus}.json")
 
 
 def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
     os.makedirs(cache_dir, exist_ok=True)
-    payload = _payload(fe)
-    provenance = dict(fe.provenance, textform=textform.TEXT_FORM_VERSION)
     record = {
-        "payload": payload,
-        "provenance": {k: provenance[k] for k in sorted(provenance)},
-        "sha256": _payload_hash(payload, fe.provenance.get("ptable", "")),
+        "version": CACHE_VERSION,
+        "genus": fe.genus,
+        "body": fe.body,
+        "log_z1_coeff": qjson(fe.log_z1_coeff) if fe.log_z1_coeff is not None else None,
+        "provenance": fe.provenance,
     }
-    text = textform.json_text(record, sort_keys=True) + "\n"
+    text = (textform.json_text(record, sort_keys=True) + "\n").encode()
+    data = hashlib.sha256(text).hexdigest().encode() + b"\n" + text
     path = cache_path(cache_dir, fe.genus)
     # write beside the target and rename over it, so a torn write is never read back
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -312,31 +304,29 @@ def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
     return path
 
 
-def load_cached(cache_dir: str, genus: int, fingerprint: str) -> FreeEnergy | None:
-    """Return the cached FreeEnergy, or None on a solver-version, text-form
-    version, fingerprint or hash mismatch, or any corruption, such as a jet
-    above z_(3g-2), a zero denominator or a log z1 coefficient at a genus
-    other than 1 (or none at genus 1)."""
+def load_cached(cache_dir: str, genus: int) -> FreeEnergy | None:
+    """Return the cached FreeEnergy, or None when the first line is not the
+    sha256 of the rest of the file, on a version mismatch, or on any
+    corruption, such as a jet above z_(3g-2), a zero denominator or a log z1
+    coefficient at a genus other than 1 (or none at genus 1)."""
     path = cache_path(cache_dir, genus)
     try:
-        with open(path) as fh:
-            record = json.load(fh)
-        payload = record["payload"]
-        if record["provenance"].get("solver") != SOLVER_VERSION:
+        with open(path, "rb") as fh:
+            digest, _, text = fh.read().partition(b"\n")
+        if digest != hashlib.sha256(text).hexdigest().encode():
             return None
-        if record["provenance"].get("textform") != textform.TEXT_FORM_VERSION:
+        record = json.loads(text)
+        if record["version"] != CACHE_VERSION:
             return None
-        if record["provenance"].get("ptable") != fingerprint:
+        provenance = record["provenance"]
+        # dict(provenance) would take a list of pairs too
+        if not isinstance(provenance, dict):
             return None
-        if record["sha256"] != _payload_hash(payload, fingerprint):
+        if record["genus"] != genus or (record["log_z1_coeff"] is None) == (genus == 1):
             return None
-        if payload["genus"] != genus or (payload["log_z1_coeff"] is None) == (genus == 1):
-            return None
-        body = textform.jet_from_json(payload["body"], 3 * genus - 2)
-        log_c = parse_q(payload["log_z1_coeff"]) if genus == 1 else None
-        prov = dict(record["provenance"])
-        prov["cache"] = "hit"
-        return FreeEnergy(genus, body, log_c, prov)
+        body = textform.jet_from_json(record["body"], 3 * genus - 2)
+        log_c = parse_q(record["log_z1_coeff"]) if genus == 1 else None
+        return FreeEnergy(genus, body, log_c, dict(provenance, cache="hit"))
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
             ZeroDivisionError):
         return None

@@ -252,11 +252,6 @@ class TSeries:
             acc = acc + p
         return acc
 
-    def truncate(self, d_max: int) -> "TSeries":
-        if d_max > self.d_max:
-            raise ValueError("cannot extend a degree truncation")
-        return TSeries.graded(self.n_max, d_max, self.grades)
-
 
 def ddz(s: TSeries) -> TSeries:
     """d/dz = -t^2 d/dt of a series in the one variable t = 1/z: the t^n

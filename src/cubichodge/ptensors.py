@@ -38,7 +38,6 @@ P~_{i,j} with i, j >= 1 and i + j <= n_max, in powers of Theta.
 """
 from __future__ import annotations
 
-import hashlib
 from math import factorial
 
 from .bell import FJetTable
@@ -99,10 +98,7 @@ class PTensorTable:
         return ThetaPoly.dot([(self.ptilde(k, l), JetPoly.dot(pairs))
                               for (k, l), pairs in fwf_pairs.items()])
 
-    # -- provenance and diagnostics ----------------------------------------
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(CONSTRUCTION_VERSION.encode()).hexdigest()[:16]
+    # -- diagnostics --------------------------------------------------------
 
     def dump_json(self) -> dict:
         """Row 0 and every P~_{i,j} with i, j >= 1, i + j <= n_max, in powers

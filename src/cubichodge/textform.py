@@ -19,8 +19,9 @@ it checks every sigma, jet name and exponent before it packs a key.
 `json_text` writes any such object, and every other JSON the program
 writes, as `json.dumps(obj, indent=1)` does, byte for byte.
 
-TEXT_FORM_VERSION names these canonical forms; the per-genus cache stores
-it and ignores a record written under another version.
+TEXT_FORM_VERSION names these canonical forms.  It is one part of the
+per-genus cache's version (loop.CACHE_VERSION), so a record written under
+another text-form version misses.
 """
 from __future__ import annotations
 

@@ -3,9 +3,10 @@ H_g (`FreeEnergy.body_text()`) and of R_g (`jet_text(r_poly(H_g))`).
 
     python tests/anchors.py --genus 10
 
-solves H_1..H_G with one LoopSolver(G) and no cache, in the process it
-starts, prints one line per genus from 4 to G, and exits 1 if any hash
-differs from ANCHORS.  The table reaches genus 11.  On a shared 2-vCPU
+solves H_1..H_G with one LoopSolver(G), in the process it starts, writes
+each H_g as a cache record into a temporary directory and reads it back,
+prints one line per genus from 4 to G, and exits 1 if the hashes of any
+body read back differ from ANCHORS.  The table reaches genus 11.  On a shared 2-vCPU
 host a solve through genus 10 takes about a minute, and through genus 11
 a few minutes and some 500 MB.
 
@@ -17,12 +18,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cubichodge import LoopSolver  # noqa: E402
+from cubichodge.loop import load_cached, store_cached  # noqa: E402
 from cubichodge.outputs import r_poly  # noqa: E402
 from cubichodge.textform import jet_text  # noqa: E402
 
@@ -44,25 +47,31 @@ def _digest(text: str) -> str:
 
 
 def check(genus: int, emit=None) -> tuple[bool, list[str]]:
-    """Solve through `genus` and compare H_g, R_g for g = 4..genus with
-    ANCHORS: (all equal, one line per genus); each line also goes to
-    `emit` as soon as its genus is solved."""
+    """Solve through `genus`, pass each H_g through a cache record, and
+    compare H_g, R_g read back for g = 4..genus with ANCHORS: (all equal,
+    one line per genus); each line also goes to `emit` as soon as its genus
+    is solved."""
     if not 4 <= genus <= max(ANCHORS):
         raise ValueError(f"anchors cover genus 4..{max(ANCHORS)}")
     solver, energies, lines, ok = LoopSolver(genus), [], [], True
-    for g in range(1, genus + 1):
-        t0 = time.monotonic()
-        fe = solver.solve_genus(g, energies)
-        energies.append(fe)
-        if g < 4:
-            continue
-        got = (_digest(fe.body_text()), _digest(jet_text(r_poly(fe))))
-        verdicts = ["ok" if a == b else f"MISMATCH (want {b})" for a, b in zip(got, ANCHORS[g])]
-        ok = ok and got == ANCHORS[g]
-        lines.append(f"genus {g}: H_{g} {got[0]} {verdicts[0]}, R_{g} {got[1]} {verdicts[1]}"
-                     f", solved in {time.monotonic() - t0:.2f} s")
-        if emit:
-            emit(lines[-1])
+    with tempfile.TemporaryDirectory() as cache:
+        for g in range(1, genus + 1):
+            t0 = time.monotonic()
+            fe = solver.solve_genus(g, energies)
+            elapsed = time.monotonic() - t0
+            energies.append(fe)
+            store_cached(cache, fe)
+            back = load_cached(cache, g)
+            if g < 4:
+                continue
+            got = ((_digest(back.body_text()), _digest(jet_text(r_poly(back))))
+                   if back else ("cache miss", "cache miss"))
+            verdicts = ["ok" if a == b else f"MISMATCH (want {b})" for a, b in zip(got, ANCHORS[g])]
+            ok = ok and got == ANCHORS[g]
+            lines.append(f"genus {g}: H_{g} {got[0]} {verdicts[0]}, R_{g} {got[1]} {verdicts[1]}"
+                         f", solved in {elapsed:.2f} s")
+            if emit:
+                emit(lines[-1])
     return ok, lines
 
 

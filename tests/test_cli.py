@@ -7,6 +7,7 @@ from cubichodge.cli import main
 from cubichodge.jets import JetPoly
 
 from golden import H1_TEXT, H2_TEXT, R2_TEXT, R3_TEXT
+from test_loop import read_record, rewrite_record
 
 
 def run_cli(capsys, *argv):
@@ -139,11 +140,13 @@ def test_cache_roundtrip_and_corruption(tmp_path, capsys):
     # cached rerun is byte-identical
     code, again, _ = run_cli(capsys, "compute", "--genus", "2", "--cache-dir", cache)
     assert code == 0 and again == first
-    # corrupt the payload; the stale hash must force a recompute, not reuse
+    # corrupt the body; the stale digest must force a recompute, not reuse
     path = os.path.join(cache, "free_energy_g2.json")
-    record = json.load(open(path))
-    record["payload"]["body"][0]["coef"] = "999/1"
-    json.dump(record, open(path, "w"))
+
+    def change(record):
+        record["body"][0]["coef"] = "999/1"
+
+    rewrite_record(path, change, sign=False)
     code, healed, _ = run_cli(capsys, "compute", "--genus", "2", "--cache-dir", cache)
     assert code == 0 and healed == first
 
@@ -154,12 +157,14 @@ def test_cache_record_of_wrong_shape_recomputes(tmp_path, capsys, provenance):
     code, first, _ = run_cli(capsys, "compute", "--genus", "2", "--cache-dir", cache)
     assert code == 0
     path = os.path.join(cache, "free_energy_g2.json")
-    record = json.load(open(path))
-    record["provenance"] = provenance
-    json.dump(record, open(path, "w"))
+
+    def change(record):
+        record["provenance"] = provenance
+
+    rewrite_record(path, change)
     code, again, _ = run_cli(capsys, "compute", "--genus", "2", "--cache-dir", cache)
     assert code == 0 and again == first
-    assert isinstance(json.load(open(path))["provenance"], dict)
+    assert isinstance(read_record(path)["provenance"], dict)
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -269,6 +274,32 @@ def test_verify_gradient_rejects_bad_body(capsys, monkeypatch, h123, case):
     code, out, _ = run_cli(capsys, "verify", "--suite", "gradient", "--genus", "2")
     assert code == 1
     assert out.splitlines() == [f"FAIL gradient: {detail}"]
+
+
+@pytest.mark.parametrize("case", ["doubled-term", "degree-bound", "h1-log"])
+def test_verify_gap_fails_on_a_bad_energy(capsys, monkeypatch, h123, case):
+    import cubichodge.cli as cli
+    from cubichodge.loop import FreeEnergy
+    from cubichodge.ratio import Q
+
+    assert run_cli(capsys, "verify", "--suite", "gap", "--genus", "3") == (0, "PASS gap\n", "")
+    h1, h2, h3 = h123
+    # the term of H_3 with the top sigma degree (a z1 power times s1^a s3^b,
+    # a + 3b = 6) feeds the top part of R_3 alone; s1^7 lies past the bound
+    key, c = max(h3.body.items(), key=lambda kc: kc[0][0] + 3 * kc[0][1])
+    if case == "doubled-term":
+        h3 = FreeEnergy(3, h3.body + JetPoly({key: c}))
+        detail = "top part of R_3 differs from the Faber form"
+    elif case == "degree-bound":
+        h3 = FreeEnergy(3, h3.body + JetPoly.monomial(Q(1), (7, 0), {}))
+        detail = "R_3 exceeds the degree bound"
+    else:
+        h1 = FreeEnergy(1, h1.body, log_z1_coeff=Q(1, 12))
+        detail = "H_1 does not collapse to ((s1 - 1)/24) log x"
+    monkeypatch.setattr(cli.LoopSolver, "compute", lambda self, genus, cache_dir=None: [h1, h2, h3])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "gap", "--genus", "3")
+    assert code == 1
+    assert out.splitlines() == [f"FAIL gap: {detail}"]
 
 
 def test_verify_ptable_fails_on_a_wrong_top_coefficient(capsys, monkeypatch):

@@ -40,10 +40,10 @@ class TestCrossGenusCache:
     def test_oversized_jets_force_recompute(self, tmp_path, h123):
         # H_3 carries z1..z7; stored as a genus-2 record, whose jets end at
         # z4, the loader must miss rather than accept or truncate it
-        fp = _store_tampered(tmp_path, h123[2])
-        assert load_cached(str(tmp_path), 3, fp) is not None
+        _store_tampered(tmp_path, h123[2])
+        assert load_cached(str(tmp_path), 3) is not None
         _store_tampered(tmp_path, FreeEnergy(2, h123[2].body))
-        assert load_cached(str(tmp_path), 2, fp) is None
+        assert load_cached(str(tmp_path), 2) is None
 
 
 class TestFactoredRational:

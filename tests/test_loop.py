@@ -1,13 +1,17 @@
+import hashlib
+import json
 from math import comb
 
 import pytest
 
+import cubichodge.loop as loop
+from cubichodge import ptensors, textform
 from cubichodge.bell import FJetTable
 from cubichodge.jets import JetPoly
-from cubichodge.loop import (SOLVER_VERSION, FreeEnergy, LoopEquationError, LoopSolver,
-                             cache_path, load_cached, store_cached)
+from cubichodge.loop import (CACHE_VERSION, SOLVER_VERSION, FreeEnergy, LoopEquationError,
+                             LoopSolver, cache_path, load_cached, store_cached)
 from cubichodge.ratio import Q
-from cubichodge.textform import parse_jet
+from cubichodge.textform import json_text, parse_jet
 from cubichodge.theta import ThetaPoly
 
 from golden import H2_TEXT, H3_TEXT
@@ -108,8 +112,8 @@ class TestSolve:
     @pytest.mark.parametrize("g", [2, 3])
     def test_homogeneity(self, h123, g):
         body = h123[g - 1].body
-        assert body.is_homogeneous(2 * g - 2, lambda k: k)
-        assert body.is_homogeneous(3 * g - 3, lambda k: k - 1, s1_weight=1, s3_weight=3)
+        assert body.weighted_degrees(lambda k: k) == {2 * g - 2}
+        assert body.weighted_degrees(lambda k: k - 1, s1_weight=1, s3_weight=3) == {3 * g - 3}
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_z0_absent(self, h123, g):
@@ -132,8 +136,6 @@ class TestSolve:
             assert acc == body * Q(2 * g - 2)
 
     def test_row0_built_once_per_compute(self, monkeypatch, tmp_path):
-        import cubichodge.ptensors as ptensors
-
         sizes = []
         build = ptensors._build_row0
 
@@ -149,8 +151,6 @@ class TestSolve:
         assert sizes == [7]
 
     def test_row0_builds_per_solver(self, monkeypatch, tmp_path):
-        import cubichodge.ptensors as ptensors
-
         sizes = []
         build = ptensors._build_row0
 
@@ -213,26 +213,33 @@ class TestSolve:
             solver._check_homogeneity(FreeEnergy(2, h123[1].body + extra))
 
 
-def _store_tampered(tmp_path, fe, change=None) -> str:
-    """Store fe's record under the current fingerprint, apply change (if any)
-    to its payload and sign it again, as if written so; returns the
-    fingerprint."""
-    import json
+def read_record(path) -> dict:
+    """The record of a cache file, after its digest line."""
+    with open(path, "rb") as fh:
+        return json.loads(fh.read().partition(b"\n")[2])
 
-    from cubichodge.loop import _payload_hash
 
-    fp = LoopSolver(fe.genus).table.fingerprint()
-    fe = FreeEnergy(fe.genus, fe.body, fe.log_z1_coeff,
-                    provenance={"ptable": fp, "solver": SOLVER_VERSION})
+def rewrite_record(path, change, sign=True) -> None:
+    """Apply change to the record stored at path and write it back as
+    store_cached writes it: under the digest line of the new bytes when
+    sign is set, else under the old digest line."""
+    with open(path, "rb") as fh:
+        digest, _, text = fh.read().partition(b"\n")
+    record = json.loads(text)
+    change(record)
+    text = (json_text(record, sort_keys=True) + "\n").encode()
+    if sign:
+        digest = hashlib.sha256(text).hexdigest().encode()
+    with open(path, "wb") as fh:
+        fh.write(digest + b"\n" + text)
+
+
+def _store_tampered(tmp_path, fe, change=None) -> None:
+    """Store fe's record, apply change (if any) to it and sign it again, as
+    if written so."""
     path = store_cached(str(tmp_path), fe)
-    with open(path) as fh:
-        record = json.load(fh)
     if change:
-        change(record["payload"])
-    record["sha256"] = _payload_hash(record["payload"], fp)
-    with open(path, "w") as fh:
-        json.dump(record, fh)
-    return fp
+        rewrite_record(path, change)
 
 def f_table_image(fj, n: int, h: ThetaPoly) -> ThetaPoly:
     """sum_j f_{n,j} xi_euler^j h, which is derive^n h when h has jet-free coefficients."""
@@ -281,86 +288,117 @@ class TestChainRule:
 class TestCache:
     def test_roundtrip(self, tmp_path, h123):
         h2 = h123[1]
-        solver = LoopSolver(3)
-        h2.provenance.setdefault("ptable", solver.table.fingerprint())
         store_cached(str(tmp_path), h2)
-        again = load_cached(str(tmp_path), 2, solver.table.fingerprint())
+        again = load_cached(str(tmp_path), 2)
         assert again is not None
         assert again.body == h2.body and again.gradient == h2.gradient
 
     def test_corruption_detected(self, tmp_path, h123):
-        import json
-
-        h2 = h123[1]
-        solver = LoopSolver(3)
-        h2.provenance.setdefault("ptable", solver.table.fingerprint())
+        h1, h2 = h123[0], h123[1]
         path = store_cached(str(tmp_path), h2)
-        record = json.load(open(path))
-        record["payload"]["body"][0]["coef"] = "1/2"
-        json.dump(record, open(path, "w"))
-        assert load_cached(str(tmp_path), 2, solver.table.fingerprint()) is None
+
+        def change(record):
+            record["body"][0]["coef"] = "1/2"
+
+        rewrite_record(path, change, sign=False)
+        assert load_cached(str(tmp_path), 2) is None
+        # any changed byte after the digest line misses
+        path = store_cached(str(tmp_path), h1)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        start = data.index(b"\n") + 1
+        assert load_cached(str(tmp_path), 1) is not None
+        for i in range(start, len(data)):
+            with open(path, "wb") as fh:
+                fh.write(data[:i] + bytes([data[i] ^ 1]) + data[i + 1:])
+            assert load_cached(str(tmp_path), 1) is None, i
+
+    @staticmethod
+    def _store_version_part(tmp_path, fe, part: int, value) -> None:
+        """Store fe's record signed, with the given part of its version
+        (solver, text form, P~ construction) replaced by value."""
+        def change(record):
+            parts = record["version"].split("|")
+            parts[part] = value
+            record["version"] = "|".join(parts)
+
+        assert CACHE_VERSION.split("|")[part] != value
+        _store_tampered(tmp_path, fe, change)
 
     def test_fingerprint_mismatch(self, tmp_path, h123):
-        h2 = h123[1]
-        h2.provenance["ptable"] = "stale"
-        store_cached(str(tmp_path), h2)
-        assert load_cached(str(tmp_path), 2, "current") is None
+        # a record from another P~ construction misses
+        self._store_version_part(tmp_path, h123[1], 2, "ptensor-v0")
+        assert load_cached(str(tmp_path), 2) is None
 
     def test_other_solver_version_misses(self, tmp_path, h123):
-        h2 = h123[1]
-        fe = FreeEnergy(2, h2.body, provenance={"ptable": "fp", "solver": "loop-solver-v0"})
-        store_cached(str(tmp_path), fe)
-        assert load_cached(str(tmp_path), 2, "fp") is None
-        fe.provenance["solver"] = SOLVER_VERSION
-        store_cached(str(tmp_path), fe)
-        assert load_cached(str(tmp_path), 2, "fp") is not None
+        self._store_version_part(tmp_path, h123[1], 0, "loop-solver-v0")
+        assert load_cached(str(tmp_path), 2) is None
+        store_cached(str(tmp_path), h123[1])
+        assert load_cached(str(tmp_path), 2) is not None
 
     @pytest.mark.parametrize("version", ["textform-v0", None])
     def test_other_text_form_version_misses(self, tmp_path, h123, version):
-        import json
-
-        from cubichodge.textform import TEXT_FORM_VERSION
-
-        h2 = h123[1]
-        fe = FreeEnergy(2, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
-        path = store_cached(str(tmp_path), fe)
-        record = json.load(open(path))
-        assert record["provenance"]["textform"] == TEXT_FORM_VERSION
-        assert load_cached(str(tmp_path), 2, "fp") is not None
+        path = store_cached(str(tmp_path), h123[1])
+        assert read_record(path)["version"] == CACHE_VERSION
+        assert load_cached(str(tmp_path), 2) is not None
         if version is None:
-            del record["provenance"]["textform"]
+            rewrite_record(path, lambda record: record.pop("version"))
         else:
-            record["provenance"]["textform"] = version
-        json.dump(record, open(path, "w"))
-        assert load_cached(str(tmp_path), 2, "fp") is None
+            self._store_version_part(tmp_path, h123[1], 1, version)
+        assert load_cached(str(tmp_path), 2) is None
+
+    @pytest.mark.parametrize("module, name", [(loop, "SOLVER_VERSION"),
+                                              (textform, "TEXT_FORM_VERSION"),
+                                              (ptensors, "CONSTRUCTION_VERSION")],
+                             ids=["solver", "textform", "construction"])
+    def test_each_version_constant_makes_a_miss(self, tmp_path, h123, monkeypatch, module, name):
+        # what a program whose constant differs would write and read
+        def version():
+            return "|".join([loop.SOLVER_VERSION, textform.TEXT_FORM_VERSION,
+                             ptensors.CONSTRUCTION_VERSION])
+
+        assert CACHE_VERSION == version()
+        store_cached(str(tmp_path), h123[1])
+        monkeypatch.setattr(module, name, getattr(module, name) + "-next")
+        monkeypatch.setattr(loop, "CACHE_VERSION", version())
+        assert load_cached(str(tmp_path), 2) is None
 
     @pytest.mark.parametrize("provenance", [[], "x", None])
     def test_provenance_of_wrong_shape_misses(self, tmp_path, h123, provenance):
-        import json
+        def change(record):
+            record["provenance"] = provenance
 
-        h2 = h123[1]
-        fe = FreeEnergy(2, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
-        path = store_cached(str(tmp_path), fe)
-        record = json.load(open(path))
-        record["provenance"] = provenance
-        json.dump(record, open(path, "w"))
-        assert load_cached(str(tmp_path), 2, "fp") is None
+        _store_tampered(tmp_path, h123[1], change)
+        assert load_cached(str(tmp_path), 2) is None
+
+    def test_unsigned_provenance_edit_misses(self, tmp_path, h123):
+        # the digest covers the provenance too, not just the body
+        path = store_cached(str(tmp_path), FreeEnergy(2, h123[1].body,
+                                                      provenance={"wall_time": 1.0}))
+
+        def change(record):
+            record["provenance"]["wall_time"] = 2.0
+
+        rewrite_record(path, change, sign=False)
+        assert load_cached(str(tmp_path), 2) is None
+        rewrite_record(path, change)
+        assert load_cached(str(tmp_path), 2).provenance == {"wall_time": 2.0, "cache": "hit"}
 
     @pytest.mark.parametrize("field", ["coef", "log_z1_coeff"])
     def test_zero_denominator_misses(self, tmp_path, h123, capsys, field):
         from cubichodge.cli import main
 
-        def zero_den(payload):
+        def zero_den(record):
             if field == "coef":
-                payload["body"][0]["coef"] = "1/0"
+                record["body"][0]["coef"] = "1/0"
             else:
-                payload["log_z1_coeff"] = "1/0"
+                record["log_z1_coeff"] = "1/0"
 
-        fp = _store_tampered(tmp_path, h123[1], zero_den)
-        assert load_cached(str(tmp_path), 2, fp) is None
+        _store_tampered(tmp_path, h123[1], zero_den)
+        assert load_cached(str(tmp_path), 2) is None
         # the CLI solves again instead of failing on the record
         assert main(["compute", "--genus", "2", "--cache-dir", str(tmp_path)]) == 0
-        assert load_cached(str(tmp_path), 2, fp) is not None
+        assert load_cached(str(tmp_path), 2) is not None
         capsys.readouterr()
 
     @pytest.mark.parametrize("genus, log_c", [(1, None), (2, "1/24")])
@@ -369,52 +407,46 @@ class TestCache:
         # 1, or with it at genus 2, is corrupt, and every command solves again
         from cubichodge.cli import main
 
-        def set_log(payload):
-            payload["log_z1_coeff"] = log_c
+        def set_log(record):
+            record["log_z1_coeff"] = log_c
 
-        fp = _store_tampered(tmp_path, h123[genus - 1], set_log)
-        assert load_cached(str(tmp_path), genus, fp) is None
+        _store_tampered(tmp_path, h123[genus - 1], set_log)
+        assert load_cached(str(tmp_path), genus) is None
         for argv in (["compute", "--genus", str(genus)], ["compute", "--genus", "3"],
                      ["hodge", "--genus", str(genus)], ["verify", "--genus", str(genus)]):
             _store_tampered(tmp_path, h123[genus - 1], set_log)
             assert main(argv + ["--cache-dir", str(tmp_path)]) == 0, argv
-            assert load_cached(str(tmp_path), genus, fp) is not None
+            assert load_cached(str(tmp_path), genus) is not None
         capsys.readouterr()
 
     @pytest.mark.parametrize("sigma", [[0, 0, 5], [1], [-1, 0], [0.5, 0], ["1", 0], 3])
     def test_sigma_of_wrong_shape_misses(self, tmp_path, h123, sigma):
-        def bad_sigma(payload):
-            payload["body"][0]["sigma"] = sigma
+        def bad_sigma(record):
+            record["body"][0]["sigma"] = sigma
 
-        assert load_cached(str(tmp_path), 2, _store_tampered(tmp_path, h123[1], bad_sigma)) is None
+        _store_tampered(tmp_path, h123[1], bad_sigma)
+        assert load_cached(str(tmp_path), 2) is None
 
     @pytest.mark.parametrize("name", ["z-1", "z5", "z100000000"])
     def test_jet_index_out_of_range_misses(self, tmp_path, h123, monkeypatch, name):
         # H_2's jets end at z4; the last term takes the bad jet
-        def bad_jet(payload):
-            payload["body"][-1]["jets"][name] = 1
+        def bad_jet(record):
+            record["body"][-1]["jets"][name] = 1
 
-        fp = _store_tampered(tmp_path, h123[1], bad_jet)
+        _store_tampered(tmp_path, h123[1], bad_jet)
 
         def no_packed(*args):
             raise AssertionError("a polynomial was built before every term was checked")
 
         monkeypatch.setattr(JetPoly, "packed", no_packed)
-        assert load_cached(str(tmp_path), 2, fp) is None
+        assert load_cached(str(tmp_path), 2) is None
 
     def test_jets_of_wrong_shape_misses(self, tmp_path, h123):
-        import json
+        def bad_jets(record):
+            record["body"][0]["jets"] = []
 
-        from cubichodge.loop import _payload_hash
-
-        h2 = h123[1]
-        fe = FreeEnergy(2, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
-        path = store_cached(str(tmp_path), fe)
-        record = json.load(open(path))
-        record["payload"]["body"][0]["jets"] = []
-        record["sha256"] = _payload_hash(record["payload"], "fp")
-        json.dump(record, open(path, "w"))
-        assert load_cached(str(tmp_path), 2, "fp") is None
+        _store_tampered(tmp_path, h123[1], bad_jets)
+        assert load_cached(str(tmp_path), 2) is None
 
     def test_split_and_zero_terms_read_back_whole(self, tmp_path, h123):
         """Repeated terms are summed, zero ones dropped, and a negative
@@ -422,8 +454,8 @@ class TestCache:
         with its den and bound."""
         h2 = h123[1].body
 
-        def rewrite(payload):
-            body = payload["body"]
+        def rewrite(record):
+            body = record["body"]
             num, den = map(int, body[0]["coef"].split("/"))
             # two halves of the first term, each written over a negative denominator
             body[0]["coef"] = f"{-3 * num}/{-6 * den}"
@@ -432,8 +464,8 @@ class TestCache:
             body.append({"coef": "1/3", "sigma": [1, 0], "jets": {"z2": 2}})
             body.append({"coef": "-2/6", "sigma": [1, 0], "jets": {"z2": 2}})
 
-        fp = _store_tampered(tmp_path, h123[1], rewrite)
-        fe = load_cached(str(tmp_path), 2, fp)
+        _store_tampered(tmp_path, h123[1], rewrite)
+        fe = load_cached(str(tmp_path), 2)
         assert fe is not None
         assert fe.body == h2 and (fe.body.den, fe.body.bound) == (h2.den, h2.bound)
 
@@ -446,41 +478,40 @@ class TestCache:
     def test_bad_term_misses(self, tmp_path, h123, change):
         field, value = change
 
-        def bad_term(payload):
-            term = payload["body"][-1]
+        def bad_term(record):
+            term = record["body"][-1]
             if field in ("coef", "sigma"):
                 term[field] = value
             else:
                 term["jets"][field] = value
 
-        assert load_cached(str(tmp_path), 2, _store_tampered(tmp_path, h123[1], bad_term)) is None
+        _store_tampered(tmp_path, h123[1], bad_term)
+        assert load_cached(str(tmp_path), 2) is None
 
     @pytest.mark.parametrize("change", [("z1", -(2 ** 15) + 1), ("z2", 2 ** 15 - 1),
                                         ("sigma", [2 ** 15 - 1, 0])], ids=repr)
     def test_largest_exponents_hit(self, tmp_path, h123, change):
         field, value = change
 
-        def big_term(payload):
+        def big_term(record):
             term = {"coef": "1/5", "sigma": [0, 0], "jets": {}}
             if field == "sigma":
                 term["sigma"] = value
             else:
                 term["jets"][field] = value
-            payload["body"].append(term)
+            record["body"].append(term)
 
-        fe = load_cached(str(tmp_path), 2, _store_tampered(tmp_path, h123[1], big_term))
+        _store_tampered(tmp_path, h123[1], big_term)
+        fe = load_cached(str(tmp_path), 2)
         assert fe is not None and fe.body.bound == 2 ** 15 - 1
 
     def test_torn_write_keeps_previous_record(self, tmp_path, h123, monkeypatch):
-        import cubichodge.loop as loop
-
-        h2 = h123[1]
-        fe = FreeEnergy(2, h2.body, provenance={"ptable": "fp", "solver": SOLVER_VERSION})
+        fe = FreeEnergy(2, h123[1].body)
         path = store_cached(str(tmp_path), fe)
         before = open(path).read()
 
         class TornFile:
-            """A file whose first write stops after 100 characters."""
+            """A file whose first write stops after 100 bytes."""
 
             def __init__(self, fh):
                 self.fh = fh
@@ -491,8 +522,8 @@ class TestCache:
             def __exit__(self, *exc):
                 self.fh.close()
 
-            def write(self, text):
-                self.fh.write(text[:100])
+            def write(self, data):
+                self.fh.write(data[:100])
                 raise OSError("disk full")
 
         # the write inside store_cached fails part way
@@ -503,7 +534,7 @@ class TestCache:
         monkeypatch.undo()
         assert open(path).read() == before
         assert [p.name for p in tmp_path.iterdir()] == ["free_energy_g2.json"]
-        assert load_cached(str(tmp_path), 2, "fp") is not None
+        assert load_cached(str(tmp_path), 2) is not None
 
     def test_compute_resumes(self, tmp_path, h123):
         solver = LoopSolver(2)
@@ -524,8 +555,6 @@ FROZEN_SHA256 = {
 
 
 def test_frozen_hashes_g4_g5(solver_g4, energies_g5):
-    import hashlib
-
     from cubichodge.outputs import r_poly
     from cubichodge.textform import jet_text
 
@@ -540,26 +569,53 @@ def test_frozen_hashes_g4_g5(solver_g4, energies_g5):
     assert got == FROZEN_SHA256
 
 
-# sha256 of the genus-3 cache record file, with a fixed wall time, frozen
-# before JetPoly dropped its jet cutoff; a record written by either side must
-# read back on the other.
-FROZEN_RECORD_G3_SHA256 = "e778d2cf35e2f1db642b2e983edb3b5d239acd490d11e710a9aee953250fb837"
+# sha256 of the genus-3 cache record file, with a fixed wall time.  Frozen
+# again when the record format changed on purpose: a digest line over the
+# stored bytes, and one version in place of the solver, text-form and
+# construction entries.
+FROZEN_RECORD_G3_SHA256 = "7227255f8736fdad3cb0807ea81e58493ea555c4875fc24e44e4064917ca3399"
+
+# sha256 of the same record in the earlier format ({payload, provenance,
+# sha256}, the digest over a json.dumps of the payload and the construction
+# fingerprint), as frozen while that format was written.
+PAYLOAD_RECORD_G3_SHA256 = "e778d2cf35e2f1db642b2e983edb3b5d239acd490d11e710a9aee953250fb837"
 
 
 def test_frozen_cache_record_g3(tmp_path, h123):
-    import hashlib
-
-    fp = LoopSolver(3).table.fingerprint()
-    fe = FreeEnergy(3, h123[2].body,
-                    provenance={"solver": SOLVER_VERSION, "ptable": fp, "wall_time": 1.0})
+    fe = FreeEnergy(3, h123[2].body, provenance={"wall_time": 1.0})
     with open(store_cached(str(tmp_path), fe), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == FROZEN_RECORD_G3_SHA256
 
+
+def payload_format_record(fe: FreeEnergy) -> str:
+    """fe's record in the earlier format, with a wall time of 1.0."""
+    fingerprint = hashlib.sha256(ptensors.CONSTRUCTION_VERSION.encode()).hexdigest()[:16]
+    log_c = fe.log_z1_coeff
+    payload = {"genus": fe.genus, "body": textform.jet_json(fe.body),
+               "log_z1_coeff": f"{log_c.numerator}/{log_c.denominator}" if log_c else None}
+    blob = json.dumps(payload, sort_keys=True) + "|" + fingerprint
+    record = {"payload": payload,
+              "provenance": {"ptable": fingerprint, "solver": SOLVER_VERSION,
+                             "textform": textform.TEXT_FORM_VERSION, "wall_time": 1.0},
+              "sha256": hashlib.sha256(blob.encode()).hexdigest()}
+    return json_text(record, sort_keys=True) + "\n"
+
+
+def test_payload_format_record_misses_and_is_overwritten(tmp_path, h123):
+    text = payload_format_record(h123[2])
+    assert hashlib.sha256(text.encode()).hexdigest() == PAYLOAD_RECORD_G3_SHA256
+    cache = str(tmp_path)
+    with open(cache_path(cache, 3), "w") as fh:
+        fh.write(text)
+    assert load_cached(cache, 3) is None
+    energies = LoopSolver(3).compute(3, cache)
+    assert "cache" not in energies[2].provenance
+    assert read_record(cache_path(cache, 3))["version"] == CACHE_VERSION
+    assert load_cached(cache, 3).body == h123[2].body
+
+
 def test_genus4_solved_from_cached_bodies(tmp_path, monkeypatch):
     """Records hold H_g alone; the next genus reads gradients derived from them."""
-    import hashlib
-    import json
-
     cache = str(tmp_path)
     LoopSolver(3).compute(3, cache)
     solved = []
@@ -576,10 +632,9 @@ def test_genus4_solved_from_cached_bodies(tmp_path, monkeypatch):
     h4 = hashlib.sha256(energies[3].body_text().encode()).hexdigest()
     assert h4 == FROZEN_SHA256["H_4"]
     for g in range(1, 5):
-        with open(cache_path(cache, g)) as fh:
-            payload = json.load(fh)["payload"]
-        assert "gradient" not in payload
-        assert sorted(payload) == ["body", "genus", "log_z1_coeff"]
+        record = read_record(cache_path(cache, g))
+        assert sorted(record) == ["body", "genus", "log_z1_coeff", "provenance", "version"]
+        assert sorted(record["provenance"]) == ["wall_time"]
 
 
 # sha256 of the canonical text of H_6 and R_6, frozen before L_i and the RHS
@@ -591,8 +646,6 @@ FROZEN_SHA256_G6 = {
 
 
 def test_frozen_hashes_g6(energies_g6):
-    import hashlib
-
     from cubichodge.outputs import r_poly
     from cubichodge.textform import jet_text
 
@@ -611,8 +664,6 @@ FROZEN_SHA256_G7 = {
 
 
 def test_frozen_hashes_g7(energies_g7):
-    import hashlib
-
     from cubichodge.outputs import r_poly
     from cubichodge.textform import jet_text
 

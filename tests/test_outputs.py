@@ -21,7 +21,8 @@ def riemann_check(i: int, order: int) -> bool:
     v = v_series(max(i, 1), order + 1)
     lhs = v.diff(i)
     rhs = v**i * v.diff(0) * Q(1, factorial(i))
-    return lhs.truncate(order) == rhs.truncate(order)
+    return (TSeries.graded(lhs.n_max, order, lhs.grades)
+            == TSeries.graded(rhs.n_max, order, rhs.grades))
 
 
 class TestVSeries:
@@ -63,7 +64,7 @@ class TestVSeries:
         # the t1^3 coefficient of dv/dt0 comes from t0 t1^3 of v, past v_series(1, 3)
         dv = v_series(1, 3).diff(0)
         assert dv.d_max == 2
-        assert dv == v_series(1, 6).diff(0).truncate(2)
+        assert dv == TSeries.graded(1, 2, v_series(1, 6).diff(0).grades)
         assert v_series(1, 6).diff(0).coefficient((0, 3)) == JetPoly.one()
         with pytest.raises(TruncationError):
             dv.coefficient((0, 3))
@@ -76,7 +77,8 @@ class TestVJets:
     def test_equals_differentiated_v(self, n_max, d_max, count):
         # count > n_max, d_max = 0 and n_max = 0 all occur
         jets = v_jets(n_max, d_max, count)
-        ref = [j.truncate(d_max) for j in t0_jets(v_series(n_max, d_max + count), count)]
+        ref = [TSeries.graded(j.n_max, d_max, j.grades)
+               for j in t0_jets(v_series(n_max, d_max + count), count)]
         assert jets == ref
         assert all(j.d_max == d_max and j.n_max == n_max for j in jets)
         for j in jets:
@@ -139,7 +141,6 @@ class TestFaber:
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_degree(self, g):
         fl = faber_leading(g)
-        assert fl.is_homogeneous(3 * g - 3, lambda k: 0, s1_weight=1, s3_weight=3)
         assert sigma_degrees(fl) == {3 * g - 3}
 
     @pytest.mark.parametrize("g", [2, 3])
@@ -216,7 +217,8 @@ def naive_hodge_expand(fe, n_max, d_max):
     """Reference expansion: every body monomial multiplied out on its own,
     one full TSeries product per jet factor, no products shared."""
     pad = fe.max_jet_index()
-    jets = [j.truncate(d_max) for j in t0_jets(v_series(n_max, d_max + pad), pad)]
+    jets = [TSeries.graded(j.n_max, d_max, j.grades)
+            for j in t0_jets(v_series(n_max, d_max + pad), pad)]
     if fe.genus == 1:
         return jets[1].log() * fe.log_z1_coeff + jets[0] * fe.body.sigma_coefficient({0: 1})
     acc = TSeries.zero(n_max, d_max)
