@@ -27,6 +27,23 @@ order of the keys (x first, then eps, then the s-part), so the lowest
 residual term of the first failing monomial is its s-part's lowest term,
 shifted.  The memo lives in the OperatorImages object and is dropped
 with it; nothing is cached at module level.
+
+A passing cell is decided on the s-parts of s-degree <= 2.  In the Weyl
+algebra of the s_k and d/ds_k, with x and eps as parameters (no L_m
+differentiates in them), every L_m has at most one s factor, and a term
+with an s factor has exactly one derivative: the shifts s_{j-hm} d/ds_j,
+x d/ds_{hm}, the eps^2 d^2/ds ds pairs, and L_0's b_k s_k d/ds_k and
+constants.  The commutator of two such terms, written with every
+derivative to the right, has at most two derivatives (the top orders
+cancel), so R = [L_m, L_n] - (m - n) L_{m+n} is sum_beta c_beta d^beta
+over multi-indices |beta| <= 2.  On the polynomials in s_k, k in a set K,
+only the beta on K act, and R applied to s^beta is beta! c_beta plus the
+c_gamma of the gamma below beta: so R kills every polynomial in those
+s_k exactly when it kills every monomial of degree <= 2 in them.  No L_m
+raises an index, so an image stays in the slots of the basis.  The
+guard is a count: with n distinct indices in the basis' s-parts, the
+basis must hold all 1 + n + n(n+1)/2 s-parts of degree <= 2 in them,
+as every monomial_basis of degree >= 2 does.
 The per-sample commutator_check in tests/test_virasoro.py is the reference
 the tests compare the grid with.
 """
@@ -223,7 +240,14 @@ def commutator_grid(params: RationalParams, basis, mmax: int, k_cut: int) -> dic
     (OperatorImages), and each cell checks each s-part once.  Two cells
     need no work: [L_m, L_m] vanishes term by term, and the (n, m)
     residual is minus the (m, n) one, so it fails on the same monomial
-    with the negated coefficient."""
+    with the negated coefficient.
+
+    When the basis holds every s-part of s-degree <= 2 in its indices (the
+    guard of the module docstring), a cell whose residual vanishes on
+    those s-parts passes on the whole basis, since the residual has at
+    most two derivatives.  Each cell scans them first; a cell that fails
+    there is scanned again over every s-part in basis order, so it
+    reports the same first failure as without the shortcut."""
     for _, _, smono in basis:
         for k, e in smono:
             if not params.in_nstar(k):
@@ -243,15 +267,27 @@ def commutator_grid(params: RationalParams, basis, mmax: int, k_cut: int) -> dic
     # each s-part with the first basis monomial that carries it: a later
     # monomial with the same s-part passes or fails with it
     firsts: dict = {}
+    low = []  # the s-parts of s-degree <= 2
     for key in basis:
         packed = ops.pack(key)
-        firsts.setdefault(packed & ops.mask, packed)
+        s = packed & ops.mask
+        if s not in firsts:
+            firsts[s] = packed
+            if sum(e for _, e in key[2]) <= 2:
+                low.append(s)
+    # the guard: all 1 + nk + nk(nk+1)/2 s-parts of s-degree <= 2 in the
+    # basis' nk indices are there, and the basis holds more than those
+    nk = len({k for _, _, smono in basis for k, _ in smono})
+    decides = len(low) == 1 + nk + nk * (nk + 1) // 2 < len(firsts)
     den = ops.den
     out = {}
     for m, n in cells:
         if m >= n:
             mirror = out.get((n, m))
             out[m, n] = mirror and (mirror[0], -mirror[1])
+            continue
+        if decides and not any(any(ops.residual(m, n, s).values()) for s in low):
+            out[m, n] = None
             continue
         for s, packed in firsts.items():
             acc = ops.residual(m, n, s)

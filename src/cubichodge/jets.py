@@ -285,15 +285,22 @@ class JetPoly:
         want = pack([jets.get(k, 0) for k in range(max(jets, default=-1) + 1)])
         return self.sigma_parts().get(want, JetPoly())
 
-    def sigma_parts(self) -> dict:
+    def sigma_parts(self, scale=None) -> dict:
         """{jet part: its coefficient, a JetPoly without jets} over the jet
         parts of the terms; a jet part is the packed key of (e0, e1, ...) in
-        slots 0, 1, ..."""
+        slots 0, 1, ...  With `scale`, each coefficient is multiplied by the
+        int scale(jet part) before its one reduction."""
         parts = {}
         for key, v in self.terms.items():
             sig, jets = split(key, 2)
             parts.setdefault(jets, {})[sig] = v
-        return {jets: _make(nums, self.den, self.bound) for jets, nums in parts.items()}
+        out = {}
+        for jets, nums in parts.items():
+            c = scale(jets) if scale else 1
+            if c != 1:
+                nums = {k: v * c for k, v in nums.items()}
+            out[jets] = _make(nums, self.den, self.bound)
+        return out
 
     def subs_jets(self, values) -> "JetPoly":
         """Evaluate the jet variables at exact rationals, leaving a JetPoly

@@ -200,14 +200,11 @@ def intersection_table(fe: FreeEnergy, n_max: int, d_max: int, normalized: bool 
     ok, violation = dimension_check(fe.genus, series)
     if not ok:
         raise AssertionError(f"H_{fe.genus} table breaks the dimension constraint at {violation}")
-    coefficients = series.coefficients()
+    coefficients = series.coefficients(
+        (lambda key: prod(factorial(e) for e in key)) if normalized else None)
     rows = []
     for key in sorted(coefficients, key=lambda k: (sum(k), k)):
         sp = coefficients[key]
-        if normalized:
-            scale = prod(factorial(e) for e in key)
-            if scale != 1:
-                sp = sp * scale
         indices = []
         for i, e in enumerate(key):
             indices.extend([i] * e)

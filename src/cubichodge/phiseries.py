@@ -196,10 +196,14 @@ class TSeries:
         return TSeries.graded(self.n_max, self.d_max - 1,
                               {d - 1: g.partial(i) for d, g in self.grades.items()})
 
-    def coefficients(self) -> dict:
-        """{t-exponent tuple: JetPoly} over every nonzero coefficient."""
-        return {unpack(tk, self.n_max + 1): c
-                for g in self.grades.values() for tk, c in g.sigma_parts().items()}
+    def coefficients(self, scale=None) -> dict:
+        """{t-exponent tuple: JetPoly} over every nonzero coefficient.  With
+        `scale`, each coefficient is multiplied by the int scale(t-exponent
+        tuple) before its one reduction."""
+        n = self.n_max + 1
+        by_key = scale and (lambda tk: scale(unpack(tk, n)))
+        return {unpack(tk, n): c for g in self.grades.values()
+                for tk, c in g.sigma_parts(by_key).items()}
 
     def constant_term(self) -> JetPoly:
         return self.coefficient((0,) * (self.n_max + 1))
@@ -211,46 +215,46 @@ class TSeries:
         grade = self.grades.get(d)
         return grade.sigma_coefficient(dict(enumerate(exponents))) if grade else JetPoly()
 
-    def recip(self) -> "TSeries":
-        """1/self for a series with constant term 1."""
+    def _negated_grades(self, name: str) -> dict:
+        """{d: -F_d} over the grades d >= 1 of a series F with constant term 1."""
         if self.constant_term() != JetPoly.one():
-            raise ValueError("recip needs constant term 1")
-        u = TSeries.const(1, self.n_max, self.d_max) - self
-        acc = TSeries.const(1, self.n_max, self.d_max)
-        p = TSeries.const(1, self.n_max, self.d_max)
-        for _ in range(self.d_max):
-            p = p * u
-            if not p:
-                break
-            acc = acc + p
-        return acc
+            raise ValueError(f"{name} needs constant term 1")
+        return {d: -g for d, g in self.grades.items() if d}
+
+    def recip(self) -> "TSeries":
+        """1/self for a series with constant term 1: R F = 1 gives R_0 = 1
+        and R_d = -sum_{k=1..d} F_k R_{d-k}, one JetPoly.dot per grade."""
+        nf = self._negated_grades("recip")
+        r = {0: JetPoly.one()}
+        for d in range(1, self.d_max + 1):
+            r[d] = JetPoly.dot([(g, r[d - k]) for k, g in nf.items() if k <= d])
+        return TSeries.graded(self.n_max, self.d_max, r)
 
     def log(self) -> "TSeries":
-        """log(self) for a series with constant term 1."""
-        if self.constant_term() != JetPoly.one():
-            raise ValueError("log needs constant term 1")
-        u = self - TSeries.const(1, self.n_max, self.d_max)
-        acc = TSeries.zero(self.n_max, self.d_max)
-        p = TSeries.const(1, self.n_max, self.d_max)
-        for k in range(1, self.d_max + 1):
-            p = p * u
-            if not p:
-                break
-            acc = acc + p * Q((-1) ** (k + 1), k)
-        return acc
+        """log(self) for a series with constant term 1.  The Euler operator
+        D = sum t_i d/dt_i multiplies grade d by d, and F D(log F) = D F
+        gives d L_d = d F_d - sum_{k=1..d-1} (k L_k) F_{d-k}, one
+        JetPoly.dot per grade."""
+        nf = self._negated_grades("log")
+        kl = {}  # d -> d L_d
+        for d in range(1, self.d_max + 1):
+            pairs = [(g, nf[d - k]) for k, g in kl.items() if d - k in nf]
+            if d in nf:
+                pairs.append((nf[d], JetPoly.const(-d)))
+            kl[d] = JetPoly.dot(pairs)
+        return TSeries.graded(self.n_max, self.d_max, {d: g * Q(1, d) for d, g in kl.items()})
 
     def exp(self) -> "TSeries":
-        """exp(self) for a series with constant term 0."""
+        """exp(self) for a series A with constant term 0: with the Euler
+        operator D as in `log`, D E = (D A) E gives E_0 = 1 and
+        E_d = (1/d) sum_{k=1..d} (k A_k) E_{d-k}, one JetPoly.dot per grade."""
         if self.constant_term():
             raise ValueError("exp needs constant term 0")
-        acc = TSeries.const(1, self.n_max, self.d_max)
-        p = TSeries.const(1, self.n_max, self.d_max)
-        for k in range(1, self.d_max + 1):
-            p = p * self * Q(1, k)
-            if not p:
-                break
-            acc = acc + p
-        return acc
+        ka = {k: a * k for k, a in self.grades.items()}
+        e = {0: JetPoly.one()}
+        for d in range(1, self.d_max + 1):
+            e[d] = JetPoly.dot([(a, e[d - k]) for k, a in ka.items() if k <= d]) * Q(1, d)
+        return TSeries.graded(self.n_max, self.d_max, e)
 
 
 def ddz(s: TSeries) -> TSeries:

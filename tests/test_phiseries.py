@@ -314,3 +314,63 @@ def test_log_phi_shifted_matches_series_products(shift):
         got = log_phi_shifted(order, shift)
         assert got == naive_log_phi_shifted(order, shift), order
         assert in_lowest_terms(got)
+
+
+# -- exp, log and recip against the series-product loops -------------------------
+
+
+def naive_recip(s: TSeries) -> TSeries:
+    """1/s as sum_k (1 - s)^k, one series product per power."""
+    u = TSeries.const(1, s.n_max, s.d_max) - s
+    acc = p = TSeries.const(1, s.n_max, s.d_max)
+    for _ in range(s.d_max):
+        p = p * u
+        acc = acc + p
+    return acc
+
+
+def naive_log(s: TSeries) -> TSeries:
+    """log s as sum_k (-1)^(k+1) (s - 1)^k / k."""
+    u = s - TSeries.const(1, s.n_max, s.d_max)
+    acc, p = TSeries.zero(s.n_max, s.d_max), TSeries.const(1, s.n_max, s.d_max)
+    for k in range(1, s.d_max + 1):
+        p = p * u
+        acc = acc + p * Q((-1) ** (k + 1), k)
+    return acc
+
+
+def naive_exp(s: TSeries) -> TSeries:
+    """exp s as sum_k s^k / k!."""
+    acc = p = TSeries.const(1, s.n_max, s.d_max)
+    for k in range(1, s.d_max + 1):
+        p = p * s * Q(1, k)
+        acc = acc + p
+    return acc
+
+
+S3 = JetPoly.monomial(1, (0, 1), {})
+# two t variables, s1 and s3 in the coefficients, grades 1, 4 and 5 only
+GAPPED = TSeries(1, 9, {(1, 0): S1 * Q(1, 2), (0, 1): S3 * Q(-1, 3), (3, 1): S1 * S1,
+                        (0, 4): S3 * Q(5, 7) + JetPoly.const(Q(2, 9)), (2, 3): S1 * S3})
+
+
+@pytest.mark.parametrize("op", ["exp", "log", "recip"])
+def test_grade_recurrences_match_series_products(op):
+    arg = GAPPED if op == "exp" else GAPPED + TSeries.const(1, 1, 9)
+    assert sorted(arg.grades) == ([1, 4, 5] if op == "exp" else [0, 1, 4, 5])
+    got = getattr(arg, op)()
+    assert got == {"exp": naive_exp, "log": naive_log, "recip": naive_recip}[op](arg)
+    assert in_lowest_terms(got) and set(got.grades) == set(range(op == "log", 10))
+    if op == "exp":
+        assert got * (-arg).exp() == TSeries.const(1, 1, 9)
+    elif op == "recip":
+        assert got * arg == TSeries.const(1, 1, 9)
+    else:
+        assert got.exp() == arg
+
+
+@pytest.mark.parametrize("op, const", [("exp", 1), ("log", 2), ("recip", 0), ("log", 0)])
+def test_grade_recurrences_check_the_constant_term(op, const):
+    arg = GAPPED + TSeries.const(const, 1, 9) if const else GAPPED
+    with pytest.raises(ValueError, match="needs constant term"):
+        getattr(arg, op)()

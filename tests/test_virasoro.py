@@ -513,13 +513,15 @@ def add_second(add, params, smono, xe, ee, factor, a, b):
     add((xe, ee + 1, base), coeff)
 
 
-def commutator_check(params: RationalParams, m: int, n: int, sample: FockPoly):
-    """([L_m, L_n] - (m - n) L_{m+n}) sample == 0; returns (ok, first_term)."""
-    lm_ln = virasoro_apply(params, m, virasoro_apply(params, n, sample))
-    ln_lm = virasoro_apply(params, n, virasoro_apply(params, m, sample))
+def commutator_check(params: RationalParams, m: int, n: int, sample: FockPoly,
+                     apply=virasoro_apply):
+    """([L_m, L_n] - (m - n) L_{m+n}) sample == 0, with L_m applied by
+    `apply`; returns (ok, first_term)."""
+    lm_ln = apply(params, m, apply(params, n, sample))
+    ln_lm = apply(params, n, apply(params, m, sample))
     diff = lm_ln - ln_lm
     if m != n:
-        diff = diff - virasoro_apply(params, m + n, sample) * Q(m - n)
+        diff = diff - apply(params, m + n, sample) * Q(m - n)
     if diff:
         return False, diff.first_term()
     return True, None
@@ -604,7 +606,7 @@ class TestCommutators:
                 assert len(basis) == comb(variables + degree, degree), (params, degree)
 
 
-def per_sample_grid(params, basis, mmax, k_cut):
+def per_sample_grid(params, basis, mmax, k_cut, apply=virasoro_apply):
     """The grid the slow way: commutator_check on each sample, each key of
     the basis wrapped in a FockPoly, until one fails."""
     samples = [FockPoly(params, k_cut, {key: Q(1)}) for key in basis]
@@ -612,8 +614,62 @@ def per_sample_grid(params, basis, mmax, k_cut):
     for m in range(mmax + 1):
         for n in range(mmax + 1):
             out[m, n] = next((term for ok, term in
-                              (commutator_check(params, m, n, f) for f in samples) if not ok), None)
+                              (commutator_check(params, m, n, f, apply) for f in samples)
+                              if not ok), None)
     return out
+
+
+def images_apply(ops: OperatorImages):
+    """An `apply` for commutator_check that reads L_m from the images of
+    `ops`, one term at a time: the per-sample reference for operators
+    whose tables a test has changed."""
+    def apply(params, m, f):
+        out: dict = {}
+        for key, c in f.terms.items():
+            packed = ops.pack(key)
+            for d, w in ops.image(m, packed & ops.mask):
+                term = ops.unpack(packed + d)
+                out[term] = out.get(term, 0) + c * Q(w, ops.den)
+        r = FockPoly(params, f.k_cut)
+        r.terms = nonzero(out)
+        return r
+    return apply
+
+
+def perturb(ops: OperatorImages, entry: str, m: int = 1) -> None:
+    """Add one to a single integer coefficient of L_m's table (the first
+    entry of its kind) or of L_0."""
+    shifts, x_term, pairs = ops.tables[m]
+    if entry == "shift":
+        p = next(p for p, got in enumerate(shifts) if got)
+        shifts[p] = (shifts[p][0], shifts[p][1] + 1)
+    elif entry == "pair":
+        pq = next(iter(pairs))
+        pairs[pq] = (pairs[pq][0], pairs[pq][1] + 1)
+    elif entry == "x":
+        ops.tables[m] = (shifts, x_term[:2] + (x_term[2] + 1,), pairs)
+    elif entry == "diagonal":
+        const, x2_over_eps, half, b = ops.l0
+        ops.l0 = (const, x2_over_eps, half, [b[0] + 1] + b[1:])
+    else:
+        const, x2_over_eps, half, b = ops.l0
+        ops.l0 = (const + 1, x2_over_eps, half, b)
+
+
+def perturbed_images(monkeypatch, entry: str, m: int = 1) -> None:
+    """Make every OperatorImages built from now on carry perturb(entry, m)."""
+    init = OperatorImages.__init__
+
+    def patched(self, *args):
+        init(self, *args)
+        perturb(self, entry, m)
+    monkeypatch.setattr(OperatorImages, "__init__", patched)
+
+
+def perturbed_reference(params, basis, mmax, k_cut):
+    """per_sample_grid on the images of a (patched) OperatorImages."""
+    ops = OperatorImages(params, basis, k_cut, 2 * mmax - 1)
+    return per_sample_grid(params, basis, mmax, k_cut, images_apply(ops))
 
 
 class TestCommutatorGrid:
@@ -658,6 +714,50 @@ class TestCommutatorGrid:
         grid = commutator_grid(P12, basis, 3, k_cut)
         assert grid == per_sample_grid(P12, basis, 3, k_cut)
         assert any(grid.values()) == double_b
+
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
+    @pytest.mark.parametrize("entry", ["shift", "pair", "x", "diagonal", "constant"])
+    def test_perturbed_tables_like_per_sample_check(self, monkeypatch, pair, entry):
+        # a cell decided on the s-parts of degree <= 2 fails where the
+        # degree-3 per-sample check on the same (wrong) operators fails,
+        # with the same counterexample
+        params = RationalParams(*pair)
+        bound = 3 * params.h + 2
+        k_cut = bound + 6 * params.h
+        basis = monomial_basis(params, bound, 3)
+        perturbed_images(monkeypatch, entry)
+        grid = commutator_grid(params, basis, 3, k_cut)
+        assert grid == perturbed_reference(params, basis, 3, k_cut)
+        # L_0's constant commutes with every L_n and meets no L_{m+n}
+        assert any(grid.values()) == (entry != "constant")
+
+    def test_guard_refuses_a_basis_with_a_hole(self, monkeypatch):
+        k_cut = 5 + 6 * P12.h
+        full = monomial_basis(P12, 5, 3)
+        scanned = []
+        residual = OperatorImages.residual
+        monkeypatch.setattr(OperatorImages, "residual",
+                            lambda self, m, n, s: scanned.append(self.unpack(s)) or
+                            residual(self, m, n, s))
+        assert not any(commutator_grid(P12, full, 3, k_cut).values())
+        assert max(sum(e for _, e in smono) for _, _, smono in scanned) == 2
+        # without s_5^2 the s-parts of degree <= 2 no longer decide a cell: a
+        # wrong weight of d^2/ds_5^2 in L_5 changes only the (2, 3) and
+        # (3, 2) residuals, by a multiple of d^2/ds_5^2 itself
+        hole = ((5, 2),)
+        basis = [key for key in full if key[2] != hole]
+        scanned.clear()
+        grid = commutator_grid(P12, basis, 3, k_cut)
+        assert grid == per_sample_grid(P12, basis, 3, k_cut)
+        assert max(sum(e for _, e in smono) for _, _, smono in scanned) == 3
+        perturbed_images(monkeypatch, "pair", 5)
+        ops = OperatorImages(P12, basis, k_cut, 5)
+        assert [ops.ks[p] for p in next(iter(ops.tables[5][2]))] == [5, 5]
+        grid = commutator_grid(P12, basis, 3, k_cut)
+        assert grid == perturbed_reference(P12, basis, 3, k_cut)
+        assert sorted(cell for cell, term in grid.items() if term) == [(2, 3), (3, 2)]
+        low = [key for key in basis if sum(e for _, e in key[2]) <= 2]
+        assert not any(commutator_grid(P12, low, 3, k_cut).values())
 
     def test_s_degree_beyond_64_bits(self):
         basis = [(0, 0, ((1, 1 << 64),))]
