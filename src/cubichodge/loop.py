@@ -83,6 +83,9 @@ from .theta import ThetaPoly
 SOLVER_VERSION = "loop-solver-v2"
 CACHE_VERSION = f"{SOLVER_VERSION}|{textform.TEXT_FORM_VERSION}|{CONSTRUCTION_VERSION}"
 
+# RHS_1, whose xi_euler images make the linear part of every RHS_g
+T = ThetaPoly([JetPoly.monomial(Q(1, 24), (1, 0), {}), JetPoly.const(Q(-1, 16))])
+
 
 class LoopEquationError(ArithmeticError):
     """The assembled loop equation is internally inconsistent."""
@@ -123,12 +126,13 @@ class LoopSolver:
     # -- coefficient assembly ---------------------------------------------
 
     def xi_t(self, w) -> ThetaPoly:
-        """sum_j xi_euler^j(T) w_j for jet weights w, where
-        xi_euler^j T = (-1)^j ((s1/24) pi_(j+1) - pi_(j+2)/16)."""
-        t = [JetPoly.monomial(Q(1, 24), (1, 0), {}), JetPoly.const(Q(-1, 16))]
-        signed = (t, [-c for c in t])
-        return ThetaPoly.dot([(ThetaPoly([JetPoly.zero()] * j + signed[j % 2]), wj)
-                              for j, wj in enumerate(w) if wj])
+        """sum_j xi_euler^j(T) w_j for jet weights w."""
+        pairs, tj = [], T
+        for wj in w:
+            if wj:
+                pairs.append((tj, wj))
+            tj = tj.xi_euler()
+        return ThetaPoly.dot(pairs)
 
     def lhs_coefficient(self, i: int) -> ThetaPoly:
         """L_i, with L_0..L_(i-1) before it: L_k = derive(L_(k-1)) + P_{0,k}."""
@@ -136,16 +140,9 @@ class LoopSolver:
         f, ptilde = self.table.fjets.f, self.table.ptilde
         while len(lhs) <= i:
             k = len(lhs)
-            if k == 0:
-                acc = ThetaPoly.theta()
-            else:
-                # P_{0,k} = sum_l f_{k,l} P~_{0,l}; f_{k,0} = 0 for k >= 1
-                acc = lhs[-1].derive([(ptilde(0, l), f(k, l)) for l in range(1, k + 1)])
-            if acc.degree != k + 1:
-                raise LoopEquationError(f"L_{k} has Theta degree {acc.degree}, expected {k + 1}")
-            if len(acc.coeff(k + 1).terms) != 1:
-                raise LoopEquationError(f"L_{k} top coefficient is not a single monomial")
-            lhs.append(acc)
+            # P_{0,k} = sum_l f_{k,l} P~_{0,l}; f_{k,0} = 0 for k >= 1
+            lhs.append(lhs[-1].derive([(ptilde(0, l), f(k, l)) for l in range(1, k + 1)])
+                       if k else ThetaPoly.theta())
         return lhs[i]
 
     def rhs_genus(self, g: int, lower) -> ThetaPoly:
@@ -183,9 +180,7 @@ class LoopSolver:
         n = 3 * g - 1
         ell = [self.lhs_coefficient(i) for i in range(n)]
         rhs = self.rhs_genus(g, lower)
-        rows = [[ell[i].coeff(m) for i in range(n)] for m in range(1, n + 1)]
-        vec = [rhs.coeff(m) for m in range(1, n + 1)]
-        gradient = TriangularSystem(n, rows, vec).solve()
+        gradient = TriangularSystem(ell, rhs).solve()
         residual = self._apply_lhs(gradient) - rhs
         if residual:
             raise LoopEquationError(f"loop residual nonzero at genus {g}")

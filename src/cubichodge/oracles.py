@@ -18,6 +18,7 @@ from operator import mul
 
 from .bell import FJetTable
 from .jets import JetPoly
+from .loop import T
 from .phiseries import TSeries, binomial_zinv, log_phi, log_phi_shifted, q_number
 from .ptensors import PTensorTable
 from .ratio import Q, QZERO
@@ -179,8 +180,7 @@ def chain_rule_check():
     fj = FJetTable()
     # Theta = pi_1 and Theta^3 = pi_1 - (3/2) pi_2 + (1/2) pi_3
     cubed = ThetaPoly([JetPoly.const(c) for c in (1, Q(-3, 2), Q(1, 2))])
-    t = ThetaPoly([JetPoly.monomial(Q(1, 24), (1, 0), {}), JetPoly.const(Q(-1, 16))])
-    for name, h in (("Theta", ThetaPoly.theta()), ("Theta^3", cubed), ("T", t)):
+    for name, h in (("Theta", ThetaPoly.theta()), ("Theta^3", cubed), ("T", T)):
         xi_pow = [h]
         for _ in range(i_max):
             xi_pow.append(xi_pow[-1].xi_euler())

@@ -1,4 +1,4 @@
-"""Sparse-term arithmetic shared by every polynomial type, on packed keys.
+"""Sparse-term arithmetic on packed keys, the core of JetPoly.
 
 A term dict maps a monomial key to its coefficient.  A key is one Python int
 built by signed Kronecker packing: slot i holds the exponent e_i times
@@ -26,11 +26,10 @@ OverflowError before a bound can leave the slot.  A pass that unpacks every
 key sets the exact bound instead: `JetPoly.exact_div` on its quotient and
 `JetPoly.partials` on each partial; nothing rescans keys for a bound alone.
 
-Coefficients are any exact ring values.  The partial Bell table stores
-Fractions; JetPoly stores int numerators over one common denominator per
-polynomial, and a TSeries holds one JetPoly per degree.  Every type adds,
-multiplies and raises to powers through these free functions; `add_into`
-and `nonzero` take any key.
+The term-dict arithmetic (`add_into`, `mul_into`, `nonzero`) serves JetPoly
+alone, which stores int numerators over one common denominator per
+polynomial; a TSeries holds one JetPoly per degree, and every other
+polynomial is a JetPoly.  `power` raises any ring value by squaring.
 """
 from __future__ import annotations
 

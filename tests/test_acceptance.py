@@ -3,7 +3,7 @@ PASS/FAIL line (run with `pytest -s tests/test_acceptance.py` to see them
 as they go).  Time budgets are wall-clock on a fresh solver."""
 import time
 
-from cubichodge.bell import BellTable, FJetTable, bell_jet
+from cubichodge.bell import BellTable, FJetTable
 from cubichodge.cli import main
 from cubichodge.commutators import commutator_grid, monomial_basis
 from cubichodge.oracles import (btilde11_closed_form_check, cy_power_sum_check,
@@ -204,7 +204,7 @@ def test_c13_q_and_bell():
         fj = FJetTable()
         for i in range(9):
             for j in range(i + 1):
-                if fj.f(i, j) != bell_jet(table, i, j):
+                if fj.f(i, j) != table.bell(i, j):
                     ok, detail = False, f"f({i},{j})"
     report(13, "Q numbers vs geometric series; f_ij vs Bell closed forms (i <= 8)",
            ok, detail or "")

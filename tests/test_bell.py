@@ -2,7 +2,7 @@ from math import comb, factorial
 
 import pytest
 
-from cubichodge.bell import BellTable, FJetTable, bell_jet
+from cubichodge.bell import BellTable, FJetTable
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
 
@@ -14,7 +14,7 @@ def gen_function_coefficients(n_max):
     """Coefficients of y^n z^k in exp(z sum_j X_j y^j / j!), times n!.
 
     Brute-force expansion used as the independent oracle for the cached
-    partial Bell polynomials."""
+    partial Bell polynomials; X_j is z_j."""
     # polynomials in the X slots are dicts exponent-tuple -> Q
     out = {(0, 0): {(0,) * n_max: Q(1)}}
     inner = {}  # coefficient of y^j: the monomial X_j
@@ -47,33 +47,32 @@ GF = gen_function_coefficients(N)
 
 
 def from_gf(n, k):
+    """n! times the coefficient of y^n z^k, as a JetPoly in z1, z2, ..."""
     poly = GF.get((n, k), {})
-    return {e[:n]: c * factorial(n) for e, c in poly.items() if c}
+    return JetPoly({(0, 0, 0) + e: c * factorial(n) for e, c in poly.items()})
 
 
 class TestPartial:
     def test_b31_is_x3(self):
-        assert TABLE.bell_partial(3, 1) == {(0, 0, 1): Q(1)}
+        assert TABLE.bell(3, 1) == JetPoly.z(3)
 
     def test_b32_is_3x1x2(self):
-        assert TABLE.bell_partial(3, 2) == {(1, 1, 0): Q(3)}
+        assert TABLE.bell(3, 2) == JetPoly.z(1) * JetPoly.z(2) * 3
 
     @pytest.mark.parametrize("n", range(1, N + 1))
     def test_diagonal(self, n):
-        key = tuple([n] + [0] * (n - 1))
-        assert TABLE.bell_partial(n, n) == {key: Q(1)}
+        assert TABLE.bell(n, n) == JetPoly.z(1, n)
 
     @pytest.mark.parametrize("n", range(N + 1))
     def test_generating_function(self, n):
         for k in range(n + 1):
-            got = {e: c for e, c in TABLE.bell_partial(n, k).items()}
-            assert got == from_gf(n, k), (n, k)
+            assert TABLE.bell(n, k) == from_gf(n, k), (n, k)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            TABLE.bell_partial(2, 3)
+            TABLE.bell(2, 3)
         with pytest.raises(ValueError):
-            TABLE.bell_partial(N + 1, 0)
+            TABLE.bell(N + 1, 0)
 
 
 def bell_complete_all(n: int, xs, one):
@@ -95,13 +94,14 @@ def bell_complete(n: int, xs, one):
     return bell_complete_all(n, xs, one)[n]
 
 
-def substitute(poly: dict, xs, one):
-    """Evaluate an abstract Bell polynomial at ring elements xs[0] = X_1, ..."""
+def substitute(poly: JetPoly, xs, one):
+    """Evaluate a Bell polynomial in z1, z2, ... at ring elements xs[0] = z1, ..."""
     total = None
     powers = {}
-    for mono, c in poly.items():
+    for key, c in poly.items():
+        assert key[:3] == (0, 0, 0)
         term = one * c
-        for i, e in enumerate(mono):
+        for i, e in enumerate(key[3:]):
             if not e:
                 continue
             p = powers.get((i, e))
@@ -133,7 +133,7 @@ class TestComplete:
         via_rec = bell_complete(n, xs, JetPoly.one())
         via_sum = JetPoly.zero()
         for k in range(0 if n == 0 else 1, n + 1):
-            via_sum = via_sum + substitute(TABLE.bell_partial(n, k), xs, JetPoly.one())
+            via_sum = via_sum + substitute(TABLE.bell(n, k), xs, JetPoly.one())
         assert via_rec == via_sum
 
 
@@ -162,7 +162,7 @@ class TestFJet:
     @pytest.mark.parametrize("i", range(N + 1))
     def test_closed_form_agreement(self, i):
         for j in range(i + 1):
-            assert self.FJ.f(i, j) == bell_jet(TABLE, i, j)
+            assert self.FJ.f(i, j) == TABLE.bell(i, j)
 
     def test_doctored_bell_row_fails_the_self_check(self, monkeypatch):
         from cubichodge import bell

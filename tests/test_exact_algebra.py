@@ -132,45 +132,56 @@ def _random_theta(rng, cls=ThetaPoly, deg=4, jet_top=6):
     return cls(coeffs)
 
 
+def column(*entries):
+    """The Theta polynomial whose pi_m coefficient is entries[m-1]."""
+    return ThetaPoly([e if isinstance(e, JetPoly) else const(e) for e in entries])
+
+
 class TestSolve:
+    """Columns are ThetaPolys: entry (m, i) is the pi_m coefficient of column i."""
+
     def test_identity(self):
-        sys_ = TriangularSystem(2, [[const(1), JetPoly.zero()],
-                                    [JetPoly.zero(), const(1)]], [z(2), z(3)])
+        sys_ = TriangularSystem([column(1), column(0, 1)], column(z(2), z(3)))
         assert sys_.solve() == [z(2), z(3)]
 
     def test_monomial_back_substitution(self):
-        # rows: Theta^1: z1 x0 + z1^2 x1, Theta^2: z1^3 x1; solution (z2, 1)
-        rows = [[z(1), z(1) ** 2], [JetPoly.zero(), z(1) ** 3]]
-        rhs = [z(1) * z(2) + z(1) ** 2, z(1) ** 3]
-        assert TriangularSystem(2, rows, rhs).solve() == [z(2), const(1)]
+        # pi_1 row: z1 x0 + z1^2 x1, pi_2 row: z1^3 x1; solution (z2, 1)
+        cols = [column(z(1)), column(z(1) ** 2, z(1) ** 3)]
+        rhs = column(z(1) * z(2) + z(1) ** 2, z(1) ** 3)
+        assert TriangularSystem(cols, rhs).solve() == [z(2), const(1)]
 
     def test_genus_one_system(self):
         # the 3 z1 / 2 diagonal produces the 1/(24 z1) gradient component
-        rows = [[const(1), z(1) * Q(-3, 2)], [JetPoly.zero(), z(1) * Q(3, 2)]]
+        cols = [column(1), column(z(1) * Q(-3, 2), z(1) * Q(3, 2))]
         s1 = JetPoly.monomial(1, (1, 0), {})
-        rhs = [s1 * Q(1, 24) + const(Q(-1, 16)), const(Q(1, 16))]
-        sol = TriangularSystem(2, rows, rhs).solve()
+        rhs = column(s1 * Q(1, 24) + const(Q(-1, 16)), const(Q(1, 16)))
+        sol = TriangularSystem(cols, rhs).solve()
         assert sol[0] == s1 * Q(1, 24)
         assert sol[1] == z(1, -1) * Q(1, 24)
 
     def test_zero_diagonal_rejected(self):
-        with pytest.raises(SolveError):
-            TriangularSystem(1, [[JetPoly.zero()]], [z(1)])
+        # column 1 stops at pi_1: degree 1, so its diagonal entry (2, 1) is zero
+        with pytest.raises(SolveError, match="column 1 has Theta degree 1, not 2") as exc:
+            TriangularSystem([column(1), column(1)], column(z(1), z(1)))
+        assert exc.value.row == 2
+        with pytest.raises(SolveError, match="degree 0"):
+            TriangularSystem([ThetaPoly.zero()], column(z(1)))
 
     def test_profile_violation_rejected(self):
-        with pytest.raises(SolveError):
-            TriangularSystem(2, [[const(1), JetPoly.zero()], [const(1), const(1)]],
-                             [z(1), z(1)])
+        # column 0 reaches pi_2: an entry below the triangular profile
+        with pytest.raises(SolveError, match="column 0 has Theta degree 2, not 1") as exc:
+            TriangularSystem([column(1, 1), column(0, 1)], column(z(1), z(1)))
+        assert exc.value.row == 1
 
     def test_non_exact_division_raises(self):
-        rows = [[z(2) * z(3)]]
-        with pytest.raises(ExactDivisionError):
-            TriangularSystem(1, rows, [z(2)]).solve()
+        with pytest.raises(ExactDivisionError, match="row 1"):
+            TriangularSystem([column(z(2) * z(3))], column(z(2))).solve()
 
     def test_two_term_diagonal_rejected(self):
         d = z(2) + const(1)
-        with pytest.raises(SolveError):
-            TriangularSystem(1, [[d]], [d * z(3)])
+        with pytest.raises(SolveError, match="single monomial") as exc:
+            TriangularSystem([column(1), column(z(1), d)], column(z(1), d * z(3)))
+        assert exc.value.row == 2
 
 
 class TestExactDiv:

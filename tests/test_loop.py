@@ -8,6 +8,7 @@ import cubichodge.loop as loop
 from cubichodge import ptensors, textform
 from cubichodge.bell import FJetTable
 from cubichodge.jets import JetPoly
+from cubichodge.linsolve import SolveError
 from cubichodge.loop import (CACHE_VERSION, SOLVER_VERSION, FreeEnergy, LoopEquationError,
                              LoopSolver, cache_path, load_cached, store_cached)
 from cubichodge.ratio import Q
@@ -177,6 +178,19 @@ class TestSolve:
         for g in range(1, 5):
             energies.append(solver.solve_genus(g, energies))
         assert sizes == [10]
+
+    @pytest.mark.parametrize("extra,message", [
+        # pi_4 in P~_{0,2} gives L_2 a z1^2 pi_4 term, above its degree 3
+        (ThetaPoly([JetPoly.zero()] * 3 + [JetPoly.one()]), "column 2 has Theta degree 4"),
+        # s1 pi_3 in P~_{0,2} adds s1 z1^2 to the top coefficient (15/8) z1^2 of L_2
+        (ThetaPoly([JetPoly.zero()] * 2 + [JetPoly.monomial(1, (1, 0), {})]), "single monomial")])
+    def test_misshapen_lhs_column_raises_solve_error(self, extra, message):
+        solver = LoopSolver(2)
+        build = solver.table.ptilde
+        solver.table.ptilde = lambda i, j: build(i, j) + extra if (i, j) == (0, 2) else build(i, j)
+        with pytest.raises(SolveError, match=message) as exc:
+            solver.compute(2)
+        assert exc.value.row == 3
 
     def test_exponent_bounds_are_exact(self, energies_g5):
         from cubichodge.sparse import exponent_bound

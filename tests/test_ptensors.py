@@ -167,16 +167,14 @@ def test_solve_reads_no_lower_triangle():
 
 
 def test_power_rows_solve_to_the_gradients(route_g5, energies_g5):
-    # the Theta^a rows a = 1..3g-1 of the power route, solved by the same back
-    # substitution, give the gradient of each solved H_g
+    # the power route's L_i as the columns (entry (a, i) is the Theta^a
+    # coefficient of L_i, a = 1..3g-1), solved by the same back substitution,
+    # give the gradient of each solved H_g
     _, route = route_g5
     for g in range(1, 6):
-        n = 3 * g - 1
-        ell = [route.lhs(i) for i in range(n)]
-        rhs = route.rhs(g, energies_g5)
-        rows = [[ell[i].coeff(a) for i in range(n)] for a in range(1, n + 1)]
-        vec = [rhs.coeff(a) for a in range(1, n + 1)]
-        assert TriangularSystem(n, rows, vec).solve() == energies_g5[g - 1].gradient, g
+        columns = [route.lhs(i) for i in range(3 * g - 1)]
+        solved = TriangularSystem(columns, route.rhs(g, energies_g5)).solve()
+        assert solved == energies_g5[g - 1].gradient, g
 
 
 def naive_theta_xi_coeffs(coeffs, order: int, zero=Q(0)):
