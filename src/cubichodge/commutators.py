@@ -247,7 +247,9 @@ def commutator_grid(params: RationalParams, basis, mmax: int, k_cut: int) -> dic
     those s-parts passes on the whole basis, since the residual has at
     most two derivatives.  Each cell scans them first; a cell that fails
     there is scanned again over every s-part in basis order, so it
-    reports the same first failure as without the shortcut."""
+    reports the same first failure as without the shortcut.  That scan
+    skips the s-parts that passed there and reuses the residual that
+    failed, so no residual of a cell is formed twice."""
     for _, _, smono in basis:
         for k, e in smono:
             if not params.in_nstar(k):
@@ -286,11 +288,22 @@ def commutator_grid(params: RationalParams, basis, mmax: int, k_cut: int) -> dic
             mirror = out.get((n, m))
             out[m, n] = mirror and (mirror[0], -mirror[1])
             continue
-        if decides and not any(any(ops.residual(m, n, s).values()) for s in low):
-            out[m, n] = None
-            continue
+        # the s-parts of degree <= 2 that pass, up to the first that fails:
+        # the scan below skips the former and reuses the latter's residual
+        passed, failed = (), {}
+        if decides:
+            for i, s in enumerate(low):
+                acc = ops.residual(m, n, s)
+                if any(acc.values()):
+                    passed, failed = set(low[:i]), {s: acc}
+                    break
+            else:
+                out[m, n] = None
+                continue
         for s, packed in firsts.items():
-            acc = ops.residual(m, n, s)
+            if s in passed:
+                continue
+            acc = failed.get(s) or ops.residual(m, n, s)
             if any(acc.values()):
                 term, v = min((ops.unpack(packed + d), v) for d, v in acc.items() if v)
                 out[m, n] = term, Q(v, den * den)

@@ -19,10 +19,14 @@ term by (sa, sb, e0, e1) and the jets up to its own highest one.
 
 Products are summed, not formed one by one: `JetPoly.dot` takes a sum of
 products a * b over the common denominator of every a.den * b.den, runs each
-pair into one accumulator, and drops zeros and reduces once; it can add the
-derivative of one more polynomial into the same accumulator.  `a * b` is its
-one-pair case and `derive()` its case without pairs; `JetPoly.sum` adds
-polynomials that are already formed.
+pair into one accumulator, and reduces once; it can add the derivative of one
+more polynomial into the same accumulator.  No operand is copied: a pair's
+scale to the common denominator multiplies each term of its smaller side as
+the product runs (`sparse.mul_into`).  A pair's bound is the sum of its
+sides' bounds, and only a sum that reaches the slot edge reads the keys
+(`sparse.product_bound`); zeros are dropped only when a coefficient cancelled.
+`a * b` is its one-pair case and `derive()` its case without pairs;
+`JetPoly.sum` adds polynomials that are already formed.
 """
 from __future__ import annotations
 
@@ -30,8 +34,8 @@ from itertools import compress
 from math import gcd, lcm
 
 from .ratio import Q, is_rational
-from .sparse import (add_into, exponent, mul_into, nonzero, pack, power, product_bound, split,
-                     unit, unpack, width)
+from .sparse import (SLOT_HALF, add_into, exponent, mul_into, nonzero, pack, power, product_bound,
+                     split, unit, unpack, width)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -108,9 +112,11 @@ class JetPoly:
     def dot(cls, pairs, derived=None) -> "JetPoly":
         """sum a * b over the (a, b) pairs, plus derive(derived) when one is
         given, accumulated once over their common denominator; no product and
-        no derivative is formed on its own."""
-        live = [(a, b) for a, b in pairs if a.terms and b.terms]
-        dens = [a.den * b.den for a, b in live] + ([derived.den] if derived else [])
+        no derivative is formed on its own, and no operand is copied: each
+        pair's scale den // (a.den * b.den) is applied per term of its
+        smaller side."""
+        live = [(a, b, a.den * b.den) for a, b in pairs if a.terms and b.terms]
+        dens = [d for _, _, d in live] + ([derived.den] if derived else [])
         if not dens:
             return cls()
         den = lcm(*dens)
@@ -132,18 +138,18 @@ class JetPoly:
                     w = get(nk)
                     acc[nk] = c * e if w is None else w + c * e
             bound = product_bound((derived.bound, (derived.terms,)), extra=1)
-        for a, b in live:
-            at, bt = a.terms, b.terms
-            scale = den // (a.den * b.den)
-            if scale != 1:
-                # the smaller side takes the scale
-                if len(at) <= len(bt):
-                    at = {k: v * scale for k, v in at.items()}
-                else:
-                    bt = {k: v * scale for k, v in bt.items()}
-            mul_into(acc, at, bt)
-            bound = max(bound, product_bound((a.bound, (a.terms,)), (b.bound, (b.terms,))))
-        return _make(nonzero(acc), den, bound)
+        for a, b, d in live:
+            mul_into(acc, a.terms, b.terms, den // d)
+            # the summed bounds, unless they reach the slot edge: then
+            # product_bound reads both sides' keys or raises OverflowError
+            top = a.bound + b.bound
+            if top >= SLOT_HALF:
+                top = product_bound((a.bound, (a.terms,)), (b.bound, (b.terms,)))
+            if top > bound:
+                bound = top
+        if 0 in acc.values():
+            acc = nonzero(acc)
+        return _make(acc, den, bound)
 
     # -- ring operations ----------------------------------------------
 

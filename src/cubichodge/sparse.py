@@ -167,11 +167,13 @@ def add_into(acc: dict, terms: dict, factor=1) -> dict:
     return acc
 
 
-def mul_into(acc: dict, a: dict, b: dict) -> dict:
-    """acc += a * b in place, one term pair at a time; returns acc.
+def mul_into(acc: dict, a: dict, b: dict, scale: int = 1) -> dict:
+    """acc += scale * a * b in place, one term pair at a time; returns acc.
 
-    Callers run many products into one acc: `JetPoly.dot` every pair of a
-    sum of products.
+    The smaller side is the outer loop, and each of its values is
+    multiplied by `scale` once; neither operand is copied.  Callers run
+    many products into one acc: `JetPoly.dot` every pair of a sum of
+    products, each pair with its own scale to the common denominator.
     Coefficients that cancel stay behind as zeros: `nonzero` drops them
     once, after the last product into acc.
     """
@@ -179,6 +181,7 @@ def mul_into(acc: dict, a: dict, b: dict) -> dict:
         a, b = b, a
     get = acc.get
     for kb, vb in b.items():
+        vb *= scale
         for ka, va in a.items():
             k = ka + kb
             w = get(k)

@@ -124,10 +124,27 @@ def test_add_into(a, b, factor):
     assert unpacked(acc) == ref_add(a, b, factor)
 
 
-@given(terms, terms, terms)
-def test_mul_into(acc, a, b):
-    got = nonzero(mul_into(packed(acc), packed(a), packed(b)))
-    assert unpacked(got) == ref_add(acc, ref_mul(a, b))
+@given(terms, terms, terms, st.integers(-3, 6))
+def test_mul_into(acc, a, b, scale):
+    pa, pb = packed(a), packed(b)
+    got = nonzero(mul_into(packed(acc), pa, pb, scale))
+    assert unpacked(got) == ref_add(acc, ref_mul(a, b), scale)
+    # the scale goes into each product, not into either operand
+    assert pa == packed(a) and pb == packed(b)
+    assert nonzero(mul_into({}, pa, pb)) == packed(ref_mul(a, b))
+
+
+def test_mul_into_scale_from_the_larger_side():
+    # JetPoly.dot over the common denominator 12 of the pairs (x/3 + y/3) * 2
+    # and z/4: the first pair's scale 4 comes from the larger side's
+    # denominator 3, and the one-term side, the outer loop, takes it
+    larger = {pack((1, 0)): 1, pack((0, 1)): 1}
+    smaller = {pack((0, 0, 1)): 2}
+    for a, b in ((larger, smaller), (smaller, larger)):
+        got = mul_into({pack((1, 0, 1)): -8}, a, b, 4)
+        assert got == {pack((1, 0, 1)): 0, pack((0, 1, 1)): 8}
+        assert nonzero(got) == {pack((0, 1, 1)): 8}
+    assert larger == {pack((1, 0)): 1, pack((0, 1)): 1} and smaller == {pack((0, 0, 1)): 2}
 
 
 @given(terms, terms)
@@ -198,6 +215,28 @@ def test_jet_canonical(a, b):
 def test_jet_mul(a, b):
     got = JetPoly(a) * JetPoly(b)
     assert dict(got.items()) == jet_named(ref_mul(a, b))
+
+
+def test_dot_reads_coarse_bounds_again():
+    # bounds far above the true exponents sum past the slot edge: the dot
+    # reads both sides' keys again instead of failing, and keeps their exact
+    # bound; a pair whose bounds stay inside the slot keeps their sum
+    coarse = SLOT_HALF - 1
+    a = JetPoly.packed({pack((1, 0, 2, -1)): 3}, 2, coarse)
+    b = JetPoly.packed({pack((0, 1, 0, 3)): 1, pack((0, 0, 1)): 5}, 3, coarse)
+    got = JetPoly.dot([(a, b)])
+    assert got.bound == 2 + 3
+    assert dict(got.items()) == {(1, 1, 2, 2): Fraction(1, 2), (1, 0, 3, -1): Fraction(5, 2)}
+    fine = JetPoly.packed({pack((0, 0, 0, 4)): 1}, 1, 10)
+    assert JetPoly.dot([(a, b), (fine, fine)]).bound == 20
+    assert JetPoly.dot([(a, b), (a, fine)]).bound == 6
+    # a real overflow still raises, with exact or coarse bounds
+    big = JetPoly.z(1, -EDGE - 1)
+    with pytest.raises(OverflowError):
+        JetPoly.dot([(big, big)])
+    coarse_big = JetPoly.packed(big.terms, 1, coarse)
+    with pytest.raises(OverflowError):
+        JetPoly.dot([(fine, fine), (coarse_big, coarse_big)])
 
 
 def test_jet_overflow_raises():

@@ -720,13 +720,20 @@ class TestCommutatorGrid:
     def test_perturbed_tables_like_per_sample_check(self, monkeypatch, pair, entry):
         # a cell decided on the s-parts of degree <= 2 fails where the
         # degree-3 per-sample check on the same (wrong) operators fails,
-        # with the same counterexample
+        # with the same counterexample; its scan in basis order reuses the
+        # residuals formed on those s-parts, so none is formed twice
         params = RationalParams(*pair)
         bound = 3 * params.h + 2
         k_cut = bound + 6 * params.h
         basis = monomial_basis(params, bound, 3)
         perturbed_images(monkeypatch, entry)
+        formed = []
+        residual = OperatorImages.residual
+        monkeypatch.setattr(OperatorImages, "residual",
+                            lambda self, m, n, s: formed.append((m, n, s)) or
+                            residual(self, m, n, s))
         grid = commutator_grid(params, basis, 3, k_cut)
+        assert formed and len(set(formed)) == len(formed)
         assert grid == perturbed_reference(params, basis, 3, k_cut)
         # L_0's constant commutes with every L_n and meets no L_{m+n}
         assert any(grid.values()) == (entry != "constant")
