@@ -26,7 +26,8 @@ the product runs (`sparse.mul_into`).  A pair's bound is the sum of its
 sides' bounds, and only a sum that reaches the slot edge reads the keys
 (`sparse.product_bound`); zeros are dropped only when a coefficient cancelled.
 `a * b` is its one-pair case and `derive()` its case without pairs;
-`JetPoly.sum` adds polynomials that are already formed.
+`JetPoly.sum` adds polynomials that are already formed, each under an int
+weight if given.
 """
 from __future__ import annotations
 
@@ -97,8 +98,22 @@ class JetPoly:
         return _raw({key: c.numerator}, c.denominator, bound)
 
     @classmethod
-    def sum(cls, polys) -> "JetPoly":
-        """The sum of the polys, accumulated once over their common denominator."""
+    def sum(cls, polys, weights=None) -> "JetPoly":
+        """The sum of the polys, accumulated once over their common
+        denominator; with int `weights`, the sum of w * p over the polys p
+        and the weights w, each w folded into p's scale to that denominator.
+        The unweighted sum keeps a path of its own, with no weight per poly:
+        the solver calls it on polys of a term or two, where that pairing
+        would show."""
+        if weights is not None:
+            pairs = [(p, w) for p, w in zip(polys, weights) if w and p.terms]
+            if not pairs:
+                return cls()
+            den = lcm(*(p.den for p, _ in pairs))
+            acc = {}
+            for p, w in pairs:
+                add_into(acc, p.terms, den // p.den * w)
+            return _make(acc, den, max(p.bound for p, _ in pairs))
         polys = [p for p in polys if p.terms]
         if len(polys) < 2:
             return polys[0] if polys else cls()

@@ -10,6 +10,17 @@ series once), a BtildeTable whose order is the xi order of its B~
 comparisons and whose residue steps its pairings share, and the P~ table
 the bridge reads.  The checks on rationals sum int numerators over one
 denominator and form one rational per compared value.
+
+The two oracles that read P~ in xi (row0_shift_oracle and
+specialization_bridge) take it from the Stirling basis directly: with
+Theta = 1/(1 - xi),
+
+    pi_(n+1) = sum_{j>=0} (-j)^n xi^j        (0^0 = 1),
+
+so the xi^j coefficient of sum_m c_m pi_m is the int-weighted sum
+sum_m c_m (-j)^(m-1) (pi_xi_coeffs).  q_geometric_check proves the identity
+through Theta powers for n <= 8 to xi^12, which covers both reads: the
+bridge's pi_m with m <= 5 to xi^10 and row 0's m <= 9 to xi^8.
 """
 from __future__ import annotations
 
@@ -26,18 +37,30 @@ from .theta import ThetaPoly
 from .virasoro import BtildeTable, c_float, v_zinv_expansion
 
 
-def theta_xi_coeffs(coeffs, order: int, zero=QZERO):
-    """xi-series of sum_k c_k Theta^k, with Theta^k = sum_m C(k+m-1, m) xi^m
-    for k >= 1; the c_k are rationals, summed as int numerators over their
-    lcm into one rational per xi^m, or JetPolys without jets when `zero` is
-    JetPoly.zero(), summed once per xi^m."""
-    weights = [[comb(k + m - 1, m) if k else int(m == 0) for k in range(len(coeffs))]
-               for m in range(order + 1)]
-    if isinstance(zero, JetPoly):
-        return [JetPoly.sum([c * w for c, w in zip(coeffs, ws) if c and w]) for ws in weights]
+def _rational_sums(coeffs, weights):
+    """[sum_k c_k w_k for each weight row w], with the rationals c_k summed
+    as int numerators over their lcm into one rational per row."""
     den = lcm(*(c.denominator for c in coeffs))
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
     return [Q(sum(map(mul, nums, ws)), den) for ws in weights]
+
+
+def theta_xi_coeffs(coeffs, order: int):
+    """xi-series of sum_k c_k Theta^k for rationals c_k, with Theta^k =
+    sum_m C(k+m-1, m) xi^m for k >= 1: one rational per xi^m."""
+    return _rational_sums(coeffs, [[comb(k + m - 1, m) if k else int(m == 0)
+                                    for k in range(len(coeffs))] for m in range(order + 1)])
+
+
+def pi_xi_coeffs(coeffs, order: int):
+    """xi-series of sum_m c_m pi_m, coeffs[m-1] = c_m, to xi^order: the xi^j
+    coefficient is sum_m c_m (-j)^(m-1), with 0^0 = 1 (the module
+    docstring).  JetPoly c_m give one weighted JetPoly.sum per xi^j;
+    rationals one rational per xi^j."""
+    weights = [[(-j) ** k for k in range(len(coeffs))] for j in range(order + 1)]
+    if coeffs and isinstance(coeffs[0], JetPoly):
+        return [JetPoly.sum(coeffs, ws) for ws in weights]
+    return _rational_sums(coeffs, weights)
 
 
 def q_geometric_check():
@@ -71,7 +94,7 @@ def row0_shift_oracle():
     table = PTensorTable(n_max)
     shifts = [shift_expansion_term(j, n_max) for j in range(xi_order + 1)]
     for n in range(n_max + 1):
-        series = theta_xi_coeffs(table.ptilde(0, n).powers(), xi_order, JetPoly.zero())
+        series = pi_xi_coeffs(table.ptilde(0, n).coeffs, xi_order)
         for j in range(xi_order + 1):
             want = shifts[j].coefficient((n,))
             if series[j] != want:
@@ -87,8 +110,8 @@ def specialization_bridge(bt: BtildeTable, table: PTensorTable):
     ij_max = 4
     for i in range(ij_max + 1):
         for j in range(ij_max + 1 - i):
-            coeffs = [c.evaluate(s1, s3) for c in table.ptilde(i, j).powers()]
-            if theta_xi_coeffs(coeffs, order) != bt.row(i, j):
+            coeffs = [c.evaluate(s1, s3) for c in table.ptilde(i, j).coeffs]
+            if pi_xi_coeffs(coeffs, order) != bt.row(i, j):
                 return False, f"(i,j)=({i},{j}) for K=({params.k1},{params.k2})"
     return True, None
 
@@ -139,17 +162,21 @@ def c_pair_float_check(bt: BtildeTable):
     params = bt.params
     h = params.h
     mn_max, tol = 3, 1e-10
+    # every alpha + h m below, beta + h n included, and every h (m + 1)
+    floats = {k: c_float(params, k) for k in
+              [a + h * m for a in params.index_set_star() for m in range(mn_max + 1)]
+              + [h * (m + 1) for m in range(mn_max + 1)]}
     for m in range(mn_max + 1):
         for n in range(mn_max + 1 - m):
             cases = [(alpha, params.k1 - alpha) for alpha in range(1, params.k1)]
             cases += [(alpha, -alpha - params.k2) for alpha in range(-(params.k2 - 1), 0)]
             for alpha, beta in cases:
                 exact = float(bt.c_pair(alpha, m, beta, n))
-                approx = c_float(params, alpha + h * m) * c_float(params, beta + h * n)
+                approx = floats[alpha + h * m] * floats[beta + h * n]
                 if abs(exact - approx) > tol * max(1.0, abs(approx)):
                     return False, f"(alpha,m,beta,n)=({alpha},{m},{beta},{n})"
             exact = float(bt.c_pair(0, m, 0, n))
-            approx = c_float(params, h * (m + 1)) * c_float(params, h * (n + 1))
+            approx = floats[h * (m + 1)] * floats[h * (n + 1)]
             if abs(exact - approx) > tol * max(1.0, abs(approx)):
                 return False, f"aligned (m,n)=({m},{n})"
     return True, None

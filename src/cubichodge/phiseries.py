@@ -295,11 +295,15 @@ def log_phi(order: int) -> TSeries:
 def log_phi_shifted(order: int, shift) -> TSeries:
     """log Phi(z - shift) expanded around z = infinity, truncated at t^order:
     each term c_n z^-n of log Phi becomes c_n t^n (1 - shift t)^-n, whose
-    t^d coefficient is c_n C(d-1, d-n) shift^(d-n); one sum per degree."""
+    t^d coefficient is c_n C(d-1, d-n) shift^(d-n).  With shift = p/q in
+    ints, each degree is one int-weighted sum, weights C(d-1, d-n) p^(d-n)
+    q^(n-1), divided by q^(d-1); an integral shift has q = 1."""
     shift = Q(shift)
+    p, q = shift.numerator, shift.denominator
     coeffs = {n: c for (n,), c in log_phi(order).coefficients().items()}
-    grades = {d: JetPoly.sum([c * (comb(d - 1, d - n) * shift ** (d - n))
-                              for n, c in coeffs.items() if n <= d]).mul_z(0, d)
+    grades = {d: (JetPoly.sum(coeffs.values(), [comb(d - 1, d - n) * p ** (d - n) * q ** (n - 1)
+                                                if n <= d else 0 for n in coeffs])
+                  / q ** (d - 1)).mul_z(0, d)
               for d in range(1, order + 1)}
     return TSeries.graded(0, order, grades)
 

@@ -11,7 +11,13 @@ coefficients of the Stirling basis
 
 (Comtet, Advanced Combinatorics, ch. 5).  pi_m has Theta degree m and no
 constant term, and its Theta^a coefficient is (-1)^(a-1) (a-1)! S(m, a) =
-q_number(m-1, a); `powers` converts to powers of Theta.  The two derivations:
+q_number(m-1, a); `powers` converts to powers of Theta.  In xi (below),
+Theta = 1/(1 - xi) and
+
+  pi_m = sum_{j>=0} (-j)^(m-1) xi^j,   0^0 = 1,
+
+which oracles.pi_xi_coeffs reads and oracles.q_geometric_check proves
+through the powers of Theta.  The two derivations:
 
   xi_euler: xi d/dxi = Theta (Theta - 1) d/dTheta, jets held constant,
             so pi_m -> -pi_(m+1)

@@ -175,7 +175,8 @@ def c_float(params: RationalParams, k: int) -> float:
 class BtildeTable:
     """B~_{i,j} xi-series to xi^order via the xi d/dxi recursion from row 0.
 
-    A table keeps its rows, the k-free integer terms of every A_{k,n}
+    A table keeps its rows, as int numerators over one denominator each
+    (row gives them as rationals), the k-free integer terms of every A_{k,n}
     (a_kn_terms) and, for each pole b = p/q it meets, the integer triples
     (order, num, den) of V_N at b for N = ceil(b), ceil(b) + 1, ... (no
     V_N with N < b has a pole at b): V_(N+1) is V_N times the 2h root
@@ -185,7 +186,7 @@ class BtildeTable:
     def __init__(self, params: RationalParams, order: int):
         self.params = params
         self.order = order
-        self._cache: dict = {}
+        self._rows: dict = {}
         self._steps: dict = {}
         self._a_terms: dict = {}
 
@@ -271,23 +272,47 @@ class BtildeTable:
         integer sum over one denominator."""
         if n == 0:
             return QONE if k == 0 else QZERO
+        total, d = self._a_kn_total(k, n)
+        return Q(total, d * (self.params.k1 * self.params.k2) ** k)
+
+    def _a_kn_total(self, k: int, n: int) -> tuple:
+        """(total, d) with A_{k,n} = total / (d (K1 K2)^k), for n >= 1."""
         terms, d = self.a_kn_terms(n)
         total = sum(u * p**k for p, u in terms)
         if k == 0:
             total += self.params.c_int(n) * d
-        return Q(total, d * (self.params.k1 * self.params.k2) ** k)
+        return total, d
 
-    def row(self, i: int, j: int):
-        got = self._cache.get((i, j))
+    def row(self, i: int, j: int) -> list:
+        """B~_{i,j} at xi^0..xi^order, one rational per entry."""
+        nums, den = self._int_row(i, j)
+        return [Q(num, den) for num in nums]
+
+    def _int_row(self, i: int, j: int) -> tuple:
+        """B~_{i,j} as (int numerators, one denominator), with no rational
+        formed.  Row 0 holds A_{j,n} / K^n = total K1^(K1 n) K2^(K2 n) /
+        (d (K1 K2)^j h^(h n)), with A_{j,n} = total / (d (K1 K2)^j), over
+        lcm(d) (K1 K2)^j h^(h order); row i is the Euler step of row
+        (i - 1, j) minus row (i - 1, j + 1), over the lcm of their
+        denominators."""
+        got = self._rows.get((i, j))
         if got is not None:
             return got
+        params, order = self.params, self.order
         if i == 0:
-            kconst = self.params.kconst
-            out = [self.a_kn(j, n) / kconst**n for n in range(self.order + 1)]
+            k1, k2, h = params.k1, params.k2, params.h
+            parts = [self._a_kn_total(j, n) for n in range(1, order + 1)]
+            d_lcm = math.lcm(*(d for _, d in parts))
+            den = d_lcm * (k1 * k2) ** j * h ** (h * order)
+            nums = [den if j == 0 else 0]
+            for n, (total, d) in enumerate(parts, 1):
+                nums.append(total * k1 ** (k1 * n) * k2 ** (k2 * n) * (d_lcm // d)
+                            * h ** (h * (order - n)))
         else:
-            lower = self.row(i - 1, j)
-            euler = [Q(n) * c for n, c in enumerate(lower)]
-            nxt = self.row(i - 1, j + 1)
-            out = [x - y for x, y in zip(euler, nxt)]
-        self._cache[(i, j)] = out
-        return out
+            lower, lower_den = self._int_row(i - 1, j)
+            nxt, nxt_den = self._int_row(i - 1, j + 1)
+            den = math.lcm(lower_den, nxt_den)
+            a, b = den // lower_den, den // nxt_den
+            nums = [n * x * a - y * b for n, (x, y) in enumerate(zip(lower, nxt))]
+        got = self._rows[i, j] = (nums, den)
+        return got

@@ -207,16 +207,58 @@ class TestXiOracle:
         assert theta_xi_coeffs(coeffs, order) == naive_theta_xi_coeffs(coeffs, order)
 
     def test_theta_xi_coeffs_on_jetpolys(self, table):
-        from cubichodge.oracles import theta_xi_coeffs
+        # the xi route the row-0 oracle runs on JetPolys, read straight from
+        # the pi_m coefficients, against the Theta powers expanded in xi one
+        # binomial at a time; i + j <= 8 covers every entry either oracle reads
+        from cubichodge.oracles import pi_xi_coeffs
 
         zero = JetPoly.zero()
-        for i in range(6):
+        for i in range(9):
             for j in range(9 - i):
-                coeffs = table.ptilde(i, j).powers()
-                for order in (0, 3, 10):
-                    got = theta_xi_coeffs(coeffs, order, zero)
-                    assert got == naive_theta_xi_coeffs(coeffs, order, zero), (i, j, order)
-        assert theta_xi_coeffs([], 2, zero) == [zero] * 3
+                tp = table.ptilde(i, j)
+                for order in (0, 3, 8, 10):
+                    got = pi_xi_coeffs(tp.coeffs, order)
+                    assert got == naive_theta_xi_coeffs(tp.powers(), order, zero), (i, j, order)
+
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
+    def test_pi_xi_coeffs_on_the_bridge_entries(self, table, pair):
+        # the route the bridge runs on rationals: P~_{i,j}, i + j <= 4, at
+        # the pair's (s1, s3), to xi^10
+        from cubichodge.oracles import pi_xi_coeffs
+        from cubichodge.virasoro import RationalParams
+
+        s1, s3 = RationalParams(*pair).sigma_values()
+        for i in range(5):
+            for j in range(5 - i):
+                tp = table.ptilde(i, j)
+                got = pi_xi_coeffs([c.evaluate(s1, s3) for c in tp.coeffs], 10)
+                want = naive_theta_xi_coeffs([c.evaluate(s1, s3) for c in tp.powers()], 10)
+                assert got == want, (i, j)
+
+    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=30), min_size=1,
+                    max_size=9), st.integers(0, 12))
+    def test_pi_xi_coeffs_on_rationals(self, coeffs, order):
+        from cubichodge.oracles import pi_xi_coeffs
+
+        powers = ThetaPoly([sconst(c) for c in coeffs]).powers()
+        want = naive_theta_xi_coeffs([c.evaluate(0, 0) for c in powers], order)
+        assert pi_xi_coeffs(coeffs, order) == want
+
+    def test_row0_oracle_fails_on_a_changed_coefficient(self, monkeypatch):
+        # one s1 coefficient of P~_{0,5} changed: the xi^0 coefficient moves by s1
+        import cubichodge.oracles as oracles
+
+        class Changed(PTensorTable):
+            def ptilde(self, i, j):
+                tp = super().ptilde(i, j)
+                if (i, j) != (0, 5):
+                    return tp
+                return ThetaPoly([tp.coeffs[0] + JetPoly.monomial(1, (1, 0), {}), *tp.coeffs[1:]])
+
+        monkeypatch.setattr(oracles, "PTensorTable", Changed)
+        ok, detail = oracles.row0_shift_oracle()
+        assert not ok
+        assert detail.startswith("P~(0,5) at xi^0: "), detail
 
 
 # sha256 of PTensorTable.dump_json() after a genus-4 solve, frozen before the

@@ -359,6 +359,36 @@ class TestAkn:
         ok, detail = specialization_bridge(BtildeTable(P12, 10), PTensorTable(4))
         assert ok, detail
 
+    def test_specialization_bridge_fails_on_a_changed_coefficient(self):
+        from cubichodge.jets import JetPoly
+        from cubichodge.oracles import specialization_bridge
+        from cubichodge.ptensors import PTensorTable
+        from cubichodge.theta import ThetaPoly
+
+        # one s1 coefficient of P~_{1,2} changed: s1 = -7/6 at K = (1, 2)
+        table = PTensorTable(4)
+        tp = table.ptilde(1, 2)
+        changed = list(tp.coeffs)
+        changed[1] = changed[1] + JetPoly.monomial(1, (1, 0), {})
+        table._ptilde[1, 2] = ThetaPoly(changed)
+        ok, detail = specialization_bridge(BtildeTable(P12, 10), table)
+        assert (ok, detail) == (False, "(i,j)=(1,2) for K=(1,2)")
+
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 4)])
+    def test_int_rows_match_fraction_rows(self, pair):
+        # row 0 as ref_a_kn / K^n in Fractions, then the Euler step and the
+        # difference, against the table's rows on int numerators
+        params, order = RationalParams(*pair), 10
+        want = {(0, j): [ref_a_kn(params, j, n) / params.kconst**n for n in range(order + 1)]
+                for j in range(5)}
+        for i in range(1, 5):
+            for j in range(5 - i):
+                lower, nxt = want[i - 1, j], want[i - 1, j + 1]
+                want[i, j] = [n * x - y for n, (x, y) in enumerate(zip(lower, nxt))]
+        table = BtildeTable(params, order)
+        for (i, j), row in want.items():
+            assert table.row(i, j) == row, (i, j)
+
     def test_row_recursion_symmetry(self):
         table = BtildeTable(P21, 8)
         for i in range(3):
