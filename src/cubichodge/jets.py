@@ -31,7 +31,7 @@ weight if given.
 """
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
 
 from .ratio import Q, is_rational
@@ -101,27 +101,18 @@ class JetPoly:
     def sum(cls, polys, weights=None) -> "JetPoly":
         """The sum of the polys, accumulated once over their common
         denominator; with int `weights`, the sum of w * p over the polys p
-        and the weights w, each w folded into p's scale to that denominator.
-        The unweighted sum keeps a path of its own, with no weight per poly:
-        the solver calls it on polys of a term or two, where that pairing
-        would show."""
-        if weights is not None:
-            pairs = [(p, w) for p, w in zip(polys, weights) if w and p.terms]
-            if not pairs:
-                return cls()
-            den = lcm(*(p.den for p, _ in pairs))
-            acc = {}
-            for p, w in pairs:
-                add_into(acc, p.terms, den // p.den * w)
-            return _make(acc, den, max(p.bound for p, _ in pairs))
-        polys = [p for p in polys if p.terms]
-        if len(polys) < 2:
-            return polys[0] if polys else cls()
-        den = lcm(*(p.den for p in polys))
+        and the weights w, each w folded into p's scale to that denominator."""
+        pairs = [(p, w) for p, w in zip(polys, repeat(1) if weights is None else weights)
+                 if w and p.terms]
+        if not pairs:
+            return cls()
+        if len(pairs) == 1 and weights is None:
+            return pairs[0][0]
+        den = lcm(*(p.den for p, _ in pairs))
         acc = {}
-        for p in polys:
-            add_into(acc, p.terms, den // p.den)
-        return _make(acc, den, max(p.bound for p in polys))
+        for p, w in pairs:
+            add_into(acc, p.terms, den // p.den * w)
+        return _make(acc, den, max(p.bound for p, _ in pairs))
 
     @classmethod
     def dot(cls, pairs, derived=None) -> "JetPoly":

@@ -18,7 +18,7 @@ Theta = 1/(1 - xi),
     pi_(n+1) = sum_{j>=0} (-j)^n xi^j        (0^0 = 1),
 
 so the xi^j coefficient of sum_m c_m pi_m is the int-weighted sum
-sum_m c_m (-j)^(m-1) (pi_xi_coeffs).  q_geometric_check proves the identity
+sum_m c_m (-j)^(m-1) (pi_xi_weights).  q_geometric_check proves the identity
 through Theta powers for n <= 8 to xi^12, which covers both reads: the
 bridge's pi_m with m <= 5 to xi^10 and row 0's m <= 9 to xi^8.
 """
@@ -52,15 +52,12 @@ def theta_xi_coeffs(coeffs, order: int):
                                     for k in range(len(coeffs))] for m in range(order + 1)])
 
 
-def pi_xi_coeffs(coeffs, order: int):
-    """xi-series of sum_m c_m pi_m, coeffs[m-1] = c_m, to xi^order: the xi^j
-    coefficient is sum_m c_m (-j)^(m-1), with 0^0 = 1 (the module
-    docstring).  JetPoly c_m give one weighted JetPoly.sum per xi^j;
-    rationals one rational per xi^j."""
-    weights = [[(-j) ** k for k in range(len(coeffs))] for j in range(order + 1)]
-    if coeffs and isinstance(coeffs[0], JetPoly):
-        return [JetPoly.sum(coeffs, ws) for ws in weights]
-    return _rational_sums(coeffs, weights)
+def pi_xi_weights(count: int, order: int):
+    """The weights that take the pi_m coefficients c_1..c_count to the
+    xi-series of sum_m c_m pi_m, to xi^order: row j is [(-j)^(m-1) for
+    m = 1..count], 0^0 = 1 (the module docstring), and the xi^j coefficient
+    is the sum of c_m times row j."""
+    return [[(-j) ** k for k in range(count)] for j in range(order + 1)]
 
 
 def q_geometric_check():
@@ -94,7 +91,8 @@ def row0_shift_oracle():
     table = PTensorTable(n_max)
     shifts = [shift_expansion_term(j, n_max) for j in range(xi_order + 1)]
     for n in range(n_max + 1):
-        series = pi_xi_coeffs(table.ptilde(0, n).coeffs, xi_order)
+        coeffs = table.ptilde(0, n).coeffs
+        series = [JetPoly.sum(coeffs, ws) for ws in pi_xi_weights(len(coeffs), xi_order)]
         for j in range(xi_order + 1):
             want = shifts[j].coefficient((n,))
             if series[j] != want:
@@ -111,7 +109,7 @@ def specialization_bridge(bt: BtildeTable, table: PTensorTable):
     for i in range(ij_max + 1):
         for j in range(ij_max + 1 - i):
             coeffs = [c.evaluate(s1, s3) for c in table.ptilde(i, j).coeffs]
-            if pi_xi_coeffs(coeffs, order) != bt.row(i, j):
+            if _rational_sums(coeffs, pi_xi_weights(len(coeffs), order)) != bt.row(i, j):
                 return False, f"(i,j)=({i},{j}) for K=({params.k1},{params.k2})"
     return True, None
 

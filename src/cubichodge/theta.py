@@ -16,8 +16,9 @@ Theta = 1/(1 - xi) and
 
   pi_m = sum_{j>=0} (-j)^(m-1) xi^j,   0^0 = 1,
 
-which oracles.pi_xi_coeffs reads and oracles.q_geometric_check proves
-through the powers of Theta.  The two derivations:
+oracles.pi_xi_weights gives the weights (-j)^(m-1), and
+oracles.q_geometric_check proves the identity through the powers of Theta.
+The two derivations:
 
   xi_euler: xi d/dxi = Theta (Theta - 1) d/dTheta, jets held constant,
             so pi_m -> -pi_(m+1)

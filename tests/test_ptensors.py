@@ -210,39 +210,41 @@ class TestXiOracle:
         # the xi route the row-0 oracle runs on JetPolys, read straight from
         # the pi_m coefficients, against the Theta powers expanded in xi one
         # binomial at a time; i + j <= 8 covers every entry either oracle reads
-        from cubichodge.oracles import pi_xi_coeffs
+        from cubichodge.oracles import pi_xi_weights
 
         zero = JetPoly.zero()
         for i in range(9):
             for j in range(9 - i):
                 tp = table.ptilde(i, j)
                 for order in (0, 3, 8, 10):
-                    got = pi_xi_coeffs(tp.coeffs, order)
+                    got = [JetPoly.sum(tp.coeffs, ws)
+                           for ws in pi_xi_weights(len(tp.coeffs), order)]
                     assert got == naive_theta_xi_coeffs(tp.powers(), order, zero), (i, j, order)
 
     @pytest.mark.parametrize("pair", [(1, 2), (2, 3)])
-    def test_pi_xi_coeffs_on_the_bridge_entries(self, table, pair):
+    def test_pi_xi_weights_on_the_bridge_entries(self, table, pair):
         # the route the bridge runs on rationals: P~_{i,j}, i + j <= 4, at
         # the pair's (s1, s3), to xi^10
-        from cubichodge.oracles import pi_xi_coeffs
+        from cubichodge.oracles import _rational_sums, pi_xi_weights
         from cubichodge.virasoro import RationalParams
 
         s1, s3 = RationalParams(*pair).sigma_values()
         for i in range(5):
             for j in range(5 - i):
                 tp = table.ptilde(i, j)
-                got = pi_xi_coeffs([c.evaluate(s1, s3) for c in tp.coeffs], 10)
+                coeffs = [c.evaluate(s1, s3) for c in tp.coeffs]
+                got = _rational_sums(coeffs, pi_xi_weights(len(coeffs), 10))
                 want = naive_theta_xi_coeffs([c.evaluate(s1, s3) for c in tp.powers()], 10)
                 assert got == want, (i, j)
 
     @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=30), min_size=1,
                     max_size=9), st.integers(0, 12))
-    def test_pi_xi_coeffs_on_rationals(self, coeffs, order):
-        from cubichodge.oracles import pi_xi_coeffs
+    def test_pi_xi_weights_on_rationals(self, coeffs, order):
+        from cubichodge.oracles import _rational_sums, pi_xi_weights
 
         powers = ThetaPoly([sconst(c) for c in coeffs]).powers()
         want = naive_theta_xi_coeffs([c.evaluate(0, 0) for c in powers], order)
-        assert pi_xi_coeffs(coeffs, order) == want
+        assert _rational_sums(coeffs, pi_xi_weights(len(coeffs), order)) == want
 
     def test_row0_oracle_fails_on_a_changed_coefficient(self, monkeypatch):
         # one s1 coefficient of P~_{0,5} changed: the xi^0 coefficient moves by s1

@@ -297,12 +297,20 @@ class TestAkn:
         # every term rebuilt from explicit roots; (7, 9) has poles b = 2/3 + l
         params = RationalParams(*pair)
         table = BtildeTable(params, 12)
+        want = {}
         for k in range(5):
-            row = table.row(0, k)
+            ref = [ref_a_kn(params, k, n) for n in range(13)]
             for n in range(13):
-                want = ref_a_kn(params, k, n)
-                assert table.a_kn(k, n) == want, (k, n)
-                assert row[n] == want / params.kconst**n, (k, n)
+                assert table.a_kn(k, n) == ref[n], (k, n)
+            want[0, k] = [a / params.kconst**n for n, a in enumerate(ref)]
+        # the rows i >= 1 the bridge reads (i + j <= 4), by the Euler step and
+        # the difference on these Fraction rows, against the table's int rows
+        for i in range(1, 5):
+            for j in range(5 - i):
+                lower, nxt = want[i - 1, j], want[i - 1, j + 1]
+                want[i, j] = [n * x - y for n, (x, y) in enumerate(zip(lower, nxt))]
+        for (i, j), row in want.items():
+            assert table.row(i, j) == row, (i, j)
         # a lone n above the table's order: every residue step in one call
         assert BtildeTable(params, 2).a_kn(3, 11) == ref_a_kn(params, 3, 11)
 
@@ -373,21 +381,6 @@ class TestAkn:
         table._ptilde[1, 2] = ThetaPoly(changed)
         ok, detail = specialization_bridge(BtildeTable(P12, 10), table)
         assert (ok, detail) == (False, "(i,j)=(1,2) for K=(1,2)")
-
-    @pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 4)])
-    def test_int_rows_match_fraction_rows(self, pair):
-        # row 0 as ref_a_kn / K^n in Fractions, then the Euler step and the
-        # difference, against the table's rows on int numerators
-        params, order = RationalParams(*pair), 10
-        want = {(0, j): [ref_a_kn(params, j, n) / params.kconst**n for n in range(order + 1)]
-                for j in range(5)}
-        for i in range(1, 5):
-            for j in range(5 - i):
-                lower, nxt = want[i - 1, j], want[i - 1, j + 1]
-                want[i, j] = [n * x - y for n, (x, y) in enumerate(zip(lower, nxt))]
-        table = BtildeTable(params, order)
-        for (i, j), row in want.items():
-            assert table.row(i, j) == row, (i, j)
 
     def test_row_recursion_symmetry(self):
         table = BtildeTable(P21, 8)
