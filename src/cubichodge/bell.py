@@ -7,10 +7,12 @@ JetPolys by the recurrence
 
 The jet polynomials f_{i,j} are produced by the first-order recursion
 
-    f_{i,0} = delta_{i,0},   f_{i+1,j+1} = derive(f_{i,j+1}) + z1 * f_{i,j}
+    f_{i,0} = delta_{i,0},   f_{i+1,j+1} = derive(f_{i,j+1}) + z1 * f_{i,j},
 
-and identify with B_{i,j}(z1, ..., z_{i-j+1}); the two recursions share no
-code, and the identification is checked once per table against the Bell rows.
+each entry one JetPoly.dot of the pair (f_{i,j}, z1) with derive(f_{i,j+1})
+run into the same accumulator.  They identify with B_{i,j}(z1, ...,
+z_{i-j+1}); the two recursions share no code, and the identification is
+checked once per table against the Bell rows.
 """
 from __future__ import annotations
 
@@ -21,6 +23,8 @@ from .jets import JetPoly
 
 # FJetTable checks its rows f_{i,j} for i <= SELFCHECK_TO against the Bell table
 SELFCHECK_TO = 8
+
+_Z1 = JetPoly.z(1)
 
 
 class BellTable:
@@ -61,11 +65,10 @@ class FJetTable:
         while len(self._rows) <= imax:
             i = len(self._rows) - 1
             prev = self._rows[i]
-            row = [self._zero]
-            for j in range(i + 1):
-                up = prev[j + 1].derive() if j + 1 <= i else self._zero
-                row.append(up + prev[j].mul_z(1))
-            self._rows.append(row)
+            # f_{i+1,j+1} = derive(f_{i,j+1}) + z1 f_{i,j}, one dot each
+            self._rows.append([self._zero] + [
+                JetPoly.dot([(prev[j], _Z1)], prev[j + 1] if j < i else None)
+                for j in range(i + 1)])
         if grew:
             top = min(len(self._rows) - 1, SELFCHECK_TO)
             if top > self._verified_to:

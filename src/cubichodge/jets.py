@@ -230,23 +230,32 @@ class JetPoly:
 
     def partials(self, n: int) -> list:
         """[partial(0), ..., partial(n-1)] in one pass over the terms, one
-        unpack per key, each with its exact bound: a slot's exponent e
-        becomes e - 1, so under z1^-e it grows to e + 1.  The pass reads
-        every exponent, so it also sets self.bound to the largest |exponent|
-        of its keys; a bound only guards the slots."""
+        unpack per key, each with its exact bound.  The slot that moves holds
+        e and becomes e - 1; the rest of the term keeps the term's top
+        |exponent| m unless that slot held m alone, and then the rest is at
+        most m - 1.  So a term's bound is m + 1 when e = -m, m - 1 when e = m
+        alone, and m otherwise, with no sort.  The pass reads every exponent,
+        so it also sets self.bound to the largest |exponent| of its keys; a
+        bound only guards the slots."""
         w = width(self.terms)
         slots = range(2, min(w, n + 2))
+        units = [unit(i) for i in range(w)]
         outs, tops, top = [{} for _ in range(n)], [0] * n, 0
         for key, c in self.terms.items():
             es = unpack(key, w)
-            # the rest of a term keeps its largest |exponent| m1, or the next
-            # largest m2 when the slot that moves holds m1
-            m2, m1 = sorted((0, 0, *map(abs, es)))[-2:]
-            top = max(top, m1)
+            hi, lo = max(es, default=0), -min(es, default=0)
+            m = hi if hi >= lo else lo
+            if m > top:
+                top = m
             for i in compress(slots, es[2:]):
                 e = es[i]
-                outs[i - 2][key - unit(i)] = c * e
-                tops[i - 2] = max(tops[i - 2], m2 if abs(e) == m1 else m1, abs(e - 1))
+                outs[i - 2][key - units[i]] = c * e
+                if e == m:
+                    b = m if es.count(m) + es.count(-m) > 1 else m - 1
+                else:
+                    b = m + 1 if e == -m else m
+                if b > tops[i - 2]:
+                    tops[i - 2] = b
         self.bound = top
         return [_make(out, self.den, b) for out, b in zip(outs, tops)]
 
@@ -350,6 +359,17 @@ class JetPoly:
         return {sum(w * e for w, e in zip(weights, unpack(key, n))) for key in self.terms}
 
     # -- division ---------------------------------------------------------
+
+    def unit_inverse(self) -> "JetPoly | None":
+        """c^-1 z1^-k when self is c z1^k with c != 0, a unit of the Laurent
+        jet ring; None for any other polynomial.  Its bound is |k|."""
+        if len(self.terms) != 1:
+            return None
+        (key, c), = self.terms.items()
+        k = exponent(key, 3)  # slot 3 holds z1
+        if key != k * unit(3):
+            return None
+        return _raw({-key: -self.den if c < 0 else self.den}, abs(c), abs(k))
 
     def exact_div(self, d: "JetPoly") -> "JetPoly":
         """Exact quotient self / d by a single-term d; raises ExactDivisionError

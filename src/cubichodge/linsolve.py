@@ -4,10 +4,13 @@ The columns are the L_i themselves, i = 0..n-1; rows are indexed by the
 Stirling basis element pi_m, m = 1..n (see theta.py), so entry (m, i) is
 columns[i].coeff(m) and no matrix is built.  L_i has Theta degree i + 1 and a
 single-monomial top coefficient, so entry (m, i) vanishes for m > i + 1 and
-the system solves top row down with exact monomial divisions.  Those two
-facts are checked once per column when the system is built; a remainder in a
-division raises ExactDivisionError.  The caller checks the full residual over
-every row.
+the system solves top row down, one monomial diagonal per row.  Those two
+facts are checked once per column when the system is built.  A diagonal
+c z1^k is a unit of the Laurent jet ring, as every diagonal of the loop
+equation is: the row's residual is multiplied by its inverse c^-1 z1^-k, so
+that unknown carries the sum of the two bounds, not an exact one.  Any other
+monomial diagonal goes through JetPoly.exact_div, where a remainder raises
+ExactDivisionError.  The caller checks the full residual over every row.
 """
 from __future__ import annotations
 
@@ -40,8 +43,13 @@ class TriangularSystem:
         for m in range(n, 0, -1):
             row = [(cols[i].coeff(m), xs[i]) for i in range(m, n)]
             resid = self.rhs.coeff(m) - JetPoly.dot(row)
+            diag = cols[m - 1].coeff(m)
+            inverse = diag.unit_inverse()
+            if inverse is not None:
+                xs[m - 1] = resid * inverse
+                continue
             try:
-                xs[m - 1] = resid.exact_div(cols[m - 1].coeff(m))
+                xs[m - 1] = resid.exact_div(diag)
             except ExactDivisionError as exc:
                 raise ExactDivisionError(f"non-exact division at row {m}: {exc}") from exc
         return xs

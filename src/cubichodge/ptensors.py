@@ -8,8 +8,18 @@ Row zero comes from the explicit double sum
       * Phi d_z^m (1/Phi),
 
 where pi_(n+1) = sum_{k=1}^{n+1} Q(n,k) Theta^k, read off at each z^-n.
-Higher rows follow the recursion P~_{i+1,j} = xi_euler(P~_{i,j}) -
-P~_{i,j+1}, in which xi_euler shifts pi_m to -pi_(m+1); the index symmetry
+Times 2^n n!, the weight of the part m of pi_(n+1) is the integer
+
+  (-1)^d (2d-1)!! 2^m C(n, m),   d = n - m,
+
+so each z^-k coefficient of pi_(n+1) is one int-weighted JetPoly.sum,
+scaled once by 1/(2^n n!).  Higher rows follow the recursion P~_{i+1,j} =
+xi_euler(P~_{i,j}) - P~_{i,j+1}, in which xi_euler shifts pi_m to
+-pi_(m+1); per pi_m it is one weighted sum
+
+  P~_{i+1,j}[m] = -P~_{i,j}[m-1] - P~_{i,j+1}[m],
+
+over entries whose Theta degrees may differ.  The index symmetry
 P~_{i,j} = P~_{j,i} is NOT used by the construction, so it stays available
 as a genuine consistency check (`verify --suite ptable`).  The solver does
 rely on it: its W carries only the upper triangle, and `contract` folds
@@ -38,7 +48,8 @@ P~_{i,j} with i, j >= 1 and i + j <= n_max, in powers of Theta.
 """
 from __future__ import annotations
 
-from math import factorial
+from itertools import zip_longest
+from math import comb, factorial
 
 from .bell import FJetTable
 from .jets import JetPoly
@@ -47,6 +58,8 @@ from .ratio import Q
 from .theta import ThetaPoly
 
 CONSTRUCTION_VERSION = "ptensor-v1:binomial-lhs,row0-eq43,dfact(-1)=1"
+
+_ZERO = JetPoly.zero()
 
 
 class PTensorTable:
@@ -69,7 +82,10 @@ class PTensorTable:
         if i == 0:
             self._ptilde.update(((0, n), tp) for n, tp in enumerate(_build_row0(self.n_max)))
             return self._ptilde[0, j]
-        value = self.ptilde(i - 1, j).xi_euler() - self.ptilde(i - 1, j + 1)
+        # pi_m: -P~_{i-1,j}[m-1] (xi_euler) - P~_{i-1,j+1}[m]; the entries may differ in degree
+        shifted = (_ZERO,) + self.ptilde(i - 1, j).coeffs
+        value = ThetaPoly([JetPoly.sum(pair, (-1, -1)) for pair in
+                           zip_longest(shifted, self.ptilde(i - 1, j + 1).coeffs, fillvalue=_ZERO)])
         self._ptilde[(i, j)] = value
         return value
 
@@ -118,20 +134,26 @@ def _build_row0(n_max: int) -> list[ThetaPoly]:
     pdi = [s.coefficients() for s in phi_d_inv_all(n_max, n_max)]
     # acc[n][m] is the z^-n pi_m coefficient
     acc: list[dict[int, JetPoly]] = [dict() for _ in range(n_max + 1)]
+    dfact = [1]  # dfact[d] = (2d - 1)!!
+    for d in range(1, n_max + 1):
+        dfact.append(dfact[-1] * (2 * d - 1))
     for np_ in range(n_max + 1):
-        # zs[n]: the parts of the z^-n coefficient of
-        # sum_m c_{n',m} z^{m-n'} u_m, which multiplies pi_(n'+1)
-        zs: dict[int, list] = {}
+        # zs[n]: the parts of the z^-n coefficient of 2^n' n'! sum_m c_{n',m} z^{m-n'} u_m,
+        # which multiplies pi_(n'+1), each with its int weight 2^n' n'! c_{n',m}
+        zs: dict[int, tuple[list, list]] = {}
         for m in range(np_ + 1):
             d = np_ - m
-            cm = double_factorial_odd(d) / (Q(2) ** d * factorial(m) * factorial(d))
+            w = dfact[d] * comb(np_, m) << m
             if d % 2 == 1:
-                cm = -cm
+                w = -w
             for (r,), c in pdi[m].items():
                 if d + r <= n_max:
-                    zs.setdefault(d + r, []).append(c * cm)
-        for n, parts in zs.items():
-            acc[n][np_ + 1] = JetPoly.sum(parts)
+                    parts, weights = zs.setdefault(d + r, ([], []))
+                    parts.append(c)
+                    weights.append(w)
+        scale = factorial(np_) << np_
+        for n, (parts, weights) in zs.items():
+            acc[n][np_ + 1] = JetPoly.sum(parts, weights) / scale
     out = []
     for n in range(n_max + 1):
         coeffs = [JetPoly.zero()] * max(acc[n], default=0)

@@ -24,7 +24,10 @@ therefore carries a bound on |e_i| over all its terms and slots: products
 add the bounds, sums take the largest, and `product_bound` raises
 OverflowError before a bound can leave the slot.  A pass that unpacks every
 key sets the exact bound instead: `JetPoly.exact_div` on its quotient and
-`JetPoly.partials` on each partial; nothing rescans keys for a bound alone.
+`JetPoly.partials` on each partial and on the polynomial it reads.  Back
+substitution multiplies by unit diagonals, so a solved gradient carries a
+summed bound; the gradient a free energy derives from its body is exact
+again.  Nothing rescans keys for a bound alone.
 
 The term-dict arithmetic (`add_into`, `mul_into`, `nonzero`) serves JetPoly
 alone, which stores int numerators over one common denominator per

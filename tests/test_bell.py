@@ -164,6 +164,13 @@ class TestFJet:
         for j in range(i + 1):
             assert self.FJ.f(i, j) == TABLE.bell(i, j)
 
+    def test_rows_through_14_match_bell(self):
+        # the solver reads f up to row 3g - 1 = 14 at genus 5, past SELFCHECK_TO
+        table = BellTable(14)
+        for i in range(15):
+            for j in range(i + 1):
+                assert self.FJ.f(i, j) == table.bell(i, j), (i, j)
+
     def test_doctored_bell_row_fails_the_self_check(self, monkeypatch):
         from cubichodge import bell
 

@@ -272,6 +272,50 @@ class TestDot:
             assert_matches(got.coeff(m), ref_dot([(tp.coeff(m), w) for tp, w in pairs]))
 
 
+unit_coefs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 6))
+
+
+class TestUnitDiagonals:
+    """Back substitution multiplies by the inverse of a diagonal c z1^k."""
+
+    @given(st.data())
+    def test_solution_satisfies_the_system(self, data):
+        n = data.draw(st.integers(1, 4))
+        cols = []
+        for i in range(n):
+            c, k = data.draw(unit_coefs), data.draw(st.integers(0, 3))
+            below = data.draw(st.lists(dot_jets, min_size=i, max_size=i))
+            cols.append(ThetaPoly(below + [z(1, k) * c]))
+        rhs = ThetaPoly(data.draw(st.lists(dot_jets, max_size=n)))
+        xs = TriangularSystem(cols, rhs).solve()
+        assert ThetaPoly.dot(zip(cols, xs)) == rhs
+
+    def test_mixed_routes(self, monkeypatch):
+        # diagonals -2 z1, z2 and (3/2) z1^2: rows 1 and 3 take the unit
+        # inverse, row 2 the exact division
+        divisions = []
+        exact_div = JetPoly.exact_div
+        monkeypatch.setattr(JetPoly, "exact_div",
+                            lambda self, d: divisions.append(d) or exact_div(self, d))
+        s1 = JetPoly.monomial(1, (1, 0), {})
+        cols = [column(z(1) * Q(-2)), column(z(3), z(2)),
+                column(s1, z(1) * z(2), z(1, 2) * Q(3, 2))]
+        xs = [z(3) + const(Q(1, 2)), z(2) * z(1, -1), s1 * Q(-5, 7)]
+        rhs = ThetaPoly.dot(zip(cols, xs))
+        assert TriangularSystem(cols, rhs).solve() == xs
+        assert divisions == [z(2)]
+
+    def test_unit_inverse(self):
+        for k in range(-3, 4):
+            for c in (Q(-3, 2), Q(5)):
+                u = z(1, k) * c
+                assert u * u.unit_inverse() == const(1)
+                assert u.unit_inverse().bound == abs(k)
+        s1 = JetPoly.monomial(1, (1, 0), {})
+        for p in (s1, z(2), z(0) * z(1), z(1) + const(1), JetPoly.zero()):
+            assert p.unit_inverse() is None
+
+
 # wider exponents than dot_keys, z1 down to -4, for the bounds set by the
 # passes that unpack every key
 wide_keys = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 3),
@@ -362,6 +406,18 @@ class TestOnePass:
         q = JetPoly({(0, 0, 0, 1, 3): 1})
         assert q.partials(3)[2].bound == 2
         assert p.bound == 3
+
+    def test_partials_bounds_tie_by_hand(self):
+        # z1 z2^3 z3^3 and s1^2 z2^2 z3^2: two or three slots tie for the top
+        # |exponent| of each term, so lowering one of them leaves the top
+        p = JetPoly({(0, 0, 0, 1, 3, 3): Fraction(1, 3), (2, 0, 0, 0, 2, 2): Fraction(-1)})
+        d2, d3 = p.partials(4)[2:]
+        assert d2 == JetPoly({(0, 0, 0, 1, 2, 3): 1, (2, 0, 0, 0, 1, 2): -2})
+        assert d3 == JetPoly({(0, 0, 0, 1, 3, 2): 1, (2, 0, 0, 0, 2, 1): -2})
+        assert d2.bound == d3.bound == 3
+        # no tie in z1 z2^3 z3^2: lowering the lone top z2^3 leaves 2
+        q = JetPoly({(0, 0, 0, 1, 3, 2): 1})
+        assert [r.bound for r in q.partials(4)[1:]] == [3, 2, 3]
 
 
 _small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)

@@ -263,6 +263,61 @@ class TestXiOracle:
         assert detail.startswith("P~(0,5) at xi^0: "), detail
 
 
+def fraction_row0(n_max: int) -> list:
+    """Row 0 of P~ by the double sum with one Fraction weight
+    (-1)^d (2d-1)!! / (2^d m! d!), d = n' - m, per part."""
+    from math import factorial
+
+    from cubichodge.phiseries import double_factorial_odd, phi_d_inv_all
+
+    pdi = [s.coefficients() for s in phi_d_inv_all(n_max, n_max)]
+    acc = [{} for _ in range(n_max + 1)]
+    for np_ in range(n_max + 1):
+        zs = {}
+        for m in range(np_ + 1):
+            d = np_ - m
+            cm = (-1) ** d * double_factorial_odd(d) / (Q(2) ** d * factorial(m) * factorial(d))
+            for (r,), c in pdi[m].items():
+                if d + r <= n_max:
+                    zs.setdefault(d + r, []).append(c * cm)
+        for n, parts in zs.items():
+            acc[n][np_ + 1] = JetPoly.sum(parts)
+    return [ThetaPoly([acc[n].get(m, JetPoly.zero()) for m in range(1, max(acc[n], default=0) + 1)])
+            for n in range(n_max + 1)]
+
+
+class TestIntWeights:
+    """The int-weight constructions of P~ against references kept here."""
+
+    def test_row0_matches_fraction_weights(self):
+        from cubichodge.ptensors import _build_row0
+
+        assert _build_row0(13) == fraction_row0(13)
+
+    def test_higher_rows_match_the_literal_recursion(self):
+        table = PTensorTable(13)
+        for i in range(1, 14):
+            for j in range(14 - i):
+                want = table.ptilde(i - 1, j).xi_euler() - table.ptilde(i - 1, j + 1)
+                assert table.ptilde(i, j) == want, (i, j)
+
+    @pytest.mark.parametrize("entry,degree", [((0, 1), 6), ((0, 2), 5)])
+    def test_entries_of_unequal_degree(self, entry, degree):
+        # pi_5 added to either entry that P~_{1,1} reads: the shifted first
+        # entry or the second is the longer one
+        extra = ThetaPoly([JetPoly.zero()] * 4 + [JetPoly.monomial(Q(2, 3), (1, 0), {})])
+
+        class Changed(PTensorTable):
+            def ptilde(self, i, j):
+                tp = super().ptilde(i, j)
+                return tp + extra if (i, j) == entry else tp
+
+        table = Changed(4)
+        want = table.ptilde(0, 1).xi_euler() - table.ptilde(0, 2)
+        assert table.ptilde(1, 1) == want
+        assert want.degree == degree
+
+
 # sha256 of PTensorTable.dump_json() after a genus-4 solve, frozen before the
 # sparse kernel's key and coefficient layout changed; P~ entries above genus 3
 # are checked by nothing else.
