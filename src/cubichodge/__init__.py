@@ -7,7 +7,7 @@ Hodge intersection numbers.
 """
 from .bell import BellTable, FJetTable
 from .commutators import commutator_grid, monomial_basis
-from .jets import ExactDivisionError, JetPoly
+from .jets import JetPoly
 from .linsolve import SolveError, TriangularSystem
 from .loop import FreeEnergy, LoopEquationError, LoopSolver
 from .outputs import (dimension_check, faber_leading, first_flow_check, h1_gap_check,

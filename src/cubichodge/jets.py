@@ -39,10 +39,6 @@ from .sparse import (SLOT_HALF, add_into, exponent, mul_into, nonzero, pack, pow
                      split, unit, unpack, width)
 
 
-class ExactDivisionError(ArithmeticError):
-    """Division in the jet ring left a remainder."""
-
-
 class JetPoly:
     __slots__ = ("terms", "den", "bound")
 
@@ -143,14 +139,14 @@ class JetPoly:
                     nk = key + steps[i]
                     w = get(nk)
                     acc[nk] = c * e if w is None else w + c * e
-            bound = product_bound((derived.bound, (derived.terms,)), extra=1)
+            bound = product_bound((derived.bound, derived.terms), extra=1)
         for a, b, d in live:
             mul_into(acc, a.terms, b.terms, den // d)
             # the summed bounds, unless they reach the slot edge: then
             # product_bound reads both sides' keys or raises OverflowError
             top = a.bound + b.bound
             if top >= SLOT_HALF:
-                top = product_bound((a.bound, (a.terms,)), (b.bound, (b.terms,)))
+                top = product_bound((a.bound, a.terms), (b.bound, b.terms))
             if top > bound:
                 bound = top
         if 0 in acc.values():
@@ -225,7 +221,7 @@ class JetPoly:
             e = exponent(key, i)
             if e:
                 out[key - u] = c * e
-        bound = product_bound((self.bound, (self.terms,)), extra=1)
+        bound = product_bound((self.bound, self.terms), extra=1)
         return _make(out, self.den, bound)
 
     def partials(self, n: int) -> list:
@@ -265,7 +261,7 @@ class JetPoly:
         i = 2 + k
         if power < 0 and k != 1 and any(exponent(key, i) < -power for key in self.terms):
             raise ValueError("only z1 may carry a negative exponent")
-        bound = product_bound((self.bound, (self.terms,)), extra=abs(power))
+        bound = product_bound((self.bound, self.terms), extra=abs(power))
         shift = power * unit(i)
         return _raw({key + shift: c for key, c in self.terms.items()}, self.den, bound)
 
@@ -370,32 +366,6 @@ class JetPoly:
         if key != k * unit(3):
             return None
         return _raw({-key: -self.den if c < 0 else self.den}, abs(c), abs(k))
-
-    def exact_div(self, d: "JetPoly") -> "JetPoly":
-        """Exact quotient self / d by a single-term d; raises ExactDivisionError
-        on a remainder or a multi-term divisor.  The check unpacks every
-        quotient key, so the quotient's bound is its largest |exponent|."""
-        if not d.terms:
-            raise ZeroDivisionError("division by the zero JetPoly")
-        if len(d.terms) != 1:
-            raise ExactDivisionError("divisor is not a single monomial")
-        (dk, dn), = d.terms.items()
-        # OverflowError unless the quotient's exponents fit their slots
-        product_bound((self.bound, (self.terms,)), (d.bound, (d.terms,)))
-        # a quotient key has no slot above those of self's keys and dk
-        n = max(width(self.terms), width((dk,)), 4)
-        # self / d = sum (v / den) / (dn / d.den) * z^(key - dk)
-        scale = -d.den if dn < 0 else d.den
-        out = {}
-        top = 0
-        for k, v in self.terms.items():
-            nk = k - dk
-            es = unpack(nk, n)
-            if min(es[:3] + es[4:]) < 0:
-                raise ExactDivisionError("monomial divisor does not divide a term")
-            top = max(top, -es[3], *es)
-            out[nk] = v * scale
-        return _make(out, self.den * abs(dn), top)
 
     def __repr__(self):
         from .textform import jet_text

@@ -48,13 +48,12 @@ identity sum j z_j dH_g/dz_j = (2g-2) H_g, which needs dH_g/dz0 = 0 for
 g >= 2, and for g = 1 from the closed form (1/24) log z1 + (s1/24) z0;
 every partial of that body must equal the solved gradient, so the
 gradient is closed.  The solved gradient carries the summed bounds of
-its products with the inverted diagonals; exact exponent bounds come from
-JetPoly.partials, the pass that derives a body's gradient and unpacks every
-key anyway.  No jet bound is
-declared: H_g carries z0..z_{3g-2} by its own degree, and a cache record
-whose jets go past z_{3g-2} misses.  A FreeEnergy and its cache record
-keep only that body; the gradient the next genus reads is derived from it
-again.
+its products with the inverted diagonals; exact exponent bounds come only
+from JetPoly.partials, the pass that derives a body's gradient and unpacks
+every key anyway.  No jet bound is declared: H_g carries z0..z_{3g-2} by
+its own degree, and a cache record whose jets go past z_{3g-2} misses.  A
+FreeEnergy and its cache record keep only that body; the gradient the next
+genus reads is derived from it again.
 
 A cache record is one file per genus: a first line holding the sha256 of
 the rest of the file, then the record {version, genus, body, log_z1_coeff,

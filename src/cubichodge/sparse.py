@@ -22,12 +22,12 @@ this layout.
 A key is right only while every slot stays inside the slot.  Each polynomial
 therefore carries a bound on |e_i| over all its terms and slots: products
 add the bounds, sums take the largest, and `product_bound` raises
-OverflowError before a bound can leave the slot.  A pass that unpacks every
-key sets the exact bound instead: `JetPoly.exact_div` on its quotient and
-`JetPoly.partials` on each partial and on the polynomial it reads.  Back
-substitution multiplies by unit diagonals, so a solved gradient carries a
-summed bound; the gradient a free energy derives from its body is exact
-again.  Nothing rescans keys for a bound alone.
+OverflowError before a bound can leave the slot.  The one pass that sets
+exact bounds is `JetPoly.partials`, which unpacks every key anyway: on each
+partial and on the polynomial it reads.  Back substitution multiplies by
+unit diagonals, so a solved gradient carries a summed bound; the gradient a
+free energy derives from its body is exact again.  Nothing rescans keys for
+a bound alone.
 
 The term-dict arithmetic (`add_into`, `mul_into`, `nonzero`) serves JetPoly
 alone, which stores int numerators over one common denominator per
@@ -112,23 +112,22 @@ def split(key: int, n: int) -> tuple[int, int]:
 # -- the exponent bound -----------------------------------------------------------
 
 
-def exponent_bound(term_dicts) -> int:
-    """max |e_i| over every key of the term dicts, read from the keys."""
+def exponent_bound(terms) -> int:
+    """max |e_i| over every key of the term dict, read from the keys."""
     top = 0
-    for terms in term_dicts:
-        for key in terms:
-            while key:
-                e = ((key + SLOT_HALF) & _MASK) - SLOT_HALF
-                if e > top:
-                    top = e
-                elif -e > top:
-                    top = -e
-                key = (key - e) >> SLOT_BITS
+    for key in terms:
+        while key:
+            e = ((key + SLOT_HALF) & _MASK) - SLOT_HALF
+            if e > top:
+                top = e
+            elif -e > top:
+                top = -e
+            key = (key - e) >> SLOT_BITS
     return top
 
 
 def product_bound(*parts, extra: int = 0) -> int:
-    """A bound on the exponents of a product of parts (bound, term dicts) times
+    """A bound on the exponents of a product of parts (bound, term dict) times
     a monomial whose exponents are at most `extra`.
 
     The parts' bounds add.  Only when that sum would leave the slot is each
@@ -140,7 +139,7 @@ def product_bound(*parts, extra: int = 0) -> int:
         total += b
     if total < SLOT_HALF:
         return total
-    total = extra + sum(exponent_bound(dicts) for _, dicts in parts)
+    total = extra + sum(exponent_bound(terms) for _, terms in parts)
     if total >= SLOT_HALF:
         raise OverflowError(f"exponents up to {total} do not fit a {SLOT_BITS}-bit slot")
     return total

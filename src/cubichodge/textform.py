@@ -36,10 +36,6 @@ from .sparse import SLOT_HALF, unit, unpack, width
 TEXT_FORM_VERSION = "textform-v1"
 
 
-# a jet-free key (a Hodge-table row, R_g) lies in [0, _FIRST_JET): its sigma slots are nonnegative
-_FIRST_JET = unit(2)
-
-
 def sorted_items(p: JetPoly) -> list:
     """(exponent tuple, numerator, denominator) per term of p in canonical
     term order, each coefficient in lowest terms and every tuple padded to
@@ -53,7 +49,7 @@ def sorted_items(p: JetPoly) -> list:
     keys = sorted(terms, reverse=True)
     if not keys:
         return []
-    n = 4 if keys[-1] >= 0 and keys[0] < _FIRST_JET else max(4, width(keys))
+    n = max(4, width((keys[0], keys[-1])))
     rows = [(unpack(k, n), terms[k]) for k in keys]
     rows.sort(key=_grade)
     out = []

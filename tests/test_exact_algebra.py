@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubichodge.jets import ExactDivisionError, JetPoly
+from cubichodge.jets import JetPoly
 from cubichodge.linsolve import SolveError, TriangularSystem
 from cubichodge.ratio import Q
 from cubichodge.sparse import exponent_bound
@@ -173,28 +173,28 @@ class TestSolve:
             TriangularSystem([column(1, 1), column(0, 1)], column(z(1), z(1)))
         assert exc.value.row == 1
 
-    def test_non_exact_division_raises(self):
-        with pytest.raises(ExactDivisionError, match="row 1"):
-            TriangularSystem([column(z(2) * z(3))], column(z(2))).solve()
+    def test_non_unit_diagonal_rejected(self):
+        # a monomial that is not c z1^k has no inverse in the jet ring: the
+        # system is refused when it is built, naming the row
+        with pytest.raises(SolveError, match=r"single monomial c z1\^k \(row 1\)") as exc:
+            TriangularSystem([column(z(2) * z(3))], column(z(2)))
+        assert exc.value.row == 1
+        with pytest.raises(SolveError, match=r"single monomial c z1\^k \(row 2\)") as exc:
+            TriangularSystem([column(1), column(z(1), z(2))], column(z(1), z(2)))
+        assert exc.value.row == 2
+
+    def test_constant_and_inverse_z1_diagonals(self):
+        # diagonals -2 and (3/2) z1^-1 are units: each row is solved
+        cols = [column(Q(-2)), column(z(2), z(1, -1) * Q(3, 2))]
+        xs = [z(3) + const(Q(1, 2)), z(2) * z(1)]
+        rhs = ThetaPoly.dot(zip(cols, xs))
+        assert TriangularSystem(cols, rhs).solve() == xs
 
     def test_two_term_diagonal_rejected(self):
         d = z(2) + const(1)
         with pytest.raises(SolveError, match="single monomial") as exc:
             TriangularSystem([column(1), column(z(1), d)], column(z(1), d * z(3)))
         assert exc.value.row == 2
-
-
-class TestExactDiv:
-    def test_monomial(self):
-        p = z(2) * z(1, -3) * Q(3, 2) + z(3) * z(1, -2)
-        d = z(1, -2) * Q(1, 2)
-        assert p.exact_div(d) * d == p
-
-    def test_remainder_raises(self):
-        with pytest.raises(ExactDivisionError):
-            (z(2) + const(1)).exact_div(z(3))
-        with pytest.raises(ExactDivisionError):
-            (z(2) * z(3)).exact_div(z(2) + z(3))
 
 
 # -- fused sums of products ------------------------------------------------------
@@ -230,7 +230,7 @@ def assert_matches(got: JetPoly, ref: dict):
     assert dict(got.items()) == ref
     # lowest terms: the constructor's canonical form of the same rationals
     assert got == JetPoly(ref)
-    assert got.bound >= exponent_bound((got.terms,))
+    assert got.bound >= exponent_bound(got.terms)
 
 
 class TestDot:
@@ -290,21 +290,6 @@ class TestUnitDiagonals:
         xs = TriangularSystem(cols, rhs).solve()
         assert ThetaPoly.dot(zip(cols, xs)) == rhs
 
-    def test_mixed_routes(self, monkeypatch):
-        # diagonals -2 z1, z2 and (3/2) z1^2: rows 1 and 3 take the unit
-        # inverse, row 2 the exact division
-        divisions = []
-        exact_div = JetPoly.exact_div
-        monkeypatch.setattr(JetPoly, "exact_div",
-                            lambda self, d: divisions.append(d) or exact_div(self, d))
-        s1 = JetPoly.monomial(1, (1, 0), {})
-        cols = [column(z(1) * Q(-2)), column(z(3), z(2)),
-                column(s1, z(1) * z(2), z(1, 2) * Q(3, 2))]
-        xs = [z(3) + const(Q(1, 2)), z(2) * z(1, -1), s1 * Q(-5, 7)]
-        rhs = ThetaPoly.dot(zip(cols, xs))
-        assert TriangularSystem(cols, rhs).solve() == xs
-        assert divisions == [z(2)]
-
     def test_unit_inverse(self):
         for k in range(-3, 4):
             for c in (Q(-3, 2), Q(5)):
@@ -348,7 +333,7 @@ def ref_merge(*parts) -> dict:
 
 
 def assert_exact_bound(p: JetPoly):
-    assert p.bound == exponent_bound((p.terms,))
+    assert p.bound == exponent_bound(p.terms)
 
 
 class TestOnePass:
@@ -371,17 +356,6 @@ class TestOnePass:
                 [(tp.coeff(m - 1), minus_z1)] + [(t.coeff(m), w) for t, w in pairs]))
             assert_matches(got.coeff(m), ref)
         assert got == tp.derive() + ThetaPoly.dot(pairs)
-
-    @given(wide_jets, wide_keys, st.integers(-4, 4))
-    def test_exact_div_bound_is_exact(self, p, dkey, shift):
-        d = JetPoly({dkey: Fraction(-2, 3)})
-        q = (p * d).exact_div(d)
-        assert q == p
-        assert_exact_bound(q)
-        # a z1 power alone divides anything, and can drive z1 below zero
-        q = p.exact_div(z(1, shift) * Q(3)) if shift else p.exact_div(const(3))
-        assert q == p * z(1, -shift) * Q(1, 3)
-        assert_exact_bound(q)
 
     @given(wide_jets, st.integers(0, 6))
     def test_partials_match_partial(self, p, n):

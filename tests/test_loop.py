@@ -197,7 +197,7 @@ class TestSolve:
 
         for fe in energies_g5:
             for p in [fe.body] + fe.gradient:
-                assert p.bound == exponent_bound((p.terms,)), fe.genus
+                assert p.bound == exponent_bound(p.terms), fe.genus
 
     def test_reconstruct_from_gradient(self, h123):
         solver = LoopSolver(4)
@@ -702,12 +702,12 @@ def test_anchor_script_through_genus5():
 
 
 def test_no_exponent_bound_rescans(monkeypatch):
-    """Exact bounds come from the passes that unpack the keys (exact_div,
-    JetPoly.partials), not from a second scan of them."""
+    """Exact bounds come from the pass that unpacks the keys
+    (JetPoly.partials), not from a second scan of them."""
     from cubichodge import sparse
 
     calls = []
     scan = sparse.exponent_bound
-    monkeypatch.setattr(sparse, "exponent_bound", lambda dicts: calls.append(1) or scan(dicts))
+    monkeypatch.setattr(sparse, "exponent_bound", lambda terms: calls.append(1) or scan(terms))
     LoopSolver(6).compute(6)
     assert len(calls) <= 6

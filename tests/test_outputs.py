@@ -53,7 +53,7 @@ class TestVSeries:
     def test_bound_is_exact(self, n_max, d_max):
         v = v_series(n_max, d_max)
         for d, grade in v.grades.items():
-            assert grade.bound == exponent_bound((grade.terms,)), d
+            assert grade.bound == exponent_bound(grade.terms), d
         assert in_lowest_terms(v)
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
@@ -83,7 +83,7 @@ class TestVJets:
         assert all(j.d_max == d_max and j.n_max == n_max for j in jets)
         for j in jets:
             for grade in j.grades.values():
-                assert grade.bound == exponent_bound((grade.terms,))
+                assert grade.bound == exponent_bound(grade.terms)
 
     def test_first_jet_starts_at_one(self):
         assert v_jets(3, 4, 2)[1].constant_term() == JetPoly.one()

@@ -183,7 +183,7 @@ def in_lowest_terms(s: TSeries) -> bool:
     """Every degree holds a nonzero JetPoly whose den > 0 has gcd 1 with its
     (nonzero, integer) numerators and whose bound covers its keys."""
     return all(g.terms and all(g.terms.values()) and g.den > 0 and gcd(g.den, *g.terms.values()) == 1
-               and g.bound >= exponent_bound((g.terms,)) for g in s.grades.values())
+               and g.bound >= exponent_bound(g.terms) for g in s.grades.values())
 
 
 def dens(s: TSeries) -> dict:

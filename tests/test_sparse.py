@@ -107,11 +107,11 @@ def test_pack_rejects_overflow():
 
 def test_product_bound():
     near = {pack((EDGE, -EDGE)): 1}
-    assert product_bound((EDGE, [near]), (EDGE, [near])) == 2 * EDGE
+    assert product_bound((EDGE, near), (EDGE, near)) == 2 * EDGE
     # a coarse running bound is read again from the keys instead of failing
-    assert product_bound((SLOT_HALF, [near]), (0, [{pack((1,)): 1}])) == EDGE + 1
+    assert product_bound((SLOT_HALF, near), (0, {pack((1,)): 1})) == EDGE + 1
     with pytest.raises(OverflowError):
-        product_bound((EDGE, [near]), (EDGE, [near]), extra=2)
+        product_bound((EDGE, near), (EDGE, near), extra=2)
 
 
 # -- term-dict arithmetic ----------------------------------------------------------
