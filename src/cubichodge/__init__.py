@@ -5,7 +5,6 @@ exact rational arithmetic, verifies the rational-case Virasoro structure,
 and extracts gap polynomials, Faber-type leading terms and tables of cubic
 Hodge intersection numbers.
 """
-from .bell import BellTable, FJetTable
 from .commutators import commutator_grid, monomial_basis
 from .jets import JetPoly
 from .linsolve import SolveError, TriangularSystem
@@ -13,7 +12,7 @@ from .loop import FreeEnergy, LoopEquationError, LoopSolver
 from .outputs import (dimension_check, faber_leading, first_flow_check, h1_gap_check,
                       hodge_expand, intersection_table, r_poly, v_series)
 from .phiseries import TSeries, bernoulli, log_phi, power_sum, q_number
-from .ptensors import PTensorTable
+from .ptensors import BellTable, PTensorTable
 from .ratio import Q
 from .theta import ThetaPoly
 from .virasoro import BtildeTable, RationalParams, v_value

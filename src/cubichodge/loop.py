@@ -28,8 +28,9 @@ sum_{k,l} P~_{k,l} (F^T W F)_{k,l}, with W_{i+1,j+1} the bracket above for
 i <= j, halved on the diagonal (P is symmetric, so the upper triangle
 carries the whole sum; on the diagonal the terms k and g-k are one
 product, formed once).  Up to genus g both sides read P~_{k,l} with
-k + l <= 3g - 2 only, so a solver's P~ table is sized once, for its
-genus_max.
+k + l <= 3g - 2 and f_{a,k} with a <= 3g - 2 only, so a solver's
+PTensorTable, which holds P~ and its f-table (PTensorTable.f), is sized
+once, for its genus_max.
 
 Every Theta polynomial is held in the Stirling basis pi_m of theta.py, in
 which T = (s1/24) pi_1 - pi_2/16.  pi_m has Theta degree m and no constant
@@ -138,7 +139,7 @@ class LoopSolver:
     def lhs_coefficient(self, i: int) -> ThetaPoly:
         """L_i, with L_0..L_(i-1) before it: L_k = derive(L_(k-1)) + P_{0,k}."""
         lhs = self._lhs
-        f, ptilde = self.table.fjets.f, self.table.ptilde
+        f, ptilde = self.table.f, self.table.ptilde
         while len(lhs) <= i:
             k = len(lhs)
             # P_{0,k} = sum_l f_{k,l} P~_{0,l}; f_{k,0} = 0 for k >= 1
@@ -155,7 +156,7 @@ class LoopSolver:
             raise ValueError(f"rhs_genus({g}) needs H_1..H_{g - 1}")
         grads = [None] + [fe.gradient for fe in lower[: g - 1]]
         top_prev = 3 * (g - 1) - 2
-        f = self.table.fjets.f
+        f = self.table.f
         linear = self.xi_t([JetPoly.dot([(f(i + 2, j), grads[g - 1][i])
                                          for i in range(top_prev + 1)])
                             for j in range(top_prev + 3)])

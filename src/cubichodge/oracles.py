@@ -27,7 +27,6 @@ from __future__ import annotations
 from math import comb, lcm
 from operator import mul
 
-from .bell import FJetTable
 from .jets import JetPoly
 from .loop import T
 from .phiseries import TSeries, binomial_zinv, log_phi, log_phi_shifted, q_number
@@ -200,9 +199,10 @@ def cy_power_sum_check():
 def chain_rule_check():
     """ThetaPoly.derive^i h = sum_j f_{i,j} xi_euler^j h, the solver's route, for
     i <= 6 and h = Theta, Theta^3 and the genus-1 right-hand side
-    T = (s1/24) pi_1 - pi_2/16."""
+    T = (s1/24) pi_1 - pi_2/16, with f_{i,j} read from the f-table of a
+    PTensorTable(6), as the solver reads its own."""
     i_max = 6
-    fj = FJetTable()
+    table = PTensorTable(i_max)
     # Theta = pi_1 and Theta^3 = pi_1 - (3/2) pi_2 + (1/2) pi_3
     cubed = ThetaPoly([JetPoly.const(c) for c in (1, Q(-3, 2), Q(1, 2))])
     for name, h in (("Theta", ThetaPoly.theta()), ("Theta^3", cubed), ("T", T)):
@@ -213,7 +213,7 @@ def chain_rule_check():
         for i in range(i_max + 1):
             rhs = ThetaPoly.zero()
             for j in range(i + 1):
-                f = fj.f(i, j)
+                f = table.f(i, j)
                 if f:
                     rhs = rhs + xi_pow[j] * f
             if d != rhs:

@@ -39,19 +39,35 @@ over one common denominator without forming the products.  P~ has
 sigma-only coefficients, so the last step is one ThetaPoly.dot: per pi_m,
 a sum of sigma x jet products.
 
-A table holds P~_{i,j} for i + j <= n_max, a size fixed when it is made:
-row 0 up to z^-n_max is built whole on the first read, and every entry
-once read is cached.  P~ carries no jet, and the table no jet bound: its
-f-table and the weights bring in only the jets they carry.  `dump_json`
-writes a set fixed by n_max, whatever has been read: row 0 and every
-P~_{i,j} with i, j >= 1 and i + j <= n_max, in powers of Theta.
+The f-table holds the jet polynomials f_{i,j} of that dressing, produced
+by the first-order recursion
+
+    f_{i,0} = delta_{i,0},   f_{i+1,j+1} = derive(f_{i,j+1}) + z1 * f_{i,j},
+
+each entry one JetPoly.dot of the pair (f_{i,j}, z1) with derive(f_{i,j+1})
+run into the same accumulator.  They identify with the partial Bell
+polynomials B_{i,j}(z1, ..., z_{i-j+1}), which BellTable builds by the
+recurrence
+
+    B_{n,k} = sum_i C(n-1, i-1) z_i B_{n-i,k-1};
+
+the two recursions share no code, and the identification is checked once
+per table against the Bell rows i <= SELFCHECK_TO.
+
+A table holds P~_{i,j} for i + j <= n_max and f_{i,j} for i <= n_max, a
+size fixed when it is made: row 0 up to z^-n_max and the f-table are each
+built whole on their first read, and every P~ entry once read is cached.
+P~ carries no jet, and the table no jet bound: f_{i,j} carries the jets
+z1..z_{i-j+1}, and the weights bring in only the jets they carry.
+`dump_json` writes a set fixed by n_max, whatever has been read: row 0 and
+every P~_{i,j} with i, j >= 1 and i + j <= n_max, in powers of Theta.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import zip_longest
 from math import comb, factorial
 
-from .bell import FJetTable
 from .jets import JetPoly
 from .phiseries import double_factorial_odd, phi_d_inv_all
 from .ratio import Q
@@ -59,15 +75,20 @@ from .theta import ThetaPoly
 
 CONSTRUCTION_VERSION = "ptensor-v1:binomial-lhs,row0-eq43,dfact(-1)=1"
 
+# a table checks its rows f_{i,j} for i <= SELFCHECK_TO against the Bell table
+SELFCHECK_TO = 8
+
 _ZERO = JetPoly.zero()
+_Z1 = JetPoly.z(1)
 
 
 class PTensorTable:
-    """P~_{i,j} for i + j <= n_max; row 0 is built whole on the first read."""
+    """P~_{i,j} for i + j <= n_max and f_{i,j} for i <= n_max; row 0 and the
+    f-table are each built whole on their first read."""
 
     def __init__(self, n_max: int):
         self.n_max = n_max
-        self.fjets = FJetTable()
+        self._f: list[list[JetPoly]] | None = None
         self._ptilde: dict[tuple[int, int], ThetaPoly] = {}
 
     def ptilde(self, i: int, j: int) -> ThetaPoly:
@@ -91,6 +112,15 @@ class PTensorTable:
 
     # -- dressing -----------------------------------------------------------
 
+    def f(self, i: int, j: int) -> JetPoly:
+        """f_{i,j}, zero for j outside 0..i; rows 0..n_max are built and
+        checked against the Bell rows whole on the first read."""
+        if not 0 <= i <= self.n_max:
+            raise ValueError(f"f({i},{j}) lies past the table's i <= {self.n_max}")
+        if self._f is None:
+            self._f = _build_f(self.n_max)
+        return self._f[i][j] if 0 <= j <= i else _ZERO
+
     def contract(self, weights) -> ThetaPoly:
         """sum_{a,b} w_{a,b} P_{a,b} for weights {(a, b): JetPoly}, as
         sum_{k,l} P~_{k,l} (F^T w F)_{k,l}; no P_{a,b} is formed.
@@ -99,7 +129,7 @@ class PTensorTable:
         entry (per pi_m in the last step).  P~ is symmetric, so the second
         pass keys (k, l) and (l, k) by (min, max): M_{k,l} + M_{l,k} is one
         dot against one entry, and none with k > l is read or built."""
-        f = self.fjets.f
+        f = self.f
         # f_{b,l} vanishes for l > b, and for l = 0 unless b = 0
         g_pairs: dict[tuple[int, int], list] = {}
         for (a, b), w in weights.items():
@@ -161,6 +191,44 @@ def _build_row0(n_max: int) -> list[ThetaPoly]:
             coeffs[m - 1] = c
         out.append(ThetaPoly(coeffs))
     return out
+
+
+def _build_f(n_max: int) -> list[list[JetPoly]]:
+    rows = [[JetPoly.one()]]
+    for i in range(n_max):
+        prev = rows[i]
+        # f_{i+1,j+1} = derive(f_{i,j+1}) + z1 f_{i,j}, one dot each
+        rows.append([_ZERO] + [JetPoly.dot([(prev[j], _Z1)], prev[j + 1] if j < i else None)
+                               for j in range(i + 1)])
+    for i, (row, bell_row) in enumerate(zip(rows, _selfcheck_rows())):
+        if row != bell_row:
+            raise AssertionError(f"row f_({i},j) disagrees with its Bell closed form")
+    return rows
+
+
+class BellTable:
+    """B_{n,k}(z1, ..., z_{n-k+1}) for 0 <= k <= n <= n_max, served by bell(n, k)."""
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        b = self._table = {(0, 0): JetPoly.one()}
+        for n in range(1, n_max + 1):
+            b[n, 0] = JetPoly.zero()
+            for k in range(1, n + 1):
+                b[n, k] = JetPoly.sum([b[n - i, k - 1].mul_z(i) * comb(n - 1, i - 1)
+                                       for i in range(1, n - k + 2)])
+
+    def bell(self, n: int, k: int) -> JetPoly:
+        if not 0 <= k <= n <= self.n_max:
+            raise ValueError(f"Bell indices out of range: ({n}, {k})")
+        return self._table[n, k]
+
+
+@cache
+def _selfcheck_rows() -> list:
+    """The Bell rows every f-table checks against, built once."""
+    table = BellTable(SELFCHECK_TO)
+    return [[table.bell(i, j) for j in range(i + 1)] for i in range(SELFCHECK_TO + 1)]
 
 
 def top_coefficient_value(i: int, j: int):

@@ -242,11 +242,12 @@ class BtildeTable:
         """The k-free parts of A_{k,n} for n >= 1, in integers: (base p,
         weight u) pairs and one weight denominator d with
 
-            A_{k,n} = sum_(p, u) u p^k / (d (K1 K2)^k)     (plus c_{hn} when k = 0).
+            A_{k,n} = sum_(p, u) u p^k / (d (K1 K2)^k).
 
         The bases p / (K1 K2) are l (weight c_{hl} c_{h(n-l)}, with the
-        boundary l = n of weight c_{hn}) and b = b_{alpha+hl}, whose weight
-        K2/h (or K1/h) cancels the prefactor h/K2 (or h/K1) of the c pair,
+        boundaries l = n and l = 0 of weight c_{hn}; base 0 counts at k = 0
+        alone, as 0^0 = 1) and b = b_{alpha+hl}, whose weight K2/h (or
+        K1/h) cancels the prefactor h/K2 (or h/K1) of the c pair,
         leaving residue_term at b and N = n.  The alpha = beta = 0 block contributes
         both boundary terms l = 0 and l = n (the printed formula in the
         source drops the l = n one); the identity A_{0,n} = K^n pins the
@@ -258,7 +259,7 @@ class BtildeTable:
         # every b has denominator K1 or K2, which divide K1 K2
         k12 = params.k1 * params.k2
         terms = [(ell * k12, params.c_int(ell) * params.c_int(n - ell), 1) for ell in range(1, n)]
-        terms.append((n * k12, params.c_int(n), 1))
+        terms += [(n * k12, params.c_int(n), 1), (0, params.c_int(n), 1)]
         for alpha in params.index_set_star():
             b = params.b(alpha)  # b_{alpha+hl} = b_alpha + l
             for p in range(b.numerator, b.numerator + n * b.denominator, b.denominator):
@@ -272,16 +273,8 @@ class BtildeTable:
         integer sum over one denominator."""
         if n == 0:
             return QONE if k == 0 else QZERO
-        total, d = self._a_kn_total(k, n)
-        return Q(total, d * (self.params.k1 * self.params.k2) ** k)
-
-    def _a_kn_total(self, k: int, n: int) -> tuple:
-        """(total, d) with A_{k,n} = total / (d (K1 K2)^k), for n >= 1."""
         terms, d = self.a_kn_terms(n)
-        total = sum(u * p**k for p, u in terms)
-        if k == 0:
-            total += self.params.c_int(n) * d
-        return total, d
+        return Q(sum(u * p**k for p, u in terms), d * (self.params.k1 * self.params.k2) ** k)
 
     def row(self, i: int, j: int) -> list:
         """B~_{i,j} at xi^0..xi^order, one rational per entry."""
@@ -301,11 +294,12 @@ class BtildeTable:
         params, order = self.params, self.order
         if i == 0:
             k1, k2, h = params.k1, params.k2, params.h
-            parts = [self._a_kn_total(j, n) for n in range(1, order + 1)]
+            parts = [self.a_kn_terms(n) for n in range(1, order + 1)]
             d_lcm = math.lcm(*(d for _, d in parts))
             den = d_lcm * (k1 * k2) ** j * h ** (h * order)
             nums = [den if j == 0 else 0]
-            for n, (total, d) in enumerate(parts, 1):
+            for n, (terms, d) in enumerate(parts, 1):
+                total = sum(u * p**j for p, u in terms)
                 nums.append(total * k1 ** (k1 * n) * k2 ** (k2 * n) * (d_lcm // d)
                             * h ** (h * (order - n)))
         else:

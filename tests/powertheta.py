@@ -132,7 +132,7 @@ class PowerRoute:
         """P_{a,b} = sum_{k,l} f_{a,k} f_{b,l} P~_{k,l}, formed term by term."""
         got = self._dressed.get((a, b))
         if got is None:
-            f = self.table.fjets.f
+            f = self.table.f
             got = PowerTheta.sum([self.ptilde(k, l) * (f(a, k) * f(b, l))
                                   for k in range(a + 1) for l in range(b + 1)
                                   if f(a, k) and f(b, l)])

@@ -3,14 +3,13 @@ PASS/FAIL line (run with `pytest -s tests/test_acceptance.py` to see them
 as they go).  Time budgets are wall-clock on a fresh solver."""
 import time
 
-from cubichodge.bell import BellTable, FJetTable
 from cubichodge.cli import main
 from cubichodge.commutators import commutator_grid, monomial_basis
 from cubichodge.oracles import (btilde11_closed_form_check, cy_power_sum_check,
                                 q_geometric_check, row0_shift_oracle, specialization_bridge)
 from cubichodge.outputs import (dimension_check, faber_leading, first_flow_check,
                                 h1_gap_check, hodge_expand, r_poly)
-from cubichodge.ptensors import PTensorTable
+from cubichodge.ptensors import BellTable, PTensorTable
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
 from cubichodge.virasoro import BtildeTable, RationalParams
@@ -201,7 +200,7 @@ def test_c13_q_and_bell():
     ok, detail = q_geometric_check()
     if ok:
         table = BellTable(8)
-        fj = FJetTable()
+        fj = PTensorTable(8)
         for i in range(9):
             for j in range(i + 1):
                 if fj.f(i, j) != table.bell(i, j):

@@ -2,8 +2,8 @@ from math import comb, factorial
 
 import pytest
 
-from cubichodge.bell import BellTable, FJetTable
 from cubichodge.jets import JetPoly
+from cubichodge.ptensors import BellTable, PTensorTable
 from cubichodge.ratio import Q
 
 N = 8
@@ -138,7 +138,7 @@ class TestComplete:
 
 
 class TestFJet:
-    FJ = FJetTable()
+    FJ = PTensorTable(14)
 
     def test_f00(self):
         assert self.FJ.f(0, 0) == JetPoly.one()
@@ -165,20 +165,28 @@ class TestFJet:
             assert self.FJ.f(i, j) == TABLE.bell(i, j)
 
     def test_rows_through_14_match_bell(self):
-        # the solver reads f up to row 3g - 1 = 14 at genus 5, past SELFCHECK_TO
+        # past SELFCHECK_TO: the solver reads f up to row 3g - 2 = 13 at genus 5
         table = BellTable(14)
         for i in range(15):
             for j in range(i + 1):
                 assert self.FJ.f(i, j) == table.bell(i, j), (i, j)
 
     def test_doctored_bell_row_fails_the_self_check(self, monkeypatch):
-        from cubichodge import bell
+        from cubichodge import ptensors
 
-        rows = [list(row) for row in bell._selfcheck_rows()]
+        rows = [list(row) for row in ptensors._selfcheck_rows()]
         rows[8][1] = rows[8][1] + JetPoly.one()
-        monkeypatch.setattr(bell, "_selfcheck_rows", lambda: rows)
+        monkeypatch.setattr(ptensors, "_selfcheck_rows", lambda: rows)
         with pytest.raises(AssertionError, match=r"f_\(8,j\)"):
-            FJetTable().f(8, 1)
+            PTensorTable(8).f(8, 1)
+
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_rows_past_the_table_raise(self, n):
+        table = PTensorTable(n)
+        with pytest.raises(ValueError, match=f"i <= {n}"):
+            table.f(n + 1, 0)
+        with pytest.raises(ValueError, match=f"i <= {n}"):
+            table.f(-1, 0)
 
     def test_chain_rule_identity(self):
         from cubichodge.oracles import chain_rule_check

@@ -232,6 +232,23 @@ def test_verify_selected_suites(capsys):
     assert out.splitlines() == ["PASS bell", "PASS power-sum"]
 
 
+def test_verify_rational_suites_build_no_f_table(capsys, monkeypatch):
+    from cubichodge import ptensors
+
+    sizes = []
+    build = ptensors._build_f
+
+    def counted(n_max):
+        sizes.append(n_max)
+        return build(n_max)
+
+    monkeypatch.setattr(ptensors, "_build_f", counted)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "bridge", "--suite", "series-oracles")
+    assert code == 0
+    assert out.splitlines() == ["PASS bridge", "PASS series-oracles"]
+    assert sizes == []
+
+
 def test_verify_loop_residual(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "loop-residual", "--genus", "2")
     assert code == 0 and out.strip() == "PASS loop-residual"

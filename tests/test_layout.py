@@ -1,12 +1,15 @@
 """Module layout: a private name (leading underscore) belongs to the module
-that defines it, so no package module imports one from another; and JetPoly
-is the one polynomial class, so only jets.py does term-dict arithmetic."""
+that defines it, so no package module imports one from another; JetPoly
+is the one polynomial class, so only jets.py does term-dict arithmetic;
+and the README Layout lists the package's modules as they are."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cubichodge"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cubichodge"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -66,3 +69,16 @@ def test_detects_a_term_dict_import(tmp_path):
     src.write_text("from .sparse import pack, mul_into\nfrom cubichodge.sparse import nonzero\n"
                    "from .jets import add_into\n")
     assert term_dict_imports(src) == [(1, "mul_into"), (2, "nonzero")]
+
+
+def layout_modules(readme: str) -> list:
+    """The module names listed in the fenced block under README's
+    `## Layout`, one per line indented by two spaces, in order."""
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    return re.findall(r"^  (\w+\.py)", block, re.M)
+
+
+def test_readme_layout_lists_every_module():
+    listed = layout_modules((ROOT / "README.md").read_text())
+    assert sorted(listed) == [p.name for p in MODULES
+                              if p.name not in ("__init__.py", "__main__.py")]

@@ -6,7 +6,6 @@ import pytest
 
 import cubichodge.loop as loop
 from cubichodge import ptensors, textform
-from cubichodge.bell import FJetTable
 from cubichodge.jets import JetPoly
 from cubichodge.linsolve import SolveError
 from cubichodge.loop import (CACHE_VERSION, SOLVER_VERSION, FreeEnergy, LoopEquationError,
@@ -50,7 +49,7 @@ class TestLhs:
 def contracted_lhs(table, i: int) -> ThetaPoly:
     """L_i = derive^i(Theta) + sum_{j=1}^i C(i, j) P_{j-1, i-j+1}, its dressed
     sum contracted against P~ whole: the reference for L_i's recursion."""
-    f = table.fjets.f
+    f = table.f
     theta_part = ThetaPoly([-f(i, j) if j % 2 else f(i, j) for j in range(i + 1)])
     return theta_part + table.contract(
         {(j - 1, i - j + 1): JetPoly.const(comb(i, j)) for j in range(1, i + 1)})
@@ -148,6 +147,21 @@ class TestSolve:
         LoopSolver(3).compute(3, cache_dir=str(tmp_path))
         assert sizes == [7]
         # a fully cached run solves nothing and builds no row 0
+        LoopSolver(3).compute(3, cache_dir=str(tmp_path))
+        assert sizes == [7]
+
+    def test_f_table_built_once_per_compute(self, monkeypatch, tmp_path):
+        sizes = []
+        build = ptensors._build_f
+
+        def counted(n_max):
+            sizes.append(n_max)
+            return build(n_max)
+
+        monkeypatch.setattr(ptensors, "_build_f", counted)
+        LoopSolver(3).compute(3, cache_dir=str(tmp_path))
+        assert sizes == [7]
+        # a fully cached run solves nothing and builds no f-table
         LoopSolver(3).compute(3, cache_dir=str(tmp_path))
         assert sizes == [7]
 
@@ -278,7 +292,7 @@ class TestChainRule:
             derived[name] = [h]
             for _ in range(CHAIN_N):
                 derived[name].append(derived[name][-1].derive())
-        return FJetTable(), derived
+        return ptensors.PTensorTable(CHAIN_N), derived
 
     @pytest.mark.parametrize("name", ["pi_1", "T"])
     def test_derive_equals_f_table_image(self, chain, name):
