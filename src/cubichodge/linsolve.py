@@ -8,7 +8,9 @@ system solves top row down.  Each diagonal c z1^k is a unit of the Laurent
 jet ring; the two facts are checked, and each diagonal inverted, once per
 column when the system is built.  A row's residual is multiplied by the
 inverse c^-1 z1^-k, so that unknown carries the sum of the two bounds, not an
-exact one.  The caller checks the full residual over every row.
+exact one.  Since each inverse times its diagonal is 1, rows 1..n of
+sum_i columns[i] x_i - rhs vanish identically; the caller checks only that
+rhs has no row above n, and forms the full residual in a pass of its own.
 """
 from __future__ import annotations
 

@@ -43,8 +43,12 @@ Comtet, ch. 3)
 
 it is sum_j xi_euler^j(T) w_j with w_j = sum_i f_{i+2,j} dH_{g-1}/dz_i.
 The pi_m rows m = 1..3g-1 form an invertible triangular system for the
-gradient of H_g; all remaining rows must be matched identically, which is
-asserted after every solve.  H_g itself is recovered from the Euler
+gradient of H_g; all remaining rows must be matched identically.  Back
+substitution on unit diagonals zeroes rows 1..3g-1 of LHS - RHS, and L_i has
+Theta degree i + 1, so the remaining rows are RHS_g's alone: every solve
+checks that RHS_g has no pi_m row above 3g-1.  LoopSolver.residual (verify
+--suite loop-residual) forms the full residual on every row, from an RHS
+built again.  H_g itself is recovered from the Euler
 identity sum j z_j dH_g/dz_j = (2g-2) H_g, which needs dH_g/dz0 = 0 for
 g >= 2, and for g = 1 from the closed form (1/24) log z1 + (s1/24) z0;
 every partial of that body must equal the solved gradient, so the
@@ -183,21 +187,21 @@ class LoopSolver:
         ell = [self.lhs_coefficient(i) for i in range(n)]
         rhs = self.rhs_genus(g, lower)
         gradient = TriangularSystem(ell, rhs).solve()
-        residual = self._apply_lhs(gradient) - rhs
-        if residual:
-            raise LoopEquationError(f"loop residual nonzero at genus {g}")
+        # back substitution on unit diagonals zeroes rows 1..n of LHS - RHS,
+        # and no L_i reaches a row above n: the rest of the residual is RHS_g there
+        if rhs.degree > n:
+            raise LoopEquationError(f"RHS_{g} has a pi_{rhs.degree} row above pi_{n} at genus {g}")
         fe = self.reconstruct(g, gradient)
         fe.provenance["wall_time"] = round(time.monotonic() - t0, 6)
         self._check_homogeneity(fe)
         return fe
 
-    def _apply_lhs(self, gradient) -> ThetaPoly:
-        return ThetaPoly.dot([(self.lhs_coefficient(i), gi) for i, gi in enumerate(gradient) if gi])
-
     def residual(self, g: int, energies) -> ThetaPoly:
-        """LHS - RHS of the epsilon^(2g-2) slice with computed energies plugged in."""
-        acc = self._apply_lhs(energies[g - 1].gradient)
-        return acc - self.rhs_genus(g, energies)
+        """LHS - RHS of the epsilon^(2g-2) slice with computed energies plugged
+        in, on every pi_m row."""
+        lhs = ThetaPoly.dot([(self.lhs_coefficient(i), gi)
+                             for i, gi in enumerate(energies[g - 1].gradient) if gi])
+        return lhs - self.rhs_genus(g, energies)
 
     # -- reconstruction -------------------------------------------------------
 

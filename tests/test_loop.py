@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import cubichodge.loop as loop
-from cubichodge import ptensors, textform
+from cubichodge import linsolve, ptensors, textform
 from cubichodge.jets import JetPoly
 from cubichodge.linsolve import SolveError
 from cubichodge.loop import (CACHE_VERSION, SOLVER_VERSION, FreeEnergy, LoopEquationError,
@@ -205,6 +205,37 @@ class TestSolve:
         with pytest.raises(SolveError, match=message) as exc:
             solver.compute(2)
         assert exc.value.row == 3
+
+    @pytest.mark.parametrize("bad_genus", [1, 2, 3])
+    def test_rhs_row_above_the_system_raises(self, monkeypatch, bad_genus):
+        # a z1 pi_(3g) term in RHS_g, a row that no L_i reaches
+        rhs_genus = LoopSolver.rhs_genus
+
+        def with_high_row(self, g, lower):
+            rhs = rhs_genus(self, g, lower)
+            if g != bad_genus:
+                return rhs
+            return rhs + ThetaPoly([JetPoly.zero()] * (3 * g - 1) + [JetPoly.z(1)])
+
+        monkeypatch.setattr(LoopSolver, "rhs_genus", with_high_row)
+        with pytest.raises(LoopEquationError, match=f"at genus {bad_genus}$"):
+            LoopSolver(3).compute(3)
+
+    @pytest.mark.parametrize("genus", [2, 3, 4])
+    @pytest.mark.parametrize("idx", [1, 2, 4])
+    def test_wrong_back_substitution_raises(self, monkeypatch, genus, idx):
+        # the genus-G solve returns dH_G/dz_idx doubled
+        solve = linsolve.TriangularSystem.solve
+
+        def doubled(self):
+            xs = solve(self)
+            if len(xs) == 3 * genus - 1:
+                xs[idx] = xs[idx] * 2
+            return xs
+
+        monkeypatch.setattr(linsolve.TriangularSystem, "solve", doubled)
+        with pytest.raises(LoopEquationError):
+            LoopSolver(genus).compute(genus)
 
     def test_exponent_bounds_are_exact(self, energies_g5):
         from cubichodge.sparse import exponent_bound
