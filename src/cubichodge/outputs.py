@@ -4,8 +4,12 @@ Hodge intersection tables and the first-flow consistency check.
 The series are TSeries (defined in phiseries) in t_0..t_{n_max}.  v(t)
 solves v = sum_i t_i v^i / i! and is built term by term from its
 Lagrange-inversion closed form; its t0-jets substitute into a free energy to
-expand H_g back into intersection-number data (coefficients are reported
-raw; the factorial-normalized view is a formatting concern).
+expand H_g back into intersection-number data.  `hodge_expand` expands H_g
+in full and is the reference route.  `intersection_table` expands it only
+at t0 = t1 = 0 and reads every row with a tau_0 or a tau_1 off the string
+and dilaton equations, whose preconditions on H_g (no z0, jet weight 2g - 2)
+it checks.  Table rows are raw coefficients, or bracket values (times the
+automorphism factors prod m_i!) when normalized.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ def v_series(n_max: int, d_max: int) -> TSeries:
     return v_jets(n_max, d_max, 0)[0]
 
 
-def v_jets(n_max: int, d_max: int, count: int) -> list:
+def v_jets(n_max: int, d_max: int, count: int, origin: bool = False) -> list:
     """[v, dv/dt_0, ..., d^count v/dt_0^count] to degree d_max, from the
     Lagrange-inversion closed form: v's t^m coefficient is (n-1)! / prod(m_i!
     (i!)^m_i) with n = sum m_i, on the m with sum i m_i = n - 1.  So v^(k)'s
@@ -35,24 +39,32 @@ def v_jets(n_max: int, d_max: int, count: int) -> list:
     prod_{i>=1} m_i! (i!)^m_i) with W = sum_{i>=1} i m_i and m_0 = 1 - k +
     sum_{i>=1} (i-1) m_i >= 0, in degree 1 - k + W.  Each m_1..m_{n_max} is
     enumerated once for every k; each degree of each jet is one JetPoly of
-    int numerators over the lcm of its denominators, reduced once."""
+    int numerators over the lcm of its denominators, reduced once.
+
+    With `origin`, the jets at t0 = t1 = 0: only the terms with m_0 = m_1 = 0,
+    so v^(k) keeps the m_2.. with sum (i-1) m_i = k - 1, in degree sum m_i;
+    v is 0 there and v' is 1."""
     terms = [{} for _ in range(count + 1)]  # k -> degree -> [(key, W!, denominator, top)]
 
     def place(i: int, key: int, w: int, s: int, n: int, p: int, top: int) -> None:
         # key packs m_1..m_{i-1}; w, s, n, p are their W, sum (j-1) m_j, sum m_j,
         # prod m_j! (j!)^m_j, and top is the largest m_j
         if i <= n_max:
-            # W stays below d_max + count, and sum m_j <= d_max
-            for m in range(min((d_max + count - 1 - w) // i, d_max - n) + 1):
+            # W stays below d_max + count, and sum m_j <= d_max; at the origin
+            # sum (j-1) m_j stays below count
+            cap = min((d_max + count - 1 - w) // i, d_max - n)
+            if origin:
+                cap = min(cap, (count - 1 - s) // (i - 1))
+            for m in range(cap + 1):
                 place(i + 1, key + m * unit(2 + i), w + i * m, s + (i - 1) * m, n + m,
                       p * factorial(m) * factorial(i) ** m, max(top, m))
             return
-        for k in range(max(0, w + 1 - d_max), min(count, 1 + s) + 1):
+        for k in range(max(0, w + 1 - d_max, 1 + s if origin else 0), min(count, 1 + s) + 1):
             m0 = 1 - k + s
             terms[k].setdefault(1 - k + w, []).append(
                 (key + m0 * unit(2), factorial(w), factorial(m0) * p, max(top, m0)))
 
-    place(1, 0, 0, 0, 0, 1, 0)
+    place(2 if origin else 1, 0, 0, 0, 0, 1, 0)
     del place  # a recursive closure is a reference cycle: break it so `terms` is freed on return
     jets = []
     for by_degree in terms:
@@ -117,20 +129,36 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
     """H_g(v, v', ...) as a t-series; raw monomial coefficients.
 
     The genus-g expansion reads the t0-jets of v up to v^(3g-2), each built
-    at d_max from the closed form (v_jets).
-
-    For g >= 2 the jets v^(k) are sigma-free, so the body's packed keys are
-    grouped by their jet part and each distinct product prod_k (v^(k))^e_k
-    is formed once.  The jet parts are walked in sorted order as factor
-    tuples ((k, e_k), ...), k descending, keeping one chain of partial
-    products for the current prefix: a prefix shared by neighbouring tuples
-    is multiplied once.  Each power is one factor times the power next to
-    it, with one `recip` per jet.  Each degree of the sum is one `JetPoly.dot`
-    over the (sigma part, that degree of its product) pairs of every group.
+    at d_max from the closed form (v_jets), and for g >= 2 multiplies them
+    out in `_jet_products`.  This full expansion is the reference route:
+    `intersection_table` expands H_g only at t0 = t1 = 0.
     """
     jets = v_jets(n_max, d_max, fe.max_jet_index())
     if fe.genus == 1:
         return jets[1].log() * fe.log_z1_coeff + jets[0] * fe.body.sigma_coefficient({0: 1})
+    return _jet_products(fe.body, jets)
+
+
+def _jet_products(body: JetPoly, jets: list) -> TSeries:
+    """The body with each jet z_k replaced by the series jets[k].
+
+    The body's packed keys are grouped by their jet part, and each distinct
+    product prod_k jets[k]^e_k is formed once.  A factor that is the series
+    1 is left out, and so is every group whose factors' lowest t-degrees add
+    up to more than d_max: over Q[s1, s3] the lowest grade of a product is
+    the product of the lowest grades, so that group's product is zero.  The
+    groups are walked in sorted order as factor tuples ((k, e_k), ...), k
+    descending, keeping one chain of partial products for the current
+    prefix: a prefix shared by neighbouring tuples is multiplied once.  Each
+    power is one factor times the power next to it, with one `recip` per
+    jet.  Each degree of the sum is one `JetPoly.dot` over the (sigma part,
+    that degree of its product) pairs of every group.
+    """
+    n_max, d_max = jets[0].n_max, jets[0].d_max
+    one = TSeries.const(1, n_max, d_max)
+    is_one = [s == one for s in jets]
+    # the lowest degree of each jet, past d_max for the zero series
+    low = [min(s.grades, default=d_max + 1) for s in jets]
     powers: dict[tuple[int, int], TSeries] = {}
 
     def jet_power(k, e):
@@ -146,14 +174,16 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
             powers[(k, e)] = got
         return got
 
-    # factor tuple ((k, e_k), ..., k descending) -> the sigma part of its jet monomial
-    groups = {}
-    parts = fe.body.sigma_parts()
+    # factor tuple ((k, e_k), ..., k descending) -> the sigma parts of its jet monomials
+    groups: dict[tuple, list] = {}
+    parts = body.sigma_parts()
     n = width(parts)
     for jet_key, sigma in parts.items():
         es = unpack(jet_key, n)
-        groups[tuple((k, es[k]) for k in range(len(es) - 1, -1, -1) if es[k])] = sigma
-    one = TSeries.const(1, n_max, d_max)
+        factors = tuple((k, es[k]) for k in range(len(es) - 1, -1, -1) if es[k] and not is_one[k])
+        # a negative power is the recip of a series with constant term 1: lowest degree 0
+        if sum(e * low[k] for k, e in factors if e > 0) <= d_max:
+            groups.setdefault(factors, []).append(sigma)
     chain: list[tuple[tuple[int, int], TSeries]] = []  # (factor, product of the prefix through it)
     pairs: dict[int, list] = {}  # degree -> [(sigma part, that degree of its product)]
     for factors in sorted(groups):
@@ -162,15 +192,11 @@ def hodge_expand(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
             shared += 1
         del chain[shared:]
         for f in factors[shared:]:
-            if not chain:
-                chain.append((f, jet_power(*f)))
-            else:
-                # a prefix with no terms up to d_max stays zero: skip its products
-                prefix = chain[-1][1]
-                chain.append((f, prefix * jet_power(*f) if prefix else prefix))
+            chain.append((f, chain[-1][1] * jet_power(*f) if chain else jet_power(*f)))
         product = chain[-1][1] if chain else one
+        sigma = JetPoly.sum(groups[factors])
         for d, grade in product.grades.items():
-            pairs.setdefault(d, []).append((groups[factors], grade))
+            pairs.setdefault(d, []).append((sigma, grade))
     del jet_power  # break the recursive closure's cycle, so the powers are freed on return
     return TSeries.graded(n_max, d_max, {d: JetPoly.dot(p) for d, p in sorted(pairs.items())})
 
@@ -192,24 +218,137 @@ def intersection_table(fe: FreeEnergy, n_max: int, d_max: int, normalized: bool 
     the automorphism factors prod m_i! to give the bracket values.
 
     By the dimension constraint sum(i_a) + a + 3b = 3g - 3 + n with n <= d_max,
-    no t_i with i > 3g - 3 + d_max occurs, so the expansion stops there; every
-    row is checked against it (AssertionError on a violation).
+    no t_i with i > 3g - 3 + d_max occurs, so the table stops there.
+
+    H_g is expanded only at t0 = t1 = 0 (`_origin_series`), where v = 0 and
+    v' = 1; those base rows are checked against the dimension constraint
+    (AssertionError on a violation).  Every row with a tau_0 or a tau_1 then
+    follows in bracket form from the string and dilaton equations, valid
+    when 2g - 2 + n > 0 for the n insertions besides the one removed:
+
+        <tau_0 prod tau_{d_j}>_g = sum_j <tau_{d_j - 1} prod_{i != j} tau_{d_i}>_g,
+        <tau_1 prod_{j=1..n} tau_{d_j}>_g = (2g - 2 + n) <prod tau_{d_j}>_g.
+
+    They hold because the Hodge class pulls back along the maps that forget
+    a point (Witten 1991; Faber-Pandharipande 2000), and in jet space they
+    are the facts that H_g has no z0 and has jet weight 2g - 2; for g >= 2
+    a body that breaks either raises AssertionError naming the grading, and
+    at genus 1 so does a body other than a sigma polynomial times z0.
+    Both equations keep the weight sum (i - 1) m_i of a row t^m, so only
+    rows whose weight lies in the range of the base rows' weights are
+    visited.
     """
-    n_max = min(n_max, 3 * fe.genus - 3 + d_max)
-    series = hodge_expand(fe, n_max, d_max)
-    ok, violation = dimension_check(fe.genus, series)
+    g = fe.genus
+    n_max = min(n_max, 3 * g - 3 + d_max)
+    base = _origin_series(fe, n_max, d_max)
+    ok, violation = dimension_check(g, base)
     if not ok:
-        raise AssertionError(f"H_{fe.genus} table breaks the dimension constraint at {violation}")
-    coefficients = series.coefficients(
-        (lambda key: prod(factorial(e) for e in key)) if normalized else None)
+        raise AssertionError(f"H_{g} table breaks the dimension constraint at {violation}")
+    _check_gradings(fe)
+    known = base.coefficients(_automorphisms)  # t-exponent tuple -> bracket
+    if not known:
+        return []
+    weights = [sum(i * e for i, e in enumerate(key)) - sum(key) for key in known]
+    lo, hi = min(weights), max(weights)
+    zero = JetPoly()
+
+    # the base rows come first: at genus 1 they hold <tau_0>_1 and <tau_1>_1,
+    # where neither equation holds, and for g >= 2 both hold on every row
+    def bracket(m: tuple) -> JetPoly:
+        got = known.get(m)
+        if got is None:
+            if m[0]:
+                lower = list(m)
+                lower[0] -= 1
+                rows, counts = [], []
+                for i in range(1, len(m)):
+                    if m[i]:
+                        row = lower.copy()
+                        row[i] -= 1
+                        row[i - 1] += 1
+                        rows.append(bracket(tuple(row)))
+                        counts.append(m[i])
+                got = JetPoly.sum(rows, counts)
+            elif len(m) > 1 and m[1]:
+                # 2g - 2 + n, with n the insertions besides this tau_1
+                got = bracket((m[0], m[1] - 1, *m[2:])) * (2 * g - 3 + sum(m))
+            else:
+                got = zero
+            known[m] = got
+        return got
+
+    def cores(i: int, core: tuple, size: int, w: int, span: int):
+        # core = (m_2..m_{i-1}) with size sum m_j, weight w = sum (j-1) m_j and
+        # span sum j m_j; a tau_0 lowers the weight by one, so w - m_0 in
+        # [lo, hi] with m_0 <= d_max - size needs w >= lo and span <= d_max + hi
+        if i > n_max:
+            if w >= lo:
+                yield core, size, w
+            return
+        for e in range(min(d_max - size, (d_max + hi - span) // i) + 1):
+            yield from cores(i + 1, core + (e,), size + e, w + (i - 1) * e, span + i * e)
+
+    values = {}
+    for core, size, w in cores(2, (), 0, 0, 0):
+        for m0 in range(max(0, w - hi), min(w - lo, d_max - size) + 1):
+            for m1 in range(d_max - size - m0 + 1 if n_max else 1):
+                m = (m0, m1, *core)[:n_max + 1]
+                value = bracket(m)
+                if value:
+                    values[m] = value if normalized else value / _automorphisms(m)
+    del bracket, cores  # break the recursive closures' cycles
     rows = []
-    for key in sorted(coefficients, key=lambda k: (sum(k), k)):
-        sp = coefficients[key]
+    for key in sorted(values, key=lambda k: (sum(k), k)):
         indices = []
         for i, e in enumerate(key):
             indices.extend([i] * e)
-        rows.append((tuple(indices), sp))
+        rows.append((tuple(indices), values[key]))
     return rows
+
+
+def _automorphisms(key: tuple) -> int:
+    """prod m_i! of the row t^m: its bracket over its raw coefficient."""
+    return prod(factorial(e) for e in key)
+
+
+def _origin_series(fe: FreeEnergy, n_max: int, d_max: int) -> TSeries:
+    """The rows of H_g's table with no tau_0 and no tau_1, and at genus 1 the
+    two rows <tau_0>_1 and <tau_1>_1 the string and dilaton equations start
+    from, as raw coefficients.
+
+    For g >= 2 this is H_g at t0 = t1 = 0: every z1 power is 1 there, a z0
+    term drops out, and each jet v^(k) keeps its closed-form terms with
+    m_0 = m_1 = 0 (v_jets at the origin).  At genus 1 the expansion at the
+    origin is zero (v = 0 and log v' = 0), and the two base rows are the z0
+    coefficient of the body and the log z1 coefficient."""
+    if fe.genus == 1:
+        rows = [fe.body.sigma_coefficient({0: 1}), JetPoly.const(fe.log_z1_coeff)]
+        return TSeries(n_max, d_max, {tuple(int(i == j) for i in range(n_max + 1)): c
+                                      for j, c in enumerate(rows[:n_max + 1])})
+    return _jet_products(fe.body, v_jets(n_max, d_max, fe.max_jet_index(), origin=True))
+
+
+def _check_gradings(fe: FreeEnergy) -> None:
+    """AssertionError unless H_g obeys the gradings the string and dilaton
+    equations rest on: for g >= 2 no z0 and jet weight 2g - 2, at genus 1 a
+    body that is a sigma polynomial times z0 (beside its log z1 term)."""
+    g, body = fe.genus, fe.body
+    if g == 1:
+        if body != body.sigma_coefficient({0: 1}).mul_z(0):
+            raise AssertionError("H_1 is not a sigma polynomial times z0: the string and "
+                                 "dilaton equations do not give its table")
+        return
+    n = max(width(body.terms), 3)
+    jet = (0, 0, *range(n - 2))  # deg z_k = k
+    for key in body.terms:
+        es = unpack(key, n)
+        if es[2]:
+            raise AssertionError(f"H_{g} has a z0 term: the string equation does not give its "
+                                 "tau_0 rows")
+        w = sum(map(mul, jet, es))
+        if w != 2 * g - 2:
+            raise AssertionError(f"H_{g} has a term of jet weight {w}, not 2g - 2 = {2 * g - 2}: "
+                                 "the dilaton equation does not give its tau_1 rows")
 
 
 # -- the first Hodge flow ---------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Anchors above the tier-1 range: the first 16 hex digits of the sha256 of
-H_g (`FreeEnergy.body_text()`) and of R_g (`jet_text(r_poly(H_g))`).
+H_g (`FreeEnergy.body_text()`) and of R_g (`jet_text(r_poly(H_g))`), and
+the Hodge table of each H_g by both routes.
 
     python tests/anchors.py --genus 10
 
 solves H_1..H_G with one LoopSolver(G), in the process it starts, writes
 each H_g as a cache record into a temporary directory and reads it back,
 prints one line per genus from 4 to G, and exits 1 if the hashes of any
-body read back differ from ANCHORS.  The table reaches genus 11.  On a shared 2-vCPU
-host a solve through genus 10 takes about a minute, and through genus 11
-a few minutes and some 500 MB.
+body read back differ from ANCHORS, or if its `intersection_table` at
+(tmax, dmax) = TABLE_SIZE, raw or in bracket form, differs from the
+reference route (`reference_tables`).  The table reaches genus 11.  On a
+shared 2-vCPU host a solve through genus 10 takes about a minute, and
+through genus 11 a few minutes and some 500 MB.
 
 pytest does not collect this file: tests/test_loop.py runs `check` through
 genus 5 and ties H_4..H_7 and R_4..R_7 to its full frozen hashes.
@@ -20,13 +23,15 @@ import hashlib
 import sys
 import tempfile
 import time
+from math import factorial, prod
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cubichodge import LoopSolver  # noqa: E402
 from cubichodge.loop import load_cached, store_cached  # noqa: E402
-from cubichodge.outputs import r_poly  # noqa: E402
+from cubichodge.outputs import (dimension_check, hodge_expand, intersection_table,  # noqa: E402
+                                r_poly)
 from cubichodge.textform import jet_text  # noqa: E402
 
 # genus: (H_g, R_g)
@@ -40,6 +45,34 @@ ANCHORS = {
     10: ("5c2e4c292e2a090e", "0e2754260efcebe5"),
     11: ("ee7fd2c0dd71a67e", "dfab2f4e0910145a"),
 }
+
+
+# (tmax, dmax) of the table compared by both routes at every genus checked
+TABLE_SIZE = (4, 6)
+
+
+def reference_tables(fe, n_max: int, d_max: int) -> tuple[list, list]:
+    """The raw and the bracket-form rows of H_g's table by the reference
+    route: the full expansion `hodge_expand`, `dimension_check` on every
+    row, the coefficients read off, sorted as `intersection_table` sorts."""
+    n_max = min(n_max, 3 * fe.genus - 3 + d_max)
+    series = hodge_expand(fe, n_max, d_max)
+    ok, violation = dimension_check(fe.genus, series)
+    if not ok:
+        raise AssertionError(f"H_{fe.genus} table breaks the dimension constraint at {violation}")
+    tables = []
+    for scale in (None, lambda key: prod(factorial(e) for e in key)):
+        coefficients = series.coefficients(scale)
+        tables.append([(tuple(i for i, e in enumerate(key) for _ in range(e)), coefficients[key])
+                       for key in sorted(coefficients, key=lambda k: (sum(k), k))])
+    return tables[0], tables[1]
+
+
+def tables_agree(fe, n_max: int, d_max: int) -> bool:
+    """`intersection_table` equals the reference route, raw and normalised."""
+    raw, brackets = reference_tables(fe, n_max, d_max)
+    return (intersection_table(fe, n_max, d_max) == raw
+            and intersection_table(fe, n_max, d_max, normalized=True) == brackets)
 
 
 def _digest(text: str) -> str:
@@ -67,8 +100,10 @@ def check(genus: int, emit=None) -> tuple[bool, list[str]]:
             got = ((_digest(back.body_text()), _digest(jet_text(r_poly(back))))
                    if back else ("cache miss", "cache miss"))
             verdicts = ["ok" if a == b else f"MISMATCH (want {b})" for a, b in zip(got, ANCHORS[g])]
-            ok = ok and got == ANCHORS[g]
+            same = bool(back) and tables_agree(back, *TABLE_SIZE)
+            ok = ok and got == ANCHORS[g] and same
             lines.append(f"genus {g}: H_{g} {got[0]} {verdicts[0]}, R_{g} {got[1]} {verdicts[1]}"
+                         f", table {TABLE_SIZE} {'ok' if same else 'MISMATCH'}"
                          f", solved in {elapsed:.2f} s")
             if emit:
                 emit(lines[-1])

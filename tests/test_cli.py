@@ -504,6 +504,28 @@ def test_hodge_json_is_json_dumps_of_the_rows(capsys, genus, tmax, dmax, integra
     assert out == json.dumps({"genus": genus, "table": data}, indent=1) + "\n"
 
 
+@pytest.mark.parametrize("k,grading", [
+    # its z0 term breaks the dimension constraint too, but drops out at t0 = 0
+    (0, "has a z0 term"),
+    # the dimension constraint holds, and z1 is 1 at t1 = 0: only the jet weight shows it
+    (1, "jet weight 5, not 2g - 2 = 4")])
+def test_hodge_exits_1_on_a_body_off_the_string_or_dilaton_grading(capsys, monkeypatch, h123,
+                                                                    k, grading):
+    import cubichodge.cli as cli
+    from cubichodge.loop import FreeEnergy
+
+    h3 = h123[2]
+    exps, c = h3.body.items()[0]
+    term = JetPoly.monomial(c, exps[:2], dict(enumerate(exps[2:])))
+    broken = FreeEnergy(3, h3.body - term + term.mul_z(k))
+    monkeypatch.setattr(cli.LoopSolver, "free_energy", lambda self, genus, cache_dir=None: broken)
+    code, out, err = run_cli(capsys, "hodge", "--genus", "3", "--tmax", "3", "--dmax", "4",
+                             "--integrals")
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["type"] == "AssertionError" and grading in report["error"]
+
+
 def test_hodge_exits_1_on_a_table_off_the_dimension_constraint(capsys, monkeypatch, h123):
     import cubichodge.cli as cli
     from cubichodge.loop import FreeEnergy

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -164,6 +165,20 @@ class TestSolve:
         # a fully cached run solves nothing and builds no f-table
         LoopSolver(3).compute(3, cache_dir=str(tmp_path))
         assert sizes == [7]
+
+    def test_tables_built_before_the_first_clock(self, monkeypatch):
+        # genus 1's wall_time carries neither one-time build of the solver
+        events = []
+        for name in ("_build_row0", "_build_f"):
+            build = getattr(ptensors, name)
+            monkeypatch.setattr(ptensors, name, lambda n_max, name=name, build=build:
+                                events.append(name) or build(n_max))
+        clock = loop.time.monotonic
+        monkeypatch.setattr(loop, "time", SimpleNamespace(
+            monotonic=lambda: events.append("clock") or clock()))
+        LoopSolver(3).compute(3)
+        assert events[:3] == ["_build_row0", "_build_f", "clock"]
+        assert events.count("_build_row0") == events.count("_build_f") == 1
 
     def test_row0_builds_per_solver(self, monkeypatch, tmp_path):
         sizes = []

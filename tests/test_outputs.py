@@ -15,6 +15,8 @@ from golden import (FABER2_TEXT, FABER3_TEXT, R2_TEXT, R3_TEXT, parse_sigma, sig
                     sigma_part)
 from test_phiseries import in_lowest_terms
 
+from anchors import reference_tables
+
 
 def riemann_check(i: int, order: int) -> bool:
     """dv/dt_i = (v^i / i!) dv/dt_0 on TSeries, exact to the given degree."""
@@ -252,6 +254,39 @@ class TestSharedProducts:
         top = 3 * g - 3 + d_max
         series = hodge_expand(h123[g - 1], top + 3, d_max)
         assert all(not any(k[top + 1:]) for k in series.coefficients())
+
+
+class TestStringDilatonRoute:
+    """intersection_table expands H_g only at t0 = t1 = 0 and reads every
+    tau_0 and tau_1 row off the string and dilaton equations; the reference
+    route expands H_g in full (tests/anchors.py)."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_equals_reference_route(self, energies_g5, g):
+        fe = energies_g5[g - 1]
+        for n_max in range(7):
+            for d_max in range(7):
+                raw, brackets = reference_tables(fe, n_max, d_max)
+                assert intersection_table(fe, n_max, d_max) == raw, (n_max, d_max)
+                assert intersection_table(fe, n_max, d_max, normalized=True) == brackets, (n_max, d_max)
+
+    def test_pruned_products(self, monkeypatch, energies_g5):
+        # no product for a jet group whose lowest degrees add up past d_max,
+        # none by a factor that is the series 1: 306 products before the pruning
+        calls = []
+        mul = TSeries.__mul__
+        monkeypatch.setattr(TSeries, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        hodge_expand(energies_g5[4], 3, 5)
+        assert len(calls) == 141
+        del calls[:]
+        for g, n_max, d_max in [(3, 4, 6), (4, 4, 6), (5, 3, 5)]:
+            intersection_table(energies_g5[g - 1], n_max, d_max, normalized=True)
+        assert len(calls) == 164
+
+    def test_genus1_body_beyond_z0_raises(self, h123):
+        fake = FreeEnergy(1, h123[0].body + JetPoly.z(2), log_z1_coeff=Q(1, 24))
+        with pytest.raises(AssertionError, match="sigma polynomial times z0"):
+            intersection_table(fake, 3, 4)
 
 
 class TestFirstFlow:
