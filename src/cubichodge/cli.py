@@ -20,11 +20,12 @@ from typing import NoReturn
 
 from .commutators import commutator_grid, monomial_basis
 from .jets import JetPoly
-from .loop import LoopSolver
+from .loop import GENUS_MAX, LoopSolver
 from .oracles import (btilde11_closed_form_check, c_pair_float_check, chain_rule_check,
                       btilde11_integral_check, cy_power_sum_check, q_geometric_check,
                       row0_shift_oracle, specialization_bridge, v1_asymptotic_check)
 from .outputs import faber_leading, h1_gap_check, intersection_table, r_poly
+from .phiseries import DEGREE_MAX
 from .ptensors import PTensorTable, top_coefficient_value
 from .ratio import qstr
 from .textform import free_energy_text, jet_json, jet_latex, jet_text, json_text
@@ -110,6 +111,8 @@ def _usage_error(message: str) -> NoReturn:
 def _require_genus(args, minimum: int = 1) -> int:
     if args.genus < minimum:
         _usage_error(f"--genus must be >= {minimum}")
+    if args.genus > GENUS_MAX:
+        _usage_error(f"--genus must be <= {GENUS_MAX}")
     if args.cache_dir is None:
         args.cache_dir = os.environ.get("CUBICHODGE_CACHE")
     # a bad cache path would otherwise fail only when the first result is stored
@@ -171,6 +174,9 @@ def cmd_rg(args) -> int:
 
 def cmd_hodge(args) -> int:
     genus = _require_genus(args)
+    # --tmax names a t slot, not an exponent, and the table stops at t_{3g-3+dmax}
+    if args.dmax > DEGREE_MAX:
+        _usage_error(f"--dmax must be <= {DEGREE_MAX}")
     solver = LoopSolver(genus)
     fe = solver.free_energy(genus, args.cache_dir)
     rows = intersection_table(fe, args.tmax, args.dmax, normalized=args.integrals)

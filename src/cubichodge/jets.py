@@ -13,8 +13,7 @@ of s1, s3, z0, ..., zk; only e1 (the z1 slot) may be negative.  Multiplying
 two monomials is one integer addition.  Coefficients are int numerators in
 `terms` over one positive denominator `den`, in lowest terms (the gcd of den
 and every numerator is 1), so equal polynomials compare and hash equal.
-`bound` is at least every |exponent| and guards the packed slots.  `items`
-and the constructor speak exponent tuples and rationals; `items` names each
+`items` and the constructor speak exponent tuples and rationals; `items` names each
 term by (sa, sb, e0, e1) and the jets up to its own highest one.
 
 Products are summed, not formed one by one: `JetPoly.dot` takes a sum of
@@ -22,10 +21,11 @@ products a * b over the common denominator of every a.den * b.den, runs each
 pair into one accumulator, and reduces once; it can add the derivative of one
 more polynomial into the same accumulator.  No operand is copied: a pair's
 scale to the common denominator multiplies each term of its smaller side as
-the product runs (`sparse.mul_into`).  A pair's bound is the sum of its
-sides' bounds, and only a sum that reaches the slot edge reads the keys
-(`sparse.product_bound`); zeros are dropped only when a coefficient cancelled.
-`a * b` is its one-pair case and `derive()` its case without pairs;
+the product runs (`sparse.mul_into`); zeros are dropped only when a
+coefficient cancelled.  `dot` checks no key: its callers keep every exponent
+inside the slot, as the size guards of LoopSolver, PTensorTable and TSeries
+do for every caller in this package.  `a * b` is its one-pair case, guarded
+by one scan of each side's keys, and `derive()` its case without pairs;
 `JetPoly.sum` adds polynomials that are already formed, each under an int
 weight if given.
 """
@@ -35,26 +35,40 @@ from itertools import compress, repeat
 from math import gcd, lcm
 
 from .ratio import Q, is_rational
-from .sparse import (SLOT_HALF, add_into, exponent, mul_into, nonzero, pack, power, product_bound,
-                     split, unit, unpack, width)
+from .sparse import (SLOT_BITS, SLOT_HALF, add_into, exponent, largest_exponent, mul_into, nonzero,
+                     pack, power, split, unit, unpack, width)
+
+
+def _raw(terms: dict, den: int) -> JetPoly:
+    p = JetPoly.__new__(JetPoly)
+    p.terms = terms
+    p.den = den
+    return p
+
+
+def _make(nums: dict, den: int) -> JetPoly:
+    """A JetPoly from nonzero int numerators over den > 0, put in lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: v // g for k, v in nums.items()}
+            den //= g
+    return _raw(nums, den)
 
 
 class JetPoly:
-    __slots__ = ("terms", "den", "bound")
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms=None):
         """`terms` maps exponent tuples (sa, sb, e0, e1, ...) to rationals."""
         fracs = {}
-        bound = 0
         for k, v in (terms or {}).items():
             _check_signs(k[:2], dict(enumerate(k[2:])))
             if v != 0:
                 fracs[pack(k)] = Q(v)
-                bound = max(bound, *map(abs, k))
         # over the lcm of the reduced denominators the numerators are coprime to it
         self.den = lcm(*(q.denominator for q in fracs.values()))
         self.terms = {k: q.numerator * (self.den // q.denominator) for k, q in fracs.items()}
-        self.bound = bound
 
     # -- constructors -------------------------------------------------
 
@@ -70,11 +84,7 @@ class JetPoly:
     def one(cls) -> "JetPoly":
         return cls.const(1)
 
-    @classmethod
-    def packed(cls, nums: dict, den: int, bound: int) -> "JetPoly":
-        """The JetPoly of nonzero int numerators on packed keys over den > 0,
-        whose exponents are at most `bound`, put in lowest terms."""
-        return _make(nums, den, bound)
+    packed = staticmethod(_make)  # nonzero int numerators on packed keys over den > 0
 
     @classmethod
     def z(cls, k: int, power: int = 1) -> "JetPoly":
@@ -90,8 +100,7 @@ class JetPoly:
         if c == 0:
             return cls()
         key = pack(sigma) + sum(pack((e,), 2 + k) for k, e in jets.items())
-        bound = max(0, *map(abs, sigma), *map(abs, jets.values()))
-        return _raw({key: c.numerator}, c.denominator, bound)
+        return _raw({key: c.numerator}, c.denominator)
 
     @classmethod
     def sum(cls, polys, weights=None) -> "JetPoly":
@@ -108,7 +117,7 @@ class JetPoly:
         acc = {}
         for p, w in pairs:
             add_into(acc, p.terms, den // p.den * w)
-        return _make(acc, den, max(p.bound for p, _ in pairs))
+        return _make(acc, den)
 
     @classmethod
     def dot(cls, pairs, derived=None) -> "JetPoly":
@@ -116,14 +125,14 @@ class JetPoly:
         given, accumulated once over their common denominator; no product and
         no derivative is formed on its own, and no operand is copied: each
         pair's scale den // (a.den * b.den) is applied per term of its
-        smaller side."""
+        smaller side.  No key is checked: each exponent of a * b, and each
+        one derive raises by one, must stay inside its slot."""
         live = [(a, b, a.den * b.den) for a, b in pairs if a.terms and b.terms]
         dens = [d for _, _, d in live] + ([derived.den] if derived else [])
         if not dens:
             return cls()
         den = lcm(*dens)
         acc = {}
-        bound = 0
         if derived:
             n = width(derived.terms)
             slots = range(2, n)
@@ -139,19 +148,11 @@ class JetPoly:
                     nk = key + steps[i]
                     w = get(nk)
                     acc[nk] = c * e if w is None else w + c * e
-            bound = product_bound((derived.bound, derived.terms), extra=1)
         for a, b, d in live:
             mul_into(acc, a.terms, b.terms, den // d)
-            # the summed bounds, unless they reach the slot edge: then
-            # product_bound reads both sides' keys or raises OverflowError
-            top = a.bound + b.bound
-            if top >= SLOT_HALF:
-                top = product_bound((a.bound, a.terms), (b.bound, b.terms))
-            if top > bound:
-                bound = top
         if 0 in acc.values():
             acc = nonzero(acc)
-        return _make(acc, den, bound)
+        return _make(acc, den)
 
     # -- ring operations ----------------------------------------------
 
@@ -166,10 +167,13 @@ class JetPoly:
         return JetPoly.sum((self, -other))
 
     def __neg__(self):
-        return _raw({k: -v for k, v in self.terms.items()}, self.den, self.bound)
+        return _raw({k: -v for k, v in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, JetPoly):
+            # a term pair's exponents add, so the sides' largest ones bound the
+            # product's: pack raises OverflowError if their sum leaves the slot
+            pack((largest_exponent(self.terms) + largest_exponent(other.terms),))
             return JetPoly.dot(((self, other),))
         if is_rational(other):
             return self._scaled(other.numerator, other.denominator)
@@ -189,9 +193,10 @@ class JetPoly:
         """self * n / d for d > 0."""
         if n == 0:
             return JetPoly()
-        return _make({k: v * n for k, v in self.terms.items()}, self.den * d, self.bound)
+        return _make({k: v * n for k, v in self.terms.items()}, self.den * d)
 
     def __pow__(self, n: int):
+        # each product of the squaring is a guarded `*`
         return power(self, n, JetPoly.one())
 
     def __eq__(self, other):
@@ -208,11 +213,12 @@ class JetPoly:
     # -- calculus -------------------------------------------------------
 
     def derive(self) -> "JetPoly":
-        """The derivation sum_k z_{k+1} d/dz_k on the jet variables."""
+        """The derivation sum_k z_{k+1} d/dz_k on the jet variables; like
+        `dot`, it checks no key."""
         return JetPoly.dot((), self)
 
     def partial(self, k: int) -> "JetPoly":
-        """d/dz_k."""
+        """d/dz_k; it checks no key, and lowers a z1^-e to z1^-(e+1)."""
         _check_index(k)
         i = 2 + k
         u = unit(i)
@@ -221,49 +227,34 @@ class JetPoly:
             e = exponent(key, i)
             if e:
                 out[key - u] = c * e
-        bound = product_bound((self.bound, self.terms), extra=1)
-        return _make(out, self.den, bound)
+        return _make(out, self.den)
 
     def partials(self, n: int) -> list:
         """[partial(0), ..., partial(n-1)] in one pass over the terms, one
-        unpack per key, each with its exact bound.  The slot that moves holds
-        e and becomes e - 1; the rest of the term keeps the term's top
-        |exponent| m unless that slot held m alone, and then the rest is at
-        most m - 1.  So a term's bound is m + 1 when e = -m, m - 1 when e = m
-        alone, and m otherwise, with no sort.  The pass reads every exponent,
-        so it also sets self.bound to the largest |exponent| of its keys; a
-        bound only guards the slots."""
+        unpack per key."""
         w = width(self.terms)
         slots = range(2, min(w, n + 2))
         units = [unit(i) for i in range(w)]
-        outs, tops, top = [{} for _ in range(n)], [0] * n, 0
+        outs = [{} for _ in range(n)]
         for key, c in self.terms.items():
             es = unpack(key, w)
-            hi, lo = max(es, default=0), -min(es, default=0)
-            m = hi if hi >= lo else lo
-            if m > top:
-                top = m
             for i in compress(slots, es[2:]):
-                e = es[i]
-                outs[i - 2][key - units[i]] = c * e
-                if e == m:
-                    b = m if es.count(m) + es.count(-m) > 1 else m - 1
-                else:
-                    b = m + 1 if e == -m else m
-                if b > tops[i - 2]:
-                    tops[i - 2] = b
-        self.bound = top
-        return [_make(out, self.den, b) for out, b in zip(outs, tops)]
+                outs[i - 2][key - units[i]] = c * es[i]
+        return [_make(out, self.den) for out in outs]
 
     def mul_z(self, k: int, power: int = 1) -> "JetPoly":
-        """Fast multiply by z_k^power."""
+        """Fast multiply by z_k^power; OverflowError if an exponent of z_k
+        would leave its slot, read from each key once."""
         _check_index(k)
         i = 2 + k
-        if power < 0 and k != 1 and any(exponent(key, i) < -power for key in self.terms):
-            raise ValueError("only z1 may carry a negative exponent")
-        bound = product_bound((self.bound, self.terms), extra=abs(power))
+        for key in self.terms:
+            e = exponent(key, i) + power
+            if e < 0 and k != 1:
+                raise ValueError("only z1 may carry a negative exponent")
+            if not -SLOT_HALF < e < SLOT_HALF:
+                raise OverflowError(f"z{k}^{e} does not fit a {SLOT_BITS}-bit slot")
         shift = power * unit(i)
-        return _raw({key + shift: c for key, c in self.terms.items()}, self.den, bound)
+        return _raw({key + shift: c for key, c in self.terms.items()}, self.den)
 
     # -- views and queries -----------------------------------------------
 
@@ -316,7 +307,7 @@ class JetPoly:
             c = scale(jets) if scale else 1
             if c != 1:
                 nums = {k: v * c for k, v in nums.items()}
-            out[jets] = _make(nums, self.den, self.bound)
+            out[jets] = _make(nums, self.den)
         return out
 
     def subs_jets(self, values) -> "JetPoly":
@@ -346,7 +337,7 @@ class JetPoly:
             if scale:
                 for sig, c in terms:
                     acc[sig] = acc.get(sig, 0) + c * scale
-        return _make(nonzero(acc), self.den * common, self.bound)
+        return _make(nonzero(acc), self.den * common)
 
     def weighted_degrees(self, jet_weight, s1_weight: int = 0, s3_weight: int = 0):
         """Set of term degrees under deg z_k = jet_weight(k)."""
@@ -358,14 +349,14 @@ class JetPoly:
 
     def unit_inverse(self) -> "JetPoly | None":
         """c^-1 z1^-k when self is c z1^k with c != 0, a unit of the Laurent
-        jet ring; None for any other polynomial.  Its bound is |k|."""
+        jet ring; None for any other polynomial."""
         if len(self.terms) != 1:
             return None
         (key, c), = self.terms.items()
         k = exponent(key, 3)  # slot 3 holds z1
         if key != k * unit(3):
             return None
-        return _raw({-key: -self.den if c < 0 else self.den}, abs(c), abs(k))
+        return _raw({-key: -self.den if c < 0 else self.den}, abs(c))
 
     def __repr__(self):
         from .textform import jet_text
@@ -384,22 +375,3 @@ def _check_signs(sigma, jets) -> None:
         raise ValueError("sigma exponents must be nonnegative")
     if any(e < 0 and k != 1 for k, e in jets.items()):
         raise ValueError("only z1 may carry a negative exponent")
-
-
-def _raw(terms: dict, den: int, bound: int) -> JetPoly:
-    p = JetPoly.__new__(JetPoly)
-    p.terms = terms
-    p.den = den
-    p.bound = bound
-    return p
-
-
-def _make(nums: dict, den: int, bound: int) -> JetPoly:
-    """A JetPoly from nonzero int numerators over den > 0, put in lowest terms."""
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {k: v // g for k, v in nums.items()}
-            den //= g
-    return _raw(nums, den, bound)
-

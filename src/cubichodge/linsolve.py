@@ -7,8 +7,9 @@ top coefficient c z1^k, so entry (m, i) vanishes for m > i + 1 and the
 system solves top row down.  Each diagonal c z1^k is a unit of the Laurent
 jet ring; the two facts are checked, and each diagonal inverted, once per
 column when the system is built.  A row's residual is multiplied by the
-inverse c^-1 z1^-k, so that unknown carries the sum of the two bounds, not an
-exact one.  Since each inverse times its diagonal is 1, rows 1..n of
+inverse c^-1 z1^-k, one JetPoly.dot like the row's own products: neither
+checks a key, and the loop equation's gradings keep every exponent inside
+its slot (loop.py).  Since each inverse times its diagonal is 1, rows 1..n of
 sum_i columns[i] x_i - rhs vanish identically; the caller checks only that
 rhs has no row above n, and forms the full residual in a pass of its own.
 """
@@ -46,5 +47,5 @@ class TriangularSystem:
         for m in range(n, 0, -1):
             row = [(cols[i].coeff(m), xs[i]) for i in range(m, n)]
             resid = self.rhs.coeff(m) - JetPoly.dot(row)
-            xs[m - 1] = resid * self.inverses[m - 1]
+            xs[m - 1] = JetPoly.dot(((resid, self.inverses[m - 1]),))
         return xs

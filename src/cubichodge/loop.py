@@ -52,13 +52,21 @@ built again.  H_g itself is recovered from the Euler
 identity sum j z_j dH_g/dz_j = (2g-2) H_g, which needs dH_g/dz0 = 0 for
 g >= 2, and for g = 1 from the closed form (1/24) log z1 + (s1/24) z0;
 every partial of that body must equal the solved gradient, so the
-gradient is closed.  The solved gradient carries the summed bounds of
-its products with the inverted diagonals; exact exponent bounds come only
-from JetPoly.partials, the pass that derives a body's gradient and unpacks
-every key anyway.  No jet bound is declared: H_g carries z0..z_{3g-2} by
+gradient is closed.  No jet bound is declared: H_g carries z0..z_{3g-2} by
 its own degree, and a cache record whose jets go past z_{3g-2} misses.  A
 FreeEnergy and its cache record keep only that body; the gradient the next
 genus reads is derived from it again.
+
+The gradings, jet weight J (deg z_k = k) and dual weight D (deg z_k =
+k - 1, deg s1 = 1, deg s3 = 3), bound every exponent a solve forms: in a
+term without z0, z1's lies in [J - 2D, J] and every other one is at most D.
+Each product and sum of the genus-g step is homogeneous in both, with J and
+D at most 3g - 2 (the L_i, f and P~ factors) or with J <= 2g - 2 and
+2D - J <= 4g - 2 (dH_k/dz_i, the weights W, the dressing passes, and row m
+of RHS_g at (2g - 2, 3g - 1 - m)), so no exponent passes 4g - 2; dH_g/dz1
+meets 4g - 3.  H_g reaches z1^-(4g - 4): a cache record with an |exponent|
+above max(1, 4g - 4) misses, and `compute` checks a record's gradings
+before a solve reads it.
 
 A cache record is one file per genus: a first line holding the sha256 of
 the rest of the file, then the record {version, genus, body, log_z1_coeff,
@@ -83,14 +91,18 @@ from .jets import JetPoly
 from .linsolve import TriangularSystem
 from .ptensors import CONSTRUCTION_VERSION, PTensorTable
 from .ratio import Q, parse_q, qjson
-from .sparse import unpack, width
+from .sparse import SLOT_HALF, unpack, width
 from .theta import ThetaPoly
 
 SOLVER_VERSION = "loop-solver-v2"
 CACHE_VERSION = f"{SOLVER_VERSION}|{textform.TEXT_FORM_VERSION}|{CONSTRUCTION_VERSION}"
 
+GENUS_MAX = (SLOT_HALF + 1) // 4  # the largest genus_max with 4 genus_max - 2 < SLOT_HALF
+
 # RHS_1, whose xi_euler images make the linear part of every RHS_g
 T = ThetaPoly([JetPoly.monomial(Q(1, 24), (1, 0), {}), JetPoly.const(Q(-1, 16))])
+
+H1_BODY = JetPoly.monomial(Q(1, 24), (1, 0), {0: 1})  # beside (1/24) log z1
 
 
 class LoopEquationError(ArithmeticError):
@@ -107,8 +119,7 @@ class FreeEnergy:
 
     @functools.cached_property
     def gradient(self) -> list:
-        """dH_g/dz_i for i = 0..3g-2, derived from the body on first read,
-        each with its exact exponent bound."""
+        """dH_g/dz_i for i = 0..3g-2, derived from the body on first read."""
         grad = self.body.partials(3 * self.genus - 1)
         if self.log_z1_coeff is not None:
             grad[1] += JetPoly.z(1, -1) * self.log_z1_coeff
@@ -123,8 +134,10 @@ class FreeEnergy:
 
 class LoopSolver:
     def __init__(self, genus_max: int):
-        if genus_max < 1:
-            raise ValueError("genus bound must be >= 1")
+        """Its genus-g steps form exponents up to 4g - 2, its table up to
+        3 genus_max - 1 (module docstring): ValueError past GENUS_MAX."""
+        if not 1 <= genus_max <= GENUS_MAX:
+            raise ValueError(f"genus_max {genus_max} outside 1..{GENUS_MAX}")
         self.genus_max = genus_max
         self.table = PTensorTable(3 * genus_max - 2)
         self._lhs: list[ThetaPoly] = []
@@ -203,7 +216,7 @@ class LoopSolver:
 
     def residual(self, g: int, energies) -> ThetaPoly:
         """LHS - RHS of the epsilon^(2g-2) slice with computed energies plugged
-        in, on every pi_m row."""
+        in, on every pi_m row; they obey the gradings, as `compute`'s do."""
         lhs = ThetaPoly.dot([(self.lhs_coefficient(i), gi)
                              for i, gi in enumerate(energies[g - 1].gradient) if gi])
         return lhs - self.rhs_genus(g, energies)
@@ -218,8 +231,7 @@ class LoopSolver:
             expect1 = JetPoly.z(1, -1) * Q(1, 24)
             if gradient[0] != expect0 or gradient[1] != expect1:
                 raise LoopEquationError("genus-1 gradient does not match the closed form")
-            body = JetPoly.monomial(Q(1, 24), (1, 0), {0: 1})
-            return FreeEnergy(1, body, log_z1_coeff=Q(1, 24))
+            return FreeEnergy(1, H1_BODY, log_z1_coeff=Q(1, 24))
 
         if gradient[0]:
             raise LoopEquationError(f"dH_{g}/dz0 is nonzero")
@@ -232,15 +244,20 @@ class LoopSolver:
         return fe
 
     def _check_homogeneity(self, fe: FreeEnergy) -> None:
-        if fe.genus < 2:
+        """The gradings a solve reading fe rests on, else LoopEquationError."""
+        if fe.genus == 1:
+            if fe.body != H1_BODY:
+                raise LoopEquationError("H_1 is not its closed form")
             return
         g, terms = fe.genus, fe.body.terms
-        n = width(terms)
+        n = max(width(terms), 3)
         # both gradings from one unpack per key: deg z_k = k; and deg z_k = k - 1,
         # deg s1 = 1, deg s3 = 3
         jet, dual = (0, 0, *range(n - 2)), (1, 3, *range(-1, n - 3))
         for key in terms:
             es = unpack(key, n)
+            if es[2]:
+                raise LoopEquationError(f"H_{g} has a z0 term")
             if sum(map(mul, jet, es)) != 2 * g - 2:
                 raise LoopEquationError(f"H_{g} is not (2g-2)-homogeneous in jet weights")
             if sum(map(mul, dual, es)) != 3 * g - 3:
@@ -253,13 +270,17 @@ class LoopSolver:
             raise ValueError(f"genus {genus} outside the solver's range 1..{self.genus_max}")
 
     def compute(self, genus: int, cache_dir: str | None = None):
-        """H_1..H_genus, resuming from every valid record in the cache."""
+        """H_1..H_genus, resuming from every valid record in the cache that
+        keeps the gradings (module docstring); each other genus is solved."""
         self._check_genus(genus)
         energies: list[FreeEnergy] = []
         for g in range(1, genus + 1):
-            fe = None
-            if cache_dir:
-                fe = load_cached(cache_dir, g)
+            fe = load_cached(cache_dir, g) if cache_dir else None
+            if fe is not None:
+                try:
+                    self._check_homogeneity(fe)
+                except LoopEquationError:
+                    fe = None
             if fe is None:
                 fe = self.solve_genus(g, energies)
                 if cache_dir:
@@ -313,8 +334,9 @@ def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
 def load_cached(cache_dir: str, genus: int) -> FreeEnergy | None:
     """Return the cached FreeEnergy, or None when the first line is not the
     sha256 of the rest of the file, on a version mismatch, or on any
-    corruption, such as a jet above z_(3g-2), a zero denominator or a log z1
-    coefficient at a genus other than 1 (or none at genus 1)."""
+    corruption, such as a jet above z_(3g-2), an |exponent| above
+    max(1, 4g - 4), a zero denominator or a log z1 coefficient at a genus
+    other than 1 (or none at genus 1)."""
     path = cache_path(cache_dir, genus)
     try:
         with open(path, "rb") as fh:
@@ -330,7 +352,7 @@ def load_cached(cache_dir: str, genus: int) -> FreeEnergy | None:
             return None
         if record["genus"] != genus or (record["log_z1_coeff"] is None) == (genus == 1):
             return None
-        body = textform.jet_from_json(record["body"], 3 * genus - 2)
+        body = textform.jet_from_json(record["body"], 3 * genus - 2, max(1, 4 * genus - 4))
         log_c = parse_q(record["log_z1_coeff"]) if genus == 1 else None
         return FreeEnergy(genus, body, log_c, dict(provenance, cache="hit"))
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,

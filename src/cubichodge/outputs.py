@@ -44,11 +44,11 @@ def v_jets(n_max: int, d_max: int, count: int, origin: bool = False) -> list:
     With `origin`, the jets at t0 = t1 = 0: only the terms with m_0 = m_1 = 0,
     so v^(k) keeps the m_2.. with sum (i-1) m_i = k - 1, in degree sum m_i;
     v is 0 there and v' is 1."""
-    terms = [{} for _ in range(count + 1)]  # k -> degree -> [(key, W!, denominator, top)]
+    terms = [{} for _ in range(count + 1)]  # k -> degree -> [(key, W!, denominator)]
 
-    def place(i: int, key: int, w: int, s: int, n: int, p: int, top: int) -> None:
-        # key packs m_1..m_{i-1}; w, s, n, p are their W, sum (j-1) m_j, sum m_j,
-        # prod m_j! (j!)^m_j, and top is the largest m_j
+    def place(i: int, key: int, w: int, s: int, n: int, p: int) -> None:
+        # key packs m_1..m_{i-1}; w, s, n, p are their W, sum (j-1) m_j, sum m_j
+        # and prod m_j! (j!)^m_j
         if i <= n_max:
             # W stays below d_max + count, and sum m_j <= d_max; at the origin
             # sum (j-1) m_j stays below count
@@ -57,22 +57,21 @@ def v_jets(n_max: int, d_max: int, count: int, origin: bool = False) -> list:
                 cap = min(cap, (count - 1 - s) // (i - 1))
             for m in range(cap + 1):
                 place(i + 1, key + m * unit(2 + i), w + i * m, s + (i - 1) * m, n + m,
-                      p * factorial(m) * factorial(i) ** m, max(top, m))
+                      p * factorial(m) * factorial(i) ** m)
             return
         for k in range(max(0, w + 1 - d_max, 1 + s if origin else 0), min(count, 1 + s) + 1):
             m0 = 1 - k + s
             terms[k].setdefault(1 - k + w, []).append(
-                (key + m0 * unit(2), factorial(w), factorial(m0) * p, max(top, m0)))
+                (key + m0 * unit(2), factorial(w), factorial(m0) * p))
 
-    place(2 if origin else 1, 0, 0, 0, 0, 1, 0)
+    place(2 if origin else 1, 0, 0, 0, 0, 1)
     del place  # a recursive closure is a reference cycle: break it so `terms` is freed on return
     jets = []
     for by_degree in terms:
         grades = {}
         for d, group in by_degree.items():
-            den = lcm(*(q for _, _, q, _ in group))
-            grades[d] = JetPoly.packed({key: num * (den // q) for key, num, q, _ in group}, den,
-                                       max(top for _, _, _, top in group))
+            den = lcm(*(q for _, _, q in group))
+            grades[d] = JetPoly.packed({key: num * (den // q) for key, num, q in group}, den)
         jets.append(TSeries.graded(n_max, d_max, grades))
     return jets
 

@@ -19,7 +19,7 @@ from math import comb
 
 from .jets import JetPoly
 from .ratio import Q, QONE, QZERO, is_rational
-from .sparse import power, unpack
+from .sparse import SLOT_HALF, power, unpack
 
 
 class TruncationError(ValueError):
@@ -58,13 +58,9 @@ _power_cache = [JetPoly.const(3), _E1]
 def _power_sum_any(k: int) -> JetPoly:
     while len(_power_cache) <= k:
         m = len(_power_cache)
-        if m == 2:
-            p = _E1 * _E1
-        elif m == 3:
-            p = _E1 * _power_cache[2] + _E3 * 3
-        else:
-            p = _E1 * _power_cache[m - 1] + _E3 * _power_cache[m - 3]
-        _power_cache.append(p)
+        # Newton: p_m = e1 p_(m-1) + e3 p_(m-3) with e2 = 0, from p_0 = 3 at m = 3
+        pairs = [(_E1, _power_cache[m - 1])] + ([(_E3, _power_cache[m - 3])] if m >= 3 else [])
+        _power_cache.append(JetPoly.dot(pairs))
     return _power_cache[k]
 
 
@@ -76,6 +72,8 @@ def power_sum(k: int) -> JetPoly:
 
 
 # -- truncated power series ---------------------------------------------------
+
+DEGREE_MAX = SLOT_HALF - 1  # the largest d_max, and so t exponent, of a TSeries
 
 
 class TSeries:
@@ -90,6 +88,8 @@ class TSeries:
     jets (`const` a rational too), and `coefficient` and `coefficients` give
     them back as such; a jet in a coefficient would land in a t slot, so the
     constructor raises ValueError for one.
+    A grade's t exponents add up to its degree, so both constructors raise
+    ValueError past d_max = DEGREE_MAX; the arithmetic checks no key.
     """
 
     __slots__ = ("n_max", "d_max", "grades")
@@ -97,6 +97,8 @@ class TSeries:
     def __init__(self, n_max: int, d_max: int, terms=None):
         """`terms` maps a t-exponent tuple to its coefficient, a JetPoly
         without jets."""
+        if d_max > DEGREE_MAX:
+            raise ValueError(f"d_max {d_max} is above DEGREE_MAX = {DEGREE_MAX}")
         parts = {}
         for k, c in (terms or {}).items():
             if c and sum(k) <= d_max:
@@ -118,6 +120,8 @@ class TSeries:
     def graded(cls, n_max: int, d_max: int, grades: dict) -> "TSeries":
         """The series of {degree: JetPoly of that degree's terms}; drops zero
         grades and degrees beyond d_max."""
+        if d_max > DEGREE_MAX:
+            raise ValueError(f"d_max {d_max} is above DEGREE_MAX = {DEGREE_MAX}")
         s = cls.__new__(cls)
         s.n_max = n_max
         s.d_max = d_max

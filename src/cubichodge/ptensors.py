@@ -57,6 +57,9 @@ per table against the Bell rows i <= SELFCHECK_TO.
 A table holds P~_{i,j} for i + j <= n_max and f_{i,j} for i <= n_max, a
 size fixed when it is made: row 0 up to z^-n_max and the f-table are each
 built whole on their first read, and every P~ entry once read is cached.
+By the gradings of loop.py (and deg 1/z = -1, so Phi d^m/dz^m (1/Phi) has
+weight -m) no exponent of a table passes n_max, but the z^-(n_max + 1)
+that d/dz forms past the truncation: n_max > N_MAX raises ValueError.
 P~ carries no jet, and the table no jet bound: f_{i,j} carries the jets
 z1..z_{i-j+1}, and the weights bring in only the jets they carry.
 `dump_json` writes a set fixed by n_max, whatever has been read: row 0 and
@@ -71,6 +74,7 @@ from math import comb, factorial
 from .jets import JetPoly
 from .phiseries import double_factorial_odd, phi_d_inv_all
 from .ratio import Q
+from .sparse import SLOT_HALF
 from .theta import ThetaPoly
 
 CONSTRUCTION_VERSION = "ptensor-v1:binomial-lhs,row0-eq43,dfact(-1)=1"
@@ -78,15 +82,20 @@ CONSTRUCTION_VERSION = "ptensor-v1:binomial-lhs,row0-eq43,dfact(-1)=1"
 # a table checks its rows f_{i,j} for i <= SELFCHECK_TO against the Bell table
 SELFCHECK_TO = 8
 
+N_MAX = SLOT_HALF - 2  # the largest n_max whose z^-(n_max + 1) fits a slot
+
 _ZERO = JetPoly.zero()
 _Z1 = JetPoly.z(1)
 
 
 class PTensorTable:
     """P~_{i,j} for i + j <= n_max and f_{i,j} for i <= n_max; row 0 and the
-    f-table are each built whole on their first read."""
+    f-table are each built whole on their first read.  Its exponents reach
+    n_max + 1 (module docstring): ValueError past N_MAX."""
 
     def __init__(self, n_max: int):
+        if n_max > N_MAX:
+            raise ValueError(f"n_max {n_max} is above N_MAX = {N_MAX}")
         self.n_max = n_max
         self._f: list[list[JetPoly]] | None = None
         self._ptilde: dict[tuple[int, int], ThetaPoly] = {}

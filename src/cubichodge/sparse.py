@@ -16,18 +16,19 @@ For every polynomial over Q[s1, s3], slots 0 and 1 hold the s1 and s3
 exponents; the slots after them hold the jets z0, z1, ... (in a TSeries,
 t0..tn take their slots).  A key has as many slots as it needs: `width`
 reads from the keys how many are in use.  The functions `pack`, `unpack`,
-`width`, `unit`, `exponent` and `split` below are the only code that knows
-this layout.
+`width`, `unit`, `exponent`, `split` and `largest_exponent` below are the
+only code that knows this layout.
 
-A key is right only while every slot stays inside the slot.  Each polynomial
-therefore carries a bound on |e_i| over all its terms and slots: products
-add the bounds, sums take the largest, and `product_bound` raises
-OverflowError before a bound can leave the slot.  The one pass that sets
-exact bounds is `JetPoly.partials`, which unpacks every key anyway: on each
-partial and on the polynomial it reads.  Back substitution multiplies by
-unit diagonals, so a solved gradient carries a summed bound; the gradient a
-free energy derives from its body is exact again.  Nothing rescans keys for
-a bound alone.
+A key is right only while every exponent stays inside its slot, and no
+polynomial carries a record of its exponents.  The guard sits where
+exponents enter or can grow without a size that fixes them: `pack` raises
+OverflowError on an exponent past the slot, and so do the JetPoly
+operations `*` and `**`, after one scan of their operands' keys
+(`largest_exponent`), and `mul_z`, after one read of its slot per key;
+none of them scans term pairs.  The loop equation is graded, so a solve's
+exponents are fixed by its genus: LoopSolver, PTensorTable and TSeries
+check their sizes when they are made, and the kernels below, with
+`JetPoly.dot` and ThetaPoly and TSeries arithmetic, form keys unchecked.
 
 The term-dict arithmetic (`add_into`, `mul_into`, `nonzero`) serves JetPoly
 alone, which stores int numerators over one common denominator per
@@ -109,11 +110,11 @@ def split(key: int, n: int) -> tuple[int, int]:
     return low, (key - low) >> (SLOT_BITS * n)
 
 
-# -- the exponent bound -----------------------------------------------------------
+# -- the exponent scan -------------------------------------------------------------
 
 
-def exponent_bound(terms) -> int:
-    """max |e_i| over every key of the term dict, read from the keys."""
+def largest_exponent(terms) -> int:
+    """max |e_i| over every slot of every key of the term dict."""
     top = 0
     for key in terms:
         while key:
@@ -124,25 +125,6 @@ def exponent_bound(terms) -> int:
                 top = -e
             key = (key - e) >> SLOT_BITS
     return top
-
-
-def product_bound(*parts, extra: int = 0) -> int:
-    """A bound on the exponents of a product of parts (bound, term dict) times
-    a monomial whose exponents are at most `extra`.
-
-    The parts' bounds add.  Only when that sum would leave the slot is each
-    part's bound read again from its keys; OverflowError if the exact sum
-    still does not fit.
-    """
-    total = extra
-    for b, _ in parts:
-        total += b
-    if total < SLOT_HALF:
-        return total
-    total = extra + sum(exponent_bound(terms) for _, terms in parts)
-    if total >= SLOT_HALF:
-        raise OverflowError(f"exponents up to {total} do not fit a {SLOT_BITS}-bit slot")
-    return total
 
 
 # -- arithmetic on term dicts -------------------------------------------------------
@@ -177,7 +159,8 @@ def mul_into(acc: dict, a: dict, b: dict, scale: int = 1) -> dict:
     many products into one acc: `JetPoly.dot` every pair of a sum of
     products, each pair with its own scale to the common denominator.
     Coefficients that cancel stay behind as zeros: `nonzero` drops them
-    once, after the last product into acc.
+    once, after the last product into acc.  No key is checked: every sum
+    ka + kb must keep each exponent inside its slot.
     """
     if len(a) < len(b):
         a, b = b, a

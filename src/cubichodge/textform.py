@@ -169,18 +169,19 @@ def jet_json(p: JetPoly) -> list:
             for key, num, den in rows]
 
 
-def jet_from_json(data: list, top: int) -> JetPoly:
+def jet_from_json(data: list, top: int, cap: int = SLOT_HALF - 1) -> JetPoly:
     """The JetPoly of jet_json's list, summing repeated terms and dropping
     zero ones.  A term's key is used only once every check on the term has
     passed: ValueError for a sigma other than two nonnegative ints, for a
     jet exponent that is not an int or is negative outside z1, and for a
     coefficient that is not "num" or "num/den" in ints; KeyError for a jet
-    name other than z0..z{top}; OverflowError for an exponent that does not
-    fit its slot; ZeroDivisionError for a zero denominator."""
+    name other than z0..z{top}; OverflowError for an |exponent| above cap,
+    or above SLOT_HALF - 1, the largest a slot holds; ZeroDivisionError for
+    a zero denominator."""
     slots = {f"z{k}": unit(2 + k) for k in range(top + 1)}
     s3, z1 = unit(1), unit(3)
+    cap = min(cap, SLOT_HALF - 1)
     parsed = []
-    bound = 0
     for term in data:
         sa, sb = sigma = term["sigma"]
         if type(sa) is not int or type(sb) is not int or sa < 0 or sb < 0:
@@ -194,22 +195,20 @@ def jet_from_json(data: list, top: int) -> JetPoly:
             if abs(e) > top_e:
                 top_e = abs(e)
             key += e * slot
-        if top_e >= SLOT_HALF:
-            raise OverflowError(f"exponent {top_e} does not fit a slot")
+        if top_e > cap:
+            raise OverflowError(f"exponent {top_e} is above the cap {cap}")
         num, slash, den = term["coef"].partition("/")
         num, den = int(num), int(den) if slash else 1
         if not den:
             raise ZeroDivisionError(f"coefficient {term['coef']!r} has a zero denominator")
         if num:
             parsed.append((key, num, den))
-            if top_e > bound:
-                bound = top_e
     common = lcm(*(d for _, _, d in parsed))  # positive, as math.lcm is
     nums = {}
     get = nums.get
     for key, num, den in parsed:
         nums[key] = get(key, 0) + num * (common // den)
-    return JetPoly.packed({k: v for k, v in nums.items() if v}, common, bound)
+    return JetPoly.packed({k: v for k, v in nums.items() if v}, common)
 
 
 def json_text(obj, sort_keys: bool = False) -> str:

@@ -1,7 +1,8 @@
 """Polynomials in the formal loop-equation variable Theta with JetPoly coefficients.
 
 A ThetaPoly is its coefficients alone; like a JetPoly it declares no jet
-bound, so derive may reach any z_k.
+bound, so derive may reach any z_k.  Its arithmetic is JetPoly.dot and
+JetPoly.sum per coefficient, which check no key (loop.py bounds a solve's).
 
 Theta stands for 1/(1 - e^{z0}/mu) with mu never assigned a value; every
 identity downstream holds coefficient-wise in Theta.  A ThetaPoly holds the

@@ -5,6 +5,9 @@ import pytest
 
 from cubichodge.cli import main
 from cubichodge.jets import JetPoly
+from cubichodge.loop import GENUS_MAX
+from cubichodge.phiseries import DEGREE_MAX
+from cubichodge.sparse import SLOT_HALF
 
 from golden import H1_TEXT, H2_TEXT, R2_TEXT, R3_TEXT
 from test_loop import read_record, rewrite_record
@@ -50,11 +53,24 @@ def test_compute_genus2(capsys):
     ["virasoro", "--k1", "1", "--k2", "2", "--cutoff", "5"],
     ["virasoro", "--k1", "1", "--k2", "2", "--cache-dir", "cache"],
     ["verify", "--suite", "bell", "--format", "json"],
+    ["compute", "--genus", str(GENUS_MAX + 1)],
+    ["rg", "--genus", str(GENUS_MAX + 1)],
+    ["hodge", "--genus", str(GENUS_MAX + 1)],
+    ["verify", "--genus", str(GENUS_MAX + 1), "--suite", "gap"],
+    ["hodge", "--genus", "2", "--dmax", str(DEGREE_MAX + 1)],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_hodge_tmax_names_a_slot_not_an_exponent(capsys):
+    """--tmax enters no exponent: the table stops at t_(3g-3+dmax), so a
+    --tmax far past the slot edge prints the table of that last index."""
+    wide = run_cli(capsys, "hodge", "--genus", "2", "--tmax", str(4 * SLOT_HALF), "--dmax", "3")
+    assert wide[0] == 0
+    assert wide == run_cli(capsys, "hodge", "--genus", "2", "--tmax", "6", "--dmax", "3")
 
 
 @pytest.mark.parametrize("case", ["cache-dir-is-file", "cache-env-is-file", "cache-dir-under-file",

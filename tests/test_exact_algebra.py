@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cubichodge.jets import JetPoly
 from cubichodge.linsolve import SolveError, TriangularSystem
 from cubichodge.ratio import Q
-from cubichodge.sparse import exponent_bound
+from cubichodge.sparse import largest_exponent
 from cubichodge.theta import ThetaPoly
 
 from powertheta import PowerTheta
@@ -230,7 +230,6 @@ def assert_matches(got: JetPoly, ref: dict):
     assert dict(got.items()) == ref
     # lowest terms: the constructor's canonical form of the same rationals
     assert got == JetPoly(ref)
-    assert got.bound >= exponent_bound(got.terms)
 
 
 class TestDot:
@@ -295,14 +294,13 @@ class TestUnitDiagonals:
             for c in (Q(-3, 2), Q(5)):
                 u = z(1, k) * c
                 assert u * u.unit_inverse() == const(1)
-                assert u.unit_inverse().bound == abs(k)
         s1 = JetPoly.monomial(1, (1, 0), {})
         for p in (s1, z(2), z(0) * z(1), z(1) + const(1), JetPoly.zero()):
             assert p.unit_inverse() is None
 
 
-# wider exponents than dot_keys, z1 down to -4, for the bounds set by the
-# passes that unpack every key
+# wider exponents than dot_keys, z1 down to -4, for the passes that unpack
+# every key
 wide_keys = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 3),
                       st.integers(-4, 3), st.integers(0, 3), st.integers(0, 2))
 wide_jets = st.dictionaries(wide_keys, dot_coefs, max_size=6).map(JetPoly)
@@ -330,10 +328,6 @@ def ref_merge(*parts) -> dict:
         for k, v in part.items():
             out[k] = out.get(k, Fraction(0)) + v
     return {k: v for k, v in out.items() if v}
-
-
-def assert_exact_bound(p: JetPoly):
-    assert p.bound == exponent_bound(p.terms)
 
 
 class TestOnePass:
@@ -364,22 +358,21 @@ class TestOnePass:
         for i, q in enumerate(got):
             expect = p.partial(i)
             assert q.terms == expect.terms and q.den == expect.den, i
-            assert_exact_bound(q)
-        assert_exact_bound(p)
 
     def test_partials_bounds_by_hand(self):
-        # z1^-3 z2^3: d/dz1 raises |e1| to 4, the largest exponent; d/dz2
-        # lowers the unique top slot z2^3 of the other term, leaving z1^2
+        # z1^-3 z2^3: d/dz1 raises |e1| to 4, the largest exponent, which the
+        # key scan of the `*` guard reads; d/dz2 lowers the unique top slot
+        # z2^3 of the other term, leaving z1^2
         p = JetPoly({(0, 0, 0, -3, 3): Fraction(1, 2), (0, 0, 0, 2, 3): Fraction(1)})
         d0, d1, d2 = p.partials(3)
-        assert not d0.terms and d0.bound == 0
+        assert not d0.terms and largest_exponent(d0.terms) == 0
         assert d1 == JetPoly({(0, 0, 0, -4, 3): Fraction(-3, 2), (0, 0, 0, 1, 3): 2})
-        assert d1.bound == 4
+        assert largest_exponent(d1.terms) == 4
         assert d2 == JetPoly({(0, 0, 0, -3, 2): Fraction(3, 2), (0, 0, 0, 2, 2): 3})
-        assert d2.bound == 3
+        assert largest_exponent(d2.terms) == 3
         q = JetPoly({(0, 0, 0, 1, 3): 1})
-        assert q.partials(3)[2].bound == 2
-        assert p.bound == 3
+        assert largest_exponent(q.partials(3)[2].terms) == 2
+        assert largest_exponent(p.terms) == 3
 
     def test_partials_bounds_tie_by_hand(self):
         # z1 z2^3 z3^3 and s1^2 z2^2 z3^2: two or three slots tie for the top
@@ -388,10 +381,10 @@ class TestOnePass:
         d2, d3 = p.partials(4)[2:]
         assert d2 == JetPoly({(0, 0, 0, 1, 2, 3): 1, (2, 0, 0, 0, 1, 2): -2})
         assert d3 == JetPoly({(0, 0, 0, 1, 3, 2): 1, (2, 0, 0, 0, 2, 1): -2})
-        assert d2.bound == d3.bound == 3
+        assert largest_exponent(d2.terms) == largest_exponent(d3.terms) == 3
         # no tie in z1 z2^3 z3^2: lowering the lone top z2^3 leaves 2
         q = JetPoly({(0, 0, 0, 1, 3, 2): 1})
-        assert [r.bound for r in q.partials(4)[1:]] == [3, 2, 3]
+        assert [largest_exponent(r.terms) for r in q.partials(4)[1:]] == [3, 2, 3]
 
 
 _small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)

@@ -253,11 +253,27 @@ class TestSolve:
             LoopSolver(genus).compute(genus)
 
     def test_exponent_bounds_are_exact(self, energies_g5):
-        from cubichodge.sparse import exponent_bound
+        """The gradings' exponent bounds are reached: H_g's largest |exponent|
+        is max(1, 4g - 4), the cache reader's cap, and its gradient's 4g - 3,
+        from z1^-(4g - 3) in dH_g/dz1, inside the 4g - 2 of a genus-g step."""
+        from cubichodge.sparse import exponent, largest_exponent
 
         for fe in energies_g5:
-            for p in [fe.body] + fe.gradient:
-                assert p.bound == exponent_bound(p.terms), fe.genus
+            g = fe.genus
+            assert largest_exponent(fe.body.terms) == max(1, 4 * g - 4), g
+            assert max(largest_exponent(p.terms) for p in fe.gradient) == max(1, 4 * g - 3), g
+            assert min(exponent(key, 3) for key in fe.gradient[1].terms) == -max(1, 4 * g - 3)
+
+    def test_solver_size_guard(self):
+        """A solver past GENUS_MAX could form an exponent of 4 genus_max - 2
+        at or past the slot edge; one at GENUS_MAX cannot."""
+        from cubichodge.sparse import SLOT_HALF
+
+        assert 4 * loop.GENUS_MAX - 2 < SLOT_HALF <= 4 * (loop.GENUS_MAX + 1) - 2
+        assert LoopSolver(loop.GENUS_MAX).table.n_max == 3 * loop.GENUS_MAX - 2
+        for genus_max in (loop.GENUS_MAX + 1, 0):
+            with pytest.raises(ValueError, match="genus_max"):
+                LoopSolver(genus_max)
 
     def test_reconstruct_from_gradient(self, h123):
         solver = LoopSolver(4)
@@ -279,7 +295,8 @@ class TestSolve:
     @pytest.mark.parametrize("extra,grading", [
         (JetPoly.z(3), "jet weights"),  # jet weight 3 and dual weight 2: both off
         (JetPoly.monomial(1, (0, 0), {1: -1, 4: 1}), "jet weights"),  # 3 and 3: the jet one
-        (JetPoly.z(2), "dual grading")])  # 2 and 1: the dual one
+        (JetPoly.z(2), "dual grading"),  # 2 and 1: the dual one
+        (JetPoly.monomial(1, (3, 0), {0: 1, 2: 1}), "z0 term")])  # 2 and 3, with a z0
     def test_homogeneity_check_names_the_broken_grading(self, h123, extra, grading):
         solver = LoopSolver(2)
         solver._check_homogeneity(h123[1])
@@ -525,7 +542,7 @@ class TestCache:
     def test_split_and_zero_terms_read_back_whole(self, tmp_path, h123):
         """Repeated terms are summed, zero ones dropped, and a negative
         denominator normalised: the record reads back as the solved body,
-        with its den and bound."""
+        with its den."""
         h2 = h123[1].body
 
         def rewrite(record):
@@ -541,7 +558,7 @@ class TestCache:
         _store_tampered(tmp_path, h123[1], rewrite)
         fe = load_cached(str(tmp_path), 2)
         assert fe is not None
-        assert fe.body == h2 and (fe.body.den, fe.body.bound) == (h2.den, h2.bound)
+        assert fe.body == h2 and fe.body.den == h2.den
 
     @pytest.mark.parametrize("change", [
         ("coef", "1/0"), ("coef", "1/2/3"), ("coef", 5), ("coef", "x"),
@@ -562,22 +579,43 @@ class TestCache:
         _store_tampered(tmp_path, h123[1], bad_term)
         assert load_cached(str(tmp_path), 2) is None
 
-    @pytest.mark.parametrize("change", [("z1", -(2 ** 15) + 1), ("z2", 2 ** 15 - 1),
-                                        ("sigma", [2 ** 15 - 1, 0])], ids=repr)
-    def test_largest_exponents_hit(self, tmp_path, h123, change):
-        field, value = change
+    @pytest.mark.parametrize("field", ["z1", "z2", "sigma"])
+    def test_largest_exponents_hit(self, tmp_path, h123, field):
+        """The reader caps a genus-2 record's exponents at 4g - 4 = 4, the
+        largest H_2 has: a term at the cap hits, one past it misses."""
+        def big_term(e):
+            def change(record):
+                term = {"coef": "1/5", "sigma": [0, 0], "jets": {}}
+                if field == "sigma":
+                    term["sigma"] = [e, 0]
+                else:
+                    term["jets"][field] = -e if field == "z1" else e
+                record["body"].append(term)
+            return change
 
-        def big_term(record):
-            term = {"coef": "1/5", "sigma": [0, 0], "jets": {}}
-            if field == "sigma":
-                term["sigma"] = value
-            else:
-                term["jets"][field] = value
-            record["body"].append(term)
-
-        _store_tampered(tmp_path, h123[1], big_term)
+        _store_tampered(tmp_path, h123[1], big_term(4))
         fe = load_cached(str(tmp_path), 2)
-        assert fe is not None and fe.body.bound == 2 ** 15 - 1
+        assert fe is not None and fe.body != h123[1].body
+        _store_tampered(tmp_path, h123[1], big_term(5))
+        assert load_cached(str(tmp_path), 2) is None
+
+    @pytest.mark.parametrize("g,jets", [(1, {"z1": 1}), (2, {"z2": 1})])
+    def test_ungraded_record_is_solved_again(self, tmp_path, h123, g, jets):
+        """A record inside the cap but off the gradings (at genus 1, off the
+        closed form) is read, but compute solves its genus again before a
+        solve reads it, and stores it anew."""
+        def off_grading(record):
+            record["body"].append({"coef": "1/5", "sigma": [0, 0], "jets": jets})
+
+        for fe in h123[:g - 1]:
+            store_cached(str(tmp_path), fe)
+        _store_tampered(tmp_path, h123[g - 1], off_grading)
+        assert load_cached(str(tmp_path), g) is not None
+        energies = LoopSolver(3).compute(3, str(tmp_path))
+        cached = [fe.provenance.get("cache") for fe in energies]
+        assert cached == ["hit"] * (g - 1) + [None] * (4 - g)
+        assert [fe.body for fe in energies] == [fe.body for fe in h123]
+        assert load_cached(str(tmp_path), g).body == h123[g - 1].body
 
     def test_torn_write_keeps_previous_record(self, tmp_path, h123, monkeypatch):
         fe = FreeEnergy(2, h123[1].body)
@@ -762,12 +800,15 @@ def test_anchor_script_through_genus5():
 
 
 def test_no_exponent_bound_rescans(monkeypatch):
-    """Exact bounds come from the pass that unpacks the keys
-    (JetPoly.partials), not from a second scan of them."""
-    from cubichodge import sparse
+    """A solve forms its products through JetPoly.dot alone, whose keys the
+    gradings keep inside their slots: the key scan of the guarded `*` and
+    `**` never runs."""
+    from cubichodge import jets
 
     calls = []
-    scan = sparse.exponent_bound
-    monkeypatch.setattr(sparse, "exponent_bound", lambda terms: calls.append(1) or scan(terms))
+    scan = jets.largest_exponent
+    monkeypatch.setattr(jets, "largest_exponent", lambda terms: calls.append(1) or scan(terms))
+    assert JetPoly.z(2) * JetPoly.z(3) == JetPoly({(0, 0, 0, 0, 1, 1): 1}) and len(calls) == 2
+    calls.clear()
     LoopSolver(6).compute(6)
-    assert len(calls) <= 6
+    assert calls == []

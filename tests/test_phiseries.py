@@ -10,7 +10,6 @@ from cubichodge.phiseries import (TruncationError, TSeries, bernoulli, binomial_
                                   log_phi_shifted, phi_d_inv_all, power_sum, q_number)
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
-from cubichodge.sparse import exponent_bound
 from cubichodge.textform import jet_json
 from golden import sigma_degrees
 from test_bell import bell_complete_all
@@ -181,9 +180,9 @@ class TestSeriesArithmetic:
 
 def in_lowest_terms(s: TSeries) -> bool:
     """Every degree holds a nonzero JetPoly whose den > 0 has gcd 1 with its
-    (nonzero, integer) numerators and whose bound covers its keys."""
+    (nonzero, integer) numerators."""
     return all(g.terms and all(g.terms.values()) and g.den > 0 and gcd(g.den, *g.terms.values()) == 1
-               and g.bound >= exponent_bound(g.terms) for g in s.grades.values())
+               for g in s.grades.values())
 
 
 def dens(s: TSeries) -> dict:
@@ -374,3 +373,22 @@ def test_grade_recurrences_check_the_constant_term(op, const):
     arg = GAPPED + TSeries.const(const, 1, 9) if const else GAPPED
     with pytest.raises(ValueError, match="needs constant term"):
         getattr(arg, op)()
+
+
+def test_degree_guard():
+    """A grade's t exponents add up to its degree, so d_max bounds each:
+    both constructors take DEGREE_MAX, the largest a slot holds, and raise
+    one past it."""
+    from cubichodge.phiseries import DEGREE_MAX
+    from cubichodge.sparse import SLOT_HALF
+
+    assert DEGREE_MAX == SLOT_HALF - 1
+    top = TSeries(0, DEGREE_MAX, {(DEGREE_MAX,): JetPoly.one()})
+    assert top.coefficient((DEGREE_MAX,)) == JetPoly.one()
+    assert TSeries.graded(0, DEGREE_MAX, top.grades) == top
+    for make in (lambda: TSeries(0, DEGREE_MAX + 1), lambda: TSeries.graded(0, DEGREE_MAX + 1, {})):
+        with pytest.raises(ValueError, match="d_max"):
+            make()
+    # d/dz = -t^2 d/dt is exact one degree further, which no series may be
+    with pytest.raises(ValueError, match="d_max"):
+        ddz(TSeries.const(1, 0, DEGREE_MAX))

@@ -351,3 +351,22 @@ def test_frozen_row0_n25():
     blob = json.dumps([[jet_json(c) for c in table.ptilde(0, n).powers()] for n in range(26)],
                       sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_ROW0_N25_SHA256
+
+
+def test_size_guard():
+    """No exponent of a table passes n_max + 1, which a table past N_MAX
+    could push to the slot edge: it raises, one at N_MAX is made (its rows
+    are built on first read).  A small table reaches n_max."""
+    from cubichodge.ptensors import N_MAX
+    from cubichodge.sparse import SLOT_HALF, largest_exponent
+
+    assert N_MAX + 1 == SLOT_HALF - 1
+    assert PTensorTable(N_MAX).n_max == N_MAX
+    with pytest.raises(ValueError, match="n_max"):
+        PTensorTable(N_MAX + 1)
+    n = 6
+    table = PTensorTable(n)
+    tops = [largest_exponent(c.terms) for i in range(n + 1) for j in range(n + 1 - i)
+            for c in table.ptilde(i, j).coeffs]
+    tops += [largest_exponent(table.f(i, j).terms) for i in range(n + 1) for j in range(i + 1)]
+    assert max(tops) == n

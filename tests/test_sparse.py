@@ -15,8 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubichodge.jets import JetPoly
-from cubichodge.sparse import (SLOT_HALF, add_into, exponent, mul_into, nonzero, pack, power,
-                               product_bound, split, unpack, width)
+from cubichodge.sparse import (SLOT_HALF, add_into, exponent, largest_exponent, mul_into, nonzero,
+                               pack, power, split, unpack, width)
 
 EDGE = SLOT_HALF // 2 - 1
 small = st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(-1, 1))
@@ -105,13 +105,11 @@ def test_pack_rejects_overflow():
         unpack(pack((1, 2, 3)), 2)
 
 
-def test_product_bound():
-    near = {pack((EDGE, -EDGE)): 1}
-    assert product_bound((EDGE, near), (EDGE, near)) == 2 * EDGE
-    # a coarse running bound is read again from the keys instead of failing
-    assert product_bound((SLOT_HALF, near), (0, {pack((1,)): 1})) == EDGE + 1
-    with pytest.raises(OverflowError):
-        product_bound((EDGE, near), (EDGE, near), extra=2)
+@given(terms)
+def test_largest_exponent(t):
+    assert largest_exponent(packed(t)) == max((abs(e) for k in t for e in k), default=0)
+    # every slot of every key, negative ones and the slot edge included
+    assert largest_exponent({pack((1, 1 - SLOT_HALF)): 1, pack((0, 0, 3)): 2}) == SLOT_HALF - 1
 
 
 # -- term-dict arithmetic ----------------------------------------------------------
@@ -217,28 +215,6 @@ def test_jet_mul(a, b):
     assert dict(got.items()) == jet_named(ref_mul(a, b))
 
 
-def test_dot_reads_coarse_bounds_again():
-    # bounds far above the true exponents sum past the slot edge: the dot
-    # reads both sides' keys again instead of failing, and keeps their exact
-    # bound; a pair whose bounds stay inside the slot keeps their sum
-    coarse = SLOT_HALF - 1
-    a = JetPoly.packed({pack((1, 0, 2, -1)): 3}, 2, coarse)
-    b = JetPoly.packed({pack((0, 1, 0, 3)): 1, pack((0, 0, 1)): 5}, 3, coarse)
-    got = JetPoly.dot([(a, b)])
-    assert got.bound == 2 + 3
-    assert dict(got.items()) == {(1, 1, 2, 2): Fraction(1, 2), (1, 0, 3, -1): Fraction(5, 2)}
-    fine = JetPoly.packed({pack((0, 0, 0, 4)): 1}, 1, 10)
-    assert JetPoly.dot([(a, b), (fine, fine)]).bound == 20
-    assert JetPoly.dot([(a, b), (a, fine)]).bound == 6
-    # a real overflow still raises, with exact or coarse bounds
-    big = JetPoly.z(1, -EDGE - 1)
-    with pytest.raises(OverflowError):
-        JetPoly.dot([(big, big)])
-    coarse_big = JetPoly.packed(big.terms, 1, coarse)
-    with pytest.raises(OverflowError):
-        JetPoly.dot([(fine, fine), (coarse_big, coarse_big)])
-
-
 def test_jet_overflow_raises():
     with pytest.raises(OverflowError):
         JetPoly.z(2, SLOT_HALF)
@@ -251,3 +227,43 @@ def test_jet_overflow_raises():
         big.mul_z(1, -EDGE - 1)
     with pytest.raises(OverflowError):
         JetPoly.z(2, SLOT_HALF - 1).mul_z(2)
+
+
+def test_mul_guard_scans_the_operands():
+    """`*` raises once the largest exponents of its two sides add up to
+    SLOT_HALF; one below, the product is exact.  The unguarded dot kernel
+    would let the slot wrap into the next one."""
+    half = SLOT_HALF // 2
+    a = JetPoly.z(2, half) + JetPoly.z(1, -3)
+    got = a * JetPoly.z(2, half - 1)
+    assert dict(got.items()) == {(0, 0, 0, 0, SLOT_HALF - 1): 1, (0, 0, 0, -3, half - 1): 1}
+    with pytest.raises(OverflowError):
+        a * JetPoly.z(2, half)
+    with pytest.raises(OverflowError):
+        JetPoly.z(1, -half) * JetPoly.z(3, half)
+    assert dict(JetPoly.dot([(a, JetPoly.z(2, half))]).items())[(0, 0, 0, 0, -SLOT_HALF, 1)] == 1
+
+
+def test_pow_guard_is_the_mul_guard():
+    """Each product of the squaring in `**` is a guarded `*`: a power whose
+    exponent would reach SLOT_HALF raises, one below it is exact."""
+    n = (SLOT_HALF - 1) // 100
+    assert (JetPoly.z(2, 100) ** n).items() == [((0, 0, 0, 0, 100 * n), 1)]
+    with pytest.raises(OverflowError):
+        JetPoly.z(2, 100) ** (n + 1)
+    with pytest.raises(OverflowError):
+        (JetPoly.z(1, -100) + JetPoly.one()) ** (n + 1)
+
+
+def test_mul_z_guard_reads_its_slot():
+    """mul_z reads the slot it shifts from every key: another slot at the
+    edge does not stop it, its own slot reaching SLOT_HALF does."""
+    p = JetPoly.z(2, SLOT_HALF - 2) + JetPoly.z(1, 1 - SLOT_HALF)
+    assert dict(p.mul_z(2).items()) == {(0, 0, 0, 0, SLOT_HALF - 1): 1,
+                                         (0, 0, 0, 1 - SLOT_HALF, 1): 1}
+    assert dict(p.mul_z(1).items()) == {(0, 0, 0, 1, SLOT_HALF - 2): 1, (0, 0, 0, 2 - SLOT_HALF): 1}
+    for k, power in ((2, 2), (1, -1), (0, SLOT_HALF)):
+        with pytest.raises(OverflowError):
+            p.mul_z(k, power)
+    with pytest.raises(ValueError, match="only z1"):
+        p.mul_z(2, -1)

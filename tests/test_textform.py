@@ -1,10 +1,12 @@
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubichodge.jets import JetPoly
 from cubichodge.ratio import Q
+from cubichodge.sparse import SLOT_HALF
 from cubichodge.textform import (free_energy_text, jet_from_json, jet_json, jet_latex,
                                  jet_text, json_text, parse_jet, sorted_items)
 
@@ -96,12 +98,12 @@ def json_terms(draw):
 @settings(max_examples=150, deadline=None)
 def test_json_reader_sums_terms(terms):
     """The reader sums the terms as JetPoly.monomial and JetPoly.sum do, with
-    the same den and bound."""
+    the same den."""
     want = JetPoly.sum([JetPoly.monomial(Q(*map(int, t["coef"].split("/"))), tuple(t["sigma"]),
                                          {int(name[1:]): e for name, e in t["jets"].items()})
                         for t in terms])
     got = jet_from_json(terms, JET_TOP)
-    assert got == want and (got.den, got.bound) == (want.den, want.bound)
+    assert got == want and got.den == want.den
 
 
 def canonical_order(key: tuple):
@@ -201,3 +203,18 @@ def test_json_text_takes_str_keys_and_json_types_only():
     for obj in ({1: 2}, {"a": {(1,): 2}}, [object()], {1, 2}):
         with pytest.raises(TypeError):
             json_text(obj)
+
+
+def test_json_reader_cap():
+    """An |exponent| above the cap raises OverflowError; a cap past the
+    slot edge is clipped to SLOT_HALF - 1, the largest a slot holds."""
+    def z1(e):
+        return [{"coef": "1/2", "sigma": [0, 0], "jets": {"z1": e}}]
+
+    assert jet_from_json(z1(-4), 2, 4) == JetPoly.monomial(Q(1, 2), (0, 0), {1: -4})
+    with pytest.raises(OverflowError):
+        jet_from_json(z1(-5), 2, 4)
+    edge = JetPoly.monomial(Q(1, 2), (0, 0), {1: 1 - SLOT_HALF})
+    assert jet_from_json(z1(1 - SLOT_HALF), 2, 4 * SLOT_HALF) == edge
+    with pytest.raises(OverflowError):
+        jet_from_json(z1(-SLOT_HALF), 2, 4 * SLOT_HALF)
