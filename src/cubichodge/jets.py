@@ -13,8 +13,8 @@ of s1, s3, z0, ..., zk; only e1 (the z1 slot) may be negative.  Multiplying
 two monomials is one integer addition.  Coefficients are int numerators in
 `terms` over one positive denominator `den`, in lowest terms (the gcd of den
 and every numerator is 1), so equal polynomials compare and hash equal.
-`items` and the constructor speak exponent tuples and rationals; `items` names each
-term by (sa, sb, e0, e1) and the jets up to its own highest one.
+`items` and the constructor speak exponent tuples and rationals; `items`
+names each term by (sa, sb, e0, e1) and the jets up to its own highest one.
 
 Products are summed, not formed one by one: `JetPoly.dot` takes a sum of
 products a * b over the common denominator of every a.den * b.den, runs each
