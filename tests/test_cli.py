@@ -487,6 +487,10 @@ def test_frozen_dump_ptable_g3(tmp_path, capsys):
 FROZEN_JSON_STDOUT_SHA256 = {
     "hodge --genus 3 --tmax 4 --dmax 6 --integrals --format json":
         "c8368bba4734cd6cd30d912194701f46c38f6ec2dfa0cff6176bbd3b41b9ca75",
+    "hodge --genus 4 --tmax 4 --dmax 6 --integrals --format json":
+        "5c130aea41220f83a6d9f2ca424a9d3aba927b015212c489a00eeec87ad1e621",
+    "hodge --genus 5 --tmax 3 --dmax 5 --integrals --format json":
+        "2f761e14c3d1caa1c084525efbacc697be7afd03baa05bae148654603973d64a",
     "rg --genus 4 --format json": "6a8a7416dd25c9a150dc73ceb2330a0c9ef39ba6d41fa05f46e4527708706f99",
     "compute --genus 3 --format json": "61315fb280d3a8cec01c57c3c8f6234cb1c5e43d98ed4beb237e1ad94da9f0f7",
     "compute --genus 1 --format json": "94b2167dea137499746e443e4e7fc6f863982ed1dc7dff11758edc326ca19e66",

@@ -175,6 +175,16 @@ def wide_jet_polys(draw):
     return p
 
 
+@st.composite
+def sigma_polys(draw):
+    """JetPolys without jets, the shape of every Hodge table coefficient,
+    with sigma exponents up to 12; the zero poly among them."""
+    p = JetPoly.zero()
+    for _ in range(draw(st.integers(0, 5))):
+        p = p + JetPoly.monomial(draw(coef), (draw(st.integers(0, 12)), draw(st.integers(0, 12))), {})
+    return p
+
+
 def as_jet_json(obj):
     """obj with every JetPoly replaced by its jet_json list."""
     if isinstance(obj, JetPoly):
@@ -186,12 +196,15 @@ def as_jet_json(obj):
     return obj
 
 
-@given(st.recursive(json_scalars | wide_jet_polys(),
+@given(st.recursive(json_scalars | wide_jet_polys() | sigma_polys(),
                     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
                         st.text(max_size=3), inner, max_size=3),
                     max_leaves=8), st.booleans())
 @example(JetPoly.monomial(-3, (1, 2), {10: 2, 2: 1, 1: -3}), True)
 @example({"b": [JetPoly.zero(), {"z10": JetPoly.z(10)}], "a": JetPoly.z(1, -2)}, False)
+@example({"table": [{"indices": [2, 2], "coefficient": JetPoly.monomial(Q(-7, 12), (12, 0), {})
+                                         + JetPoly.monomial(5, (3, 12), {})}]}, True)
+@example([JetPoly.const(Q(1, 3)), JetPoly.monomial(2, (0, 12), {}) + JetPoly.one()], False)
 @settings(max_examples=150, deadline=None)
 def test_json_text_writes_a_jetpoly_as_its_jet_json(obj, sort_keys):
     assert json_text(obj, sort_keys) == json.dumps(as_jet_json(obj), indent=1, sort_keys=sort_keys)
