@@ -28,7 +28,7 @@ from .outputs import faber_leading, h1_gap_check, intersection_table, r_poly
 from .phiseries import DEGREE_MAX
 from .ptensors import PTensorTable, top_coefficient_value
 from .ratio import qstr
-from .textform import free_energy_text, jet_json, jet_latex, jet_text, json_text
+from .textform import free_energy_text, jet_latex, jet_text, json_text
 from .virasoro import BtildeTable, RationalParams
 
 
@@ -138,7 +138,7 @@ def _emit_body(fe, fmt: str) -> str:
         head = "" if fe.genus != 1 else \
             rf"\frac{{{fe.log_z1_coeff.numerator}}}{{{fe.log_z1_coeff.denominator}}} \log z_1 + "
         return head + jet_latex(fe.body)
-    data = {"genus": fe.genus, "body": jet_json(fe.body),
+    data = {"genus": fe.genus, "body": fe.body,
             "log_z1_coeff": qstr(fe.log_z1_coeff) if fe.log_z1_coeff is not None else None}
     return json_text(data)
 
@@ -168,7 +168,7 @@ def cmd_rg(args) -> int:
     elif args.format == "latex":
         print(jet_latex(rg))
     else:
-        print(json_text({"genus": genus, "rg": jet_json(rg)}))
+        print(json_text({"genus": genus, "rg": rg}))
     return 0
 
 

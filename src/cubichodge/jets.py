@@ -27,7 +27,10 @@ inside the slot, as the size guards of LoopSolver, PTensorTable and TSeries
 do for every caller in this package.  `a * b` is its one-pair case, guarded
 by one scan of each side's keys, and `derive()` its case without pairs;
 `JetPoly.sum` adds polynomials that are already formed, each under an int
-weight if given.
+weight if given.  Sums that feed further sums stay int numerators until
+their result is read: `JetPoly.recurrence` forms rows that are int-weighted
+sums of other rows over one denominator, and `sigma_parts(group=...)` sums
+the jet parts of one group; each reduces once per result.
 """
 from __future__ import annotations
 
@@ -153,6 +156,34 @@ class JetPoly:
         if 0 in acc.values():
             acc = nonzero(acc)
         return _make(acc, den)
+
+    @classmethod
+    def recurrence(cls, base: dict, lower, wanted: dict) -> dict:
+        """{r: value(r) / wanted[r]} over the rows r of `wanted` whose value
+        is nonzero, each wanted[r] an int > 0.  A row's value is base[r] for
+        a key of `base`, a JetPoly, and otherwise the sum of w * value(s)
+        over the (s, int w) pairs of lower(r).  Each value is formed once,
+        as int numerators over the lcm of the base denominators, and each
+        row returned is reduced once."""
+        den = lcm(*(p.den for p in base.values()))
+        known = {r: {k: v * (den // p.den) for k, v in p.terms.items()} for r, p in base.items()}
+
+        def value(r):
+            got = known.get(r)
+            if got is None:
+                got = {}
+                for s, w in lower(r):
+                    add_into(got, value(s), w)
+                known[r] = got
+            return got
+
+        out = {}
+        for r, d in wanted.items():
+            nums = value(r)
+            if nums:
+                out[r] = _make(nums, den * d)
+        del value  # a recursive closure is a reference cycle: break it
+        return out
 
     # -- ring operations ----------------------------------------------
 
@@ -293,15 +324,29 @@ class JetPoly:
         want = pack([jets.get(k, 0) for k in range(max(jets, default=-1) + 1)])
         return self.sigma_parts().get(want, JetPoly())
 
-    def sigma_parts(self, scale=None) -> dict:
+    def sigma_parts(self, scale=None, group=None) -> dict:
         """{jet part: its coefficient, a JetPoly without jets} over the jet
         parts of the terms; a jet part is the packed key of (e0, e1, ...) in
-        slots 0, 1, ...  With `scale`, each coefficient is multiplied by the
-        int scale(jet part) before its one reduction."""
+        slots 0, 1, ...  With `group`, the result is keyed by group(jet
+        part) instead: a part whose key is None is dropped, and the parts of
+        one key are summed as int numerators, all before any reduction.
+        With `scale`, each coefficient is multiplied by the int scale(key)
+        before its one reduction."""
         parts = {}
         for key, v in self.terms.items():
             sig, jets = split(key, 2)
             parts.setdefault(jets, {})[sig] = v
+        if group:
+            grouped = {}
+            for jets, nums in parts.items():
+                g = group(jets)
+                if g is not None:
+                    got = grouped.get(g)
+                    if got is None:
+                        grouped[g] = nums
+                    else:
+                        add_into(got, nums)
+            parts = grouped
         out = {}
         for jets, nums in parts.items():
             c = scale(jets) if scale else 1

@@ -146,6 +146,10 @@ def _jet_products(body: JetPoly, jets: list) -> TSeries:
     1 is left out, and so is every group whose factors' lowest t-degrees add
     up to more than d_max: over Q[s1, s3] the lowest grade of a product is
     the product of the lowest grades, so that group's product is zero.  The
+    pruning comes first: `sigma_parts(group=...)` sums the raw numerators
+    of the jet parts kept in each group and reduces one sigma polynomial
+    per group, none for a pruned part (at the origin of the genus-5 table
+    at (tmax, dmax) = (3, 5), 73 of 271 jet parts are kept).  The
     groups are walked in sorted order as factor tuples ((k, e_k), ...), k
     descending, keeping one chain of partial products for the current
     prefix: a prefix shared by neighbouring tuples is multiplied once.  Each
@@ -173,16 +177,17 @@ def _jet_products(body: JetPoly, jets: list) -> TSeries:
             powers[(k, e)] = got
         return got
 
-    # factor tuple ((k, e_k), ..., k descending) -> the sigma parts of its jet monomials
-    groups: dict[tuple, list] = {}
-    parts = body.sigma_parts()
-    n = width(parts)
-    for jet_key, sigma in parts.items():
+    n = body.max_index() + 1  # jet slots
+
+    def factor_group(jet_key: int):
+        # ((k, e_k), ..., k descending), or None when the product is zero
         es = unpack(jet_key, n)
-        factors = tuple((k, es[k]) for k in range(len(es) - 1, -1, -1) if es[k] and not is_one[k])
+        factors = tuple((k, es[k]) for k in range(n - 1, -1, -1) if es[k] and not is_one[k])
         # a negative power is the recip of a series with constant term 1: lowest degree 0
-        if sum(e * low[k] for k, e in factors if e > 0) <= d_max:
-            groups.setdefault(factors, []).append(sigma)
+        return factors if sum(e * low[k] for k, e in factors if e > 0) <= d_max else None
+
+    # factor tuple -> the sigma part of its jet monomials, reduced once
+    groups = body.sigma_parts(group=factor_group)
     chain: list[tuple[tuple[int, int], TSeries]] = []  # (factor, product of the prefix through it)
     pairs: dict[int, list] = {}  # degree -> [(sigma part, that degree of its product)]
     for factors in sorted(groups):
@@ -193,9 +198,8 @@ def _jet_products(body: JetPoly, jets: list) -> TSeries:
         for f in factors[shared:]:
             chain.append((f, chain[-1][1] * jet_power(*f) if chain else jet_power(*f)))
         product = chain[-1][1] if chain else one
-        sigma = JetPoly.sum(groups[factors])
         for d, grade in product.grades.items():
-            pairs.setdefault(d, []).append((sigma, grade))
+            pairs.setdefault(d, []).append((groups[factors], grade))
     del jet_power  # break the recursive closure's cycle, so the powers are freed on return
     return TSeries.graded(n_max, d_max, {d: JetPoly.dot(p) for d, p in sorted(pairs.items())})
 
@@ -235,7 +239,10 @@ def intersection_table(fe: FreeEnergy, n_max: int, d_max: int, normalized: bool 
     at genus 1 so does a body other than a sigma polynomial times z0.
     Both equations keep the weight sum (i - 1) m_i of a row t^m, so only
     rows whose weight lies in the range of the base rows' weights are
-    visited.
+    visited.  Both only add rows and multiply them by ints, so every row
+    is formed by `JetPoly.recurrence` as int numerators over the one
+    denominator of the base rows, and reduced once, when it is returned
+    (divided by its automorphism factor for a raw table).
     """
     g = fe.genus
     n_max = min(n_max, 3 * g - 3 + d_max)
@@ -249,32 +256,26 @@ def intersection_table(fe: FreeEnergy, n_max: int, d_max: int, normalized: bool 
         return []
     weights = [sum(i * e for i, e in enumerate(key)) - sum(key) for key in known]
     lo, hi = min(weights), max(weights)
-    zero = JetPoly()
 
     # the base rows come first: at genus 1 they hold <tau_0>_1 and <tau_1>_1,
     # where neither equation holds, and for g >= 2 both hold on every row
-    def bracket(m: tuple) -> JetPoly:
-        got = known.get(m)
-        if got is None:
-            if m[0]:
-                lower = list(m)
-                lower[0] -= 1
-                rows, counts = [], []
-                for i in range(1, len(m)):
-                    if m[i]:
-                        row = lower.copy()
-                        row[i] -= 1
-                        row[i - 1] += 1
-                        rows.append(bracket(tuple(row)))
-                        counts.append(m[i])
-                got = JetPoly.sum(rows, counts)
-            elif len(m) > 1 and m[1]:
-                # 2g - 2 + n, with n the insertions besides this tau_1
-                got = bracket((m[0], m[1] - 1, *m[2:])) * (2 * g - 3 + sum(m))
-            else:
-                got = zero
-            known[m] = got
-        return got
+    def lower(m: tuple) -> list:
+        # (row, int weight) pairs: m's bracket is the weighted sum of theirs
+        if m[0]:
+            lowered = list(m)
+            lowered[0] -= 1
+            rows = []
+            for i in range(1, len(m)):
+                if m[i]:
+                    row = lowered.copy()
+                    row[i] -= 1
+                    row[i - 1] += 1
+                    rows.append((tuple(row), m[i]))
+            return rows
+        if len(m) > 1 and m[1]:
+            # 2g - 2 + n, with n the insertions besides this tau_1
+            return [((m[0], m[1] - 1, *m[2:]), 2 * g - 3 + sum(m))]
+        return []
 
     def cores(i: int, core: tuple, size: int, w: int, span: int):
         # core = (m_2..m_{i-1}) with size sum m_j, weight w = sum (j-1) m_j and
@@ -287,15 +288,15 @@ def intersection_table(fe: FreeEnergy, n_max: int, d_max: int, normalized: bool 
         for e in range(min(d_max - size, (d_max + hi - span) // i) + 1):
             yield from cores(i + 1, core + (e,), size + e, w + (i - 1) * e, span + i * e)
 
-    values = {}
+    # each row visited -> what divides its bracket: 1, or its automorphism factor
+    visited = {}
     for core, size, w in cores(2, (), 0, 0, 0):
         for m0 in range(max(0, w - hi), min(w - lo, d_max - size) + 1):
             for m1 in range(d_max - size - m0 + 1 if n_max else 1):
                 m = (m0, m1, *core)[:n_max + 1]
-                value = bracket(m)
-                if value:
-                    values[m] = value if normalized else value / _automorphisms(m)
-    del bracket, cores  # break the recursive closures' cycles
+                visited[m] = 1 if normalized else _automorphisms(m)
+    del cores  # break the recursive generator's cycle
+    values = JetPoly.recurrence(known, lower, visited)
     rows = []
     for key in sorted(values, key=lambda k: (sum(k), k)):
         indices = []

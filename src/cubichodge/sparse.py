@@ -16,8 +16,8 @@ For every polynomial over Q[s1, s3], slots 0 and 1 hold the s1 and s3
 exponents; the slots after them hold the jets z0, z1, ... (in a TSeries,
 t0..tn take their slots).  A key has as many slots as it needs: `width`
 reads from the keys how many are in use.  The functions `pack`, `unpack`,
-`width`, `unit`, `exponent`, `split` and `largest_exponent` below are the
-only code that knows this layout.
+`width`, `unit`, `exponent`, `two_slots`, `split` and `largest_exponent`
+below are the only code that knows this layout.
 
 A key is right only while every exponent stays inside its slot, and no
 polynomial carries a record of its exponents.  The guard sits where
@@ -100,6 +100,13 @@ def _bias(i: int) -> int:
 def exponent(key: int, i: int) -> int:
     """The exponent in slot i of key."""
     return (((key + _bias(i)) >> (SLOT_BITS * i)) & _MASK) - SLOT_HALF
+
+
+def two_slots(terms) -> list:
+    """(e_0, e_1, value) per item of the term dict, whose keys use slots 0
+    and 1 alone."""
+    b = SLOT_HALF
+    return [(((k + b) & _MASK) - b, (k + b) >> SLOT_BITS, v) for k, v in terms.items()]
 
 
 def split(key: int, n: int) -> tuple[int, int]:

@@ -17,7 +17,9 @@ JSON form: a list of term objects {"coef": "num/den", "sigma": [a, b],
 carrying an explicit denominator.  `jet_from_json` reads outside input, so
 it checks every sigma, jet name and exponent before it packs a key.
 `json_text` writes any such object, and every other JSON the program
-writes, as `json.dumps(obj, indent=1)` does, byte for byte.
+writes, as `json.dumps(obj, indent=1)` does, byte for byte; it writes a
+JetPoly in place, and one without jets (a Hodge table coefficient, R_g)
+from its two sigma slots alone, since its "jets" is always {}.
 
 TEXT_FORM_VERSION names these canonical forms.  It is one part of the
 per-genus cache's version (loop.CACHE_VERSION), so a record written under
@@ -31,7 +33,7 @@ from math import gcd, lcm
 
 from .jets import JetPoly
 from .ratio import parse_q, qstr
-from .sparse import SLOT_HALF, unit, unpack, width
+from .sparse import SLOT_HALF, two_slots, unit, unpack, width
 
 TEXT_FORM_VERSION = "textform-v1"
 
@@ -215,10 +217,15 @@ def json_text(obj, sort_keys: bool = False) -> str:
     """json.dumps(obj, indent=1, sort_keys=sort_keys), byte for byte, for
     lists, tuples and dicts with str keys of str, int, float, bool and None;
     a JetPoly is written as its jet_json list, without building that list.
-    Strings go through json's own (C) escaper, and each container is one
-    join."""
-    keys = {}   # str key -> its JSON and ": ", made once per call
-    lines = []  # depth -> (its newline, the newline of its items, their separator)
+    A JetPoly without jets, such as every Hodge table coefficient, takes a
+    path of its own: its keys are read through `sparse.two_slots` and
+    sorted once by (sigma grade, s3 exponent), which is the canonical order
+    when no key has a jet, and each term is written from its two sigma
+    exponents, its reduced coefficient and a fixed empty "jets".  Strings
+    go through json's own (C) escaper, and each container is one join."""
+    keys = {}    # str key -> its JSON and ": ", made once per call
+    lines = []   # depth -> (its newline, the newline of its items, their separator)
+    frames = {}  # depth -> a sigma-only term's text around its coefficient and sigma
 
     def write(obj, depth: int) -> str:
         while len(lines) <= depth + 2:
@@ -244,10 +251,25 @@ def json_text(obj, sort_keys: bool = False) -> str:
             return "[" + inner + sep.join([w(v) if (w := _SCALAR_JSON.get(type(v)))
                                            else write(v, depth + 1) for v in obj]) + nl + "]"
         if isinstance(obj, JetPoly):
-            rows = sorted_items(obj)
-            if not rows:
+            if not obj.terms:
                 return "[]"
             (nl1, in1, sep1), (nl2, in2, sep2) = lines[depth + 1], lines[depth + 2]
+            if width(obj.terms) <= 2:
+                frame = frames.get(depth)
+                if frame is None:
+                    jets = '"jets": {}'
+                    frame = frames[depth] = (
+                        f'{{{in1}"coef": "', f'"{sep1}{jets + sep1 if sort_keys else ""}"sigma": [{in2}',
+                        f"{nl2}]{'' if sort_keys else sep1 + jets}{nl1}}}")
+                head, mid, tail = frame
+                den = obj.den
+                terms = []
+                for _, sb, sa, v in sorted([(sa + 3 * sb, sb, sa, v)
+                                            for sa, sb, v in two_slots(obj.terms)]):
+                    g = gcd(v, den)
+                    terms.append(f"{head}{v // g}/{den // g}{mid}{sa}{sep2}{sb}{tail}")
+                return "[" + inner + sep.join(terms) + nl + "]"
+            rows = sorted_items(obj)
             names = [f'"z{k}": ' for k in range(len(rows[0][0]) - 2)]
             # as JSON keys "z10" sorts before "z2"
             order = sorted(range(len(names)), key=names.__getitem__) if sort_keys else range(len(names))

@@ -1,15 +1,17 @@
 """Anchors above the tier-1 range: the first 16 hex digits of the sha256 of
-H_g (`FreeEnergy.body_text()`) and of R_g (`jet_text(r_poly(H_g))`), and
-the Hodge table of each H_g by both routes.
+H_g (`FreeEnergy.body_text()`) and of R_g (`jet_text(r_poly(H_g))`), the
+Hodge table of each H_g by both routes, and the JSON of that table.
 
     python tests/anchors.py --genus 10
 
 solves H_1..H_G with one LoopSolver(G), in the process it starts, writes
 each H_g as a cache record into a temporary directory and reads it back,
 prints one line per genus from 4 to G, and exits 1 if the hashes of any
-body read back differ from ANCHORS, or if its `intersection_table` at
+body read back differ from ANCHORS, if its `intersection_table` at
 (tmax, dmax) = TABLE_SIZE, raw or in bracket form, differs from the
-reference route (`reference_tables`).  The table reaches genus 11.  On a
+reference route (`reference_tables`), or if `json_text` writes either
+table otherwise than `json.dumps(..., indent=1)` writes its `jet_json`
+rows (`json_agrees`).  The table reaches genus 11.  On a
 shared 2-vCPU host a solve through genus 10 takes about a minute, and
 through genus 11 a few minutes and some 500 MB.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 import time
@@ -32,7 +35,7 @@ from cubichodge import LoopSolver  # noqa: E402
 from cubichodge.loop import load_cached, store_cached  # noqa: E402
 from cubichodge.outputs import (dimension_check, hodge_expand, intersection_table,  # noqa: E402
                                 r_poly)
-from cubichodge.textform import jet_text  # noqa: E402
+from cubichodge.textform import jet_json, jet_text, json_text  # noqa: E402
 
 # genus: (H_g, R_g)
 ANCHORS = {
@@ -68,11 +71,24 @@ def reference_tables(fe, n_max: int, d_max: int) -> tuple[list, list]:
     return tables[0], tables[1]
 
 
-def tables_agree(fe, n_max: int, d_max: int) -> bool:
-    """`intersection_table` equals the reference route, raw and normalised."""
-    raw, brackets = reference_tables(fe, n_max, d_max)
-    return (intersection_table(fe, n_max, d_max) == raw
-            and intersection_table(fe, n_max, d_max, normalized=True) == brackets)
+def tables_agree(fe, n_max: int, d_max: int) -> tuple[bool, bool]:
+    """(`intersection_table` equals the reference route, raw and
+    normalised; `json_agrees` holds for both tables)."""
+    tables = (intersection_table(fe, n_max, d_max),
+              intersection_table(fe, n_max, d_max, normalized=True))
+    return (tables == reference_tables(fe, n_max, d_max),
+            all(json_agrees(fe.genus, rows) for rows in tables))
+
+
+def json_agrees(genus: int, rows: list) -> bool:
+    """`json_text` writes the table as `hodge --format json` does, each
+    coefficient a JetPoly, byte for byte as `json.dumps(..., indent=1)`
+    writes it with each coefficient's `jet_json` rows."""
+    def table(coefficient):
+        return {"genus": genus, "table": [{"indices": list(idx), "coefficient": coefficient(c)}
+                                          for idx, c in rows]}
+
+    return json_text(table(lambda c: c)) == json.dumps(table(jet_json), indent=1)
 
 
 def _digest(text: str) -> str:
@@ -100,10 +116,11 @@ def check(genus: int, emit=None) -> tuple[bool, list[str]]:
             got = ((_digest(back.body_text()), _digest(jet_text(r_poly(back))))
                    if back else ("cache miss", "cache miss"))
             verdicts = ["ok" if a == b else f"MISMATCH (want {b})" for a, b in zip(got, ANCHORS[g])]
-            same = bool(back) and tables_agree(back, *TABLE_SIZE)
-            ok = ok and got == ANCHORS[g] and same
+            same, written = tables_agree(back, *TABLE_SIZE) if back else (False, False)
+            ok = ok and got == ANCHORS[g] and same and written
             lines.append(f"genus {g}: H_{g} {got[0]} {verdicts[0]}, R_{g} {got[1]} {verdicts[1]}"
                          f", table {TABLE_SIZE} {'ok' if same else 'MISMATCH'}"
+                         f", json {'ok' if written else 'MISMATCH'}"
                          f", solved in {elapsed:.2f} s")
             if emit:
                 emit(lines[-1])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cubichodge.jets import JetPoly
 from cubichodge.linsolve import SolveError, TriangularSystem
 from cubichodge.ratio import Q
-from cubichodge.sparse import largest_exponent
+from cubichodge.sparse import exponent, largest_exponent
 from cubichodge.theta import ThetaPoly
 
 from powertheta import PowerTheta
@@ -407,3 +407,38 @@ class TestEvaluate:
         assert p.evaluate(Fraction(-3, 2), 4) == Fraction(3, 4) - 2 + 5
         assert JetPoly().evaluate(Fraction(-1, 2), 3) == 0
         assert JetPoly.const(Fraction(7, 3)).evaluate(0, 0) == Fraction(7, 3)
+
+
+class TestGroupedSums:
+    """Sums whose int numerators feed further sums before one reduction."""
+
+    @given(wide_jets, st.integers(1, 3))
+    def test_sigma_parts_by_group(self, p, modulus):
+        # group the jet parts by their z1 exponent mod `modulus`; residue 0 is dropped
+        def residue(jets):
+            return exponent(jets, 1) % modulus or None
+
+        want = {}
+        for jets, c in p.sigma_parts().items():
+            r = residue(jets)
+            if r is not None:
+                want[r] = want.get(r, JetPoly.zero()) + c
+        assert p.sigma_parts(group=residue) == want
+
+    def test_recurrence_by_hand(self):
+        # Fibonacci-like rows over two base rows with their own denominators:
+        # value(n) = value(n - 1) + 2 value(n - 2), each returned row over its divisor
+        base = {0: JetPoly.monomial(Q(1, 2), (1, 0), {}), 1: JetPoly.monomial(Q(1, 3), (0, 1), {})}
+        value = dict(base)
+        for n in range(2, 7):
+            value[n] = value[n - 1] + value[n - 2] * 2
+        wanted = {n: n + 1 for n in range(7)}
+        got = JetPoly.recurrence(base, lambda n: [(n - 1, 1), (n - 2, 2)], wanted)
+        assert got == {n: value[n] / (n + 1) for n in range(7)}
+
+    def test_recurrence_drops_zero_rows(self):
+        # row 2 cancels, row 3 has no lower rows, row 4 is a zero multiple
+        base = {0: JetPoly.z(1, -1) * Q(3, 4), 1: JetPoly.z(1, -1) * Q(-3, 4)}
+        lower = {2: [(0, 1), (1, 1)], 3: [], 4: [(0, 0)]}.get
+        got = JetPoly.recurrence(base, lower, {0: 3, 2: 1, 3: 1, 4: 1})
+        assert got == {0: JetPoly.z(1, -1) * Q(1, 4)} and got[0].den == 4

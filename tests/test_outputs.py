@@ -1,7 +1,9 @@
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
+import cubichodge.jets as jets
+import cubichodge.outputs as outputs
 from cubichodge.jets import JetPoly
 from cubichodge.loop import FreeEnergy
 from cubichodge.outputs import (TSeries, dimension_check, faber_leading, first_flow_check,
@@ -9,7 +11,7 @@ from cubichodge.outputs import (TSeries, dimension_check, faber_leading, first_f
                                 v_series)
 from cubichodge.phiseries import TruncationError
 from cubichodge.ratio import Q
-from cubichodge.sparse import largest_exponent
+from cubichodge.sparse import largest_exponent, unpack, width
 
 from golden import (FABER2_TEXT, FABER3_TEXT, R2_TEXT, R3_TEXT, parse_sigma, sigma_degrees,
                     sigma_part)
@@ -283,6 +285,68 @@ class TestStringDilatonRoute:
         for g, n_max, d_max in [(3, 4, 6), (4, 4, 6), (5, 3, 5)]:
             intersection_table(energies_g5[g - 1], n_max, d_max, normalized=True)
         assert len(calls) == 164
+
+    def test_one_reduction_per_kept_factor_group(self, monkeypatch, energies_g5):
+        # at t0 = t1 = 0 v' is 1, so a jet part of H_5 is kept when its product
+        # of the other jets is nonzero at dmax 5, and its factor group is the
+        # part without its z1 power; the sigma parts reduce once per group,
+        # never for a pruned part: 271 jet parts, 73 kept, in 73 groups
+        fe = energies_g5[4]
+        jet_series = v_jets(3, 5, fe.max_jet_index(), origin=True)
+        n = width(fe.body.terms)
+        parts = {unpack(key, n)[2:] for key in fe.body.terms}
+
+        def product(es):
+            s = TSeries.const(1, 3, 5)
+            for k, e in enumerate(es):
+                if e and k != 1:
+                    s = s * jet_series[k] ** e
+            return s
+
+        kept = [es for es in parts if product(es)]
+        groups = {es[:1] + es[2:] for es in kept}
+        assert (len(parts), len(kept), len(groups)) == (271, 73, 73)
+        want = outputs._jet_products(fe.body, jet_series)
+        reduced, inside = [], []
+        make, sigma_parts = jets._make, JetPoly.sigma_parts
+        monkeypatch.setattr(jets, "_make",
+                            lambda nums, den: (inside and reduced.append(nums)) or make(nums, den))
+
+        def spy(self, *args, **kwargs):
+            inside.append(1)
+            try:
+                return sigma_parts(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(JetPoly, "sigma_parts", spy)
+        assert outputs._jet_products(fe.body, jet_series) == want
+        assert len(reduced) == len(groups)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_rows_run_on_int_numerators(self, monkeypatch, energies_g5, normalized):
+        # the string and dilaton rows are summed and scaled as int numerators
+        # over one denominator, with no JetPoly arithmetic; each base row is
+        # reduced once as it is read off, and each row of the table once as
+        # it is returned: 20 base rows, 85 rows
+        fe = energies_g5[4]
+        want = intersection_table(fe, 3, 5, normalized)
+        base = outputs._origin_series(fe, 3, 5)
+        n_base = len(base.coefficients())
+        monkeypatch.setattr(outputs, "_origin_series", lambda *args: base)
+
+        def forbidden(*args):
+            raise AssertionError("JetPoly arithmetic in the string and dilaton rows")
+
+        for name in ("sum", "dot", "_scaled", "__add__", "__mul__", "__truediv__"):
+            monkeypatch.setattr(JetPoly, name, forbidden)
+        made = []
+        make = jets._make
+        monkeypatch.setattr(jets, "_make", lambda nums, den: made.append(make(nums, den)) or made[-1])
+        rows = intersection_table(fe, 3, 5, normalized)
+        assert rows == want and (n_base, len(rows)) == (20, 85) and len(made) == n_base + len(rows)
+        assert {id(c) for _, c in rows} == {id(p) for p in made[n_base:]}
+        assert all(gcd(c.den, *c.terms.values()) == 1 for _, c in rows)
 
     def test_genus1_body_beyond_z0_raises(self, h123):
         fake = FreeEnergy(1, h123[0].body + JetPoly.z(2), log_z1_coeff=Q(1, 24))

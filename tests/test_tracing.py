@@ -23,9 +23,9 @@ import cubichodge.cli  # noqa: E402
 from cubichodge.ptensors import PTensorTable  # noqa: E402
 
 # spans whose targets no longer exist; a traced run reports them as reading 0
-STALE = ["PTensorTable.p", "TriangularSystem.verify", "cubichodge.cli.sigma_json",
-         "cubichodge.cli.sigma_text", "cubichodge.cli.commutator_check",
-         "cubichodge.virasoro.virasoro_apply"]
+STALE = ["PTensorTable.p", "TriangularSystem.verify", "cubichodge.cli.jet_json",
+         "cubichodge.cli.sigma_json", "cubichodge.cli.sigma_text",
+         "cubichodge.cli.commutator_check", "cubichodge.virasoro.virasoro_apply"]
 
 
 def test_tracer_installs_and_uninstalls():
