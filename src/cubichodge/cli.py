@@ -8,28 +8,61 @@ directory does not exist).  Outputs are deterministic for a
 given configuration and cache state.  The cache directory comes from
 --cache-dir or, when that is absent, the CUBICHODGE_CACHE environment
 variable, read on each call; no caching happens when neither is set.
+
+Each command imports only the modules it runs.  `compute` loads the solver
+core (jets, sparse, ratio, phiseries, theta, ptensors, linsolve, loop,
+textform); `rg` and `hodge` add `outputs`; `virasoro` adds `virasoro` and
+`commutators`; `verify` adds what its suites run: `outputs` for `gap`,
+`virasoro` for its --pairs, and `oracles` for `series-oracles`, `bell`,
+`power-sum` and `bridge`.  The functions this module calls from `outputs`,
+`commutators` and `oracles` stay globals here, as forwarders that import
+their module on the first call, because the benchmark's tracer
+(perfbench/tracing.py) wraps them by name in this module.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
 from typing import NoReturn
 
-from .commutators import commutator_grid, monomial_basis
 from .jets import JetPoly
 from .loop import GENUS_MAX, LoopSolver
-from .oracles import (btilde11_closed_form_check, c_pair_float_check, chain_rule_check,
-                      btilde11_integral_check, cy_power_sum_check, q_geometric_check,
-                      row0_shift_oracle, specialization_bridge, v1_asymptotic_check)
-from .outputs import faber_leading, h1_gap_check, intersection_table, r_poly
 from .phiseries import DEGREE_MAX
 from .ptensors import PTensorTable, top_coefficient_value
 from .ratio import qstr
 from .textform import free_energy_text, jet_latex, jet_text, json_text
-from .virasoro import BtildeTable, RationalParams
+
+
+def _deferred(module: str, name: str):
+    """A forwarder to `module`.`name`: each call imports the module (a
+    lookup after the first) and passes the result and exceptions unchanged."""
+    path = f"{__package__}.{module}"
+
+    def forward(*args, **kwargs):
+        return getattr(importlib.import_module(path), name)(*args, **kwargs)
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+commutator_grid = _deferred("commutators", "commutator_grid")
+monomial_basis = _deferred("commutators", "monomial_basis")
+btilde11_closed_form_check = _deferred("oracles", "btilde11_closed_form_check")
+btilde11_integral_check = _deferred("oracles", "btilde11_integral_check")
+c_pair_float_check = _deferred("oracles", "c_pair_float_check")
+chain_rule_check = _deferred("oracles", "chain_rule_check")
+cy_power_sum_check = _deferred("oracles", "cy_power_sum_check")
+q_geometric_check = _deferred("oracles", "q_geometric_check")
+row0_shift_oracle = _deferred("oracles", "row0_shift_oracle")
+specialization_bridge = _deferred("oracles", "specialization_bridge")
+v1_asymptotic_check = _deferred("oracles", "v1_asymptotic_check")
+faber_leading = _deferred("outputs", "faber_leading")
+h1_gap_check = _deferred("outputs", "h1_gap_check")
+intersection_table = _deferred("outputs", "intersection_table")
+r_poly = _deferred("outputs", "r_poly")
 
 
 def _nonnegative(text: str) -> int:
@@ -198,6 +231,8 @@ def _indices_text(idx) -> str:
 
 
 def _parse_pairs(text: str):
+    from .virasoro import RationalParams
+
     pairs = []
     for chunk in text.split(";"):
         k1, _, k2 = chunk.partition(",")
@@ -278,6 +313,8 @@ def _verify_suites(args):
         return True, None
 
     def bridge():
+        from .virasoro import BtildeTable
+
         table = PTensorTable(4)
         for params in pairs:
             # one B~ table per pair: each c-pairing is computed once for all four checks
@@ -326,6 +363,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_virasoro(args) -> int:
+    from .virasoro import RationalParams
+
     try:
         params = RationalParams(args.k1, args.k2)
     except ValueError as exc:

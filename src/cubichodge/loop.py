@@ -79,11 +79,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from operator import mul
 
 from . import textform
@@ -109,13 +107,14 @@ class LoopEquationError(ArithmeticError):
     """The assembled loop equation is internally inconsistent."""
 
 
-@dataclass
 class FreeEnergy:
     """H_g = body (+ log_z1_coeff * log z1 at genus 1)."""
-    genus: int
-    body: JetPoly
-    log_z1_coeff: object | None = None
-    provenance: dict = field(default_factory=dict)
+
+    def __init__(self, genus: int, body: JetPoly, log_z1_coeff=None, provenance: dict | None = None):
+        self.genus = genus
+        self.body = body
+        self.log_z1_coeff = log_z1_coeff
+        self.provenance = {} if provenance is None else provenance
 
     @functools.cached_property
     def gradient(self) -> list:
@@ -307,6 +306,8 @@ def cache_path(cache_dir: str, genus: int) -> str:
 
 
 def store_cached(cache_dir: str, fe: FreeEnergy) -> str:
+    import hashlib
+
     os.makedirs(cache_dir, exist_ok=True)
     record = {
         "version": CACHE_VERSION,
@@ -337,6 +338,8 @@ def load_cached(cache_dir: str, genus: int) -> FreeEnergy | None:
     corruption, such as a jet above z_(3g-2), an |exponent| above
     max(1, 4g - 4), a zero denominator or a log z1 coefficient at a genus
     other than 1 (or none at genus 1)."""
+    import hashlib
+
     path = cache_path(cache_dir, genus)
     try:
         with open(path, "rb") as fh:
