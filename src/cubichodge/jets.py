@@ -304,19 +304,25 @@ class JetPoly:
         return width(self.terms) <= 2
 
     def evaluate(self, s1, s3):
-        """The exact value at rational (s1, s3), summed as ints over
-        den q1^A q3^B, with s1 = p1/q1, s3 = p3/q3 and A, B the top
-        exponents, and divided once; ValueError if a jet is left."""
+        """The exact value at rational (s1, s3), summed as ints by
+        evaluate_int and divided once; ValueError if a jet is left."""
+        return Q(*self.evaluate_int(Q(s1), Q(s3)))
+
+    def evaluate_int(self, s1, s3) -> tuple:
+        """The exact value at rationals (s1, s3) as an int pair (num, den),
+        den > 0 and not reduced: num sums the numerators over den q1^A
+        q3^B, with s1 = p1/q1, s3 = p3/q3 and A, B the top exponents;
+        ValueError if a jet is left."""
         if not self.is_jet_free():
             raise ValueError("evaluate takes a polynomial without jets")
-        (p1, q1), (p3, q3) = ((q.numerator, q.denominator) for q in (Q(s1), Q(s3)))
+        p1, q1, p3, q3 = s1.numerator, s1.denominator, s3.numerator, s3.denominator
         exps = [(unpack(key, 2), v) for key, v in self.terms.items()]
         top_a = max((a for (a, _), _ in exps), default=0)
         top_b = max((b for (_, b), _ in exps), default=0)
         u = [p1**a * q1**(top_a - a) for a in range(top_a + 1)]
         w = [p3**b * q3**(top_b - b) for b in range(top_b + 1)]
         total = sum(v * u[a] * w[b] for (a, b), v in exps)
-        return Q(total, self.den * q1**top_a * q3**top_b)
+        return total, self.den * q1**top_a * q3**top_b
 
     def sigma_coefficient(self, jets) -> "JetPoly":
         """Coefficient of the jet monomial given as {k: exponent}: a JetPoly

@@ -5,11 +5,26 @@ shifts, geometric expansions, residue sums, floating Gamma functions) and
 compares exactly or to a stated float tolerance.  They back both the test
 suite and the `verify` command.  Each runs at one fixed range, set in its
 body and named in its docstring; it takes only what varies: the rational
-pair (v1_asymptotic_check takes all the pairs, so that it builds its shift
-series once), a BtildeTable whose order is the xi order of its B~
+pair (v1_asymptotic_check takes all the pairs, so that one shift series
+serves them all), a BtildeTable whose order is the xi order of its B~
 comparisons and whose residue steps its pairings share, and the P~ table
 the bridge reads.  The checks on rationals sum int numerators over one
-denominator and form one rational per compared value.
+denominator.  The bridge compares those sums with the B~ rows' own int
+numerators and denominator by cross-multiplying, so an entry that passes
+forms no rational; the other checks form one rational per compared value.
+
+The two shift oracles (row0_shift_oracle and v1_asymptotic_check) expand
+the shift factor in t = 1/z,
+
+    sqrt(z) Phi(z) / (sqrt(z - j) Phi(z - j)) = exp(sum_{d>=1} G_d(j) t^d),
+
+once, with the shift j symbolic in the z0 slot of a JetPoly over Q[s1, s3]
+(shift_log).  One exp recurrence then gives every coefficient S_d(j) as a
+polynomial in j (shift_series).  G_d has degree <= d in j: its log Phi
+terms carry j^(d-n) with n >= 1, and the square root adds j^d / (2d).
+S_d is a sum of products G_k1 ... G_kr with k1 + ... + kr = d, so it has
+degree <= d in j too.  The value at an int shift j sums the j^e parts of
+S_d under the int weights j^e; row 0 reads j = 0..8 and V_1 reads j = 1.
 
 The two oracles that read P~ in xi (row0_shift_oracle and
 specialization_bridge) take it from the Stirling basis directly: with
@@ -29,9 +44,10 @@ from operator import mul
 
 from .jets import JetPoly
 from .loop import T
-from .phiseries import TSeries, binomial_zinv, log_phi, log_phi_shifted, q_number
+from .phiseries import TSeries, log_phi, q_number
 from .ptensors import PTensorTable
 from .ratio import Q, QZERO
+from .sparse import unpack
 from .theta import ThetaPoly
 from .virasoro import BtildeTable, c_float, v_zinv_expansion
 
@@ -75,12 +91,44 @@ def q_geometric_check():
     return True, None
 
 
+def shift_log(order: int) -> dict:
+    """log of sqrt(z) Phi(z) / (sqrt(z - j) Phi(z - j)) in t = 1/z with the
+    shift j symbolic in the z0 slot: {d: G_d(j)} for d = 1..order, with
+
+        G_d(j) = -sum_{n<d} C(d-1, d-n) j^(d-n) c_n + j^d / (2d)
+
+    and c_n the t^n coefficients of log Phi: each c_n t^n of log Phi(z - j)
+    is c_n t^n (1 - j t)^-n, whose n = d term cancels log Phi(z), and
+    (1 - j t)^(-1/2) adds j^d / (2d)."""
+    coeffs = {n: c for (n,), c in log_phi(order).coefficients().items()}
+    return {d: JetPoly.sum([*(c.mul_z(0, d - n) for n, c in coeffs.items() if n < d),
+                            JetPoly.monomial(Q(1, 2 * d), (0, 0), {0: d})],
+                           [*(-comb(d - 1, d - n) for n in coeffs if n < d), 1])
+            for d in range(1, order + 1)}
+
+
+def shift_series(order: int) -> list:
+    """The t^d coefficients S_d(j), d = 0..order, of the shift factor
+    exp(sum_d G_d(j) t^d) (shift_log), each as {e: the JetPoly over
+    Q[s1, s3] of its j^e part}: S_0 = 1 and S_d = (1/d) sum_k k G_k S_(d-k),
+    one JetPoly.dot per degree."""
+    kg = {k: g * k for k, g in shift_log(order).items()}
+    s = [JetPoly.one()]
+    for d in range(1, order + 1):
+        s.append(JetPoly.dot([(g, s[d - k]) for k, g in kg.items() if k <= d]) * Q(1, d))
+    return [{unpack(part, 1)[0]: c for part, c in sd.sigma_parts().items()} for sd in s]
+
+
+def _at_shift(parts: dict, j: int) -> JetPoly:
+    """A shift_series coefficient at the shift j: its j^e parts summed
+    under the int weights j^e (0^0 = 1)."""
+    return JetPoly.sum(parts.values(), [j ** e for e in parts])
+
+
 def shift_expansion_term(j: int, order: int) -> TSeries:
     """sqrt(z) Phi(z) / (sqrt(z - j) Phi(z - j)) as a series in t = 1/z."""
-    if j == 0:
-        return TSeries.const(1, 0, order)
-    expo = log_phi(order) - log_phi_shifted(order, j)
-    return expo.exp() * binomial_zinv(Q(-1, 2), -j, order)
+    return TSeries.graded(0, order, {d: _at_shift(parts, j).mul_z(0, d)
+                                     for d, parts in enumerate(shift_series(order))})
 
 
 def row0_shift_oracle():
@@ -88,12 +136,12 @@ def row0_shift_oracle():
     n <= 8 to xi^8."""
     n_max = xi_order = 8
     table = PTensorTable(n_max)
-    shifts = [shift_expansion_term(j, n_max) for j in range(xi_order + 1)]
+    shifts = shift_series(n_max)
     for n in range(n_max + 1):
         coeffs = table.ptilde(0, n).coeffs
         series = [JetPoly.sum(coeffs, ws) for ws in pi_xi_weights(len(coeffs), xi_order)]
         for j in range(xi_order + 1):
-            want = shifts[j].coefficient((n,))
+            want = _at_shift(shifts[n], j)
             if series[j] != want:
                 return False, f"P~(0,{n}) at xi^{j}: {series[j]!r} != {want!r}"
     return True, None
@@ -101,15 +149,21 @@ def row0_shift_oracle():
 
 def specialization_bridge(bt: BtildeTable, table: PTensorTable):
     """ptilde with sigma specialized must match the A_{k,n} route term by
-    term, for i + j <= 4 to xi^bt.order; `table` needs n_max >= 4."""
+    term, for i + j <= 4 to xi^bt.order; `table` needs n_max >= 4.  Each
+    P~ entry is evaluated at (s1, s3) as int numerators over one
+    denominator, and its xi sums are cross-multiplied with the B~ row's."""
     params, order = bt.params, bt.order
     s1, s3 = params.sigma_values()
     ij_max = 4
     for i in range(ij_max + 1):
         for j in range(ij_max + 1 - i):
-            coeffs = [c.evaluate(s1, s3) for c in table.ptilde(i, j).coeffs]
-            if _rational_sums(coeffs, pi_xi_weights(len(coeffs), order)) != bt.row(i, j):
-                return False, f"(i,j)=({i},{j}) for K=({params.k1},{params.k2})"
+            values = [c.evaluate_int(s1, s3) for c in table.ptilde(i, j).coeffs]
+            den = lcm(*(d for _, d in values))
+            nums = [v * (den // d) for v, d in values]
+            want, want_den = bt._int_row(i, j)
+            for ws, w in zip(pi_xi_weights(len(nums), order), want):
+                if sum(map(mul, nums, ws)) * want_den != w * den:
+                    return False, f"(i,j)=({i},{j}) for K=({params.k1},{params.k2})"
     return True, None
 
 

@@ -394,17 +394,35 @@ def test_verify_series_oracles_fail_on_a_wrong_v1_coefficient(capsys, monkeypatc
 
 
 def test_verify_series_oracles_fail_on_a_wrong_shifted_log_phi(capsys, monkeypatch):
+    # an extra s1 t^3 in log Phi(z - j) for each j >= 1 is s1 j t^3 with j
+    # symbolic (the z0 slot), taken from the log of the shift factor
     import cubichodge.oracles as oracles
-    from cubichodge.phiseries import TSeries
 
-    shifted = oracles.log_phi_shifted
-    extra = JetPoly.monomial(1, (1, 0), {})
-    monkeypatch.setattr(oracles, "log_phi_shifted",
-                        lambda order, shift: shifted(order, shift) + TSeries(0, order, {(3,): extra}))
+    shift_log = oracles.shift_log
+    extra = JetPoly.monomial(1, (1, 0), {0: 1})
+
+    def wrong(order):
+        logs = shift_log(order)
+        return {**logs, 3: logs[3] - extra}
+
+    monkeypatch.setattr(oracles, "shift_log", wrong)
     code, out, _ = run_cli(capsys, "verify", "--suite", "series-oracles")
     assert code == 1
     assert out.splitlines() == ["FAIL series-oracles: xi oracle: P~(0,3) at xi^1: "
                                 "JetPoly((5/16) - (1/8)*s1) != JetPoly((5/16) - (9/8)*s1)"]
+
+
+def test_verify_series_oracles_build_log_phi_twice(capsys, monkeypatch):
+    # one symbolic-shift series for row 0 and one for V_1; a series per
+    # shift built log Phi 9 times
+    import cubichodge.oracles as oracles
+
+    calls = []
+    log_phi = oracles.log_phi
+    monkeypatch.setattr(oracles, "log_phi", lambda order: calls.append(order) or log_phi(order))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "series-oracles")
+    assert (code, out) == (0, "PASS series-oracles\n")
+    assert len(calls) == 2
 
 
 def test_virasoro_cmd(capsys):

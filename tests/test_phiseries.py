@@ -298,6 +298,23 @@ def test_frozen_shift_series(name):
     assert digest == SHIFT_ANCHORS[name]
 
 
+def product_route_shift_term(j: int, order: int) -> TSeries:
+    """The shift factor by one series product per shift: exp(log Phi(z) -
+    log Phi(z - j)) times (1 - j/z)^(-1/2)."""
+    return (log_phi(order) - log_phi_shifted(order, j)).exp() * binomial_zinv(Q(-1, 2), -j, order)
+
+
+@pytest.mark.parametrize("order", [8, 12])
+def test_symbolic_shift_series_matches_the_product_route(order):
+    # the one series with j symbolic, read at each shift, against a series
+    # product per shift; each S_n(j) has degree <= n in j
+    from cubichodge.oracles import shift_expansion_term, shift_series
+
+    assert all(max(parts) <= n for n, parts in enumerate(shift_series(order)))
+    for j in range(9):
+        assert shift_expansion_term(j, order) == product_route_shift_term(j, order), j
+
+
 def naive_log_phi_shifted(order: int, shift) -> TSeries:
     """log Phi(z - shift) by one series product per odd power: each c_n t^n
     of log Phi times (1 - shift t)^-n."""

@@ -263,6 +263,25 @@ class TestXiOracle:
         assert detail.startswith("P~(0,5) at xi^0: "), detail
 
 
+    def test_row0_oracle_reads_every_shift(self, monkeypatch):
+        # j (j - 1) ... (j - 7) t^8 added to the log of the shift factor
+        # vanishes at j = 0..7: only the ninth shift, xi^8, sees it
+        import cubichodge.oracles as oracles
+
+        shift_log = oracles.shift_log
+        falling = JetPoly.one()
+        for k in range(8):
+            falling = falling * (JetPoly.z(0) - JetPoly.const(k))
+
+        def wrong(order):
+            logs = shift_log(order)
+            return {**logs, 8: logs[8] + falling}
+
+        monkeypatch.setattr(oracles, "shift_log", wrong)
+        ok, detail = oracles.row0_shift_oracle()
+        assert not ok
+        assert detail.startswith("P~(0,8) at xi^8: "), detail
+
 def fraction_row0(n_max: int) -> list:
     """Row 0 of P~ by the double sum with one Fraction weight
     (-1)^d (2d-1)!! / (2^d m! d!), d = n' - m, per part."""

@@ -382,6 +382,17 @@ class TestAkn:
         ok, detail = specialization_bridge(BtildeTable(P12, 10), table)
         assert (ok, detail) == (False, "(i,j)=(1,2) for K=(1,2)")
 
+    def test_specialization_bridge_fails_on_a_changed_last_entry(self):
+        from cubichodge.oracles import specialization_bridge
+        from cubichodge.ptensors import PTensorTable
+
+        # the xi^10 numerator of B~_{4,0}, the last row the bridge reads, moved by one
+        bt = BtildeTable(P12, 10)
+        nums, den = bt._int_row(4, 0)
+        bt._rows[4, 0] = (nums[:-1] + [nums[-1] + 1], den)
+        ok, detail = specialization_bridge(bt, PTensorTable(4))
+        assert (ok, detail) == (False, "(i,j)=(4,0) for K=(1,2)")
+
     def test_row_recursion_symmetry(self):
         table = BtildeTable(P21, 8)
         for i in range(3):
