@@ -194,14 +194,14 @@ def btilde11_integral_check(bt: BtildeTable):
 def v1_asymptotic_check(pairs):
     """z-expansion of the explicit V_1 against exp(logPhi(z) - logPhi(z-1)) sqrt(z/(z-1)),
     to z^-8, for each RationalParams of `pairs`; the shift series is built
-    once for all of them."""
+    and read at j = 1 once for all of them."""
     order = 8
-    series = shift_expansion_term(1, order)
+    series = [_at_shift(parts, 1) for parts in shift_series(order)]
     for params in pairs:
         got = v_zinv_expansion(params, 1, order)
         s1, s3 = params.sigma_values()
         for n in range(order + 1):
-            want = series.coefficient((n,)).evaluate(s1, s3)
+            want = series[n].evaluate(s1, s3)
             if got[n] != want:
                 return False, f"({params.k1},{params.k2}): z^-{n}: {got[n]} != {want}"
     return True, None
