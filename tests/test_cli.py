@@ -413,8 +413,7 @@ def test_verify_series_oracles_fail_on_a_wrong_shifted_log_phi(capsys, monkeypat
 
 
 def test_verify_series_oracles_build_log_phi_twice(capsys, monkeypatch):
-    # one symbolic-shift series for row 0 and one for V_1; a series per
-    # shift built log Phi 9 times
+    # one symbolic-shift series for row 0 and one for V_1, each from one log Phi
     import cubichodge.oracles as oracles
 
     calls = []

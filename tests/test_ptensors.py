@@ -262,7 +262,6 @@ class TestXiOracle:
         assert not ok
         assert detail.startswith("P~(0,5) at xi^0: "), detail
 
-
     def test_row0_oracle_reads_every_shift(self, monkeypatch):
         # j (j - 1) ... (j - 7) t^8 added to the log of the shift factor
         # vanishes at j = 0..7: only the ninth shift, xi^8, sees it
@@ -281,6 +280,7 @@ class TestXiOracle:
         ok, detail = oracles.row0_shift_oracle()
         assert not ok
         assert detail.startswith("P~(0,8) at xi^8: "), detail
+
 
 def fraction_row0(n_max: int) -> list:
     """Row 0 of P~ by the double sum with one Fraction weight
